@@ -186,7 +186,14 @@ class Block:
         return expected == self.header.merkle_root
 
     def verify_signature(self) -> bool:
-        """Check the producer's signature over the header hash (§III)."""
+        """Check the producer's signature over the header hash (§III).
+
+        Computed once per (frozen) instance, like :attr:`block_id`.
+        """
+        return self._signature_ok
+
+    @cached_property
+    def _signature_ok(self) -> bool:
         if self.signature is None:
             return False
         if self.signature.public_key.fingerprint() != self.header.producer:

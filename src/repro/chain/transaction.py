@@ -10,10 +10,10 @@ scheme as block headers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
-from repro.chain.codec import Reader, Writer
+from repro.chain.codec import Reader, Writer, encoded_size_varint
 from repro.crypto.hashing import sha256d
 from repro.crypto.keys import KeyPair
 from repro.crypto.signature import SIGNATURE_SIZE, Signature, sign_digest
@@ -133,7 +133,16 @@ class Transaction:
         )
 
     def verify_signature(self) -> bool:
-        """Check the signature and that the signer owns the sender address."""
+        """Check the signature and that the signer owns the sender address.
+
+        The verdict is a function of the frozen fields, so it is computed
+        once per instance: admission, execution and a reorg's replay of the
+        same object pay for one ECDSA verification between them.
+        """
+        return self._signature_ok
+
+    @cached_property
+    def _signature_ok(self) -> bool:
         if self.signature is None:
             return False
         if self.signature.public_key.fingerprint() != self.sender:
@@ -157,28 +166,24 @@ def make_transaction(
     unit tests that assert on payload contents).
     """
     sender = keypair.public.fingerprint()
-    tx = Transaction(sender, recipient, amount, nonce, payload).signed_by(keypair)
-    if pad_to is None:
-        return tx
-    current = tx.size
-    if current > pad_to:
-        raise InvalidTransactionError(
-            f"transaction already {current} bytes, cannot pad down to {pad_to}"
-        )
-    if current < pad_to:
-        # Padding grows its own varint length prefix, so the first guess can
-        # overshoot by a byte; converge by correcting with the residual.
-        deficit = pad_to - current
-        for _ in range(8):
-            padded = Transaction(
-                sender, recipient, amount, nonce, payload, b"\x00" * deficit
-            ).signed_by(keypair)
-            if padded.size == pad_to:
-                return padded
-            deficit += pad_to - padded.size
-            if deficit < 0:
+    tx = Transaction(sender, recipient, amount, nonce, payload)
+    if pad_to is not None:
+        # The signature envelope is a fixed size, so the padding follows from
+        # the unsigned bytes alone and the transaction is signed once.
+        unpadded = tx.size + SIGNATURE_SIZE
+        if unpadded > pad_to:
+            raise InvalidTransactionError(
+                f"transaction already {unpadded} bytes, cannot pad down to {pad_to}"
+            )
+        # ``unpadded`` counts a one-byte length prefix for the empty padding;
+        # a longer padding may need a longer prefix, which eats into it.
+        room = pad_to - unpadded + 1
+        for prefix in range(1, encoded_size_varint(room) + 1):
+            if encoded_size_varint(room - prefix) == prefix:
+                tx = replace(tx, padding=b"\x00" * (room - prefix))
                 break
-        raise CodecError(
-            f"cannot pad transaction to exactly {pad_to} bytes (varint boundary)"
-        )
-    return tx
+        else:
+            raise CodecError(
+                f"cannot pad transaction to exactly {pad_to} bytes (varint boundary)"
+            )
+    return tx.signed_by(keypair)

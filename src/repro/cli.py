@@ -411,7 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-node durable chain databases live here (enables recovery)",
     )
     localnet_parser.add_argument(
-        "--sign", action="store_true", help="real ECDSA signing/verification (slow)"
+        "--sign",
+        action="store_true",
+        help="sign block headers and verify them on receipt (real ECDSA)",
     )
     localnet_parser.set_defaults(func=_cmd_localnet)
 

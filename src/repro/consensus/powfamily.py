@@ -30,7 +30,7 @@ Two workload modes:
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Block, sign_block
@@ -65,9 +65,12 @@ class MiningNodeConfig:
         batch_size: virtual transactions represented by each block.
         compact_blocks: charge compact (id-only) block relays; see
             :meth:`~repro.consensus.base.ConsensusNode.block_wire_size`.
-        sign_blocks / verify_signatures: real ECDSA on headers.  On for
-            correctness tests; off for large sweeps (pure-Python ECDSA costs
-            ~25 ms per operation, which would dominate a 600-node run).
+        sign_blocks / verify_signatures: real ECDSA on headers and gossiped
+            transactions.  On for correctness tests, off for the figure
+            sweeps, whose committed numbers were taken unsigned (pure-Python
+            ECDSA costs ~0.4 ms per signature and ~1.6 ms per verification;
+            the verdict is memoised on the block, so simulated nodes sharing
+            one object verify it once).
         real_pow: grind real SHA-256 nonces instead of sampling the oracle.
             Implies puzzle verification on receipt.
         execute_ledger: carry and execute real transactions.
@@ -361,7 +364,10 @@ class MiningNode(ConsensusNode):
         if not self.ctx.network.gossip_deliver(self.node_id, from_peer, message):
             return
         if message.kind == "block":
-            self._handle_block(message.payload)
+            block = message.payload
+            if self.config.verify_signatures:
+                block = self._with_admitted_transactions(block)
+            self._handle_block(block)
             # A growing orphan buffer means we are missing a chain segment
             # (we were offline, or a partition healed): pull it from the
             # peer that is feeding us the unknown branch.
@@ -372,7 +378,24 @@ class MiningNode(ConsensusNode):
                 self._last_sync_request = self.ctx.sim.now
                 self.request_sync(from_peer)
         elif message.kind == "tx":
-            self.mempool.add(message.payload)
+            tx = message.payload
+            # Same admission rule as a local submit; the verdict is memoised
+            # on the transaction, so executing it later costs nothing more.
+            if not self.config.verify_signatures or tx.verify_signature():
+                self.mempool.add(tx)
+
+    def _with_admitted_transactions(self, block: Block) -> Block:
+        """Swap in the pool's copy of every transaction this node admitted.
+
+        A block decoded from the wire carries fresh transaction objects; the
+        copies admitted from gossip already hold their signature verdict, and
+        an equal ``tx_id`` means equal bytes, so executing the block need not
+        verify them again.  Shared in-process objects come back unchanged.
+        """
+        pooled = tuple(self.mempool.get(tx.tx_id) or tx for tx in block.transactions)
+        if all(a is b for a, b in zip(pooled, block.transactions, strict=True)):
+            return block
+        return replace(block, transactions=pooled)
 
     # -- chain sync -------------------------------------------------------------------
 

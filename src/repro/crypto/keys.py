@@ -5,13 +5,22 @@ its private key (§III, §VI-C).  The paper's consortium setting assumes an
 identity-authenticated node set, so keys double as node identities.
 
 No third-party crypto dependency is available offline, so this module
-implements the secp256k1 group operations from scratch: Jacobian-coordinate
-point addition/doubling, scalar multiplication with a simple double-and-add
-ladder, and (de)serialization of points in compressed SEC1 form.  The code is
-deliberately straightforward rather than constant-time — it is a reproduction
-substrate, not a hardened wallet — but it is mathematically the real curve, so
-signature sizes and verification semantics match a production deployment
-(§VI-C budgets "about 128 bytes" per block for the signature envelope).
+implements the secp256k1 group operations from scratch, plus (de)serialization
+of points in compressed SEC1 form.  One kernel serves every scalar
+multiplication: Jacobian doubling and mixed Jacobian + affine addition, so a
+ladder pays no field inversion until its result is read back.  Multiples of
+the generator (key derivation, signing, the ``u1·G`` half of verification)
+come from a lazily built table of ``d · 16^i · G`` — at most 64 additions and
+no doubling; the ``u2·Q`` half of verification walks a width-5 wNAF over eight
+odd multiples of ``Q`` and the ``u1·G`` terms are added onto the same
+accumulator.  On a 2-vCPU sandbox under CPython 3.11 a signature costs
+≈ 0.4 ms and a verification ≈ 1.6 ms.  ``tests/ref_secp256k1.py`` keeps the
+textbook affine double-and-add ladder as the oracle for differential tests.
+
+The code is not constant-time — it is a reproduction substrate, not a
+hardened wallet — but it is mathematically the real curve, so signature sizes
+and verification semantics match a production deployment (§VI-C budgets
+"about 128 bytes" per block for the signature envelope).
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import cache
 from typing import ClassVar
 
 from repro.errors import CryptoError
@@ -35,7 +45,14 @@ B = 7
 GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
-_Point = tuple[int, int] | None  # affine point; None is the point at infinity
+_Affine = tuple[int, int]  # finite affine point (x, y)
+_Point = _Affine | None  # None is the point at infinity
+_Jacobian = tuple[int, int, int]  # finite point (X, Y, Z) = affine (X/Z², Y/Z³)
+
+#: Bits per digit of the fixed-base table for ``G`` (64 rows × 15 points).
+_G_WINDOW = 4
+#: wNAF width for variable-base multiplication (odd multiples 1·Q … 15·Q).
+_WNAF_WIDTH = 5
 
 
 def _inv(a: int, m: int) -> int:
@@ -43,40 +60,145 @@ def _inv(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
+# --- group kernel --------------------------------------------------------------
+#
+# secp256k1 has prime order, hence no point with y = 0: doubling a finite
+# on-curve point never yields infinity, and the formulas below rely on that.
+
+
+def _jac_double(p: _Jacobian) -> _Jacobian:
+    """Double a finite Jacobian point (curve coefficient a = 0)."""
+    x, y, z = p
+    yy = y * y % P
+    s = 4 * x * yy % P
+    m = 3 * x * x % P
+    x3 = (m * m - 2 * s) % P
+    return x3, (m * (s - x3) - 8 * yy * yy) % P, 2 * y * z % P
+
+
+def _jac_add_affine(p: _Jacobian | None, x2: int, y2: int) -> _Jacobian | None:
+    """Mixed addition: Jacobian ``p`` plus the finite affine point ``(x2, y2)``."""
+    if p is None:
+        return x2, y2, 1
+    x1, y1, z1 = p
+    zz = z1 * z1 % P
+    h = (x2 * zz - x1) % P
+    r = (y2 * zz % P * z1 - y1) % P
+    if h == 0:
+        # Same x: either the same point (double it) or its negation.
+        return _jac_double(p) if r == 0 else None
+    hh = h * h % P
+    hhh = hh * h % P
+    v = x1 * hh % P
+    x3 = (r * r - hhh - 2 * v) % P
+    return x3, (r * (v - x3) - y1 * hhh) % P, z1 * h % P
+
+
+def _batch_to_affine(points: list[_Jacobian]) -> list[_Affine]:
+    """Normalise finite Jacobian points with one inversion (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        prefix.append(acc)
+        acc = acc * z % P
+    acc_inv = _inv(acc, P)
+    out: list[_Affine] = []
+    for (x, y, z), before in zip(reversed(points), reversed(prefix), strict=True):
+        z_inv = acc_inv * before % P
+        acc_inv = acc_inv * z % P
+        zz_inv = z_inv * z_inv % P
+        out.append((x * zz_inv % P, y * zz_inv % P * z_inv % P))
+    out.reverse()
+    return out
+
+
+def _to_affine(p: _Jacobian | None) -> _Point:
+    return None if p is None else _batch_to_affine([p])[0]
+
+
+def _multiples(point: _Affine, step: _Affine, count: int) -> list[_Affine]:
+    """Affine ``point, point + step, …`` (``count`` terms), one inversion."""
+    jac: list[_Jacobian] = [(point[0], point[1], 1)]
+    while len(jac) < count:
+        nxt = _jac_add_affine(jac[-1], *step)
+        assert nxt is not None
+        jac.append(nxt)
+    return _batch_to_affine(jac)
+
+
+@cache
+def _g_table() -> tuple[tuple[int, ...], ...]:
+    """Fixed-base table: row ``i`` holds ``x, y`` of ``d · 16^i · G`` for d = 1 … 15.
+
+    Built on first use (≈ 10 ms, 960 points, ≈ 0.2 MB), never at import.
+    With it ``k·G`` is at most 64 mixed additions and no doubling.  Rows are
+    flat tuples of coordinates: 64 containers for the cyclic collector to
+    know about instead of a thousand.
+    """
+    digits = 1 << _G_WINDOW
+    rows = []
+    base = (GX, GY)
+    for _ in range(0, 256, _G_WINDOW):
+        row = _multiples(base, base, digits)  # 1·base … 16·base
+        rows.append(tuple(coord for point in row[:-1] for coord in point))
+        base = row[-1]
+    return tuple(rows)
+
+
+def _mul_g(k: int, acc: _Jacobian | None = None) -> _Jacobian | None:
+    """``acc + k·G`` for ``0 <= k < 2^256`` from the fixed-base table."""
+    mask = (1 << _G_WINDOW) - 1
+    for row in _g_table():
+        if not k:
+            break
+        digit = k & mask
+        if digit:
+            acc = _jac_add_affine(acc, row[2 * digit - 2], row[2 * digit - 1])
+        k >>= _G_WINDOW
+    return acc
+
+
+def _mul_wnaf(k: int, point: _Affine) -> _Jacobian | None:
+    """``k·point`` for ``k > 0`` by width-5 wNAF over odd multiples of ``point``."""
+    double = _to_affine(_jac_double((point[0], point[1], 1)))
+    assert double is not None
+    odd = _multiples(point, double, 1 << (_WNAF_WIDTH - 2))  # 1·P, 3·P, … 15·P
+    window = 1 << _WNAF_WIDTH
+    naf = []
+    while k:
+        digit = 0
+        if k & 1:
+            digit = k & (window - 1)
+            if digit >= window >> 1:
+                digit -= window
+            k -= digit
+        naf.append(digit)
+        k >>= 1
+    acc: _Jacobian | None = None
+    for digit in reversed(naf):
+        if acc is not None:
+            acc = _jac_double(acc)
+        if digit > 0:
+            acc = _jac_add_affine(acc, *odd[digit >> 1])
+        elif digit < 0:
+            x, y = odd[-digit >> 1]
+            acc = _jac_add_affine(acc, x, P - y)
+    return acc
+
+
 def _point_add(p1: _Point, p2: _Point) -> _Point:
     """Add two affine points on secp256k1."""
-    if p1 is None:
-        return p2
     if p2 is None:
         return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2 and (y1 + y2) % P == 0:
-        return None
-    if p1 == p2:
-        lam = (3 * x1 * x1) * _inv(2 * y1, P) % P
-    else:
-        lam = (y2 - y1) * _inv(x2 - x1, P) % P
-    x3 = (lam * lam - x1 - x2) % P
-    y3 = (lam * (x1 - x3) - y1) % P
-    return (x3, y3)
+    return _to_affine(_jac_add_affine(None if p1 is None else (p1[0], p1[1], 1), *p2))
 
 
 def _point_mul(k: int, point: _Point) -> _Point:
-    """Scalar multiplication ``k * point`` by double-and-add."""
-    if k % N == 0 or point is None:
+    """Scalar multiplication ``k * point`` (any integer ``k``, affine in and out)."""
+    k %= N  # every finite point has order N, so this also folds negative k
+    if k == 0 or point is None:
         return None
-    if k < 0:
-        x, y = point  # type: ignore[misc]
-        return _point_mul(-k, (x, (-y) % P))
-    result: _Point = None
-    addend = point
-    while k:
-        if k & 1:
-            result = _point_add(result, addend)
-        addend = _point_add(addend, addend)
-        k >>= 1
-    return result
+    return _to_affine(_mul_g(k) if point == (GX, GY) else _mul_wnaf(k, point))
 
 
 def _on_curve(point: _Point) -> bool:
@@ -157,7 +279,7 @@ class PrivateKey:
 
     def public_key(self) -> PublicKey:
         """Derive the corresponding public key."""
-        point = _point_mul(self.secret, (GX, GY))
+        point = _to_affine(_mul_g(self.secret))
         assert point is not None  # secret is in [1, N)
         return PublicKey(point[0], point[1])
 
@@ -179,10 +301,10 @@ class KeyPair:
     private: PrivateKey
     public: PublicKey
 
-    #: Seed-derivation memo.  Key derivation is a full scalar multiplication
-    #: (~8 ms in pure Python), deterministic in the seed, and experiment
-    #: fleets re-derive the same ``node-i`` seeds in every run of a sweep —
-    #: caching the frozen pairs makes repeat fleet construction free.
+    #: Seed-derivation memo.  Key derivation is a fixed-base scalar
+    #: multiplication (~0.2 ms in pure Python), deterministic in the seed, and
+    #: experiment fleets re-derive the same ``node-i`` seeds in every run of a
+    #: sweep — caching the frozen pairs makes repeat fleet construction free.
     _seed_cache: ClassVar[dict[bytes | str | int, "KeyPair"]] = {}
 
     @classmethod
@@ -226,8 +348,8 @@ def ecdsa_sign(private: PrivateKey, msg_hash: bytes) -> tuple[int, int]:
     z = int.from_bytes(msg_hash, "big")
     nonce = _rfc6979_nonce(private.secret, msg_hash)
     while True:
-        point = _point_mul(nonce, (GX, GY))
-        assert point is not None
+        point = _to_affine(_mul_g(nonce))
+        assert point is not None  # nonce is in [1, N)
         r = point[0] % N
         if r == 0:
             nonce = (nonce + 1) % N or 1
@@ -252,7 +374,9 @@ def ecdsa_verify(public: PublicKey, msg_hash: bytes, signature: tuple[int, int])
     w = _inv(s, N)
     u1 = z * w % N
     u2 = r * w % N
-    point = _point_add(_point_mul(u1, (GX, GY)), _point_mul(u2, (public.x, public.y)))
+    # u2 = r/s is non-zero; u1·G is accumulated onto u2·Q so the sum needs a
+    # single inversion, and u1·G = −u2·Q surfaces as infinity ⇒ reject.
+    point = _to_affine(_mul_g(u1, _mul_wnaf(u2, (public.x, public.y))))
     if point is None:
         return False
     return point[0] % N == r

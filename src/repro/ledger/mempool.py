@@ -39,6 +39,10 @@ class Mempool:
     def __contains__(self, tx_id: bytes) -> bool:
         return tx_id in self._txs
 
+    def get(self, tx_id: bytes) -> Transaction | None:
+        """The resident transaction with this id, if any."""
+        return self._txs.get(tx_id)
+
     @property
     def total_bytes(self) -> int:
         """Total serialized size of resident transactions."""

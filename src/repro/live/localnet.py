@@ -53,7 +53,8 @@ class LocalnetConfig:
             keeps every node in-memory, the pre-storage behavior).  Nodes
             restarted against the same data dir recover from disk.
         poll_interval: seconds between status sweeps.
-        sign_blocks / verify_signatures: real ECDSA (slow; off for smoke).
+        sign_blocks / verify_signatures: real ECDSA on headers and
+            transactions (``--sign``; a couple of milliseconds per block).
     """
 
     nodes: int = 4

@@ -59,8 +59,8 @@ class ConsortiumManifest:
         h0: minimum node hash rate ``H0``.
         key_prefix: deterministic key derivation prefix (see module note).
         sign_blocks / verify_signatures: real ECDSA on headers and
-            transactions; off by default because pure-Python ECDSA costs
-            ~25 ms per operation — too slow for sub-second localnet blocks.
+            transactions (~0.4 ms per signature, ~1.6 ms per verification in
+            pure Python); off by default, on with ``localnet --sign``.
     """
 
     peers: tuple[PeerSpec, ...]

@@ -7,10 +7,10 @@ import pytest
 from repro.chain.block import Block, build_block
 from repro.chain.blocktree import BlockTree
 from repro.chain.genesis import make_genesis
+from repro.crypto import signature
 from repro.crypto.keys import KeyPair
 
-#: Deterministic keypairs reused across tests (derivation is ~25 ms each, so
-#: they are built once per session).
+#: Deterministic keypairs reused across tests.
 _KEY_CACHE: dict[int, KeyPair] = {}
 
 
@@ -19,6 +19,26 @@ def keypair(index: int) -> KeyPair:
     if index not in _KEY_CACHE:
         _KEY_CACHE[index] = KeyPair.from_seed(f"test-node-{index}")
     return _KEY_CACHE[index]
+
+
+def _record_calls(monkeypatch, name: str) -> list[tuple]:
+    """Record the arguments of every ``repro.crypto.signature.<name>`` call."""
+    calls: list[tuple] = []
+    real = getattr(signature, name)
+    monkeypatch.setattr(signature, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.fixture()
+def ecdsa_verify_calls(monkeypatch) -> list[tuple]:
+    """Argument tuples of every ECDSA verification made through an envelope."""
+    return _record_calls(monkeypatch, "ecdsa_verify")
+
+
+@pytest.fixture()
+def ecdsa_sign_calls(monkeypatch) -> list[tuple]:
+    """Argument tuples of every ECDSA signature made through ``sign_digest``."""
+    return _record_calls(monkeypatch, "ecdsa_sign")
 
 
 @pytest.fixture(scope="session")

@@ -102,6 +102,17 @@ class TestBlock:
         with pytest.raises(InvalidBlockError):
             sign_block(keypair(1), header, [])
 
+    def test_signature_verdict_computed_once_per_instance(self, ecdsa_verify_calls):
+        block = sign_block(keypair(0), _header(), [])
+        assert block.verify_signature() and block.verify_signature()
+        assert len(ecdsa_verify_calls) == 1
+        # Another instance — here one whose header no longer matches the
+        # signature — is judged on its own.
+        resigned = Block(_header(nonce=8), block.signature, ())
+        assert not resigned.verify_signature() and not resigned.verify_signature()
+        assert Block.from_bytes(block.to_bytes()).verify_signature()
+        assert len(ecdsa_verify_calls) == 3
+
     def test_block_id_is_header_hash(self):
         block = Block(_header(), None, ())
         assert block.block_id == block.header.hash()

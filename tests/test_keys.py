@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import keys
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import (
     GX,
@@ -21,7 +26,37 @@ from repro.crypto.keys import (
 )
 from repro.errors import CryptoError
 
+from tests import ref_secp256k1 as ref
 from tests.conftest import keypair
+
+G = (GX, GY)
+
+# Published multiples of the secp256k1 generator.
+G2 = (
+    0xC6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5,
+    0x1AE168FEA63DC339A3C58419466CEAEEF7F632653266D0E1236431A950CFE52A,
+)
+G3 = (
+    0xF9308A019258C31049344F85F89D5229B531C845836F99B08601F113BCE036F9,
+    0x388F7B0F632DE8140FE337E62A37F3566500A99934C2231B6CB9FD7584B8E672,
+)
+G_NEG = (GX, 0xB7C52588D95C3B9AA25B0403F1EEF75702E84BB7597AABE663B82F6F04EF2777)
+
+
+
+def _spread(seed: int) -> int:
+    """A full-width scalar from a small seed (hypothesis alone favours small ints)."""
+    wide = int.from_bytes(hashlib.sha512(seed.to_bytes(8, "big")).digest(), "big")
+    return wide % 2**261 - 2**260
+
+
+#: Any integer a caller might pass: negative, beyond N, tiny, or full width.
+any_scalar = st.one_of(
+    st.integers(min_value=-(2**260), max_value=2**260),
+    st.integers(min_value=0, max_value=2**64 - 1).map(_spread),
+)
+#: Valid private scalars in [1, N).
+scalars = any_scalar.map(lambda k: k % (N - 1) + 1)
 
 
 class TestCurveArithmetic:
@@ -41,6 +76,94 @@ class TestCurveArithmetic:
     def test_scalar_mul_distributes(self):
         g = (GX, GY)
         assert _point_mul(5, g) == _point_add(_point_mul(2, g), _point_mul(3, g))
+
+    @pytest.mark.parametrize(("k", "expected"), [(1, G), (2, G2), (3, G3), (N - 1, G_NEG)])
+    def test_known_answer_multiples_of_g(self, k, expected):
+        assert _point_mul(k, G) == expected
+        assert ref.point_mul(k, G) == expected
+        assert PrivateKey(k).public_key() == PublicKey(*expected)
+
+    def test_known_answers_through_the_variable_base_path(self):
+        # 2·G is not the generator, so these take the wNAF route.
+        assert _point_mul(2, G2) == ref.point_mul(4, G)
+        assert _point_mul((N + 1) // 2, G2) == G
+        assert _point_mul(N - 1, G3) == (G3[0], P - G3[1])
+
+    @pytest.mark.parametrize("k", [0, N, 2 * N, -N])
+    def test_scalar_congruent_to_zero_is_infinity(self, k):
+        assert _point_mul(k, G) is None
+        assert _point_mul(k, G2) is None
+
+    def test_scalars_fold_modulo_the_group_order(self):
+        assert _point_mul(-1, G) == G_NEG
+        assert _point_mul(N + 2, G) == G2
+        assert _point_mul(-2, G3) == ref.point_mul(-2, G3) == _point_mul(N - 2, G3)
+
+    def test_infinity_times_anything_is_infinity(self):
+        assert _point_mul(7, None) is None
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            16**63,  # one non-zero window digit, at the top
+            16**20 + 1,  # zero digits between two non-zero ones
+            0xF0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0,
+            0x0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F,
+            2**255,  # wNAF of a power of two: one digit, 255 doublings
+            2**200 - 1,  # wNAF carries all the way up
+        ],
+    )
+    def test_zero_window_digits(self, k):
+        assert _point_mul(k, G) == ref.point_mul(k, G)
+        assert _point_mul(k, G3) == ref.point_mul(k, G3)
+
+    def test_point_add_matches_reference(self):
+        for p1, p2 in [(G, G), (G, G2), (G2, G), (G3, G_NEG), (None, None), (G2, None)]:
+            assert _point_add(p1, p2) == ref.point_add(p1, p2)
+
+    def test_mixed_addition_of_negation_is_infinity(self):
+        jac = keys._jac_double((GX, GY, 1))  # 2·G with Z != 1
+        assert jac[2] != 1
+        assert keys._jac_add_affine(jac, G2[0], P - G2[1]) is None
+
+    def test_mixed_addition_of_equal_points_doubles(self):
+        jac = keys._jac_double((GX, GY, 1))
+        assert keys._to_affine(keys._jac_add_affine(jac, *G2)) == ref.point_mul(4, G)
+
+    def test_batch_normalisation_matches_single(self):
+        jac = [(GX, GY, 1)]
+        for _ in range(5):
+            jac.append(keys._jac_double(jac[-1]))
+        assert keys._batch_to_affine(jac) == [keys._to_affine(p) for p in jac]
+
+    def test_fixed_base_table_shape_and_entries(self):
+        table = keys._g_table()
+        assert len(table) == 64 and all(len(row) == 30 for row in table)
+        assert [table[0][j : j + 2] for j in range(0, 30, 2)] == [
+            ref.point_mul(d, G) for d in range(1, 16)
+        ]
+        for i, d in [(1, 1), (7, 9), (32, 15), (63, 1), (63, 15)]:
+            assert table[i][2 * d - 2 : 2 * d] == ref.point_mul(d * 16**i, G)
+
+    def test_table_is_not_built_at_import(self):
+        code = (
+            "import repro.crypto.keys as k, repro.crypto.signature, repro.chain.block;"
+            "assert k._g_table.cache_info().currsize == 0;"
+            "k.PrivateKey(5).public_key();"
+            "assert k._g_table.cache_info().currsize == 1"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+    @settings(max_examples=25, deadline=None)
+    @given(any_scalar)
+    def test_fixed_base_matches_reference(self, k):
+        assert _point_mul(k, G) == ref.point_mul(k, G)
+
+    @settings(max_examples=25, deadline=None)
+    @given(any_scalar, scalars)
+    def test_variable_base_matches_reference(self, k, q):
+        point = _point_mul(q, G)
+        assert _point_mul(k, point) == ref.point_mul(k, point)
 
 
 class TestKeys:
@@ -134,6 +257,59 @@ class TestSignatures:
         assert not ecdsa_verify(kp.public, digest, (0, 1))
         assert not ecdsa_verify(kp.public, digest, (1, 0))
         assert not ecdsa_verify(kp.public, digest, (N, 1))
+        assert not ecdsa_verify(kp.public, digest, (1, N))
+
+    def test_out_of_range_components_rejected_even_when_congruent(self):
+        kp = keypair(0)
+        digest = sha256(b"m")
+        r, s = ecdsa_sign(kp.private, digest)
+        assert ecdsa_verify(kp.public, digest, (r, s))
+        assert not ecdsa_verify(kp.public, digest, (r + N, s))
+        assert not ecdsa_verify(kp.public, digest, (r, s + N))
+        assert not ecdsa_verify(kp.public, digest, (-r, s))
+
+    def test_rfc6979_known_answer(self):
+        # The widely published secp256k1 / SHA-256 deterministic-ECDSA vector
+        # (private key 1, low-s form).
+        digest = sha256(b"Satoshi Nakamoto")
+        assert keys._rfc6979_nonce(1, digest) == (
+            0x8F8A276C19F4149656B280621E358CCE24F5F52542772691EE69063B74F15D15
+        )
+        expected = (
+            0x934B1EA10A4B3C1757E2B0C017D0B6143CE3C9A7E6A4A49860D7A6AB210EE3D8,
+            0x2442CE9D2B916064108014783E923EC36B49743E2FFA1C4496F01A512AAFD9E5,
+        )
+        assert ecdsa_sign(PrivateKey(1), digest) == expected
+        assert ref.ecdsa_sign(1, digest) == expected
+        assert ecdsa_verify(PublicKey(GX, GY), digest, expected)
+
+    def test_sum_at_infinity_is_rejected(self):
+        # Choose r so that u1·G = −u2·Q: z + r·d ≡ 0 (mod N).
+        kp = keypair(2)
+        digest = sha256(b"cancel")
+        z = int.from_bytes(digest, "big")
+        r = -z * pow(kp.private.secret, -1, N) % N
+        s = 12345
+        w = pow(s, -1, N)
+        q = (kp.public.x, kp.public.y)
+        assert keys._mul_g(z * w % N, keys._mul_wnaf(r * w % N, q)) is None
+        assert not ecdsa_verify(kp.public, digest, (r, s))
+        assert not ref.ecdsa_verify(q, digest, (r, s))
+
+    @settings(max_examples=20, deadline=None)
+    @given(scalars, st.binary(min_size=32, max_size=32), st.integers(0, 3))
+    def test_sign_and_verify_match_reference(self, secret, digest, damage):
+        private = PrivateKey(secret)
+        public = private.public_key()
+        q = ref.point_mul(secret, G)
+        assert (public.x, public.y) == q
+        r, s = signature = ecdsa_sign(private, digest)
+        assert signature == ref.ecdsa_sign(secret, digest)
+        # damage: 0 = intact, 1 = high-s twin (still valid), 2 = bad r, 3 = bad s
+        candidate = [(r, s), (r, N - s), (r % (N - 1) + 1, s), (r, s % (N - 1) + 1)][damage]
+        verdict = ecdsa_verify(public, digest, candidate)
+        assert verdict == ref.ecdsa_verify(q, digest, candidate)
+        assert verdict == (damage < 2)
 
     def test_low_s_normalization(self):
         kp = keypair(3)

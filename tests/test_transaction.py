@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import replace
+
 from repro.chain.transaction import TX_SIZE, Transaction, make_transaction
+from repro.crypto.keys import KeyPair
 from repro.crypto.signature import sign_digest
-from repro.errors import InvalidTransactionError
+from repro.errors import CodecError, InvalidTransactionError
 
 from tests.conftest import keypair
 
@@ -95,6 +98,77 @@ class TestPadding:
     def test_arbitrary_pad_targets(self, target):
         tx = make_transaction(keypair(0), _addr(1), 1, 0, pad_to=target)
         assert tx.size == target
+
+    # Ids recorded from the three-signature padding loop this arithmetic
+    # replaced.  The unpadded transfer is 142 bytes, so a 240-byte payload
+    # leaves 128 bytes of padding (two-byte length prefix), 242 leaves 127
+    # (one-byte prefix), and 241 falls between the two and cannot be padded.
+    GOLDEN = [
+        (0, TX_SIZE, 369, "846166426ab951ec2a5158ad9990c70414871a8519c3d4d9e3dd7f1b3f1c0686"),
+        (10, TX_SIZE, 359, "d0f06de3fc9b895d71c7455f9da213e5739c5cb7106d215954523f0656454418"),
+        (240, TX_SIZE, 128, "acbd3ba1f03c2b4182fe4bf5f06050875b5805e711f869940378a1a65c7ee426"),
+        (242, TX_SIZE, 127, "d6e5626d62ad306912a1aa6d4b84dae0f417ff114a098ae5e529fc5469a3408f"),
+        (368, TX_SIZE, 1, "9f9bdf80195f3d0a2bf3edd8123c3d178cdfe19e5e0597a10ac8424cb6380c4e"),
+        (369, TX_SIZE, 0, "a04d20ee3583f3d857ba05e4973d7891a352ad8aea427af3eb327c82889776a8"),
+        (3, None, 0, "3bb892b8591a38ee9ae6182e0a97f5289642b94f5f62a2a90f2aecf58f6edd30"),
+        (0, 16528, 16384, "583bf2e325343904f9dc7f000679032c6dee14f75d489192625392018d732fe7"),
+        (0, 16526, 16383, "64b5e5b2c4cd0b1ea4790edc90fbb9464e831503a4d04b598779a41ae8ad06b6"),
+    ]
+
+    @staticmethod
+    def _golden(payload_len: int, pad_to: int | None) -> Transaction:
+        sender = KeyPair.from_seed("golden-sender")
+        recipient = KeyPair.from_seed("golden-recipient").public.fingerprint()
+        return make_transaction(
+            sender, recipient, 7, 3, payload=b"\x01" * payload_len, pad_to=pad_to
+        )
+
+    @pytest.mark.parametrize(("payload_len", "pad_to", "padding", "tx_id"), GOLDEN)
+    def test_golden_ids(self, payload_len, pad_to, padding, tx_id):
+        tx = self._golden(payload_len, pad_to)
+        assert len(tx.padding) == padding
+        assert tx.size == (pad_to or 145)
+        assert tx.tx_id.hex() == tx_id
+        assert tx.verify_signature()
+
+    @pytest.mark.parametrize(("payload_len", "pad_to"), [(241, TX_SIZE), (0, 16527)])
+    def test_unreachable_size_on_the_varint_boundary(self, payload_len, pad_to):
+        with pytest.raises(CodecError, match="varint boundary"):
+            self._golden(payload_len, pad_to)
+
+    def test_one_byte_too_long_is_refused(self):
+        with pytest.raises(InvalidTransactionError, match="already 513 bytes"):
+            self._golden(370, TX_SIZE)
+
+    def test_padded_transfer_is_signed_once(self, ecdsa_sign_calls):
+        make_transaction(keypair(0), _addr(1), 10, 0)
+        make_transaction(keypair(0), _addr(1), 10, 1, payload=b"\x01" * 240)
+        assert len(ecdsa_sign_calls) == 2
+
+
+class TestVerdictMemo:
+    def test_valid_verdict_computed_once(self, ecdsa_verify_calls):
+        tx = make_transaction(keypair(0), _addr(1), 10, 0)
+        assert tx.verify_signature() and tx.verify_signature()
+        assert len(ecdsa_verify_calls) == 1
+
+    def test_invalid_verdict_computed_once(self, ecdsa_verify_calls):
+        forged = replace(make_transaction(keypair(0), _addr(1), 10, 0), amount=11)
+        assert not forged.verify_signature() and not forged.verify_signature()
+        assert len(ecdsa_verify_calls) == 1
+
+    def test_memo_does_not_follow_a_modified_copy(self, ecdsa_verify_calls):
+        tx = make_transaction(keypair(0), _addr(1), 10, 0)
+        assert tx.verify_signature()
+        assert not replace(tx, amount=11).verify_signature()
+        assert Transaction.from_bytes(tx.to_bytes()).verify_signature()
+        assert len(ecdsa_verify_calls) == 3
+
+    def test_memo_is_not_part_of_equality_or_bytes(self):
+        tx = make_transaction(keypair(0), _addr(1), 10, 0)
+        twin = Transaction.from_bytes(tx.to_bytes())
+        tx.verify_signature()
+        assert tx == twin and tx.to_bytes() == twin.to_bytes() and tx.tx_id == twin.tx_id
 
 
 class TestSerialization:
