@@ -1,6 +1,6 @@
 """Durable-storage benchmark: sqlite write throughput, snapshots, recovery.
 
-Times the :mod:`repro.storage` backends against a synthetic but
+Times the :mod:`repro.storage` sqlite backend against a synthetic but
 structurally realistic chain (linear history, fixed transactions per
 block, producers cycling round-robin).  Blocks are unsigned — ECDSA
 costs ~25 ms per signature and would drown the storage numbers this
@@ -43,7 +43,6 @@ from repro.chain.blocktree import BlockTree
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import Transaction
 from repro.crypto.merkle import merkle_root_of_payloads
-from repro.storage.file import FileSnapshotStorage
 from repro.storage.sqlite import SqliteStorage
 
 #: Report format version (bump on schema changes).
@@ -159,29 +158,6 @@ def bench_sqlite_recover(db: Path) -> dict:
     return record
 
 
-def bench_file_backend(tree: BlockTree, spec: GridSpec, path: Path) -> dict:
-    """Full-tree snapshot dump + reload of the file backend."""
-    storage = FileSnapshotStorage(path, snapshot_interval=spec.snapshot_interval)
-    storage.ensure_genesis(tree.get(tree.genesis_id))
-    head_id = max(tree.iter_blocks(), key=lambda b: b.height).block_id
-    start = time.perf_counter()
-    storage.commit(head_id, tree, force=True)
-    dump_wall = time.perf_counter() - start
-    storage.close()
-
-    start = time.perf_counter()
-    reopened = FileSnapshotStorage(path, snapshot_interval=spec.snapshot_interval)
-    recovered = reopened.recover()
-    recover_wall = time.perf_counter() - start
-    assert recovered is not None and recovered.max_height() == tree.max_height()
-    reopened.close()
-    return {
-        "dump_s": round(dump_wall, 3),
-        "recover_s": round(recover_wall, 3),
-        "snapshot_bytes": path.stat().st_size,
-    }
-
-
 def run_grid(grid: str, spec: GridSpec, workdir: Path) -> dict:
     print(
         f"grid '{grid}': {spec.blocks} blocks x {spec.txs_per_block} txs, "
@@ -196,7 +172,6 @@ def run_grid(grid: str, spec: GridSpec, workdir: Path) -> dict:
     db = workdir / "bench.db"
     sqlite_write = bench_sqlite_write(tree, spec, db)
     sqlite_recover = bench_sqlite_recover(db)
-    file_backend = bench_file_backend(tree, spec, workdir / "bench.chain")
 
     for label, record in (
         ("sqlite write", sqlite_write),
@@ -207,11 +182,6 @@ def run_grid(grid: str, spec: GridSpec, workdir: Path) -> dict:
             f"{record['blocks_per_s']:>9.1f} blocks/s",
             file=sys.stderr,
         )
-    print(
-        f"  {'file dump':<15} {file_backend['dump_s']:7.3f}s  "
-        f"recover {file_backend['recover_s']:.3f}s",
-        file=sys.stderr,
-    )
     return {
         "blocks": spec.blocks,
         "txs_per_block": spec.txs_per_block,
@@ -221,7 +191,6 @@ def run_grid(grid: str, spec: GridSpec, workdir: Path) -> dict:
         "build_s": round(build_wall, 3),
         "sqlite_write": sqlite_write,
         "sqlite_recover": sqlite_recover,
-        "file_backend": file_backend,
     }
 
 

@@ -7,7 +7,7 @@ unseeded RNG call, wall-clock read, or unordered-set iteration in a
 consensus path silently poisons every figure the reproduction reports —
 and the live asyncio/threaded tier adds its own failure modes (a blocked
 event loop is indistinguishable from a Byzantine peer).  This package
-encodes those invariants as named, testable AST rules:
+encodes those invariants as named, testable rules:
 
 ========  ==============================================================
  code      invariant
@@ -40,10 +40,14 @@ encodes those invariants as named, testable AST rules:
 
 Findings can be silenced per line with ``# repro: allow[CODE]`` (several
 codes comma-separated); suppressions that silence nothing are themselves
-reported (REP000) so stale waivers cannot accumulate.  Tree-wide
-acknowledged findings live in a committed baseline
-(``--baseline lint-baseline.json``) whose entries all carry written
-justifications.
+reported (REP000) so stale waivers cannot accumulate.  The inline waiver
+is the only acknowledgement mechanism: every accepted finding is visible
+at the line it concerns.
+
+Each file is read, tokenized and parsed once; one walk
+(:mod:`repro.lint.extract`) turns it into flat fact records
+(:mod:`repro.lint.facts`), and every rule is a predicate over those
+records — REP001 and REP010 report from the *same* source fact.
 
 Run it as ``python -m repro.lint src tests benchmarks`` or via the main
 CLI as ``python -m repro lint``.  See ``docs/static-analysis.md``.
@@ -51,7 +55,6 @@ CLI as ``python -m repro lint``.  See ``docs/static-analysis.md``.
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline, BaselineError
 from repro.lint.config import (
     DEFAULT_CONFIG,
     LintConfig,
@@ -61,11 +64,9 @@ from repro.lint.config import (
 )
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import LintResult, iter_python_files, lint_paths
-from repro.lint.registry import RULES, Rule, all_rules
+from repro.lint.registry import RULES, Rule
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
     "DEFAULT_CONFIG",
     "Diagnostic",
     "LintConfig",
@@ -75,7 +76,6 @@ __all__ = [
     "SerdeAnchor",
     "UnionRegistry",
     "WireProtocol",
-    "all_rules",
     "iter_python_files",
     "lint_paths",
 ]

@@ -7,17 +7,12 @@ the simulator's correctness claims only if the event loop never stalls
 and shared state never races: a blocked loop misses heartbeats and is
 indistinguishable from a Byzantine peer to everyone else, and an
 unlocked cross-thread sqlite read returns torn rows.  These rules encode
-the concrete failure modes as AST checks.
-
-REP020, REP022, REP023 and REP024 are file-local (their output is safe
-to replay from the incremental cache); REP021 needs the project function
-table to know which callees are ``async def`` and therefore runs as a
-project check over per-file facts.
+the concrete failure modes as predicates over the call, write and
+connection records of :mod:`repro.lint.facts`.
 """
 
 from __future__ import annotations
 
-import ast
 import re
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
@@ -26,119 +21,38 @@ from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only
-    from repro.lint.context import FileContext
-    from repro.lint.symbols import ProjectSymbols
+    from repro.lint.facts import ClassFact, FileFacts, ProjectSymbols, WriteFact
 
 _TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
-_WRITE_EXEMPT_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 
 
-def _functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+def _repro_records(rule: Rule, project: "ProjectSymbols") -> Iterator["FileFacts"]:
+    """The files these rules apply to: ``repro`` modules, not tests or benches."""
+    for record in project.records:
+        if rule.config.is_repro_module(record.module):
+            yield record
 
 
-def _walk_own_body(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> Iterator[ast.AST]:
-    """Walk a function's body without descending into nested defs/classes."""
-    stack: list[ast.AST] = list(node.body)
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield current
-        stack.extend(ast.iter_child_nodes(current))
+def _thread_entries(record: "FileFacts", runner_bases: frozenset[str]) -> set[str]:
+    """Names of functions/methods of a file that run off the main thread.
 
-
-def _call_display(func: ast.expr) -> str:
-    parts: list[str] = []
-    current = func
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-    return ".".join(reversed(parts)) if parts else "<call>"
-
-
-class _ThreadEntryPoints:
-    """Which functions/methods of a file run off the main thread.
-
-    Three recognizers, matching how this codebase (and the stdlib) spawn
-    threads: ``threading.Thread(target=fn)`` arguments, ``run()`` methods
+    Three recognizers, matching how this codebase (and the stdlib)
+    spawn threads: ``Thread(target=fn)`` arguments, ``run()`` methods
     of ``Thread`` subclasses, and ``do_*`` / ``run`` handler methods of
     classes based on the threading HTTP server machinery.
     """
-
-    def __init__(self, ctx: "FileContext", thread_runner_bases: frozenset[str]) -> None:
-        self.names: set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                resolved = ctx.resolve(node.func)
-                callee = _call_display(node.func)
-                if resolved != "threading.Thread" and not callee.endswith("Thread"):
-                    continue
-                for keyword in node.keywords:
-                    if keyword.arg != "target":
-                        continue
-                    target = keyword.value
-                    if isinstance(target, ast.Name):
-                        self.names.add(target.id)
-                    elif isinstance(target, ast.Attribute):
-                        self.names.add(target.attr)
-            elif isinstance(node, ast.ClassDef):
-                bases = {
-                    base.id if isinstance(base, ast.Name) else base.attr
-                    for base in node.bases
-                    if isinstance(base, (ast.Name, ast.Attribute))
-                }
-                if not bases & thread_runner_bases:
-                    continue
-                for child in node.body:
-                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        if child.name == "run" or child.name.startswith("do_"):
-                            self.names.add(child.name)
-
-    def covers(self, name: str) -> bool:
-        return name in self.names
+    entries = set(record.thread_targets)
+    for klass in record.classes:
+        if runner_bases.intersection(klass.bases):
+            entries.update(
+                m for m in klass.methods if m == "run" or m.startswith("do_")
+            )
+    return entries
 
 
-def _parent_map(root: ast.AST) -> dict[ast.AST, ast.AST]:
-    parents: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(root):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-def _under_lock(
-    node: ast.AST, parents: dict[ast.AST, ast.AST], lock_re: re.Pattern[str]
-) -> bool:
-    """True when ``node`` sits inside ``with <something lock-like>:``."""
-    current: ast.AST | None = node
-    while current is not None:
-        if isinstance(current, (ast.With, ast.AsyncWith)):
-            for item in current.items:
-                for sub in ast.walk(item.context_expr):
-                    name: str | None = None
-                    if isinstance(sub, ast.Name):
-                        name = sub.id
-                    elif isinstance(sub, ast.Attribute):
-                        name = sub.attr
-                    if name is not None and lock_re.search(name):
-                        return True
-        current = parents.get(current)
-    return False
-
-
-def _assign_targets(node: ast.AST) -> list[ast.expr]:
-    if isinstance(node, ast.Assign):
-        return list(node.targets)
-    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        return [node.target]
-    return []
+def _locked(guards: tuple[str, ...], lock_re: re.Pattern[str]) -> bool:
+    """True when any enclosing ``with`` item names something lock-like."""
+    return any(lock_re.search(name) for name in guards)
 
 
 @register
@@ -158,30 +72,21 @@ class BlockingInAsyncRule(Rule):
     name = "blocking-in-async"
     summary = "no blocking calls (time.sleep, sync I/O) inside async def"
 
-    def check_file(
-        self, ctx: "FileContext", project: "ProjectSymbols"
-    ) -> Iterator[Diagnostic]:
-        if not self.config.is_repro_module(ctx.module):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.AsyncFunctionDef):
-                continue
-            for child in _walk_own_body(node):
-                if not isinstance(child, ast.Call):
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
+        for record in _repro_records(self, project):
+            for call in record.calls:
+                if call.function is None or not call.function.is_async:
                     continue
-                resolved = ctx.resolve(child.func)
-                display = resolved or _call_display(child.func)
-                blocking = display in self.config.blocking_calls or any(
-                    display.startswith(prefix)
-                    for prefix in self.config.blocking_prefixes
-                )
-                if blocking:
+                display = call.resolved or call.display
+                if display in self.config.blocking_calls or display.startswith(
+                    self.config.blocking_prefixes
+                ):
                     yield self.diagnostic(
-                        ctx,
-                        child.lineno,
-                        child.col_offset,
+                        record.display_path,
+                        call.line,
+                        call.col,
                         f"blocking call {display}() inside async def "
-                        f"{node.name}(); it stalls the event loop — use the "
+                        f"{call.function.name}(); it stalls the event loop — use the "
                         "async equivalent or loop.run_in_executor",
                     )
 
@@ -201,29 +106,23 @@ class UnawaitedCoroutineRule(Rule):
     name = "unawaited-coroutine"
     summary = "async function results must be awaited or scheduled"
 
-    def check_project(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
         async_functions = {
             qualname
-            for qualname, facts in project.functions.items()
-            if facts.is_async
+            for qualname, function in project.functions.items()
+            if function.is_async
         }
-        for record in project.files.values():
-            if not self.config.is_repro_module(record.module):
-                continue
-            for call in record.discarded_calls:
-                if not any(t in async_functions for t in call.targets):
-                    continue
-                yield Diagnostic(
-                    path=record.display_path,
-                    line=call.line,
-                    col=call.col,
-                    code=self.code,
-                    message=(
+        for record in _repro_records(self, project):
+            for call in record.calls:
+                if call.discarded and async_functions.intersection(call.targets):
+                    yield self.diagnostic(
+                        record.display_path,
+                        call.line,
+                        call.col,
                         f"result of async function {call.display}() is "
                         "discarded; the coroutine never runs — await it or "
-                        "schedule it with asyncio.create_task"
-                    ),
-                )
+                        "schedule it with asyncio.create_task",
+                    )
 
 
 @register
@@ -241,26 +140,19 @@ class DroppedTaskRule(Rule):
     name = "dropped-task"
     summary = "retain asyncio.create_task handles; dropped tasks can vanish"
 
-    def check_file(
-        self, ctx: "FileContext", project: "ProjectSymbols"
-    ) -> Iterator[Diagnostic]:
-        if not self.config.is_repro_module(ctx.module):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Expr) or not isinstance(node.value, ast.Call):
-                continue
-            call = node.value
-            display = _call_display(call.func)
-            if display.split(".")[-1] in _TASK_SPAWNERS:
-                yield self.diagnostic(
-                    ctx,
-                    call.lineno,
-                    call.col_offset,
-                    f"{display}() result dropped; the loop holds only a weak "
-                    "reference, so the task may be garbage-collected before "
-                    "it finishes — retain the handle and cancel it on "
-                    "shutdown",
-                )
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
+        for record in _repro_records(self, project):
+            for call in record.calls:
+                if call.discarded and call.display.split(".")[-1] in _TASK_SPAWNERS:
+                    yield self.diagnostic(
+                        record.display_path,
+                        call.line,
+                        call.col,
+                        f"{call.display}() result dropped; the loop holds only a weak "
+                        "reference, so the task may be garbage-collected before "
+                        "it finishes — retain the handle and cancel it on "
+                        "shutdown",
+                    )
 
 
 @register
@@ -279,111 +171,40 @@ class UnlockedSharedStateRule(Rule):
     name = "unlocked-shared-state"
     summary = "guard state written from both a thread target and elsewhere"
 
-    def check_file(
-        self, ctx: "FileContext", project: "ProjectSymbols"
-    ) -> Iterator[Diagnostic]:
-        if not self.config.is_repro_module(ctx.module):
-            return
-        entries = _ThreadEntryPoints(ctx, self.config.thread_runner_bases)
-        if not entries.names:
-            return
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
         lock_re = re.compile(self.config.lock_name_pattern, re.IGNORECASE)
-        yield from self._check_globals(ctx, entries, lock_re)
-        yield from self._check_attributes(ctx, entries, lock_re)
-
-    def _check_globals(
-        self,
-        ctx: "FileContext",
-        entries: _ThreadEntryPoints,
-        lock_re: re.Pattern[str],
-    ) -> Iterator[Diagnostic]:
-        # name → {function_name: [write nodes]}
-        writes: dict[str, dict[str, list[ast.expr]]] = {}
-        lock_state: dict[ast.expr, bool] = {}
-        for function in _functions(ctx.tree):
-            declared: set[str] = set()
-            for stmt in _walk_own_body(function):
-                if isinstance(stmt, ast.Global):
-                    declared.update(stmt.names)
-            if not declared:
+        for record in _repro_records(self, project):
+            entries = _thread_entries(record, self.config.thread_runner_bases)
+            if not entries:
                 continue
-            parents = _parent_map(function)
-            for node in _walk_own_body(function):
-                for target in _assign_targets(node):
-                    if isinstance(target, ast.Name) and target.id in declared:
-                        writes.setdefault(target.id, {}).setdefault(
-                            function.name, []
-                        ).append(target)
-                        lock_state[target] = _under_lock(target, parents, lock_re)
-        for name, by_function in writes.items():
-            entry_fns = {fn for fn in by_function if entries.covers(fn)}
-            other_fns = set(by_function) - entry_fns
-            if not entry_fns or not other_fns:
-                continue
-            for fn in sorted(entry_fns):
-                for target in by_function[fn]:
-                    if lock_state.get(target, False):
-                        continue
-                    yield self.diagnostic(
-                        ctx,
-                        target.lineno,
-                        target.col_offset,
-                        f"global {name!r} written from thread entry {fn}() "
-                        f"and from {', '.join(sorted(other_fns))}() without a "
-                        "lock; wrap the thread-side write in the shared lock",
-                    )
-
-    def _check_attributes(
-        self,
-        ctx: "FileContext",
-        entries: _ThreadEntryPoints,
-        lock_re: re.Pattern[str],
-    ) -> Iterator[Diagnostic]:
-        for klass in ast.walk(ctx.tree):
-            if not isinstance(klass, ast.ClassDef):
-                continue
-            # attr → {method_name: [write nodes]}
-            writes: dict[str, dict[str, list[ast.expr]]] = {}
-            lock_state: dict[ast.expr, bool] = {}
-            for method in klass.body:
-                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if method.name in _WRITE_EXEMPT_METHODS:
-                    continue
-                parents = _parent_map(method)
-                for node in _walk_own_body(method):
-                    for target in _assign_targets(node):
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            writes.setdefault(target.attr, {}).setdefault(
-                                method.name, []
-                            ).append(target)
-                            lock_state[target] = _under_lock(
-                                target, parents, lock_re
-                            )
-            for attr, by_method in writes.items():
-                if lock_re.search(attr):
+            # (owning class or None for a global, name) → function → writes
+            writes: dict[
+                tuple[ClassFact | None, str], dict[str, list[WriteFact]]
+            ] = {}
+            for write in record.writes:
+                if write.owner is not None and lock_re.search(write.name):
                     continue  # assigning the lock object itself
-                entry_fns = {m for m in by_method if entries.covers(m)}
-                other_fns = set(by_method) - entry_fns
+                key = (write.owner, write.name)
+                writes.setdefault(key, {}).setdefault(write.function_name, []).append(
+                    write
+                )
+            for (owner, name), by_function in writes.items():
+                entry_fns = sorted(fn for fn in by_function if fn in entries)
+                other_fns = sorted(fn for fn in by_function if fn not in entries)
                 if not entry_fns or not other_fns:
                     continue
-                for method_name in sorted(entry_fns):
-                    for target in by_method[method_name]:
-                        if lock_state.get(target, False):
+                what = f"global {name!r}" if owner is None else f"attribute self.{name}"
+                for fn in entry_fns:
+                    for write in by_function[fn]:
+                        if _locked(write.guards, lock_re):
                             continue
                         yield self.diagnostic(
-                            ctx,
-                            target.lineno,
-                            target.col_offset,
-                            f"attribute self.{attr} written from thread entry "
-                            f"{method_name}() and from "
-                            f"{', '.join(sorted(other_fns))}() without a "
-                            "lock; wrap the thread-side write in the shared "
-                            "lock",
+                            record.display_path,
+                            write.line,
+                            write.col,
+                            f"{what} written from thread entry {fn}() "
+                            f"and from {', '.join(other_fns)}() without a "
+                            "lock; wrap the thread-side write in the shared lock",
                         )
 
 
@@ -402,90 +223,23 @@ class SqliteCrossThreadRule(Rule):
     name = "sqlite-cross-thread"
     summary = "sqlite connections used from handler threads need a lock"
 
-    def check_file(
-        self, ctx: "FileContext", project: "ProjectSymbols"
-    ) -> Iterator[Diagnostic]:
-        if not self.config.is_repro_module(ctx.module):
-            return
-        bindings = self._sqlite_bindings(ctx)
-        if not bindings:
-            return
-        entries = _ThreadEntryPoints(ctx, self.config.thread_runner_bases)
-        if not entries.names:
-            return
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
         lock_re = re.compile(self.config.lock_name_pattern, re.IGNORECASE)
-        for function in _functions(ctx.tree):
-            if not entries.covers(function.name):
-                continue
-            parents = _parent_map(function)
-            seen: set[tuple[int, int]] = set()
-            for node in _walk_own_body(function):
-                name = self._connection_use(node, bindings, binder=function.name)
-                if name is None:
+        for record in _repro_records(self, project):
+            entries = _thread_entries(record, self.config.thread_runner_bases)
+            for use in record.connection_uses:
+                if use.function_name not in entries:
                     continue
-                key = (node.lineno, node.col_offset)
-                if key in seen or _under_lock(node, parents, lock_re):
+                if record.sqlite_bindings[use.name] == use.function_name:
+                    continue  # the entry opened its own connection: thread-local
+                if _locked(use.guards, lock_re):
                     continue
-                seen.add(key)
                 yield self.diagnostic(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    f"sqlite connection {name!r} used from thread entry "
-                    f"{function.name}() without holding a lock; sqlite "
+                    record.display_path,
+                    use.line,
+                    use.col,
+                    f"sqlite connection {use.name!r} used from thread entry "
+                    f"{use.function_name}() without holding a lock; sqlite "
                     "connections are not thread-safe across threads — wrap "
                     "the access in the owning lock",
                 )
-
-    @staticmethod
-    def _is_connect_call(ctx: "FileContext", value: ast.expr) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        resolved = ctx.resolve(value.func)
-        if resolved == "sqlite3.connect":
-            return True
-        return _call_display(value.func).endswith("sqlite3.connect")
-
-    def _sqlite_bindings(self, ctx: "FileContext") -> dict[str, str | None]:
-        """Connection name → name of the function that opened it.
-
-        Covers ``conn = sqlite3.connect(...)`` and
-        ``self.conn = sqlite3.connect(...)`` (keyed by the bare/attr
-        name); module-level bindings map to ``None``.
-        """
-        bindings: dict[str, str | None] = {}
-
-        def record(target: ast.expr, owner: str | None) -> None:
-            if isinstance(target, ast.Name):
-                bindings[target.id] = owner
-            elif isinstance(target, ast.Attribute):
-                bindings[target.attr] = owner
-
-        for stmt in ctx.tree.body:
-            if isinstance(stmt, ast.Assign) and self._is_connect_call(ctx, stmt.value):
-                for target in stmt.targets:
-                    record(target, None)
-        for function in _functions(ctx.tree):
-            for node in _walk_own_body(function):
-                if isinstance(node, ast.Assign) and self._is_connect_call(
-                    ctx, node.value
-                ):
-                    for target in node.targets:
-                        record(target, function.name)
-        return bindings
-
-    @staticmethod
-    def _connection_use(
-        node: ast.AST, bindings: dict[str, str | None], binder: str
-    ) -> str | None:
-        """Name of a bound connection this node touches, if cross-thread."""
-        name: str | None = None
-        if isinstance(node, ast.Attribute) and node.attr in bindings:
-            name = node.attr
-        elif isinstance(node, ast.Name) and node.id in bindings:
-            name = node.id
-        if name is None:
-            return None
-        if bindings[name] == binder:
-            return None  # the entry opened its own connection: thread-local
-        return name

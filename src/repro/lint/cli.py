@@ -3,15 +3,13 @@
 Exit-code contract (stable across every ``--format`` and flag
 combination, including ``--statistics``):
 
-* ``0`` — clean: no diagnostics survived suppression and baseline
-  filtering (a fully-baselined tree is clean), or an informational mode
-  ran (``--list-rules``, ``--update-baseline``);
-* ``1`` — findings: at least one non-waived, non-baselined diagnostic;
-* ``2`` — usage/configuration error: unknown rule code, no lintable
-  paths, unreadable or unjustified baseline.
+* ``0`` — clean: no diagnostics survived inline-waiver filtering, or an
+  informational mode ran (``--list-rules``);
+* ``1`` — findings: at least one non-waived diagnostic;
+* ``2`` — usage error: unknown rule code, no lintable paths.
 
 The exit code is computed in exactly one place (:func:`main`, from the
-final post-baseline diagnostic list) so no output format can drift.
+final diagnostic list) so no output format can drift.
 """
 
 from __future__ import annotations
@@ -22,14 +20,12 @@ import os
 import sys
 from collections.abc import Sequence
 
-from repro.lint.baseline import Baseline, BaselineError
 from repro.lint.engine import LintResult, lint_paths
 from repro.lint.registry import RULES
-from repro.lint.sarif import render_sarif
 
 #: Exit status when findings were reported.
 EXIT_FINDINGS = 1
-#: Exit status for usage errors (bad rule code, no files, bad baseline).
+#: Exit status for usage errors (bad rule code, no files).
 EXIT_USAGE = 2
 
 _DEFAULT_PATHS = ("src", "tests", "benchmarks")
@@ -51,12 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "github", "sarif"),
+        choices=("text", "json", "github"),
         default="text",
-        help=(
-            "output format (github emits workflow-command annotations; "
-            "sarif emits a SARIF 2.1.0 log for code scanning)"
-        ),
+        help="output format (github emits workflow-command annotations)",
     )
     parser.add_argument(
         "--select",
@@ -87,35 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    parser.add_argument(
-        "--baseline",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help=(
-            "apply a committed baseline: acknowledged findings are "
-            "filtered, stale entries are reported as REP000"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite --baseline FILE to cover all current findings "
-            "(existing justifications survive; new entries get a TODO "
-            "placeholder that must be replaced before the baseline loads)"
-        ),
-    )
-    parser.add_argument(
-        "--cache",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help=(
-            "incremental result cache: unchanged files (mtime/sha keyed) "
-            "replay their facts and per-file findings without re-parsing"
-        ),
-    )
     return parser
 
 
@@ -133,20 +97,16 @@ def _list_rules() -> str:
 
 
 def render(result: LintResult, fmt: str, *, statistics: bool = False) -> str:
-    """Render a result in one of the four output formats."""
+    """Render a result in one of the three output formats."""
     if fmt == "json":
         payload = {
             "files_checked": result.files_checked,
-            "files_skipped": result.files_skipped,
-            "baselined": result.baselined,
             "rules_run": list(result.rules_run),
             "findings": [d.to_dict() for d in result.diagnostics],
             "counts_by_code": result.counts_by_code(),
             "ok": result.ok,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-    if fmt == "sarif":
-        return render_sarif(result)
     if fmt == "github":
         return "\n".join(d.github() for d in result.diagnostics)
     lines = [d.text() for d in result.diagnostics]
@@ -154,18 +114,13 @@ def render(result: LintResult, fmt: str, *, statistics: bool = False) -> str:
         lines.append("")
         for code, count in result.counts_by_code().items():
             lines.append(f"{count:5d}  {code}")
-    summary_bits = [f"{result.files_checked} file(s)"]
-    if result.files_skipped:
-        summary_bits.append(f"{result.files_skipped} from cache")
-    if result.baselined:
-        summary_bits.append(f"{result.baselined} baselined")
     if result.diagnostics:
         lines.append(
             f"found {len(result.diagnostics)} issue(s) in "
-            + ", ".join(summary_bits)
+            f"{result.files_checked} file(s)"
         )
     else:
-        lines.append("clean: " + ", ".join(summary_bits) + ", no findings")
+        lines.append(f"clean: {result.files_checked} file(s), no findings")
     return "\n".join(lines)
 
 
@@ -174,10 +129,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.list_rules:
         print(_list_rules())
         return 0
-    if args.update_baseline and args.baseline is None:
-        print("repro lint: --update-baseline requires --baseline FILE",
-              file=sys.stderr)
-        return EXIT_USAGE
     paths = args.paths or [p for p in _DEFAULT_PATHS if os.path.isdir(p)]
     if not paths:
         print("repro lint: no paths given and no default directories found",
@@ -189,33 +140,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             select=_parse_codes(args.select),
             ignore=_parse_codes(args.ignore),
             report_unused=not args.no_unused,
-            cache_path=args.cache,
         )
     except ValueError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.baseline is not None:
-        if args.update_baseline:
-            previous: Baseline | None
-            try:
-                previous = Baseline.load(args.baseline, strict=False)
-            except BaselineError:
-                previous = None
-            updated = Baseline.from_result(result, previous)
-            updated.write(args.baseline)
-            print(
-                f"baseline {args.baseline} updated: "
-                f"{len(updated.entries)} entrie(s) cover "
-                f"{len(result.diagnostics)} finding(s)"
-            )
-            return 0
-        try:
-            baseline = Baseline.load(args.baseline)
-        except BaselineError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        result = baseline.apply(result)
 
     output = render(result, args.format, statistics=args.statistics)
     if output:

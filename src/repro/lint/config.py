@@ -9,7 +9,7 @@ minimal projects rather than the live codebase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -243,8 +243,6 @@ class LintConfig:
 
     #: The message-kind dispatch surface (REP030).
     wire: WireProtocol = WireProtocol()
-
-    extra: dict[str, object] = field(default_factory=dict, compare=False)
 
     # -- scope helpers ----------------------------------------------------------
 

@@ -1,12 +1,8 @@
-"""Per-file analysis context: module naming and import resolution."""
+"""Module naming: how a source path maps to the dotted name rules scope on."""
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass, field
 from pathlib import Path
-
-from repro.lint.suppressions import SuppressionSet
 
 
 def module_name_for(path: Path) -> str:
@@ -38,88 +34,3 @@ def module_name_for(path: Path) -> str:
             index = len(parts) - 1 - parts[::-1].index(top)
             return ".".join(parts[index:])
     return parts[-1]
-
-
-class ImportMap(ast.NodeVisitor):
-    """Collects local-name → dotted-path bindings from import statements.
-
-    ``import numpy as np`` binds ``np → numpy``; ``from time import
-    perf_counter as pc`` binds ``pc → time.perf_counter``.  Function-local
-    imports are collected too (scoping is deliberately flat: a file that
-    imports a hazard anywhere is treated as using it by that name).
-    """
-
-    def __init__(self) -> None:
-        self.bindings: dict[str, str] = {}
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            local = alias.asname or alias.name.split(".")[0]
-            target = alias.name if alias.asname else alias.name.split(".")[0]
-            self.bindings[local] = target
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module is None or node.level:
-            return  # relative imports never alias the hazard modules
-        for alias in node.names:
-            if alias.name == "*":
-                continue
-            local = alias.asname or alias.name
-            self.bindings[local] = f"{node.module}.{alias.name}"
-
-
-def resolve_dotted(node: ast.AST, bindings: dict[str, str]) -> str | None:
-    """Resolve an expression like ``np.random.rand`` to ``numpy.random.rand``.
-
-    Returns ``None`` when the root name is not an import binding (e.g. an
-    attribute chain rooted at ``self``).
-    """
-    attrs: list[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        attrs.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    base = bindings.get(current.id)
-    if base is None:
-        return None
-    return ".".join([base, *reversed(attrs)])
-
-
-@dataclass
-class FileContext:
-    """Everything the rules need to know about one parsed source file."""
-
-    path: Path
-    display_path: str
-    module: str
-    source: str
-    tree: ast.Module
-    suppressions: SuppressionSet
-    bindings: dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def build(
-        cls,
-        path: Path,
-        display_path: str,
-        source: str,
-        tree: ast.Module,
-        suppressions: SuppressionSet,
-    ) -> "FileContext":
-        imports = ImportMap()
-        imports.visit(tree)
-        return cls(
-            path=path,
-            display_path=display_path,
-            module=module_name_for(path),
-            source=source,
-            tree=tree,
-            suppressions=suppressions,
-            bindings=imports.bindings,
-        )
-
-    def resolve(self, node: ast.AST) -> str | None:
-        """Dotted canonical name of an attribute/name chain, if imported."""
-        return resolve_dotted(node, self.bindings)

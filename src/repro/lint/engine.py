@@ -1,39 +1,32 @@
-"""File discovery, rule execution, caching, and suppression accounting.
+"""File discovery, rule execution, and suppression accounting.
 
-Execution model (and the caching contract that depends on it):
+Execution model — one pass, one path:
 
-1. every file is either *fresh* (parsed now) or a *cache hit* (its
-   serialized :class:`FileFacts` and file-rule diagnostics replayed from
-   the incremental cache);
-2. the project symbol table is rebuilt from the union of fact records —
-   cached and fresh alike — so cross-module rules always see the whole
-   current tree;
-3. ``check_file`` runs only for fresh files (its output must therefore
-   depend on that file alone — any cross-file reasoning belongs in
-   ``check_project``, which runs unconditionally);
-4. suppression filtering and REP000 accounting run fresh every time,
-   over the fact-recorded directives of every file.
+1. every file is read, tokenized for waivers, parsed and walked exactly
+   once by :func:`repro.lint.extract.extract_file`, yielding its
+   :class:`~repro.lint.facts.FileFacts` (a file that cannot be analyzed
+   yields REP900 and the run continues);
+2. the records are merged into :class:`~repro.lint.facts.ProjectSymbols`;
+3. every selected rule runs as a predicate over the merged records;
+4. findings on a line carrying a matching ``# repro: allow[CODE]`` are
+   dropped, and directives that silenced nothing are reported as REP000.
 """
 
 from __future__ import annotations
 
-import ast
 import os
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Iterable, Sequence
 
 import repro.lint.asyncrules  # noqa: F401  -- registers REP020-REP024 on import
 import repro.lint.protocol  # noqa: F401  -- registers REP030 on import
 import repro.lint.rules  # noqa: F401  -- registers REP001-REP010 on import
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
-from repro.lint.context import FileContext
-from repro.lint.dataflow import FileFacts
 from repro.lint.diagnostics import PARSE_ERROR, UNUSED_SUPPRESSION, Diagnostic
-from repro.lint.incremental import LintCache, cache_key
+from repro.lint.extract import extract_file
+from repro.lint.facts import FileFacts, ProjectSymbols
 from repro.lint.registry import RULES, Rule
-from repro.lint.suppressions import collect_suppressions
-from repro.lint.symbols import ProjectSymbols
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules", ".mypy_cache"})
 
@@ -44,13 +37,7 @@ class LintResult:
 
     diagnostics: list[Diagnostic] = field(default_factory=list)
     files_checked: int = 0
-    #: Of ``files_checked``, how many were replayed from the cache.
-    files_skipped: int = 0
     rules_run: tuple[str, ...] = ()
-    #: Display paths of every analyzed file (baseline staleness scope).
-    checked_paths: tuple[str, ...] = ()
-    #: Findings filtered out by an applied baseline.
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -98,14 +85,6 @@ def _select_rules(
     ]
 
 
-def _is_file_rule(rule: Rule) -> bool:
-    return type(rule).check_file is not Rule.check_file
-
-
-def _is_project_rule(rule: Rule) -> bool:
-    return type(rule).check_project is not Rule.check_project
-
-
 def lint_paths(
     paths: Sequence[str | Path],
     *,
@@ -114,7 +93,6 @@ def lint_paths(
     config: LintConfig = DEFAULT_CONFIG,
     root: str | Path | None = None,
     report_unused: bool = True,
-    cache_path: str | Path | None = None,
 ) -> LintResult:
     """Lint files/directories and return sorted diagnostics.
 
@@ -125,46 +103,21 @@ def lint_paths(
         config: project-layout configuration for the rules.
         root: base for display paths (default: current directory).
         report_unused: emit REP000 for suppressions that silenced nothing.
-        cache_path: incremental cache file; unchanged files replay their
-            facts and file-rule diagnostics instead of re-parsing.
     """
     rules = _select_rules(config, select, ignore)
     active_codes = frozenset(rule.code for rule in rules)
-    file_rules = [rule for rule in rules if _is_file_rule(rule)]
-    project_rules = [rule for rule in rules if _is_project_rule(rule)]
-    base = Path(root) if root is not None else Path.cwd()
+    base = (Path(root) if root is not None else Path.cwd()).resolve()
 
-    cache: LintCache | None = None
-    if cache_path is not None:
-        key = cache_key(config, frozenset(rule.code for rule in file_rules))
-        cache = LintCache.load(cache_path, key)
-
-    contexts: list[FileContext] = []
-    facts_records: list[FileFacts] = []
-    cached_raw: list[Diagnostic] = []
+    records: list[FileFacts] = []
     diagnostics: list[Diagnostic] = []
-    checked_paths: list[str] = []
-    files_skipped = 0
     for path in iter_python_files(paths):
         try:
-            display = str(path.resolve().relative_to(base.resolve()))
+            display = str(path.resolve().relative_to(base))
         except ValueError:
             display = str(path)
-        checked_paths.append(display)
-        if cache is not None:
-            entry = cache.lookup(path, display)
-            if entry is not None:
-                facts_records.append(FileFacts.from_dict(entry["facts"]))
-                cached_raw.extend(
-                    Diagnostic(path=display, line=line, col=col, code=code, message=msg)
-                    for line, col, code, msg in entry["diagnostics"]
-                )
-                files_skipped += 1
-                continue
         try:
-            source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(path))
-        except (OSError, SyntaxError, ValueError) as exc:
+            records.append(extract_file(path, display, config))
+        except (OSError, SyntaxError, ValueError, RecursionError) as exc:
             line = getattr(exc, "lineno", None) or 1
             diagnostics.append(
                 Diagnostic(
@@ -175,107 +128,57 @@ def lint_paths(
                     message=f"could not analyze file: {exc}",
                 )
             )
-            continue
-        contexts.append(
-            FileContext.build(
-                path=path,
-                display_path=display,
-                source=source,
-                tree=tree,
-                suppressions=collect_suppressions(source),
-            )
+
+    project = ProjectSymbols(records, config)
+    suppressions = {record.display_path: record.suppressions for record in records}
+    for rule in rules:
+        for diagnostic in rule.check(project):
+            directives = suppressions.get(diagnostic.path)
+            if directives is None or not directives.is_suppressed(
+                diagnostic.line, diagnostic.code
+            ):
+                diagnostics.append(diagnostic)
+
+    for record in records:
+        diagnostics.extend(
+            _suppression_findings(record, active_codes if report_unused else None)
         )
-
-    fresh_facts = {ctx.display_path: FileFacts.collect(ctx, config) for ctx in contexts}
-    facts_records.extend(fresh_facts.values())
-    project = ProjectSymbols.from_facts(facts_records)
-
-    raw: list[Diagnostic] = list(cached_raw)
-    fresh_by_display: dict[str, list[Diagnostic]] = {
-        ctx.display_path: [] for ctx in contexts
-    }
-    for rule in file_rules:
-        for ctx in contexts:
-            for diagnostic in rule.check_file(ctx, project):
-                fresh_by_display[ctx.display_path].append(diagnostic)
-                raw.append(diagnostic)
-    for rule in project_rules:
-        raw.extend(rule.check_project(project))
-
-    if cache is not None:
-        for ctx in contexts:
-            fact_record = fresh_facts[ctx.display_path]
-            cache.store(
-                ctx.path,
-                ctx.display_path,
-                ctx.source,
-                fact_record.to_dict(),
-                fresh_by_display[ctx.display_path],
-            )
-        cache.prune(set(checked_paths))
-        cache.write()
-
-    suppressions_by_display = {
-        record.display_path: record.suppressions for record in facts_records
-    }
-    for diagnostic in raw:
-        directives = suppressions_by_display.get(diagnostic.path)
-        if directives is not None and directives.is_suppressed(
-            diagnostic.line, diagnostic.code
-        ):
-            continue
-        diagnostics.append(diagnostic)
-
-    for record in facts_records:
-        directives = record.suppressions
-        # Waivers that sanitized a taint source at fact-collection time
-        # anchor no diagnostic; mark them used so REP000 stays quiet.
-        for line, code in record.used_waivers:
-            directives.is_suppressed(line, code)
-        for line, code in directives.malformed:
-            diagnostics.append(
-                Diagnostic(
-                    path=record.display_path,
-                    line=line,
-                    col=0,
-                    code=UNUSED_SUPPRESSION,
-                    message=f"suppression names unknown rule code {code!r}",
-                )
-            )
-        for suppression in directives.suppressions:
-            if suppression.code not in RULES:
-                diagnostics.append(
-                    Diagnostic(
-                        path=record.display_path,
-                        line=suppression.line,
-                        col=0,
-                        code=UNUSED_SUPPRESSION,
-                        message=(
-                            f"suppression allow[{suppression.code}] names a "
-                            "rule that does not exist"
-                        ),
-                    )
-                )
-        if not report_unused:
-            continue
-        for suppression in directives.unused(active_codes):
-            diagnostics.append(
-                Diagnostic(
-                    path=record.display_path,
-                    line=suppression.line,
-                    col=0,
-                    code=UNUSED_SUPPRESSION,
-                    message=(
-                        f"unused suppression: allow[{suppression.code}] "
-                        "silences nothing on this line; delete the waiver"
-                    ),
-                )
-            )
-
     return LintResult(
         diagnostics=sorted(set(diagnostics)),
-        files_checked=len(facts_records),
-        files_skipped=files_skipped,
+        files_checked=len(records),
         rules_run=tuple(sorted(active_codes)),
-        checked_paths=tuple(checked_paths),
     )
+
+
+def _suppression_findings(
+    record: FileFacts, active_codes: frozenset[str] | None
+) -> Iterator[Diagnostic]:
+    """REP000 for a file: malformed, unknown and (unless disabled) unused waivers."""
+    directives = record.suppressions
+
+    def finding(line: int, message: str) -> Diagnostic:
+        return Diagnostic(
+            path=record.display_path,
+            line=line,
+            col=0,
+            code=UNUSED_SUPPRESSION,
+            message=message,
+        )
+
+    for line, code in directives.malformed:
+        yield finding(line, f"suppression names unknown rule code {code!r}")
+    for suppression in directives.suppressions:
+        if suppression.code not in RULES:
+            yield finding(
+                suppression.line,
+                f"suppression allow[{suppression.code}] names a "
+                "rule that does not exist",
+            )
+    if active_codes is None:
+        return
+    for suppression in directives.unused(active_codes):
+        yield finding(
+            suppression.line,
+            f"unused suppression: allow[{suppression.code}] "
+            "silences nothing on this line; delete the waiver",
+        )

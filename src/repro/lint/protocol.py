@@ -19,15 +19,14 @@ as does a ``!=`` guard — rejecting a kind is handling it).
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only
-    from repro.lint.dataflow import FunctionFacts
-    from repro.lint.symbols import ProjectSymbols
+    from repro.lint.facts import ProjectSymbols
 
 
 @register
@@ -45,128 +44,82 @@ class DispatchCompletenessRule(Rule):
     name = "dispatch-completeness"
     summary = "wire kinds need encoder, decoder, and node-side handler"
 
-    def check_project(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
         wire = self.config.wire
-        if wire.wire_module not in project.modules:
+        wire_record = project.files.get(wire.wire_module)
+        if wire_record is None:
             return
-        wire_functions = [
-            f for f in project.functions.values() if f.module == wire.wire_module
-        ]
+        handler_modules = [m for m in wire.handler_modules if m in project.files]
         encode_re = re.compile(wire.encode_name_pattern)
         decode_re = re.compile(wire.decode_name_pattern)
-        encode_kinds = self._kind_values(
-            project, (f for f in wire_functions if encode_re.search(f.name))
-        )
-        decode_kinds = self._kind_values(
-            project, (f for f in wire_functions if decode_re.search(f.name))
-        )
-        handler_modules = [
-            m for m in wire.handler_modules if m in project.modules
-        ]
-        handler_kinds = self._kind_values(
-            project,
-            (
-                f
-                for f in project.functions.values()
-                if f.module in handler_modules
-            ),
-        )
-        wire_record = project.files[wire.wire_module]
+        encode_kinds: set[str] = set()
+        decode_kinds: set[str] = set()
+        handler_kinds: set[str] = set()
+        for module in {wire.wire_module, *handler_modules}:
+            for test in project.files[module].kind_tests:
+                value = test.value
+                for ref in test.refs:
+                    if value is None:
+                        value = project.resolve_constant(ref)
+                if value is None:
+                    continue
+                if module in handler_modules:
+                    handler_kinds.add(value)
+                if module == wire.wire_module:
+                    if encode_re.search(test.function.name):
+                        encode_kinds.add(value)
+                    if decode_re.search(test.function.name):
+                        decode_kinds.add(value)
+        wire_path = wire_record.display_path
 
-        for qualname, value, line, display_path in self._declared_kinds(project):
-            constant = qualname.rsplit(".", 1)[1]
-            if value not in encode_kinds:
-                yield Diagnostic(
-                    path=wire_record.display_path,
-                    line=1,
-                    col=0,
-                    code=self.code,
-                    message=(
-                        f"wire kind {value!r} ({constant}) has no encoder "
-                        f"branch in {wire.wire_module}; sending it raises "
-                        "CodecError at runtime"
-                    ),
-                )
-            if value not in decode_kinds:
-                yield Diagnostic(
-                    path=wire_record.display_path,
-                    line=1,
-                    col=0,
-                    code=self.code,
-                    message=(
-                        f"wire kind {value!r} ({constant}) has no decoder "
-                        f"branch in {wire.wire_module}; receiving it raises "
-                        "CodecError at runtime"
-                    ),
-                )
-            if handler_modules and value not in handler_kinds:
-                yield Diagnostic(
-                    path=display_path,
-                    line=line,
-                    col=0,
-                    code=self.code,
-                    message=(
-                        f"wire kind {value!r} ({constant}) has no node-side "
-                        "handler: no function in "
-                        f"{', '.join(handler_modules)} dispatches on it, so "
-                        "received messages of this kind are silently dropped"
-                    ),
-                )
-
-        for value in sorted(encode_kinds - decode_kinds):
-            yield Diagnostic(
-                path=wire_record.display_path,
-                line=1,
-                col=0,
-                code=self.code,
-                message=(
-                    f"wire kind {value!r} is encoded but never decoded; the "
-                    "codec does not round-trip"
-                ),
-            )
-        for value in sorted(decode_kinds - encode_kinds):
-            yield Diagnostic(
-                path=wire_record.display_path,
-                line=1,
-                col=0,
-                code=self.code,
-                message=(
-                    f"wire kind {value!r} is decoded but never encoded; the "
-                    "codec does not round-trip"
-                ),
-            )
-
-    def _declared_kinds(
-        self, project: "ProjectSymbols"
-    ) -> list[tuple[str, str, int, str]]:
-        """(qualname, value, line, display_path) per declared kind constant."""
-        wire = self.config.wire
-        declared: list[tuple[str, str, int, str]] = []
         for qualname, (value, line) in sorted(project.str_constants.items()):
             module, _, constant = qualname.rpartition(".")
             if module not in wire.kind_modules:
                 continue
             if not constant.startswith(wire.constant_prefix):
                 continue
-            record = project.files.get(module)
-            display = record.display_path if record is not None else module
-            declared.append((qualname, value, line, display))
-        return declared
+            if value not in encode_kinds:
+                yield self.diagnostic(
+                    wire_path,
+                    1,
+                    0,
+                    f"wire kind {value!r} ({constant}) has no encoder "
+                    f"branch in {wire.wire_module}; sending it raises "
+                    "CodecError at runtime",
+                )
+            if value not in decode_kinds:
+                yield self.diagnostic(
+                    wire_path,
+                    1,
+                    0,
+                    f"wire kind {value!r} ({constant}) has no decoder "
+                    f"branch in {wire.wire_module}; receiving it raises "
+                    "CodecError at runtime",
+                )
+            if handler_modules and value not in handler_kinds:
+                yield self.diagnostic(
+                    project.files[module].display_path,
+                    line,
+                    0,
+                    f"wire kind {value!r} ({constant}) has no node-side "
+                    "handler: no function in "
+                    f"{', '.join(handler_modules)} dispatches on it, so "
+                    "received messages of this kind are silently dropped",
+                )
 
-    @staticmethod
-    def _kind_values(
-        project: "ProjectSymbols", functions: Iterable["FunctionFacts"]
-    ) -> set[str]:
-        """Resolve every kind comparison to its concrete string value."""
-        values: set[str] = set()
-        for facts in functions:
-            for test in facts.kind_tests:
-                if test.value is not None:
-                    values.add(test.value)
-                    continue
-                for ref in test.refs:
-                    resolved = project.resolve_constant(ref)
-                    if resolved is not None:
-                        values.add(resolved)
-                        break
-        return values
+        for value in sorted(encode_kinds - decode_kinds):
+            yield self.diagnostic(
+                wire_path,
+                1,
+                0,
+                f"wire kind {value!r} is encoded but never decoded; the "
+                "codec does not round-trip",
+            )
+        for value in sorted(decode_kinds - encode_kinds):
+            yield self.diagnostic(
+                wire_path,
+                1,
+                0,
+                f"wire kind {value!r} is decoded but never encoded; the "
+                "codec does not round-trip",
+            )

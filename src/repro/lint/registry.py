@@ -9,16 +9,15 @@ from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.diagnostics import Diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only
-    from repro.lint.context import FileContext
-    from repro.lint.symbols import ProjectSymbols
+    from repro.lint.facts import ProjectSymbols
 
 
 class Rule:
-    """One named invariant.
+    """One named invariant: a predicate over the project's fact records.
 
     Subclasses set :attr:`code` / :attr:`name` / :attr:`summary` and
-    override :meth:`check_file` (per-file AST checks) and/or
-    :meth:`check_project` (cross-module checks over the symbol table).
+    override :meth:`check`.  A rule never sees source text or a syntax
+    tree — only :class:`~repro.lint.facts.ProjectSymbols` and its config.
     """
 
     code: ClassVar[str] = ""
@@ -28,24 +27,11 @@ class Rule:
     def __init__(self, config: LintConfig = DEFAULT_CONFIG) -> None:
         self.config = config
 
-    def check_file(
-        self, ctx: "FileContext", project: "ProjectSymbols"
-    ) -> Iterator[Diagnostic]:
-        return iter(())
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
+        raise NotImplementedError
 
-    def check_project(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
-        return iter(())
-
-    def diagnostic(
-        self, ctx: "FileContext", line: int, col: int, message: str
-    ) -> Diagnostic:
-        return Diagnostic(
-            path=ctx.display_path,
-            line=line,
-            col=col,
-            code=self.code,
-            message=message,
-        )
+    def diagnostic(self, path: str, line: int, col: int, message: str) -> Diagnostic:
+        return Diagnostic(path=path, line=line, col=col, code=self.code, message=message)
 
 
 #: code → rule class, in registration order.
@@ -60,8 +46,3 @@ def register(cls: type[Rule]) -> type[Rule]:
         raise ValueError(f"duplicate rule code {cls.code}")
     RULES[cls.code] = cls
     return cls
-
-
-def all_rules(config: LintConfig = DEFAULT_CONFIG) -> list[Rule]:
-    """Instantiate every registered rule against one config."""
-    return [cls(config) for cls in RULES.values()]

@@ -1,34 +1,25 @@
-"""The determinism & protocol-safety rules (REP001–REP006).
+"""The determinism rules (REP001–REP010).
 
-Every rule is a small AST check with one job; the docstrings state the
-invariant and why breaking it poisons the evaluation pipeline.  See
+Every rule is a predicate over the fact records of
+:mod:`repro.lint.facts`; the docstrings state the invariant and why
+breaking it poisons the evaluation pipeline.  REP001/002/003/006 report a
+:class:`~repro.lint.facts.SourceFact` where it sits; REP010 propagates
+the same records through the call graph.  See
 ``docs/static-analysis.md`` for the user-facing catalogue.
 """
 
 from __future__ import annotations
 
-import ast
 import re
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.facts import ITERATION_KINDS, build_call_edges, taint_paths
 from repro.lint.registry import Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only
-    from repro.lint.context import FileContext
-    from repro.lint.symbols import DataclassField, DataclassInfo, ProjectSymbols
-
-_SET_TYPE_NAMES = frozenset(
-    {"set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet"}
-)
-_DICT_VIEW_METHODS = frozenset({"keys", "values", "items"})
-
-
-def _functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+    from repro.lint.facts import DataclassField, DataclassInfo, ProjectSymbols
 
 
 @register
@@ -47,25 +38,21 @@ class WallClockRule(Rule):
     name = "wall-clock-read"
     summary = "no host-clock reads in simulation-path packages"
 
-    def check_file(
-        self, ctx: "FileContext", project: "ProjectSymbols"
-    ) -> Iterator[Diagnostic]:
-        if not self.config.is_sim_module(ctx.module):
-            return
-        if self.config.is_wall_clock_exempt(ctx.module):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
+        for record in project.records:
+            if not self.config.is_sim_module(record.module):
                 continue
-            resolved = ctx.resolve(node.func)
-            if resolved in self.config.wall_clock_calls:
-                yield self.diagnostic(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    f"wall-clock read {resolved}() in simulation path; "
-                    "only the simulated clock (Simulator.now) may be read",
-                )
+            if self.config.is_wall_clock_exempt(record.module):
+                continue
+            for source in record.sources:
+                if source.kind == "wall-clock":
+                    yield self.diagnostic(
+                        record.display_path,
+                        source.line,
+                        source.col,
+                        f"wall-clock read {source.detail}() in simulation path; "
+                        "only the simulated clock (Simulator.now) may be read",
+                    )
 
 
 @register
@@ -84,36 +71,25 @@ class UnseededRandomRule(Rule):
     name = "unseeded-rng"
     summary = "no global/unseeded RNG; pass a seeded generator instead"
 
-    def check_file(
-        self, ctx: "FileContext", project: "ProjectSymbols"
-    ) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = ctx.resolve(node.func)
-            if resolved is None:
-                continue
-            if resolved.startswith("random."):
-                attr = resolved.split(".", 2)[1]
-                if attr not in self.config.stdlib_random_allowed:
-                    yield self.diagnostic(
-                        ctx,
-                        node.lineno,
-                        node.col_offset,
-                        f"global-state RNG call {resolved}(); draw from a "
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
+        for record in project.records:
+            for source in record.sources:
+                if source.kind != "unseeded-rng":
+                    continue
+                if source.detail.startswith("random."):
+                    message = (
+                        f"global-state RNG call {source.detail}(); draw from a "
                         "seeded generator (numpy Generator / random.Random) "
-                        "passed in as a parameter",
+                        "passed in as a parameter"
                     )
-            elif resolved.startswith("numpy.random."):
-                attr = resolved.split(".", 3)[2]
-                if attr not in self.config.numpy_random_allowed:
-                    yield self.diagnostic(
-                        ctx,
-                        node.lineno,
-                        node.col_offset,
-                        f"legacy numpy.random module API {resolved}(); use a "
-                        "seeded numpy.random.default_rng(seed) generator",
+                else:
+                    message = (
+                        f"legacy numpy.random module API {source.detail}(); use a "
+                        "seeded numpy.random.default_rng(seed) generator"
                     )
+                yield self.diagnostic(
+                    record.display_path, source.line, source.col, message
+                )
 
 
 @register
@@ -132,83 +108,29 @@ class UnorderedIterationRule(Rule):
     name = "unordered-iteration"
     summary = "sort set/dict iteration feeding hashing, serde, or emission"
 
-    def check_file(
-        self, ctx: "FileContext", project: "ProjectSymbols"
-    ) -> Iterator[Diagnostic]:
-        if not self.config.is_sim_module(ctx.module):
-            return
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
         pattern = re.compile(self.config.context_pattern, re.IGNORECASE)
-        seen: set[tuple[int, int]] = set()
-        for function in _functions(ctx.tree):
-            if not pattern.search(function.name):
+        for record in project.records:
+            if not self.config.is_sim_module(record.module):
                 continue
-            set_names = self._set_typed_names(function)
-            for node in ast.walk(function):
-                iters: list[ast.expr] = []
-                if isinstance(node, (ast.For, ast.AsyncFor)):
-                    iters.append(node.iter)
-                elif isinstance(
-                    node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-                ):
-                    iters.extend(gen.iter for gen in node.generators)
-                for candidate in iters:
-                    reason = self._unordered_reason(candidate, set_names)
-                    key = (candidate.lineno, candidate.col_offset)
-                    if reason is not None and key not in seen:
-                        seen.add(key)
-                        yield self.diagnostic(
-                            ctx,
-                            candidate.lineno,
-                            candidate.col_offset,
-                            f"iteration over {reason} inside {function.name}() "
-                            "feeds hashing/serde/emission; wrap the iterable "
-                            "in sorted(...)",
-                        )
-
-    @staticmethod
-    def _is_set_annotation(annotation: ast.expr | None) -> bool:
-        if annotation is None:
-            return False
-        target = annotation.value if isinstance(annotation, ast.Subscript) else annotation
-        name = (
-            target.id
-            if isinstance(target, ast.Name)
-            else target.attr
-            if isinstance(target, ast.Attribute)
-            else None
-        )
-        return name in _SET_TYPE_NAMES
-
-    def _set_typed_names(
-        self, function: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> set[str]:
-        names: set[str] = set()
-        args = function.args
-        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-            if self._is_set_annotation(arg.annotation):
-                names.add(arg.arg)
-        for node in ast.walk(function):
-            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                if self._is_set_annotation(node.annotation):
-                    names.add(node.target.id)
-        return names
-
-    def _unordered_reason(
-        self, node: ast.expr, set_names: set[str]
-    ) -> str | None:
-        if isinstance(node, ast.Set):
-            return "a set literal"
-        if isinstance(node, ast.SetComp):
-            return "a set comprehension"
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in {"set", "frozenset"}:
-                return f"a {func.id}() result"
-            if isinstance(func, ast.Attribute) and func.attr in _DICT_VIEW_METHODS:
-                return f"a dict .{func.attr}() view"
-        if isinstance(node, ast.Name) and node.id in set_names:
-            return f"set-typed variable {node.id!r}"
-        return None
+            for source in record.sources:
+                if source.kind not in ITERATION_KINDS or source.function is None:
+                    continue
+                # Reported against the outermost enclosing sink function.
+                sinks = [
+                    fn.name
+                    for fn in source.function.enclosing()
+                    if pattern.search(fn.name)
+                ]
+                if sinks:
+                    yield self.diagnostic(
+                        record.display_path,
+                        source.line,
+                        source.col,
+                        f"iteration over {source.detail} inside {sinks[-1]}() "
+                        "feeds hashing/serde/emission; wrap the iterable "
+                        "in sorted(...)",
+                    )
 
 
 @register
@@ -231,32 +153,34 @@ class SerdeCompletenessRule(Rule):
     name = "serde-completeness"
     summary = "engine-crossing dataclasses need registered to/from-dict pairs"
 
-    def check_project(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
         yield from self._check_anchors(project)
         yield from self._check_union_registries(project)
 
     def _check_anchors(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
         from_names: set[str] = set()
-        for function in project.from_dict_family():
-            from_names |= function.referenced_names
+        for function in project.serde_functions.values():
+            if function.name.endswith("_from_dict"):
+                from_names |= function.referenced_names
         for anchor in self.config.serde_anchors:
-            info = project.dataclass(anchor.dataclass_module, anchor.dataclass_name)
+            info = project.dataclasses.get(
+                f"{anchor.dataclass_module}.{anchor.dataclass_name}"
+            )
             if info is None:
                 continue  # anchor module not part of this lint run
-            to_fn = project.serde_function(anchor.serde_module, anchor.to_fn)
-            from_fn = project.serde_function(anchor.serde_module, anchor.from_fn)
+            to_fn = project.serde_functions.get(f"{anchor.serde_module}.{anchor.to_fn}")
+            from_fn = project.serde_functions.get(
+                f"{anchor.serde_module}.{anchor.from_fn}"
+            )
             if to_fn is None or from_fn is None:
                 missing = anchor.to_fn if to_fn is None else anchor.from_fn
-                if anchor.serde_module in project.modules:
-                    yield Diagnostic(
-                        path=info.display_path,
-                        line=info.line,
-                        col=0,
-                        code=self.code,
-                        message=(
-                            f"{info.name} has no registered serde pair: "
-                            f"{anchor.serde_module}.{missing} not found"
-                        ),
+                if anchor.serde_module in project.files:
+                    yield self.diagnostic(
+                        info.display_path,
+                        info.line,
+                        0,
+                        f"{info.name} has no registered serde pair: "
+                        f"{anchor.serde_module}.{missing} not found",
                     )
                 continue
             for field in info.fields:
@@ -264,21 +188,16 @@ class SerdeCompletenessRule(Rule):
                     continue
                 for function, role in ((to_fn, "serializer"), (from_fn, "loader")):
                     if not function.covers_field(field.name):
-                        yield Diagnostic(
-                            path=info.display_path,
-                            line=field.line,
-                            col=0,
-                            code=self.code,
-                            message=(
-                                f"{info.name}.{field.name} is not covered by "
-                                f"{role} {function.module}.{function.name}(); "
-                                "the field would be dropped or defaulted on "
-                                "an engine/cache round-trip"
-                            ),
+                        yield self.diagnostic(
+                            info.display_path,
+                            field.line,
+                            0,
+                            f"{info.name}.{field.name} is not covered by "
+                            f"{role} {function.module}.{function.name}(); "
+                            "the field would be dropped or defaulted on "
+                            "an engine/cache round-trip",
                         )
-                yield from self._check_field_types(
-                    project, info, field, from_names
-                )
+                yield from self._check_field_types(project, info, field, from_names)
 
     def _check_field_types(
         self,
@@ -288,20 +207,16 @@ class SerdeCompletenessRule(Rule):
         from_names: set[str],
     ) -> Iterator[Diagnostic]:
         for type_name in sorted(field.annotation_names):
-            candidates = project.dataclasses_by_name.get(type_name)
-            if not candidates or type_name == info.name:
+            if type_name not in project.dataclass_names or type_name == info.name:
                 continue
             if type_name not in from_names:
-                yield Diagnostic(
-                    path=info.display_path,
-                    line=field.line,
-                    col=0,
-                    code=self.code,
-                    message=(
-                        f"{info.name}.{field.name} references dataclass "
-                        f"{type_name}, which no *_from_dict function "
-                        "reconstructs; register a to/from-dict pair for it"
-                    ),
+                yield self.diagnostic(
+                    info.display_path,
+                    field.line,
+                    0,
+                    f"{info.name}.{field.name} references dataclass "
+                    f"{type_name}, which no *_from_dict function "
+                    "reconstructs; register a to/from-dict pair for it",
                 )
 
     def _check_union_registries(
@@ -312,49 +227,37 @@ class SerdeCompletenessRule(Rule):
             registry = project.registries.get(
                 f"{link.registry_module}.{link.registry_name}"
             )
-            if union is None and registry is None:
+            if union is None:
                 continue
-            if union is not None and registry is None:
-                if link.registry_module in project.modules:
-                    yield Diagnostic(
-                        path=union.display_path,
-                        line=union.line,
-                        col=0,
-                        code=self.code,
-                        message=(
-                            f"union {union.name} has no dispatch registry "
-                            f"{link.registry_module}.{link.registry_name}"
-                        ),
+            if registry is None:
+                if link.registry_module in project.files:
+                    yield self.diagnostic(
+                        union.display_path,
+                        union.line,
+                        0,
+                        f"union {union.name} has no dispatch registry "
+                        f"{link.registry_module}.{link.registry_name}",
                     )
                 continue
-            if registry is not None and union is None:
-                continue
-            assert union is not None and registry is not None
             missing = [m for m in union.members if m not in registry.value_names]
             stale = [v for v in registry.value_names if v not in union.members]
             if missing:
-                yield Diagnostic(
-                    path=union.display_path,
-                    line=union.line,
-                    col=0,
-                    code=self.code,
-                    message=(
-                        f"union {union.name} member(s) {', '.join(missing)} "
-                        f"missing from registry {link.registry_name}; "
-                        "serialization would raise on first use"
-                    ),
+                yield self.diagnostic(
+                    union.display_path,
+                    union.line,
+                    0,
+                    f"union {union.name} member(s) {', '.join(missing)} "
+                    f"missing from registry {link.registry_name}; "
+                    "serialization would raise on first use",
                 )
             if stale:
-                yield Diagnostic(
-                    path=registry.display_path,
-                    line=registry.line,
-                    col=0,
-                    code=self.code,
-                    message=(
-                        f"registry {link.registry_name} entries "
-                        f"{', '.join(stale)} are not members of union "
-                        f"{union.name} (stale registration)"
-                    ),
+                yield self.diagnostic(
+                    registry.display_path,
+                    registry.line,
+                    0,
+                    f"registry {link.registry_name} entries "
+                    f"{', '.join(stale)} are not members of union "
+                    f"{union.name} (stale registration)",
                 )
 
 
@@ -374,50 +277,34 @@ class FrozenMessageRule(Rule):
     name = "frozen-message"
     summary = "message dataclasses are frozen and never mutated after receipt"
 
-    def _message_classes(self, project: "ProjectSymbols") -> set[str]:
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
         pattern = re.compile(self.config.message_name_pattern)
-        names: set[str] = set()
+        message_classes: set[str] = set()
         for info in project.dataclasses.values():
-            if info.module in self.config.message_modules or pattern.search(info.name):
-                names.add(info.name)
-        return names
-
-    def check_project(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
-        pattern = re.compile(self.config.message_name_pattern)
-        for info in project.dataclasses.values():
-            is_message = (
-                info.module in self.config.message_modules
-                or pattern.search(info.name) is not None
-            )
-            if is_message and not info.frozen:
+            if info.module not in self.config.message_modules and not pattern.search(
+                info.name
+            ):
+                continue
+            message_classes.add(info.name)
+            if not info.frozen:
                 # Anchor on the @dataclass decorator: that is where the
                 # frozen=True fix (and any waiver) belongs.
-                yield Diagnostic(
-                    path=info.display_path,
-                    line=info.decorator_line,
-                    col=0,
-                    code=self.code,
-                    message=(
-                        f"message dataclass {info.name} must be declared "
-                        "@dataclass(frozen=True); a mutable message rewrites "
-                        "history for every node holding a reference"
-                    ),
+                yield self.diagnostic(
+                    info.display_path,
+                    info.decorator_line,
+                    0,
+                    f"message dataclass {info.name} must be declared "
+                    "@dataclass(frozen=True); a mutable message rewrites "
+                    "history for every node holding a reference",
                 )
-        yield from self._check_mutations(project)
-
-    def _check_mutations(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
         # Mutation sites are per-file facts (target name + its annotation's
         # identifiers); which of those annotations denote *messages* is a
-        # cross-file question, so the match happens here — never in
-        # check_file, whose output the incremental cache replays verbatim.
-        message_classes = self._message_classes(project)
-        if not message_classes:
-            return
-        for record in project.files.values():
+        # cross-file question, answered here.
+        for record in project.records:
             if not self.config.is_sim_module(record.module):
                 continue
             for mutation in record.mutations:
-                if not set(mutation.type_names) & message_classes:
+                if not message_classes.intersection(mutation.type_names):
                     continue
                 if mutation.op == "setattr":
                     message = (
@@ -432,12 +319,8 @@ class FrozenMessageRule(Rule):
                         f"{mutation.function_name}(); copy via "
                         "dataclasses.replace() instead"
                     )
-                yield Diagnostic(
-                    path=record.display_path,
-                    line=mutation.line,
-                    col=mutation.col,
-                    code=self.code,
-                    message=message,
+                yield self.diagnostic(
+                    record.display_path, mutation.line, mutation.col, message
                 )
 
 
@@ -458,52 +341,33 @@ class ProcessBoundaryRule(Rule):
     name = "process-boundary"
     summary = "no pickle in repro modules; environ reads only via the gateway"
 
-    def check_file(
-        self, ctx: "FileContext", project: "ProjectSymbols"
-    ) -> Iterator[Diagnostic]:
-        if self.config.is_repro_module(ctx.module):
-            yield from self._check_pickle(ctx)
-        if ctx.module not in self.config.environ_allowed_modules:
-            yield from self._check_environ(ctx)
-
-    def _check_pickle(self, ctx: "FileContext") -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            names: list[str] = []
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                names = [node.module]
-            for name in names:
-                root = name.split(".")[0]
-                if root in self.config.pickle_modules:
-                    yield self.diagnostic(
-                        ctx,
-                        node.lineno,
-                        node.col_offset,
-                        f"import of {root!r} in a repro module; the engine's "
-                        "process boundary speaks JSON only "
-                        "(repro.sim.reporting round-trip)",
-                    )
-
-    def _check_environ(self, ctx: "FileContext") -> Iterator[Diagnostic]:
-        flagged_lines: set[int] = set()
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.Attribute, ast.Name)):
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
+        for record in project.records:
+            if self.config.is_repro_module(record.module):
+                for imported in record.imports:
+                    root = imported.module.split(".")[0]
+                    if root in self.config.pickle_modules:
+                        yield self.diagnostic(
+                            record.display_path,
+                            imported.line,
+                            imported.col,
+                            f"import of {root!r} in a repro module; the engine's "
+                            "process boundary speaks JSON only "
+                            "(repro.sim.reporting round-trip)",
+                        )
+            if record.module in self.config.environ_allowed_modules:
                 continue
-            resolved = ctx.resolve(node)
-            if resolved is None:
-                continue
-            is_environ = (
-                resolved in {"os.environ", "os.environb", "os.getenv"}
-                or resolved.startswith("os.environ.")
-                or resolved.startswith("os.environb.")
-            )
-            if is_environ and node.lineno not in flagged_lines:
-                flagged_lines.add(node.lineno)
+            # One finding per line, at its leftmost read.
+            first_on_line: dict[int, int] = {}
+            for source in record.sources:
+                if source.kind == "environ":
+                    col = first_on_line.get(source.line, source.col)
+                    first_on_line[source.line] = min(col, source.col)
+            for line, col in first_on_line.items():
                 yield self.diagnostic(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
+                    record.display_path,
+                    line,
+                    col,
                     "os.environ read outside the config gateway; route it "
                     "through repro.node.config so ambient state never "
                     "reaches cached physics",
@@ -535,37 +399,27 @@ class DeterminismTaintRule(Rule):
     name = "determinism-taint"
     summary = "no transitive nondeterminism reaching serde/hash/emit paths"
 
-    def check_project(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
-        from repro.lint.dataflow import build_call_edges, taint_paths
-
+    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
         pattern = re.compile(self.config.context_pattern, re.IGNORECASE)
-        edges = build_call_edges(project.functions)
+        edges = build_call_edges(project)
         for sink in project.functions.values():
             if not self.config.is_sim_module(sink.module):
                 continue
             if not pattern.search(sink.name):
                 continue
-            for path in taint_paths(
-                sink,
-                project.functions,
-                edges,
-                max_depth=self.config.taint_max_depth,
-            ):
+            for path in taint_paths(sink, project, edges, self.config.taint_max_depth):
                 source = path.source
                 if source.kind == "wall-clock" and self.config.is_wall_clock_exempt(
                     sink.module
                 ):
                     continue
                 leaf = path.chain[-1]
-                yield Diagnostic(
-                    path=sink.display_path,
-                    line=path.call_lines[0],
-                    col=0,
-                    code=self.code,
-                    message=(
-                        f"{source.kind} source reaches serde/emit path "
-                        f"{sink.name}() via {path.render()}: "
-                        f"{source.detail} at "
-                        f"{leaf.display_path}:{source.line}"
-                    ),
+                yield self.diagnostic(
+                    sink.display_path,
+                    path.call_line,
+                    0,
+                    f"{source.kind} source reaches serde/emit path "
+                    f"{sink.name}() via {path.render()}: "
+                    f"{source.detail} at "
+                    f"{leaf.display_path}:{source.line}",
                 )

@@ -54,18 +54,6 @@ class SuppressionSet:
                 hit = True
         return hit
 
-    def has(self, line: int, code: str) -> bool:
-        """True if ``code`` is waived on ``line`` — WITHOUT marking it used.
-
-        Fact collection peeks at waivers (a waived taint source must not
-        propagate through REP010) but only the engine's suppression pass
-        may consume a directive; otherwise REP000's unused detection would
-        credit directives that silenced nothing.
-        """
-        return any(
-            s.line == line and s.code == code for s in self.suppressions
-        )
-
     def unused(self, active_codes: frozenset[str]) -> list[Suppression]:
         """Directives that silenced nothing.
 
@@ -89,6 +77,8 @@ def collect_suppressions(source: str) -> SuppressionSet:
     reported separately as REP900).
     """
     found = SuppressionSet()
+    if "repro:" not in source:
+        return found  # no directive text anywhere: nothing to tokenize for
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):

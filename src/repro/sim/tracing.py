@@ -94,22 +94,6 @@ class Tracer:
         return "\n".join(str(e) for e in selected)
 
 
-class TracingMixin:
-    """Adds optional tracing to a consensus node.
-
-    Assign a shared :class:`Tracer` to ``node.tracer`` and call
-    :meth:`trace`; with no tracer installed the call is a no-op attribute
-    check.
-    """
-
-    tracer: Tracer | None = None
-
-    def trace(self, kind: str, **detail: Any) -> None:
-        tracer = getattr(self, "tracer", None)
-        if tracer is not None:
-            tracer.emit(self.ctx.sim.now, self.node_id, kind, **detail)  # type: ignore[attr-defined]
-
-
 def attach_tracer(nodes: Iterable[Any], tracer: Tracer | None = None) -> Tracer:
     """Install one shared tracer on a fleet of nodes; returns it."""
     tracer = tracer or Tracer()

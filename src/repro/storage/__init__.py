@@ -1,4 +1,4 @@
-"""Durable chain storage: protocols and the file/sqlite backends.
+"""Durable chain storage: protocols and the sqlite backend.
 
 See :mod:`repro.storage.base` for the :class:`ChainStorage` /
 :class:`ChainReader` split and the sim-parity guarantee (storage is off
@@ -6,12 +6,10 @@ by default; simulated runs stay byte-identical).
 """
 
 from repro.storage.base import ChainReader, ChainStorage
-from repro.storage.file import FileSnapshotStorage
 from repro.storage.sqlite import SqliteStorage
 
 __all__ = [
     "ChainReader",
     "ChainStorage",
-    "FileSnapshotStorage",
     "SqliteStorage",
 ]

@@ -19,10 +19,11 @@ protocols split those concerns:
 
 Both protocols are ``runtime_checkable`` like the transport contracts in
 :mod:`repro.net.transport`, so backends are verified structurally in
-tests rather than by inheritance.  Backends: :class:`~repro.storage.file.
-FileSnapshotStorage` (the chain-store file dump, snapshot-only) and
+tests rather than by inheritance.  The backend is
 :class:`~repro.storage.sqlite.SqliteStorage` (stdlib ``sqlite3``, WAL
-mode, incremental batched writes — the explorer-grade backend).
+mode, incremental batched writes); a portable single-file dump of a tree
+is :func:`repro.chain.store.save_tree` / ``load_tree``, whose byte format
+sqlite snapshots reuse.
 
 Simulated runs never construct a backend: storage is **off by default**
 and every hook in the node is ``None``-guarded, which is what keeps the

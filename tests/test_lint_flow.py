@@ -2,24 +2,23 @@
 
 Where ``test_lint.py`` exercises each rule against minimal fixtures,
 this module tests the machinery the rules ride on: interprocedural
-taint traces, parse-error recovery mid-project, the committed-baseline
-lifecycle, the incremental cache (including its cross-module soundness
-contract), SARIF output, and the CLI exit-code contract across every
-format.
+taint traces (and their relation to the direct rules), facts for defs
+that sit under module-level compound statements, imports below their
+uses, files sharing a module name, parse-error recovery
+mid-project, the one-parse-per-file contract, and the CLI exit-code
+contract across every format.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, BaselineError, lint_paths
+from repro.lint import lint_paths
 from repro.lint.cli import main as lint_main
-from repro.lint.diagnostics import PARSE_ERROR, UNUSED_SUPPRESSION
+from repro.lint.diagnostics import PARSE_ERROR
 
 _TAINT_LEAF = """
     import time
@@ -137,6 +136,222 @@ def test_taint_respects_max_depth(tmp_path):
     assert shallow.ok
 
 
+# -- one source fact, two rules ----------------------------------------------------
+
+_SIM_HELPER = """
+    import time
+
+    def stamp():
+        return time.time(){waiver}
+"""
+
+_SIM_SINK = """
+    from repro.chain.clock import stamp
+
+    def block_to_bytes(block):
+        return str(stamp()).encode()
+"""
+
+
+def test_direct_and_transitive_report_the_same_source_fact(tmp_path):
+    """One time.time() in a sim-package helper called by a sink: REP001
+    reports it where it sits, REP010 where the sink reaches it."""
+    result = run_lint(
+        tmp_path,
+        {
+            "src/repro/chain/clock.py": _SIM_HELPER.format(waiver=""),
+            "src/repro/chain/codec.py": _SIM_SINK,
+        },
+    )
+    assert [(d.code, d.path, d.line) for d in result.diagnostics] == [
+        ("REP001", "src/repro/chain/clock.py", 5),
+        ("REP010", "src/repro/chain/codec.py", 5),
+    ]
+    assert "src/repro/chain/clock.py:5" in result.diagnostics[1].message
+
+
+def test_one_waiver_on_the_source_line_silences_both(tmp_path):
+    result = run_lint(
+        tmp_path,
+        {
+            "src/repro/chain/clock.py": _SIM_HELPER.format(
+                waiver="  # repro: allow[REP001]"
+            ),
+            "src/repro/chain/codec.py": _SIM_SINK,
+        },
+    )
+    # REP001 is waived, the waived source does not propagate to REP010,
+    # and the single directive is load-bearing (no REP000).
+    assert result.ok
+
+
+# -- defs under module-level compound statements -----------------------------------
+
+_GUARDED_HELPER = """
+    import time
+
+    try:
+        import fastclock
+    except ImportError:
+        def stamp():
+            return {body}
+"""
+
+_GUARDED_SINK = """
+    from repro.util.helper import stamp
+
+    def serialize_block(block):
+        return str(stamp()).encode()
+"""
+
+
+def test_def_under_module_level_try_is_a_taint_source(tmp_path):
+    """A function defined in an ``except ImportError:`` fallback is a
+    function like any other: its wall-clock read reaches the sink."""
+    result = run_lint(
+        tmp_path,
+        {
+            "src/repro/util/helper.py": _GUARDED_HELPER.format(body="time.time()"),
+            "src/repro/net/emit.py": _GUARDED_SINK,
+        },
+    )
+    assert codes(result) == ["REP010"]
+    assert "serialize_block() -> stamp()" in result.diagnostics[0].message
+
+
+def test_def_under_module_level_try_clean_when_deterministic(tmp_path):
+    result = run_lint(
+        tmp_path,
+        {
+            "src/repro/util/helper.py": _GUARDED_HELPER.format(body="0.0"),
+            "src/repro/net/emit.py": _GUARDED_SINK,
+        },
+    )
+    assert result.ok
+
+
+def test_guarded_defs_are_visible_to_async_and_message_rules(tmp_path):
+    """REP021 and REP005 read the same function facts REP010 does."""
+    result = run_lint(
+        tmp_path,
+        {
+            "src/repro/live/proto.py": """
+                import sys
+
+                if sys.platform != "win32":
+                    async def handshake():
+                        return True
+            """,
+            "src/repro/live/session.py": """
+                from repro.live.proto import handshake
+
+                async def boot():
+                    handshake()
+            """,
+            "src/repro/net/protocol.py": """
+                from dataclasses import dataclass
+
+                @dataclass(frozen=True)
+                class PingMessage:
+                    seq: int
+
+                with open("/dev/null"):
+                    def handle(msg: PingMessage) -> None:
+                        msg.seq = 99
+            """,
+        },
+    )
+    assert sorted(codes(result)) == ["REP005", "REP021"]
+
+
+# -- imports below their uses ------------------------------------------------------
+
+_LATE_IMPORTS = """
+    def stamp_to_bytes():
+        return str({direct}).encode()
+
+    def now():
+        return {aliased}
+
+    def block_to_bytes(block):
+        return str(now()).encode()
+
+    import time
+    from time import time as clock
+"""
+
+
+def test_hazard_used_above_its_import_is_still_a_source(tmp_path):
+    """Bindings are whole-file: a bottom-of-module import (the usual
+    circular-import workaround) names the hazard for the defs above it."""
+    result = run_lint(
+        tmp_path,
+        {
+            "src/repro/chain/late.py": _LATE_IMPORTS.format(
+                direct="time.time()", aliased="clock()"
+            )
+        },
+    )
+    assert [(d.code, d.line) for d in result.diagnostics] == [
+        ("REP001", 3),
+        ("REP001", 6),
+        ("REP010", 9),
+    ]
+    assert "block_to_bytes() -> now()" in result.diagnostics[2].message
+
+
+def test_late_imports_clean_when_unused(tmp_path):
+    result = run_lint(
+        tmp_path,
+        {"src/repro/chain/late.py": _LATE_IMPORTS.format(direct="0.0", aliased="0.0")},
+    )
+    assert result.ok
+
+
+def test_late_environ_and_sqlite_bindings_resolve(tmp_path):
+    """The same holds for name chains (REP006) and for a connection opened
+    below the thread entry that uses it (REP024)."""
+    result = run_lint(
+        tmp_path,
+        {
+            "src/repro/explorer/late.py": """
+                from http.server import BaseHTTPRequestHandler
+
+                class Handler(BaseHTTPRequestHandler):
+                    def do_GET(self):
+                        return conn.execute(env["QUERY"])
+
+                conn = sq.connect("chain.db", check_same_thread=False)
+                import sqlite3 as sq
+                from os import environ as env
+            """
+        },
+    )
+    assert sorted((d.code, d.line) for d in result.diagnostics) == [
+        ("REP006", 6),
+        ("REP024", 6),
+    ]
+
+
+# -- files sharing a module name ---------------------------------------------------
+
+
+def test_files_sharing_a_module_name_are_both_checked(tmp_path):
+    """``tests/test_x.py`` and ``benchmarks/spine/tests/test_x.py`` are
+    both ``tests.test_x``; neither hides the other from the rules."""
+    bad = "import random\n\ndef draw():\n    return random.random()\n"
+    for first, second in (("", bad), (bad, "")):
+        result = run_lint(
+            tmp_path,
+            {
+                "benchmarks/spine/tests/test_x.py": first,
+                "tests/test_x.py": second,
+            },
+        )
+        assert result.files_checked == 2
+        assert codes(result) == ["REP002"]
+
+
 # -- REP900 recovery ---------------------------------------------------------------
 
 
@@ -155,250 +370,37 @@ def test_parse_error_does_not_stop_project_rules(tmp_path):
     assert sorted(codes(result)) == ["REP010", PARSE_ERROR]
 
 
-# -- baseline lifecycle ------------------------------------------------------------
-
-_BAD_SINK = {
-    "src/repro/util/hostclock.py": _TAINT_LEAF,
-    "src/repro/sim/reporting.py": """
-        from repro.util.hostclock import host_seconds
-
-        def result_to_dict(result):
-            return {"t": host_seconds()}
-    """,
-}
+# -- one pass ----------------------------------------------------------------------
 
 
-def _justified(baseline: Baseline) -> Baseline:
-    from dataclasses import replace as dc_replace
+def test_each_file_parsed_once(tmp_path, monkeypatch):
+    import ast
 
-    return Baseline(
-        entries=[
-            dc_replace(e, justification="known leak, tracked in issue #1")
-            for e in baseline.entries
-        ]
-    )
-
-
-def test_baseline_filters_acknowledged_findings(tmp_path):
-    result = run_lint(tmp_path, _BAD_SINK)
-    assert codes(result) == ["REP010"]
-    baseline = _justified(Baseline.from_result(result))
-    applied = baseline.apply(result)
-    assert applied.ok
-    assert applied.baselined == 1
-
-
-def test_baseline_fingerprint_is_line_independent(tmp_path):
-    result = run_lint(tmp_path, _BAD_SINK)
-    baseline = _justified(Baseline.from_result(result))
-    # Shift every line in the sink file; the finding text is unchanged.
-    shifted = dict(_BAD_SINK)
-    shifted["src/repro/sim/reporting.py"] = "\n\n" + textwrap.dedent(
-        shifted["src/repro/sim/reporting.py"]
-    )
-    rerun = run_lint(tmp_path / "shifted", shifted)
-    assert codes(rerun) == ["REP010"]
-    assert baseline.apply(rerun).ok
-
-
-def test_baseline_stale_entry_reported_as_rep000(tmp_path):
-    result = run_lint(tmp_path, _BAD_SINK)
-    baseline = _justified(Baseline.from_result(result))
-    fixed = {
-        "src/repro/util/hostclock.py": """
-            def host_seconds():
-                return 0.0
-        """,
-        "src/repro/sim/reporting.py": _BAD_SINK["src/repro/sim/reporting.py"],
-    }
-    rerun = run_lint(tmp_path / "fixed", fixed)
-    assert rerun.ok
-    applied = baseline.apply(rerun)
-    assert codes(applied) == [UNUSED_SUPPRESSION]
-    assert "stale baseline entry" in applied.diagnostics[0].message
-
-
-def test_baseline_entry_outside_linted_paths_is_not_stale(tmp_path):
-    result = run_lint(tmp_path, _BAD_SINK)
-    baseline = _justified(Baseline.from_result(result))
-    other = run_lint(
-        tmp_path / "other", {"src/repro/net/fine.py": "def f(sim):\n    return sim.now\n"}
-    )
-    # The baselined file was not part of this run: no staleness claim.
-    assert baseline.apply(other).ok
-
-
-def test_baseline_load_rejects_missing_justification(tmp_path):
-    result = run_lint(tmp_path, _BAD_SINK)
-    Baseline.from_result(result).write(tmp_path / "baseline.json")
-    with pytest.raises(BaselineError, match="no written justification"):
-        Baseline.load(tmp_path / "baseline.json")
-    # Non-strict load (the --update-baseline path) still works.
-    loose = Baseline.load(tmp_path / "baseline.json", strict=False)
-    assert len(loose.entries) == 1
-
-
-def test_baseline_load_rejects_garbage(tmp_path):
-    target = tmp_path / "baseline.json"
-    target.write_text("{not json")
-    with pytest.raises(BaselineError, match="not valid JSON"):
-        Baseline.load(target)
-    target.write_text('{"entries": 7}')
-    with pytest.raises(BaselineError, match="entries"):
-        Baseline.load(target)
-
-
-def test_update_baseline_preserves_justifications(tmp_path):
-    result = run_lint(tmp_path, _BAD_SINK)
-    previous = _justified(Baseline.from_result(result))
-    updated = Baseline.from_result(result, previous)
-    assert [e.justification for e in updated.entries] == [
-        "known leak, tracked in issue #1"
-    ]
-
-
-def test_cli_update_baseline_roundtrip(tmp_path, capsys, monkeypatch):
-    write_tree(tmp_path, _BAD_SINK)
-    monkeypatch.chdir(tmp_path)
-    baseline_path = "lint-baseline.json"
-    # Without --baseline, --update-baseline is a usage error.
-    assert lint_main(["src", "--update-baseline"]) == 2
-    capsys.readouterr()
-    # Write the baseline; placeholder justifications land on disk.
-    assert lint_main(["src", "--baseline", baseline_path, "--update-baseline"]) == 0
-    capsys.readouterr()
-    # Applying it before justifying is a usage error (exit 2).
-    assert lint_main(["src", "--baseline", baseline_path]) == 2
-    capsys.readouterr()
-    payload = json.loads(Path(baseline_path).read_text())
-    for entry in payload["entries"]:
-        entry["justification"] = "acknowledged wall-clock tag, issue #1"
-    Path(baseline_path).write_text(json.dumps(payload))
-    # A justified baseline makes the tree clean.
-    assert lint_main(["src", "--baseline", baseline_path, "--format", "json"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["ok"] is True
-    assert out["baselined"] == 1
-
-
-# -- incremental cache -------------------------------------------------------------
-
-
-def test_cache_second_run_replays_everything(tmp_path):
-    files = dict(_BAD_SINK)
-    files["src/repro/net/fine.py"] = "def f(sim):\n    return sim.now\n"
-    cache = tmp_path / "cache.json"
-    first = run_lint(tmp_path, files, cache_path=cache)
-    second = lint_paths([tmp_path], root=tmp_path, cache_path=cache)
-    assert first.files_skipped == 0
-    assert second.files_skipped == second.files_checked == first.files_checked
-    assert [d.text() for d in first.diagnostics] == [
-        d.text() for d in second.diagnostics
-    ]
-
-
-def test_cache_touch_hits_via_sha_fallback(tmp_path):
-    files = dict(_BAD_SINK)
-    cache = tmp_path / "cache.json"
-    run_lint(tmp_path, files, cache_path=cache)
-    target = tmp_path / "src" / "repro" / "sim" / "reporting.py"
-    os.utime(target, (1, 1))  # mtime changes, content does not
-    second = lint_paths([tmp_path], root=tmp_path, cache_path=cache)
-    assert second.files_skipped == second.files_checked
-
-
-def test_cache_miss_on_content_change(tmp_path):
-    cache = tmp_path / "cache.json"
-    run_lint(
-        tmp_path,
-        {"src/repro/net/a.py": "def f(sim):\n    return sim.now\n"},
-        cache_path=cache,
-    )
-    (tmp_path / "src" / "repro" / "net" / "a.py").write_text(
-        "import time\n\n\ndef f():\n    return time.time()\n"
-    )
-    second = lint_paths([tmp_path], root=tmp_path, cache_path=cache)
-    assert second.files_skipped == 0
-    assert codes(second) == ["REP001"]
-
-
-def test_cache_cross_module_rules_stay_fresh(tmp_path):
-    """The soundness contract: a cached (unchanged) helper file must still
-    contribute facts to project rules when its *callers* change."""
-    cache = tmp_path / "cache.json"
-    first = run_lint(tmp_path, _BAD_SINK, cache_path=cache)
-    assert codes(first) == ["REP010"]
-    # Fix the sink only; the tainted helper replays from the cache.
-    (tmp_path / "src" / "repro" / "sim" / "reporting.py").write_text(
-        "def result_to_dict(result):\n    return {'height': result.height}\n"
-    )
-    second = lint_paths([tmp_path], root=tmp_path, cache_path=cache)
-    assert second.files_skipped == 1  # the helper
-    assert second.ok
-    # Re-introduce the call: the leak must come back, cache and all.
-    (tmp_path / "src" / "repro" / "sim" / "reporting.py").write_text(
-        "from repro.util.hostclock import host_seconds\n\n\n"
-        "def result_to_dict(result):\n    return {'t': host_seconds()}\n"
-    )
-    third = lint_paths([tmp_path], root=tmp_path, cache_path=cache)
-    assert codes(third) == ["REP010"]
-
-
-def test_cache_invalidated_by_rule_selection(tmp_path):
-    cache = tmp_path / "cache.json"
-    run_lint(tmp_path, _BAD_SINK, cache_path=cache, select=["REP001"])
-    # Different file-rule set: the whole cache is discarded, not replayed.
-    second = lint_paths([tmp_path], root=tmp_path, cache_path=cache)
-    assert second.files_skipped == 0
-    assert codes(second) == ["REP010"]
-
-
-def test_cache_corrupt_file_is_ignored(tmp_path):
-    cache = tmp_path / "cache.json"
-    cache.write_text("{definitely not json")
-    result = run_lint(tmp_path, _BAD_SINK, cache_path=cache)
-    assert codes(result) == ["REP010"]
-    # And the run repaired it for next time.
-    second = lint_paths([tmp_path], root=tmp_path, cache_path=cache)
-    assert second.files_skipped == second.files_checked
-
-
-# -- SARIF output ------------------------------------------------------------------
-
-
-def test_cli_sarif_shape(tmp_path, capsys, monkeypatch):
     write_tree(
         tmp_path,
-        {"src/repro/net/bad.py": "import time\n\n\ndef f():\n    return time.time()\n"},
+        {
+            "src/repro/util/hostclock.py": _TAINT_LEAF,
+            "src/repro/util/annotate.py": _TAINT_MID,
+            "src/repro/sim/reporting.py": _TAINT_SINK,
+        },
     )
-    monkeypatch.chdir(tmp_path)
-    assert lint_main(["src", "--format", "sarif"]) == 1
-    log = json.loads(capsys.readouterr().out)
-    assert log["version"] == "2.1.0"
-    run = log["runs"][0]
-    rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"REP001", "REP010", "REP030", "REP000", "REP900"} <= rule_ids
-    (finding,) = run["results"]
-    assert finding["ruleId"] == "REP001"
-    region = finding["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] == 5
-    assert region["startColumn"] >= 1  # SARIF columns are 1-based
-    uri = finding["locations"][0]["physicalLocation"]["artifactLocation"]["uri"]
-    assert uri == "src/repro/net/bad.py"
+    real_parse = ast.parse
+    parsed: list[str] = []
 
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(Path(filename).name)
+        return real_parse(source, filename, *args, **kwargs)
 
-def test_cli_sarif_clean_tree_has_empty_results(tmp_path, capsys, monkeypatch):
-    write_tree(tmp_path, {"src/repro/net/fine.py": "def f(sim):\n    return sim.now\n"})
-    monkeypatch.chdir(tmp_path)
-    assert lint_main(["src", "--format", "sarif"]) == 0
-    log = json.loads(capsys.readouterr().out)
-    assert log["runs"][0]["results"] == []
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    result = lint_paths([tmp_path], root=tmp_path)
+    assert len(result.rules_run) == 13 and codes(result) == ["REP010"]
+    assert sorted(parsed) == ["annotate.py", "hostclock.py", "reporting.py"]
 
 
 # -- exit-code contract ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fmt", ["text", "json", "github", "sarif"])
+@pytest.mark.parametrize("fmt", ["text", "json", "github"])
 def test_exit_codes_agree_across_formats(tmp_path, capsys, monkeypatch, fmt):
     write_tree(
         tmp_path,
@@ -414,21 +416,4 @@ def test_exit_codes_agree_across_formats(tmp_path, capsys, monkeypatch, fmt):
     capsys.readouterr()
     monkeypatch.chdir(tmp_path / "clean")
     assert lint_main(["src", "--format", fmt, "--statistics"]) == 0
-    capsys.readouterr()
-
-
-def test_exit_zero_when_fully_baselined(tmp_path, capsys, monkeypatch):
-    write_tree(tmp_path, _BAD_SINK)
-    monkeypatch.chdir(tmp_path)
-    result = lint_paths(["src"], root=tmp_path)
-    _justified(Baseline.from_result(result)).write("baseline.json")
-    assert lint_main(["src", "--baseline", "baseline.json"]) == 0
-    assert lint_main(["src"]) == 1
-    capsys.readouterr()
-
-
-def test_exit_two_on_unreadable_baseline(tmp_path, capsys, monkeypatch):
-    write_tree(tmp_path, {"src/repro/net/fine.py": "def f(sim):\n    return sim.now\n"})
-    monkeypatch.chdir(tmp_path)
-    assert lint_main(["src", "--baseline", "missing.json"]) == 2
     capsys.readouterr()

@@ -7,11 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from tests.conftest import TreeBuilder, keypair
+from tests.conftest import TreeBuilder
 from repro.chain.block import Block
-from repro.chain.genesis import make_genesis
 from repro.errors import StorageError
-from repro.storage import ChainReader, ChainStorage, FileSnapshotStorage, SqliteStorage
+from repro.storage import ChainReader, ChainStorage, SqliteStorage
 
 
 @pytest.fixture()
@@ -35,11 +34,6 @@ class TestProtocols:
         storage = SqliteStorage(tmp_path / "chain.db")
         assert isinstance(storage, ChainStorage)
         assert isinstance(storage, ChainReader)
-        storage.close()
-
-    def test_file_backend_satisfies_storage_protocol(self, tmp_path: Path) -> None:
-        storage = FileSnapshotStorage(tmp_path / "chain.thms")
-        assert isinstance(storage, ChainStorage)
         storage.close()
 
 
@@ -244,69 +238,3 @@ class TestSqliteGuards:
             SqliteStorage(tmp_path / "c.db", keep_snapshots=0)
         with pytest.raises(StorageError):
             SqliteStorage(tmp_path / "d.db", prune_depth=-1)
-
-
-class TestFileSnapshotStorage:
-    def test_commit_throttles_until_interval(
-        self, tmp_path: Path, genesis: Block
-    ) -> None:
-        builder = TreeBuilder(genesis)
-        storage = FileSnapshotStorage(tmp_path / "chain.thms", snapshot_interval=4)
-        storage.ensure_genesis(genesis)
-        parent = genesis
-        for _ in range(3):
-            parent = builder.extend(parent, 0)
-            storage.commit(parent.block_id, builder.tree)
-        assert not storage.path.exists()  # below the interval, nothing written
-        parent = builder.extend(parent, 0)
-        storage.commit(parent.block_id, builder.tree)
-        assert storage.path.exists()
-        assert storage.stored_height() == 4
-        storage.close()
-
-    def test_force_commit_and_recover(self, tmp_path: Path, built: TreeBuilder) -> None:
-        tree = built.tree
-        storage = FileSnapshotStorage(tmp_path / "chain.thms", snapshot_interval=1000)
-        storage.ensure_genesis(built.genesis)
-        head = max(tree.iter_blocks(), key=lambda b: b.height)
-        storage.commit(head.block_id, tree, force=True)
-        assert storage.stored_head_hex() == head.block_id.hex()
-        recovered = storage.recover()
-        assert recovered is not None
-        assert recovered.max_height() == tree.max_height()
-        storage.close()
-
-    def test_recover_missing_file_returns_none(self, tmp_path: Path) -> None:
-        storage = FileSnapshotStorage(tmp_path / "chain.thms")
-        assert storage.recover() is None
-        storage.close()
-
-    def test_sidecar_survives_reopen(self, tmp_path: Path, built: TreeBuilder) -> None:
-        tree = built.tree
-        path = tmp_path / "chain.thms"
-        storage = FileSnapshotStorage(path)
-        storage.ensure_genesis(built.genesis)
-        storage.set_members([keypair(i).public.fingerprint() for i in range(3)])
-        head = max(tree.iter_blocks(), key=lambda b: b.height)
-        storage.commit(head.block_id, tree, force=True)
-        generation = storage.generation()
-        storage.close()
-        reopened = FileSnapshotStorage(path)
-        assert reopened.generation() == generation
-        assert reopened.stored_height() == tree.max_height()
-        assert reopened.stored_head_hex() == head.block_id.hex()
-        reopened.close()
-
-    def test_foreign_genesis_is_refused(self, tmp_path: Path, built: TreeBuilder) -> None:
-        tree = built.tree
-        path = tmp_path / "chain.thms"
-        storage = FileSnapshotStorage(path)
-        storage.ensure_genesis(built.genesis)
-        head = max(tree.iter_blocks(), key=lambda b: b.height)
-        storage.commit(head.block_id, tree, force=True)
-        storage.close()
-        other = make_genesis(chain_id="other-network")
-        reopened = FileSnapshotStorage(path)
-        with pytest.raises(StorageError, match="genesis"):
-            reopened.ensure_genesis(other)
-        reopened.close()
