@@ -56,7 +56,7 @@ def cached_experiment(cfg: ExperimentConfig) -> RunResult:
 def batch_experiments(configs: Sequence[ExperimentConfig]) -> list[RunResult]:
     """Run a whole figure's grid in one engine batch (parallel when
     ``REPRO_BENCH_JOBS`` > 1), in deterministic config order."""
-    return [r for r in ENGINE.run_many(list(configs)) if r is not None]
+    return ENGINE.run_many(configs)
 
 
 def require_observer(result: RunResult):

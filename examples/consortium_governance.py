@@ -24,7 +24,6 @@ from repro.net.latency import LinkModel
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
-from repro.node.config import FullNodeConfig
 from repro.node.node import FullNode
 
 
@@ -43,9 +42,7 @@ def main() -> None:
         params=params,
         members=[k.public.fingerprint() for k in keys],
     )
-    nodes = [
-        FullNode(i, keys[i], ctx, FullNodeConfig(params=params)) for i in range(n)
-    ]
+    nodes = [FullNode(i, keys[i], ctx) for i in range(n)]
     for node in nodes:
         node.start()
 

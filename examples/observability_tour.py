@@ -1,9 +1,9 @@
-"""Observability tour: tracing, the tree explorer, and epoch reports.
+"""Observability tour: tracing, the tree view, and epoch reports.
 
 Runs a small Themis consortium, then inspects it three ways:
 
 * the shared :class:`Tracer` timeline (who produced what, reorgs);
-* the block-tree explorer (forks, lineage, producer table);
+* the block-tree view (forks, lineage, producer table);
 * per-epoch difficulty reports (interval control, multiple spread, σ_f²).
 
     python examples/observability_tour.py
@@ -12,7 +12,7 @@ Runs a small Themis consortium, then inspects it three ways:
 from __future__ import annotations
 
 from repro.analysis.epochs import epoch_reports, format_epoch_reports
-from repro.chain.explorer import chain_summary, find_forks, head_lineage
+from repro.analysis.treeview import chain_summary, find_forks, head_lineage
 from repro.sim.runner import ExperimentConfig, run_experiment
 from repro.sim.tracing import Tracer
 

@@ -1,4 +1,4 @@
-"""Analysis tools: fork model, convergence checks, overheads, Table I."""
+"""Analysis tools: fork model, convergence checks, overheads, tree view, Table I."""
 
 from repro.analysis.comparison import (
     LITERATURE_ROWS,
@@ -27,6 +27,7 @@ from repro.analysis.stats import (
     mle_bias_estimate,
     reduction_percent,
 )
+from repro.analysis.treeview import chain_summary, find_forks, head_lineage, render_tree
 
 __all__ = [
     "AlgorithmRow",
@@ -39,14 +40,18 @@ __all__ = [
     "SettlementTracker",
     "StorageOverhead",
     "binomial_mle",
+    "chain_summary",
     "expected_out_degree_trend",
+    "find_forks",
     "fork_rate_model",
     "format_table",
     "grade_equality",
     "grade_scalability",
     "grade_unpredictability",
+    "head_lineage",
     "lag_growth_slope",
     "mle_bias_estimate",
     "propagation_delay_estimate",
     "reduction_percent",
+    "render_tree",
 ]

@@ -4,7 +4,6 @@ from repro.chain.audit import AuditFinding, AuditReport, ChainAuditor
 from repro.chain.block import BLOCK_VERSION, Block, BlockHeader, build_block, sign_block
 from repro.chain.blocktree import BlockTree
 from repro.chain.codec import Reader, Writer, encoded_size_varint
-from repro.chain.explorer import chain_summary, find_forks, head_lineage, render_tree
 from repro.chain.forkchoice import ForkChoiceRule, GHOSTRule, LongestChainRule
 from repro.chain.genesis import GENESIS_PRODUCER, make_genesis
 from repro.chain.store import deserialize_tree, load_tree, save_tree, serialize_tree
@@ -15,10 +14,6 @@ __all__ = [
     "AuditReport",
     "BLOCK_VERSION",
     "ChainAuditor",
-    "chain_summary",
-    "find_forks",
-    "head_lineage",
-    "render_tree",
     "Block",
     "BlockHeader",
     "BlockTree",

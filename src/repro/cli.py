@@ -185,7 +185,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     engine = _engine_from_args(args)
     if name in ("fig4", "fig5"):
         spec = equality_spec(n=args.nodes, epochs=args.epochs, seed=args.seed)
-        results = engine.run_many(list(spec.grid))
+        results = engine.run_many(spec.grid)
         series = {}
         for cfg, result in zip(spec.grid, results, strict=True):
             series[cfg.algorithm] = (
@@ -198,7 +198,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     elif name == "fig6":
         ns = (16, 50, 100, 200)
         spec = scalability_spec(ns=ns, seed=args.seed)
-        results = engine.run_many(list(spec.grid))
+        results = engine.run_many(spec.grid)
         for start in range(0, len(spec.grid), len(ns)):
             algorithm = spec.grid[start].algorithm
             row = results[start : start + len(ns)]
@@ -209,7 +209,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     elif name == "fig7":
         ratios = (0.0, 0.16, 0.32)
         spec = attack_spec(ratios=ratios, n=args.nodes, seed=args.seed)
-        results = engine.run_many(list(spec.grid))
+        results = engine.run_many(spec.grid)
         for start in range(0, len(spec.grid), len(ratios)):
             algorithm = spec.grid[start].algorithm
             row = results[start : start + len(ratios)]
@@ -221,9 +221,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             )
     elif name == "fig8":
         spec = fork_spec(n=args.nodes, seed=args.seed)
-        results = engine.run_many(list(spec.grid))
+        results = engine.run_many(spec.grid)
         for cfg, result in zip(spec.grid, results, strict=True):
             report = result.fork
+            assert report is not None  # PoW-family runs always carry one
             print(
                 f"{cfg.algorithm:>12s}: fork rate {100 * report.fork_rate:5.2f}% "
                 f"longest {report.longest_duration}"
@@ -236,7 +237,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         spec = epoch_length_spec(
             n=args.nodes, seed=args.seed, height_factor=height_factor
         )
-        results = engine.run_many(list(spec.grid))
+        results = engine.run_many(spec.grid)
         for cfg, result in zip(spec.grid, results, strict=True):
             print(
                 f"beta={cfg.beta:5.1f}: stable σ_f² = "

@@ -25,7 +25,7 @@ from typing import Any
 from repro.core.difficulty import DifficultyParams
 from repro.crypto.keys import KeyPair
 from repro.errors import NetworkError
-from repro.net.topology import complete_topology, random_regular_topology
+from repro.net.topology import overlay_topology
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -98,12 +98,7 @@ class ConsortiumManifest:
 
     def adjacency(self) -> dict[int, list[int]]:
         """The gossip overlay, derived exactly like the simulator's."""
-        if self.n <= self.degree + 1:
-            return complete_topology(self.n)
-        degree = self.degree
-        if (self.n * degree) % 2:
-            degree += 1
-        return random_regular_topology(self.n, degree, seed=self.seed)
+        return overlay_topology(self.n, self.degree, seed=self.seed)
 
     def keypairs(self) -> list[KeyPair]:
         """Deterministic member keypairs, in node-id order."""

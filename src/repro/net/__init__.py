@@ -9,6 +9,7 @@ from repro.net.topology import (
     average_degree,
     complete_topology,
     diameter_hops,
+    overlay_topology,
     random_regular_topology,
     ring_topology,
     small_world_topology,
@@ -38,6 +39,7 @@ __all__ = [
     "average_degree",
     "complete_topology",
     "diameter_hops",
+    "overlay_topology",
     "random_regular_topology",
     "ring_topology",
     "small_world_topology",

@@ -44,6 +44,20 @@ def random_regular_topology(n: int, degree: int, seed: int = 0) -> dict[int, lis
     raise NetworkError(f"could not sample a connected {degree}-regular graph")
 
 
+def overlay_topology(n: int, degree: int, seed: int = 0) -> dict[int, list[int]]:
+    """The gossip overlay of every run path, simulated or live.
+
+    A complete graph when ``n <= degree + 1`` (small consortia), otherwise a
+    connected random regular graph.  A regular graph needs ``n * degree``
+    even, so an odd product raises the degree by one.
+    """
+    if n <= degree + 1:
+        return complete_topology(n)
+    if (n * degree) % 2:
+        degree += 1
+    return random_regular_topology(n, degree, seed=seed)
+
+
 def small_world_topology(
     n: int, k: int = 6, rewire_p: float = 0.2, seed: int = 0
 ) -> dict[int, list[int]]:

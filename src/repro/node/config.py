@@ -10,9 +10,8 @@ this module (and the benchmark conftest) — every other module must call
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.difficulty import DifficultyParams
 from repro.core.themis import RuleKind
 
 
@@ -55,4 +54,3 @@ class FullNodeConfig:
     verify_signatures: bool = True
     real_pow: bool = False
     initial_balance: int = 1_000_000
-    params: DifficultyParams = field(default_factory=DifficultyParams)

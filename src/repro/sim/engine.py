@@ -1,78 +1,68 @@
 """Parallel experiment execution engine.
 
 The paper's evaluation is embarrassingly parallel — every figure point is an
-independent, deterministic :func:`~repro.sim.runner.run_experiment` call —
-but the harness historically ran them serially in one process.
-:class:`ExperimentEngine` fans a batch of configs out over a
-``ProcessPoolExecutor`` and layers the properties a reproduction harness
-needs on top:
+independent, deterministic :func:`~repro.sim.runner.run_experiment` call.
+:class:`ExperimentEngine` runs a batch of configs with one strategy:
 
-* **deterministic merge** — results are keyed by task index and identical
-  configs are deduplicated before submission, so the output list is
-  bit-identical whatever the completion order; ``jobs=4`` and ``jobs=1``
-  produce byte-identical serialized metrics;
-* **crash isolation** — a worker exception (or a per-task ``timeout``,
-  enforced by ``SIGALRM`` inside the worker) fails that one point; a worker
-  *death* (segfault, ``os._exit``) breaks the pool, which the engine
-  rebuilds, quarantining the suspects one-per-pool so the culprit convicts
-  itself alone and the innocent bystanders complete — one poisoned point
-  never takes down a sweep;
-* **content-addressed caching** — wire a
-  :class:`~repro.sim.cache.ResultCache` in and every already-computed point
-  is a disk hit instead of a simulation, with hit/miss counters surfaced in
-  the :class:`EngineReport`;
-* **progress reporting** — an optional callback receives one line per
-  completed task (``[3/16] themis n=40 seed=2 12.1s``).
+1. **dedup** — identical configs are computed once, and results are keyed by
+   config, so the output list is bit-identical whatever the completion
+   order; ``jobs=4`` and ``jobs=1`` produce byte-identical serialized
+   metrics;
+2. **memo**, then **cache** — an in-process dict (``memoize=True``) and a
+   content-addressed :class:`~repro.sim.cache.ResultCache` turn every
+   already-computed point into a lookup, with hit/miss counters surfaced in
+   the :class:`EngineReport`;
+3. **execute** what is left — in-process when ``jobs == 1`` or one point is
+   pending (results keep their live ``observer`` handle), otherwise over one
+   ``ProcessPoolExecutor``.  Results cross the process boundary as JSON (the
+   :mod:`~repro.sim.reporting` round-trip), never as pickles of live
+   simulators.
 
-Results cross the process boundary as JSON (the
-:mod:`~repro.sim.reporting` round-trip), never as pickles of live
-simulators; in-process execution (``jobs=1``, or a batch that collapses to
-a single pending task) keeps the live ``observer`` handle for callers that
-inspect the block tree afterwards.
+A point that raises is recorded as a :class:`TaskFailure` while the rest of
+the batch finishes and is cached; :class:`EngineError` then lists every
+failure.  A worker *death* (segfault, OOM kill, ``os._exit``) breaks the
+pool without saying which point did it, so the unfinished points are run
+in-process instead.  There is no per-task timeout or retry: every run is
+bounded by ``ExperimentConfig.max_events`` / ``max_sim_time``, and a run is
+a pure function of its config, so a retry recomputes the same failure.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-import signal
 import time
-from collections import defaultdict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Callable, Iterable, Sequence
-
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Sequence
+from typing import Any
 
 from repro.errors import SimulationError
 from repro.sim.cache import ResultCache
+from repro.sim.reporting import (
+    config_from_dict,
+    config_to_dict,
+    result_from_dict,
+    result_to_dict,
+)
 from repro.sim.runner import ExperimentConfig, RunResult, run_experiment
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scenarios use engine)
-    from repro.sim.scenarios import ScenarioSpec
 
 
 class EngineError(SimulationError):
-    """One or more tasks of an engine batch failed permanently."""
+    """One or more tasks of an engine batch failed."""
 
 
 @dataclass(frozen=True)
 class TaskFailure:
-    """Terminal failure of one batch task."""
+    """One batch point whose run raised."""
 
-    index: int
+    index: int  # first position of the config in the submitted batch
     config: ExperimentConfig
-    error: str
-    attempts: int
+    error: str  # "ExceptionType: message", the same on both execution paths
 
     def describe(self) -> str:
-        cfg = self.config
-        return (
-            f"task {self.index} ({cfg.algorithm} n={cfg.n} seed={cfg.seed}): "
-            f"{self.error} (after {self.attempts} attempt(s))"
-        )
+        return f"task {self.index} ({_label(self.config)}): {self.error}"
 
 
 @dataclass
@@ -85,8 +75,7 @@ class EngineReport:
     cache_hits: int = 0
     cache_misses: int = 0
     memo_hits: int = 0
-    retries: int = 0
-    pool_rebuilds: int = 0
+    rescued: int = 0  # points run in-process after a pool worker died
     wall_seconds: float = 0.0
     jobs: int = 1
     failures: list[TaskFailure] = field(default_factory=list)
@@ -103,54 +92,65 @@ class EngineReport:
         ]
         if self.memo_hits:
             parts.append(f"{self.memo_hits} memo hits")
-        if self.retries:
-            parts.append(f"{self.retries} retries")
-        if self.pool_rebuilds:
-            parts.append(f"{self.pool_rebuilds} pool rebuilds")
+        if self.rescued:
+            parts.append(f"{self.rescued} rescued after a worker died")
         if self.failures:
             parts.append(f"{len(self.failures)} FAILED")
         return ", ".join(parts)
 
 
-class _WorkerTimeout(Exception):
-    """Raised inside a worker when the per-task SIGALRM deadline fires."""
+def _label(cfg: ExperimentConfig) -> str:
+    return f"{cfg.algorithm} n={cfg.n} seed={cfg.seed}"
 
 
-def _alarm_handler(signum, frame):  # pragma: no cover - fires inside workers
-    raise _WorkerTimeout()
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_config_payload(payload: str) -> str:
-    """Worker entry point: JSON config in, JSON result record out.
+    """Worker entry point: JSON config in, JSON outcome out.
 
     Module-level (picklable by reference) and string-typed on both sides so
-    no live simulator object ever crosses the process boundary.  The
-    optional per-task timeout is enforced here with ``SIGALRM`` — the task
-    fails with a clean, attributable error instead of wedging the pool.
+    no live simulator object — and no exception class the parent would have
+    to unpickle — crosses the process boundary.  The outcome is
+    ``{"result": <result record>}`` or ``{"error": "Type: message"}``.
     """
-    from repro.sim.reporting import config_from_dict, result_to_dict
-
-    request = json.loads(payload)
-    cfg = config_from_dict(request["config"])
-    timeout = request.get("timeout")
-    if timeout:
-        signal.signal(signal.SIGALRM, _alarm_handler)
-        signal.alarm(max(1, math.ceil(timeout)))
+    cfg = config_from_dict(json.loads(payload))
+    outcome: dict[str, Any]
     try:
-        result = run_experiment(cfg)
-    except _WorkerTimeout:
-        raise SimulationError(
-            f"task exceeded its {timeout}s timeout "
-            f"({cfg.algorithm} n={cfg.n} seed={cfg.seed})"
-        ) from None
-    finally:
-        if timeout:
-            signal.alarm(0)
-    return json.dumps(result_to_dict(result), sort_keys=True)
+        outcome = {"result": result_to_dict(run_experiment(cfg))}
+    except Exception as exc:
+        outcome = {"error": _describe(exc)}
+    return json.dumps(outcome)
+
+
+@dataclass
+class _Batch:
+    """The mutable state of one ``run_many`` call."""
+
+    report: EngineReport
+    first_index: dict[ExperimentConfig, int]
+    progress: Callable[[str], None] | None
+    done: dict[ExperimentConfig, RunResult] = field(default_factory=dict)
+
+    def finish(self, cfg: ExperimentConfig, result: RunResult, note: str = "") -> None:
+        self.report.executed += 1
+        self.done[cfg] = result
+        self._emit(cfg, note)
+
+    def fail(self, cfg: ExperimentConfig, error: str) -> None:
+        self.report.failures.append(TaskFailure(self.first_index[cfg], cfg, error))
+        self._emit(cfg, "FAILED")
+
+    def _emit(self, cfg: ExperimentConfig, note: str) -> None:
+        if self.progress is not None:
+            count = len(self.done) + len(self.report.failures)
+            line = f"[{count}/{self.report.unique_tasks}] {_label(cfg)} {note}"
+            self.progress(line.rstrip())
 
 
 class ExperimentEngine:
-    """Fans experiment batches out across processes, with caching.
+    """Runs experiment batches: dedup → memo → cache → execute.
 
     Args:
         jobs: worker process count; ``None`` or ``0`` means
@@ -158,17 +158,10 @@ class ExperimentEngine:
             live ``observer`` handle on results).
         cache: a :class:`ResultCache`, a directory for one, or ``None``
             (no disk cache).
-        timeout: per-task wall-clock budget in seconds (parallel mode only;
-            enforced inside the worker via ``SIGALRM``).
-        retries: extra attempts for a task that fails with an exception.
-        crash_retries: extra solo (quarantined) attempts granted to a task
-            that provably killed its worker, before it is retired.
         memoize: keep finished results in an in-process dict keyed by
             config — the benchmark suite's figure-sharing cache.
-        allow_failures: return ``None`` for failed points instead of
-            raising :class:`EngineError` after the batch completes.
         progress: optional callback receiving one human-readable line per
-            finished task.
+            finished task (``[3/16] themis n=40 seed=2 12.1s``).
     """
 
     def __init__(
@@ -176,11 +169,7 @@ class ExperimentEngine:
         *,
         jobs: int | None = 1,
         cache: ResultCache | str | Path | None = None,
-        timeout: float | None = None,
-        retries: int = 0,
-        crash_retries: int = 2,
         memoize: bool = False,
-        allow_failures: bool = False,
         progress: Callable[[str], None] | None = None,
     ) -> None:
         if jobs is not None and jobs < 0:
@@ -189,275 +178,101 @@ class ExperimentEngine:
         if isinstance(cache, (str, Path)):
             cache = ResultCache(cache)
         self.cache = cache
-        self.timeout = timeout
-        self.retries = retries
-        self.crash_retries = crash_retries
         self.memoize = memoize
-        self.allow_failures = allow_failures
         self.progress = progress
         self._memo: dict[ExperimentConfig, RunResult] = {}
         self.last_report = EngineReport()
-
-    # -- public API -------------------------------------------------------------
 
     def run(self, cfg: ExperimentConfig) -> RunResult:
         """Run (or fetch) a single experiment."""
         return self.run_many([cfg])[0]
 
-    def run_many(
-        self, configs: Sequence[ExperimentConfig]
-    ) -> list[RunResult | None]:
+    def run_many(self, configs: Sequence[ExperimentConfig]) -> list[RunResult]:
         """Run a batch; the i-th result always belongs to ``configs[i]``.
 
-        Identical configs are computed once.  Failed points raise
-        :class:`EngineError` once the rest of the batch has finished
-        (``allow_failures=True`` yields ``None`` entries instead).
+        Identical configs are computed once.  If any point raises,
+        :class:`EngineError` is raised once the rest of the batch has
+        finished (and been cached); ``last_report.failures`` names each.
         """
         started = time.perf_counter()  # repro: allow[REP001] harness wall timing
-        report = EngineReport(tasks=len(configs), jobs=self.jobs)
-        results: list[RunResult | None] = [None] * len(configs)
-
-        # Deduplicate while preserving first-appearance order.
-        positions: dict[ExperimentConfig, list[int]] = defaultdict(list)
+        first_index: dict[ExperimentConfig, int] = {}
         for index, cfg in enumerate(configs):
-            positions[cfg].append(index)
-        unique = list(positions)
-        report.unique_tasks = len(unique)
-
-        pending: dict[int, ExperimentConfig] = {}
-        for task_index, cfg in enumerate(unique):
+            first_index.setdefault(cfg, index)
+        report = EngineReport(
+            tasks=len(configs), unique_tasks=len(first_index), jobs=self.jobs
+        )
+        self.last_report = report
+        batch = _Batch(report, first_index, self.progress)
+        pending: list[ExperimentConfig] = []
+        for cfg in first_index:
             if self.memoize and cfg in self._memo:
                 report.memo_hits += 1
-                self._fill(results, positions[cfg], self._memo[cfg])
+                batch.done[cfg] = self._memo[cfg]
                 continue
             if self.cache is not None:
                 cached = self.cache.get(cfg)
                 if cached is not None:
                     report.cache_hits += 1
-                    self._finish(results, positions, report, cfg, cached)
+                    batch.done[cfg] = cached
                     continue
                 report.cache_misses += 1
-            pending[task_index] = cfg
+            pending.append(cfg)
 
-        if pending:
-            if self.jobs <= 1 or len(pending) == 1:
-                self._run_serial(pending, positions, results, report)
-            else:
-                self._run_pool(pending, positions, results, report)
+        if self.jobs > 1 and len(pending) > 1:
+            pending = self._run_pool(pending, batch)
+            report.rescued = len(pending)
+        for cfg in pending:
+            task_started = time.perf_counter()  # repro: allow[REP001]
+            try:
+                result = run_experiment(cfg)
+            except Exception as exc:
+                batch.fail(cfg, _describe(exc))
+                continue
+            if self.cache is not None:
+                self.cache.put(cfg, result)
+            elapsed = time.perf_counter() - task_started  # repro: allow[REP001]
+            batch.finish(cfg, result, f"{elapsed:.1f}s")
 
+        if self.memoize:
+            self._memo.update(batch.done)
         report.wall_seconds = time.perf_counter() - started  # repro: allow[REP001]
-        self.last_report = report
-        if report.failures and not self.allow_failures:
+        if report.failures:
             detail = "; ".join(f.describe() for f in report.failures)
             raise EngineError(
                 f"{len(report.failures)}/{report.tasks} experiment task(s) "
                 f"failed: {detail}"
             )
-        return results
-
-    def run_spec(
-        self, spec: ScenarioSpec, seeds: Iterable[int] | None = None
-    ) -> list[RunResult | None]:
-        """Run every config of a :class:`~repro.sim.scenarios.ScenarioSpec`."""
-        return self.run_many(list(spec.configs(seeds=seeds)))
-
-    # -- internals --------------------------------------------------------------
-
-    def _fill(
-        self,
-        results: list[RunResult | None],
-        indices: Sequence[int],
-        result: RunResult,
-    ) -> None:
-        for index in indices:
-            results[index] = result
-
-    def _finish(
-        self,
-        results: list[RunResult | None],
-        positions: dict[ExperimentConfig, list[int]],
-        report: EngineReport,
-        cfg: ExperimentConfig,
-        result: RunResult,
-    ) -> None:
-        if self.memoize:
-            self._memo[cfg] = result
-        self._fill(results, positions[cfg], result)
-
-    def _emit(self, report: EngineReport, done: int, text: str) -> None:
-        if self.progress is not None:
-            self.progress(f"[{done}/{report.unique_tasks}] {text}")
-
-    def _payload(self, cfg: ExperimentConfig) -> str:
-        from repro.sim.reporting import config_to_dict
-
-        return json.dumps(
-            {"config": config_to_dict(cfg), "timeout": self.timeout},
-            sort_keys=True,
-        )
-
-    def _store(self, cfg: ExperimentConfig, result: RunResult) -> None:
-        if self.cache is not None:
-            self.cache.put(cfg, result)
-
-    def _run_serial(
-        self,
-        pending: dict[int, ExperimentConfig],
-        positions: dict[ExperimentConfig, list[int]],
-        results: list[RunResult | None],
-        report: EngineReport,
-    ) -> None:
-        done = report.unique_tasks - len(pending)
-        for task_index, cfg in sorted(pending.items()):
-            attempts = 0
-            while True:
-                attempts += 1
-                task_started = time.perf_counter()  # repro: allow[REP001]
-                try:
-                    result = run_experiment(cfg)
-                except Exception as exc:
-                    if attempts <= self.retries:
-                        report.retries += 1
-                        continue
-                    report.failures.append(
-                        TaskFailure(task_index, cfg, str(exc), attempts)
-                    )
-                    done += 1
-                    self._emit(report, done, self._label(cfg) + " FAILED")
-                    break
-                report.executed += 1
-                self._store(cfg, result)
-                self._finish(results, positions, report, cfg, result)
-                done += 1
-                self._emit(
-                    report,
-                    done,
-                    f"{self._label(cfg)} {time.perf_counter() - task_started:.1f}s",  # repro: allow[REP001]
-                )
-                break
+        return [batch.done[cfg] for cfg in configs]
 
     def _run_pool(
-        self,
-        pending: dict[int, ExperimentConfig],
-        positions: dict[ExperimentConfig, list[int]],
-        results: list[RunResult | None],
-        report: EngineReport,
-    ) -> None:
-        from repro.sim.reporting import result_from_dict
+        self, pending: list[ExperimentConfig], batch: _Batch
+    ) -> list[ExperimentConfig]:
+        """Run ``pending`` over one process pool; return what it left undone.
 
-        pending = dict(pending)
-        error_counts: dict[int, int] = defaultdict(int)
-        crash_counts: dict[int, int] = defaultdict(int)
-        # A worker death breaks the whole pool, so a crash round cannot tell
-        # the culprit from the collateral.  Every unfinished task of a broken
-        # round becomes a *suspect* and is re-run alone in a single-worker
-        # pool: a task that crashes alone is guilty with certainty, and an
-        # innocent clears itself by completing.  Parallel execution resumes
-        # once the suspect queue is empty.
-        suspects: list[int] = []
-        done = report.unique_tasks - len(pending)
-        worker = self._worker_fn()
-
-        while pending:
-            if suspects:
-                round_ids = [s for s in suspects[:1] if s in pending]
-                if not round_ids:
-                    suspects.pop(0)
-                    continue
-            else:
-                round_ids = sorted(pending)
-            quarantined = len(round_ids) == 1 and bool(suspects)
-            broke = False
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(round_ids))
-            ) as pool:
+        The returned list is empty unless a worker died: the executor then
+        fails every unfinished future alike, so those points go back to the
+        caller, which runs them in-process.
+        """
+        left = dict.fromkeys(pending)
+        try:
+            with ProcessPoolExecutor(max_workers=min(self.jobs, len(left))) as pool:
                 futures = {
-                    pool.submit(worker, self._payload(pending[index])): index
-                    for index in round_ids
+                    pool.submit(run_config_payload, json.dumps(config_to_dict(cfg))): cfg
+                    for cfg in left
                 }
                 for future in as_completed(futures):
-                    task_index = futures[future]
-                    cfg = pending.get(task_index)
-                    if cfg is None:  # already retired in this round
-                        continue
-                    try:
-                        record = json.loads(future.result())
-                    except BrokenExecutor:
-                        broke = True
-                        if quarantined:
-                            # Crashed alone: definitely the culprit.
-                            crash_counts[task_index] += 1
-                            if crash_counts[task_index] > self.crash_retries:
-                                report.failures.append(
-                                    TaskFailure(
-                                        task_index,
-                                        cfg,
-                                        "worker process died "
-                                        "(segfault or hard exit)",
-                                        crash_counts[task_index],
-                                    )
-                                )
-                                del pending[task_index]
-                                suspects.remove(task_index)
-                                done += 1
-                                self._emit(
-                                    report, done, self._label(cfg) + " CRASHED"
-                                )
-                            # else: stays first in the suspect queue for
-                            # another solo attempt.
-                        elif task_index not in suspects:
-                            suspects.append(task_index)
-                    except Exception as exc:
-                        # An ordinary exception did not kill the pool, so the
-                        # task is no crash suspect (relevant when it failed
-                        # during its quarantine run).
-                        if task_index in suspects:
-                            suspects.remove(task_index)
-                        error_counts[task_index] += 1
-                        if error_counts[task_index] > self.retries:
-                            report.failures.append(
-                                TaskFailure(
-                                    task_index, cfg, str(exc), error_counts[task_index]
-                                )
-                            )
-                            del pending[task_index]
-                            done += 1
-                            self._emit(report, done, self._label(cfg) + " FAILED")
-                        else:
-                            report.retries += 1
+                    cfg = futures[future]
+                    outcome = json.loads(future.result())
+                    if "error" in outcome:
+                        batch.fail(cfg, outcome["error"])
                     else:
-                        if task_index in suspects:
-                            suspects.remove(task_index)
-                        report.executed += 1
-                        result = result_from_dict(record)
                         if self.cache is not None:
-                            self.cache.put_record(cfg, record)
-                        self._finish(results, positions, report, cfg, result)
-                        del pending[task_index]
-                        done += 1
-                        self._emit(report, done, self._label(cfg))
-            if broke:
-                report.pool_rebuilds += 1
-
-    def _label(self, cfg: ExperimentConfig) -> str:
-        return f"{cfg.algorithm} n={cfg.n} seed={cfg.seed}"
-
-    def _worker_fn(self) -> Callable[[str], str]:
-        """The pool task function — a hook point for crash-injection tests."""
-        return run_config_payload
-
-
-def run_experiments(
-    configs: Sequence[ExperimentConfig],
-    *,
-    jobs: int | None = 1,
-    cache: ResultCache | str | Path | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> list[RunResult]:
-    """One-call batch execution with the default engine policy."""
-    engine = ExperimentEngine(jobs=jobs, cache=cache, progress=progress)
-    results = engine.run_many(configs)
-    return [r for r in results if r is not None]
+                            self.cache.put_record(cfg, outcome["result"])
+                        batch.finish(cfg, result_from_dict(outcome["result"]))
+                    del left[cfg]
+        except BrokenExecutor:
+            pass  # a worker died; what is still in ``left`` goes back to the caller
+        return list(left)
 
 
 __all__ = [
@@ -466,5 +281,4 @@ __all__ = [
     "ExperimentEngine",
     "TaskFailure",
     "run_config_payload",
-    "run_experiments",
 ]

@@ -1,15 +1,16 @@
-"""Fleet construction helpers.
+"""The one place a simulated run is assembled.
 
-:func:`build_mining_fleet` assembles the full stack for a PoW-family
-deployment — simulator, overlay, oracle, identities, nodes — in one call,
-for tests, examples and ad-hoc exploration.  (The benchmark path goes
-through :func:`repro.sim.runner.run_experiment`, which layers metrics and
-stop conditions on top.)
+:func:`build_stack` wires simulator → overlay → oracle → identities →
+:class:`~repro.consensus.base.RunContext`; both
+:func:`repro.sim.runner.run_experiment` (which layers attacks, chaos,
+monitors and metrics on top) and :func:`build_mining_fleet` (tests, examples
+and ad-hoc exploration) start from it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.chain.genesis import make_genesis
 from repro.consensus.base import RunContext
@@ -21,7 +22,49 @@ from repro.mining.oracle import MiningOracle
 from repro.net.latency import LinkModel
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
-from repro.net.topology import complete_topology, random_regular_topology
+from repro.net.topology import overlay_topology
+
+
+@dataclass
+class SimStack:
+    """One built simulation stack.
+
+    ``ctx`` types its network/clock as the :class:`Transport` /
+    :class:`~repro.net.clock.Clock` protocols (all a node may touch); the
+    stack keeps the concrete simulator and network so orchestration code
+    can drive the event loop and arm chaos hooks without downcasting.
+    """
+
+    ctx: RunContext
+    sim: Simulator
+    network: SimulatedNetwork
+    keys: list[KeyPair]
+
+
+def build_stack(
+    n: int,
+    *,
+    seed: int,
+    degree: int,
+    link: LinkModel,
+    params: DifficultyParams,
+    key_prefix: str = "node",
+) -> SimStack:
+    """Seeded simulator, overlay, oracle and member identities for ``n`` nodes."""
+    sim = Simulator(seed=seed)
+    network = SimulatedNetwork(
+        sim=sim, adjacency=overlay_topology(n, degree, seed=seed), link=link
+    )
+    keys = [KeyPair.from_seed(f"{key_prefix}-{i}") for i in range(n)]
+    ctx = RunContext(
+        sim=sim,
+        network=network,
+        oracle=MiningOracle(sim.rng, params.t0),
+        genesis=make_genesis(),
+        params=params,
+        members=[k.public.fingerprint() for k in keys],
+    )
+    return SimStack(ctx=ctx, sim=sim, network=network, keys=keys)
 
 
 def build_mining_fleet(
@@ -59,30 +102,18 @@ def build_mining_fleet(
     if initial_base_scale is None:
         total_power = sum(c.hash_rate for c in configs)
         initial_base_scale = max(1e-9, total_power / (n * h0))
-    sim = Simulator(seed=seed)
-    if n <= degree + 1:
-        topology = complete_topology(n)
-    else:
-        if (n * degree) % 2:
-            degree += 1
-        topology = random_regular_topology(n, degree, seed=seed)
-    network = SimulatedNetwork(
-        sim=sim, adjacency=topology, link=link or LinkModel(jitter=jitter)
+    stack = build_stack(
+        n,
+        seed=seed,
+        degree=degree,
+        link=link or LinkModel(jitter=jitter),
+        params=DifficultyParams(
+            i0=i0, h0=h0, beta=beta, initial_base_scale=initial_base_scale
+        ),
+        key_prefix=key_prefix,
     )
-    params = DifficultyParams(
-        i0=i0, h0=h0, beta=beta, initial_base_scale=initial_base_scale
-    )
-    keys = [KeyPair.from_seed(f"{key_prefix}-{i}") for i in range(n)]
-    ctx = RunContext(
-        sim=sim,
-        network=network,
-        oracle=MiningOracle(sim.rng, params.t0),
-        genesis=make_genesis(),
-        params=params,
-        members=[k.public.fingerprint() for k in keys],
-    )
-    nodes = [MiningNode(i, keys[i], ctx, configs[i]) for i in range(n)]
-    return ctx, nodes
+    nodes = [MiningNode(i, stack.keys[i], stack.ctx, configs[i]) for i in range(n)]
+    return stack.ctx, nodes
 
 
 def start_mining_fleet(nodes: Sequence[MiningNode]) -> None:

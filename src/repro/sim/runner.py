@@ -17,14 +17,12 @@ All four §VII-B algorithms are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from collections.abc import Sequence
-from typing import TYPE_CHECKING, Literal
+from collections.abc import Callable, Sequence
+from typing import Any, Literal
 
-from repro.chain.genesis import make_genesis
 from repro.chaos.faults import ChaosController, FaultEvent
 from repro.chaos.invariants import InvariantConfig, InvariantMonitor, InvariantReport
 from repro.chaos.schedule import FaultPlan, FaultScheduler, random_fault_plan
-from repro.consensus.base import RunContext
 from repro.consensus.pbft import PBFTCluster, PBFTConfig
 from repro.consensus.powfamily import (
     MiningNode,
@@ -36,14 +34,11 @@ from repro.consensus.powfamily import (
 from repro.core.difficulty import DifficultyParams
 from repro.core.equality import round_robin_probability_variance
 from repro.errors import SimulationError
-from repro.mining.oracle import MiningOracle
 from repro.mining.power import PowerProfile, pool_distribution_profile, uniform_profile
 from repro.net.latency import LinkModel
-from repro.net.network import NetworkStats, SimulatedNetwork
-from repro.net.simulator import Simulator
-from repro.net.topology import complete_topology, random_regular_topology
+from repro.net.network import NetworkStats
 from repro.sim.attacks import VulnerableNodeAttack
-from repro.sim.fleet import start_mining_fleet
+from repro.sim.fleet import SimStack, build_stack, start_mining_fleet
 from repro.sim.metrics import (
     ChaosReport,
     ForkReport,
@@ -55,9 +50,6 @@ from repro.sim.metrics import (
     stable_value,
     unpredictability_series,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.crypto.keys import KeyPair
 
 Algorithm = Literal["themis", "themis-lite", "pow-h", "pbft"]
 
@@ -173,85 +165,76 @@ class RunResult:
         return self.config.difficulty_params().epoch_length(self.config.n)
 
 
-def _build_topology(cfg: ExperimentConfig) -> dict[int, list[int]]:
-    if cfg.n <= cfg.degree + 1:
-        return complete_topology(cfg.n)
-    degree = cfg.degree
-    if (cfg.n * degree) % 2:
-        degree += 1
-    return random_regular_topology(cfg.n, degree, seed=cfg.seed)
-
-
-@dataclass
-class _Harness:
-    """One built experiment stack.
-
-    ``ctx`` types its network/clock as the :class:`Transport` /
-    :class:`~repro.net.clock.Clock` protocols (all a node may touch); the
-    harness keeps the concrete simulator and network so orchestration code
-    can drive the event loop and arm chaos hooks without downcasting.
-    """
-
-    ctx: RunContext
-    sim: Simulator
-    network: SimulatedNetwork
-    profile: PowerProfile
-    keys: list["KeyPair"]
-
-
-def _build_context(cfg: ExperimentConfig) -> _Harness:
-    from repro.crypto.keys import KeyPair
-
-    sim = Simulator(seed=cfg.seed)
-    link = LinkModel(
-        bandwidth_bps=cfg.bandwidth_bps, min_delay=cfg.min_delay, jitter=cfg.jitter
-    )
-    network = SimulatedNetwork(sim=sim, adjacency=_build_topology(cfg), link=link)
-    params = cfg.difficulty_params()
-    oracle = MiningOracle(sim.rng, params.t0)
-    keys = [KeyPair.from_seed(f"node-{i}") for i in range(cfg.n)]
-    ctx = RunContext(
-        sim=sim,
-        network=network,
-        oracle=oracle,
-        genesis=make_genesis(),
-        params=params,
-        members=[k.public.fingerprint() for k in keys],
-    )
-    return _Harness(
-        ctx=ctx, sim=sim, network=network, profile=cfg.power_profile(), keys=keys
-    )
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run one evaluation experiment and collect its metric series."""
-    if cfg.algorithm == "pbft":
-        return _run_pbft(cfg)
-    return _run_mining(cfg)
+    pbft = cfg.algorithm == "pbft"
+    if pbft and cfg.fault_plan is not None:
+        raise SimulationError(
+            "fault plans target the PoW-family crash/sync path; PBFT runs "
+            "do not support chaos injection"
+        )
+    stack = build_stack(
+        cfg.n,
+        seed=cfg.seed,
+        degree=cfg.degree,
+        link=LinkModel(
+            bandwidth_bps=cfg.bandwidth_bps, min_delay=cfg.min_delay, jitter=cfg.jitter
+        ),
+        params=cfg.difficulty_params(),
+    )
+    victims: list[int] = []
+    if cfg.vulnerable_ratio > 0:
+        victims = VulnerableNodeAttack.select(
+            stack.network, list(range(cfg.n)), cfg.vulnerable_ratio, stack.sim.rng
+        ).victims
+    if pbft:
+        return _run_pbft(cfg, stack)
+    return _run_mining(cfg, stack, victims)
 
 
-def _run_mining(cfg: ExperimentConfig) -> RunResult:
-    harness = _build_context(cfg)
-    ctx, profile, keys = harness.ctx, harness.profile, harness.keys
+def _drive(cfg: ExperimentConfig, stack: SimStack, done: Callable[[], bool]) -> None:
+    """Run the event loop until ``done``; the config's caps bound every run."""
+    stack.sim.run(until=cfg.max_sim_time, max_events=cfg.max_events, stop_when=done)
+
+
+def _result(
+    cfg: ExperimentConfig,
+    stack: SimStack,
+    *,
+    committed_blocks: int,
+    duration: float,
+    **fields: Any,
+) -> RunResult:
+    return RunResult(
+        config=cfg,
+        duration=duration,
+        committed_blocks=committed_blocks,
+        tps=committed_tps(committed_blocks, cfg.batch_size, duration),
+        network=stack.network.stats,
+        members=list(stack.ctx.members),
+        **fields,
+    )
+
+
+def _run_mining(
+    cfg: ExperimentConfig, stack: SimStack, victims: list[int]
+) -> RunResult:
+    ctx = stack.ctx
+    profile = cfg.power_profile()
     nodes = [
-        MiningNode(i, keys[i], ctx, cfg.mining_config(profile.powers[i]))
+        MiningNode(i, stack.keys[i], ctx, cfg.mining_config(profile.powers[i]))
         for i in range(cfg.n)
     ]
-    attack = None
-    if cfg.vulnerable_ratio > 0:
-        attack = VulnerableNodeAttack.select(
-            harness.network, list(range(cfg.n)), cfg.vulnerable_ratio, harness.sim.rng
-        )
     controller = None
     if cfg.fault_plan is not None and len(cfg.fault_plan):
-        controller = ChaosController(nodes, harness.network, harness.sim)
+        controller = ChaosController(nodes, stack.network, stack.sim)
         FaultScheduler(controller, cfg.fault_plan).arm()
     monitor = None
     if cfg.monitor_invariants:
         monitor = InvariantMonitor(
             nodes,
-            harness.network,
-            harness.sim,
+            stack.network,
+            stack.sim,
             InvariantConfig(
                 confirmation_depth=cfg.confirmation_depth,
                 check_interval=cfg.invariant_check_interval,
@@ -263,7 +246,7 @@ def _run_mining(cfg: ExperimentConfig) -> RunResult:
             ),
             # Censored producers diverge by design; §VII-D's claim is about
             # the surviving nodes, so victims sit outside the cross-checks.
-            exclude=attack.victims if attack is not None else (),
+            exclude=victims,
         )
         monitor.start()
     start_mining_fleet(nodes)
@@ -279,7 +262,7 @@ def _run_mining(cfg: ExperimentConfig) -> RunResult:
     )
     # Observe via a non-vulnerable node that never crashes, so suppressed
     # blocks and downtime don't skew the observer's view of the main chain.
-    excluded = set(attack.victims) if attack else set()
+    excluded = set(victims)
     if cfg.fault_plan is not None:
         excluded |= cfg.fault_plan.crashed_nodes()
     try:
@@ -289,11 +272,7 @@ def _run_mining(cfg: ExperimentConfig) -> RunResult:
             "no node is both attack-free and crash-free to observe the run"
         ) from None
 
-    harness.sim.run(
-        until=cfg.max_sim_time,
-        max_events=cfg.max_events,
-        stop_when=lambda: observer.state.height() >= target_height,
-    )
+    _drive(cfg, stack, lambda: observer.state.height() >= target_height)
     if monitor is not None:
         monitor.stop()
     if observer.state.height() < target_height:
@@ -311,28 +290,23 @@ def _run_mining(cfg: ExperimentConfig) -> RunResult:
     else:
         measure_height = min(cfg.measure_from_epoch, cfg.epochs - 1) * epoch_blocks
         measure_height = min(measure_height, max(0, target_height - 1))
-    measured_blocks = target_height - measure_height
     duration = (
         chain[target_height].header.timestamp - chain[measure_height].header.timestamp
     )
     complete_epochs = target_height // epoch_blocks
-    equality = equality_series(chain[: target_height + 1], ctx.members, epoch_blocks)
-    unpredictability = unpredictability_series(
-        observer.state, profile, ctx.members, complete_epochs
-    )
-    return RunResult(
-        config=cfg,
+    return _result(
+        cfg,
+        stack,
+        committed_blocks=target_height - measure_height,
         duration=duration,
-        committed_blocks=measured_blocks,
-        tps=committed_tps(measured_blocks, cfg.batch_size, duration),
-        equality=equality,
-        unpredictability=unpredictability,
+        equality=equality_series(chain[: target_height + 1], ctx.members, epoch_blocks),
+        unpredictability=unpredictability_series(
+            observer.state, profile, ctx.members, complete_epochs
+        ),
         fork=fork_report(observer.tree, chain, from_height=measure_height + 1),
-        network=ctx.network.stats,
-        members=list(ctx.members),
         observer=observer,
         chaos=(
-            chaos_report(controller, ctx.network.stats, monitor)
+            chaos_report(controller, stack.network.stats, monitor)
             if controller is not None
             else None
         ),
@@ -341,26 +315,11 @@ def _run_mining(cfg: ExperimentConfig) -> RunResult:
     )
 
 
-def _run_pbft(cfg: ExperimentConfig) -> RunResult:
-    if cfg.fault_plan is not None:
-        raise SimulationError(
-            "fault plans target the PoW-family crash/sync path; PBFT runs "
-            "do not support chaos injection"
-        )
-    harness = _build_context(cfg)
-    ctx, keys = harness.ctx, harness.keys
-    cluster = PBFTCluster(ctx, keys, PBFTConfig(batch_size=cfg.batch_size))
-    attack = None
-    if cfg.vulnerable_ratio > 0:
-        attack = VulnerableNodeAttack.select(
-            harness.network, list(range(cfg.n)), cfg.vulnerable_ratio, harness.sim.rng
-        )
+def _run_pbft(cfg: ExperimentConfig, stack: SimStack) -> RunResult:
+    ctx = stack.ctx
+    cluster = PBFTCluster(ctx, stack.keys, PBFTConfig(batch_size=cfg.batch_size))
     cluster.start()
-    harness.sim.run(
-        until=cfg.max_sim_time,
-        max_events=cfg.max_events,
-        stop_when=lambda: cluster.stats.rounds_committed >= cfg.pbft_rounds,
-    )
+    _drive(cfg, stack, lambda: cluster.stats.rounds_committed >= cfg.pbft_rounds)
     cluster.stop()
     committed = cluster.stats.rounds_committed
     if committed == 0:
@@ -372,16 +331,14 @@ def _run_pbft(cfg: ExperimentConfig) -> RunResult:
     # constant, reported once per completed counting epoch for the Fig. 5
     # series (or once if no epoch completed).
     epoch_count = max(1, len(producers) // epoch_blocks)
-    return RunResult(
-        config=cfg,
-        duration=duration,
+    return _result(
+        cfg,
+        stack,
         committed_blocks=committed,
-        tps=committed_tps(committed, cfg.batch_size, duration),
+        duration=duration,
         equality=equality_series_from_producers(producers, ctx.members, epoch_blocks),
         unpredictability=[round_robin_probability_variance(cfg.n)] * epoch_count,
         fork=None,  # PBFT is fork-free (footnote 14)
-        network=ctx.network.stats,
-        members=list(ctx.members),
         pbft=cluster,
         view_changes=cluster.stats.view_changes,
     )

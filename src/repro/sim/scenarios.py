@@ -1,9 +1,9 @@
 """Scenario specifications, one per paper figure.
 
 A :class:`ScenarioSpec` is the unit the evaluation stack consumes: a frozen,
-hashable bundle of (name, concrete config grid, scalar metric extractors)
-that the :class:`~repro.sim.engine.ExperimentEngine`, the CLI ``figure``
-command and the benchmark suite all share.  One builder per figure
+hashable (name, concrete config grid) pair that the CLI ``figure`` command
+and the benchmark suite both hand to the
+:class:`~repro.sim.engine.ExperimentEngine`.  One builder per figure
 (:func:`equality_spec` … :func:`epoch_length_spec`) constructs the grid the
 paper sweeps; :meth:`ScenarioSpec.configs` crosses it with seeds for
 sweep-grade replication.
@@ -19,66 +19,31 @@ replication.  EXPERIMENTS.md records which scale each reported number used.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.errors import SimulationError
-from repro.sim.metrics import stable_value
-from repro.sim.runner import Algorithm, ExperimentConfig, RunResult
+from repro.sim.runner import Algorithm, ExperimentConfig
 
 #: The three PoW-family algorithms of §VII-B plus PBFT.
 ALL_ALGORITHMS: tuple[Algorithm, ...] = ("themis", "themis-lite", "pow-h", "pbft")
 POW_FAMILY: tuple[Algorithm, ...] = ("themis", "themis-lite", "pow-h")
 
-#: Extracts one scalar from a finished run, e.g. ``lambda r: r.tps``.
-MetricFn = Callable[[RunResult], float]
-
-
-# Module-level metric extractors (named functions keep specs hashable and
-# their reprs readable; lambdas would compare by identity anyway but print
-# as noise).
-def metric_tps(result: RunResult) -> float:
-    return result.tps
-
-
-def metric_equality_stable(result: RunResult) -> float:
-    return stable_value(result.equality, robust=True)
-
-
-def metric_unpredictability_stable(result: RunResult) -> float:
-    return stable_value(result.unpredictability)
-
-
-def metric_fork_rate(result: RunResult) -> float:
-    return result.fork.fork_rate if result.fork is not None else 0.0
-
-
-def metric_longest_fork(result: RunResult) -> float:
-    return float(result.fork.longest_duration) if result.fork is not None else 0.0
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One evaluation scenario: a named config grid plus its metrics.
+    """One evaluation scenario: a named config grid.
 
     Attributes:
         name: scenario identifier (``"fig6-scalability"``).
         grid: the concrete configs the scenario sweeps, in report order.
-        metrics: ``(label, extractor)`` pairs for the scalars the scenario
-            reports; extractors are plain callables over :class:`RunResult`.
-        xlabel: what varies along the grid (documentation / table headers).
     """
 
     name: str
     grid: tuple[ExperimentConfig, ...]
-    metrics: tuple[tuple[str, MetricFn], ...] = (("tps", metric_tps),)
-    xlabel: str = "config"
 
     def __post_init__(self) -> None:
         if not self.grid:
             raise SimulationError(f"scenario {self.name!r} has an empty grid")
-        labels = [label for label, _ in self.metrics]
-        if len(set(labels)) != len(labels):
-            raise SimulationError(f"scenario {self.name!r} has duplicate metrics")
 
     def configs(
         self, seeds: Iterable[int] | None = None
@@ -92,14 +57,6 @@ class ScenarioSpec:
         return tuple(
             replace(cfg, seed=seed) for cfg in self.grid for seed in seed_list
         )
-
-    @property
-    def metric_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.metrics)
-
-    def extract(self, result: RunResult) -> dict[str, float]:
-        """Evaluate every metric on one finished run."""
-        return {label: float(fn(result)) for label, fn in self.metrics}
 
 
 # -- builders, one per figure --------------------------------------------------------
@@ -115,7 +72,6 @@ def equality_spec(
     """Fig. 4 / Fig. 5: σ_f² and σ_p² against epochs (one run serves both)."""
     return ScenarioSpec(
         name="fig4-equality",
-        xlabel="algorithm",
         grid=tuple(
             ExperimentConfig(
                 algorithm=algorithm,
@@ -125,11 +81,6 @@ def equality_spec(
                 pbft_rounds=n * 8 * 2,  # two counting epochs of committed rounds
             )
             for algorithm in algorithms
-        ),
-        metrics=(
-            ("sigma_f2", metric_equality_stable),
-            ("sigma_p2", metric_unpredictability_stable),
-            ("tps", metric_tps),
         ),
     )
 
@@ -150,7 +101,6 @@ def scalability_spec(
     """
     return ScenarioSpec(
         name="fig6-scalability",
-        xlabel="n",
         grid=tuple(
             ExperimentConfig(
                 algorithm=algorithm,
@@ -168,7 +118,6 @@ def scalability_spec(
             for algorithm in algorithms
             for n in ns
         ),
-        metrics=(("tps", metric_tps),),
     )
 
 
@@ -182,7 +131,6 @@ def attack_spec(
     """Fig. 7: TPS against vulnerable-node ratio (paper: n = 100)."""
     return ScenarioSpec(
         name="fig7-attacks",
-        xlabel="vulnerable_ratio",
         grid=tuple(
             ExperimentConfig(
                 algorithm=algorithm,
@@ -195,7 +143,6 @@ def attack_spec(
             for algorithm in algorithms
             for ratio in ratios
         ),
-        metrics=(("tps", metric_tps),),
     )
 
 
@@ -208,7 +155,6 @@ def fork_spec(
     """Fig. 8: fork rate / duration under identical difficulty settings."""
     return ScenarioSpec(
         name="fig8-forks",
-        xlabel="algorithm",
         grid=tuple(
             ExperimentConfig(
                 algorithm=algorithm,
@@ -220,10 +166,6 @@ def fork_spec(
                 i0=4.0,
             )
             for algorithm in algorithms
-        ),
-        metrics=(
-            ("fork_rate", metric_fork_rate),
-            ("longest_fork", metric_longest_fork),
         ),
     )
 
@@ -246,7 +188,6 @@ def epoch_length_spec(
     """
     return ScenarioSpec(
         name="fig9-epoch-length",
-        xlabel="beta",
         grid=tuple(
             ExperimentConfig(
                 algorithm="themis",
@@ -257,16 +198,4 @@ def epoch_length_spec(
             )
             for beta in betas
         ),
-        metrics=(("sigma_f2", metric_equality_stable),),
     )
-
-
-#: Figure name → spec builder, for CLI and docs discovery.
-SCENARIOS: dict[str, Callable[..., ScenarioSpec]] = {
-    "fig4": equality_spec,
-    "fig5": equality_spec,
-    "fig6": scalability_spec,
-    "fig7": attack_spec,
-    "fig8": fork_spec,
-    "fig9": epoch_length_spec,
-}

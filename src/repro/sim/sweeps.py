@@ -2,26 +2,23 @@
 
 Single simulation runs carry Poisson noise (fork losses, binomial frequency
 counts); publication-grade numbers need several seeds and an uncertainty
-estimate.  :func:`sweep` runs a :class:`~repro.sim.scenarios.ScenarioSpec`
-or a single :class:`~repro.sim.runner.ExperimentConfig` across seeds —
-optionally in parallel and through the content-addressed result cache — and
-:class:`SweepSummary` aggregates any scalar metric with mean / median /
-95 % normal-approximation confidence interval.
+estimate.  :func:`sweep` runs one
+:class:`~repro.sim.runner.ExperimentConfig` across seeds on an
+:class:`~repro.sim.engine.ExperimentEngine`, and :class:`SweepSummary`
+aggregates any scalar metric with mean / median / 95 %
+normal-approximation confidence interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.cache import ResultCache
 from repro.sim.engine import ExperimentEngine
 from repro.sim.runner import ExperimentConfig, RunResult
-from repro.sim.scenarios import ScenarioSpec
 
 #: Extracts a scalar from a run, e.g. ``lambda r: r.tps``.
 MetricFn = Callable[[RunResult], float]
@@ -71,83 +68,39 @@ class SweepSummary:
 
 def sweep(
     *,
-    experiment: ScenarioSpec | ExperimentConfig,
+    experiment: ExperimentConfig,
     seeds: Iterable[int],
-    jobs: int | None = 1,
-    cache: ResultCache | str | Path | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[RunResult]:
-    """Run an experiment (or a whole scenario grid) across seeds.
+    """Run one experiment configuration across seeds.
 
     Keyword-only by design — every call site reads as
-    ``sweep(experiment=cfg, seeds=range(5), jobs=4)``.
+    ``sweep(experiment=cfg, seeds=range(5), engine=engine)``.
 
     Args:
-        experiment: a single :class:`ExperimentConfig`, replicated per
-            seed, or a :class:`ScenarioSpec`, whose grid is crossed with
-            the seeds (grid-major order: all seeds of grid[0] first).
+        experiment: the configuration, replicated once per seed.  (A
+            scenario grid crossed with seeds is
+            ``engine.run_many(spec.configs(seeds))``.)
         seeds: the seed values; ``range(5)`` style.
-        jobs: worker processes for the underlying engine (``None``/``0`` =
-            all cores, ``1`` = in-process serial).
-        cache: optional :class:`ResultCache` (or a directory for one) —
-            already-computed points are disk hits, not simulations.
-        engine: a pre-configured :class:`ExperimentEngine` to run on,
-            overriding ``jobs``/``cache`` (the benchmark suite passes its
-            shared memoizing engine).
+        engine: the :class:`ExperimentEngine` to run on — parallelism and
+            caching are configured there, once; defaults to a serial,
+            uncached engine.
 
     Returns:
-        One :class:`RunResult` per (config, seed) pair, in deterministic
-        submission order regardless of parallel completion order.
+        One :class:`RunResult` per seed, in seed order regardless of
+        parallel completion order.
     """
     seed_list = list(seeds)
     if not seed_list:
         raise SimulationError("need at least one seed")
-    if isinstance(experiment, ScenarioSpec):
-        configs = list(experiment.configs(seeds=seed_list))
-    elif isinstance(experiment, ExperimentConfig):
-        configs = [replace(experiment, seed=seed) for seed in seed_list]
-    else:
+    if not isinstance(experiment, ExperimentConfig):
         raise SimulationError(
-            f"experiment must be a ScenarioSpec or ExperimentConfig, "
-            f"not {type(experiment).__name__}"
+            f"experiment must be an ExperimentConfig, not {type(experiment).__name__}"
         )
-    if engine is None:
-        engine = ExperimentEngine(jobs=jobs, cache=cache)
-    results = engine.run_many(configs)
-    # The default engine raises on failure; a permissive caller-supplied
-    # engine may hand back None holes — drop them here, order preserved.
-    return [r for r in results if r is not None]
+    engine = engine or ExperimentEngine()
+    return engine.run_many([replace(experiment, seed=seed) for seed in seed_list])
 
 
 def summarize(results: Sequence[RunResult], metric: MetricFn) -> SweepSummary:
     """Aggregate a scalar metric over sweep results."""
     return SweepSummary(tuple(float(metric(r)) for r in results))
-
-
-def compare_algorithms(
-    base: ExperimentConfig,
-    algorithms: Sequence[str],
-    seeds: Sequence[int],
-    metric: MetricFn,
-    *,
-    jobs: int | None = 1,
-    cache: ResultCache | str | Path | None = None,
-) -> dict[str, SweepSummary]:
-    """Sweep several algorithms under one configuration and aggregate.
-
-    All (algorithm × seed) runs go through one engine batch, so ``jobs``
-    parallelizes across algorithms as well as seeds.
-    """
-    engine = ExperimentEngine(jobs=jobs, cache=cache)
-    seed_list = list(seeds)
-    configs = [
-        replace(base, algorithm=algorithm, seed=seed)  # type: ignore[arg-type]
-        for algorithm in algorithms
-        for seed in seed_list
-    ]
-    results = engine.run_many(configs)
-    out: dict[str, SweepSummary] = {}
-    for index, algorithm in enumerate(algorithms):
-        chunk = results[index * len(seed_list) : (index + 1) * len(seed_list)]
-        out[algorithm] = summarize([r for r in chunk if r is not None], metric)
-    return out

@@ -2,23 +2,26 @@
 
 from __future__ import annotations
 
-import functools
 import json
+import multiprocessing
 import os
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim import engine as engine_mod
 from repro.sim.cache import ResultCache
-from repro.sim.engine import (
-    EngineError,
-    ExperimentEngine,
-    run_config_payload,
-    run_experiments,
-)
+from repro.sim.engine import EngineError, ExperimentEngine
 from repro.sim.reporting import result_to_dict
-from repro.sim.runner import ExperimentConfig
-from repro.sim.scenarios import equality_spec
+from repro.sim.runner import ExperimentConfig, run_experiment
+
+
+#: Tests that inject behaviour into pool workers patch this process and rely
+#: on the workers being forked from it.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers only see the monkeypatch when forked from this process",
+)
 
 
 def tiny(seed: int = 1, **overrides) -> ExperimentConfig:
@@ -29,24 +32,6 @@ def tiny(seed: int = 1, **overrides) -> ExperimentConfig:
 
 def serialized(results) -> list[str]:
     return [json.dumps(result_to_dict(r), sort_keys=True) for r in results]
-
-
-def crash_on_seed(payload: str, crash_seed: int) -> str:
-    """Pool worker that hard-kills its process for one poisoned config."""
-    if json.loads(payload)["config"]["seed"] == crash_seed:
-        os._exit(13)
-    return run_config_payload(payload)
-
-
-class CrashingEngine(ExperimentEngine):
-    """Engine whose workers die on a chosen seed (crash-isolation tests)."""
-
-    def __init__(self, crash_seed: int, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._crash_seed = crash_seed
-
-    def _worker_fn(self):
-        return functools.partial(crash_on_seed, crash_seed=self._crash_seed)
 
 
 class TestDeterminism:
@@ -89,76 +74,73 @@ class TestDedupAndMemo:
 
 class TestFailureIsolation:
     def test_serial_exception_is_attributed(self):
-        engine = ExperimentEngine(jobs=1, allow_failures=True)
+        engine = ExperimentEngine(jobs=1)
         bad = tiny(seed=2, max_events=10)  # trips the event-cap guard
-        results = engine.run_many([tiny(seed=1), bad])
-        assert results[0] is not None
-        assert results[1] is None
+        with pytest.raises(EngineError, match="task 1"):
+            engine.run_many([tiny(seed=1), bad])
+        assert engine.last_report.executed == 1
         (failure,) = engine.last_report.failures
         assert failure.config == bad
-        assert "task 1" in failure.describe()
+        assert failure.index == 1
 
     def test_failures_raise_engine_error_by_default(self):
         engine = ExperimentEngine(jobs=1)
         with pytest.raises(EngineError, match="1/1 experiment task"):
             engine.run(tiny(max_events=10))
 
-    def test_pool_exception_fails_one_point_not_the_sweep(self):
-        engine = ExperimentEngine(jobs=2, allow_failures=True)
-        results = engine.run_many(
-            [tiny(seed=1), tiny(seed=2, max_events=10), tiny(seed=3)]
-        )
-        assert results[0] is not None and results[2] is not None
-        assert results[1] is None
+    def test_pool_exception_fails_one_point_not_the_sweep(self, tmp_path):
+        configs = [tiny(seed=1), tiny(seed=2, max_events=10), tiny(seed=3)]
+        engine = ExperimentEngine(jobs=2, cache=tmp_path)
+        with pytest.raises(EngineError, match="1/3 experiment task"):
+            engine.run_many(configs)
         assert len(engine.last_report.failures) == 1
+        # The two good points finished and were cached before the raise.
+        replay = ExperimentEngine(jobs=1, cache=tmp_path)
+        results = replay.run_many([configs[0], configs[2]])
+        assert replay.last_report.executed == 0
+        assert [r.config.seed for r in results] == [1, 3]
 
-    def test_worker_death_retires_culprit_and_spares_innocents(self):
-        engine = CrashingEngine(
-            crash_seed=2, jobs=2, allow_failures=True, crash_retries=0
-        )
-        results = engine.run_many([tiny(seed=s) for s in (1, 2, 3)])
-        assert results[0] is not None and results[2] is not None
-        assert results[1] is None
-        report = engine.last_report
-        assert report.pool_rebuilds >= 1
-        (failure,) = report.failures
-        assert failure.config.seed == 2
-        assert "died" in failure.error
-
-    def test_serial_retries_recover_flaky_task(self, monkeypatch):
-        from repro.sim import engine as engine_mod
-        from repro.sim.runner import run_experiment
-
-        calls = {"n": 0}
-
-        def flaky(cfg):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise SimulationError("transient")
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_failure_text_names_the_exception_type(self, monkeypatch, jobs):
+        def raising(cfg):
+            if cfg.seed == 2:
+                raise KeyError("x")
             return run_experiment(cfg)
 
-        monkeypatch.setattr(engine_mod, "run_experiment", flaky)
-        engine = ExperimentEngine(jobs=1, retries=1)
-        result = engine.run(tiny())
-        assert result.tps > 0
-        assert engine.last_report.retries == 1
-        assert calls["n"] == 2
-
-    def test_timeout_fails_cleanly_in_pool(self):
-        # A run that cannot finish within a 2s SIGALRM budget, next to a
-        # ~0.1s one: the slow point fails with an attributable timeout error
-        # while the quick one completes (even with both workers sharing one
-        # core under full-suite load).
-        engine = ExperimentEngine(jobs=2, timeout=2.0, allow_failures=True)
-        # n=48×8 epochs takes ~15s+ even after the fast-core rewrite; n=24
-        # used to be enough but now finishes inside the 2s budget.
-        slow = tiny(seed=1, n=48, epochs=8)
-        quick = tiny(seed=2, n=6, epochs=1)
-        results = engine.run_many([slow, quick])
-        assert results[1] is not None
-        assert results[0] is None
+        monkeypatch.setattr(engine_mod, "run_experiment", raising)
+        engine = ExperimentEngine(jobs=jobs)
+        with pytest.raises(EngineError):
+            engine.run_many([tiny(seed=1), tiny(seed=2), tiny(seed=3)])
         (failure,) = engine.last_report.failures
-        assert "timeout" in failure.error
+        assert failure.error == "KeyError: 'x'"
+
+    def test_simulation_errors_keep_their_type_across_the_pool(self):
+        engine = ExperimentEngine(jobs=2)
+        with pytest.raises(EngineError):
+            engine.run_many([tiny(seed=1), tiny(seed=2, max_events=10)])
+        (failure,) = engine.last_report.failures
+        assert failure.error.startswith("SimulationError: ")
+
+    @needs_fork
+    def test_worker_death_finishes_the_batch_in_process(self, monkeypatch):
+        parent = os.getpid()
+
+        def dies_in_workers(cfg):
+            if cfg.seed == 2 and os.getpid() != parent:
+                os._exit(13)
+            return run_experiment(cfg)
+
+        monkeypatch.setattr(engine_mod, "run_experiment", dies_in_workers)
+        configs = [tiny(seed=s) for s in (1, 2, 3)]
+        engine = ExperimentEngine(jobs=2)
+        results = engine.run_many(configs)
+        assert [r.config.seed for r in results] == [1, 2, 3]
+        report = engine.last_report
+        assert report.ok and report.executed == 3
+        assert 1 <= report.rescued <= 3
+        assert "rescued after a worker died" in report.summary()
+        monkeypatch.undo()
+        assert serialized(results) == serialized(ExperimentEngine().run_many(configs))
 
 
 class TestCacheIntegration:
@@ -196,22 +178,11 @@ class TestEngineSurface:
         with pytest.raises(SimulationError):
             ExperimentEngine(jobs=-1)
 
-    def test_run_spec(self):
-        spec = equality_spec(n=8, epochs=2, algorithms=("themis",))
-        engine = ExperimentEngine(jobs=1)
-        results = engine.run_spec(spec, seeds=[1, 2])
-        assert [r.config.seed for r in results] == [1, 2]
-
     def test_progress_lines_emitted(self):
         lines: list[str] = []
         ExperimentEngine(jobs=1, progress=lines.append).run(tiny())
         assert len(lines) == 1
         assert lines[0].startswith("[1/1] themis n=8 seed=1")
-
-    def test_run_experiments_convenience(self):
-        results = run_experiments([tiny()])
-        assert len(results) == 1
-        assert results[0].tps > 0
 
     def test_report_summary_format(self):
         engine = ExperimentEngine(jobs=1)

@@ -37,9 +37,7 @@ def make_consortium(n=4, seed=0, verify=True, i0=5.0):
         params=params,
         members=[k.public.fingerprint() for k in keys],
     )
-    config = FullNodeConfig(
-        verify_signatures=verify, sign_blocks=verify, params=params
-    )
+    config = FullNodeConfig(verify_signatures=verify, sign_blocks=verify)
     nodes = [FullNode(i, keys[i], ctx, config) for i in range(n)]
     return ctx, nodes
 

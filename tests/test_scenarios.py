@@ -5,35 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.runner import ExperimentConfig, run_experiment
 from repro.sim.scenarios import (
-    SCENARIOS,
     ScenarioSpec,
     attack_spec,
     epoch_length_spec,
     equality_spec,
     fork_spec,
-    metric_tps,
     scalability_spec,
 )
-
-
-def one_config() -> ExperimentConfig:
-    return ExperimentConfig(algorithm="themis", n=8, epochs=2, seed=1)
 
 
 class TestScenarioSpec:
     def test_empty_grid_rejected(self):
         with pytest.raises(SimulationError, match="empty grid"):
             ScenarioSpec(name="bad", grid=())
-
-    def test_duplicate_metric_labels_rejected(self):
-        with pytest.raises(SimulationError, match="duplicate"):
-            ScenarioSpec(
-                name="bad",
-                grid=(one_config(),),
-                metrics=(("tps", metric_tps), ("tps", metric_tps)),
-            )
 
     def test_specs_are_frozen_and_hashable(self):
         spec = equality_spec(n=8, epochs=2)
@@ -57,21 +42,15 @@ class TestScenarioSpec:
         with pytest.raises(SimulationError):
             equality_spec(n=8, epochs=2).configs(seeds=[])
 
-    def test_metric_labels_and_extract(self):
-        spec = equality_spec(n=8, epochs=2, algorithms=("themis",))
-        assert spec.metric_labels == ("sigma_f2", "sigma_p2", "tps")
-        result = run_experiment(spec.grid[0])
-        metrics = spec.extract(result)
-        assert set(metrics) == {"sigma_f2", "sigma_p2", "tps"}
-        assert metrics["tps"] == pytest.approx(result.tps)
-
-    def test_registry_covers_every_figure(self):
-        assert set(SCENARIOS) == {"fig4", "fig5", "fig6", "fig7", "fig8", "fig9"}
-        for builder in SCENARIOS.values():
-            assert builder().grid
-
 
 class TestBuilders:
+    @pytest.mark.parametrize(
+        "builder",
+        [equality_spec, scalability_spec, attack_spec, fork_spec, epoch_length_spec],
+    )
+    def test_every_builder_has_a_default_grid(self, builder):
+        assert builder().grid
+
     def test_equality_grid_order_follows_algorithms(self):
         grid = equality_spec(algorithms=("pbft", "themis")).grid
         assert [c.algorithm for c in grid] == ["pbft", "themis"]

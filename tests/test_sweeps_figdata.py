@@ -1,19 +1,12 @@
-"""Tests for seed sweeps and figure-data export."""
+"""Tests for seed sweeps and their aggregation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.figdata import FigureData, export_series
 from repro.sim.runner import ExperimentConfig
-from repro.sim.scenarios import equality_spec
-from repro.sim.sweeps import (
-    SweepSummary,
-    compare_algorithms,
-    summarize,
-    sweep,
-)
+from repro.sim.sweeps import SweepSummary, summarize, sweep
 
 
 class TestSweepSummary:
@@ -52,15 +45,6 @@ class TestSweep:
         assert summary.n == 2
         assert summary.mean > 0
 
-    def test_sweep_over_scenario_spec(self):
-        spec = equality_spec(n=8, epochs=2, algorithms=("themis", "pow-h"))
-        results = sweep(experiment=spec, seeds=[1, 2])
-        # Grid-major: both seeds of grid[0], then both seeds of grid[1].
-        assert [r.config.algorithm for r in results] == [
-            "themis", "themis", "pow-h", "pow-h",
-        ]
-        assert [r.config.seed for r in results] == [1, 2, 1, 2]
-
     def test_sweep_is_keyword_only(self):
         base = ExperimentConfig(algorithm="themis", n=8, epochs=2)
         with pytest.raises(TypeError):
@@ -74,47 +58,3 @@ class TestSweep:
         base = ExperimentConfig(algorithm="themis", n=8)
         with pytest.raises(SimulationError):
             sweep(experiment=base, seeds=[])
-
-    def test_compare_algorithms(self):
-        base = ExperimentConfig(algorithm="themis", n=8, epochs=2, pbft_rounds=16)
-        table = compare_algorithms(
-            base, ["themis", "pbft"], seeds=[1], metric=lambda r: r.tps
-        )
-        assert set(table) == {"themis", "pbft"}
-        assert all(s.mean > 0 for s in table.values())
-
-
-class TestFigureData:
-    def test_roundtrip(self, tmp_path):
-        path = export_series(
-            "fig_test",
-            "epoch",
-            [0, 1, 2],
-            {"themis": [3.0, 2.0, 1.0], "pow-h": [3.0, 3.0, 3.0]},
-            directory=tmp_path,
-        )
-        loaded = FigureData.read_csv(path)
-        assert loaded.xlabel == "epoch"
-        assert loaded.x == [0, 1, 2]
-        assert loaded.series["themis"] == [3.0, 2.0, 1.0]
-
-    def test_length_mismatch_rejected(self):
-        data = FigureData(name="f", xlabel="x", x=[1, 2])
-        with pytest.raises(SimulationError):
-            data.add_series("bad", [1.0])
-
-    def test_duplicate_series_rejected(self):
-        data = FigureData(name="f", xlabel="x", x=[1])
-        data.add_series("a", [1.0])
-        with pytest.raises(SimulationError):
-            data.add_series("a", [2.0])
-
-    def test_empty_write_rejected(self, tmp_path):
-        with pytest.raises(SimulationError):
-            FigureData(name="f", xlabel="x").write_csv(tmp_path)
-
-    def test_read_empty_rejected(self, tmp_path):
-        bad = tmp_path / "empty.csv"
-        bad.write_text("x,y\n")
-        with pytest.raises(SimulationError):
-            FigureData.read_csv(bad)

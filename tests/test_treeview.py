@@ -1,8 +1,8 @@
-"""Tests for the block-tree explorer utilities."""
+"""Tests for the block-tree view utilities."""
 
 from __future__ import annotations
 
-from repro.chain.explorer import chain_summary, find_forks, head_lineage, render_tree
+from repro.analysis.treeview import chain_summary, find_forks, head_lineage, render_tree
 
 
 
