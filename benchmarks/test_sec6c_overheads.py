@@ -44,9 +44,14 @@ def test_sec6c_storage_overhead(run_once):
         result = cached_experiment(_THEMIS_CFG)
         observer = require_observer(result)
         # What a node actually persists: one (m_i, q_i) row per member per
-        # epoch table it derived.
-        tables = observer.state._tables
-        measured_rows = sum(len(t.multiples) for t in tables.values())
+        # epoch table in force somewhere in its tree.
+        state = observer.state
+        tables = [
+            state.table_for_anchor(block.block_id)
+            for block in observer.tree.iter_blocks()
+            if block.height % state.epoch_blocks == 0
+        ]
+        measured_rows = sum(len(t.multiples) for t in tables)
         model = StorageOverhead(n=N, epochs=EPOCHS)
         return {
             "tables": len(tables),

@@ -15,8 +15,11 @@ partition is not itself a violation):
 * **state-root agreement** — nodes with the *same* head hash must hold the
   same executed ledger state root (ledger-carrying nodes only);
 * **difficulty-table agreement** — nodes mining under the *same* epoch
-  anchor block must have derived the identical table (epoch, base and every
-  multiple).
+  anchor block must derive the identical table (epoch, base and every
+  multiple).  Nodes of one run read their tables from a shared
+  :class:`~repro.core.themis.ChainFacts`, so the monitor derives each
+  node's table again from that node's own tree, once per (node, anchor),
+  and compares those.
 
 Liveness invariant:
 
@@ -47,6 +50,7 @@ from repro.net.transport import FaultableTransport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.consensus.powfamily import MiningNode
+    from repro.core.difficulty import DifficultyTable
     from repro.net.clock import Clock, TimerHandle
 
 
@@ -147,6 +151,7 @@ class InvariantMonitor:
         self._last_partition_map: dict[int, int] | None = None
         self._partition_changed_at = -float("inf")
         self._running = False
+        self._derived: dict[tuple[int, bytes], "DifficultyTable"] = {}
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -271,30 +276,36 @@ class InvariantMonitor:
                     f"divergent state roots at head {head.hex()[:10]}: {owners}",
                 )
 
+    def _own_table(self, node: "MiningNode", anchor: bytes) -> "DifficultyTable":
+        """``node``'s table at ``anchor``, derived from its own tree alone."""
+        key = (node.node_id, anchor)
+        table = self._derived.get(key)
+        if table is None:
+            table = self._derived[key] = node.state.derive_table(
+                anchor, lambda prev: self._own_table(node, prev)
+            )
+        return table
+
     def _check_difficulty_tables(self, nodes: list["MiningNode"]) -> None:
-        by_anchor: dict[bytes, tuple[int, object]] = {}
+        by_anchor: dict[bytes, tuple[int, "DifficultyTable"]] = {}
         for node in nodes:
             state = node.state
-            next_height = state.height() + 1
+            boundary = state.height() // state.epoch_blocks * state.epoch_blocks
+            anchor = state.block_at(boundary).block_id
             try:
-                anchor = state.anchor_for_height(state.head_id, next_height)
-                table = state.table_for_anchor(anchor)
+                table = self._own_table(node, anchor)
             except ReproError:
                 # A state that cannot derive a table for its next height
-                # (mid-reorg anchor walk, pruned prefix, ...) is skipped,
-                # not a violation — ChainError and DifficultyError are not
-                # SimulationError subclasses, so catch the library root.
+                # (pruned prefix, ...) is skipped, not a violation —
+                # ChainError and DifficultyError are not SimulationError
+                # subclasses, so catch the library root.
                 continue
             known = by_anchor.get(anchor)
             if known is None:
                 by_anchor[anchor] = (node.node_id, table)
                 continue
             owner, reference = known
-            if (
-                table.epoch != reference.epoch
-                or table.base != reference.base
-                or dict(table.multiples) != dict(reference.multiples)
-            ):
+            if table != reference:  # epoch, base and every multiple
                 self._violate(
                     SafetyViolation,
                     f"difficulty-table disagreement at anchor {anchor.hex()[:10]} "

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.chain.block import Block
 from repro.core.difficulty import DifficultyParams
+from repro.core.themis import ChainFacts
 from repro.crypto.keys import KeyPair
 from repro.mining.oracle import MiningOracle
 from repro.net.clock import Clock
@@ -51,11 +52,27 @@ class RunContext:
     genesis: Block
     params: DifficultyParams
     members: list[bytes] = field(default_factory=list)
+    _facts: dict[tuple[bool, bool, bool], ChainFacts] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @property
     def n(self) -> int:
         """Number of consensus members."""
         return len(self.members)
+
+    def facts_for(
+        self, adaptive: bool, real_pow: bool, verify_signatures: bool
+    ) -> ChainFacts:
+        """The :class:`ChainFacts` shared by this run's nodes.
+
+        Tables are functions of ``genesis``, ``params``, ``members`` and
+        ``adaptive``; verdicts also of which checks run.  Nodes that differ
+        in a switch get different objects, and a node with its own member
+        set (``FullNode`` governance) must not call this at all.
+        """
+        key = (adaptive, real_pow, verify_signatures)
+        return self._facts.setdefault(key, ChainFacts())
 
 
 class ConsensusNode(ABC):

@@ -29,7 +29,7 @@ Two workload modes:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
@@ -147,6 +147,12 @@ class MiningNode(ConsensusNode):
             params=ctx.params,
             rule_kind=config.rule_kind,
             adaptive=config.adaptive,
+            # Shared only among nodes on the context's own member set.
+            facts=(
+                ctx.facts_for(config.adaptive, config.real_pow, config.verify_signatures)
+                if members_fn is None
+                else None
+            ),
         )
         self.validator = BlockValidator(
             is_member=lambda addr: addr in self.members_fn(),
@@ -429,17 +435,22 @@ class MiningNode(ConsensusNode):
             self._arm_miner()
 
     def _table_for(self, block: Block) -> DifficultyTable:
-        return self.state.table_for_block_height(block.parent_hash, block.height)
+        parent = self.state.tree.get(block.parent_hash)
+        if block.height != parent.height + 1:
+            raise InvalidBlockError(
+                f"declared height {block.height} does not follow parent "
+                f"height {parent.height}"
+            )
+        return self.state.governing(block.parent_hash)[1]
 
     def _handle_block(self, block: Block) -> None:
-        have_parent = block.parent_hash in self.state.tree
-        if have_parent:
-            try:
-                self.validator.validate(block)
-            except InvalidBlockError as exc:
+        if block.parent_hash in self.state.tree:
+            # Judged once per block object for every node sharing the facts.
+            reason = self.state.facts.verdict(block, self.validator.validate)
+            if reason is not None:
                 self.stats.blocks_rejected += 1
                 self._trace(
-                    "block/rejected", block=block.block_id.hex()[:10], reason=str(exc)
+                    "block/rejected", block=block.block_id.hex()[:10], reason=reason
                 )
                 return
         # Without the parent the difficulty table is unknowable; the tree

@@ -108,9 +108,10 @@ class BlockValidator:
     Attributes:
         is_member: membership predicate over producer fingerprints.
         table_lookup: resolves the difficulty table governing a block —
-            normally :meth:`ConsensusChainState.table_for_block_height` bound
-            to the block's own ancestor path, so forked epoch boundaries
-            validate consistently.
+            normally :meth:`ConsensusChainState.governing` on the block's
+            own parent, so forked epoch boundaries validate consistently;
+            raises :class:`InvalidBlockError` when the declared height does
+            not follow the parent's.
         t0: deployment base target.
         check_pow: verify the header hash against the target.  ``True`` in
             real-mining deployments; oracle-driven simulations disable it
@@ -137,6 +138,10 @@ class BlockValidator:
             raise InvalidBlockError("block header signature is invalid")
         # Check 2 — declared difficulty must match the local table.
         table = self.table_lookup(block)
+        if header.epoch != table.epoch:
+            raise InvalidBlockError(
+                f"declared epoch {header.epoch} != table epoch {table.epoch}"
+            )
         expected_multiple = table.multiple(header.producer)
         if not _close(header.difficulty_multiple, expected_multiple):
             raise InvalidBlockError(

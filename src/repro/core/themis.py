@@ -18,6 +18,11 @@ happens to be.  Two consequences, both required by the paper:
   difficulty is checked against its own prefix, and tables are cached per
   boundary (anchor) block.
 
+Being functions of chain content, those tables — and the §III verdict on a
+block — are the same for every node that holds the block: they live in a
+:class:`ChainFacts`, computed by the first view that needs them and read by
+the rest (docs/algorithms.md, "Chain facts").
+
 Setting ``adaptive=False`` freezes all multiples at 1, which turns the same
 machinery into the *PoW-H* baseline (global difficulty only, still
 interval-controlled); the fork rule is independently pluggable, giving the
@@ -39,7 +44,7 @@ from repro.core.difficulty import (
     advance_table,
 )
 from repro.core.geost import GEOSTRule
-from repro.errors import ChainError, SimulationError
+from repro.errors import ChainError, InvalidBlockError, SimulationError
 
 #: Outcome of feeding one block to the state machine.
 HeadUpdate = Literal["extended", "reorg", "unchanged", "orphaned"]
@@ -58,6 +63,39 @@ def make_rule(kind: RuleKind, members_fn: Callable[[], Sequence[bytes]]) -> Fork
     raise SimulationError(f"unknown rule kind {kind!r}")
 
 
+class ChainFacts:
+    """Content-determined facts about blocks, shared by every view of a run.
+
+    ``governing`` maps a block id to the ``(anchor id, table)`` in force for
+    that block's children — a function of the block's ancestor path, the
+    member set, the difficulty constants and ``adaptive``, so only states
+    that agree on those may share one object.  ``verdicts`` maps a block id
+    to the last block *object* judged under it and why §III checks 1–2
+    rejected it (``None``: valid); the id commits to the header only, so a
+    copy with another body or signature is a different object and is judged
+    again.
+    """
+
+    __slots__ = ("governing", "verdicts")
+
+    def __init__(self) -> None:
+        self.governing: dict[bytes, tuple[bytes, DifficultyTable]] = {}
+        self.verdicts: dict[bytes, tuple[Block, str | None]] = {}
+
+    def verdict(self, block: Block, validate: Callable[[Block], None]) -> str | None:
+        """Why ``block`` is invalid (``None`` if valid), validating it once."""
+        known = self.verdicts.get(block.block_id)
+        if known is not None and known[0] is block:
+            return known[1]
+        reason = None
+        try:
+            validate(block)
+        except InvalidBlockError as exc:
+            reason = str(exc)  # the message, not the traceback's frames
+        self.verdicts[block.block_id] = (block, reason)
+        return reason
+
+
 class ConsensusChainState:
     """Block tree + fork choice + difficulty tables for one node.
 
@@ -71,6 +109,8 @@ class ConsensusChainState:
         rule_kind: ``"geost"`` (Themis), ``"ghost"`` (Themis-Lite / PoW-H) or
             ``"longest"``.
         adaptive: when ``False`` all multiples stay 1 (the PoW-H baseline).
+        facts: the run's shared :class:`ChainFacts`; a state given none owns
+            a private one (same code path, one view).
     """
 
     def __init__(
@@ -81,6 +121,7 @@ class ConsensusChainState:
         rule_kind: RuleKind = "geost",
         adaptive: bool = True,
         finality_window: int | None = 32,
+        facts: ChainFacts | None = None,
     ) -> None:
         self.genesis = genesis
         self.members_fn = members_fn
@@ -91,8 +132,7 @@ class ConsensusChainState:
         self.head_id: bytes = genesis.block_id
         self.epoch_blocks = params.epoch_length(len(members_fn()))
         self.finality_window = finality_window
-        self._tables: dict[bytes, DifficultyTable] = {}
-        self._anchor_memo: dict[bytes, bytes] = {}
+        self.facts = facts if facts is not None else ChainFacts()
         # Finalized block: every candidate head descends from it; rule walks
         # restart here instead of genesis (see BlockTree.finality_window).
         self._final_id: bytes = genesis.block_id
@@ -139,53 +179,47 @@ class ConsensusChainState:
         memoized per anchor block, so forked boundaries each get their own
         consistent table.
         """
-        cached = self._tables.get(anchor_id)
-        if cached is not None:
-            return cached
+        known = self.facts.governing.get(anchor_id)
+        if known is not None and known[0] == anchor_id:
+            return known[1]
+        table = self.derive_table(anchor_id, self.table_for_anchor)
+        self.facts.governing[anchor_id] = (anchor_id, table)
+        return table
+
+    def derive_table(
+        self, anchor_id: bytes, prev_table: Callable[[bytes], DifficultyTable]
+    ) -> DifficultyTable:
+        """Compute (never look up) ``anchor_id``'s table from this tree.
+
+        ``prev_table`` resolves the previous anchor's table; the invariant
+        monitor passes its own per-node memo so its n derivations stay
+        independent of the shared :class:`ChainFacts`.
+        """
         anchor = self.tree.get(anchor_id)
         members = list(self.members_fn())
         if anchor.height == 0:
-            table = DifficultyTable.initial(members, self.params)
-        else:
-            if anchor.height % self.epoch_blocks != 0:
-                raise ChainError(
-                    f"anchor height {anchor.height} is not an epoch boundary"
-                )
-            epoch_index = anchor.height // self.epoch_blocks  # table being built
-            prev_anchor_id = self._ancestor_at_height(
-                anchor_id, anchor.height - self.epoch_blocks
-            )
-            prev_table = self.table_for_anchor(prev_anchor_id)
-            counts, first_ts, last_ts = self._epoch_observations(
-                anchor_id, prev_anchor_id
-            )
-            observed_interval = max(
-                (last_ts - first_ts) / self.epoch_blocks, 1e-9
-            )
-            if self.adaptive:
-                table = advance_table(
-                    prev_table,
-                    counts,
-                    members,
-                    self.epoch_blocks,
-                    observed_interval,
-                    self.params,
-                )
-            else:
-                # PoW-H: interval control only, all multiples pinned at 1.
-                table = advance_table(
-                    prev_table,
-                    {},  # zero counts would floor multiples at 1 anyway
-                    members,
-                    self.epoch_blocks,
-                    observed_interval,
-                    self.params,
-                )
-            table = DifficultyTable(
-                epoch=epoch_index, base=table.base, multiples=table.multiples
-            )
-        self._tables[anchor_id] = table
-        return table
+            return DifficultyTable.initial(members, self.params)
+        if anchor.height % self.epoch_blocks != 0:
+            raise ChainError(f"anchor height {anchor.height} is not an epoch boundary")
+        prev_anchor_id = self._ancestor_at_height(
+            anchor_id, anchor.height - self.epoch_blocks
+        )
+        counts, first_ts, last_ts = self._epoch_observations(anchor_id, prev_anchor_id)
+        table = advance_table(
+            prev_table(prev_anchor_id),
+            # PoW-H: interval control only — zero counts floor every
+            # multiple at 1.
+            counts if self.adaptive else {},
+            members,
+            self.epoch_blocks,
+            max((last_ts - first_ts) / self.epoch_blocks, 1e-9),
+            self.params,
+        )
+        return DifficultyTable(
+            epoch=anchor.height // self.epoch_blocks,
+            base=table.base,
+            multiples=table.multiples,
+        )
 
     def _epoch_observations(
         self, anchor_id: bytes, prev_anchor_id: bytes
@@ -209,35 +243,32 @@ class ConsensusChainState:
         first_ts = self.tree.get(prev_anchor_id).header.timestamp
         return counts, first_ts, last_ts
 
-    def _child_anchor(self, tip_id: bytes) -> bytes:
-        """Anchor governing a block whose parent is ``tip_id`` (memoized).
+    def governing(self, tip_id: bytes) -> tuple[bytes, DifficultyTable]:
+        """(anchor id, table) governing a block whose parent is ``tip_id``.
 
         A child of ``tip`` (height ``h = tip.height + 1``) lies in epoch
         ``(h-1)//Δ = tip.height//Δ``, whose anchor sits at height
         ``(tip.height//Δ)·Δ`` — ``tip`` itself on a boundary, otherwise the
-        same anchor as ``tip``'s own epoch.  Memoizing per block makes the
-        lookup O(1) amortized on the mining/validation hot path.
+        same anchor as ``tip``'s parent.  One dict hit on the mining and
+        validation hot path; a miss walks up to the nearest known ancestor.
         """
-        chain: list[bytes] = []
+        known = self.facts.governing
+        found = known.get(tip_id)
+        if found is not None:
+            return found
+        walked: list[bytes] = []
         cursor = tip_id
-        while True:
-            cached = self._anchor_memo.get(cursor)
-            if cached is not None:
-                anchor = cached
-                break
+        while found is None:
             block = self.tree.get(cursor)
-            if block.height % self.epoch_blocks == 0:
-                anchor = cursor
-                break
-            chain.append(cursor)
-            parent = self.tree.parent(cursor)
-            if parent is None:
-                raise ChainError("walked past genesis looking for an anchor")
-            cursor = parent
-        for block_id in chain:
-            self._anchor_memo[block_id] = anchor
-        self._anchor_memo[tip_id] = anchor
-        return anchor
+            if block.height % self.epoch_blocks == 0:  # genesis at the latest
+                found = (cursor, self.table_for_anchor(cursor))
+            else:
+                walked.append(cursor)
+                cursor = block.parent_hash
+                found = known.get(cursor)
+        for block_id in walked:
+            known[block_id] = found
+        return found
 
     def anchor_for_height(self, tip_id: bytes, height: int) -> bytes:
         """Anchor block id governing the epoch that contains ``height``.
@@ -245,9 +276,8 @@ class ConsensusChainState:
         Walks the ancestor path of ``tip_id`` — pass the parent of the block
         being validated, or the current head when building a new block.
         """
-        tip_height = self.tree.get(tip_id).height
-        if height == tip_height + 1:
-            return self._child_anchor(tip_id)
+        if height == self.tree.get(tip_id).height + 1:
+            return self.governing(tip_id)[0]
         epoch = self.epoch_of_height(height)
         return self._ancestor_at_height(tip_id, epoch * self.epoch_blocks)
 
@@ -257,9 +287,8 @@ class ConsensusChainState:
 
     def mining_assignment(self, producer: bytes) -> tuple[float, float, int]:
         """(multiple, base, epoch) for the next block on the current head."""
-        next_height = len(self._chain_blocks)
-        table = self.table_for_block_height(self.head_id, next_height)
-        return table.multiple(producer), table.base, self.epoch_of_height(next_height)
+        table = self.governing(self.head_id)[1]
+        return table.multiple(producer), table.base, table.epoch
 
     # -- block intake -----------------------------------------------------------------
 

@@ -1,20 +1,12 @@
-"""The local block tree.
+"""Reference block tree: eager subtree statistics pushed up the ancestor path.
 
-§III: "Valid blocks will be added to the local block tree"; forks appear as
-multiple children of one parent.  Every fork-choice rule in this library
-(longest-chain, GHOST, GEOST) is a pure function over this structure, so the
-tree maintains exactly the statistics the rules need:
-
-* children of each block, ordered by local *reception order* — the paper's
-  final tie-break is "the sub-tree first received by the node" (§V-B);
-* subtree block counts — GHOST weight and GEOST's primary key;
-* subtree producer histograms — GEOST's variance-of-frequency key (§V-B);
-* per-height index — fork-rate and fork-duration metrics (§VII-C).
-
-Blocks that arrive before their parent (possible under gossip reordering) are
-buffered as orphans and attached automatically once the parent is inserted.
-Insertion is O(1); the subtree statistics are computed when a rule asks for
-them — at forks only — by one walk over the asked block's subtree.
+This is the ``BlockTree`` that ``repro.chain.blocktree`` shipped before its
+subtree statistics became lazy, kept verbatim (class renamed) as the oracle
+the differential tests in ``test_blocktree_lazy.py`` compare against.  Every
+insertion walks up to ``finality_window`` ancestors and updates one counter
+and one producer histogram on each — the frozen-counter semantics the lazy
+tree must reproduce exactly, and n × 32 dict updates per block that a
+simulated run no longer pays.
 """
 
 from __future__ import annotations
@@ -29,12 +21,10 @@ from repro.errors import DuplicateBlockError
 class _Entry:
     """Bookkeeping attached to each block in the tree.
 
-    Slot-backed with a direct ``parent`` reference: ancestor walks
-    (``chain_to``, ``is_ancestor``) follow object pointers instead of
-    re-hashing 32-byte block ids through the entry dict on every step.
-    ``mark`` is the tree's tallest height right after this block's own
-    insertion: it decides which ancestors' statistics count the block (see
-    :class:`BlockTree`).
+    Slot-backed with a direct ``parent`` reference: ancestor walks (statistic
+    propagation, ``chain_to``, ``is_ancestor``) follow object pointers
+    instead of re-hashing 32-byte block ids through the entry dict on every
+    step — these walks are the single hottest code in a simulated run.
     """
 
     __slots__ = (
@@ -42,7 +32,8 @@ class _Entry:
         "arrival_seq",
         "arrival_time",
         "children",
-        "mark",
+        "subtree_size",
+        "subtree_producers",
         "parent",
         "height",
     )
@@ -53,39 +44,37 @@ class _Entry:
         arrival_seq: int,
         arrival_time: float,
         parent: "_Entry | None",
-        mark: int,
     ) -> None:
         self.block = block
         self.arrival_seq = arrival_seq
         self.arrival_time = arrival_time
         self.children: list[bytes] = []
-        self.mark = mark
+        self.subtree_size = 1
+        # Plain dict, not Counter: the statistic-propagation walk touches one
+        # histogram per ancestor per insertion, and Counter's subclass
+        # machinery (notably its __init__) is measurable there.  Public
+        # accessors still hand out Counters.
+        self.subtree_producers: dict[bytes, int] = {}
         self.parent = parent
         self.height = block.height
 
 
-class BlockTree:
-    """A rooted tree of blocks with on-demand subtree statistics.
+class EagerBlockTree:
+    """A rooted tree of blocks with incremental subtree statistics.
 
-    ``finality_window`` bounds what a statistics query *counts*, not what an
-    insertion walks (an insertion walks nothing).  A descendant ``d`` counts
-    toward a block ``a`` iff ``a`` is its parent or ``a`` sat no more than
-    ``finality_window`` heights below the tallest block seen when ``d``
-    arrived (``a.height >= d.mark - finality_window``).  Blocks deeper than
-    that are final for every rule in this library (fork durations are 2–3
-    heights, Fig. 8; Prop. 1 bounds the expected convergence time), so their
-    counters freeze: exact for subtrees that stopped growing, lower bounds
-    for the winning subtree, preserving every comparison's outcome.  Pass
-    ``None`` to disable the cutoff (exact statistics everywhere).
+    ``finality_window`` bounds the cost of statistic propagation: updates
+    stop once the ancestor walk falls ``finality_window`` heights below the
+    tallest block seen.  Blocks that deep are final for every rule in this
+    library (fork durations are 2–3 heights, Fig. 8; Prop. 1 bounds the
+    expected convergence time), so their frozen counters are never compared
+    again — they remain exact for subtrees that stopped growing and lower
+    bounds for the winning subtree, preserving every comparison's outcome.
+    Pass ``None`` to disable the cutoff (exact statistics everywhere).
 
-    These are exactly the counters an eager per-insertion walk up the
-    ancestor path would maintain (``tests/ref_blocktree.py`` keeps that
-    implementation as the differential oracle), and they rely on heights
-    being contiguous along a path, which block validation enforces.  The
-    default window of 32 is >10× the deepest fork observed in any scenario
-    this library simulates (worst case: partition halves diverging ~12
-    heights before healing) and bounds a query at a live fork to a few
-    dozen entries.
+    The default window of 32 is >10× the deepest fork observed in any
+    scenario this library simulates (worst case: partition halves diverging
+    ~12 heights before healing) while keeping the per-insertion walk — the
+    hottest loop in a simulated run — proportionally short.
     """
 
     def __init__(self, genesis: Block, finality_window: int | None = 32) -> None:
@@ -96,9 +85,6 @@ class BlockTree:
         self._next_seq = 0
         self.finality_window = finality_window
         self._max_height = 0
-        # Statistics answered since the last insertion: a rule reads a fork
-        # child's size, then its histogram.
-        self._stats: dict[bytes, tuple[int, dict[bytes, int]]] = {}
         self._insert(genesis, arrival_time=genesis.header.timestamp)
 
     # -- insertion -------------------------------------------------------------
@@ -108,19 +94,31 @@ class BlockTree:
         parent_entry = (
             self._entries[block.parent_hash] if block_id != self._genesis_id else None
         )
-        height = block.height
-        if height > self._max_height:
-            self._max_height = height
-        entry = _Entry(
-            block, self._next_seq, arrival_time, parent_entry, self._max_height
-        )
+        entry = _Entry(block, self._next_seq, arrival_time, parent_entry)
         self._next_seq += 1
         self._entries[block_id] = entry
-        self._by_height[height].append(block_id)
+        self._by_height[block.height].append(block_id)
+        if block.height > self._max_height:
+            self._max_height = block.height
         if parent_entry is not None:
             parent_entry.children.append(block_id)
-        if self._stats:
-            self._stats.clear()
+            # Propagate subtree statistics up the ancestor path, stopping at
+            # the finality cutoff (see class docstring).
+            cutoff = (
+                self._max_height - self.finality_window
+                if self.finality_window is not None
+                else -1
+            )
+            producer = block.producer
+            entry.subtree_producers[producer] = 1
+            ancestor: _Entry | None = parent_entry
+            while ancestor is not None:
+                ancestor.subtree_size += 1
+                counts = ancestor.subtree_producers
+                counts[producer] = counts.get(producer, 0) + 1
+                if ancestor.height <= cutoff:
+                    break
+                ancestor = ancestor.parent
 
     def add_block(self, block: Block, arrival_time: float) -> bool:
         """Insert a block; returns ``True`` if attached, ``False`` if orphaned.
@@ -137,8 +135,7 @@ class BlockTree:
             self._orphans[block.parent_hash].append((block, arrival_time))
             return False
         self._insert(block, arrival_time)
-        if self._orphans:
-            self._attach_orphans(block_id, arrival_time)
+        self._attach_orphans(block_id, arrival_time)
         return True
 
     def _attach_orphans(self, parent_id: bytes, arrival_time: float) -> None:
@@ -200,41 +197,9 @@ class BlockTree:
         """Local reception timestamp."""
         return self._entries[block_id].arrival_time
 
-    def _subtree_stats(self, block_id: bytes) -> tuple[int, dict[bytes, int]]:
-        """(block count, producer histogram) of a subtree, window applied."""
-        stats = self._stats.get(block_id)
-        if stats is not None:
-            return stats
-        entries = self._entries
-        root = entries[block_id]
-        window = self.finality_window
-        limit = root.height + window if window is not None else float("inf")
-        size = 1
-        # Genesis has no producer; every other root counts its own.
-        producers: dict[bytes, int] = (
-            {root.block.producer: 1} if root.parent is not None else {}
-        )
-        # A child always counts toward its parent; deeper descendants count
-        # while ``mark <= limit``.  Marks never decrease down a path, so a
-        # block past the limit hides nothing that counts.
-        pending = [root]
-        while pending:
-            entry = pending.pop()
-            for child_id in entry.children:
-                child = entries[child_id]
-                within = child.mark <= limit
-                if within or entry is root:
-                    size += 1
-                    producer = child.block.producer
-                    producers[producer] = producers.get(producer, 0) + 1
-                    if within:
-                        pending.append(child)
-        stats = self._stats[block_id] = (size, producers)
-        return stats
-
     def subtree_size(self, block_id: bytes) -> int:
         """Number of blocks in the subtree rooted at ``block_id`` (inclusive)."""
-        return self._subtree_stats(block_id)[0]
+        return self._entries[block_id].subtree_size
 
     def subtree_producers(self, block_id: bytes) -> Counter:
         """Histogram of producers over the subtree rooted at ``block_id``.
@@ -243,7 +208,7 @@ class BlockTree:
         vote for this subtree would finalize); genesis' null producer is never
         counted because genesis has no producer.
         """
-        return Counter(self._subtree_stats(block_id)[1])
+        return Counter(self._entries[block_id].subtree_producers)
 
     def subtree_producers_view(self, block_id: bytes) -> Mapping[bytes, int]:
         """Zero-copy view of a subtree's producer histogram.
@@ -252,7 +217,7 @@ class BlockTree:
         it on their hot path where the defensive copy of
         :meth:`subtree_producers` would dominate.
         """
-        return self._subtree_stats(block_id)[1]
+        return self._entries[block_id].subtree_producers
 
     def chain_to(self, block_id: bytes) -> list[Block]:
         """Blocks from genesis to ``block_id``, inclusive, in height order."""

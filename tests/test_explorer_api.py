@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 from collections.abc import Iterator
@@ -207,6 +209,38 @@ class TestHttpServer:
         assert status == 304
         assert body == b""
         assert headers["ETag"] == etag
+
+    def test_kept_alive_connection_is_not_ack_delayed(self, explorer: str) -> None:
+        """50 GETs on one connection: each response must be one TCP write.
+
+        With headers and body in separate writes the second waits ~43 ms for
+        the client's delayed ACK — 2.2 s for this loop, 26 req/s.
+        """
+        host, port = explorer.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port))
+        etag = None
+        statuses = []
+        begin = time.perf_counter()
+        try:
+            for index in range(50):
+                path = "/blocks/999" if index == 20 else "/chain/head"
+                headers = {"If-None-Match": etag} if index == 10 and etag else {}
+                connection.request("GET", path, headers=headers)
+                response = connection.getresponse()
+                body = response.read()
+                statuses.append(response.status)
+                if response.status == 304:
+                    assert body == b""
+                    continue
+                parsed = json.loads(body)
+                assert ("error" in parsed) == (response.status != 200)
+                etag = response.getheader("ETag") or etag
+        finally:
+            connection.close()
+        elapsed = time.perf_counter() - begin
+        assert statuses.count(200) == 48
+        assert statuses[10] == 304 and statuses[20] == 404
+        assert elapsed < 1.0
 
     def test_commit_invalidates_cached_responses(
         self, explorer: str, storage: SqliteStorage, built: TreeBuilder

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.chain.block import Block
 from repro.chain.genesis import make_genesis
+from repro.chain.transaction import make_transaction
+from repro.chaos.invariants import InvariantMonitor, SafetyViolation
 from repro.consensus.base import RunContext
 from repro.consensus.powfamily import (
     MiningNode,
@@ -15,11 +19,15 @@ from repro.consensus.powfamily import (
     themis_lite_config,
 )
 from repro.core.difficulty import DifficultyParams
+from repro.core.election import BlockValidator
+from repro.crypto.signature import sign_digest
 from repro.mining.oracle import MiningOracle
 from repro.net.latency import LinkModel
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
+from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
+from repro.sim.tracing import Tracer
 
 from tests.conftest import keypair
 
@@ -199,6 +207,146 @@ class TestValidationPath:
         before = nodes[1].stats.blocks_rejected
         nodes[1]._handle_block(outsider)
         assert nodes[1].stats.blocks_rejected == before + 1
+
+
+class TestForgedPosition:
+    """A header's ``height`` and ``epoch`` must follow from its parent.
+
+    At the parent commit neither was checked on any live path: the forgery
+    below became head and ``state.height()`` (6) disagreed with
+    ``head_block().height`` (12).
+    """
+
+    def _fleet_and_header(self):
+        ctx, nodes = build_mining_fleet(4, seed=3)
+        run_fleet_to_height(ctx, nodes, 5)
+        for node in nodes:
+            node.stop()
+        state = nodes[0].state
+        parent = state.head_block()
+        multiple, base, epoch = state.mining_assignment(nodes[1].address)
+        header = nodes[1].builder.build_header(
+            parent, [], ctx.sim.now, multiple, base, epoch
+        )
+        return nodes[0], parent, header
+
+    @pytest.mark.parametrize(
+        ("height_shift", "epoch", "reason"),
+        [(7, 99, "height"), (-2, 0, "height"), (0, 0, "height"), (1, 1, "epoch")],
+    )
+    def test_forged_height_or_epoch_rejected(self, height_shift, epoch, reason):
+        node, parent, header = self._fleet_and_header()
+        node.tracer = Tracer()
+        forged = replace(header, height=parent.height + height_shift, epoch=epoch)
+        node._handle_block(Block(forged, None, ()))
+        assert node.stats.blocks_rejected == 1
+        assert node.state.head_block() is parent
+        assert node.state.height() == parent.height
+        (event,) = node.tracer.events(kind="block/rejected")
+        assert reason in event.detail["reason"]
+
+    def test_honest_header_accepted(self):
+        node, parent, header = self._fleet_and_header()
+        node._handle_block(Block(header, None, ()))
+        assert node.stats.blocks_rejected == 0
+        assert node.state.head_block().height == node.state.height() == parent.height + 1
+
+
+class TestSharedFacts:
+    """Chain facts are computed once per run, and only where that is sound."""
+
+    def test_validator_runs_once_per_block_object(self, monkeypatch):
+        judged: list[Block] = []
+        real = BlockValidator.validate
+        monkeypatch.setattr(
+            BlockValidator,
+            "validate",
+            lambda self, block: judged.append(block) or real(self, block),
+        )
+        ctx, nodes = build_mining_fleet(8, seed=11)
+        run_fleet_to_height(ctx, nodes, 20)
+        assert len(judged) >= 20
+        assert len({id(block) for block in judged}) == len(judged)
+        # Every node still took every block in through its own tree.
+        accepted = sum(node.stats.blocks_accepted for node in nodes)
+        assert accepted > 6 * len(judged)
+
+    def test_copies_of_an_accepted_block_are_judged_again(self):
+        signed = [
+            themis_config(hash_rate=1.0, sign_blocks=True, verify_signatures=True)
+            for _ in range(4)
+        ]
+        ctx, nodes = make_fleet(4, configs=signed)
+        run_to_height(ctx, nodes, 6)
+        for node in nodes:
+            node.stop()
+        ctx.sim.run(until=ctx.sim.now + 5.0)  # drain in-flight gossip
+        genuine = nodes[0].state.block_at(3)
+        assert all(genuine.block_id in node.tree for node in nodes)
+        producer = next(i for i in range(4) if keypair(i).public.fingerprint() == genuine.producer)
+        other = keypair((producer + 1) % 4)
+        tampered_body = replace(
+            genuine,
+            transactions=(make_transaction(other, genuine.producer, 1, 0),),
+        )
+        other_signature = replace(
+            genuine, signature=sign_digest(other, genuine.header.hash())
+        )
+        assert tampered_body.block_id == other_signature.block_id == genuine.block_id
+        for node in nodes:
+            before = node.stats.blocks_rejected
+            node._handle_block(tampered_body)
+            node._handle_block(other_signature)
+            assert node.stats.blocks_rejected == before + 2
+        # ... and the genuine object is still good.
+        assert nodes[0].state.facts.verdict(genuine, nodes[0].validator.validate) is None
+
+    def test_sharing_is_scoped_to_what_the_facts_depend_on(self):
+        configs = [themis_config(), themis_config(), powh_config(), powh_config()]
+        ctx, nodes = make_fleet(4, configs=configs)
+        private = MiningNode(
+            0, keypair(0), ctx, themis_config(), members_fn=lambda: list(ctx.members)
+        )
+        themis_facts, powh_facts = nodes[0].state.facts, nodes[2].state.facts
+        assert nodes[1].state.facts is themis_facts
+        assert nodes[3].state.facts is powh_facts
+        assert len({id(themis_facts), id(powh_facts), id(private.state.facts)}) == 3
+        assert ctx.facts_for(True, False, True) is not themis_facts
+        nodes[0].state.mining_assignment(nodes[0].address)
+        assert themis_facts.governing
+        assert not powh_facts.governing and not private.state.facts.governing
+        # A verdict reached under one scope is not served under another.
+        head = nodes[0].state.head_block()
+        multiple, base, epoch = nodes[0].state.mining_assignment(nodes[1].address)
+        block = Block(
+            nodes[1].builder.build_header(head, [], 1.0, multiple, base, epoch), None, ()
+        )
+        nodes[0]._handle_block(block)
+        assert block.block_id in themis_facts.verdicts
+        assert block.block_id not in powh_facts.verdicts
+        assert block.block_id not in private.state.facts.verdicts
+
+    def test_monitor_derives_tables_per_node(self, monkeypatch):
+        """A shared table compared with itself would prove nothing: corrupt
+        one node's own derivation and the sweep must still see it."""
+        ctx, nodes = make_fleet(4)  # Δ = 4
+        run_to_height(ctx, nodes, 9)
+        for node in nodes:
+            node.stop()
+        ctx.sim.run(until=ctx.sim.now + 5.0)
+        assert len({node.state.head_id for node in nodes}) == 1
+        InvariantMonitor(nodes, ctx.network, ctx.sim).check_now()  # clean
+
+        state = nodes[2].state
+        real = state.derive_table
+
+        def skewed(anchor_id, prev_table):
+            table = real(anchor_id, prev_table)
+            return replace(table, base=table.base * 2)
+
+        monkeypatch.setattr(state, "derive_table", skewed)
+        with pytest.raises(SafetyViolation, match="difficulty-table disagreement"):
+            InvariantMonitor(nodes, ctx.network, ctx.sim).check_now()
 
 
 class TestStopStart:

@@ -7,7 +7,7 @@ import pytest
 from repro.chain.block import build_block
 from repro.chain.genesis import make_genesis
 from repro.core.difficulty import DifficultyParams
-from repro.core.themis import ConsensusChainState, make_rule
+from repro.core.themis import ChainFacts, ConsensusChainState, make_rule
 from repro.errors import ChainError, SimulationError
 
 from tests.conftest import keypair
@@ -134,6 +134,39 @@ class TestTables:
         assert table_a.multiple(member_list[0]) == pytest.approx(4.0)
         assert table_b.multiple(member_list[0]) == pytest.approx(3.0)
         assert table_b.multiple(member_list[1]) == pytest.approx(1.0)
+
+    def test_bare_state_owns_private_facts(self):
+        """No facts passed: same code path, an arena of one view."""
+        first, _, _ = make_state()
+        second, _, _ = make_state()
+        assert first.facts is not second.facts
+        parent = first.genesis
+        for i in range(5):
+            parent = extend(first, parent, 0, timestamp=10.0 * (i + 1))
+        anchor = first.block_at(4).block_id
+        assert first.governing(parent.block_id) == (anchor, first.table_for_anchor(anchor))
+        assert first.anchor_for_height(parent.block_id, 6) == anchor
+        assert not second.facts.governing and not second.facts.verdicts
+
+    def test_states_given_one_facts_object_share_tables(self):
+        facts = ChainFacts()
+        member_list = members(4)
+        params = DifficultyParams(i0=10.0, h0=1.0, beta=1.0)
+        first, second = (
+            ConsensusChainState(make_genesis(), lambda: member_list, params, facts=facts)
+            for _ in range(2)
+        )
+        parent = first.genesis
+        for i in range(4):
+            parent = extend(first, parent, 0, timestamp=10.0 * (i + 1))
+            second.add_block(parent, 10.0 * (i + 1))
+        assert second.table_for_anchor(parent.block_id) is first.table_for_anchor(
+            parent.block_id
+        )
+        # The uncached derivation is each state's own and agrees by value.
+        own = second.derive_table(parent.block_id, second.table_for_anchor)
+        assert own is not first.table_for_anchor(parent.block_id)
+        assert own == first.table_for_anchor(parent.block_id)
 
     def test_mining_assignment_tracks_head(self):
         state, member_list, _ = make_state()

@@ -12,7 +12,12 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+from dataclasses import replace
 
+import pytest
+
+from repro.chaos.faults import PartitionFault
+from repro.chaos.schedule import FaultPlan, random_fault_plan
 from repro.live.clock import LiveClock
 from repro.live.manifest import localhost_manifest
 from repro.live.transport import TcpGossipTransport
@@ -22,6 +27,7 @@ from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
 from repro.net.transport import FaultableTransport, NetworkStats, Transport
 from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
+from repro.sim.runner import ExperimentConfig, run_experiment
 
 #: sha256 over the concatenated canonical bytes of the height-30 main chain
 #: of ``build_mining_fleet(n=6, seed=42, i0=2.0)``, captured pre-refactor.
@@ -35,12 +41,65 @@ def _chain_hash() -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+#: sha256 over ``repr((sim.events_processed, len(observer.tree),
+#: observer.state.head_id.hex(), network.messages_sent,
+#: network.messages_dropped))`` of :func:`recovery_config` runs — the
+#: ingredients of the spine's ``sim.head_digest`` plus the send/drop counters.
+#: Captured at commit ``d82031f`` (the parent of the lazy-statistics /
+#: shared-chain-facts change), before any source edit, with
+#:
+#:   PYTHONPATH=src python -c "from tests.test_transport_parity import \
+#:       recovery_digest; print(recovery_digest(False), recovery_digest(True))"
+#:
+#: The faulted run (3 crash/restarts, one lossy-link window, a 9 | 3
+#: partition) goes through 6 syncs, 4 orphan attachments, 76 reorgs and 511
+#: dropped messages; the fault-free one through 30 reorgs on a degree-4
+#: overlay.  Each takes ~0.2 s.
+GOLDEN_RECOVERY_SHA256 = {
+    False: "fcfaaecaade35310fdae3e0f24e7e30379a1be4b1e43b8353e1779a3ff3c60a1",
+    True: "8647bcfb815ad96d917dcf44f83e024b9496d872dd0d70b801d61105274a313e",
+}
+
+
+def recovery_config(faulted: bool) -> ExperimentConfig:
+    cfg = ExperimentConfig("themis", n=12, epochs=3, seed=7, degree=4)
+    if not faulted:
+        return cfg
+    duration = cfg.epochs * cfg.difficulty_params().epoch_length(cfg.n) * cfg.i0
+    plan = random_fault_plan(7926, range(cfg.n), duration, churn=0.25, link_faults=1)
+    partition = PartitionFault(
+        groups=(tuple(range(9)), tuple(range(9, 12))),
+        at=0.5 * duration,
+        heal_at=0.5 * duration + 100.0,
+    )
+    return replace(cfg, fault_plan=FaultPlan(faults=(*plan.faults, partition)))
+
+
+def recovery_digest(faulted: bool) -> str:
+    result = run_experiment(recovery_config(faulted))
+    observer = result.observer
+    assert observer is not None
+    facts = (
+        observer.ctx.sim.events_processed,
+        len(observer.tree),
+        observer.state.head_id.hex(),
+        result.network.messages_sent,
+        result.network.messages_dropped,
+    )
+    return hashlib.sha256(repr(facts).encode()).hexdigest()
+
+
 class TestGoldenParity:
     def test_fixed_seed_chain_is_byte_identical_to_pre_refactor(self):
         assert _chain_hash() == GOLDEN_CHAIN_SHA256
 
     def test_repeat_run_is_byte_identical(self):
         assert _chain_hash() == _chain_hash()
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["sparse", "churn"])
+    def test_recovery_paths_are_event_identical(self, faulted):
+        """Sync, orphans, reorgs, drops and duplicates: same schedule, same head."""
+        assert recovery_digest(faulted) == GOLDEN_RECOVERY_SHA256[faulted]
 
 
 class TestProtocolConformance:
