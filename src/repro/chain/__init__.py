@@ -1,6 +1,10 @@
-"""Chain substrate: transactions, blocks, block tree, fork-choice baselines."""
+"""Chain substrate: transactions, blocks, block tree, fork-choice baselines.
 
-from repro.chain.audit import AuditFinding, AuditReport, ChainAuditor
+:mod:`repro.chain.audit` replays a chain against the §IV difficulty rules, so
+it sits above :mod:`repro.core` and is imported by its own name, not from
+here — ``repro.core`` reaches back into this package through the ledger.
+"""
+
 from repro.chain.block import BLOCK_VERSION, Block, BlockHeader, build_block, sign_block
 from repro.chain.blocktree import BlockTree
 from repro.chain.codec import Reader, Writer, encoded_size_varint
@@ -10,10 +14,7 @@ from repro.chain.store import deserialize_tree, load_tree, save_tree, serialize_
 from repro.chain.transaction import TX_SIZE, Transaction, make_transaction
 
 __all__ = [
-    "AuditFinding",
-    "AuditReport",
     "BLOCK_VERSION",
-    "ChainAuditor",
     "Block",
     "BlockHeader",
     "BlockTree",

@@ -33,7 +33,7 @@ from collections.abc import Iterable
 from repro.errors import CodecError, NetworkError
 from repro.live.clock import LiveClock
 from repro.live.manifest import ConsortiumManifest
-from repro.net.message import Message
+from repro.net.message import Message, is_sync_kind
 from repro.net.transport import DropFilter, Handler, LinkDisturbance, NetworkStats
 from repro.net.wire import (
     KIND_HELLO,
@@ -41,6 +41,7 @@ from repro.net.wire import (
     decode_message,
     encode_message,
     frame,
+    peek_envelope,
 )
 
 #: Frames a peer outbox buffers before new sends are dropped (counted).
@@ -97,6 +98,8 @@ class TcpGossipTransport:
         self._drop_filters: dict[int, DropFilter] = {}
         self._offline: set[int] = set()
         self._seen: set[tuple[int, int]] = set()
+        #: The message last handed to the handler, and the body it came in.
+        self._inbound: tuple[Message | None, bytes] = (None, b"")
         self._links: dict[int, _PeerLink] = {}
         self._server: asyncio.Server | None = None
         self._reader_tasks: set[asyncio.Task[None]] = set()
@@ -117,7 +120,7 @@ class TcpGossipTransport:
     async def stop(self) -> None:
         """Close the server, writer tasks and all connections.
 
-        Safe against concurrent activity: ``_transmit`` stops creating
+        Safe against concurrent activity: ``_send`` stops creating
         links once ``_running`` drops, and the cancellation loop below
         repeats until a pass finds no tasks — reader tasks the server
         accepted while we were awaiting earlier cancellations included.
@@ -233,32 +236,36 @@ class TcpGossipTransport:
 
     # -- send paths ------------------------------------------------------------------
 
-    def _transmit(self, src: int, dst: int, message: Message) -> None:
-        if not self._running:
-            # A send racing stop() must not resurrect a writer task that
-            # the teardown loop would then have to chase.
-            self.stats.record_drop("stopped")
-            return
-        if src in self._offline or dst in self._offline:
-            self.stats.record_drop("offline")
-            return
+    def _send(self, src: int, dsts: Iterable[int], message: Message) -> None:
+        """Enqueue one framed copy per destination, encoded at most once: a
+        message being forwarded goes out in the body it came in (the codec is
+        canonical, so re-encoding the decoded message gives the same bytes)."""
+        data = frame(self._inbound[1]) if self._inbound[0] is message else None
         drop = self._drop_filters.get(src)
-        if drop is not None and drop(message):
-            self.stats.record_drop("filtered")
-            return
-        try:
-            body = encode_message(message)
-        except CodecError:
-            self.stats.record_drop("unencodable")
-            raise
-        data = frame(body)
-        link = self._link_for(dst)
-        try:
-            link.outbox.put_nowait(data)
-        except asyncio.QueueFull:
-            self.stats.record_drop("backlog")
-            return
-        self.stats.record_send(message.kind, len(data))
+        for dst in dsts:
+            if not self._running:
+                # A send racing stop() must not resurrect a writer task that
+                # the teardown loop would then have to chase.
+                self.stats.record_drop("stopped")
+                continue
+            if src in self._offline or dst in self._offline:
+                self.stats.record_drop("offline")
+                continue
+            if drop is not None and drop(message):
+                self.stats.record_drop("filtered")
+                continue
+            if data is None:
+                try:
+                    data = frame(encode_message(message))
+                except CodecError:
+                    self.stats.record_drop("unencodable")
+                    raise
+            try:
+                self._link_for(dst).outbox.put_nowait(data)
+            except asyncio.QueueFull:
+                self.stats.record_drop("backlog")
+                continue
+            self.stats.record_send(message.kind, len(data))
 
     def unicast(self, src: int, dst: int, message: Message) -> None:
         """Send a message point-to-point (no gossip forwarding)."""
@@ -267,15 +274,13 @@ class TcpGossipTransport:
         if dst == self.node_id:
             raise NetworkError("unicast to self")
         self.manifest.peer(dst)  # validates the destination exists
-        self._transmit(src, dst, message)
+        self._send(src, (dst,), message)
 
     def broadcast(self, src: int, message: Message) -> None:
         """Send one copy directly to every other consortium member."""
         if src != self.node_id:
             raise NetworkError(f"node {src} does not send through this transport")
-        for dst in self.node_ids:
-            if dst != src:
-                self._transmit(src, dst, message)
+        self._send(src, [dst for dst in self.node_ids if dst != src], message)
 
     def gossip(self, origin: int, message: Message) -> None:
         """Originate a gossip flood from the local node."""
@@ -285,9 +290,8 @@ class TcpGossipTransport:
         self._forward(origin, message, exclude=None)
 
     def _forward(self, node_id: int, message: Message, exclude: int | None) -> None:
-        for peer in self.neighbors(node_id):
-            if peer != exclude:
-                self._transmit(node_id, peer, message)
+        peers = [peer for peer in self.neighbors(node_id) if peer != exclude]
+        self._send(node_id, peers, message)
 
     def gossip_deliver(self, dst: int, from_peer: int, message: Message) -> bool:
         """Dedup a received gossip message; forward it onward if new."""
@@ -394,21 +398,42 @@ class TcpGossipTransport:
             if not data:
                 return
             for body in decoder.feed(data):
-                message = decode_message(body)
                 if from_peer is None:
-                    if message.kind != KIND_HELLO:
-                        raise CodecError("first frame on a connection must be hello")
-                    from_peer = int(message.payload["node_id"])
+                    from_peer = self._handshake(decode_message(body))
                     continue
-                self._deliver(from_peer, message)
+                kind, origin, msg_id = peek_envelope(body)
+                if (
+                    (origin, msg_id) in self._seen
+                    and kind != KIND_HELLO
+                    and not is_sync_kind(kind)
+                ):
+                    # A gossip copy ``gossip_deliver`` would turn away (the
+                    # handler contract): counted, its payload never parsed.
+                    self._arrival()
+                    continue
+                message = decode_message(body)
+                handler = self._arrival()
+                if handler is not None:
+                    self._inbound = (message, body)
+                    handler(message, from_peer)
 
-    def _deliver(self, from_peer: int, message: Message) -> None:
+    def _handshake(self, hello: Message) -> int:
+        """The peer a connection's first frame announces, if it may be one."""
+        if hello.kind != KIND_HELLO:
+            raise CodecError("first frame on a connection must be hello")
+        peer = int(hello.payload["node_id"])
+        if not 0 <= peer < self.manifest.n or peer == self.node_id:
+            raise CodecError(f"hello from node {peer}, which is not a peer")
+        return peer
+
+    def _arrival(self) -> Handler | None:
+        """Count one arriving copy; the handler it goes to unless dropped."""
         if self.node_id in self._offline:
             self.stats.record_drop("offline")
-            return
+            return None
         handler = self._handlers.get(self.node_id)
         if handler is None:
             self.stats.record_drop("detached")
-            return
+            return None
         self.stats.messages_delivered += 1
-        handler(message, from_peer)
+        return handler

@@ -93,25 +93,52 @@ class Simulator:
         self._cancelled = 0  # live tombstones still in the heap
         self._events_processed = 0
         self._running = False
+        self._seq = 0  # sequence number of the event in execution
+        self._reserved_until = 0.0  # latest time a place was reserved for
+        #: Totals of events counted without a callback (a network's provable
+        #: duplicate deliveries); read into :attr:`events_processed`.
+        self.uncalled_counts: list[Callable[[], int]] = []
 
     @property
     def events_processed(self) -> int:
-        """Number of events executed so far."""
-        return self._events_processed
+        """Number of events so far: callbacks run plus :attr:`uncalled_counts`."""
+        return self._events_processed + sum(count() for count in self.uncalled_counts)
+
+    @property
+    def position(self) -> tuple[float, int]:
+        """``(time, seq)`` of the event in execution: a place in the event
+        order, queued or only reserved, has had its turn iff it sorts below."""
+        return self.now, self._seq
+
+    def reserve(self, time: float) -> int:
+        """Take the place ``schedule_at(time, ...)`` would get; queue nothing.
+
+        For an event whose only effect is to be counted: its owner compares
+        ``(time, seq)`` with :attr:`position` to see its turn pass, and can
+        still make it real, in that place, with ``schedule_at(time, cb, seq)``.
+        """
+        if time > self._reserved_until:
+            self._reserved_until = time
+        self._next_seq += 1
+        return self._next_seq - 1
 
     @property
     def pending_events(self) -> int:
         """Events scheduled but not yet fired, excluding cancelled ones."""
         return len(self._queue) - self._cancelled
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at an absolute simulated time."""
+    def schedule_at(
+        self, time: float, callback: Callable[[], None], seq: int | None = None
+    ) -> EventHandle:
+        """Schedule ``callback`` at an absolute simulated time (``seq``: the
+        place :meth:`reserve` gave out for that time)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule in the past: {time:.6f} < now {self.now:.6f}"
             )
-        seq = self._next_seq
-        self._next_seq = seq + 1
+        if seq is None:
+            seq = self._next_seq
+            self._next_seq = seq + 1
         event = _ScheduledEvent(time, seq, callback, self)
         heapq.heappush(self._queue, (time, seq, event))
         return event
@@ -163,9 +190,12 @@ class Simulator:
 
         Args:
             until: stop once the next event is later than this time.
-            max_events: stop after this many events (runaway guard).
-            stop_when: predicate checked after every event; return ``True``
-                to stop (used e.g. to stop at a target chain height).
+            max_events: stop after this many executed callbacks (runaway
+                guard; an event that is only counted, see :meth:`reserve`,
+                runs none).
+            stop_when: predicate checked after every executed callback;
+                return ``True`` to stop (used e.g. to stop at a target chain
+                height).
 
         Clock semantics (all stop conditions compose; the first one to
         trigger decides):
@@ -195,16 +225,17 @@ class Simulator:
         try:
             processed = 0
             while queue:
-                time, _, event = queue[0]
+                time, seq, event = queue[0]
                 if until is not None and time > until:
                     self.now = until
-                    return
+                    break
                 heapq.heappop(queue)
                 if event.cancelled:
                     self._cancelled -= 1
                     continue
                 event.fired = True
                 self.now = time
+                self._seq = seq
                 event.callback()
                 self._events_processed += 1
                 processed += 1
@@ -212,8 +243,11 @@ class Simulator:
                     return
                 if max_events is not None and processed >= max_events:
                     return
-            if until is not None and until > self.now:
-                self.now = until
+            else:  # drained: with no horizon, up to the last reserved place
+                horizon = self._reserved_until if until is None else until
+                if horizon > self.now:
+                    self.now = horizon
+            self._seq = self._next_seq  # every place up to ``now`` had its turn
         finally:
             self._running = False
             if gc_was_enabled:

@@ -76,12 +76,12 @@ class NetworkStats:
         self.messages_dropped += 1
         self.drops_by_reason[reason] += 1
 
-    def record_send(self, kind: str, size: int) -> None:
-        """Count one transfer leaving a node's uplink."""
-        self.messages_sent += 1
-        self.bytes_sent += size
-        self.bytes_by_kind[kind] += size
-        self.messages_by_kind[kind] += 1
+    def record_send(self, kind: str, size: int, count: int = 1) -> None:
+        """Count ``count`` transfers of ``size`` bytes leaving a node's uplink."""
+        self.messages_sent += count
+        self.bytes_sent += count * size
+        self.bytes_by_kind[kind] += count * size
+        self.messages_by_kind[kind] += count
 
     # -- serde boundary ----------------------------------------------------------
 
@@ -179,6 +179,12 @@ class Transport(Protocol):
     * ``gossip`` floods from the origin over the overlay;
       ``gossip_deliver`` is the reception hook a handler calls to dedup and
       schedule forwarding, returning ``True`` iff the message is new.
+    * **Handler contract:** a handler passes every message that is not
+      point-to-point (``sync/*``) to ``gossip_deliver`` before acting on it,
+      and does nothing when that returns ``False``.  Every arriving copy is
+      counted in ``stats``; a copy the transport can prove would be turned
+      away is counted without invoking the handler (on the live backend,
+      without parsing its payload).
     * ``neighbors`` exposes the overlay adjacency (peer rotation in sync).
     * ``set_offline`` detaches a node from the world in both directions —
       the crash/recovery path.
@@ -189,7 +195,10 @@ class Transport(Protocol):
     must not assume more.
     """
 
-    stats: NetworkStats
+    @property
+    def stats(self) -> NetworkStats:
+        """The traffic counters, current as of this read."""
+        ...
 
     def attach(self, node_id: int, handler: Handler) -> None:
         """Register a node's delivery handler."""

@@ -145,6 +145,17 @@ def encode_message(message: Message) -> bytes:
     return writer.getvalue()
 
 
+def _read_envelope(reader: Reader) -> tuple[str, int, int, int]:
+    return reader.read_str(), reader.read_varint(), reader.read_varint(), reader.read_varint()
+
+
+def peek_envelope(data: bytes) -> tuple[str, int, int]:
+    """``(kind, origin, msg_id)`` of an encoded message, its payload unparsed:
+    what gossip dedup needs before deciding the payload is worth decoding."""
+    kind, origin, msg_id, _ = _read_envelope(Reader(data))
+    return kind, origin, msg_id
+
+
 def decode_message(data: bytes) -> Message:
     """Rebuild a message from :func:`encode_message` output.
 
@@ -153,10 +164,7 @@ def decode_message(data: bytes) -> Message:
     identity at every hop.
     """
     reader = Reader(data)
-    kind = reader.read_str()
-    origin = reader.read_varint()
-    msg_id = reader.read_varint()
-    body_size = reader.read_varint()
+    kind, origin, msg_id, body_size = _read_envelope(reader)
     payload = _decode_payload(kind, reader)
     reader.expect_end()
     return Message(

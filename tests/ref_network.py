@@ -1,21 +1,19 @@
-"""The simulated peer-to-peer network: unicast, broadcast and gossip.
+"""Reference simulated network: every copy is an event, duplicates included.
 
-§VII-A: "data transmission between nodes adopts basic Gossip protocol".  The
-network floods messages over the overlay with per-node deduplication: a node
-that sees a message id for the first time delivers it to its handler and
-forwards it to its other neighbors.  Outbound transfers from one node share
-that node's 20 Mbps uplink and queue behind each other, so big blocks and
-chatty protocols (PBFT at large n) pay real bandwidth costs.
-
-Attack hooks: per-node outbound drop filters model *vulnerable nodes* that
-are "prevented from putting the produced blocks into the main chain"
-(§VII-A), and full partitions model crashed peers.
+This is the ``SimulatedNetwork`` that ``repro.net.network`` shipped before it
+stopped scheduling flood copies it can prove are duplicates, kept verbatim
+(class renamed) as the oracle the differential test in
+``test_network_elision.py`` compares against.  Every copy of every message —
+the four in five that ``gossip_deliver`` then turns away included — goes
+through the per-copy ``_transmit``, a ``partial``, a heap push and pop and the
+destination's handler; the counters, the RNG stream and the acceptance order
+it produces are what the eliding network must reproduce exactly.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import partial
 
 from repro.errors import NetworkError
@@ -24,21 +22,7 @@ from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
 from repro.net.simulator import Simulator
 from repro.net.transport import DropFilter, Handler, LinkDisturbance, NetworkStats
 
-#: Remembered copies are settled once this many pile up (or twice what was
-#: still in flight after the last settle), so the list stays short.
-_SETTLE_BOUND = 4096
-_NEVER = float("inf")  # when a delivery that is not queued arrives
-
-__all__ = [
-    "DropFilter",
-    "Handler",
-    "LinkDisturbance",
-    "NetworkStats",
-    "SimulatedNetwork",
-]
-
-
-class SimulatedNetwork:
+class ReferenceNetwork:
     """Gossip overlay on top of the discrete-event simulator.
 
     One of the two :class:`~repro.net.transport.Transport` backends (and
@@ -66,25 +50,11 @@ class SimulatedNetwork:
         self._handlers: dict[int, Handler] = {}
         self._uplink_free: dict[int, float] = defaultdict(float)
         self._seen: dict[int, set[int]] = defaultdict(set)
-        # Elision (see ``_send``): per destination, when the earliest queued
-        # delivery of each not-yet-seen flood message arrives; and the copies
-        # ``(arrival, seq, dst, src, message)`` remembered but not yet counted.
-        self._due: dict[int, dict[int, float]] = defaultdict(dict)
-        self._elided: list[tuple[float, int, int, int, Message]] = []
-        self._elided_counted = 0
-        self._settle_at = _SETTLE_BOUND
         self._drop_filters: dict[int, DropFilter] = {}
         self._offline: set[int] = set()
         self._partition: dict[int, int] | None = None
         self._disturbances: dict[str, tuple[frozenset[int] | None, LinkDisturbance]] = {}
-        self._stats = NetworkStats()
-        sim.uncalled_counts.append(self._settle)
-
-    @property
-    def stats(self) -> NetworkStats:
-        """The traffic counters, every copy whose turn has passed counted in."""
-        self._settle()
-        return self._stats
+        self.stats = NetworkStats()
 
     # -- membership -------------------------------------------------------------
 
@@ -96,7 +66,6 @@ class SimulatedNetwork:
 
     def detach(self, node_id: int) -> None:
         """Remove a node's handler (it still forwards nothing afterwards)."""
-        self._stop_accepting(node_id)
         self._handlers.pop(node_id, None)
 
     @property
@@ -124,7 +93,6 @@ class SimulatedNetwork:
     def set_offline(self, node_id: int, offline: bool) -> None:
         """Fully partition a node (no sends, no deliveries)."""
         if offline:
-            self._stop_accepting(node_id)
             self._offline.add(node_id)
         else:
             self._offline.discard(node_id)
@@ -209,143 +177,89 @@ class SimulatedNetwork:
 
     # -- transmission ----------------------------------------------------------------
 
-    def _send(self, src: int, dsts: Sequence[int], message: Message, flood: bool) -> None:
-        """Queue one transfer per destination on ``src``'s uplink.
+    def _transmit(self, src: int, dst: int, message: Message) -> None:
+        """Queue one transfer on ``src``'s uplink and schedule the delivery.
 
-        The hot path — every hop of every message — so what one fan-out's
-        copies share is computed once and an unarmed chaos hook costs a branch.
-
-        A *flood* copy (``gossip`` / ``gossip_deliver``, never ``unicast`` /
-        ``broadcast``) is a provable duplicate when its attached destination
-        (S) has seen the message or (D) has a delivery of it queued that
-        arrives no later: under the handler contract
-        (:class:`~repro.net.transport.Transport`) it would be turned away.
-        It passes every hook, takes its uplink slot and makes its draws like
-        any copy, but is remembered, not scheduled, and counted once its turn
-        in the event order has passed (:meth:`_settle`).
+        This is the network's hot path — every gossip hop of every message
+        lands here — so the chaos hooks (offline sets, partitions, drop
+        filters, disturbances) are all guarded by cheap emptiness checks
+        that cost one branch when no faults are armed.
         """
-        sim, stats, offline = self.sim, self._stats, self._offline
-        now = sim.now
-        partitioned = self._partition is not None
-        drop = self._drop_filters.get(src) if self._drop_filters else None
-        # With no hook armed every destination gets a copy and nothing draws
-        # in between, so the jitter draws come from one call: numpy fills an
-        # array with the doubles the scalar calls would return, 3× cheaper.
-        quiet = not (offline or partitioned or drop or self._disturbances)
-        draws = iter(sim.rng.random(len(dsts)).tolist()) if quiet and self._jitter else None
-        accepting = self._handlers if flood else ()
-        seen_by, due_by, remember = self._seen, self._due, self._elided.append
-        schedule, deliver = sim.schedule, self._deliver
-        msg_id = message.msg_id
-        min_delay, jitter, rng_random = self._min_delay, self._jitter, self._rng_random
-        size = message.body_size + MESSAGE_OVERHEAD_BYTES
-        base = size * self._inv_bandwidth
-        serialization, extra_jitter, duplicated = base, 0.0, False
-        finish = max(now, self._uplink_free[src])
-        sent = 0
-        for dst in dsts:
-            if offline and (src in offline or dst in offline):
-                stats.record_drop("offline")
-                continue
-            if partitioned and self._crosses_partition(src, dst):
-                stats.record_drop("partition")
-                continue
+        sim = self.sim
+        if self._offline and (src in self._offline or dst in self._offline):
+            self.stats.record_drop("offline")
+            return
+        if self._partition is not None and self._crosses_partition(src, dst):
+            self.stats.record_drop("partition")
+            return
+        if self._drop_filters:
+            drop = self._drop_filters.get(src)
             if drop is not None and drop(message):
-                stats.record_drop("filtered")
-                continue
-            if self._disturbances:
-                disturbed = self._disturb(src, dst, base)
-                if disturbed is None:
-                    stats.record_drop("loss")
-                    continue
-                serialization, extra_jitter, duplicated = disturbed
-            finish += serialization
-            sent += 1
-            # Inlined LinkModel.propagation_delay: same ``min + jitter·u`` draw
-            # from the same stream, minus two method dispatches per hop.
-            u = 0.0 if jitter == 0.0 else next(draws) if draws else rng_random()
-            propagation = min_delay + jitter * u
-            arrival = finish - now + propagation + extra_jitter
-            while True:
-                if dst in accepting:
-                    when = now + arrival
-                    due = due_by[dst]
-                    if msg_id in seen_by[dst] or due.get(msg_id, _NEVER) <= when:
-                        remember((when, sim.reserve(when), dst, src, message))
-                    else:
-                        due[msg_id] = when
-                        schedule(arrival, partial(deliver, dst, src, message))
-                else:
-                    schedule(arrival, partial(deliver, dst, src, message))
-                if not duplicated:
-                    break
-                # The link's copy rides the same uplink slot but its own
-                # propagation draw, so it may arrive before or after.
-                duplicated = False
-                stats.messages_duplicated += 1
-                arrival = finish - now + self.link.propagation_delay(sim.rng) + extra_jitter
-        if sent:
-            self._uplink_free[src] = finish
-            stats.record_send(message.kind, size, sent)
-            if len(self._elided) > self._settle_at:
-                self._settle()
-                self._settle_at = max(_SETTLE_BOUND, 2 * len(self._elided))
-
-    def _disturb(
-        self, src: int, dst: int, serialization: float
-    ) -> tuple[float, float, bool] | None:
-        """A transfer's ``(serialization, extra_jitter, duplicated)`` under the
-        link's disturbances, or ``None`` when it is lost."""
-        rng = self.sim.rng
+                self.stats.record_drop("filtered")
+                return
+        size = message.body_size + MESSAGE_OVERHEAD_BYTES
+        serialization = size * self._inv_bandwidth
         extra_jitter = 0.0
         duplicated = False
-        for disturbance in self._disturbances_for(src, dst):
-            # Draw in a fixed order per disturbance so seeded replays match.
-            if disturbance.loss > 0.0 and rng.random() < disturbance.loss:
-                return None
-            serialization *= disturbance.bandwidth_factor
-            if disturbance.reorder_jitter > 0.0:
-                extra_jitter += disturbance.reorder_jitter * float(rng.random())
-            if disturbance.duplicate > 0.0 and rng.random() < disturbance.duplicate:
-                duplicated = True
-        return serialization, extra_jitter, duplicated
-
-    def _settle(self) -> int:
-        """Count the remembered copies whose turn has passed; the total so far."""
-        position = self.sim.position
-        in_flight = [copy for copy in self._elided if copy > position]
-        passed = len(self._elided) - len(in_flight)
-        self._elided[:] = in_flight  # in place: a running ``_send`` holds ``append``
-        self._stats.messages_delivered += passed
-        self._elided_counted += passed
-        return self._elided_counted
-
-    def _stop_accepting(self, dst: int) -> None:
-        """Hand ``dst``'s in-flight remembered copies back to the ordinary path:
-        from now on a copy's fate depends on when it arrives (an offline or
-        detached drop, the first copy after a restart), so each becomes a real
-        delivery in the place it holds, and no queued one vouches for a later."""
-        self._due.pop(dst, None)
-        self._settle()
-        for when, seq, to, src, message in self._elided:
-            if to == dst:
-                self.sim.schedule_at(when, partial(self._deliver, dst, src, message), seq)
-        self._elided[:] = [copy for copy in self._elided if copy[2] != dst]
+        if self._disturbances:
+            for disturbance in self._disturbances_for(src, dst):
+                # Draw in a fixed order per disturbance so seeded replays match.
+                if disturbance.loss > 0.0 and sim.rng.random() < disturbance.loss:
+                    self.stats.record_drop("loss")
+                    return
+                serialization *= disturbance.bandwidth_factor
+                if disturbance.reorder_jitter > 0.0:
+                    extra_jitter += disturbance.reorder_jitter * float(
+                        sim.rng.random()
+                    )
+                if (
+                    disturbance.duplicate > 0.0
+                    and sim.rng.random() < disturbance.duplicate
+                ):
+                    duplicated = True
+        now = sim.now
+        start = self._uplink_free[src]
+        if now > start:
+            start = now
+        finish = start + serialization
+        self._uplink_free[src] = finish
+        # Inlined LinkModel.propagation_delay: same ``min + jitter·u`` draw
+        # from the same stream, minus two method dispatches per hop.
+        jitter = self._jitter
+        propagation = (
+            self._min_delay
+            if jitter == 0.0
+            else self._min_delay + jitter * self._rng_random()
+        )
+        arrival = finish - now + propagation + extra_jitter
+        self.stats.record_send(message.kind, size)
+        sim.schedule(arrival, partial(self._deliver, dst, src, message))
+        if duplicated:
+            # The copy rides the same uplink slot but its own propagation
+            # draw, so it may arrive before or after the original.
+            self.stats.messages_duplicated += 1
+            copy_arrival = (
+                finish
+                - now
+                + self.link.propagation_delay(sim.rng)
+                + extra_jitter
+            )
+            sim.schedule(copy_arrival, partial(self._deliver, dst, src, message))
 
     def _deliver(self, dst: int, from_peer: int, message: Message) -> None:
         if dst in self._offline:
-            self._stats.record_drop("offline")
+            self.stats.record_drop("offline")
             return
         handler = self._handlers.get(dst)
         if handler is None:
-            self._stats.record_drop("detached")
+            self.stats.record_drop("detached")
             return
-        self._stats.messages_delivered += 1
+        self.stats.messages_delivered += 1
         handler(message, from_peer)
 
     def unicast(self, src: int, dst: int, message: Message) -> None:
         """Send a message point-to-point (no gossip forwarding)."""
-        self._send(src, (dst,), message, flood=False)
+        self._transmit(src, dst, message)
 
     def broadcast(self, src: int, message: Message) -> None:
         """Send directly to every other attached node (PBFT-style all-to-all).
@@ -354,7 +268,9 @@ class SimulatedNetwork:
         costs (n-1) serialized transfers — the communication bottleneck that
         limits BFT scalability in the paper's framing (§I, §VIII-A).
         """
-        self._send(src, [dst for dst in self.node_ids if dst != src], message, flood=False)
+        for dst in self.node_ids:
+            if dst != src:
+                self._transmit(src, dst, message)
 
     # -- gossip ------------------------------------------------------------------------
 
@@ -364,8 +280,10 @@ class SimulatedNetwork:
         self._forward(origin, message, exclude=None)
 
     def _forward(self, node_id: int, message: Message, exclude: int | None) -> None:
-        peers = [peer for peer in self.adjacency[node_id] if peer != exclude]
-        self._send(node_id, peers, message, flood=True)
+        for peer in self.adjacency[node_id]:
+            if peer == exclude:
+                continue
+            self._transmit(node_id, peer, message)
 
     def gossip_deliver(self, dst: int, from_peer: int, message: Message) -> bool:
         """Gossip reception hook called by node handlers.
@@ -378,7 +296,6 @@ class SimulatedNetwork:
         if message.msg_id in seen:
             return False
         seen.add(message.msg_id)
-        self._due[dst].pop(message.msg_id, None)  # seen now vouches instead
         self._forward(dst, message, exclude=from_peer)
         return True
 

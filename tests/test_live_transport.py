@@ -13,6 +13,7 @@ import asyncio
 
 import pytest
 
+from repro.chain.codec import Writer
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import make_transaction
 from repro.consensus.base import RunContext
@@ -21,9 +22,11 @@ from repro.errors import NetworkError
 from repro.live.clock import LiveClock
 from repro.live.localnet import free_ports
 from repro.live.manifest import ConsortiumManifest, localhost_manifest
+from repro.live import transport as live_transport
 from repro.live.transport import TcpGossipTransport
 from repro.mining.oracle import MiningOracle
-from repro.net.message import KIND_TX, Message
+from repro.net.message import KIND_SYNC_HEADERS_REQUEST, KIND_TX, Message, is_sync_kind
+from repro.net.wire import KIND_HELLO, encode_message, frame
 from repro.node.sync import SyncConfig
 from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
 
@@ -152,6 +155,215 @@ class TestDelivery:
                 transport.set_link_disturbance("storm", None)
             with pytest.raises(NetworkError, match="attach"):
                 transport.attach(1, lambda msg, peer: None)
+
+        asyncio.run(run())
+
+
+def _contract_handler(transport: TcpGossipTransport, accepted: list[tuple[int, Message]]):
+    """What every node handler does: sync kinds directly, the rest through
+    ``gossip_deliver`` first and nothing more when it says duplicate."""
+
+    def handler(message: Message, from_peer: int) -> None:
+        if is_sync_kind(message.kind) or transport.gossip_deliver(
+            transport.node_id, from_peer, message
+        ):
+            accepted.append((from_peer, message))
+
+    return handler
+
+
+def _hello(node_id: int) -> bytes:
+    return frame(
+        encode_message(
+            Message(kind=KIND_HELLO, payload={"node_id": node_id}, body_size=8, origin=node_id)
+        )
+    )
+
+
+def _headers_request(origin: int, msg_id: int) -> bytes:
+    return frame(
+        encode_message(
+            Message(
+                kind=KIND_SYNC_HEADERS_REQUEST,
+                payload={"request_id": "r", "locator": []},
+                body_size=8,
+                origin=origin,
+                msg_id=msg_id,
+            )
+        )
+    )
+
+
+def _garbage_tx(origin: int, msg_id: int) -> bytes:
+    """A ``tx`` envelope followed by bytes no transaction decodes from."""
+    writer = Writer()
+    writer.write_str(KIND_TX)
+    for field in (origin, msg_id, 512):
+        writer.write_varint(field)
+    return frame(writer.getvalue() + b"\xff\xfe\xfd")
+
+
+async def _closed_by_peer(reader: asyncio.StreamReader, timeout: float = 5.0) -> bool:
+    """True once the other side has closed the connection (EOF within timeout)."""
+    try:
+        return await asyncio.wait_for(reader.read(1), timeout) == b""
+    except asyncio.TimeoutError:
+        return False
+
+
+class TestHandshake:
+    @pytest.mark.parametrize("claimed", [99, 0], ids=["non-member", "the-node-itself"])
+    def test_hello_with_a_bad_id_is_refused(self, claimed):
+        """The hello names who every later frame is attributed to: a node id
+        outside the manifest, or the local node's own, closes the connection
+        before any handler runs — and the node keeps serving real peers."""
+
+        async def run() -> None:
+            manifest = localhost_manifest(ports=free_ports(2))
+            transports = await _start_transports(manifest, [0, 1])
+            accepted: list[tuple[int, Message]] = []
+            transports[0].attach(0, _contract_handler(transports[0], accepted))
+            try:
+                spec = manifest.peer(0)
+                reader, writer = await asyncio.open_connection(spec.host, spec.port)
+                writer.write(_hello(claimed) + _headers_request(claimed, 1))
+                await writer.drain()
+                assert await _closed_by_peer(reader)
+                writer.close()
+                assert accepted == []
+                assert transports[0].stats.messages_delivered == 0
+
+                transports[1].unicast(1, 0, _tx_message(1))
+                assert await _wait_until(lambda: accepted, timeout=5.0)
+                assert accepted[0][0] == 1
+            finally:
+                await _stop_all(transports)
+
+        asyncio.run(run())
+
+    def test_first_frame_must_still_be_a_hello(self):
+        async def run() -> None:
+            manifest = localhost_manifest(ports=free_ports(2))
+            transports = await _start_transports(manifest, [0])
+            accepted: list[tuple[int, Message]] = []
+            transports[0].attach(0, _contract_handler(transports[0], accepted))
+            try:
+                seen = _tx_message(1)
+                transports[0].gossip_deliver(0, 1, seen)  # even a seen id does not excuse it
+                spec = manifest.peer(0)
+                reader, writer = await asyncio.open_connection(spec.host, spec.port)
+                writer.write(frame(encode_message(seen)))
+                await writer.drain()
+                assert await _closed_by_peer(reader)
+                writer.close()
+                assert accepted == []
+                assert transports[0].stats.messages_delivered == 0
+            finally:
+                await _stop_all(transports)
+
+        asyncio.run(run())
+
+
+class TestMessageEconomy:
+    """A gossip copy is encoded once, and decoded once per node it reaches."""
+
+    @pytest.fixture()
+    def codec_calls(self, monkeypatch) -> dict[str, list[str]]:
+        """Kinds passed through the transport's ``encode_message`` /
+        ``decode_message`` globals (the names the benchmark spine patches)."""
+        calls: dict[str, list[str]] = {"encode": [], "decode": []}
+        encode, decode = live_transport.encode_message, live_transport.decode_message
+
+        def counted_encode(message: Message) -> bytes:
+            calls["encode"].append(message.kind)
+            return encode(message)
+
+        def counted_decode(body: bytes) -> Message:
+            message = decode(body)
+            calls["decode"].append(message.kind)
+            return message
+
+        monkeypatch.setattr(live_transport, "encode_message", counted_encode)
+        monkeypatch.setattr(live_transport, "decode_message", counted_decode)
+        return calls
+
+    def test_one_gossip_is_one_encode_and_one_decode_per_receiver(self, codec_calls):
+        async def run() -> None:
+            manifest = localhost_manifest(ports=free_ports(4))  # complete overlay
+            transports = await _start_transports(manifest, [0, 1, 2, 3])
+            accepted: dict[int, list[tuple[int, Message]]] = {i: [] for i in range(4)}
+            for node_id, transport in transports.items():
+                transport.attach(node_id, _contract_handler(transport, accepted[node_id]))
+            try:
+                message = _tx_message(0)
+                transports[0].gossip(0, message)
+                # 3 copies from the origin, then each receiver forwards to the
+                # other two: 9 arrivals, 6 of them duplicates.
+                delivered = lambda: sum(t.stats.messages_delivered for t in transports.values())
+                assert await _wait_until(lambda: delivered() == 9, timeout=10.0)
+                await asyncio.sleep(0.1)
+                assert delivered() == 9
+                assert sum(t.stats.messages_sent for t in transports.values()) == 9
+                assert [len(accepted[i]) for i in range(4)] == [0, 1, 1, 1]
+                assert all(
+                    got[0][1].payload == message.payload for got in list(accepted.values())[1:]
+                )
+                assert codec_calls["encode"].count(KIND_TX) == 1
+                assert codec_calls["decode"].count(KIND_TX) == 3
+            finally:
+                await _stop_all(transports)
+
+        asyncio.run(run())
+
+    def test_a_seen_copy_is_counted_without_parsing_its_payload(self, codec_calls):
+        async def run() -> None:
+            manifest = localhost_manifest(ports=free_ports(2))
+            transports = await _start_transports(manifest, [0])
+            node = transports[0]
+            accepted: list[tuple[int, Message]] = []
+            node.attach(0, _contract_handler(node, accepted))
+            try:
+                spec = manifest.peer(0)
+                reader, writer = await asyncio.open_connection(spec.host, spec.port)
+                first = _tx_message(1)
+                writer.write(_hello(1) + frame(encode_message(first)))
+                await writer.drain()
+                assert await _wait_until(lambda: len(accepted) == 1, timeout=5.0)
+
+                # Same (origin, msg_id), a payload that cannot be decoded:
+                # counted as the duplicate it is, and the connection stays up.
+                writer.write(_garbage_tx(first.origin, first.msg_id))
+                await writer.drain()
+                assert await _wait_until(lambda: node.stats.messages_delivered == 2, timeout=5.0)
+                assert len(accepted) == 1
+                assert codec_calls["decode"].count(KIND_TX) == 1
+
+                # A sync frame is point-to-point: never skipped, whatever its id.
+                writer.write(_headers_request(first.origin, first.msg_id))
+                await writer.drain()
+                assert await _wait_until(lambda: len(accepted) == 2, timeout=5.0)
+                assert accepted[1][1].kind == KIND_SYNC_HEADERS_REQUEST
+                assert node.stats.messages_delivered == 3
+
+                # Offline, the duplicate is an offline drop like any arrival.
+                node.set_offline(0, True)
+                writer.write(_garbage_tx(first.origin, first.msg_id))
+                await writer.drain()
+                assert await _wait_until(
+                    lambda: node.stats.drops_by_reason["offline"] == 1, timeout=5.0
+                )
+                node.set_offline(0, False)
+                assert node.stats.messages_delivered == 3
+
+                # The same garbage under a fresh id is decoded, and refused.
+                writer.write(_garbage_tx(first.origin, first.msg_id + 1))
+                await writer.drain()
+                assert await _closed_by_peer(reader)
+                writer.close()
+                assert len(accepted) == 2
+                assert node.stats.messages_delivered == 3
+            finally:
+                await _stop_all(transports)
 
         asyncio.run(run())
 

@@ -296,3 +296,52 @@ class TestRunClockSemantics:
         sim.run(until=2.5, max_events=100)
         assert sim.now == 2.5
         assert fired == [0, 1]
+
+
+class TestReservedPlaces:
+    """``reserve``: a place in the event order for an event that is only counted."""
+
+    def test_a_reserved_place_orders_like_the_event_it_stands_for(self):
+        sim = Simulator()
+        fired: list[str] = []
+        sim.schedule_at(1.0, lambda: fired.append("before"))
+        seq = sim.reserve(1.0)
+        sim.schedule_at(1.0, lambda: fired.append("after"))
+        sim.schedule_at(1.0, lambda: fired.append("reserved"), seq)
+        sim.run()
+        assert fired == ["before", "reserved", "after"]
+
+    def test_position_tells_when_a_reserved_turn_has_passed(self):
+        sim = Simulator()
+        seen: list[bool] = []
+        sim.schedule_at(1.0, lambda: seen.append((1.0, place) < sim.position))
+        place = sim.reserve(1.0)
+        sim.schedule_at(1.0, lambda: seen.append((1.0, place) < sim.position))
+        sim.run(max_events=1)
+        assert not (1.0, place) < sim.position  # stopped on the event before it
+        sim.run(until=1.0)
+        assert seen == [False, True]
+        assert (1.0, place) < sim.position
+        later = sim.reserve(1.0)  # taken once the clock rests at the horizon
+        assert not (1.0, later) < sim.position
+
+    def test_a_horizon_covers_every_place_up_to_it(self):
+        sim = Simulator()
+        on_edge, beyond = sim.reserve(2.0), sim.reserve(2.5)
+        sim.run(until=2.0)
+        assert (2.0, on_edge) < sim.position < (2.5, beyond)
+
+    def test_drain_without_horizon_ends_at_the_last_reserved_place(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        place = sim.reserve(3.0)
+        sim.run()
+        assert sim.now == 3.0
+        assert (3.0, place) < sim.position
+
+    def test_events_processed_adds_what_owners_counted_without_a_callback(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        sim.uncalled_counts.append(lambda: 4)
+        sim.run()
+        assert sim.events_processed == 5

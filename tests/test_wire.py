@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chain.block import build_block
+from repro.chain.codec import Writer
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import make_transaction
 from repro.errors import CodecError
@@ -25,6 +27,7 @@ from repro.net.wire import (
     decode_message,
     encode_message,
     frame,
+    peek_envelope,
 )
 
 from tests.conftest import keypair
@@ -184,3 +187,146 @@ class TestFraming:
         decoder = FrameDecoder()
         with pytest.raises(CodecError, match="MAX_FRAME"):
             decoder.feed(hostile)
+
+
+# -- properties the live transport relies on -------------------------------------------
+
+_block_ids = st.binary(min_size=32, max_size=32)
+_id_lists = st.lists(_block_ids, max_size=4)
+_request_ids = st.text(max_size=12)
+_finite = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+_difficulties = st.floats(min_value=1.0, max_value=1e12, allow_nan=False)
+
+
+@st.composite
+def _transactions(draw):
+    return make_transaction(
+        keypair(draw(st.integers(0, 3))),
+        keypair(draw(st.integers(0, 3))).public.fingerprint(),
+        draw(st.integers(0, 2**40)),
+        draw(st.integers(0, 2**20)),
+        payload=draw(st.binary(max_size=40)),
+        pad_to=draw(st.sampled_from([None, 512])),
+    )
+
+
+@st.composite
+def _blocks(draw):
+    return build_block(
+        keypair(draw(st.integers(0, 3))),
+        parent_hash=draw(_block_ids),
+        height=draw(st.integers(1, 2**32)),
+        transactions=draw(st.lists(_transactions(), max_size=2)),
+        timestamp=draw(_finite),
+        difficulty_multiple=draw(_difficulties),
+        base_difficulty=draw(_difficulties),
+        epoch=draw(st.integers(0, 2**16)),
+        nonce=draw(st.integers(0, 2**32)),
+    )
+
+
+_payloads = st.one_of(
+    st.tuples(st.just(KIND_BLOCK), _blocks()),
+    st.tuples(st.just(KIND_TX), _transactions()),
+    st.tuples(st.just(KIND_HELLO), st.fixed_dictionaries({"node_id": st.integers(0, 2**16)})),
+    st.tuples(
+        st.just(KIND_SYNC_HEADERS_REQUEST),
+        st.fixed_dictionaries({"request_id": _request_ids, "locator": _id_lists}),
+    ),
+    st.tuples(
+        st.just(KIND_SYNC_HEADERS_RESPONSE),
+        st.fixed_dictionaries(
+            {
+                "request_id": _request_ids,
+                "start_height": st.integers(0, 2**32),
+                "ids": _id_lists,
+                "full": st.booleans(),
+            }
+        ),
+    ),
+    st.tuples(
+        st.just(KIND_SYNC_BLOCKS_REQUEST),
+        st.fixed_dictionaries({"request_id": _request_ids, "ids": _id_lists}),
+    ),
+    st.tuples(
+        st.just(KIND_SYNC_BLOCKS_RESPONSE),
+        st.fixed_dictionaries(
+            {"request_id": _request_ids, "blocks": st.lists(_blocks(), max_size=2)}
+        ),
+    ),
+)
+
+
+@st.composite
+def _messages(draw):
+    kind, payload = draw(_payloads)
+    return Message(
+        kind=kind,
+        payload=payload,
+        body_size=draw(st.integers(0, 2**24)),
+        origin=draw(st.integers(0, 2**16)),
+        msg_id=draw(st.integers(0, 2**48)),
+    )
+
+
+class TestWireProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_messages())
+    def test_the_codec_is_canonical(self, message):
+        """A forwarded copy may go out in the body it came in."""
+        body = encode_message(message)
+        assert encode_message(decode_message(body)) == body
+
+    @settings(max_examples=60, deadline=None)
+    @given(_messages())
+    def test_peek_reads_what_decode_reads_and_no_cut_envelope(self, message):
+        body = encode_message(message)
+        decoded = decode_message(body)
+        assert peek_envelope(body) == (decoded.kind, decoded.origin, decoded.msg_id)
+        envelope = Writer()
+        envelope.write_str(message.kind)
+        for field in (message.origin, message.msg_id, message.body_size):
+            envelope.write_varint(field)
+        cut = len(envelope.getvalue())
+        assert body[:cut] == envelope.getvalue()
+        assert peek_envelope(body[:cut]) == peek_envelope(body)
+        for length in range(cut):
+            with pytest.raises(CodecError):
+                peek_envelope(body[:length])
+
+    @given(st.lists(st.binary(max_size=40), max_size=6), st.data())
+    def test_any_split_of_a_stream_yields_the_same_frames(self, bodies, data):
+        stream = b"".join(frame(body) for body in bodies)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=8)))
+        decoder = FrameDecoder()
+        out: list[bytes] = []
+        for begin, end in zip([0, *cuts], [*cuts, len(stream)], strict=True):
+            out.extend(decoder.feed(stream[begin:end]))
+        assert out == bodies == FrameDecoder().feed(stream)
+        assert decoder.pending == 0
+
+    @given(
+        st.lists(st.binary(max_size=40), max_size=3),
+        st.integers(MAX_FRAME + 1, 2**32 - 1),
+        st.binary(max_size=40),
+        st.data(),
+    )
+    def test_oversized_length_is_refused_at_any_split_before_buffering(
+        self, bodies, declared, tail, data
+    ):
+        good = b"".join(frame(body) for body in bodies)
+        header_end = len(good) + FRAME_HEADER_BYTES
+        stream = good + declared.to_bytes(FRAME_HEADER_BYTES, "big") + tail
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=8)))
+        decoder = FrameDecoder()
+        for begin, end in zip([0, *cuts], [*cuts, len(stream)], strict=True):
+            if end < header_end:
+                decoder.feed(stream[begin:end])
+                continue
+            # The chunk that completes the hostile prefix is where it stops.
+            with pytest.raises(CodecError, match="MAX_FRAME"):
+                decoder.feed(stream[begin:end])
+            assert decoder.pending <= len(stream) - len(good)
+            break
+        else:
+            raise AssertionError("the hostile prefix was never completed")
