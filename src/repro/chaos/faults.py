@@ -33,7 +33,6 @@ from repro.net.transport import FaultableTransport, LinkDisturbance
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.consensus.powfamily import MiningNode
     from repro.net.clock import Clock
-    from repro.sim.tracing import Tracer
 
 
 # -- fault specifications -------------------------------------------------------------
@@ -188,12 +187,10 @@ class ChaosController:
         nodes: Sequence["MiningNode"],
         network: FaultableTransport,
         sim: "Clock",
-        tracer: "Tracer | None" = None,
     ) -> None:
         self.nodes: dict[int, "MiningNode"] = {node.node_id: node for node in nodes}
         self.network = network
         self.sim = sim
-        self.tracer = tracer
         self.log: list[FaultEvent] = []
         self.stats = ChaosStats()
         self._link_fault_counter = 0
@@ -207,8 +204,6 @@ class ChaosController:
             detail=tuple(sorted(detail.items())),
         )
         self.log.append(event)
-        if self.tracer is not None:
-            self.tracer.emit(self.sim.now, detail.get("node", -1), f"fault/{action}", **detail)
 
     def _node(self, node_id: int) -> "MiningNode":
         node = self.nodes.get(node_id)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from repro.chain.block import BLOCK_VERSION, Block, BlockHeader
 from repro.consensus.base import (
+    COMPACT_TX_BYTES,
     HEADER_WIRE_BYTES,
     VOTE_BYTES,
     ConsensusNode,
@@ -48,7 +49,6 @@ class PBFTConfig:
 
     Attributes:
         batch_size: transactions per proposal (virtual, for TPS accounting).
-        compact_blocks: charge id-only proposals (bodies pre-disseminated).
         base_timeout: view-change timeout in seconds; ``None`` derives a
             safe value from the expected round duration at the given ``n``.
         timeout_backoff: timeout multiplier after consecutive view changes
@@ -56,7 +56,6 @@ class PBFTConfig:
     """
 
     batch_size: int = 2000
-    compact_blocks: bool = True
     base_timeout: float | None = None
     timeout_backoff: float = 2.0
 
@@ -146,8 +145,8 @@ class PBFTCluster:
         return serialization + link.min_delay
 
     def _proposal_wire(self) -> int:
-        per_tx = 32 if self.config.compact_blocks else 512
-        return HEADER_WIRE_BYTES + per_tx * self.config.batch_size
+        """An id-only proposal: bodies are pre-disseminated (§VII-A)."""
+        return HEADER_WIRE_BYTES + COMPACT_TX_BYTES * self.config.batch_size
 
     def expected_round_duration(self) -> float:
         """Analytic estimate of a fault-free round (used for the timeout)."""

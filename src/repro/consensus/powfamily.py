@@ -17,32 +17,32 @@ gossips solved blocks, validates and inserts received blocks, and re-arms its
 miner whenever the head moves — re-sampling on head change is statistically
 free because exponential solve times are memoryless.
 
-Two workload modes:
-
-* **virtual** (default) — blocks carry no transaction bodies; each block
-  represents ``batch_size`` transactions for TPS accounting and is charged
-  the corresponding wire size.  This is how the large sweeps (Fig. 4–9) run.
-* **real** — blocks carry signed :class:`~repro.chain.transaction.Transaction`
-  objects drawn from a mempool and executed against the ledger (used by the
-  governance example and integration tests).
+:class:`MiningNode` is consensus only (§VII-A evaluates it on *virtual*
+full blocks): blocks carry no transaction bodies, each represents
+``batch_size`` transactions for TPS accounting and is charged the
+corresponding compact wire size.  This is how the large sweeps (Fig. 4–9)
+run.  The data plane — signed transactions drawn from a mempool and executed
+against the ledger — is :class:`~repro.node.node.FullNode`, which fills in
+the four hooks below (:meth:`MiningNode._select_transactions`,
+:meth:`~MiningNode.block_wire_bytes`, :meth:`~MiningNode._handle_transaction`,
+:meth:`~MiningNode._head_moved`); the block path itself is this module's.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.chain.block import Block, sign_block
 from repro.chain.blocktree import BlockTree
+from repro.chain.transaction import Transaction
 from repro.core.difficulty import DifficultyTable
 from repro.core.election import BlockBuilder, BlockValidator
 from repro.core.themis import ConsensusChainState, RuleKind
 from repro.crypto.keys import KeyPair
 from repro.errors import InvalidBlockError
-from repro.ledger.executor import Executor
-from repro.ledger.mempool import Mempool
-from repro.ledger.state import AccountState
 from repro.mining.miner import RealMiner
 from repro.net.clock import TimerHandle
 from repro.net.message import Message, is_sync_kind
@@ -63,8 +63,6 @@ class MiningNodeConfig:
         hash_rate: the node's actual computing power ``h_i`` in puzzle
             evaluations per second.
         batch_size: virtual transactions represented by each block.
-        compact_blocks: charge compact (id-only) block relays; see
-            :meth:`~repro.consensus.base.ConsensusNode.block_wire_size`.
         sign_blocks / verify_signatures: real ECDSA on headers and gossiped
             transactions.  On for correctness tests, off for the figure
             sweeps, whose committed numbers were taken unsigned (pure-Python
@@ -73,7 +71,6 @@ class MiningNodeConfig:
             one object verify it once).
         real_pow: grind real SHA-256 nonces instead of sampling the oracle.
             Implies puzzle verification on receipt.
-        execute_ledger: carry and execute real transactions.
         sync: chain-sync protocol tuning (timeouts, retries, backoff).
     """
 
@@ -81,11 +78,9 @@ class MiningNodeConfig:
     adaptive: bool = True
     hash_rate: float = 1.0
     batch_size: int = 2000
-    compact_blocks: bool = True
     sign_blocks: bool = False
     verify_signatures: bool = False
     real_pow: bool = False
-    execute_ledger: bool = False
     # default_factory, NOT a module-level default instance: a single shared
     # SyncConfig as the class default would alias every node's sync tuning
     # to one object (harmless only as long as it stays frozen, and a trap
@@ -134,8 +129,6 @@ class MiningNode(ConsensusNode):
         keypair: KeyPair,
         ctx: RunContext,
         config: MiningNodeConfig,
-        mempool: Mempool | None = None,
-        executor: Executor | None = None,
         members_fn: Callable[[], list[bytes]] | None = None,
     ) -> None:
         super().__init__(node_id, keypair, ctx)
@@ -162,15 +155,12 @@ class MiningNode(ConsensusNode):
             verify_signatures=config.verify_signatures,
         )
         self.miner = RealMiner(ctx.params.t0) if config.real_pow else None
-        self.mempool = mempool if mempool is not None else Mempool()
-        self.executor = executor if executor is not None else Executor()
-        self.ledger = AccountState()
-        self.builder = BlockBuilder(keypair=keypair, mempool=self.mempool)
+        self.builder = BlockBuilder(keypair=keypair)
         self.stats = MiningStats()
         self.sync = SyncManager(self, config.sync)
         # Durable storage is opt-in (live mode only).  It stays None in
-        # simulations, and every persistence hook below is None-guarded, so
-        # simulated runs are byte-identical with or without this subsystem.
+        # simulations, and :meth:`_attach` is None-guarded, so simulated
+        # runs are byte-identical with or without this subsystem.
         self.storage: ChainStorage | None = None
         self.clock_skew = 0.0
         self.crashed = False
@@ -201,14 +191,13 @@ class MiningNode(ConsensusNode):
     def crash(self) -> None:
         """Simulate a process crash: go dark and lose volatile state.
 
-        The block tree survives (the chain store is durable); the mempool
-        and any in-flight sync are process memory and are lost.  The node's
-        endpoint goes offline, so deliveries already in flight toward it are
-        dropped (and counted) by the network.
+        The block tree survives (the chain store is durable); any in-flight
+        sync is process memory and is lost.  The node's endpoint goes
+        offline, so deliveries already in flight toward it are dropped (and
+        counted) by the network.
         """
         self.stop()
         self.sync.abort()
-        self.mempool.clear()
         self._resume_after_sync = False
         self.crashed = True
         self.ctx.network.set_offline(self.node_id, True)
@@ -275,18 +264,10 @@ class MiningNode(ConsensusNode):
             if block.height == 0 or self.state.tree.has_block(block.block_id):
                 continue
             self.state.add_block(block, recovered.arrival_time(block.block_id))
-        # One head-update pass at the end (FullNode re-executes the ledger
-        # here) instead of per replayed block.
-        self._after_head_update()
+        # One head-moved pass at the end (FullNode executes the ledger
+        # here) instead of per replayed block; nothing is re-recorded.
+        self._head_moved()
         return self.state.height()
-
-    def _persist_block(self, block: Block) -> None:
-        if self.storage is not None:
-            self.storage.record_block(block, self.ctx.sim.now)
-
-    def _persist_commit(self) -> None:
-        if self.storage is not None:
-            self.storage.commit(self.state.head_id, self.state.tree)
 
     # -- mining --------------------------------------------------------------------
 
@@ -312,9 +293,7 @@ class MiningNode(ConsensusNode):
         self._mining_handle = None
         parent = self.state.head_block()
         multiple, base, epoch = self.state.mining_assignment(self.address)
-        transactions = (
-            self.builder.select_transactions() if self.config.execute_ledger else []
-        )
+        transactions = self._select_transactions()
         header = self.builder.build_header(
             parent=parent,
             transactions=transactions,
@@ -340,23 +319,63 @@ class MiningNode(ConsensusNode):
             block=block.block_id.hex()[:10],
             difficulty=round(header.difficulty, 3),
         )
-        self.state.add_block(block, self.ctx.sim.now)
-        self._persist_block(block)
-        self._after_head_update()
-        self._persist_commit()
-        self._arm_miner()  # keep mining on top of the fresh head
-        tx_count = (
-            len(transactions) if self.config.execute_ledger else self.config.batch_size
-        )
+        # Adopt first: the miner re-arms on the fresh head (and draws from
+        # the oracle) before the gossip fan-out draws its jitter.
+        self._attach(block)
+        self._announce(block)
+
+    def _announce(self, block: Block) -> None:
+        """Gossip a block this node produced."""
         self.ctx.network.gossip(
             self.node_id,
             Message(
                 kind="block",
                 payload=block,
-                body_size=self.block_wire_size(tx_count, self.config.compact_blocks),
+                body_size=self.block_wire_bytes(block),
                 origin=self.node_id,
             ),
         )
+
+    def _attach(self, block: Block) -> None:
+        """The one way a block enters this node (§III: "valid blocks will be
+        added to the local block tree").
+
+        Inserts, records durably, and — when the head moved — counts and
+        traces a reorg, lets the data plane follow (:meth:`_head_moved`),
+        commits, and re-arms the miner on the new head, in that order.
+        """
+        outcome = self.state.add_block(block, self.ctx.sim.now)
+        if self.storage is not None:
+            self.storage.record_block(block, self.ctx.sim.now)
+        if outcome == "reorg":
+            self.stats.reorgs += 1
+            self._trace(
+                "chain/reorg",
+                height=block.height,
+                new_head=self.state.head_id.hex()[:10],
+            )
+        if outcome in ("extended", "reorg"):
+            self._head_moved()
+            if self.storage is not None:
+                self.storage.commit(self.state.head_id, self.state.tree)
+            self._arm_miner()
+
+    # -- what the data plane overrides (consensus-only bodies) ----------------------
+
+    def _select_transactions(self) -> Sequence[Transaction]:
+        """The next block's body: virtual blocks carry none."""
+        return ()
+
+    def block_wire_bytes(self, block: Block) -> int:
+        """Bytes ``block`` is charged on the wire: a compact relay of the
+        ``batch_size`` virtual transactions it stands for."""
+        return self.block_wire_size(self.config.batch_size, compact=True)
+
+    def _handle_transaction(self, tx: Transaction) -> None:
+        """A gossiped transaction: a consensus-only node keeps no pool."""
+
+    def _head_moved(self) -> None:
+        """The main chain changed (extension or reorg): nothing rides on it here."""
 
     # -- reception ------------------------------------------------------------------
 
@@ -370,10 +389,7 @@ class MiningNode(ConsensusNode):
         if not self.ctx.network.gossip_deliver(self.node_id, from_peer, message):
             return
         if message.kind == "block":
-            block = message.payload
-            if self.config.verify_signatures:
-                block = self._with_admitted_transactions(block)
-            self._handle_block(block)
+            self._handle_block(message.payload)
             # A growing orphan buffer means we are missing a chain segment
             # (we were offline, or a partition healed): pull it from the
             # peer that is feeding us the unknown branch.
@@ -384,31 +400,9 @@ class MiningNode(ConsensusNode):
                 self._last_sync_request = self.ctx.sim.now
                 self.request_sync(from_peer)
         elif message.kind == "tx":
-            tx = message.payload
-            # Same admission rule as a local submit; the verdict is memoised
-            # on the transaction, so executing it later costs nothing more.
-            if not self.config.verify_signatures or tx.verify_signature():
-                self.mempool.add(tx)
-
-    def _with_admitted_transactions(self, block: Block) -> Block:
-        """Swap in the pool's copy of every transaction this node admitted.
-
-        A block decoded from the wire carries fresh transaction objects; the
-        copies admitted from gossip already hold their signature verdict, and
-        an equal ``tx_id`` means equal bytes, so executing the block need not
-        verify them again.  Shared in-process objects come back unchanged.
-        """
-        pooled = tuple(self.mempool.get(tx.tx_id) or tx for tx in block.transactions)
-        if all(a is b for a, b in zip(pooled, block.transactions, strict=True)):
-            return block
-        return replace(block, transactions=pooled)
+            self._handle_transaction(message.payload)
 
     # -- chain sync -------------------------------------------------------------------
-
-    @property
-    def SYNC_BATCH(self) -> int:  # noqa: N802 - historical constant name
-        """Main-chain ids / blocks per sync page (see :class:`SyncConfig`)."""
-        return self.sync.config.batch
 
     def request_sync(self, peer: int | None = None) -> None:
         """Start the catch-up protocol against ``peer`` (or rotate peers).
@@ -457,37 +451,8 @@ class MiningNode(ConsensusNode):
         # buffers the block and it is validated structurally only.  Orphans
         # are rare (gossip mostly preserves causality) and a bad orphan can
         # never become head without a valid ancestry.
-        outcome = self.state.add_block(block, self.ctx.sim.now)
+        self._attach(block)
         self.stats.blocks_accepted += 1
-        self._persist_block(block)
-        if outcome == "reorg":
-            self.stats.reorgs += 1
-            self._trace(
-                "chain/reorg",
-                height=block.height,
-                new_head=self.state.head_id.hex()[:10],
-            )
-        if outcome in ("extended", "reorg"):
-            self._on_main_chain_advance(block, outcome)
-            self._persist_commit()
-            self._arm_miner()
-
-    def _on_main_chain_advance(self, block: Block, outcome: str) -> None:
-        if not self.config.execute_ledger:
-            return
-        if outcome == "extended":
-            self.mempool.remove(tx.tx_id for tx in block.transactions)
-        else:
-            # After a reorg, rebuild the committed set conservatively: remove
-            # everything on the new main chain, re-admit nothing (the old
-            # branch's transactions were never dropped from the pool).
-            for chain_block in self.state.main_chain():
-                self.mempool.remove(tx.tx_id for tx in chain_block.transactions)
-
-    def _after_head_update(self) -> None:
-        if self.config.execute_ledger:
-            head = self.state.head_block()
-            self.mempool.remove(tx.tx_id for tx in head.transactions)
 
     # -- views -----------------------------------------------------------------------
 

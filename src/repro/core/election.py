@@ -1,9 +1,9 @@
 """Node election phase: candidate construction and block validation (§III).
 
-Production side — :class:`BlockBuilder` assembles a candidate block for the
-current round: transactions are drawn from the mempool "upon preferences",
-the header is initialized with the node's current difficulty parameters, and
-the solved header is signed.
+Production side — :class:`BlockBuilder` initializes the candidate header for
+the current round with the node's current difficulty parameters over the
+body the node chose (drawing it from a mempool "upon preferences" is the
+data plane's job, :meth:`repro.node.node.FullNode._select_transactions`).
 
 Reception side — :class:`BlockValidator` runs the paper's three checks in
 order: (1) "whether the block header signature belongs to the node in the
@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
-from repro.chain.block import BLOCK_VERSION, Block, BlockHeader, sign_block
+from repro.chain.block import BLOCK_VERSION, Block, BlockHeader
 from repro.chain.transaction import Transaction
 from repro.core.difficulty import DifficultyTable
 from repro.crypto.hashing import meets_target, target_for_difficulty
 from repro.crypto.keys import KeyPair
 from repro.crypto.merkle import merkle_root_of_payloads
 from repro.errors import InvalidBlockError
-from repro.ledger.mempool import Mempool, PreferenceFn
 
 #: Relative tolerance when comparing declared vs. recomputed difficulty
 #: (both sides derive from the same float pipeline, so this is generous).
@@ -34,21 +33,13 @@ DIFFICULTY_RTOL = 1e-6
 
 @dataclass
 class BlockBuilder:
-    """Builds and signs candidate blocks for one node.
+    """Builds candidate headers for one node.
 
     Attributes:
-        keypair: the node's signing identity.
-        mempool: transaction source.
-        max_block_txs: cap on transactions per block.
-        max_block_bytes: cap on serialized body bytes per block.
-        preference: optional mempool ordering preference (§III).
+        keypair: the node's identity; its fingerprint is the producer field.
     """
 
     keypair: KeyPair
-    mempool: Mempool
-    max_block_txs: int = 128
-    max_block_bytes: int | None = None
-    preference: PreferenceFn | None = None
 
     def build_header(
         self,
@@ -72,33 +63,6 @@ class BlockBuilder:
             epoch=epoch,
             nonce=0,
         )
-
-    def select_transactions(self) -> list[Transaction]:
-        """Draw the round's transactions from the pool (§III preferences)."""
-        return self.mempool.select(
-            max_count=self.max_block_txs,
-            max_bytes=self.max_block_bytes,
-            preference=self.preference,
-        )
-
-    def build_candidate(
-        self,
-        parent: Block,
-        timestamp: float,
-        multiple: float,
-        base_difficulty: float,
-        epoch: int,
-    ) -> tuple[BlockHeader, list[Transaction]]:
-        """Assemble the unsolved candidate (header + body)."""
-        txs = self.select_transactions()
-        header = self.build_header(
-            parent, txs, timestamp, multiple, base_difficulty, epoch
-        )
-        return header, txs
-
-    def finalize(self, header: BlockHeader, transactions: Sequence[Transaction]) -> Block:
-        """Sign a solved header and bundle the block for broadcast (§III)."""
-        return sign_block(self.keypair, header, transactions)
 
 
 @dataclass

@@ -28,10 +28,6 @@ class ChainError(ReproError):
     """Base class for blockchain data-structure errors."""
 
 
-class UnknownParentError(ChainError):
-    """Raised when a block references a parent absent from the block tree."""
-
-
 class DuplicateBlockError(ChainError):
     """Raised when a block is inserted twice into a block tree."""
 

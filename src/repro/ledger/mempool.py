@@ -62,7 +62,12 @@ class Mempool:
         return True
 
     def add_all(self, txs: Iterable[Transaction]) -> int:
-        """Admit many transactions; returns the number actually added."""
+        """Admit many transactions; returns the number actually added.
+
+        Also how transactions from blocks evicted by a reorg come back: they
+        rejoin at the back of the arrival order — a real node cannot
+        reconstruct their original positions after the fact.
+        """
         return sum(1 for tx in txs if self.add(tx))
 
     def select(
@@ -106,14 +111,6 @@ class Mempool:
                 self._arrival.pop(tx_id, None)
                 removed += 1
         return removed
-
-    def readmit(self, txs: Iterable[Transaction]) -> int:
-        """Re-admit transactions from blocks evicted by a reorg.
-
-        They rejoin at the back of the arrival order — a real node cannot
-        reconstruct their original positions after the fact.
-        """
-        return self.add_all(txs)
 
     def clear(self) -> None:
         """Drop everything."""

@@ -81,10 +81,6 @@ class MiningOracle:
         )
         return self.rng.standard_exponential(len(scales)) * scales
 
-    def expected_solve_time(self, hash_rate: float, difficulty: float) -> float:
-        """Mean of the solve-time distribution, ``1/rate``."""
-        return 1.0 / self.solve_rate(hash_rate, difficulty)
-
 
 def network_block_rate(
     oracle: MiningOracle,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.core.themis import RuleKind
+from repro.consensus.powfamily import MiningNodeConfig
 
 
 def env_setting(name: str, default: str | None = None) -> str | None:
@@ -26,7 +26,7 @@ def env_setting(name: str, default: str | None = None) -> str | None:
 
 
 @dataclass(frozen=True)
-class FullNodeConfig:
+class FullNodeConfig(MiningNodeConfig):
     """Configuration for a :class:`~repro.node.node.FullNode`.
 
     Full nodes run the complete pipeline — signed transactions, mempool,
@@ -35,22 +35,18 @@ class FullNodeConfig:
     and integration tests (the large benchmark sweeps use the leaner
     :class:`~repro.consensus.powfamily.MiningNode` directly).
 
+    Every consensus switch is :class:`MiningNodeConfig`'s (``batch_size`` is
+    unused: a full node's blocks carry their real transactions); a
+    deployment signs and verifies unless told otherwise.
+
     Attributes:
-        rule_kind: main-chain rule; ``geost`` for full Themis.
-        adaptive: §IV-A difficulty multiples on/off.
-        hash_rate: node's actual computing power ``h_i``.
-        max_block_txs: cap on transactions per block.
         sign_blocks: sign produced block headers (§III) — on by default.
         verify_signatures: verify received headers and transactions.
-        real_pow: grind real SHA-256 puzzles (use an easy ``t0``).
+        max_block_txs: cap on transactions per block.
         initial_balance: genesis balance credited to each member account.
     """
 
-    rule_kind: RuleKind = "geost"
-    adaptive: bool = True
-    hash_rate: float = 1.0
-    max_block_txs: int = 128
     sign_blocks: bool = True
     verify_signatures: bool = True
-    real_pow: bool = False
+    max_block_txs: int = 128
     initial_balance: int = 1_000_000

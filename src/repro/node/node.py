@@ -14,14 +14,20 @@ plane the paper describes for a consortium deployment:
 Every FullNode keeps its own replica of contract state derived purely from
 its main chain, so membership stays consistent without extra communication —
 the same property the difficulty table relies on (§IV-A).
+
+The consensus node underneath knows nothing of this: the data plane follows
+the main chain through the one hook :meth:`FullNode._head_moved`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from dataclasses import replace
+
 from repro.chain.block import Block
 from repro.chain.transaction import Transaction, make_transaction
 from repro.consensus.base import RunContext
-from repro.consensus.powfamily import MiningNode, MiningNodeConfig
+from repro.consensus.powfamily import MiningNode
 from repro.core.nodeset import NodeSetManager
 from repro.crypto.keys import KeyPair
 from repro.errors import InvalidTransactionError
@@ -41,6 +47,8 @@ from repro.node.config import FullNodeConfig
 class FullNode(MiningNode):
     """A complete consortium-blockchain node."""
 
+    config: FullNodeConfig
+
     def __init__(
         self,
         node_id: int,
@@ -48,39 +56,28 @@ class FullNode(MiningNode):
         ctx: RunContext,
         config: FullNodeConfig | None = None,
     ) -> None:
-        self.full_config = config or FullNodeConfig()
-        cfg = self.full_config
         self.nodeset = NodeSetManager.from_members(list(ctx.members))
-        executor = Executor(verify_signatures=cfg.verify_signatures)
-        executor.register(self.nodeset.contract)
         super().__init__(
             node_id,
             keypair,
             ctx,
-            MiningNodeConfig(
-                rule_kind=cfg.rule_kind,
-                adaptive=cfg.adaptive,
-                hash_rate=cfg.hash_rate,
-                batch_size=0,
-                compact_blocks=False,
-                sign_blocks=cfg.sign_blocks,
-                verify_signatures=cfg.verify_signatures,
-                real_pow=cfg.real_pow,
-                execute_ledger=True,
-            ),
-            mempool=Mempool(),
-            executor=executor,
+            config or FullNodeConfig(),
             members_fn=lambda: self.nodeset.members,
         )
-        self.builder.max_block_txs = cfg.max_block_txs
-        self._executed_head: bytes = ctx.genesis.block_id
+        self.mempool = Mempool()
+        self.executor = Executor(verify_signatures=self.config.verify_signatures)
+        self.executor.register(self.nodeset.contract)
         self.ledger = self._genesis_state()
+        # The main-chain blocks (index = height) whose effects the pool and
+        # the ledger reflect, and the transaction ids they carry.
+        self._applied: list[Block] = [ctx.genesis]
+        self._applied_txs: set[bytes] = set()
         self._nonce = 0
 
     def _genesis_state(self) -> AccountState:
         state = AccountState()
         for member in self.ctx.members:
-            state.credit(member, self.full_config.initial_balance)
+            state.credit(member, self.config.initial_balance)
         return state
 
     # -- lifecycle ----------------------------------------------------------------
@@ -88,11 +85,12 @@ class FullNode(MiningNode):
     def crash(self) -> None:
         """Crash the full node: volatile transaction state dies with it.
 
-        The in-flight nonce counter is process memory; after restart it is
-        re-derived from the executed ledger, which survives because it is a
-        pure function of the (durable) chain.
+        The mempool and the in-flight nonce counter are process memory; after
+        restart the nonce is re-derived from the executed ledger, which
+        survives because it is a pure function of the (durable) chain.
         """
         super().crash()
+        self.mempool.clear()
         self._nonce = 0
 
     # -- transactions -------------------------------------------------------------
@@ -112,11 +110,22 @@ class FullNode(MiningNode):
         """Admit a transaction locally and gossip it to the network."""
         if self.config.verify_signatures and not tx.verify_signature():
             raise InvalidTransactionError("refusing to gossip an unsigned transaction")
-        if self.mempool.add(tx):
+        if self._admit(tx):
             self.ctx.network.gossip(
                 self.node_id,
                 Message(kind="tx", payload=tx, body_size=tx.size, origin=self.node_id),
             )
+
+    def _handle_transaction(self, tx: Transaction) -> None:
+        # Same admission rule as a local submit; the verdict is memoised on
+        # the transaction, so executing it later costs nothing more.
+        if not self.config.verify_signatures or tx.verify_signature():
+            self._admit(tx)
+
+    def _admit(self, tx: Transaction) -> bool:
+        """Pool ``tx`` unless it is a duplicate or already on the main chain
+        (a late flood copy of a mined transaction must not be mined twice)."""
+        return tx.tx_id not in self._applied_txs and self.mempool.add(tx)
 
     def pay(self, recipient: bytes, amount: int) -> Transaction:
         """Build, sign and submit a transfer from this node's account."""
@@ -162,42 +171,79 @@ class FullNode(MiningNode):
         self.submit_transaction(tx)
         return tx
 
-    # -- execution -----------------------------------------------------------------------
+    # -- the data plane's side of the block path ------------------------------------------
 
-    def _on_main_chain_advance(self, block: Block, outcome: str) -> None:
-        super()._on_main_chain_advance(block, outcome)
-        self._sync_ledger()
+    def _select_transactions(self) -> Sequence[Transaction]:
+        """Draw the round's transactions from the pool (§III preferences)."""
+        return self.mempool.select(max_count=self.config.max_block_txs)
 
-    def _after_head_update(self) -> None:
-        super()._after_head_update()
-        self._sync_ledger()
+    def block_wire_bytes(self, block: Block) -> int:
+        """Full relay: header plus §VII-A's 512 bytes per carried transaction."""
+        return self.block_wire_size(len(block.transactions), compact=False)
 
-    def _sync_ledger(self) -> None:
-        """(Re-)execute the main chain into the ledger state.
+    def _handle_block(self, block: Block) -> None:
+        if self.config.verify_signatures:
+            block = self._with_admitted_transactions(block)
+        super()._handle_block(block)
 
-        Extensions execute incrementally; reorgs replay from genesis (chains
-        in full-node deployments are short, and correctness beats speed
-        here).  After execution the §IV-C round boundary fires: passed
-        membership proposals take effect.
+    def _with_admitted_transactions(self, block: Block) -> Block:
+        """Swap in the pool's copy of every transaction this node admitted.
+
+        A block decoded from the wire carries fresh transaction objects; the
+        copies admitted from gossip already hold their signature verdict, and
+        an equal ``tx_id`` means equal bytes, so executing the block need not
+        verify them again.  Shared in-process objects come back unchanged.
         """
-        head = self.state.head_id
-        if head == self._executed_head:
-            return
-        chain = self.state.main_chain()
-        chain_ids = [b.block_id for b in chain]
-        if self._executed_head in chain_ids:
-            start = chain_ids.index(self._executed_head) + 1
-        else:
-            # Reorg: replay from scratch with fresh contract state.
+        pooled = tuple(self.mempool.get(tx.tx_id) or tx for tx in block.transactions)
+        if all(a is b for a, b in zip(pooled, block.transactions, strict=True)):
+            return block
+        return replace(block, transactions=pooled)
+
+    def _head_moved(self) -> None:
+        """Bring pool and ledger to the new main chain, in O(blocks moved).
+
+        Blocks at the top of ``_applied`` that are no longer on the main
+        chain *left*; the main chain above what remains *joined*.  Every
+        joined transaction leaves the pool; a left block's transactions go
+        back into it unless a joined block carries them, so a reorg loses
+        none and repeats none.  Extensions execute incrementally; a reorg
+        replays from genesis with fresh contract state (chains in full-node
+        deployments are short, and correctness beats speed here).  After
+        each block the §IV-C round boundary fires: passed membership
+        proposals take effect.
+        """
+        applied = self._applied
+        left: list[Block] = []
+        while self.state.chain_position(applied[-1].block_id) is None:
+            left.append(applied.pop())
+        joined = [
+            self.state.block_at(height)
+            for height in range(len(applied), self.state.height() + 1)
+        ]
+        for block in left:
+            self._applied_txs.difference_update(tx.tx_id for tx in block.transactions)
+        for block in joined:
+            tx_ids = [tx.tx_id for tx in block.transactions]
+            self._applied_txs.update(tx_ids)
+            self.mempool.remove(tx_ids)
+        # Oldest block first, so one sender's nonces re-enter in order.
+        self.mempool.add_all(
+            tx
+            for block in reversed(left)
+            for tx in block.transactions
+            if tx.tx_id not in self._applied_txs
+        )
+        replay = joined
+        if left:
             self.nodeset = NodeSetManager.from_members(list(self.ctx.members))
             self.executor.contracts.clear()
             self.executor.register(self.nodeset.contract)
             self.ledger = self._genesis_state()
-            start = 1
-        for block in chain[start:]:
+            replay = applied[1:] + joined
+        for block in replay:
             self.executor.execute_block(self.ledger, block)
             self.nodeset.begin_round()
-        self._executed_head = head
+        applied.extend(joined)
 
     # -- views ---------------------------------------------------------------------------
 

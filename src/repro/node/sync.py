@@ -286,15 +286,7 @@ class SyncManager:
         for block_id in message.payload["ids"][: self.config.batch]:
             if tree.has_block(block_id):
                 blocks.append(tree.get(block_id))
-        body = sum(
-            self.node.block_wire_size(
-                len(b.transactions)
-                if self.node.config.execute_ledger
-                else self.node.config.batch_size,
-                self.node.config.compact_blocks,
-            )
-            for b in blocks
-        )
+        body = sum(self.node.block_wire_bytes(block) for block in blocks)
         response = Message(
             kind=KIND_SYNC_BLOCKS_RESPONSE,
             payload={"request_id": message.payload["request_id"], "blocks": blocks},

@@ -29,7 +29,6 @@ import numpy as np
 from repro.chain.block import Block
 from repro.consensus.powfamily import MiningNode
 from repro.errors import SimulationError
-from repro.net.message import Message
 from repro.net.transport import FaultableTransport
 
 
@@ -113,24 +112,9 @@ class SelfishMiner(MiningNode):
         self.release_lead = release_lead
         self._withheld: list[Block] = []
 
-    def _produce_block(self) -> None:
-        """Mine like an honest node but withhold instead of gossiping."""
-        self._mining_handle = None
-        parent = self.state.head_block()
-        multiple, base, epoch = self.state.mining_assignment(self.address)
-        header = self.builder.build_header(
-            parent=parent,
-            transactions=[],
-            timestamp=self.ctx.sim.now,
-            multiple=multiple,
-            base_difficulty=base,
-            epoch=epoch,
-        )
-        block = Block(header, None, ())
-        self.stats.blocks_produced += 1
-        self.state.add_block(block, self.ctx.sim.now)
+    def _announce(self, block: Block) -> None:
+        """Withhold instead of gossiping: the block stays private."""
         self._withheld.append(block)
-        self._arm_miner()
 
     def _handle_block(self, block: Block) -> None:
         """Track honest progress; release the private chain when threatened."""
@@ -145,17 +129,7 @@ class SelfishMiner(MiningNode):
     def release(self) -> None:
         """Publish all withheld blocks at once."""
         for block in self._withheld:
-            self.ctx.network.gossip(
-                self.node_id,
-                Message(
-                    kind="block",
-                    payload=block,
-                    body_size=self.block_wire_size(
-                        self.config.batch_size, self.config.compact_blocks
-                    ),
-                    origin=self.node_id,
-                ),
-            )
+            super()._announce(block)
         self._withheld.clear()
 
     @property

@@ -23,8 +23,8 @@ the batch finishes and is cached; :class:`EngineError` then lists every
 failure.  A worker *death* (segfault, OOM kill, ``os._exit``) breaks the
 pool without saying which point did it, so the unfinished points are run
 in-process instead.  There is no per-task timeout or retry: every run is
-bounded by ``ExperimentConfig.max_events`` / ``max_sim_time``, and a run is
-a pure function of its config, so a retry recomputes the same failure.
+bounded by ``ExperimentConfig.max_events`` and ``runner.MAX_SIM_TIME``, and a
+run is a pure function of its config, so a retry recomputes the same failure.
 """
 
 from __future__ import annotations

@@ -262,21 +262,16 @@ class ChaosReport:
         )
 
 
-def chaos_report(controller, network_stats, monitor=None) -> ChaosReport:
+def chaos_report(controller, network_stats, monitor) -> ChaosReport:
     """Summarize a run's injected faults and their observable impact.
 
     Args:
         controller: the run's :class:`~repro.chaos.faults.ChaosController`.
         network_stats: the run's :class:`~repro.net.network.NetworkStats`.
-        monitor: optional :class:`~repro.chaos.invariants.InvariantMonitor`.
+        monitor: the run's :class:`~repro.chaos.invariants.InvariantMonitor`.
     """
     stats = controller.stats
-    checks = monitor.report.checks_run if monitor is not None else 0
-    violations = (
-        monitor.report.safety_violations + monitor.report.liveness_violations
-        if monitor is not None
-        else 0
-    )
+    report = monitor.report
     return ChaosReport(
         crashes=stats.crashes,
         restarts=stats.restarts,
@@ -287,8 +282,8 @@ def chaos_report(controller, network_stats, monitor=None) -> ChaosReport:
         messages_dropped=network_stats.messages_dropped,
         messages_duplicated=network_stats.messages_duplicated,
         recovered_producers=controller.recovered_producer_count(),
-        invariant_checks=checks,
-        invariant_violations=violations,
+        invariant_checks=report.checks_run,
+        invariant_violations=report.safety_violations + report.liveness_violations,
     )
 
 

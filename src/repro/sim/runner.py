@@ -53,6 +53,13 @@ from repro.sim.metrics import (
 
 Algorithm = Literal["themis", "themis-lite", "pow-h", "pbft"]
 
+#: Simulated-seconds safety cap on every run.
+MAX_SIM_TIME = 10_000_000.0
+
+#: The epoch TPS and fork statistics start from (epoch 0 is the warmup where
+#: ``D_base`` is still calibrating to the invested power).
+MEASURE_FROM_EPOCH = 1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -76,13 +83,11 @@ class ExperimentConfig:
         jitter: per-hop uniform delay jitter in seconds (breaks ties the way
             real networks do).
         bandwidth_bps / min_delay: §VII-A link parameters.
-        max_sim_time: simulated-seconds safety cap.
         max_events: event-count safety cap.
         fault_plan: optional chaos schedule (crashes, partitions, link
             degradation, clock skew) armed onto the run; PoW-family only.
-        monitor_invariants: run the safety/liveness invariant monitor
-            continuously during PoW-family runs, failing fast on violation.
-        confirmation_depth: settled-prefix depth for the safety monitor.
+        confirmation_depth: settled-prefix depth for the safety monitor,
+            which sweeps every PoW-family run and fails fast on violation.
         invariant_check_interval: simulated seconds between monitor sweeps.
         liveness_window: no-growth tolerance in seconds; defaults (None) to
             ``100 · i0``.
@@ -100,26 +105,20 @@ class ExperimentConfig:
     degree: int = 6
     batch_size: int = 2000
     vulnerable_ratio: float = 0.0
-    measure_from_epoch: int = 1
     target_height: int | None = None
     measure_from_height: int | None = None
-    calibrate_initial_difficulty: bool = True
     jitter: float = 0.02
     bandwidth_bps: float = 20_000_000.0
     min_delay: float = 0.100
-    max_sim_time: float = 10_000_000.0
     max_events: int = 200_000_000
     fault_plan: FaultPlan | None = None
-    monitor_invariants: bool = True
     confirmation_depth: int = 16
     invariant_check_interval: float = 20.0
     liveness_window: float | None = None
 
     def difficulty_params(self) -> DifficultyParams:
-        scale = 1.0
-        if self.calibrate_initial_difficulty:
-            profile = self.power_profile()
-            scale = profile.total / (self.n * self.h0)
+        # The initial base difficulty is calibrated to the invested power.
+        scale = self.power_profile().total / (self.n * self.h0)
         return DifficultyParams(
             i0=self.i0, h0=self.h0, beta=self.beta, initial_base_scale=scale
         )
@@ -193,8 +192,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
 
 def _drive(cfg: ExperimentConfig, stack: SimStack, done: Callable[[], bool]) -> None:
-    """Run the event loop until ``done``; the config's caps bound every run."""
-    stack.sim.run(until=cfg.max_sim_time, max_events=cfg.max_events, stop_when=done)
+    """Run the event loop until ``done``; the caps bound every run."""
+    stack.sim.run(until=MAX_SIM_TIME, max_events=cfg.max_events, stop_when=done)
 
 
 def _result(
@@ -229,26 +228,24 @@ def _run_mining(
     if cfg.fault_plan is not None and len(cfg.fault_plan):
         controller = ChaosController(nodes, stack.network, stack.sim)
         FaultScheduler(controller, cfg.fault_plan).arm()
-    monitor = None
-    if cfg.monitor_invariants:
-        monitor = InvariantMonitor(
-            nodes,
-            stack.network,
-            stack.sim,
-            InvariantConfig(
-                confirmation_depth=cfg.confirmation_depth,
-                check_interval=cfg.invariant_check_interval,
-                liveness_window=(
-                    cfg.liveness_window
-                    if cfg.liveness_window is not None
-                    else 100.0 * cfg.i0
-                ),
+    monitor = InvariantMonitor(
+        nodes,
+        stack.network,
+        stack.sim,
+        InvariantConfig(
+            confirmation_depth=cfg.confirmation_depth,
+            check_interval=cfg.invariant_check_interval,
+            liveness_window=(
+                cfg.liveness_window
+                if cfg.liveness_window is not None
+                else 100.0 * cfg.i0
             ),
-            # Censored producers diverge by design; §VII-D's claim is about
-            # the surviving nodes, so victims sit outside the cross-checks.
-            exclude=victims,
-        )
-        monitor.start()
+        ),
+        # Censored producers diverge by design; §VII-D's claim is about
+        # the surviving nodes, so victims sit outside the cross-checks.
+        exclude=victims,
+    )
+    monitor.start()
     start_mining_fleet(nodes)
 
     epoch_blocks = ctx.params.epoch_length(cfg.n)
@@ -273,12 +270,11 @@ def _run_mining(
         ) from None
 
     _drive(cfg, stack, lambda: observer.state.height() >= target_height)
-    if monitor is not None:
-        monitor.stop()
+    monitor.stop()
     if observer.state.height() < target_height:
         raise SimulationError(
             f"run ended at height {observer.state.height()} < {target_height} "
-            f"(raise max_sim_time/max_events)"
+            f"(raise max_events)"
         )
 
     chain = observer.main_chain()
@@ -288,7 +284,7 @@ def _run_mining(
     if cfg.measure_from_height is not None:
         measure_height = min(cfg.measure_from_height, target_height - 1)
     else:
-        measure_height = min(cfg.measure_from_epoch, cfg.epochs - 1) * epoch_blocks
+        measure_height = min(MEASURE_FROM_EPOCH, cfg.epochs - 1) * epoch_blocks
         measure_height = min(measure_height, max(0, target_height - 1))
     duration = (
         chain[target_height].header.timestamp - chain[measure_height].header.timestamp
@@ -310,7 +306,7 @@ def _run_mining(
             if controller is not None
             else None
         ),
-        invariants=monitor.report if monitor is not None else None,
+        invariants=monitor.report,
         fault_log=tuple(controller.log) if controller is not None else (),
     )
 

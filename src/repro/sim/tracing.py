@@ -101,26 +101,3 @@ def attach_tracer(nodes: Iterable[Any], tracer: Tracer | None = None) -> Tracer:
         node.tracer = tracer
     return tracer
 
-
-#: Kind prefix used by the chaos controller for injected-fault events.
-FAULT_KIND_PREFIX = "fault/"
-
-
-def fault_counts(tracer: Tracer) -> Counter:
-    """Histogram of injected-fault events (``fault/*`` kinds) in a trace.
-
-    The chaos controller emits one event per applied fault action
-    (``fault/crash``, ``fault/restart``, ``fault/partition``, ...), so this
-    is the quick per-fault counter view of a traced chaos run.
-    """
-    return Counter(
-        e.kind[len(FAULT_KIND_PREFIX) :]
-        for e in tracer.events()
-        if e.kind.startswith(FAULT_KIND_PREFIX)
-    )
-
-
-def fault_timeline(tracer: Tracer, limit: int = 50) -> str:
-    """Render the tail of the injected-fault events as text."""
-    selected = [e for e in tracer.events() if e.kind.startswith(FAULT_KIND_PREFIX)]
-    return "\n".join(str(e) for e in selected[-limit:])

@@ -22,12 +22,10 @@ Schema (see ``docs/storage.md`` for the full matrix):
 * ``meta`` — genesis binding, stored head, member set, generation
   counter.
 
-Snapshot + prune policy: every ``snapshot_interval`` heights the whole
-tree is snapshotted and older snapshots beyond ``keep_snapshots`` are
-deleted.  With ``prune_depth`` set, block/tx rows more than that many
-heights below the snapshot are dropped too (the snapshot still recovers
-them structurally) — the pruned-node configuration; archival stores
-leave it ``None``.
+Snapshot policy: every ``snapshot_interval`` heights the whole tree is
+snapshotted and older snapshots beyond the newest :data:`KEEP_SNAPSHOTS`
+are deleted.  Block and transaction rows are never dropped (archival
+store).
 """
 
 from __future__ import annotations
@@ -45,6 +43,9 @@ from repro.errors import DuplicateBlockError, StorageError
 
 #: Schema version stamped into ``meta``; mismatches refuse to open.
 SCHEMA_VERSION = 1
+
+#: Snapshots retained after each new one.
+KEEP_SNAPSHOTS = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -104,9 +105,6 @@ class SqliteStorage:
         batch_size: commits also fire automatically once this many blocks
             are buffered, bounding data loss between head advances.
         snapshot_interval: heights between full-tree snapshots.
-        keep_snapshots: snapshots retained after each new one.
-        prune_depth: when set, drop block/tx rows more than this many
-            heights below the latest snapshot (pruned-node mode).
         read_only: open the database for the read tier only.
     """
 
@@ -116,23 +114,15 @@ class SqliteStorage:
         *,
         batch_size: int = 64,
         snapshot_interval: int = 256,
-        keep_snapshots: int = 2,
-        prune_depth: int | None = None,
         read_only: bool = False,
     ) -> None:
         if batch_size < 1:
             raise StorageError("batch_size must be >= 1")
         if snapshot_interval < 1:
             raise StorageError("snapshot_interval must be >= 1")
-        if keep_snapshots < 1:
-            raise StorageError("keep_snapshots must be >= 1")
-        if prune_depth is not None and prune_depth < 0:
-            raise StorageError("prune_depth must be >= 0")
         self.path = Path(path)
         self.batch_size = batch_size
         self.snapshot_interval = snapshot_interval
-        self.keep_snapshots = keep_snapshots
-        self.prune_depth = prune_depth
         self.read_only = read_only
         self._pending: list[tuple[Block, float]] = []
         self._head_hex: str | None = None
@@ -311,7 +301,7 @@ class SqliteStorage:
         self._meta_set("generation", str(current + 1))
 
     def _maybe_snapshot(self, tree: BlockTree) -> None:
-        """Apply the snapshot + prune policy after a batch landed."""
+        """Apply the snapshot policy after a batch landed."""
         tip = tree.max_height()
         last = max(self.last_snapshot_height(), 0)
         if tip - last < self.snapshot_interval:
@@ -327,19 +317,8 @@ class SqliteStorage:
         self._conn.execute(
             "DELETE FROM snapshots WHERE snap_seq NOT IN "
             "(SELECT snap_seq FROM snapshots ORDER BY snap_seq DESC LIMIT ?)",
-            (self.keep_snapshots,),
+            (KEEP_SNAPSHOTS,),
         )
-        if self.prune_depth is not None:
-            floor = tip - self.prune_depth
-            if floor > 1:
-                self._conn.execute(
-                    "DELETE FROM txs WHERE block_id IN "
-                    "(SELECT block_id FROM blocks WHERE height > 0 AND height < ?)",
-                    (floor,),
-                )
-                self._conn.execute(
-                    "DELETE FROM blocks WHERE height > 0 AND height < ?", (floor,)
-                )
 
     def last_snapshot_height(self) -> int:
         """Height of the newest stored snapshot, or -1 when none exists."""
@@ -490,16 +469,7 @@ class SqliteStorage:
         block_id = self._canonical_id_at(height)
         if block_id is None:
             return None
-        record = self.block_by_id(block_id)
-        if record is None:
-            # Pruned body: the canon map outlives the row.
-            return {
-                "block_id": block_id.hex(),
-                "height": height,
-                "canonical": True,
-                "pruned": True,
-            }
-        return record
+        return self.block_by_id(block_id)
 
     def blocks_page(self, start: int | None, limit: int) -> list[dict[str, Any]]:
         tip = self.tip_height()

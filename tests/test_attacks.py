@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,54 @@ class TestSelfishMiner:
         ctx.sim.run(until=ctx.sim.now + 5.0)
         # Peers received the private chain blocks.
         assert nodes[1].tree.has_block(attacker.state.head_id) or withheld == 0
+
+
+#: sha256 of :func:`selfish_fleet_digest`, captured at commit ``9fd7d86`` (the
+#: parent of the change that deleted ``SelfishMiner._produce_block`` in favour
+#: of an ``_announce`` override), before any source edit, with
+#:
+#:   PYTHONPATH=src python -c "from tests.test_attacks import \
+#:       selfish_fleet_digest; print(selfish_fleet_digest())"
+GOLDEN_SELFISH_SHA256 = "1565a812bd9f3f5d91fa2e9dc48af11004f20d65b7ff85dc4f88e9be9fdd85a2"
+
+
+def selfish_fleet_digest() -> str:
+    """The seed-3 attacker fleet to height 40: withholding and releasing.
+
+    Covers every node's head and tree size, the production counters, the
+    network counters and the event count; the withheld blocks are in the
+    attacker's tree, so their bytes (timestamp, no signature, empty body) are
+    hashed in full.
+    """
+    ctx, nodes, attacker = TestSelfishMiner()._fleet_with_attacker(seed=3)
+    for node in nodes:
+        node.start()
+    withheld_peak = 0
+
+    def done() -> bool:
+        nonlocal withheld_peak
+        withheld_peak = max(withheld_peak, attacker.withheld_count)
+        return all(node.state.height() >= 40 for node in nodes)
+
+    ctx.sim.run(stop_when=done, max_events=5_000_000)
+    assert withheld_peak >= 2 and attacker.stats.blocks_produced > withheld_peak
+    facts = (
+        [(node.state.head_id.hex(), len(node.tree)) for node in nodes],
+        [node.stats.blocks_produced for node in nodes],
+        sorted(
+            block.to_bytes().hex()
+            for block in attacker.tree.iter_blocks()
+            if block.producer == attacker.address
+        ),
+        json.dumps(ctx.network.stats.to_dict(), sort_keys=True),
+        ctx.sim.events_processed,
+    )
+    return hashlib.sha256(repr(facts).encode()).hexdigest()
+
+
+class TestGoldenSelfishFleet:
+    def test_withholding_fleet_is_event_identical_to_the_parent(self):
+        assert selfish_fleet_digest() == GOLDEN_SELFISH_SHA256
 
 
 class TestPrivateChainRace:

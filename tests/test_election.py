@@ -11,7 +11,6 @@ from repro.core.difficulty import DifficultyTable
 from repro.core.election import BlockBuilder, BlockValidator
 from repro.crypto.hashing import EASY_T0, T_MAX
 from repro.errors import InvalidBlockError
-from repro.ledger.mempool import Mempool
 from repro.mining.miner import RealMiner
 
 from tests.conftest import keypair
@@ -39,37 +38,17 @@ def make_validator(table, check_pow=False, verify_signatures=True) -> BlockValid
 
 
 class TestBuilder:
-    def test_builds_candidate_from_mempool(self):
-        pool = Mempool()
-        txs = [make_transaction(keypair(0), addr(1), i, i) for i in range(5)]
-        pool.add_all(txs)
-        builder = BlockBuilder(keypair=keypair(0), mempool=pool, max_block_txs=3)
+    def test_builds_header(self):
+        txs = [make_transaction(keypair(0), addr(1), i, i) for i in range(3)]
         genesis = make_genesis()
-        header, selected = builder.build_candidate(genesis, 10.0, 3.0, 2.0, 0)
-        assert len(selected) == 3
+        header = BlockBuilder(keypair=keypair(0)).build_header(
+            genesis, txs, 10.0, 3.0, 2.0, 0
+        )
         assert header.height == 1
         assert header.parent_hash == genesis.block_id
         assert header.producer == addr(0)
         assert header.difficulty == pytest.approx(6.0)
-
-    def test_finalize_signs(self):
-        builder = BlockBuilder(keypair=keypair(0), mempool=Mempool())
-        genesis = make_genesis()
-        header, txs = builder.build_candidate(genesis, 1.0, 1.0, 1.0, 0)
-        block = builder.finalize(header, txs)
-        assert block.verify_signature()
-
-    def test_preference_applied(self):
-        pool = Mempool()
-        txs = [make_transaction(keypair(0), addr(1), i + 1, i) for i in range(3)]
-        pool.add_all(txs)
-        builder = BlockBuilder(
-            keypair=keypair(0),
-            mempool=pool,
-            max_block_txs=1,
-            preference=lambda t: t.amount,
-        )
-        assert builder.select_transactions()[0].amount == 3
+        assert Block(header, None, tuple(txs)).verify_merkle_root()
 
 
 class TestValidator:

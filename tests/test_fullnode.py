@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
-from repro.chain.block import Block
+from repro.chain.block import Block, build_block
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import Transaction, make_transaction
+from repro.chaos.invariants import InvariantMonitor
 from repro.consensus.base import RunContext
 from repro.core.difficulty import DifficultyParams
 from repro.crypto.signature import sign_digest
@@ -274,3 +277,150 @@ class TestVerifyOnce:
         # third time when node 0 executes the decoded block.
         for digest in digests:
             assert sum(1 for _, seen, _ in ecdsa_verify_calls if seen == digest) == 2
+
+
+def _chain_copies(node, tx) -> int:
+    return sum(
+        1 for block in node.main_chain() for t in block.transactions if t.tx_id == tx.tx_id
+    )
+
+
+def partition_probe(seed: int) -> tuple[list[list[int]], list[int]]:
+    """A 2 | 2 partition with one payment per node, healed after four blocks.
+
+    Returns, per node, how often each of the four payments is on its main
+    chain twelve blocks after the heal, and every node's pool size.  Print
+    the per-seed table with
+
+      PYTHONPATH=src python -c "from tests.test_fullnode import partition_probe; \
+          [print(s, *partition_probe(s)) for s in range(6)]"
+    """
+    ctx, nodes = make_consortium(n=4, seed=seed, verify=False, i0=5.0)
+    ctx.network.set_partition([[0, 1], [2, 3]])
+    for node in nodes:
+        node.start()
+    txs = [nodes[i].pay(addr((i + 1) % 4), 10 + i) for i in range(4)]
+    ctx.sim.run(
+        stop_when=lambda: all(n.state.height() >= 4 for n in nodes), max_events=5_000_000
+    )
+    ctx.network.set_partition(None)
+    target = max(n.state.height() for n in nodes) + 12
+    ctx.sim.run(
+        stop_when=lambda: all(n.state.height() >= target for n in nodes),
+        max_events=5_000_000,
+    )
+    ctx.sim.run(until=ctx.sim.now + 30.0)
+    monitor = InvariantMonitor(nodes, ctx.network, ctx.sim)
+    monitor.check_now()  # state roots agree wherever heads do
+    assert monitor.report.clean, monitor.report.violations
+    assert sum(n.stats.reorgs for n in nodes) > 0
+    copies = [[_chain_copies(node, tx) for tx in txs] for node in nodes]
+    return copies, [len(node.mempool) for node in nodes]
+
+
+class TestReorgKeepsTransactions:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partition_heal_loses_and_repeats_nothing(self, seed):
+        """The losing side's payments go back to the pool and are mined again."""
+        copies, pools = partition_probe(seed)
+        assert copies == [[1, 1, 1, 1]] * 4
+        assert pools == [0, 0, 0, 0]
+
+    def test_child_before_parent_evicts_both_blocks_transactions(self):
+        """Two blocks joining in one ``"extended"`` both leave the pool."""
+        ctx, nodes = make_consortium(n=2, verify=False)
+        node = nodes[0]
+        tx_a = make_transaction(keypair(1), addr(0), 5, 0)
+        tx_b = make_transaction(keypair(1), addr(0), 6, 1)
+        node.submit_transaction(tx_a)
+        node.submit_transaction(tx_b)
+        genesis = ctx.genesis
+        multiple, base, epoch = node.state.mining_assignment(addr(1))
+        parent = build_block(
+            keypair(1), genesis.block_id, 1, [tx_a], 1.0, multiple, base, epoch
+        )
+        child = build_block(
+            keypair(1), parent.block_id, 2, [tx_b], 2.0, multiple, base, epoch
+        )
+        node._handle_block(child)  # buffered: parent unknown
+        assert node.state.height() == 0 and len(node.mempool) == 2
+        node._handle_block(parent)  # both attach in one head move
+        assert node.state.height() == 2
+        assert tx_a.tx_id not in node.mempool
+        assert tx_b.tx_id not in node.mempool
+        assert node.ledger.nonce(addr(1)) == 2
+
+    def test_transaction_on_the_main_chain_is_not_admitted_again(self):
+        """A late flood copy of a mined payment must not be mined twice."""
+        ctx, nodes = make_consortium(verify=False, seed=3)
+        for node in nodes:
+            node.start()
+        tx = nodes[0].pay(addr(1), 250)
+        ctx.sim.run(
+            stop_when=lambda: all(n.ledger.nonce(addr(0)) == 1 for n in nodes),
+            max_events=5_000_000,
+        )
+        _gossip_tx(ctx, 2, tx)  # fresh message id: every seen-set lets it through
+        ctx.sim.run(until=ctx.sim.now + 1.0)
+        assert all(tx.tx_id not in node.mempool for node in nodes)
+        nodes[1].submit_transaction(tx)  # and the local door is shut too
+        assert tx.tx_id not in nodes[1].mempool
+        run_to_height(ctx, nodes, max(n.state.height() for n in nodes) + 6)
+        assert [_chain_copies(node, tx) for node in nodes] == [1, 1, 1, 1]
+
+
+#: sha256 of :func:`consortium_digest` at seed 0, captured at commit
+#: ``9fd7d86`` (the parent of the consensus-node / data-plane split), before
+#: any source edit, with
+#:
+#:   PYTHONPATH=src python -c "from tests.test_fullnode import \
+#:       consortium_digest; print(consortium_digest(0))"
+GOLDEN_CONSORTIUM_SHA256 = "cbe47adaf8f8ce62bf113c7eede1f94ec9dbf1ce22977f10dde3e4d20b354388"
+
+
+def consortium_digest(seed: int) -> str:
+    """Signed 4-node consortium: payments, a §IV-C join, no reorg.
+
+    Hashes every node's main-chain bytes and state root plus the network
+    counters — everything a ``FullNode`` does where no block leaves the main
+    chain must stay byte-identical.
+    """
+    ctx, nodes = make_consortium(n=4, seed=seed)
+    for node in nodes:
+        node.start()
+    nodes[0].pay(addr(1), 250)
+    nodes[1].pay(addr(2), 20)
+    nodes[0].propose_add_member(addr(6), evidence=b"id-proof")
+    ctx.sim.run(
+        stop_when=lambda: all(
+            n.nodeset.contract.open_proposals() or n.nodeset.is_member(addr(6))
+            for n in nodes
+        ),
+        max_events=5_000_000,
+    )
+    nodes[1].vote(0, True)
+    nodes[2].vote(0, True)
+    nodes[3].pay(addr(0), 7)
+    ctx.sim.run(
+        stop_when=lambda: all(n.nodeset.is_member(addr(6)) for n in nodes),
+        max_events=5_000_000,
+    )
+    nodes[2].pay(addr(3), 11)
+    target = max(n.state.height() for n in nodes) + 8
+    ctx.sim.run(
+        stop_when=lambda: all(n.state.height() >= target for n in nodes),
+        max_events=5_000_000,
+    )
+    # The parity claim only covers runs where no block leaves a main chain.
+    assert sum(node.stats.reorgs for node in nodes) == 0
+    digest = hashlib.sha256()
+    for node in nodes:
+        digest.update(b"".join(block.to_bytes() for block in node.main_chain()))
+        digest.update(node.state_root())
+    digest.update(json.dumps(ctx.network.stats.to_dict(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenConsortium:
+    def test_reorg_free_run_is_byte_identical_to_the_parent(self):
+        assert consortium_digest(0) == GOLDEN_CONSORTIUM_SHA256

@@ -104,7 +104,7 @@ class TestRemoval:
         t = tx(0)
         pool.add(t)
         pool.remove([t.tx_id])
-        assert pool.readmit([t]) == 1
+        assert pool.add_all([t]) == 1
         assert t.tx_id in pool
 
     def test_clear(self):

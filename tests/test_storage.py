@@ -120,14 +120,9 @@ class TestSqliteWriteAndRecover:
         assert recovered.max_height() == 7
         storage.close()
 
-    def test_snapshot_retention_and_prune(self, tmp_path: Path, genesis: Block) -> None:
+    def test_snapshot_retention(self, tmp_path: Path, genesis: Block) -> None:
         builder = TreeBuilder(genesis)
-        storage = SqliteStorage(
-            tmp_path / "chain.db",
-            snapshot_interval=2,
-            keep_snapshots=2,
-            prune_depth=2,
-        )
+        storage = SqliteStorage(tmp_path / "chain.db", snapshot_interval=2)
         storage.ensure_genesis(genesis)
         parent = genesis
         for _ in range(10):
@@ -136,12 +131,10 @@ class TestSqliteWriteAndRecover:
             storage.commit(parent.block_id, builder.tree)
         assert storage.snapshot_count() == 2
         assert storage.last_snapshot_height() == 10
-        # Rows below height 10 - prune_depth are gone, genesis survives.
+        # Rows are never dropped: every height is served in full.
         assert storage.block_by_height(1) is not None
-        assert storage.block_by_height(1).get("pruned") is True
-        assert storage.block_by_height(0) is not None
-        assert storage.block_by_height(0).get("pruned") is None
-        # Recovery still reaches the tip via the snapshot.
+        assert storage.block_by_height(1)["height"] == 1
+        # Recovery reaches the tip via the snapshot.
         recovered = storage.recover()
         assert recovered is not None
         assert recovered.max_height() == 10
@@ -234,7 +227,3 @@ class TestSqliteGuards:
             SqliteStorage(tmp_path / "a.db", batch_size=0)
         with pytest.raises(StorageError):
             SqliteStorage(tmp_path / "b.db", snapshot_interval=0)
-        with pytest.raises(StorageError):
-            SqliteStorage(tmp_path / "c.db", keep_snapshots=0)
-        with pytest.raises(StorageError):
-            SqliteStorage(tmp_path / "d.db", prune_depth=-1)

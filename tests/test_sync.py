@@ -38,7 +38,7 @@ class TestChainSync:
         for node in nodes:
             node.start()
         sleeper.stop()
-        target = sleeper.SYNC_BATCH * 2 + 10
+        target = sleeper.sync.config.batch * 2 + 10
         ctx.sim.run(
             stop_when=lambda: nodes[0].state.height() >= target, max_events=10_000_000
         )

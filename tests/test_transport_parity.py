@@ -27,6 +27,7 @@ from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
 from repro.net.transport import FaultableTransport, NetworkStats, Transport
 from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
+from repro.sim.reporting import result_to_dict
 from repro.sim.runner import ExperimentConfig, run_experiment
 
 #: sha256 over the concatenated canonical bytes of the height-30 main chain
@@ -89,7 +90,52 @@ def recovery_digest(faulted: bool) -> str:
     return hashlib.sha256(repr(facts).encode()).hexdigest()
 
 
+#: sha256 over the ``result_to_dict`` JSON of five runs — themis, themis-lite
+#: (n = 21, degree 5), pow-h with 30 % vulnerable nodes, pbft, and themis
+#: under ``random_fault_plan(churn=0.2, link_faults=1)`` — captured at commit
+#: ``9fd7d86`` (the parent of the consensus-node / data-plane split), before
+#: any source edit, with
+#:
+#:   PYTHONPATH=src python -c "from tests.test_transport_parity import \
+#:       results_digest; print(results_digest())"
+#:
+#: The four config keys that change removed are left out of the hashed
+#: record on both sides; every metric, counter, fault log and invariant
+#: report is in it.
+GOLDEN_RESULTS_SHA256 = "1c813db9e08ec54ecd4331924f192d83fe939f18ecf45fe065709d366c3a092a"
+
+_REMOVED_CONFIG_KEYS = (
+    "monitor_invariants",
+    "calibrate_initial_difficulty",
+    "measure_from_epoch",
+    "max_sim_time",
+)
+
+
+def results_digest() -> str:
+    base = ExperimentConfig("themis", n=12, epochs=3, seed=5)
+    duration = base.epochs * base.difficulty_params().epoch_length(base.n) * base.i0
+    plan = random_fault_plan(5, range(base.n), duration, churn=0.2, link_faults=1)
+    configs = [
+        base,
+        ExperimentConfig("themis-lite", n=21, epochs=2, seed=5, degree=5),
+        ExperimentConfig("pow-h", n=12, epochs=3, seed=5, vulnerable_ratio=0.3),
+        ExperimentConfig("pbft", n=12, pbft_rounds=20, seed=5),
+        replace(base, fault_plan=plan),
+    ]
+    digest = hashlib.sha256()
+    for cfg in configs:
+        record = result_to_dict(run_experiment(cfg))
+        for key in _REMOVED_CONFIG_KEYS:
+            record["config"].pop(key, None)
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 class TestGoldenParity:
+    def test_result_records_are_identical_to_the_parent(self):
+        assert results_digest() == GOLDEN_RESULTS_SHA256
+
     def test_fixed_seed_chain_is_byte_identical_to_pre_refactor(self):
         assert _chain_hash() == GOLDEN_CHAIN_SHA256
 
