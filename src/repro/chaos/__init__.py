@@ -38,8 +38,6 @@ from repro.chaos.invariants import (
 from repro.chaos.schedule import (
     FaultPlan,
     FaultScheduler,
-    fault_from_dict,
-    fault_to_dict,
     plan_from_dict,
     plan_to_dict,
     random_fault_plan,
@@ -62,9 +60,7 @@ __all__ = [
     "LivenessViolation",
     "PartitionFault",
     "SafetyViolation",
-    "fault_from_dict",
     "fault_log_signature",
-    "fault_to_dict",
     "plan_from_dict",
     "plan_to_dict",
     "random_fault_plan",

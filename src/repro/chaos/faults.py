@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from hashlib import sha256
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any, ClassVar, Union
 
 from repro.errors import SimulationError
 from repro.net.transport import FaultableTransport, LinkDisturbance
@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class CrashFault:
     """Crash ``node`` at ``at``; restart at ``restart_at`` (never if None)."""
 
+    kind: ClassVar[str] = "crash"
     node: int
     at: float
     restart_at: float | None = None
@@ -57,6 +58,7 @@ class CrashFault:
 class PartitionFault:
     """Split the overlay into ``groups`` at ``at``; heal at ``heal_at``."""
 
+    kind: ClassVar[str] = "partition"
     groups: tuple[tuple[int, ...], ...]
     at: float
     heal_at: float | None = None
@@ -84,6 +86,7 @@ class PartitionFault:
 class LinkFault:
     """Degrade links touching ``nodes`` (all links when None) in a window."""
 
+    kind: ClassVar[str] = "link"
     at: float
     until: float | None = None
     nodes: tuple[int, ...] | None = None
@@ -118,6 +121,7 @@ class ClockSkewFault:
     positive floor when skew inverts it (see ``table_for_anchor``).
     """
 
+    kind: ClassVar[str] = "clock_skew"
     node: int
     skew: float
     at: float
@@ -130,6 +134,9 @@ class ClockSkewFault:
             raise SimulationError("skew window must have positive length")
 
 
+#: The members are the registry: each declares the ``kind`` it is tagged with
+#: in JSON (CrashFault and ClockSkewFault share field names, so a bare field
+#: dump is ambiguous) and :mod:`repro.serde` reads a spec back by that tag.
 FaultSpec = Union[CrashFault, PartitionFault, LinkFault, ClockSkewFault]
 
 

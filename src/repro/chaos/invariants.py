@@ -29,10 +29,10 @@ Liveness invariant:
 
 Violations raise :class:`SafetyViolation` / :class:`LivenessViolation`
 (subclasses of :class:`~repro.errors.SimulationError`) out of the event
-loop, or are collected in the report when ``fail_fast`` is off.  After a
-partition heals the safety cross-checks pause for ``partition_grace``
-seconds — reconvergence is Prop. 1's *job*, not a violation — and nodes
-mid-sync are excluded until they catch up.  Deliberately suppressed nodes
+loop, after being noted in the report.  After a partition heals the safety
+cross-checks pause for ``partition_grace`` seconds — reconvergence is
+Prop. 1's *job*, not a violation — and nodes mid-sync are excluded until
+they catch up.  Deliberately suppressed nodes
 (``exclude``, e.g. :class:`~repro.sim.attacks.VulnerableNodeAttack`
 victims whose blocks are censored by the attack itself) are likewise left
 out of cross-checks: §VII-D's claim is that the *other* nodes keep the
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.errors import ReproError, SimulationError
 from repro.net.transport import FaultableTransport
@@ -76,19 +76,19 @@ class InvariantConfig:
         check_interval: simulated seconds between sweeps.
         liveness_window: no-growth tolerance in seconds (None disables the
             liveness check).
+
+    Fixed, not fields:
         quorum: fraction of total mining power that must be online and
             connected for the liveness clock to run.
         partition_grace: seconds after a heal during which cross-node
             safety checks are suspended while fork choice reconverges.
-        fail_fast: raise on the first violation (otherwise collect).
     """
 
     confirmation_depth: int = 16
     check_interval: float = 10.0
     liveness_window: float | None = None
-    quorum: float = 0.5
-    partition_grace: float = 60.0
-    fail_fast: bool = True
+    quorum: ClassVar[float] = 0.5
+    partition_grace: ClassVar[float] = 60.0
 
     def __post_init__(self) -> None:
         if self.confirmation_depth < 1:
@@ -97,10 +97,6 @@ class InvariantConfig:
             raise SimulationError("check_interval must be positive")
         if self.liveness_window is not None and self.liveness_window <= 0:
             raise SimulationError("liveness_window must be positive")
-        if not 0.0 < self.quorum <= 1.0:
-            raise SimulationError("quorum must be in (0, 1]")
-        if self.partition_grace < 0:
-            raise SimulationError("partition_grace must be non-negative")
 
 
 @dataclass
@@ -174,8 +170,7 @@ class InvariantMonitor:
         if not self._running:
             return
         self.check_now()
-        if self._running:  # a non-fail-fast violation must not stop sweeps
-            self._handle = self.sim.schedule(self.config.check_interval, self._tick)
+        self._handle = self.sim.schedule(self.config.check_interval, self._tick)
 
     # -- checks ----------------------------------------------------------------------
 
@@ -202,8 +197,7 @@ class InvariantMonitor:
             self.report.liveness_violations += 1
         else:
             self.report.safety_violations += 1
-        if self.config.fail_fast:
-            raise exc_type(message)
+        raise exc_type(message)
 
     def _note_partition_changes(self) -> None:
         current = self.network.partition_map

@@ -16,7 +16,7 @@ identical final chain — this is asserted by ``tests/test_chaos.py``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Any
 
@@ -31,6 +31,7 @@ from repro.chaos.faults import (
     PartitionFault,
 )
 from repro.errors import SimulationError
+from repro.serde import from_json, to_json
 
 
 @dataclass(frozen=True)
@@ -77,60 +78,14 @@ class FaultPlan:
         return sorted(self.faults, key=lambda f: f.at)
 
 
-# -- JSON serialization --------------------------------------------------------------
-
-#: Tag ⇄ class map for fault specs.  CrashFault and ClockSkewFault share
-#: field names (``node``, ``at``, ``until``-ish), so bare ``asdict`` output
-#: is ambiguous; every serialized fault carries an explicit ``kind``.
-_FAULT_KINDS: dict[str, type] = {
-    "crash": CrashFault,
-    "partition": PartitionFault,
-    "link": LinkFault,
-    "clock_skew": ClockSkewFault,
-}
-_KIND_BY_CLASS = {cls: kind for kind, cls in _FAULT_KINDS.items()}
-
-
-def fault_to_dict(fault: FaultSpec) -> dict[str, Any]:
-    """JSON-safe dictionary form of one fault spec (tagged with ``kind``)."""
-    kind = _KIND_BY_CLASS.get(type(fault))
-    if kind is None:
-        raise SimulationError(f"unknown fault spec type {type(fault).__name__}")
-    record = asdict(fault)
-    if kind == "partition":
-        record["groups"] = [list(group) for group in fault.groups]
-    elif kind == "link" and fault.nodes is not None:
-        record["nodes"] = list(fault.nodes)
-    record["kind"] = kind
-    return record
-
-
-def fault_from_dict(record: dict[str, Any]) -> FaultSpec:
-    """Rebuild a fault spec from :func:`fault_to_dict` output."""
-    data = dict(record)
-    kind = data.pop("kind", None)
-    cls = _FAULT_KINDS.get(kind)
-    if cls is None:
-        raise SimulationError(f"unknown fault kind {kind!r}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise SimulationError(f"unknown {kind} fault fields {sorted(unknown)}")
-    if kind == "partition":
-        data["groups"] = tuple(tuple(int(n) for n in group) for group in data["groups"])
-    elif kind == "link" and data.get("nodes") is not None:
-        data["nodes"] = tuple(int(n) for n in data["nodes"])
-    return cls(**data)
-
-
 def plan_to_dict(plan: FaultPlan) -> dict[str, Any]:
-    """JSON-safe dictionary form of a whole plan."""
-    return {"faults": [fault_to_dict(f) for f in plan.faults]}
+    """JSON-safe dictionary form of a whole plan (each fault tagged ``kind``)."""
+    return to_json(plan)
 
 
 def plan_from_dict(record: dict[str, Any]) -> FaultPlan:
     """Rebuild a :class:`FaultPlan` from :func:`plan_to_dict` output."""
-    return FaultPlan(faults=tuple(fault_from_dict(f) for f in record["faults"]))
+    return from_json(FaultPlan, record)
 
 
 def random_fault_plan(

@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = sub.add_parser(
         "lint",
-        help="determinism & protocol-safety static analysis (REP001-REP006)",
+        help="determinism & protocol-safety static analysis (REP001-REP030)",
         add_help=False,
     )
     lint_parser.add_argument("rest", nargs=argparse.REMAINDER)

@@ -51,13 +51,15 @@ class PBFTConfig:
         batch_size: transactions per proposal (virtual, for TPS accounting).
         base_timeout: view-change timeout in seconds; ``None`` derives a
             safe value from the expected round duration at the given ``n``.
-        timeout_backoff: timeout multiplier after consecutive view changes
-            (classic exponential backoff; resets on progress).
     """
 
     batch_size: int = 2000
     base_timeout: float | None = None
-    timeout_backoff: float = 2.0
+
+
+#: Timeout multiplier after each consecutive view change (classic
+#: exponential backoff; resets on progress).
+TIMEOUT_BACKOFF = 2.0
 
 
 @dataclass
@@ -164,7 +166,7 @@ class PBFTCluster:
             if self.config.base_timeout is not None
             else 3.0 * self.expected_round_duration() + 2.0
         )
-        return base * (self.config.timeout_backoff ** self._consecutive_view_changes)
+        return base * TIMEOUT_BACKOFF**self._consecutive_view_changes
 
     # -- protocol ------------------------------------------------------------------
 

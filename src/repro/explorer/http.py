@@ -20,7 +20,6 @@ point it at any snapshot-restored database offline.
 
 from __future__ import annotations
 
-import argparse
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -39,16 +38,10 @@ class ExplorerServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        reader: ChainReader,
-        *,
-        cache_capacity: int = 256,
-    ) -> None:
+    def __init__(self, address: tuple[str, int], reader: ChainReader) -> None:
         super().__init__(address, ExplorerHandler)
         self.reader = reader
-        self.cache = ResponseCache(cache_capacity)
+        self.cache = ResponseCache()
         self.reader_lock = threading.Lock()
 
     def respond(self, path: str, query: dict[str, str], cache_key: str) -> tuple[bytes, str]:
@@ -129,7 +122,6 @@ def start_explorer(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    cache_capacity: int = 256,
 ) -> tuple[ExplorerServer, threading.Thread]:
     """Start an explorer on a background thread; returns (server, thread).
 
@@ -137,7 +129,7 @@ def start_explorer(
     ``server.server_address``.  Callers own shutdown:
     ``server.shutdown(); thread.join(); server.server_close()``.
     """
-    server = ExplorerServer((host, port), reader, cache_capacity=cache_capacity)
+    server = ExplorerServer((host, port), reader)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread
@@ -157,12 +149,3 @@ def main(*, db_path: str | Path, host: str = "127.0.0.1", port: int = 8390) -> N
         server.server_close()
         reader.close()
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro explorer", description="Serve the block-explorer JSON API."
-    )
-    parser.add_argument("--db", required=True, help="chain database (sqlite)")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8390)
-    return parser

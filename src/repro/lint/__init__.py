@@ -17,8 +17,6 @@ encodes those invariants as named, testable rules:
            ``numpy.random`` module API)
  REP003    no unordered ``set``/``dict`` iteration feeding hashing,
            serde, or message emission without ``sorted()``
- REP004    serde completeness — engine-crossing dataclasses round-trip
-           through registered to/from-dict pairs
  REP005    message dataclasses are ``frozen=True`` and never mutated
            after receipt
  REP006    no ``pickle`` across the engine's process boundary; no
@@ -55,13 +53,7 @@ CLI as ``python -m repro lint``.  See ``docs/static-analysis.md``.
 
 from __future__ import annotations
 
-from repro.lint.config import (
-    DEFAULT_CONFIG,
-    LintConfig,
-    SerdeAnchor,
-    UnionRegistry,
-    WireProtocol,
-)
+from repro.lint.config import DEFAULT_CONFIG, LintConfig, WireProtocol
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import LintResult, iter_python_files, lint_paths
 from repro.lint.registry import RULES, Rule
@@ -73,8 +65,6 @@ __all__ = [
     "LintResult",
     "RULES",
     "Rule",
-    "SerdeAnchor",
-    "UnionRegistry",
     "WireProtocol",
     "iter_python_files",
     "lint_paths",

@@ -1,47 +1,15 @@
-"""Rule configuration: which packages, anchors, and registries to check.
+"""Rule configuration: which packages, modules and name patterns to check.
 
 The defaults encode *this* repository's invariants (the packages whose
-code runs inside the deterministic simulation, the serde anchors of the
-engine/cache boundary, the fault-kind registry).  Tests construct custom
-configs pointed at fixture trees, so every rule is exercised against
-minimal projects rather than the live codebase.
+code runs inside the deterministic simulation, the environ gateway, the
+wire-dispatch surface).  Tests construct custom configs pointed at fixture
+trees, so every rule is exercised against minimal projects rather than the
+live codebase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class SerdeAnchor:
-    """An engine-crossing dataclass and its designated to/from-dict pair.
-
-    ``REP004`` checks that every field of the dataclass (minus inline
-    waivers) is covered by both functions, and that every project
-    dataclass referenced in its field annotations is constructible from a
-    dict somewhere in the from-dict family.
-    """
-
-    dataclass_module: str
-    dataclass_name: str
-    serde_module: str
-    to_fn: str
-    from_fn: str
-    exempt_fields: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class UnionRegistry:
-    """A tagged-union type alias and the registry dict that dispatches it.
-
-    ``REP004`` checks the two stay in lock-step: every union member is
-    registered, and no stale class lingers in the registry.
-    """
-
-    union_module: str
-    union_name: str
-    registry_module: str
-    registry_name: str
 
 
 @dataclass(frozen=True)
@@ -75,9 +43,10 @@ class LintConfig:
     #: ``storage`` and ``explorer`` are included even though they never run
     #: under the simulated clock: they serialize chain objects and serve
     #: them over process boundaries, exactly the territory REP003/REP006
-    #: police.
+    #: police; ``serde`` is the module every JSON record is written by.
     sim_packages: frozenset[str] = frozenset(
         {
+            "serde",
             "consensus",
             "chain",
             "net",
@@ -123,34 +92,6 @@ class LintConfig:
 
     #: Modules whose every dataclass is a network message (REP005).
     message_modules: frozenset[str] = frozenset({"repro.net.message"})
-
-    #: Engine-crossing serde anchors (REP004).
-    serde_anchors: tuple[SerdeAnchor, ...] = (
-        SerdeAnchor(
-            dataclass_module="repro.sim.runner",
-            dataclass_name="RunResult",
-            serde_module="repro.sim.reporting",
-            to_fn="result_to_dict",
-            from_fn="result_from_dict",
-        ),
-        SerdeAnchor(
-            dataclass_module="repro.sim.runner",
-            dataclass_name="ExperimentConfig",
-            serde_module="repro.sim.reporting",
-            to_fn="config_to_dict",
-            from_fn="config_from_dict",
-        ),
-    )
-
-    #: Tagged unions whose member set must match a dispatch registry (REP004).
-    union_registries: tuple[UnionRegistry, ...] = (
-        UnionRegistry(
-            union_module="repro.chaos.faults",
-            union_name="FaultSpec",
-            registry_module="repro.chaos.schedule",
-            registry_name="_FAULT_KINDS",
-        ),
-    )
 
     #: Names whose calls read the wall clock (REP001).
     wall_clock_calls: frozenset[str] = frozenset(

@@ -33,23 +33,17 @@ from repro.lint.facts import (
     CallFact,
     ClassFact,
     ConnectionUse,
-    DataclassField,
     DataclassInfo,
     FileFacts,
     FunctionFact,
     ImportFact,
     KindTest,
     MutationFact,
-    RegistryDict,
-    SerdeFunction,
     SourceFact,
-    UnionAlias,
     WriteFact,
 )
 from repro.lint.suppressions import collect_suppressions
 
-_GENERIC_SERDE_NAMES = frozenset({"asdict", "astuple", "fields", "__dataclass_fields__"})
-_SERDE_SUFFIXES = ("_to_dict", "_from_dict")
 _INIT_FAMILY = frozenset({"__post_init__", "__init__", "__new__"})
 _SET_TYPE_NAMES = frozenset(
     {"set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet"}
@@ -118,36 +112,6 @@ def _dataclass_decorator(node: ast.expr) -> tuple[bool, bool]:
     return True, frozen
 
 
-def _union_members(value: ast.expr) -> tuple[str, ...] | None:
-    """Member names of ``Union[A, B]`` / ``A | B`` when all are plain names."""
-    if isinstance(value, ast.Subscript):
-        if _terminal_name(value.value) != "Union":
-            return None
-        inner = value.slice
-        elements = list(inner.elts) if isinstance(inner, ast.Tuple) else [inner]
-        names = [e.id for e in elements if isinstance(e, ast.Name)]
-        return tuple(names) if len(names) == len(elements) and names else None
-    if isinstance(value, ast.BinOp) and isinstance(value.op, ast.BitOr):
-        sides = []
-        for side in (value.left, value.right):
-            members = _union_members(side)
-            if members is None and isinstance(side, ast.Name):
-                members = (side.id,)
-            if members is None:
-                return None
-            sides.append(members)
-        return sides[0] + sides[1]
-    return None
-
-
-def _registry_values(value: ast.expr) -> tuple[str, ...] | None:
-    """Class names used as dict-literal values, when every value is a name."""
-    if not isinstance(value, ast.Dict) or not value.values:
-        return None
-    names = [v.id for v in value.values if isinstance(v, ast.Name)]
-    return tuple(names) if len(names) == len(value.values) else None
-
-
 def _is_set_annotation(annotation: ast.expr) -> bool:
     target = annotation.value if isinstance(annotation, ast.Subscript) else annotation
     return _terminal_name(target) in _SET_TYPE_NAMES
@@ -194,15 +158,6 @@ class _Scope:
             scope = scope.parent
 
 
-@dataclass
-class _ClassBody:
-    """The class whose body is being walked directly (not through a def)."""
-
-    fact: ClassFact
-    #: Field sink when the class is a project dataclass, else ``None``.
-    fields: list[DataclassField] | None
-
-
 class _Call(NamedTuple):
     """A call as written, awaiting import resolution."""
 
@@ -237,8 +192,8 @@ class _Extractor:
         self.scope: _Scope | None = None
         #: Nearest enclosing class name, for ``self.x()`` resolution.
         self.class_name: str | None = None
-        #: Set while a class body is walked *directly* — reset inside defs.
-        self.class_body: _ClassBody | None = None
+        #: The class whose body is being walked *directly* — reset inside defs.
+        self.class_body: ClassFact | None = None
         #: Active identifier collectors: every Name id / Attribute attr and
         #: every string literal visited is added to each (names, strings).
         self.collectors: list[tuple[set[str], set[str]]] = []
@@ -417,8 +372,7 @@ class _Extractor:
     # -- definitions ------------------------------------------------------------------
 
     def visit_function(self, node: _FunctionNode) -> None:
-        outer, outer_class_body = self.scope, self.class_body
-        owner = outer_class_body.fact if outer_class_body is not None else None
+        outer, owner = self.scope, self.class_body
         if owner is not None:
             qualname = f"{self.module}.{owner.name}.{node.name}"
         elif outer is not None:
@@ -436,11 +390,6 @@ class _Extractor:
         )
         self.facts.functions.append(fact)
         scope = _Scope(fact=fact, parent=outer, owner=owner)
-        # A def not nested in another def may be a project serde function;
-        # it needs every identifier and string under it, signature included.
-        serde = outer is None and node.name.endswith(_SERDE_SUFFIXES)
-        if serde:
-            self.collectors.append((set(), set()))
         # Decorators, defaults and annotations evaluate in the enclosing scope.
         self.visit_all(node.decorator_list)
         args = node.args
@@ -455,21 +404,8 @@ class _Extractor:
             self.visit(node.returns)
         self.scope, self.class_body = scope, None
         self.visit_all(node.body)
-        self.scope, self.class_body = outer, outer_class_body
+        self.scope, self.class_body = outer, owner
         self.leave_function(scope)
-        if serde:
-            names, strings = self.collectors.pop()
-            self.facts.serde_functions.append(
-                SerdeFunction(
-                    module=self.module,
-                    name=node.name,
-                    line=node.lineno,
-                    display_path=self.facts.display_path,
-                    referenced_names=frozenset(names),
-                    string_literals=frozenset(strings),
-                    uses_generic=bool(names & _GENERIC_SERDE_NAMES),
-                )
-            )
 
     def leave_function(self, scope: _Scope) -> None:
         """Resolve the facts that depend on annotations anywhere in the body."""
@@ -522,15 +458,12 @@ class _Extractor:
                 is_dataclass, frozen = True, frozen or frozen_flag
                 decorator_line = decorator.lineno
         outer = (self.class_name, self.class_body)
-        # Classes local to a function are not project types: their
-        # dataclass-ness is invisible to REP004/REP005.
-        fields: list[DataclassField] | None = (
-            [] if is_dataclass and self.scope is None else None
-        )
-        self.class_name, self.class_body = node.name, _ClassBody(klass, fields)
+        self.class_name, self.class_body = node.name, klass
         self.visit_all(node.body)
         self.class_name, self.class_body = outer
-        if fields is not None:
+        # Classes local to a function are not project types: their
+        # dataclass-ness is invisible to REP005.
+        if is_dataclass and self.scope is None:
             self.facts.dataclasses.append(
                 DataclassInfo(
                     module=self.module,
@@ -539,7 +472,6 @@ class _Extractor:
                     decorator_line=decorator_line,
                     display_path=self.facts.display_path,
                     frozen=frozen,
-                    fields=tuple(fields),
                 )
             )
 
@@ -665,7 +597,7 @@ class _Extractor:
                 and len(targets) == 1
                 and isinstance(targets[0], ast.Name)
             ):
-                self.module_alias(targets[0].id, node.value, node.lineno)
+                self.module_constant(targets[0].id, node.value, node.lineno)
         self.visit_all(targets)
         if value is not None:
             self.visit(value)
@@ -679,29 +611,13 @@ class _Extractor:
             self.scope.annotated[name] = identifiers
             if _is_set_annotation(node.annotation):
                 self.scope.set_names.add(name)
-        elif self.class_body is not None:
-            if self.class_body.fields is not None:
-                self.class_body.fields.append(
-                    DataclassField(name, node.lineno, identifiers)
-                )
-        elif node.value is not None:
-            self.module_alias(name, node.value, node.lineno)
+        elif self.class_body is None and node.value is not None:
+            self.module_constant(name, node.value, node.lineno)
 
-    def module_alias(self, name: str, value: ast.expr, line: int) -> None:
-        """Module-level ``NAME = ...``: a string constant, union or registry."""
-        module, display = self.module, self.facts.display_path
+    def module_constant(self, name: str, value: ast.expr, line: int) -> None:
+        """Module-level ``NAME = "..."``: a string constant (REP030 kinds)."""
         if isinstance(value, ast.Constant) and isinstance(value.value, str):
-            self.facts.str_constants[f"{module}.{name}"] = (value.value, line)
-            return
-        members = _union_members(value)
-        if members is not None:
-            self.facts.unions.append(UnionAlias(module, name, line, display, members))
-            return
-        values = _registry_values(value)
-        if values is not None:
-            self.facts.registries.append(
-                RegistryDict(module, name, line, display, values)
-            )
+            self.facts.str_constants[f"{self.module}.{name}"] = (value.value, line)
 
     def record_write(self, scope: _Scope, node: ast.stmt, target: ast.expr) -> None:
         """Attribute mutations (REP005) and shared-state writes (REP023)."""

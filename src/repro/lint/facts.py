@@ -190,15 +190,6 @@ class ConnectionUse:
 
 
 @dataclass(frozen=True)
-class DataclassField:
-    """One annotated field of a dataclass."""
-
-    name: str
-    line: int
-    annotation_names: frozenset[str]
-
-
-@dataclass(frozen=True)
 class DataclassInfo:
     """A ``@dataclass``-decorated class definition."""
 
@@ -208,50 +199,6 @@ class DataclassInfo:
     decorator_line: int
     display_path: str
     frozen: bool
-    fields: tuple[DataclassField, ...]
-
-
-@dataclass(frozen=True)
-class UnionAlias:
-    """A module-level tagged-union type alias over plain class names."""
-
-    module: str
-    name: str
-    line: int
-    display_path: str
-    members: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RegistryDict:
-    """A module-level dict literal whose values are class names."""
-
-    module: str
-    name: str
-    line: int
-    display_path: str
-    value_names: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SerdeFunction:
-    """A ``*_to_dict`` / ``*_from_dict`` function and what it references."""
-
-    module: str
-    name: str
-    line: int
-    display_path: str
-    referenced_names: frozenset[str]
-    string_literals: frozenset[str]
-    uses_generic: bool
-
-    def covers_field(self, field_name: str) -> bool:
-        """A field is covered generically, by key string, or by attribute."""
-        return (
-            self.uses_generic
-            or field_name in self.string_literals
-            or field_name in self.referenced_names
-        )
 
 
 @dataclass
@@ -269,9 +216,6 @@ class FileFacts:
     mutations: list[MutationFact] = field(default_factory=list)
     classes: list[ClassFact] = field(default_factory=list)
     dataclasses: list[DataclassInfo] = field(default_factory=list)
-    unions: list[UnionAlias] = field(default_factory=list)
-    registries: list[RegistryDict] = field(default_factory=list)
-    serde_functions: list[SerdeFunction] = field(default_factory=list)
     #: Module-level string constant qualname → (value, line).
     str_constants: dict[str, tuple[str, int]] = field(default_factory=dict)
     #: Names passed as ``Thread(target=...)`` anywhere in the file.
@@ -298,10 +242,6 @@ class ProjectSymbols:
         self.files: dict[str, FileFacts] = {}
         self.functions: dict[str, FunctionFact] = {}
         self.dataclasses: dict[str, DataclassInfo] = {}
-        self.dataclass_names: set[str] = set()
-        self.unions: dict[str, UnionAlias] = {}
-        self.registries: dict[str, RegistryDict] = {}
-        self.serde_functions: dict[str, SerdeFunction] = {}
         self.str_constants: dict[str, tuple[str, int]] = {}
         #: Function qualname → the unwaived taint sources in its own body.
         self.taint_sources: dict[str, list[SourceFact]] = {}
@@ -311,13 +251,6 @@ class ProjectSymbols:
                 self.functions[function.qualname] = function
             for info in record.dataclasses:
                 self.dataclasses[f"{info.module}.{info.name}"] = info
-                self.dataclass_names.add(info.name)
-            for union in record.unions:
-                self.unions[f"{union.module}.{union.name}"] = union
-            for registry in record.registries:
-                self.registries[f"{registry.module}.{registry.name}"] = registry
-            for serde in record.serde_functions:
-                self.serde_functions[f"{serde.module}.{serde.name}"] = serde
             self.str_constants.update(record.str_constants)
             self._collect_taint(record, config)
 

@@ -1,12 +1,13 @@
 """Protocol-dispatch completeness (REP030).
 
-REP004 keeps tagged unions and their registries in lock-step; this rule
-extends the same idea to the wire protocol.  Adding a ``KIND_*`` message
-kind is a three-site change — encoder branch, decoder branch, node-side
-handler — and forgetting any one of them fails only at runtime, on the
-first live frame of that kind: the encoder raises ``CodecError`` mid-
-gossip, or worse, the node silently drops a message category and the
-cluster wedges below quorum.
+A tagged union in a JSON record needs no such rule — :mod:`repro.serde`
+dispatches on the tag each member declares — but the wire protocol is
+dispatched by hand.  Adding a ``KIND_*`` message kind is a three-site
+change — encoder branch, decoder branch, node-side handler — and
+forgetting any one of them fails only at runtime, on the first live frame
+of that kind: the encoder raises ``CodecError`` mid-gossip, or worse, the
+node silently drops a message category and the cluster wedges below
+quorum.
 
 The check is entirely fact-driven: kind constants come from the project
 string-constant table, codec branches from the ``kind ==`` comparisons

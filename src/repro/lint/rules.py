@@ -19,7 +19,7 @@ from repro.lint.facts import ITERATION_KINDS, build_call_edges, taint_paths
 from repro.lint.registry import Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only
-    from repro.lint.facts import DataclassField, DataclassInfo, ProjectSymbols
+    from repro.lint.facts import ProjectSymbols
 
 
 @register
@@ -131,134 +131,6 @@ class UnorderedIterationRule(Rule):
                         "feeds hashing/serde/emission; wrap the iterable "
                         "in sorted(...)",
                     )
-
-
-@register
-class SerdeCompletenessRule(Rule):
-    """REP004 — engine-crossing dataclasses must round-trip completely.
-
-    Results cross the process boundary and the on-disk cache as JSON; a
-    field the serializer forgets silently resets to its default on every
-    replay, and a tagged-union member missing from its dispatch registry
-    raises only when that fault kind first occurs in production.  This
-    rule cross-checks, against the project symbol table: (a) every field
-    of each anchored dataclass is covered by its designated to/from-dict
-    pair (generically via ``asdict``/``fields``, or by explicit key /
-    attribute); (b) every project dataclass referenced by an anchored
-    field's annotation is constructible somewhere in the ``*_from_dict``
-    family; (c) tagged unions and their registries stay in lock-step.
-    """
-
-    code = "REP004"
-    name = "serde-completeness"
-    summary = "engine-crossing dataclasses need registered to/from-dict pairs"
-
-    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
-        yield from self._check_anchors(project)
-        yield from self._check_union_registries(project)
-
-    def _check_anchors(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
-        from_names: set[str] = set()
-        for function in project.serde_functions.values():
-            if function.name.endswith("_from_dict"):
-                from_names |= function.referenced_names
-        for anchor in self.config.serde_anchors:
-            info = project.dataclasses.get(
-                f"{anchor.dataclass_module}.{anchor.dataclass_name}"
-            )
-            if info is None:
-                continue  # anchor module not part of this lint run
-            to_fn = project.serde_functions.get(f"{anchor.serde_module}.{anchor.to_fn}")
-            from_fn = project.serde_functions.get(
-                f"{anchor.serde_module}.{anchor.from_fn}"
-            )
-            if to_fn is None or from_fn is None:
-                missing = anchor.to_fn if to_fn is None else anchor.from_fn
-                if anchor.serde_module in project.files:
-                    yield self.diagnostic(
-                        info.display_path,
-                        info.line,
-                        0,
-                        f"{info.name} has no registered serde pair: "
-                        f"{anchor.serde_module}.{missing} not found",
-                    )
-                continue
-            for field in info.fields:
-                if field.name in anchor.exempt_fields:
-                    continue
-                for function, role in ((to_fn, "serializer"), (from_fn, "loader")):
-                    if not function.covers_field(field.name):
-                        yield self.diagnostic(
-                            info.display_path,
-                            field.line,
-                            0,
-                            f"{info.name}.{field.name} is not covered by "
-                            f"{role} {function.module}.{function.name}(); "
-                            "the field would be dropped or defaulted on "
-                            "an engine/cache round-trip",
-                        )
-                yield from self._check_field_types(project, info, field, from_names)
-
-    def _check_field_types(
-        self,
-        project: "ProjectSymbols",
-        info: "DataclassInfo",
-        field: "DataclassField",
-        from_names: set[str],
-    ) -> Iterator[Diagnostic]:
-        for type_name in sorted(field.annotation_names):
-            if type_name not in project.dataclass_names or type_name == info.name:
-                continue
-            if type_name not in from_names:
-                yield self.diagnostic(
-                    info.display_path,
-                    field.line,
-                    0,
-                    f"{info.name}.{field.name} references dataclass "
-                    f"{type_name}, which no *_from_dict function "
-                    "reconstructs; register a to/from-dict pair for it",
-                )
-
-    def _check_union_registries(
-        self, project: "ProjectSymbols"
-    ) -> Iterator[Diagnostic]:
-        for link in self.config.union_registries:
-            union = project.unions.get(f"{link.union_module}.{link.union_name}")
-            registry = project.registries.get(
-                f"{link.registry_module}.{link.registry_name}"
-            )
-            if union is None:
-                continue
-            if registry is None:
-                if link.registry_module in project.files:
-                    yield self.diagnostic(
-                        union.display_path,
-                        union.line,
-                        0,
-                        f"union {union.name} has no dispatch registry "
-                        f"{link.registry_module}.{link.registry_name}",
-                    )
-                continue
-            missing = [m for m in union.members if m not in registry.value_names]
-            stale = [v for v in registry.value_names if v not in union.members]
-            if missing:
-                yield self.diagnostic(
-                    union.display_path,
-                    union.line,
-                    0,
-                    f"union {union.name} member(s) {', '.join(missing)} "
-                    f"missing from registry {link.registry_name}; "
-                    "serialization would raise on first use",
-                )
-            if stale:
-                yield self.diagnostic(
-                    registry.display_path,
-                    registry.line,
-                    0,
-                    f"registry {link.registry_name} entries "
-                    f"{', '.join(stale)} are not members of union "
-                    f"{union.name} (stale registration)",
-                )
 
 
 @register

@@ -29,6 +29,9 @@ from typing import Any
 from repro.errors import ReproError
 from repro.live.manifest import localhost_manifest
 
+#: Seconds between status sweeps.
+POLL_INTERVAL = 0.2
+
 
 class LocalnetError(ReproError):
     """The cluster failed to launch, converge, or shut down."""
@@ -52,7 +55,6 @@ class LocalnetConfig:
         data_dir: directory for per-node durable chain databases (None
             keeps every node in-memory, the pre-storage behavior).  Nodes
             restarted against the same data dir recover from disk.
-        poll_interval: seconds between status sweeps.
         sign_blocks / verify_signatures: real ECDSA on headers and
             transactions (``--sign``; a couple of milliseconds per block).
     """
@@ -66,7 +68,6 @@ class LocalnetConfig:
     degree: int = 6
     workdir: str | None = None
     data_dir: str | None = None
-    poll_interval: float = 0.2
     sign_blocks: bool = False
     verify_signatures: bool = False
 
@@ -276,7 +277,7 @@ def _watch(
                         i: int(statuses[i]["height"]) for i in sorted(statuses)
                     },
                 )
-        time.sleep(config.poll_interval)
+        time.sleep(POLL_INTERVAL)
     return LocalnetReport(
         converged=False,
         common_height=best_height,

@@ -20,12 +20,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from repro.core.difficulty import DifficultyParams
 from repro.crypto.keys import KeyPair
-from repro.errors import NetworkError
+from repro.errors import NetworkError, SimulationError
 from repro.net.topology import overlay_topology
+from repro.serde import from_json, to_json
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -117,52 +117,16 @@ class ConsortiumManifest:
 
     # -- serde ----------------------------------------------------------------------
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "peers": [
-                {"node_id": p.node_id, "host": p.host, "port": p.port}
-                for p in self.peers
-            ],
-            "seed": self.seed,
-            "degree": self.degree,
-            "i0": self.i0,
-            "beta": self.beta,
-            "h0": self.h0,
-            "key_prefix": self.key_prefix,
-            "sign_blocks": self.sign_blocks,
-            "verify_signatures": self.verify_signatures,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict[str, Any]) -> "ConsortiumManifest":
-        return cls(
-            peers=tuple(
-                PeerSpec(
-                    node_id=p["node_id"], host=p["host"], port=p["port"]
-                )
-                for p in record["peers"]
-            ),
-            seed=record["seed"],
-            degree=record["degree"],
-            i0=record["i0"],
-            beta=record["beta"],
-            h0=record["h0"],
-            key_prefix=record["key_prefix"],
-            sign_blocks=record["sign_blocks"],
-            verify_signatures=record["verify_signatures"],
-        )
-
     def save(self, path: str | Path) -> None:
         """Write the manifest as JSON (the file every process loads)."""
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        Path(path).write_text(json.dumps(to_json(self), indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "ConsortiumManifest":
         try:
-            record = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            return from_json(cls, json.loads(Path(path).read_text()))
+        except (OSError, json.JSONDecodeError, SimulationError) as exc:
             raise NetworkError(f"cannot load manifest {path}: {exc}") from exc
-        return cls.from_dict(record)
 
 
 def localhost_manifest(

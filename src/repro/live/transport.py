@@ -20,8 +20,8 @@ Design points:
   origin never reuses one.
 * **Chaos subset.**  Drop filters and ``set_offline`` work (they are
   process-local); overlay-global faults — partitions, link disturbances —
-  have no single-process implementation and raise
-  :class:`~repro.errors.NetworkError` (see ``docs/transport.md``).
+  have no single-process implementation, so this class is a ``Transport``
+  and not a ``FaultableTransport`` (see ``docs/transport.md``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.errors import CodecError, NetworkError
 from repro.live.clock import LiveClock
 from repro.live.manifest import ConsortiumManifest
 from repro.net.message import Message, is_sync_kind
-from repro.net.transport import DropFilter, Handler, LinkDisturbance, NetworkStats
+from repro.net.transport import DropFilter, Handler, NetworkStats
 from repro.net.wire import (
     KIND_HELLO,
     FrameDecoder,
@@ -66,8 +66,8 @@ class TcpGossipTransport:
         node_id: which manifest member this process is.
         clock: the process's :class:`~repro.live.clock.LiveClock`.
         dial_timeout: seconds per connection attempt.
-        backoff_base: first reconnect delay in seconds.
-        backoff_factor: reconnect delay multiplier per consecutive failure.
+        backoff_base: first reconnect delay in seconds; it doubles per
+            consecutive failure.
         backoff_max: reconnect delay ceiling in seconds.
     """
 
@@ -79,7 +79,6 @@ class TcpGossipTransport:
         clock: LiveClock,
         dial_timeout: float = 2.0,
         backoff_base: float = 0.1,
-        backoff_factor: float = 2.0,
         backoff_max: float = 3.0,
     ) -> None:
         manifest.peer(node_id)  # validates membership
@@ -88,7 +87,6 @@ class TcpGossipTransport:
         self.clock = clock
         self.dial_timeout = dial_timeout
         self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self.backoff_max = backoff_max
         self.stats = NetworkStats()
         #: Outbound connection attempts that failed (per-peer, cumulative).
@@ -206,33 +204,6 @@ class TcpGossipTransport:
 
     def is_offline(self, node_id: int) -> bool:
         return node_id in self._offline
-
-    def set_partition(self, groups: list[list[int]] | None) -> None:
-        raise NetworkError(
-            "the live transport cannot partition the overlay; "
-            "use set_offline per process"
-        )
-
-    @property
-    def partition_map(self) -> dict[int, int] | None:
-        return None
-
-    def partition_groups(self) -> list[set[int]] | None:
-        return None
-
-    def set_link_disturbance(
-        self,
-        name: str,
-        disturbance: LinkDisturbance | None,
-        nodes: Iterable[int] | None = None,
-    ) -> None:
-        raise NetworkError(
-            "the live transport has no link-disturbance model; "
-            "degrade real links with OS tooling instead"
-        )
-
-    def active_disturbances(self) -> dict[str, LinkDisturbance]:
-        return {}
 
     # -- send paths ------------------------------------------------------------------
 
@@ -360,7 +331,7 @@ class TcpGossipTransport:
                         await writer.wait_closed()
             if self._running and failures:
                 delay = min(
-                    self.backoff_base * self.backoff_factor ** (failures - 1),
+                    self.backoff_base * 2.0 ** (failures - 1),
                     self.backoff_max,
                 )
                 await asyncio.sleep(delay)

@@ -13,8 +13,9 @@ structural interface this module defines.  Two backends implement it:
 
 :class:`FaultableTransport` extends the surface with the chaos-injection
 hooks (drop filters, partitions, link disturbances); the simulated backend
-implements all of them, the live backend only the process-local subset (see
-``docs/transport.md`` for the backend matrix).
+implements all of them, the live backend has only the process-local ones
+and so is not a ``FaultableTransport`` (see ``docs/transport.md`` for the
+backend matrix).
 
 :class:`NetworkStats` is the accounting surface both backends share: every
 transfer a backend swallows instead of delivering must be counted, broken
@@ -24,12 +25,13 @@ down by cause — silently disappearing messages are not allowed.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable
 from typing import Any, Protocol, runtime_checkable
 
 from repro.errors import NetworkError
 from repro.net.message import Message
+from repro.serde import to_json
 
 #: Delivery callback: (message, from_peer) -> None.
 Handler = Callable[[Message, int], None]
@@ -53,11 +55,11 @@ class NetworkStats:
 
     The per-kind counters are ``defaultdict`` internally (so accounting
     code can increment without membership checks), which means merely
-    *reading* an absent key materializes a zero entry.  Serde therefore
-    goes through :meth:`to_dict` / :meth:`from_dict`, which normalize to
-    plain sorted dicts with zero entries dropped, and equality compares
-    the normalized forms — a JSON round-trip is exact even after such
-    spurious reads.
+    *reading* an absent key materializes a zero entry.  :mod:`repro.serde`
+    therefore writes a counter as a plain sorted dict with zero entries
+    dropped and reads it back into a ``defaultdict``, and equality compares
+    the written forms — a JSON round-trip is exact even after such spurious
+    reads.
     """
 
     messages_sent: int = 0
@@ -68,8 +70,6 @@ class NetworkStats:
     bytes_by_kind: dict[str, int] = field(default_factory=_int_counter)
     messages_by_kind: dict[str, int] = field(default_factory=_int_counter)
     drops_by_reason: dict[str, int] = field(default_factory=_int_counter)
-
-    _COUNTER_FIELDS = ("bytes_by_kind", "messages_by_kind", "drops_by_reason")
 
     def record_drop(self, reason: str) -> None:
         """Count one dropped transfer under ``reason``."""
@@ -83,51 +83,14 @@ class NetworkStats:
         self.bytes_by_kind[kind] += count * size
         self.messages_by_kind[kind] += count
 
-    # -- serde boundary ----------------------------------------------------------
-
-    @staticmethod
-    def _normalized(counter: dict[str, int]) -> dict[str, int]:
-        """Plain sorted dict with defaultdict-materialized zeros dropped."""
-        return {key: counter[key] for key in sorted(counter) if counter[key]}
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe record; per-kind counters become plain sorted dicts."""
-        record: dict[str, Any] = {
-            "messages_sent": self.messages_sent,
-            "bytes_sent": self.bytes_sent,
-            "messages_delivered": self.messages_delivered,
-            "messages_dropped": self.messages_dropped,
-            "messages_duplicated": self.messages_duplicated,
-        }
-        for name in self._COUNTER_FIELDS:
-            record[name] = self._normalized(getattr(self, name))
-        return record
-
-    @classmethod
-    def from_dict(cls, record: dict[str, Any]) -> "NetworkStats":
-        """Rebuild from :meth:`to_dict` output (exact round-trip)."""
-        stats = cls(
-            messages_sent=record["messages_sent"],
-            bytes_sent=record["bytes_sent"],
-            messages_delivered=record["messages_delivered"],
-            messages_dropped=record["messages_dropped"],
-            messages_duplicated=record["messages_duplicated"],
-        )
-        for name in cls._COUNTER_FIELDS:
-            getattr(stats, name).update(record.get(name, {}))
-        return stats
+        return to_json(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetworkStats):
             return NotImplemented
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if f.name in self._COUNTER_FIELDS:
-                if self._normalized(mine) != self._normalized(theirs):
-                    return False
-            elif mine != theirs:
-                return False
-        return True
+        return to_json(self) == to_json(other)
 
 
 @dataclass(frozen=True)
@@ -246,11 +209,12 @@ class Transport(Protocol):
 class FaultableTransport(Transport, Protocol):
     """A transport that supports the chaos-injection hooks.
 
-    The simulated backend implements every hook; live backends implement
-    the process-local subset (drop filters, offline) and raise
-    :class:`~repro.errors.NetworkError` for overlay-global faults they
-    cannot express (partitions, link disturbances) — see the backend
-    matrix in ``docs/transport.md``.
+    The simulated backend implements every hook.  The live backend has the
+    process-local ones (drop filters, offline) and none of the
+    overlay-global ones it cannot express (partitions, link disturbances),
+    so it does not satisfy this protocol and cannot be handed to the chaos
+    controller or the invariant monitor — see the backend matrix in
+    ``docs/transport.md``.
     """
 
     def set_drop_filter(self, node_id: int, drop: DropFilter | None) -> None:

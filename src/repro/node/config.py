@@ -42,11 +42,7 @@ class FullNodeConfig(MiningNodeConfig):
     Attributes:
         sign_blocks: sign produced block headers (§III) — on by default.
         verify_signatures: verify received headers and transactions.
-        max_block_txs: cap on transactions per block.
-        initial_balance: genesis balance credited to each member account.
     """
 
     sign_blocks: bool = True
     verify_signatures: bool = True
-    max_block_txs: int = 128
-    initial_balance: int = 1_000_000

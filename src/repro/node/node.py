@@ -43,6 +43,12 @@ from repro.ledger.state import AccountState
 from repro.net.message import Message
 from repro.node.config import FullNodeConfig
 
+#: Cap on transactions per block.
+MAX_BLOCK_TXS = 128
+
+#: Genesis balance credited to each member account.
+INITIAL_BALANCE = 1_000_000
+
 
 class FullNode(MiningNode):
     """A complete consortium-blockchain node."""
@@ -77,7 +83,7 @@ class FullNode(MiningNode):
     def _genesis_state(self) -> AccountState:
         state = AccountState()
         for member in self.ctx.members:
-            state.credit(member, self.config.initial_balance)
+            state.credit(member, INITIAL_BALANCE)
         return state
 
     # -- lifecycle ----------------------------------------------------------------
@@ -175,7 +181,7 @@ class FullNode(MiningNode):
 
     def _select_transactions(self) -> Sequence[Transaction]:
         """Draw the round's transactions from the pool (§III preferences)."""
-        return self.mempool.select(max_count=self.config.max_block_txs)
+        return self.mempool.select(max_count=MAX_BLOCK_TXS)
 
     def block_wire_bytes(self, block: Block) -> int:
         """Full relay: header plus §VII-A's 512 bytes per carried transaction."""

@@ -23,7 +23,7 @@ request that already timed out — are matched by request id and dropped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -35,6 +35,7 @@ from repro.net.message import (
     KIND_SYNC_HEADERS_RESPONSE,
     Message,
 )
+from repro.serde import to_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.consensus.powfamily import MiningNode
@@ -105,7 +106,7 @@ class SyncStats:
         ``blocks_received`` than its chain height, proving it replayed
         from disk rather than re-downloading from genesis.
         """
-        return asdict(self)
+        return to_json(self)
 
 
 class SyncManager:

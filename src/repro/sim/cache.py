@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.node.config import env_setting
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner types)
@@ -150,32 +150,26 @@ class ResultCache:
 
     def get(self, cfg: "ExperimentConfig") -> "RunResult | None":
         """Return the cached result, or None (counting a hit or a miss)."""
-        record = self.get_record(cfg)
-        if record is None:
-            return None
         from repro.sim.reporting import result_from_dict
 
-        return result_from_dict(record)
-
-    def get_record(self, cfg: "ExperimentConfig") -> dict[str, Any] | None:
-        """Raw dictionary form of :meth:`get` (skips reconstruction)."""
         path = self.path_for(cfg)
         try:
             entry = json.loads(path.read_text())
             if entry.get("schema") != CACHE_SCHEMA:
                 raise SimulationError(f"cache schema {entry.get('schema')}")
-            record = entry["result"]
+            result = result_from_dict(entry["result"])
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except (OSError, ValueError, KeyError, SimulationError):
-            # Corrupt/foreign entry: a miss, and never trusted again.
+        except (OSError, ValueError, KeyError, ReproError):
+            # Corrupt/foreign entry, or a record the codec refuses: a miss,
+            # and never trusted again.
             self.stats.invalid += 1
             self.stats.misses += 1
             path.unlink(missing_ok=True)
             return None
         self.stats.hits += 1
-        return record
+        return result
 
     def put(self, cfg: "ExperimentConfig", result: "RunResult") -> Path:
         """Serialize and store one result under its content address."""

@@ -5,112 +5,40 @@ records (for archiving sweeps, diffing runs across machines, shipping results
 back from engine worker processes, and the on-disk result cache) and renders
 quick ASCII charts so the figures are inspectable without a plotting stack.
 
-The dictionary forms round-trip: ``result_from_dict(result_to_dict(r))``
+The dictionary forms are :mod:`repro.serde`'s, derived from the dataclass
+declarations, and round-trip: ``result_from_dict(result_to_dict(r))``
 reconstructs every metric field exactly (floats survive because ``json``
 serializes them via ``repr``).  Only the live simulation objects —
-``RunResult.observer`` and ``RunResult.pbft`` — are dropped; they hold the
-whole simulator graph and never cross a process or cache boundary.
+``RunResult.observer`` and ``RunResult.pbft``, marked ``NOT_ON_WIRE`` where
+they are declared — are dropped; they hold the whole simulator graph and
+never cross a process or cache boundary.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from repro.chaos.faults import FaultEvent
-from repro.chaos.invariants import InvariantReport
-from repro.chaos.schedule import plan_from_dict, plan_to_dict
 from repro.errors import SimulationError
-from repro.net.transport import NetworkStats
-from repro.sim.metrics import ChaosReport, ForkReport
+from repro.serde import from_json, to_json
 from repro.sim.runner import ExperimentConfig, RunResult
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     """JSON-safe dictionary form of an experiment configuration."""
-    record = asdict(cfg)
-    # asdict recurses into the fault plan but loses the spec classes
-    # (CrashFault and ClockSkewFault share field names); use the tagged form.
-    if cfg.fault_plan is not None:
-        record["fault_plan"] = plan_to_dict(cfg.fault_plan)
-    return record
+    return to_json(cfg)
 
 
 def config_from_dict(record: Mapping[str, Any]) -> ExperimentConfig:
     """Rebuild an :class:`ExperimentConfig` from :func:`config_to_dict`."""
-    data = dict(record)
-    allowed = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - allowed
-    if unknown:
-        raise SimulationError(f"unknown config fields {sorted(unknown)}")
-    if data.get("fault_plan") is not None:
-        data["fault_plan"] = plan_from_dict(data["fault_plan"])
-    return ExperimentConfig(**data)
-
-
-def _detail_to_json(value: Any) -> Any:
-    if isinstance(value, (tuple, list)):
-        return [_detail_to_json(v) for v in value]
-    return value
-
-
-def _detail_from_json(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_detail_from_json(v) for v in value)
-    return value
+    return from_json(ExperimentConfig, record)
 
 
 def result_to_dict(result: RunResult) -> dict[str, Any]:
     """JSON-safe record of a run (drops live objects, keeps every metric)."""
-    record: dict[str, Any] = {
-        "config": config_to_dict(result.config),
-        "duration": result.duration,
-        "committed_blocks": result.committed_blocks,
-        "tps": result.tps,
-        "equality": list(result.equality),
-        "unpredictability": list(result.unpredictability),
-        "members": [m.hex() for m in result.members],
-        "view_changes": result.view_changes,
-        "network": result.network.to_dict(),
-    }
-    if result.chaos is not None:
-        record["chaos"] = asdict(result.chaos)
-    if result.invariants is not None:
-        record["invariants"] = {
-            "clean": result.invariants.clean,
-            "checks_run": result.invariants.checks_run,
-            "safety_violations": result.invariants.safety_violations,
-            "liveness_violations": result.invariants.liveness_violations,
-            "max_height_seen": result.invariants.max_height_seen,
-            "last_growth_time": result.invariants.last_growth_time,
-            "violations": list(result.invariants.violations),
-        }
-    if result.fault_log:
-        record["fault_log"] = [
-            {
-                "time": e.time,
-                "action": e.action,
-                "detail": [[k, _detail_to_json(v)] for k, v in e.detail],
-            }
-            for e in result.fault_log
-        ]
-    if result.fork is not None:
-        record["fork"] = {
-            "total_blocks": result.fork.total_blocks,
-            "main_chain_blocks": result.fork.main_chain_blocks,
-            "stale_blocks": result.fork.stale_blocks,
-            "fork_rate": result.fork.fork_rate,
-            "fork_events": result.fork.fork_events,
-            "durations": list(result.fork.durations),
-            "longest_duration": result.fork.longest_duration,
-            "mean_duration": result.fork.mean_duration,
-        }
-    else:
-        record["fork"] = None
-    return record
+    return to_json(result)
 
 
 def result_from_dict(record: Mapping[str, Any]) -> RunResult:
@@ -119,49 +47,7 @@ def result_from_dict(record: Mapping[str, Any]) -> RunResult:
     The live ``observer`` / ``pbft`` handles come back as ``None`` — every
     serialized metric field round-trips exactly.
     """
-    fork = None
-    if record.get("fork") is not None:
-        f = record["fork"]
-        fork = ForkReport(
-            total_blocks=f["total_blocks"],
-            main_chain_blocks=f["main_chain_blocks"],
-            stale_blocks=f["stale_blocks"],
-            fork_events=f["fork_events"],
-            fork_rate=f["fork_rate"],
-            durations=tuple(f["durations"]),
-        )
-    network = NetworkStats.from_dict(record["network"])
-    chaos = None
-    if record.get("chaos") is not None:
-        chaos = ChaosReport(**record["chaos"])
-    invariants = None
-    if record.get("invariants") is not None:
-        inv = dict(record["invariants"])
-        inv.pop("clean", None)  # derived property
-        invariants = InvariantReport(**inv)
-    fault_log = tuple(
-        FaultEvent(
-            time=e["time"],
-            action=e["action"],
-            detail=tuple((k, _detail_from_json(v)) for k, v in e["detail"]),
-        )
-        for e in record.get("fault_log", ())
-    )
-    return RunResult(
-        config=config_from_dict(record["config"]),
-        duration=record["duration"],
-        committed_blocks=record["committed_blocks"],
-        tps=record["tps"],
-        equality=list(record["equality"]),
-        unpredictability=list(record["unpredictability"]),
-        fork=fork,
-        network=network,
-        members=[bytes.fromhex(m) for m in record.get("members", ())],
-        view_changes=record.get("view_changes", 0),
-        chaos=chaos,
-        invariants=invariants,
-        fault_log=fault_log,
-    )
+    return from_json(RunResult, record)
 
 
 def save_results(results: Sequence[RunResult], path: str | Path) -> Path:

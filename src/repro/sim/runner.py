@@ -37,6 +37,7 @@ from repro.errors import SimulationError
 from repro.mining.power import PowerProfile, pool_distribution_profile, uniform_profile
 from repro.net.latency import LinkModel
 from repro.net.network import NetworkStats
+from repro.serde import NOT_ON_WIRE
 from repro.sim.attacks import VulnerableNodeAttack
 from repro.sim.fleet import SimStack, build_stack, start_mining_fleet
 from repro.sim.metrics import (
@@ -152,8 +153,8 @@ class RunResult:
     members: list[bytes] = field(default_factory=list)
     # Live simulator handles: in-process only, never serialized (see
     # repro.sim.reporting module docstring).
-    observer: MiningNode | None = None  # repro: allow[REP004] live handle
-    pbft: PBFTCluster | None = None  # repro: allow[REP004] live handle
+    observer: MiningNode | None = field(default=None, metadata=NOT_ON_WIRE)
+    pbft: PBFTCluster | None = field(default=None, metadata=NOT_ON_WIRE)
     view_changes: int = 0
     chaos: ChaosReport | None = None
     invariants: InvariantReport | None = None

@@ -14,14 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    DEFAULT_CONFIG,
-    LintConfig,
-    RULES,
-    SerdeAnchor,
-    UnionRegistry,
-    lint_paths,
-)
+from repro.lint import RULES, lint_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.context import module_name_for
 from repro.lint.diagnostics import PARSE_ERROR, UNUSED_SUPPRESSION
@@ -288,234 +281,6 @@ def test_rep003_suppressed_and_unused(tmp_path):
         },
     )
     assert codes(result) == [UNUSED_SUPPRESSION]
-
-
-# -- REP004 serde completeness -----------------------------------------------------
-
-_ANCHOR_CONFIG = LintConfig(
-    serde_anchors=(
-        SerdeAnchor(
-            dataclass_module="repro.sim.runner",
-            dataclass_name="RunResult",
-            serde_module="repro.sim.reporting",
-            to_fn="result_to_dict",
-            from_fn="result_from_dict",
-        ),
-    ),
-    union_registries=DEFAULT_CONFIG.union_registries,
-)
-
-_RUNNER_FIXTURE = """
-    from dataclasses import dataclass
-
-    @dataclass
-    class RunResult:
-        tps: float
-        latency: float
-"""
-
-
-def test_rep004_flags_field_missing_from_serializer(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {
-            "src/repro/sim/runner.py": _RUNNER_FIXTURE,
-            "src/repro/sim/reporting.py": """
-                def result_to_dict(result):
-                    return {"tps": result.tps}
-
-                def result_from_dict(record):
-                    return dict(tps=record["tps"], latency=record["latency"])
-            """,
-        },
-        config=_ANCHOR_CONFIG,
-    )
-    assert codes(result) == ["REP004"]
-    assert "RunResult.latency" in result.diagnostics[0].message
-    assert "serializer" in result.diagnostics[0].message
-
-
-def test_rep004_flags_missing_loader_function(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {
-            "src/repro/sim/runner.py": _RUNNER_FIXTURE,
-            "src/repro/sim/reporting.py": """
-                def result_to_dict(result):
-                    return {"tps": result.tps, "latency": result.latency}
-            """,
-        },
-        config=_ANCHOR_CONFIG,
-    )
-    assert codes(result) == ["REP004"]
-    assert "result_from_dict not found" in result.diagnostics[0].message
-
-
-def test_rep004_generic_asdict_covers_all_fields(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {
-            "src/repro/sim/runner.py": _RUNNER_FIXTURE,
-            "src/repro/sim/reporting.py": """
-                from dataclasses import asdict
-
-                def result_to_dict(result):
-                    return asdict(result)
-
-                def result_from_dict(record):
-                    from repro.sim.runner import RunResult
-                    return RunResult(**{f: record[f] for f in RunResult.__dataclass_fields__})
-            """,
-        },
-        config=_ANCHOR_CONFIG,
-    )
-    assert result.ok
-
-
-def test_rep004_flags_unregistered_nested_dataclass(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {
-            "src/repro/sim/runner.py": """
-                from dataclasses import dataclass
-
-                @dataclass
-                class ForkStats:
-                    rate: float
-
-                @dataclass
-                class RunResult:
-                    tps: float
-                    fork: ForkStats | None
-            """,
-            "src/repro/sim/reporting.py": """
-                from dataclasses import asdict
-
-                def result_to_dict(result):
-                    return asdict(result)
-
-                def result_from_dict(record):
-                    return dict(tps=record["tps"], fork=record["fork"])
-            """,
-        },
-        config=_ANCHOR_CONFIG,
-    )
-    assert codes(result) == ["REP004"]
-    assert "ForkStats" in result.diagnostics[0].message
-
-
-def test_rep004_union_member_missing_from_registry(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {
-            "src/repro/chaos/faults.py": """
-                from typing import Union
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class CrashFault:
-                    node: int
-
-                @dataclass(frozen=True)
-                class LinkFault:
-                    loss: float
-
-                FaultSpec = Union[CrashFault, LinkFault]
-            """,
-            "src/repro/chaos/schedule.py": """
-                from repro.chaos.faults import CrashFault
-
-                _FAULT_KINDS = {"crash": CrashFault}
-            """,
-        },
-        config=_ANCHOR_CONFIG,
-    )
-    assert codes(result) == ["REP004"]
-    assert "LinkFault" in result.diagnostics[0].message
-
-
-def test_rep004_stale_registry_entry(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {
-            "src/repro/chaos/faults.py": """
-                from typing import Union
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class CrashFault:
-                    node: int
-
-                @dataclass(frozen=True)
-                class LinkFault:
-                    loss: float
-
-                FaultSpec = Union[CrashFault, LinkFault]
-            """,
-            "src/repro/chaos/schedule.py": """
-                from repro.chaos.faults import CrashFault, LinkFault
-
-                class RetiredFault:
-                    pass
-
-                _FAULT_KINDS = {
-                    "crash": CrashFault,
-                    "link": LinkFault,
-                    "retired": RetiredFault,
-                }
-            """,
-        },
-        config=_ANCHOR_CONFIG,
-    )
-    assert codes(result) == ["REP004"]
-    assert "stale" in result.diagnostics[0].message
-
-
-def test_rep004_suppressed_and_unused(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {
-            "src/repro/sim/runner.py": """
-                from dataclasses import dataclass
-
-                @dataclass
-                class RunResult:
-                    tps: float
-                    live: object = None  # repro: allow[REP004]
-            """,
-            "src/repro/sim/reporting.py": """
-                def result_to_dict(result):
-                    return {"tps": result.tps}
-
-                def result_from_dict(record):
-                    return dict(tps=record["tps"])
-            """,
-        },
-        config=_ANCHOR_CONFIG,
-    )
-    assert result.ok  # the live-handle field is waived; everything else round-trips
-
-    stale = run_lint(
-        tmp_path / "stale",
-        {
-            "src/repro/sim/runner.py": """
-                from dataclasses import dataclass
-
-                @dataclass
-                class RunResult:
-                    tps: float  # repro: allow[REP004]
-            """,
-            "src/repro/sim/reporting.py": """
-                def result_to_dict(result):
-                    return {"tps": result.tps}
-
-                def result_from_dict(record):
-                    return dict(tps=record["tps"])
-            """,
-        },
-        config=_ANCHOR_CONFIG,
-    )
-    assert [d.code for d in stale.diagnostics] == [UNUSED_SUPPRESSION]
 
 
 # -- REP005 frozen messages --------------------------------------------------------
@@ -1522,7 +1287,6 @@ def test_every_rule_has_fixture_coverage():
         "REP001",
         "REP002",
         "REP003",
-        "REP004",
         "REP005",
         "REP006",
         "REP010",

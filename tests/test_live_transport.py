@@ -26,6 +26,7 @@ from repro.live import transport as live_transport
 from repro.live.transport import TcpGossipTransport
 from repro.mining.oracle import MiningOracle
 from repro.net.message import KIND_SYNC_HEADERS_REQUEST, KIND_TX, Message, is_sync_kind
+from repro.net.transport import FaultableTransport
 from repro.net.wire import KIND_HELLO, encode_message, frame
 from repro.node.sync import SyncConfig
 from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
@@ -149,10 +150,7 @@ class TestDelivery:
             transport = TcpGossipTransport(
                 manifest=manifest, node_id=0, clock=LiveClock(seed=0)
             )
-            with pytest.raises(NetworkError, match="partition"):
-                transport.set_partition([[0], [1]])
-            with pytest.raises(NetworkError, match="disturbance"):
-                transport.set_link_disturbance("storm", None)
+            assert not isinstance(transport, FaultableTransport)
             with pytest.raises(NetworkError, match="attach"):
                 transport.attach(1, lambda msg, peer: None)
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.chaos.faults import PartitionFault
-from repro.chaos.schedule import FaultPlan, random_fault_plan
+from repro.chaos.faults import ClockSkewFault, CrashFault, LinkFault, PartitionFault
+from repro.chaos.schedule import FaultPlan, plan_to_dict, random_fault_plan
 from repro.live.clock import LiveClock
 from repro.live.manifest import localhost_manifest
 from repro.live.transport import TcpGossipTransport
@@ -26,6 +28,8 @@ from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
 from repro.net.transport import FaultableTransport, NetworkStats, Transport
+from repro.serde import from_json
+from repro.sim.cache import ResultCache
 from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
 from repro.sim.reporting import result_to_dict
 from repro.sim.runner import ExperimentConfig, run_experiment
@@ -93,23 +97,31 @@ def recovery_digest(faulted: bool) -> str:
 #: sha256 over the ``result_to_dict`` JSON of five runs — themis, themis-lite
 #: (n = 21, degree 5), pow-h with 30 % vulnerable nodes, pbft, and themis
 #: under ``random_fault_plan(churn=0.2, link_faults=1)`` — captured at commit
-#: ``9fd7d86`` (the parent of the consensus-node / data-plane split), before
-#: any source edit, with
+#: ``f615496`` (the parent of the derived-codec change), before any source
+#: edit, with
 #:
 #:   PYTHONPATH=src python -c "from tests.test_transport_parity import \
 #:       results_digest; print(results_digest())"
 #:
-#: The four config keys that change removed are left out of the hashed
-#: record on both sides; every metric, counter, fault log and invariant
-#: report is in it.
-GOLDEN_RESULTS_SHA256 = "1c813db9e08ec54ecd4331924f192d83fe939f18ecf45fe065709d366c3a092a"
+#: That change stopped writing three derived values no loader ever read
+#: (``invariants.clean``, ``fork.longest_duration``, ``fork.mean_duration``)
+#: and writes an absent optional as ``null`` / ``[]`` where the hand-kept
+#: serializer left the key out, so the hashed record drops those three keys
+#: and every ``None`` / ``[]`` / ``{}``-valued key on both sides; every
+#: metric, counter, fault log and invariant report is in it.
+GOLDEN_RESULTS_SHA256 = "1d9d2dbbf0f5594f0c5a7a6bc8432ca611e96d2b2340eb9e486a8e3048652776"
 
-_REMOVED_CONFIG_KEYS = (
-    "monitor_invariants",
-    "calibrate_initial_difficulty",
-    "measure_from_epoch",
-    "max_sim_time",
-)
+
+def _without_empty(value):
+    if isinstance(value, dict):
+        return {
+            key: _without_empty(item)
+            for key, item in value.items()
+            if item is not None and item != [] and item != {}
+        }
+    if isinstance(value, list):
+        return [_without_empty(item) for item in value]
+    return value
 
 
 def results_digest() -> str:
@@ -126,15 +138,121 @@ def results_digest() -> str:
     digest = hashlib.sha256()
     for cfg in configs:
         record = result_to_dict(run_experiment(cfg))
-        for key in _REMOVED_CONFIG_KEYS:
-            record["config"].pop(key, None)
-        digest.update(json.dumps(record, sort_keys=True).encode())
+        (record.get("invariants") or {}).pop("clean", None)
+        for derived in ("longest_duration", "mean_duration"):
+            (record.get("fork") or {}).pop(derived, None)
+        digest.update(json.dumps(_without_empty(record), sort_keys=True).encode())
     return digest.hexdigest()
+
+
+#: Every format something hashes or boots from, captured at commit ``f615496``
+#: (the parent of the derived-codec change), before any source edit, with
+#:
+#:   PYTHONPATH=src python -c "from tests.test_transport_parity import \
+#:       format_pins; print(format_pins())"
+#:
+#: ``plan`` is what the spine's ``sim_churn_n20`` input digest hashes, the two
+#: keys are what ``ResultCache`` files a run under, ``stats`` is what the
+#: consortium and selfish-fleet goldens hash, ``manifest`` is the file every
+#: localnet process boots from.
+GOLDEN_FORMATS: dict[str, str] = {
+    "plan": (
+        "{'faults': [{'node': 3, 'at': 12.5, 'restart_at': 40.0, 'kind': 'crash'}, "
+        "{'node': 5, 'at': 20.0, 'restart_at': None, 'kind': 'crash'}, {'groups': "
+        "[[0, 1, 2, 4], [3, 5]], 'at': 30.0, 'heal_at': 55.25, 'kind': "
+        "'partition'}, {'at': 5.0, 'until': 25.0, 'nodes': [1, 3], 'loss': 0.2, "
+        "'duplicate': 0.0, 'reorder_jitter': 0.05, 'bandwidth_factor': 1.0, "
+        "'kind': 'link'}, {'at': 60.0, 'until': None, 'nodes': None, 'loss': 0.0, "
+        "'duplicate': 0.1, 'reorder_jitter': 0.0, 'bandwidth_factor': 2.0, 'kind': "
+        "'link'}, {'node': 2, 'skew': -1.5, 'at': 8.0, 'until': 16.0, 'kind': "
+        "'clock_skew'}]}"
+    ),
+    "key_plain": "f7ff915cdf71fa99a002a8abdd180750f36d546a97a1a9f62312c52dbcec8cab",
+    "key_planned": "ddffa45093ae89126336d087c5b11762f1f3d25691fcc5974a86d6ef507d4feb",
+    "stats": (
+        '{"bytes_by_kind": {"block": 654368052, "sync/blocks_req": 3808, '
+        '"sync/blocks_resp": 6683520, "sync/headers_req": 3104, '
+        '"sync/headers_resp": 3808}, "bytes_sent": 661062292, "drops_by_reason": '
+        '{"loss": 107, "offline": 344, "partition": 60}, "messages_by_kind": '
+        '{"block": 10173, "sync/blocks_req": 6, "sync/blocks_resp": 6, '
+        '"sync/headers_req": 6, "sync/headers_resp": 6}, "messages_delivered": '
+        '10252, "messages_dropped": 511, "messages_duplicated": 61, '
+        '"messages_sent": 10197}'
+    ),
+    "manifest": "\n".join(
+        [
+            '{',
+            '  "beta": 8.0,',
+            '  "degree": 6,',
+            '  "h0": 1.0,',
+            '  "i0": 0.5,',
+            '  "key_prefix": "pin",',
+            '  "peers": [',
+            '    {',
+            '      "host": "127.0.0.1",',
+            '      "node_id": 0,',
+            '      "port": 9001',
+            '    },',
+            '    {',
+            '      "host": "127.0.0.1",',
+            '      "node_id": 1,',
+            '      "port": 9002',
+            '    },',
+            '    {',
+            '      "host": "127.0.0.1",',
+            '      "node_id": 2,',
+            '      "port": 9003',
+            '    }',
+            '  ],',
+            '  "seed": 7,',
+            '  "sign_blocks": true,',
+            '  "verify_signatures": false',
+            '}',
+        ]
+    ),
+}
+
+PINNED_PLAN = FaultPlan(
+    faults=(
+        CrashFault(node=3, at=12.5, restart_at=40.0),
+        CrashFault(node=5, at=20.0),
+        PartitionFault(groups=((0, 1, 2, 4), (3, 5)), at=30.0, heal_at=55.25),
+        LinkFault(at=5.0, until=25.0, nodes=(1, 3), loss=0.2, reorder_jitter=0.05),
+        LinkFault(at=60.0, duplicate=0.1, bandwidth_factor=2.0),
+        ClockSkewFault(node=2, skew=-1.5, at=8.0, until=16.0),
+    )
+)
+
+
+def format_pins() -> dict[str, str]:
+    plain = ExperimentConfig("themis", n=8, epochs=2, seed=1)
+    planned = replace(plain, fault_plan=PINNED_PLAN)
+    cache = ResultCache("unused", code_version="pin")
+    stats = run_experiment(recovery_config(True)).network
+    assert stats.drops_by_reason["never-counted"] == 0  # a spurious defaultdict read
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "manifest.json"
+        replace(
+            localhost_manifest(ports=[9001, 9002, 9003], seed=7, i0=0.5),
+            key_prefix="pin",
+            sign_blocks=True,
+        ).save(path)
+        manifest = path.read_bytes()
+    return {
+        "plan": repr(plan_to_dict(PINNED_PLAN)),
+        "key_plain": cache.key_for(plain),
+        "key_planned": cache.key_for(planned),
+        "stats": json.dumps(stats.to_dict(), sort_keys=True),
+        "manifest": manifest.decode(),
+    }
 
 
 class TestGoldenParity:
     def test_result_records_are_identical_to_the_parent(self):
         assert results_digest() == GOLDEN_RESULTS_SHA256
+
+    def test_hashed_and_booted_formats_are_byte_identical_to_the_parent(self):
+        assert format_pins() == GOLDEN_FORMATS
 
     def test_fixed_seed_chain_is_byte_identical_to_pre_refactor(self):
         assert _chain_hash() == GOLDEN_CHAIN_SHA256
@@ -177,9 +295,9 @@ class TestNetworkStatsSerde:
 
     Merely *reading* an absent key of a ``defaultdict`` materializes a zero
     entry, so two observably identical stats objects could serialize to
-    different dicts (and a round-trip could gain keys).  ``to_dict`` /
-    ``from_dict`` normalize away the zeros and ``__eq__`` compares the
-    normalized forms.
+    different dicts (and a round-trip could gain keys).  The codec
+    (``to_dict`` is ``repro.serde.to_json``) leaves the zeros out and
+    ``__eq__`` compares the written forms.
     """
 
     def _stats(self) -> NetworkStats:
@@ -192,11 +310,11 @@ class TestNetworkStatsSerde:
 
     def test_round_trip_exact(self):
         stats = self._stats()
-        assert NetworkStats.from_dict(stats.to_dict()) == stats
+        assert from_json(NetworkStats, stats.to_dict()) == stats
 
     def test_round_trip_through_json_text(self):
         stats = self._stats()
-        restored = NetworkStats.from_dict(json.loads(json.dumps(stats.to_dict())))
+        restored = from_json(NetworkStats, json.loads(json.dumps(stats.to_dict())))
         assert restored == stats
 
     def test_materialized_zero_entries_do_not_leak(self):
@@ -205,7 +323,7 @@ class TestNetworkStatsSerde:
         assert stats.bytes_by_kind["pbft/vote"] == 0
         record = stats.to_dict()
         assert "pbft/vote" not in record["bytes_by_kind"]
-        assert NetworkStats.from_dict(record) == stats
+        assert from_json(NetworkStats, record) == stats
 
     def test_equality_ignores_materialized_zeros(self):
         a, b = self._stats(), self._stats()
@@ -215,6 +333,6 @@ class TestNetworkStatsSerde:
         assert a != b
 
     def test_counters_stay_incrementable_after_from_dict(self):
-        restored = NetworkStats.from_dict(self._stats().to_dict())
+        restored = from_json(NetworkStats, self._stats().to_dict())
         restored.record_drop("filtered")  # defaultdict behavior preserved
         assert restored.drops_by_reason["filtered"] == 1
