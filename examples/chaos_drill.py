@@ -14,7 +14,8 @@ the identical fault log signature and the identical final chain head.
 
 from __future__ import annotations
 
-from repro.chaos import CrashFault, FaultPlan, PartitionFault, fault_log_signature
+from repro.chaos.faults import CrashFault, PartitionFault, fault_log_signature
+from repro.chaos.schedule import FaultPlan
 from repro.sim.runner import ExperimentConfig, run_experiment
 
 SEED = 7

@@ -69,8 +69,8 @@ def main() -> None:
         stop_when=lambda: all(node.nodeset.is_member(new_addr) for node in nodes),
         max_events=3_000_000,
     )
-    print(f"  proposal passed; member count is now {nodes[0].nodeset.n}")
-    assert all(node.nodeset.n == 5 for node in nodes)
+    print(f"  proposal passed; member count is now {len(nodes[0].nodeset.members)}")
+    assert all(len(node.nodeset.members) == 5 for node in nodes)
 
     # -- 3. a member is expelled -------------------------------------------------
     print("Phase 3: org-3 caught double-spending; removal proposed")
@@ -83,8 +83,8 @@ def main() -> None:
         stop_when=lambda: all(not node.nodeset.is_member(victim) for node in nodes),
         max_events=3_000_000,
     )
-    print(f"  org-3 expelled; member count is now {nodes[0].nodeset.n}")
-    assert all(node.nodeset.n == 4 for node in nodes)
+    print(f"  org-3 expelled; member count is now {len(nodes[0].nodeset.members)}")
+    assert all(len(node.nodeset.members) == 4 for node in nodes)
     assert all(not node.validator.is_member(victim) for node in nodes[:3])
     print("\nGovernance flow complete: add + remove both took effect at round boundaries.")
 

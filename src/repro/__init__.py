@@ -11,14 +11,14 @@ Subpackages
 ``repro.chain``
     Transactions, blocks, the block tree, longest-chain and GHOST rules.
 ``repro.ledger``
-    Account state, execution, the NodeSetContract, mempool.
+    Account state, execution, the §IV-C NodeSetContract, mempool.
 ``repro.net``
     Deterministic discrete-event simulator, link model, topologies, gossip.
 ``repro.mining``
     Computing-power profiles (Fig. 3), the mining oracle, a real miner.
 ``repro.core``
     The paper's contribution: self-adaptive difficulty (§IV), GEOST (§V),
-    equality metrics (§II), membership management (§IV-C).
+    equality metrics (§II).
 ``repro.consensus``
     Full node implementations: Themis / Themis-Lite / PoW-H and PBFT.
 ``repro.node``
@@ -31,7 +31,7 @@ Subpackages
 Quickstart
 ----------
 
->>> from repro.sim import ExperimentConfig, run_experiment
+>>> from repro.sim.runner import ExperimentConfig, run_experiment
 >>> result = run_experiment(ExperimentConfig(algorithm="themis", n=10, epochs=3))
 >>> result.equality[-1] < result.equality[0]  # Equality improves with epochs
 True

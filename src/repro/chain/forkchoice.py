@@ -67,7 +67,7 @@ class _KeyedRule(ForkChoiceRule):
         return max(children, key=lambda child: self._key(tree, child))
 
 
-def _subtree_max_height(tree: BlockTree, block_id: bytes) -> int:
+def subtree_max_height(tree: BlockTree, block_id: bytes) -> int:
     """Height of the deepest descendant of ``block_id`` (DFS)."""
     best = tree.get(block_id).height
     stack = [block_id]
@@ -76,7 +76,7 @@ def _subtree_max_height(tree: BlockTree, block_id: bytes) -> int:
         height = tree.get(current).height
         if height > best:
             best = height
-        stack.extend(tree.children(current))
+        stack.extend(tree.children_view(current))
     return best
 
 
@@ -90,7 +90,7 @@ class LongestChainRule(_KeyedRule):
     def __init__(self) -> None:
         super().__init__(
             key=lambda tree, child: (
-                _subtree_max_height(tree, child),
+                subtree_max_height(tree, child),
                 -tree.arrival_seq(child),
             ),
             name="longest-chain",

@@ -1,4 +1,4 @@
-"""Chain persistence: save and load block trees.
+"""Chain persistence: the block-tree snapshot format.
 
 A consortium node must survive restarts with its local block tree (and the
 reception metadata GEOST's first-received tie-break depends on) intact.  The
@@ -7,14 +7,14 @@ codec:
 
     magic ‖ version ‖ genesis-block ‖ count ‖ (block ‖ arrival_time)*
 
-Blocks are written in insertion order, so reloading replays them through
-:meth:`BlockTree.add_block` and reconstructs identical children ordering,
-arrival sequence numbers and subtree statistics.
+Attached blocks are written in insertion order, so reloading replays them
+through :meth:`BlockTree.add_block` and reconstructs identical children
+ordering, arrival sequence numbers and subtree statistics.  Buffered orphans
+follow them, so reloading buffers them again and a parent that arrives after
+the snapshot still attaches them.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from repro.chain.block import Block
 from repro.chain.blocktree import BlockTree
@@ -29,15 +29,16 @@ FORMAT_VERSION = 1
 def serialize_tree(tree: BlockTree) -> bytes:
     """Serialize a block tree (blocks + arrival metadata) to bytes."""
     blocks = list(tree.iter_blocks())
+    entries = [(block, tree.arrival_time(block.block_id)) for block in blocks[1:]]
+    entries += tree.iter_orphans()
     writer = Writer()
     writer.write_bytes_raw(MAGIC)
     writer.write_varint(FORMAT_VERSION)
-    genesis = blocks[0]
-    writer.write_bytes(genesis.to_bytes())
-    writer.write_varint(len(blocks) - 1)
-    for block in blocks[1:]:
+    writer.write_bytes(blocks[0].to_bytes())
+    writer.write_varint(len(entries))
+    for block, arrival in entries:
         writer.write_bytes(block.to_bytes())
-        writer.write_float(tree.arrival_time(block.block_id))
+        writer.write_float(arrival)
     return writer.getvalue()
 
 
@@ -69,16 +70,3 @@ def deserialize_tree(
             ) from exc
     reader.expect_end()
     return tree
-
-
-def save_tree(tree: BlockTree, path: str | Path) -> Path:
-    """Write a tree to disk."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(serialize_tree(tree))
-    return path
-
-
-def load_tree(path: str | Path, finality_window: int | None = 32) -> BlockTree:
-    """Read a tree back from disk."""
-    return deserialize_tree(Path(path).read_bytes(), finality_window=finality_window)

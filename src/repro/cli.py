@@ -250,12 +250,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import main as lint_main
-
-    return lint_main(args.rest)
-
-
 def _cmd_run_node(args: argparse.Namespace) -> int:
     from repro.live.node_runner import main as node_main
 
@@ -349,13 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(figure_parser)
     figure_parser.set_defaults(func=_cmd_figure)
 
-    lint_parser = sub.add_parser(
+    # Listed for --help only: main() hands "lint ..." to repro.lint.cli whole.
+    sub.add_parser(
         "lint",
-        help="determinism & protocol-safety static analysis (REP001-REP030)",
+        help="determinism & protocol-safety static analysis (rules: --list-rules)",
         add_help=False,
     )
-    lint_parser.add_argument("rest", nargs=argparse.REMAINDER)
-    lint_parser.set_defaults(func=_cmd_lint)
 
     node_parser = sub.add_parser(
         "run-node", help="run one live consortium node from a manifest"
@@ -431,6 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["lint"]:
+        from repro.lint.cli import main as lint_main
+
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     return args.func(args)
 

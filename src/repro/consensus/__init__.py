@@ -1,45 +1,1 @@
 """Consensus node implementations: Themis family and the PBFT baseline."""
-
-from repro.consensus.base import (
-    COMPACT_TX_BYTES,
-    FULL_TX_BYTES,
-    HEADER_WIRE_BYTES,
-    VOTE_BYTES,
-    ConsensusNode,
-    RunContext,
-)
-from repro.consensus.pbft import (
-    CommittedEntry,
-    PBFTCluster,
-    PBFTConfig,
-    PBFTReplica,
-    PBFTStats,
-)
-from repro.consensus.powfamily import (
-    MiningNode,
-    MiningNodeConfig,
-    MiningStats,
-    powh_config,
-    themis_config,
-    themis_lite_config,
-)
-
-__all__ = [
-    "COMPACT_TX_BYTES",
-    "CommittedEntry",
-    "ConsensusNode",
-    "FULL_TX_BYTES",
-    "HEADER_WIRE_BYTES",
-    "MiningNode",
-    "MiningNodeConfig",
-    "MiningStats",
-    "PBFTCluster",
-    "PBFTConfig",
-    "PBFTReplica",
-    "PBFTStats",
-    "RunContext",
-    "VOTE_BYTES",
-    "powh_config",
-    "themis_config",
-    "themis_lite_config",
-]

@@ -239,11 +239,7 @@ class PBFTCluster:
         """Account the aggregated prepare/commit traffic (2·n·(n-1) votes)."""
         votes = 2 * self.n * (self.n - 1)
         self.stats.votes_charged += votes
-        net_stats = self.ctx.network.stats
-        net_stats.messages_sent += votes
-        net_stats.bytes_sent += votes * self._vote_wire()
-        net_stats.bytes_by_kind["pbft/vote"] += votes * self._vote_wire()
-        net_stats.messages_by_kind["pbft/vote"] += votes
+        self.ctx.network.stats.record_send("pbft/vote", self._vote_wire(), votes)
 
     def _commit(self) -> None:
         assert self._round_block is not None
@@ -280,11 +276,7 @@ class PBFTCluster:
         # Charge the view-change storm: every replica broadcasts a view-change
         # message, and the new primary answers with a new-view.
         votes = self.n * (self.n - 1)
-        net_stats = self.ctx.network.stats
-        net_stats.messages_sent += votes
-        net_stats.bytes_sent += votes * self._vote_wire()
-        net_stats.bytes_by_kind["pbft/view-change"] += votes * self._vote_wire()
-        net_stats.messages_by_kind["pbft/view-change"] += votes
+        self.ctx.network.stats.record_send("pbft/view-change", self._vote_wire(), votes)
         self._view += 1
         self.ctx.sim.schedule(self._vote_phase_duration(), self._begin_round)
 

@@ -50,7 +50,7 @@ from repro.node.sync import SyncConfig, SyncManager
 from repro.consensus.base import ConsensusNode, RunContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.storage.base import ChainStorage
+    from repro.storage.sqlite import SqliteStorage
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class MiningNode(ConsensusNode):
         # Durable storage is opt-in (live mode only).  It stays None in
         # simulations, and :meth:`_attach` is None-guarded, so simulated
         # runs are byte-identical with or without this subsystem.
-        self.storage: ChainStorage | None = None
+        self.storage: SqliteStorage | None = None
         self.clock_skew = 0.0
         self.crashed = False
         self._mining_handle: TimerHandle | None = None
@@ -231,7 +231,7 @@ class MiningNode(ConsensusNode):
 
     # -- durable storage (live mode; never set in simulations) ----------------------
 
-    def attach_storage(self, storage: ChainStorage) -> None:
+    def attach_storage(self, storage: SqliteStorage) -> None:
         """Bind a durable backend; blocks persist from here on.
 
         Binds the store to this deployment's genesis (a database from a

@@ -1,56 +1,1 @@
-"""Themis core: adaptive difficulty, GEOST, equality metrics, membership."""
-
-from repro.core.difficulty import (
-    MIN_BASE_DIFFICULTY,
-    MIN_MULTIPLE,
-    DifficultyParams,
-    DifficultyTable,
-    advance_table,
-    next_base_difficulty,
-    next_multiples,
-)
-from repro.core.election import BlockBuilder, BlockValidator
-from repro.core.equality import (
-    frequency_vector,
-    ideal_frequency,
-    producer_counts,
-    round_robin_probability_variance,
-    variance_of_frequency,
-    variance_of_probability,
-)
-from repro.core.geost import GEOSTRule
-from repro.core.nodeset import MembershipChange, NodeSetManager
-from repro.core.pox import (
-    ReputationElection,
-    StakeAccount,
-    StakeElection,
-    equalization_gain,
-)
-from repro.core.themis import ConsensusChainState, make_rule
-
-__all__ = [
-    "BlockBuilder",
-    "ReputationElection",
-    "StakeAccount",
-    "StakeElection",
-    "equalization_gain",
-    "BlockValidator",
-    "ConsensusChainState",
-    "DifficultyParams",
-    "DifficultyTable",
-    "GEOSTRule",
-    "MIN_BASE_DIFFICULTY",
-    "MIN_MULTIPLE",
-    "MembershipChange",
-    "NodeSetManager",
-    "advance_table",
-    "frequency_vector",
-    "ideal_frequency",
-    "make_rule",
-    "next_base_difficulty",
-    "next_multiples",
-    "producer_counts",
-    "round_robin_probability_variance",
-    "variance_of_frequency",
-    "variance_of_probability",
-]
+"""Themis core: adaptive difficulty, GEOST, equality metrics, block election."""

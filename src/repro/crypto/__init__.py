@@ -1,54 +1,1 @@
 """Cryptographic substrate: hashing, PoW target math, ECDSA keys, Merkle trees."""
-
-from repro.crypto.hashing import (
-    DEFAULT_T0,
-    EASY_T0,
-    T_MAX,
-    compact_from_target,
-    difficulty_for_target,
-    hash_to_int,
-    meets_target,
-    sha256,
-    sha256d,
-    success_probability,
-    target_for_difficulty,
-    target_from_compact,
-)
-from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, ecdsa_sign, ecdsa_verify
-from repro.crypto.merkle import (
-    EMPTY_ROOT,
-    MerkleProof,
-    merkle_proof,
-    merkle_root,
-    merkle_root_of_payloads,
-)
-from repro.crypto.signature import SIGNATURE_SIZE, Signature, require_valid, sign_digest
-
-__all__ = [
-    "DEFAULT_T0",
-    "EASY_T0",
-    "EMPTY_ROOT",
-    "KeyPair",
-    "MerkleProof",
-    "PrivateKey",
-    "PublicKey",
-    "SIGNATURE_SIZE",
-    "Signature",
-    "T_MAX",
-    "compact_from_target",
-    "difficulty_for_target",
-    "ecdsa_sign",
-    "ecdsa_verify",
-    "hash_to_int",
-    "meets_target",
-    "merkle_proof",
-    "merkle_root",
-    "merkle_root_of_payloads",
-    "require_valid",
-    "sha256",
-    "sha256d",
-    "sign_digest",
-    "success_probability",
-    "target_for_difficulty",
-    "target_from_compact",
-]

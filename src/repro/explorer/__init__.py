@@ -4,16 +4,6 @@ See :mod:`repro.explorer.service` for the endpoint table and
 :mod:`repro.explorer.http` for the server and ``repro explorer`` CLI.
 """
 
-from repro.explorer.cache import ResponseCache, make_etag
-from repro.explorer.http import ExplorerServer, start_explorer
-from repro.explorer.service import BadRequestError, NotFoundError, route
-
-__all__ = [
-    "BadRequestError",
-    "ExplorerServer",
-    "NotFoundError",
-    "ResponseCache",
-    "make_etag",
-    "route",
-    "start_explorer",
-]
+# The spine benchmark (benchmarks/spine/store_workload.py, kept byte-stable
+# so its runs compare across commits) imports the server from here.
+from repro.explorer.http import start_explorer  # noqa: F401

@@ -1,4 +1,4 @@
-"""The explorer HTTP server: stdlib ``http.server`` over a ChainReader.
+"""The explorer HTTP server: stdlib ``http.server`` over a chain database.
 
 A :class:`ThreadingHTTPServer` whose handler routes through
 :mod:`repro.explorer.service` and serves from the generation-keyed
@@ -29,7 +29,6 @@ from urllib.parse import parse_qsl, urlparse
 
 from repro.explorer.cache import ResponseCache, make_etag
 from repro.explorer.service import BadRequestError, NotFoundError, route
-from repro.storage.base import ChainReader
 from repro.storage.sqlite import SqliteStorage
 
 
@@ -38,7 +37,7 @@ class ExplorerServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], reader: ChainReader) -> None:
+    def __init__(self, address: tuple[str, int], reader: SqliteStorage) -> None:
         super().__init__(address, ExplorerHandler)
         self.reader = reader
         self.cache = ResponseCache()
@@ -118,7 +117,7 @@ class ExplorerHandler(BaseHTTPRequestHandler):
 
 
 def start_explorer(
-    reader: ChainReader,
+    reader: SqliteStorage,
     *,
     host: str = "127.0.0.1",
     port: int = 0,

@@ -1,6 +1,6 @@
 """Explorer endpoint logic: request paths → JSON-ready payloads.
 
-Pure functions over a :class:`~repro.storage.base.ChainReader`, kept
+Pure functions over a :class:`~repro.storage.sqlite.SqliteStorage`, kept
 free of ``http.server`` so the API surface is testable without sockets
 and reusable behind any transport.  The HTTP layer
 (:mod:`repro.explorer.http`) only routes, caches and serializes.
@@ -23,7 +23,7 @@ from typing import Any
 
 from repro.core.equality import variance_of_frequency
 from repro.errors import ReproError
-from repro.storage.base import ChainReader
+from repro.storage.sqlite import SqliteStorage
 
 #: Page-size bounds for ``/blocks``.
 DEFAULT_PAGE_LIMIT = 20
@@ -51,14 +51,14 @@ def _parse_hex(value: str, *, what: str, length: int | None = None) -> bytes:
     return raw
 
 
-def chain_head(reader: ChainReader) -> dict[str, Any]:
+def chain_head(reader: SqliteStorage) -> dict[str, Any]:
     head = reader.head()
     if head is None:
         raise NotFoundError("chain is empty: no head committed yet")
     return {"head": head, "generation": reader.generation()}
 
 
-def blocks_page(reader: ChainReader, query: dict[str, str]) -> dict[str, Any]:
+def blocks_page(reader: SqliteStorage, query: dict[str, str]) -> dict[str, Any]:
     start: int | None = None
     if "start" in query:
         try:
@@ -82,7 +82,7 @@ def blocks_page(reader: ChainReader, query: dict[str, str]) -> dict[str, Any]:
     return {"blocks": blocks, "count": len(blocks), "next_start": next_start}
 
 
-def block_detail(reader: ChainReader, ref: str) -> dict[str, Any]:
+def block_detail(reader: SqliteStorage, ref: str) -> dict[str, Any]:
     """One block by decimal height or 32-byte hex id."""
     if ref.isdigit():
         record = reader.block_by_height(int(ref))
@@ -96,7 +96,7 @@ def block_detail(reader: ChainReader, ref: str) -> dict[str, Any]:
     return record
 
 
-def tx_detail(reader: ChainReader, ref: str) -> dict[str, Any]:
+def tx_detail(reader: SqliteStorage, ref: str) -> dict[str, Any]:
     tx_id = _parse_hex(ref, what="transaction id", length=32)
     record = reader.tx_by_id(tx_id)
     if record is None:
@@ -104,7 +104,7 @@ def tx_detail(reader: ChainReader, ref: str) -> dict[str, Any]:
     return record
 
 
-def account_detail(reader: ChainReader, ref: str) -> dict[str, Any]:
+def account_detail(reader: SqliteStorage, ref: str) -> dict[str, Any]:
     address = _parse_hex(ref, what="account address", length=20)
     record = reader.account_summary(address, ACCOUNT_TX_LIMIT)
     if record is None:
@@ -112,12 +112,12 @@ def account_detail(reader: ChainReader, ref: str) -> dict[str, Any]:
     return record
 
 
-def equality_metrics(reader: ChainReader) -> dict[str, Any]:
+def equality_metrics(reader: SqliteStorage) -> dict[str, Any]:
     """σ_f² (paper Eq. 1) over the recorded member set.
 
     Members with zero produced blocks count toward the variance — that
     is the point of the metric.  Falls back to the producers actually
-    seen when the store predates :meth:`ChainStorage.set_members`.
+    seen when the store predates :meth:`SqliteStorage.set_members`.
     """
     counts = reader.producer_counts()
     members = reader.members()
@@ -139,7 +139,7 @@ def equality_metrics(reader: ChainReader) -> dict[str, Any]:
     return payload
 
 
-def route(reader: ChainReader, path: str, query: dict[str, str]) -> dict[str, Any]:
+def route(reader: SqliteStorage, path: str, query: dict[str, str]) -> dict[str, Any]:
     """Dispatch a request path to its endpoint payload.
 
     Raises :class:`NotFoundError` for unknown paths and missing objects,

@@ -1,33 +1,1 @@
 """Ledger substrate: account state, execution, contracts, mempool."""
-
-from repro.ledger.contract import (
-    NODESET_CONTRACT_ADDRESS,
-    Contract,
-    NodeSetContract,
-    Proposal,
-    ProposalKind,
-    ProposalStatus,
-    encode_propose_add,
-    encode_propose_remove,
-    encode_vote,
-)
-from repro.ledger.executor import ExecutionReceipt, Executor
-from repro.ledger.mempool import Mempool
-from repro.ledger.state import Account, AccountState
-
-__all__ = [
-    "Account",
-    "AccountState",
-    "Contract",
-    "ExecutionReceipt",
-    "Executor",
-    "Mempool",
-    "NODESET_CONTRACT_ADDRESS",
-    "NodeSetContract",
-    "Proposal",
-    "ProposalKind",
-    "ProposalStatus",
-    "encode_propose_add",
-    "encode_propose_remove",
-    "encode_vote",
-]

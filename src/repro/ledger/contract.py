@@ -201,27 +201,6 @@ class NodeSetContract(Contract):
         self._effective_queue.clear()
         return applied
 
-    def copy(self) -> "NodeSetContract":
-        """Deep copy for speculative execution along fork candidates."""
-        clone = NodeSetContract(self._members)
-        clone._next_proposal_id = self._next_proposal_id
-        clone._proposals = {
-            pid: Proposal(
-                proposal_id=p.proposal_id,
-                kind=p.kind,
-                target=p.target,
-                proposer=p.proposer,
-                evidence=p.evidence,
-                votes=dict(p.votes),
-                status=p.status,
-            )
-            for pid, p in self._proposals.items()
-        }
-        clone._effective_queue = [
-            clone._proposals[p.proposal_id] for p in self._effective_queue
-        ]
-        return clone
-
 
 # -- payload builders (client side) -----------------------------------------------
 

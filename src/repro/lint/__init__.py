@@ -50,22 +50,3 @@ records — REP001 and REP010 report from the *same* source fact.
 Run it as ``python -m repro.lint src tests benchmarks`` or via the main
 CLI as ``python -m repro lint``.  See ``docs/static-analysis.md``.
 """
-
-from __future__ import annotations
-
-from repro.lint.config import DEFAULT_CONFIG, LintConfig, WireProtocol
-from repro.lint.diagnostics import Diagnostic
-from repro.lint.engine import LintResult, iter_python_files, lint_paths
-from repro.lint.registry import RULES, Rule
-
-__all__ = [
-    "DEFAULT_CONFIG",
-    "Diagnostic",
-    "LintConfig",
-    "LintResult",
-    "RULES",
-    "Rule",
-    "WireProtocol",
-    "iter_python_files",
-    "lint_paths",
-]

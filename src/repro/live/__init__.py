@@ -19,14 +19,3 @@ Code here is exempt from the REP001 wall-clock lint rule *by design* (see
 :class:`repro.lint.config.LintConfig.wall_clock_exempt_packages`); every
 other determinism rule still applies.
 """
-
-from repro.live.clock import LiveClock
-from repro.live.manifest import ConsortiumManifest, PeerSpec
-from repro.live.transport import TcpGossipTransport
-
-__all__ = [
-    "ConsortiumManifest",
-    "LiveClock",
-    "PeerSpec",
-    "TcpGossipTransport",
-]

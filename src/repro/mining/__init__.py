@@ -1,30 +1,1 @@
 """Mining substrate: power distributions, the oracle, and the real miner."""
-
-from repro.mining.miner import MiningResult, RealMiner
-from repro.mining.oracle import MiningOracle, network_block_rate, win_probabilities
-from repro.mining.power import (
-    BTC_POOL_RANKING,
-    TOTAL_BLOCKS,
-    UNKNOWN_BLOCKS,
-    PowerProfile,
-    pool_distribution_profile,
-    top_k_share,
-    uniform_profile,
-    zipf_profile,
-)
-
-__all__ = [
-    "BTC_POOL_RANKING",
-    "MiningOracle",
-    "MiningResult",
-    "PowerProfile",
-    "RealMiner",
-    "TOTAL_BLOCKS",
-    "UNKNOWN_BLOCKS",
-    "network_block_rate",
-    "pool_distribution_profile",
-    "top_k_share",
-    "uniform_profile",
-    "win_probabilities",
-    "zipf_profile",
-]

@@ -180,6 +180,18 @@ class Simulator:
         heapq.heapify(self._queue)
         self._cancelled = 0
 
+    def discard_pending(self) -> None:
+        """Drop every queued event; the clock and the counters stay put.
+
+        For a finished run whose simulator outlives it (a result keeps it
+        readable): queued callbacks would otherwise keep every object they
+        close over alive with it.
+        """
+        if self._running:
+            raise SimulationError("cannot discard events while the simulator runs")
+        self._queue.clear()
+        self._cancelled = 0
+
     def run(
         self,
         until: float | None = None,

@@ -1,26 +1,6 @@
 """Full consortium node: consensus + ledger + governance composition.
 
-Exports are resolved lazily so that :mod:`repro.node.sync` (imported by the
-consensus layer) does not drag :mod:`repro.node.node` — which itself imports
-the consensus layer — into the import graph prematurely.
+:class:`repro.node.node.FullNode` is the node; :mod:`repro.node.sync` is the
+chain-sync protocol every consensus node runs; :mod:`repro.node.config` holds
+the full node's configuration.
 """
-
-from typing import Any
-
-__all__ = ["FullNode", "FullNodeConfig", "SyncConfig", "SyncManager", "SyncStats"]
-
-
-def __getattr__(name: str) -> Any:
-    if name == "FullNode":
-        from repro.node.node import FullNode
-
-        return FullNode
-    if name == "FullNodeConfig":
-        from repro.node.config import FullNodeConfig
-
-        return FullNodeConfig
-    if name in ("SyncConfig", "SyncManager", "SyncStats"):
-        from repro.node import sync
-
-        return getattr(sync, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,11 +28,11 @@ from repro.chain.block import Block
 from repro.chain.transaction import Transaction, make_transaction
 from repro.consensus.base import RunContext
 from repro.consensus.powfamily import MiningNode
-from repro.core.nodeset import NodeSetManager
 from repro.crypto.keys import KeyPair
 from repro.errors import InvalidTransactionError
 from repro.ledger.contract import (
     NODESET_CONTRACT_ADDRESS,
+    NodeSetContract,
     encode_propose_add,
     encode_propose_remove,
     encode_vote,
@@ -62,7 +62,7 @@ class FullNode(MiningNode):
         ctx: RunContext,
         config: FullNodeConfig | None = None,
     ) -> None:
-        self.nodeset = NodeSetManager.from_members(list(ctx.members))
+        self.nodeset = NodeSetContract(list(ctx.members))
         super().__init__(
             node_id,
             keypair,
@@ -72,7 +72,7 @@ class FullNode(MiningNode):
         )
         self.mempool = Mempool()
         self.executor = Executor(verify_signatures=self.config.verify_signatures)
-        self.executor.register(self.nodeset.contract)
+        self.executor.register(self.nodeset)
         self.ledger = self._genesis_state()
         # The main-chain blocks (index = height) whose effects the pool and
         # the ledger reflect, and the transaction ids they carry.
@@ -241,14 +241,14 @@ class FullNode(MiningNode):
         )
         replay = joined
         if left:
-            self.nodeset = NodeSetManager.from_members(list(self.ctx.members))
+            self.nodeset = NodeSetContract(list(self.ctx.members))
             self.executor.contracts.clear()
-            self.executor.register(self.nodeset.contract)
+            self.executor.register(self.nodeset)
             self.ledger = self._genesis_state()
             replay = applied[1:] + joined
         for block in replay:
             self.executor.execute_block(self.ledger, block)
-            self.nodeset.begin_round()
+            self.nodeset.drain_effective()
         applied.extend(joined)
 
     # -- views ---------------------------------------------------------------------------

@@ -1,115 +1,1 @@
 """Simulation harness: runner, engine, cache, metrics, scenarios, sweeps."""
-
-from repro.sim.attacks import (
-    SelfishMiner,
-    VulnerableNodeAttack,
-    nakamoto_catch_up_probability,
-    private_chain_race,
-)
-from repro.sim.cache import CacheStats, ResultCache, code_version, default_cache_dir
-from repro.sim.engine import (
-    EngineError,
-    EngineReport,
-    ExperimentEngine,
-    TaskFailure,
-)
-from repro.sim.fleet import build_mining_fleet, run_fleet_to_height, start_mining_fleet
-from repro.sim.metrics import (
-    ForkReport,
-    committed_tps,
-    epoch_producer_counts,
-    equality_series,
-    equality_series_from_producers,
-    fork_report,
-    probability_vector_for_epoch,
-    stable_value,
-    unpredictability_series,
-)
-from repro.sim.reporting import (
-    ascii_chart,
-    config_from_dict,
-    config_to_dict,
-    load_results,
-    result_from_dict,
-    result_to_dict,
-    save_results,
-    summary_line,
-)
-from repro.sim.runner import (
-    Algorithm,
-    ChaosSuiteResult,
-    ExperimentConfig,
-    RunResult,
-    run_chaos_suite,
-    run_experiment,
-)
-from repro.sim.scenarios import (
-    ALL_ALGORITHMS,
-    POW_FAMILY,
-    ScenarioSpec,
-    attack_spec,
-    epoch_length_spec,
-    equality_spec,
-    fork_spec,
-    scalability_spec,
-)
-from repro.sim.sweeps import SweepSummary, summarize, sweep
-from repro.sim.tracing import TraceEvent, Tracer, attach_tracer
-from repro.sim.workload import TransactionWorkload, make_transfer_batch
-
-__all__ = [
-    "ALL_ALGORITHMS",
-    "Algorithm",
-    "CacheStats",
-    "ChaosSuiteResult",
-    "EngineError",
-    "EngineReport",
-    "ExperimentConfig",
-    "ExperimentEngine",
-    "ForkReport",
-    "POW_FAMILY",
-    "ResultCache",
-    "RunResult",
-    "ScenarioSpec",
-    "SelfishMiner",
-    "TaskFailure",
-    "TraceEvent",
-    "Tracer",
-    "attach_tracer",
-    "build_mining_fleet",
-    "run_fleet_to_height",
-    "start_mining_fleet",
-    "TransactionWorkload",
-    "VulnerableNodeAttack",
-    "SweepSummary",
-    "ascii_chart",
-    "attack_spec",
-    "code_version",
-    "committed_tps",
-    "config_from_dict",
-    "config_to_dict",
-    "default_cache_dir",
-    "epoch_length_spec",
-    "epoch_producer_counts",
-    "equality_series",
-    "equality_series_from_producers",
-    "equality_spec",
-    "fork_report",
-    "fork_spec",
-    "make_transfer_batch",
-    "nakamoto_catch_up_probability",
-    "private_chain_race",
-    "probability_vector_for_epoch",
-    "load_results",
-    "result_from_dict",
-    "result_to_dict",
-    "run_chaos_suite",
-    "run_experiment",
-    "save_results",
-    "scalability_spec",
-    "stable_value",
-    "summarize",
-    "summary_line",
-    "sweep",
-    "unpredictability_series",
-]

@@ -273,12 +273,3 @@ class ExperimentEngine:
         except BrokenExecutor:
             pass  # a worker died; what is still in ``left`` goes back to the caller
         return list(left)
-
-
-__all__ = [
-    "EngineError",
-    "EngineReport",
-    "ExperimentEngine",
-    "TaskFailure",
-    "run_config_payload",
-]

@@ -40,6 +40,17 @@ class SimStack:
     network: SimulatedNetwork
     keys: list[KeyPair]
 
+    def release(self) -> None:
+        """Detach every node and drop every queued event, once a run is over.
+
+        The stack stays readable (clock, counters, topology), but it no
+        longer reaches the nodes that ran on it: what outlives the run, such
+        as one observer holding ``ctx``, keeps only its own part alive.
+        """
+        for node_id in self.network.node_ids:
+            self.network.detach(node_id)
+        self.sim.discard_pending()
+
 
 def build_stack(
     n: int,

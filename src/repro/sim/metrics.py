@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.chain.block import Block
 from repro.chain.blocktree import BlockTree
+from repro.chain.forkchoice import subtree_max_height
 from repro.core.equality import variance_of_frequency
 from repro.core.themis import ConsensusChainState
 from repro.errors import SimulationError
@@ -208,7 +209,7 @@ def fork_report(
             if branch_height < from_height:
                 continue
             events += 1
-            deepest = _subtree_max_height(tree, child)
+            deepest = subtree_max_height(tree, child)
             durations.append(deepest - branch_height + 1)
     fork_rate = stale / total if total else 0.0
     return ForkReport(
@@ -219,17 +220,6 @@ def fork_report(
         fork_rate=fork_rate,
         durations=tuple(durations),
     )
-
-
-def _subtree_max_height(tree: BlockTree, block_id: bytes) -> int:
-    best = tree.get(block_id).height
-    stack = [block_id]
-    while stack:
-        current = stack.pop()
-        height = tree.get(current).height
-        best = max(best, height)
-        stack.extend(tree.children(current))
-    return best
 
 
 # -- Chaos (fault-injection runs) --------------------------------------------------------------

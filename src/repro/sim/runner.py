@@ -16,6 +16,7 @@ All four §VII-B algorithms are supported:
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Sequence
 from typing import Any, Literal
@@ -36,7 +37,7 @@ from repro.core.equality import round_robin_probability_variance
 from repro.errors import SimulationError
 from repro.mining.power import PowerProfile, pool_distribution_profile, uniform_profile
 from repro.net.latency import LinkModel
-from repro.net.network import NetworkStats
+from repro.net.transport import NetworkStats
 from repro.serde import NOT_ON_WIRE
 from repro.sim.attacks import VulnerableNodeAttack
 from repro.sim.fleet import SimStack, build_stack, start_mining_fleet
@@ -152,7 +153,8 @@ class RunResult:
     network: NetworkStats
     members: list[bytes] = field(default_factory=list)
     # Live simulator handles: in-process only, never serialized (see
-    # repro.sim.reporting module docstring).
+    # repro.sim.reporting module docstring).  Their stack is released when
+    # the run ends (``SimStack.release``): readable, not resumable.
     observer: MiningNode | None = field(default=None, metadata=NOT_ON_WIRE)
     pbft: PBFTCluster | None = field(default=None, metadata=NOT_ON_WIRE)
     view_changes: int = 0
@@ -173,6 +175,25 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             "fault plans target the PoW-family crash/sync path; PBFT runs "
             "do not support chaos injection"
         )
+    # A finished fleet is cyclic garbage (~30 MB at n = 40), and when the
+    # collector's oldest generation got to it depended on how much each
+    # seed's set-up and reporting allocated: a process running several
+    # experiments held anywhere from one to all of them at its peak.  So
+    # the collector stays paused for the whole experiment (not only the
+    # event loop, see ``Simulator.run``), the stack is released, and one
+    # pass over the youngest generation — everything the experiment
+    # allocated — frees the fleet before the result is handed back.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_experiment(cfg, pbft)
+    finally:
+        gc.collect(0)
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run_experiment(cfg: ExperimentConfig, pbft: bool) -> RunResult:
     stack = build_stack(
         cfg.n,
         seed=cfg.seed,
@@ -187,9 +208,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         victims = VulnerableNodeAttack.select(
             stack.network, list(range(cfg.n)), cfg.vulnerable_ratio, stack.sim.rng
         ).victims
-    if pbft:
-        return _run_pbft(cfg, stack)
-    return _run_mining(cfg, stack, victims)
+    try:
+        if pbft:
+            return _run_pbft(cfg, stack)
+        return _run_mining(cfg, stack, victims)
+    finally:
+        stack.release()
 
 
 def _drive(cfg: ExperimentConfig, stack: SimStack, done: Callable[[], bool]) -> None:

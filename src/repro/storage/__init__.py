@@ -1,15 +1,6 @@
-"""Durable chain storage: protocols and the sqlite backend.
+"""Durable chain storage: the sqlite backend.
 
-See :mod:`repro.storage.base` for the :class:`ChainStorage` /
-:class:`ChainReader` split and the sim-parity guarantee (storage is off
-by default; simulated runs stay byte-identical).
+See :class:`repro.storage.sqlite.SqliteStorage` for the write/recovery side a
+node drives, the read tier the explorer serves from, and the sim-parity
+guarantee (storage is off by default; simulated runs stay byte-identical).
 """
-
-from repro.storage.base import ChainReader, ChainStorage
-from repro.storage.sqlite import SqliteStorage
-
-__all__ = [
-    "ChainReader",
-    "ChainStorage",
-    "SqliteStorage",
-]

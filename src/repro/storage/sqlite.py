@@ -26,6 +26,10 @@ Snapshot policy: every ``snapshot_interval`` heights the whole tree is
 snapshotted and older snapshots beyond the newest :data:`KEEP_SNAPSHOTS`
 are deleted.  Block and transaction rows are never dropped (archival
 store).
+
+Simulated runs never construct a store: storage is **off by default** and
+every hook in the node is ``None``-guarded, which is what keeps the golden
+parity hashes of ``tests/test_transport_parity.py`` unchanged.
 """
 
 from __future__ import annotations
@@ -95,10 +99,10 @@ CREATE TABLE IF NOT EXISTS snapshots (
 class SqliteStorage:
     """Durable chain storage over one SQLite database file.
 
-    Implements both :class:`~repro.storage.base.ChainStorage` (the node's
-    write/recovery side) and :class:`~repro.storage.base.ChainReader`
-    (the explorer's read side).  Open ``read_only=True`` for the explorer
-    process so it can never take the writer lock.
+    Serves both the node's write/recovery side (record, commit, recover)
+    and the explorer's read side (indexed lookups plus the generation
+    counter).  Open ``read_only=True`` for the explorer process so it can
+    never take the writer lock.
 
     Args:
         path: database file location (parents created as needed).
@@ -171,7 +175,7 @@ class SqliteStorage:
                 f"this build speaks v{SCHEMA_VERSION}"
             )
 
-    # -- ChainStorage (write + recovery) ------------------------------------------
+    # -- write + recovery (the node's side) ----------------------------------------
 
     def ensure_genesis(self, genesis: Block) -> None:
         """Bind the store to a genesis block; refuse a foreign one."""
@@ -200,7 +204,12 @@ class SqliteStorage:
             self._meta_set("members", json.dumps([m.hex() for m in members]))
 
     def record_block(self, block: Block, arrival_time: float) -> None:
-        """Buffer one block; durable at the next :meth:`commit`."""
+        """Buffer one block; durable at the next :meth:`commit`.
+
+        Called in local reception order, orphans included; the order is
+        durable so recovery reconstructs GEOST's first-received tie-break
+        state exactly.
+        """
         self._assert_writable()
         self._pending.append((block, arrival_time))
 
@@ -209,7 +218,12 @@ class SqliteStorage:
         return len(self._pending)
 
     def commit(self, head_id: bytes, tree: BlockTree, *, force: bool = False) -> None:
-        """Land the buffered batch and the new head in one transaction."""
+        """Land the buffered batch and the new head in one transaction.
+
+        ``tree`` is the node's live block tree: the store uses it for parent
+        walks and periodic full snapshots without keeping its own copy.
+        ``force`` also lands a no-op commit (the shutdown path).
+        """
         self._assert_writable()
         head_hex = head_id.hex()
         if not force and not self._pending and head_hex == self._head_hex:
@@ -334,7 +348,11 @@ class SqliteStorage:
         return int(row[0])
 
     def recover(self, finality_window: int | None = 32) -> BlockTree | None:
-        """Rebuild the tree: newest snapshot + incremental replay above it."""
+        """Rebuild the tree: newest snapshot + incremental replay above it.
+
+        Never replays from genesis once a snapshot exists.  Returns ``None``
+        for an empty store.
+        """
         if self._meta_get("genesis_id") is None:
             return None
         snapshot = self._conn.execute(
@@ -390,13 +408,18 @@ class SqliteStorage:
         if self._closed:
             raise StorageError("storage already closed")
 
-    # -- ChainReader (the explorer's read tier) ------------------------------------
+    # -- the explorer's read tier ----------------------------------------------------
 
     def generation(self) -> int:
-        """Commit counter; response caches invalidate when it moves."""
+        """Commit counter; response caches invalidate when it moves.
+
+        An entry computed at generation g is served until the store reports
+        g+1, which is exactly when new chain state became visible.
+        """
         return int(self._meta_get("generation") or "0")
 
     def members(self) -> list[bytes]:
+        """The consortium member set recorded by :meth:`set_members`."""
         raw = self._meta_get("members")
         if raw is None:
             return []
@@ -466,12 +489,14 @@ class SqliteStorage:
         return record
 
     def block_by_height(self, height: int) -> dict[str, Any] | None:
+        """The *main-chain* block at a height, or ``None``."""
         block_id = self._canonical_id_at(height)
         if block_id is None:
             return None
         return self.block_by_id(block_id)
 
     def blocks_page(self, start: int | None, limit: int) -> list[dict[str, Any]]:
+        """Main-chain blocks from ``start`` (default: tip) downward."""
         tip = self.tip_height()
         if tip < 0:
             return []
@@ -551,6 +576,7 @@ class SqliteStorage:
         }
 
     def producer_counts(self) -> dict[bytes, int]:
+        """Blocks per producer over the stored main chain."""
         rows = self._conn.execute(
             "SELECT producer, COUNT(*) FROM blocks JOIN canon USING (block_id) "
             "WHERE blocks.height > 0 GROUP BY producer"

@@ -6,21 +6,21 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos import (
+from repro.chaos.faults import (
     ChaosController,
     ClockSkewFault,
     CrashFault,
-    FaultPlan,
-    FaultScheduler,
+    LinkFault,
+    PartitionFault,
+    fault_log_signature,
+)
+from repro.chaos.invariants import (
     InvariantConfig,
     InvariantMonitor,
-    LinkFault,
     LivenessViolation,
-    PartitionFault,
     SafetyViolation,
-    fault_log_signature,
-    random_fault_plan,
 )
+from repro.chaos.schedule import FaultPlan, FaultScheduler, random_fault_plan
 from repro.consensus.powfamily import powh_config, themis_config
 from repro.errors import SimulationError
 from repro.net.message import KIND_SYNC_HEADERS_RESPONSE, is_sync_kind

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -138,3 +140,19 @@ class TestSweepCommand:
         code = main([*self.ARGS, "--no-cache", "--save", str(save)])
         assert code == 0
         assert save.exists()
+
+
+class TestLintCommand:
+    """``repro lint`` hands every argument after it to the linter's own CLI."""
+
+    def test_options_before_paths_are_forwarded(self, capsys, tmp_path):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        code = main(["lint", "--format", "json", "--statistics", str(tmp_path)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["files_checked"] == 1
+
+    def test_option_only_form_is_forwarded(self, capsys):
+        code = main(["lint", "--list-rules"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "REP001" in out and "clean:" not in out

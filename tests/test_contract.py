@@ -147,23 +147,3 @@ class TestRoundBoundary:
         contract.call(addr(0), encode_propose_add(addr(7)))
         contract.call(addr(1), encode_propose_remove(addr(2)))
         assert len(contract.open_proposals()) == 2
-
-
-class TestCopy:
-    def test_copy_is_deep(self, contract):
-        contract.call(addr(0), encode_propose_add(addr(7)))
-        clone = contract.copy()
-        clone.call(addr(1), encode_vote(0, True))
-        clone.call(addr(2), encode_vote(0, True))
-        clone.drain_effective()
-        assert clone.is_member(addr(7))
-        assert not contract.is_member(addr(7))
-        assert contract.proposal(0).status is ProposalStatus.OPEN
-
-    def test_copy_preserves_effective_queue(self, contract):
-        contract.call(addr(0), encode_propose_add(addr(7)))
-        contract.call(addr(1), encode_vote(0, True))
-        contract.call(addr(2), encode_vote(0, True))
-        clone = contract.copy()
-        clone.drain_effective()
-        assert clone.is_member(addr(7))

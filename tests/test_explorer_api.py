@@ -14,7 +14,8 @@ import pytest
 
 from tests.conftest import TreeBuilder, keypair
 from repro.chain.block import Block
-from repro.explorer import ResponseCache, make_etag, start_explorer
+from repro.explorer.cache import ResponseCache, make_etag
+from repro.explorer.http import start_explorer
 from repro.explorer.service import (
     BadRequestError,
     NotFoundError,
@@ -22,7 +23,7 @@ from repro.explorer.service import (
     equality_metrics,
     route,
 )
-from repro.storage import SqliteStorage
+from repro.storage.sqlite import SqliteStorage
 
 MEMBERS = 3
 

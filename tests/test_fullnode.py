@@ -116,7 +116,7 @@ class TestGovernance:
         # Wait for the proposal to land on chain everywhere.
         ctx.sim.run(
             stop_when=lambda: all(
-                len(n.nodeset.contract.open_proposals()) == 1
+                len(n.nodeset.open_proposals()) == 1
                 or n.nodeset.is_member(new_member)
                 for n in nodes
             ),
@@ -130,7 +130,7 @@ class TestGovernance:
         )
         for node in nodes:
             assert node.nodeset.is_member(new_member)
-            assert node.nodeset.n == 5
+            assert len(node.nodeset.members) == 5
 
     def test_remove_member_end_to_end(self):
         ctx, nodes = make_consortium(n=4, seed=5)
@@ -140,7 +140,7 @@ class TestGovernance:
         nodes[0].propose_remove_member(victim, evidence=b"double-spend")
         ctx.sim.run(
             stop_when=lambda: all(
-                n.nodeset.contract.open_proposals() or not n.nodeset.is_member(victim)
+                n.nodeset.open_proposals() or not n.nodeset.is_member(victim)
                 for n in nodes
             ),
             max_events=5_000_000,
@@ -152,7 +152,7 @@ class TestGovernance:
             max_events=5_000_000,
         )
         for node in nodes:
-            assert node.nodeset.n == 3
+            assert len(node.nodeset.members) == 3
         # Expelled producer's new blocks are now invalid at honest nodes.
         assert not nodes[0].validator.is_member(victim)
 
@@ -393,7 +393,7 @@ def consortium_digest(seed: int) -> str:
     nodes[0].propose_add_member(addr(6), evidence=b"id-proof")
     ctx.sim.run(
         stop_when=lambda: all(
-            n.nodeset.contract.open_proposals() or n.nodeset.is_member(addr(6))
+            n.nodeset.open_proposals() or n.nodeset.is_member(addr(6))
             for n in nodes
         ),
         max_events=5_000_000,

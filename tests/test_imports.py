@@ -1,17 +1,21 @@
-"""Every package and module imports in a fresh interpreter.
+"""Every package and module imports in a fresh interpreter, by one path.
 
 An import cycle only bites when its first edge is the process's first import:
-``import repro.ledger`` used to fail that way (``ledger.contract`` →
-``chain.codec`` → ``chain/__init__`` → ``chain.audit`` → ``core/__init__`` →
-``core.nodeset`` → ``ledger.contract``) while every entry point and every
-test happened to import ``repro.chain`` or ``repro.core`` first.  One
-interpreter per top-level package starts from that package, then imports each
-of its modules; a last one imports every ``repro.*`` path DESIGN.md names, so
-its module table cannot point at modules that do not exist.
+``import repro.ledger`` once failed that way, through package ``__init__``
+files that re-exported their modules.  One interpreter per top-level package
+starts from that package, then imports each of its modules; a last one
+imports every ``repro.*`` path DESIGN.md names, so its module table cannot
+point at modules that do not exist.
+
+Each public name has one import path, the module that defines it: package
+``__init__`` files hold their docstring and nothing else, and every
+``from repro.X import Name`` in the tree names a submodule of ``X`` or
+something ``X`` itself defines.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import subprocess
@@ -23,19 +27,31 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
+#: Patterns of the ``__init__`` statements allowed besides the docstring.  The
+#: explorer's is the spine benchmark's import path (``benchmarks/spine`` stays
+#: byte-stable so its runs compare across commits).
+INIT_EXTRAS = {
+    "repro": [r"__version__ = '[\d.]+'"],
+    "repro.explorer": [r"from repro\.explorer\.http import start_explorer"],
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
 
 def _modules_by_entry_point() -> dict[str, list[str]]:
     """Top-level package or module → itself first, then every module under it."""
     groups: dict[str, list[str]] = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
-        parts = list(path.relative_to(SRC).with_suffix("").parts)
-        if parts[-1] == "__init__":
-            parts.pop()
-        if parts[-1] == "__main__":
+        name = _module_name(path)
+        if name.endswith(".__main__"):
             continue  # entry-point scripts run on import by design
-        entry = ".".join(parts[:2])
+        entry = ".".join(name.split(".")[:2])
         groups.setdefault(entry, [entry])
-        name = ".".join(parts)
         if name != entry:
             groups[entry].append(name)
     return groups
@@ -68,7 +84,7 @@ def test_package_imports_cold(entry):
 def test_the_walk_found_the_tree():
     assert {"repro", "repro.ledger", "repro.chain", "repro.net", "repro.cli"} <= set(MODULES)
     assert "repro.ledger.contract" in MODULES["repro.ledger"]
-    assert sum(len(names) for names in MODULES.values()) > 100
+    assert sum(len(names) for names in MODULES.values()) > 90
 
 
 def _design_paths() -> list[str]:
@@ -102,3 +118,104 @@ def test_design_md_names_modules_that_exist():
             target = getattr(target, attribute)
     result = _import_cold(sorted(modules))
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_package_inits_hold_only_their_docstring():
+    inits = sorted((SRC / "repro").rglob("__init__.py"))
+    assert len(inits) > 10
+    for path in inits:
+        body = ast.parse(path.read_text()).body
+        name = _module_name(path)
+        assert body and isinstance(body[0], ast.Expr), f"{name}: no docstring"
+        assert isinstance(body[0].value, ast.Constant), f"{name}: no docstring"
+        extras = [ast.unparse(statement) for statement in body[1:]]
+        patterns = INIT_EXTRAS.get(name, [])
+        assert len(extras) == len(patterns) and all(
+            re.fullmatch(pattern, extra)
+            for pattern, extra in zip(patterns, extras, strict=True)
+        ), f"{name} holds more than its docstring: {extras}"
+
+
+def _defined_names(module: str) -> set[str]:
+    """Names a module binds itself: top-level ``def``, ``class``, assignment."""
+    base = SRC.joinpath(*module.split("."))
+    path = base / "__init__.py" if base.is_dir() else base.with_suffix(".py")
+    names: set[str] = set()
+    pending = list(ast.parse(path.read_text()).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                leaf.id for target in targets for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            )
+        elif isinstance(node, (ast.If, ast.Try)):
+            pending.extend(node.body + node.orelse)
+    return names
+
+
+def _is_submodule(module: str, name: str) -> bool:
+    base = SRC.joinpath(*module.split("."), name)
+    return base.with_suffix(".py").is_file() or (base / "__init__.py").is_file()
+
+
+def _scanned_files() -> list[Path]:
+    files = [
+        path
+        for top in ("src", "tests", "examples", "benchmarks")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+    # The spine benchmark stays byte-stable; its one package-path import is
+    # the explorer's, which ``INIT_EXTRAS`` keeps working.
+    return [p for p in files if (ROOT / "benchmarks" / "spine") not in p.parents]
+
+
+def test_every_import_names_the_defining_module():
+    defined: dict[str, set[str]] = {}
+    wrong = []
+    files = _scanned_files()
+    assert len(files) > 150
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.level or not node.module:
+                continue
+            module = node.module
+            if module != "repro" and not module.startswith("repro."):
+                continue
+            if module not in defined:
+                defined[module] = _defined_names(module)
+            for alias in node.names:
+                if alias.name in defined[module] or _is_submodule(module, alias.name):
+                    continue
+                where = path.relative_to(ROOT)
+                wrong.append(f"{where}:{node.lineno}: {alias.name} from {module}")
+    assert not wrong, "\n".join(wrong)
+
+
+def test_message_and_block_modules_import_light():
+    """The wire dataclasses load neither the simulator nor numpy."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import repro.net.message, repro.chain.block\n"
+        "print('numpy' in sys.modules)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('repro.'))))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(SRC)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    numpy_loaded, modules = result.stdout.splitlines()
+    assert numpy_loaded == "False"
+    allowed = ("repro.chain", "repro.crypto", "repro.errors", "repro.net", "repro.net.message")
+    extra = [
+        m for m in modules.split()
+        if m not in allowed and not m.startswith(("repro.chain.", "repro.crypto."))
+    ]
+    assert not extra, extra

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import RULES, lint_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.context import module_name_for
 from repro.lint.diagnostics import PARSE_ERROR, UNUSED_SUPPRESSION
+from repro.lint.engine import lint_paths
+from repro.lint.registry import RULES  # filled by the engine's import, above
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

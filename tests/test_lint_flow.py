@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_paths
+from repro.lint.engine import lint_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.diagnostics import PARSE_ERROR
 
@@ -124,7 +124,7 @@ def test_taint_respects_max_depth(tmp_path):
     """
     from dataclasses import replace
 
-    from repro.lint import DEFAULT_CONFIG
+    from repro.lint.config import DEFAULT_CONFIG
 
     deep = run_lint(tmp_path / "deep", files)
     assert codes(deep) == ["REP010"]

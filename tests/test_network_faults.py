@@ -8,9 +8,10 @@ import pytest
 from repro.errors import NetworkError
 from repro.net.latency import LinkModel
 from repro.net.message import Message
-from repro.net.network import LinkDisturbance, SimulatedNetwork
+from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
+from repro.net.transport import LinkDisturbance
 
 
 def make_net(n=3, seed=0, jitter=0.0, min_delay=0.05):

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.chaos.schedule import CrashFault, FaultPlan, LinkFault
+from repro.chaos.faults import CrashFault, LinkFault
+from repro.chaos.schedule import FaultPlan
 from repro.errors import SimulationError
 from repro.sim.reporting import (
     ascii_chart,

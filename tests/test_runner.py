@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro.consensus.powfamily import MiningNode
+from repro.sim import runner
 from repro.sim.runner import ExperimentConfig, run_experiment
 from repro.sim.scenarios import (
     ALL_ALGORITHMS,
@@ -52,6 +57,32 @@ class TestMiningRuns:
         result = run_experiment(small("themis", power="uniform"))
         # Uniform power: already equal, variance near the sampling floor.
         assert result.unpredictability[0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_fleet_is_freed_before_the_result_returns(self, monkeypatch):
+        made = []
+
+        class Recorded(MiningNode):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner, "MiningNode", Recorded)
+        result = run_experiment(small("themis", epochs=1))
+        assert len(made) == 8
+        assert [ref() for ref in made if ref() is not None] == [result.observer]
+        assert result.observer.ctx.sim.pending_events == 0
+        assert result.observer.ctx.network.node_ids == []
+
+    def test_collector_state_is_restored(self):
+        assert gc.isenabled()
+        run_experiment(small("themis", epochs=1))
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            run_experiment(small("themis", epochs=1))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestPBFTRuns:

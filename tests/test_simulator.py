@@ -111,6 +111,34 @@ class TestRunControl:
         sim.run()
         assert sim.events_processed == 2
 
+    def test_discard_pending_keeps_clock_and_counters(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(5.0, lambda: fired.append(5))
+        sim.schedule(6.0, lambda: fired.append(6)).cancel()
+        sim.run(max_events=1)
+        sim.discard_pending()
+        assert sim.pending_events == 0
+        assert (sim.now, sim.events_processed) == (1.0, 1)
+        sim.run()
+        assert fired == [1]
+
+    def test_discard_pending_refused_while_running(self):
+        sim = Simulator()
+        errors = []
+
+        def discard():
+            try:
+                sim.discard_pending()
+            except SimulationError as exc:
+                errors.append(exc)
+
+        sim.schedule(1.0, discard)
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert len(errors) == 1 and sim.events_processed == 2
+
     def test_not_reentrant(self):
         sim = Simulator()
         errors = []

@@ -9,8 +9,9 @@ import pytest
 
 from tests.conftest import TreeBuilder
 from repro.chain.block import Block
+from repro.chain.blocktree import BlockTree
 from repro.errors import StorageError
-from repro.storage import ChainReader, ChainStorage, SqliteStorage
+from repro.storage.sqlite import SqliteStorage
 
 
 @pytest.fixture()
@@ -27,14 +28,6 @@ def fill(storage: SqliteStorage, builder: TreeBuilder) -> None:
         if block.height > 0:
             storage.record_block(block, tree.arrival_time(block.block_id))
     storage.commit(tree.iter_blocks().__next__().block_id, tree)
-
-
-class TestProtocols:
-    def test_sqlite_satisfies_both_protocols(self, tmp_path: Path) -> None:
-        storage = SqliteStorage(tmp_path / "chain.db")
-        assert isinstance(storage, ChainStorage)
-        assert isinstance(storage, ChainReader)
-        storage.close()
 
 
 class TestSqliteWriteAndRecover:
@@ -118,6 +111,31 @@ class TestSqliteWriteAndRecover:
         recovered = storage.recover()
         assert recovered is not None
         assert recovered.max_height() == 7
+        storage.close()
+
+    def test_recover_keeps_blocks_that_were_orphans_at_snapshot_time(
+        self, tmp_path: Path, genesis: Block
+    ) -> None:
+        source = TreeBuilder(genesis)
+        a = source.extend(genesis, 0)
+        b = source.extend(a, 1)
+        c = source.extend(b, 2)
+        d = source.extend(a, 2)
+        live = BlockTree(genesis)
+        storage = SqliteStorage(tmp_path / "chain.db", snapshot_interval=2)
+        storage.ensure_genesis(genesis)
+        for block in (a, c, d):  # c arrives before its parent b
+            live.add_block(block, source.tree.arrival_time(block.block_id))
+            storage.record_block(block, source.tree.arrival_time(block.block_id))
+        storage.commit(d.block_id, live)
+        assert storage.snapshot_count() == 1 and live.orphan_count == 1
+        live.add_block(b, source.tree.arrival_time(b.block_id))
+        storage.record_block(b, source.tree.arrival_time(b.block_id))
+        storage.commit(c.block_id, live)
+        recovered = storage.recover()
+        assert recovered is not None
+        assert len(recovered) == len(live) == 5
+        assert recovered.has_block(c.block_id)
         storage.close()
 
     def test_snapshot_retention(self, tmp_path: Path, genesis: Block) -> None:

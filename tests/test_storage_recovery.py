@@ -23,7 +23,7 @@ from pathlib import Path
 from repro.live.localnet import free_ports
 from repro.live.manifest import localhost_manifest
 from repro.live.node_runner import run_node, storage_db_path
-from repro.storage import SqliteStorage
+from repro.storage.sqlite import SqliteStorage
 
 from tests.test_powfamily import make_fleet, run_to_height
 
@@ -160,7 +160,7 @@ class TestLiveRecovery:
         db = storage_db_path(tmp_path / "data", 1)
         assert db.exists()
         reader = SqliteStorage(db, read_only=True)
-        from repro.explorer import start_explorer
+        from repro.explorer.http import start_explorer
 
         server, thread = start_explorer(reader)
         try:

@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.forkchoice import GHOSTRule
-from repro.chain.store import (
-    FORMAT_VERSION,
-    deserialize_tree,
-    load_tree,
-    save_tree,
-    serialize_tree,
-)
+from repro.chain.store import FORMAT_VERSION, deserialize_tree, serialize_tree
 from repro.core.geost import GEOSTRule
 from repro.errors import CodecError
 
@@ -59,12 +53,6 @@ class TestRoundTrip:
             assert restored.subtree_size(block.block_id) == tree.subtree_size(
                 block.block_id
             )
-
-    def test_file_round_trip(self, genesis, tmp_path):
-        tree = build_forked_tree(genesis)
-        path = save_tree(tree, tmp_path / "chains" / "node0.chain")
-        restored = load_tree(path)
-        assert len(restored) == len(tree)
 
 
 class TestFormatDiscipline:
