@@ -13,6 +13,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from repro.chain.block import Block
+from repro.chain.blocktree import BlockArena
 from repro.core.difficulty import DifficultyParams
 from repro.core.themis import ChainFacts
 from repro.crypto.keys import KeyPair
@@ -44,6 +45,9 @@ class RunContext:
     the deterministic simulator and on the live asyncio TCP backend.
     Harness code that needs backend-specific surface (``Simulator.run``,
     chaos partitions) keeps its own reference to the concrete object.
+
+    ``arena`` holds what is per block (docs/algorithms.md, "What is per
+    block, what is per view"); every node's tree is a view of it.
     """
 
     sim: Clock
@@ -52,9 +56,13 @@ class RunContext:
     genesis: Block
     params: DifficultyParams
     members: list[bytes] = field(default_factory=list)
+    arena: BlockArena = field(init=False, repr=False)
     _facts: dict[tuple[bool, bool, bool], ChainFacts] = field(
         default_factory=dict, init=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        self.arena = BlockArena(self.genesis)
 
     @property
     def n(self) -> int:

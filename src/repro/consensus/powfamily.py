@@ -146,6 +146,7 @@ class MiningNode(ConsensusNode):
                 if members_fn is None
                 else None
             ),
+            arena=ctx.arena,
         )
         self.validator = BlockValidator(
             is_member=lambda addr: addr in self.members_fn(),

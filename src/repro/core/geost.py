@@ -134,6 +134,6 @@ class GEOSTRule(ForkChoiceRule):
                 cursor = children[0]
             else:
                 cursor = self._select(tree, children, prefix)
-            block = tree.get(cursor)
-            if block.height > 0:
-                prefix[block.producer] += 1
+            header = tree.get(cursor).header  # not Block's properties: hot loop
+            if header.height > 0:
+                prefix[header.producer] += 1

@@ -36,7 +36,7 @@ from collections.abc import Callable, Sequence
 from typing import Literal
 
 from repro.chain.block import Block
-from repro.chain.blocktree import BlockTree
+from repro.chain.blocktree import BlockArena, BlockTree
 from repro.chain.forkchoice import ForkChoiceRule, GHOSTRule, LongestChainRule
 from repro.core.difficulty import (
     DifficultyParams,
@@ -111,6 +111,8 @@ class ConsensusChainState:
         adaptive: when ``False`` all multiples stay 1 (the PoW-H baseline).
         facts: the run's shared :class:`ChainFacts`; a state given none owns
             a private one (same code path, one view).
+        arena: the run's shared :class:`~repro.chain.blocktree.BlockArena`;
+            likewise private when not given.
     """
 
     def __init__(
@@ -122,13 +124,14 @@ class ConsensusChainState:
         adaptive: bool = True,
         finality_window: int | None = 32,
         facts: ChainFacts | None = None,
+        arena: BlockArena | None = None,
     ) -> None:
         self.genesis = genesis
         self.members_fn = members_fn
         self.params = params
         self.adaptive = adaptive
         self.rule = make_rule(rule_kind, members_fn)
-        self.tree = BlockTree(genesis, finality_window=finality_window)
+        self.tree = BlockTree(genesis, finality_window=finality_window, arena=arena)
         self.head_id: bytes = genesis.block_id
         self.epoch_blocks = params.epoch_length(len(members_fn()))
         self.finality_window = finality_window
@@ -145,7 +148,6 @@ class ConsensusChainState:
         # cache turns head reads, height checks and finality advancement
         # into O(1) (amortized O(reorg depth) per head move).
         self._chain_blocks: list[Block] = [genesis]
-        self._chain_pos: dict[bytes, int] = {genesis.block_id: 0}
 
     # -- epochs and tables -------------------------------------------------------
 
@@ -309,7 +311,6 @@ class ConsensusChainState:
             # When buffered orphans attached alongside, fall through to the
             # full walk — the head may now be one of the orphan descendants.
             self.head_id = block.block_id
-            self._chain_pos[block.block_id] = len(self._chain_blocks)
             self._chain_blocks.append(block)
             self._advance_finality()
             return "extended"
@@ -336,22 +337,18 @@ class ConsensusChainState:
         divergent suffix — O(reorg depth), not O(height).
         """
         blocks = self._chain_blocks
-        pos = self._chain_pos
         path: list[Block] = []
-        cursor = self.head_id
-        while True:
-            index = pos.get(cursor)
-            if index is not None:
-                break
-            block = self.tree.get(cursor)
+        block = self.tree.get(self.head_id)
+        while not self._on_chain(block):
             path.append(block)
-            cursor = block.parent_hash
-        for stale in blocks[index + 1 :]:
-            del pos[stale.block_id]
-        del blocks[index + 1 :]
-        for block in reversed(path):
-            pos[block.block_id] = len(blocks)
-            blocks.append(block)
+            block = self.tree.get(block.parent_hash)
+        del blocks[block.height + 1 :]
+        blocks.extend(reversed(path))
+
+    def _on_chain(self, block: Block) -> bool:
+        """Whether ``block`` is the cached main chain's block at its height."""
+        blocks = self._chain_blocks
+        return block.height < len(blocks) and blocks[block.height].block_id == block.block_id
 
     def _advance_finality(self) -> None:
         """Move the finalized block forward along the main chain.
@@ -394,7 +391,10 @@ class ConsensusChainState:
 
     def chain_position(self, block_id: bytes) -> int | None:
         """Height of ``block_id`` on the current main chain, else ``None``."""
-        return self._chain_pos.get(block_id)
+        if block_id not in self.tree:
+            return None
+        block = self.tree.get(block_id)
+        return block.height if self._on_chain(block) else None
 
     def producer_counts(self, from_height: int = 1, to_height: int | None = None) -> Counter:
         """Main-chain producer histogram over a height window (Eq. 1 input)."""

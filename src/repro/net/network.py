@@ -28,6 +28,8 @@ from repro.net.transport import DropFilter, Handler, LinkDisturbance, NetworkSta
 #: still in flight after the last settle), so the list stays short.
 _SETTLE_BOUND = 4096
 _NEVER = float("inf")  # when a delivery that is not queued arrives
+#: Seen bitmaps widen together, by this many bytes (8 messages each).
+_SEEN_GROWTH = 256
 
 
 class SimulatedNetwork:
@@ -57,7 +59,14 @@ class SimulatedNetwork:
         self._rng_random = sim.rng.random
         self._handlers: dict[int, Handler] = {}
         self._uplink_free: dict[int, float] = defaultdict(float)
-        self._seen: dict[int, set[int]] = defaultdict(set)
+        # Gossip dedup: each flooded message gets the next run-relative
+        # index on first sight, and each node a bitmap over those indices
+        # (all ``_seen_width`` bytes wide, see ``_seen_slot``).
+        self._msg_index: dict[int, int] = {}
+        self._seen_width = _SEEN_GROWTH
+        self._seen: dict[int, bytearray] = defaultdict(
+            lambda: bytearray(self._seen_width)
+        )
         # Elision (see ``_send``): per destination, when the earliest queued
         # delivery of each not-yet-seen flood message arrives; and the copies
         # ``(arrival, seq, dst, src, message)`` remembered but not yet counted.
@@ -201,14 +210,21 @@ class SimulatedNetwork:
 
     # -- transmission ----------------------------------------------------------------
 
-    def _send(self, src: int, dsts: Sequence[int], message: Message, flood: bool) -> None:
+    def _send(
+        self,
+        src: int,
+        dsts: Sequence[int],
+        message: Message,
+        seen_slot: tuple[int, int] | None = None,
+    ) -> None:
         """Queue one transfer per destination on ``src``'s uplink.
 
         The hot path — every hop of every message — so what one fan-out's
         copies share is computed once and an unarmed chaos hook costs a branch.
 
         A *flood* copy (``gossip`` / ``gossip_deliver``, never ``unicast`` /
-        ``broadcast``) is a provable duplicate when its attached destination
+        ``broadcast``; they pass the message's ``seen_slot``, see
+        :meth:`_seen_slot`) is a provable duplicate when its attached destination
         (S) has seen the message or (D) has a delivery of it queued that
         arrives no later: under the handler contract
         (:class:`~repro.net.transport.Transport`) it would be turned away.
@@ -225,10 +241,11 @@ class SimulatedNetwork:
         # array with the doubles the scalar calls would return, 3× cheaper.
         quiet = not (offline or partitioned or drop or self._disturbances)
         draws = iter(sim.rng.random(len(dsts)).tolist()) if quiet and self._jitter else None
-        accepting = self._handlers if flood else ()
+        accepting = self._handlers if seen_slot is not None else ()
         seen_by, due_by, remember = self._seen, self._due, self._elided.append
         schedule, deliver = sim.schedule, self._deliver
         msg_id = message.msg_id
+        byte, bit = seen_slot or (0, 0)
         min_delay, jitter, rng_random = self._min_delay, self._jitter, self._rng_random
         size = message.body_size + MESSAGE_OVERHEAD_BYTES
         base = size * self._inv_bandwidth
@@ -262,7 +279,7 @@ class SimulatedNetwork:
                 if dst in accepting:
                     when = now + arrival
                     due = due_by[dst]
-                    if msg_id in seen_by[dst] or due.get(msg_id, _NEVER) <= when:
+                    if seen_by[dst][byte] & bit or due.get(msg_id, _NEVER) <= when:
                         remember((when, sim.reserve(when), dst, src, message))
                     else:
                         due[msg_id] = when
@@ -337,7 +354,7 @@ class SimulatedNetwork:
 
     def unicast(self, src: int, dst: int, message: Message) -> None:
         """Send a message point-to-point (no gossip forwarding)."""
-        self._send(src, (dst,), message, flood=False)
+        self._send(src, (dst,), message)
 
     def broadcast(self, src: int, message: Message) -> None:
         """Send directly to every other attached node (PBFT-style all-to-all).
@@ -346,18 +363,36 @@ class SimulatedNetwork:
         costs (n-1) serialized transfers — the communication bottleneck that
         limits BFT scalability in the paper's framing (§I, §VIII-A).
         """
-        self._send(src, [dst for dst in self.node_ids if dst != src], message, flood=False)
+        self._send(src, [dst for dst in self.node_ids if dst != src], message)
 
     # -- gossip ------------------------------------------------------------------------
 
+    def _seen_slot(self, msg_id: int) -> tuple[int, int]:
+        """(byte, bit) of a message in every node's seen bitmap.
+
+        A message flooded for the first time takes the next index; when
+        that runs past the bitmaps, they all widen at once.
+        """
+        index = self._msg_index.get(msg_id)
+        if index is None:
+            index = self._msg_index[msg_id] = len(self._msg_index)
+            if index >> 3 == self._seen_width:
+                self._seen_width += _SEEN_GROWTH
+                for seen in self._seen.values():
+                    seen.extend(bytes(_SEEN_GROWTH))
+        return index >> 3, 1 << (index & 7)
+
     def gossip(self, origin: int, message: Message) -> None:
         """Flood a message over the overlay with per-node dedup (§VII-A)."""
-        self._seen[origin].add(message.msg_id)
-        self._forward(origin, message, exclude=None)
+        byte, bit = slot = self._seen_slot(message.msg_id)
+        self._seen[origin][byte] |= bit
+        self._forward(origin, message, None, slot)
 
-    def _forward(self, node_id: int, message: Message, exclude: int | None) -> None:
+    def _forward(
+        self, node_id: int, message: Message, exclude: int | None, slot: tuple[int, int]
+    ) -> None:
         peers = [peer for peer in self.adjacency[node_id] if peer != exclude]
-        self._send(node_id, peers, message, flood=True)
+        self._send(node_id, peers, message, slot)
 
     def gossip_deliver(self, dst: int, from_peer: int, message: Message) -> bool:
         """Gossip reception hook called by node handlers.
@@ -366,12 +401,13 @@ class SimulatedNetwork:
         process it); forwarding to the remaining neighbors is scheduled
         automatically.  Returns ``False`` for duplicates.
         """
+        byte, bit = slot = self._seen_slot(message.msg_id)
         seen = self._seen[dst]
-        if message.msg_id in seen:
+        if seen[byte] & bit:
             return False
-        seen.add(message.msg_id)
+        seen[byte] |= bit
         self._due[dst].pop(message.msg_id, None)  # seen now vouches instead
-        self._forward(dst, message, exclude=from_peer)
+        self._forward(dst, message, from_peer, slot)
         return True
 
     # -- introspection --------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chain.block import BLOCK_VERSION, Block, BlockHeader
 from repro.chain.blocktree import BlockTree
 from repro.chain.genesis import make_genesis
 from repro.errors import DuplicateBlockError
@@ -73,6 +74,58 @@ class TestOrphans:
         tree.add_block(b1, 4.0)
         assert tree.orphan_count == 0
         assert len(tree) == 4
+
+    def test_long_chain_delivered_child_first_attaches_whole(self, genesis):
+        """1,200 buffered descendants attach when their root arrives; a
+        recursive attach overflowed the stack after ~996 and lost the
+        orphans it had already popped."""
+        chain = [genesis]
+        for height in range(1, 1201):
+            header = BlockHeader(
+                version=BLOCK_VERSION,
+                height=height,
+                parent_hash=chain[-1].block_id,
+                merkle_root=bytes(32),
+                timestamp=float(height),
+                producer=keypair(height % 3).public.fingerprint(),
+                difficulty_multiple=1.0,
+                base_difficulty=1.0,
+                epoch=0,
+            )
+            chain.append(Block(header, None, ()))
+        tree = BlockTree(genesis)
+        for block in reversed(chain[2:]):
+            assert tree.add_block(block, 5.0) is False
+        assert tree.orphan_count == 1199
+        assert tree.add_block(chain[1], 6.0) is True
+        assert tree.orphan_count == 0
+        assert len(tree) == 1201
+        assert tree.max_height() == 1200
+        assert tree.chain_to(chain[-1].block_id) == chain
+        # Attached depth first, each at its parent's arrival at the latest.
+        assert [tree.arrival_seq(b.block_id) for b in chain] == list(range(1201))
+        assert {tree.arrival_time(b.block_id) for b in chain[1:]} == {6.0}
+
+    def test_orphan_with_a_huge_height_attaches(self, genesis):
+        """Orphans attach unvalidated, so a header may claim any height the
+        codec's varint carries; the tree stores it without overflowing."""
+        header = BlockHeader(
+            version=BLOCK_VERSION,
+            height=2**70,
+            parent_hash=genesis.block_id,
+            merkle_root=bytes(32),
+            timestamp=1.0,
+            producer=keypair(0).public.fingerprint(),
+            difficulty_multiple=1.0,
+            base_difficulty=1.0,
+            epoch=0,
+        )
+        tall = Block(header, None, ())
+        tree = BlockTree(genesis)
+        assert tree.add_block(tall, 1.0) is True
+        assert tree.max_height() == 2**70
+        assert tree.blocks_at_height(2**70) == [tall.block_id]
+        assert tree.subtree_size(genesis.block_id) == 2
 
 
 class TestSubtreeStats:

@@ -4,7 +4,9 @@
 pushes counters up the ancestor path until the finality cutoff).  The lazy
 tree must return the same value from every public accessor for every block
 at every moment, orphan attachment included, so every fork-choice decision —
-and with it every chain digest — is unchanged.
+and with it every chain digest — is unchanged.  That holds for each of
+several views sharing one :class:`~repro.chain.blocktree.BlockArena`, each
+receiving the blocks in its own order.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.block import BLOCK_VERSION, Block, BlockHeader
-from repro.chain.blocktree import BlockTree
+from repro.chain.blocktree import BlockArena, BlockTree
 from repro.chain.forkchoice import GHOSTRule, LongestChainRule
 from repro.chain.genesis import make_genesis
+from repro.core.difficulty import DifficultyParams
 from repro.core.geost import GEOSTRule
+from repro.core.themis import ConsensusChainState
+from repro.errors import ChainError
 
 from tests.conftest import keypair
 from tests.ref_blocktree import EagerBlockTree
@@ -57,15 +62,23 @@ def _assert_same(lazy: BlockTree, eager: EagerBlockTree, window: int | None) -> 
     assert len(lazy) == len(eager)
     assert lazy.orphan_count == eager.orphan_count
     assert lazy.max_height() == eager.max_height()
+    assert [b.block_id for b in lazy.iter_blocks()] == [b.block_id for b in eager.iter_blocks()]
+    assert lazy.leaves() == eager.leaves()
+    for height in range(eager.max_height() + 2):
+        assert lazy.blocks_at_height(height) == eager.blocks_at_height(height)
     for block in eager.iter_blocks():
         block_id = block.block_id
+        assert lazy.get(block_id) == block
+        assert lazy.parent(block_id) == eager.parent(block_id)
         assert lazy.subtree_size(block_id) == eager.subtree_size(block_id)
         assert lazy.subtree_producers(block_id) == eager.subtree_producers(block_id)
         assert dict(lazy.subtree_producers_view(block_id)) == dict(
             eager.subtree_producers_view(block_id)
         )
         assert lazy.arrival_seq(block_id) == eager.arrival_seq(block_id)
+        assert lazy.arrival_time(block_id) == eager.arrival_time(block_id)
         assert lazy.children(block_id) == eager.children(block_id)
+        assert list(lazy.children_view(block_id)) == eager.children(block_id)
     heads = _heads(eager, None, None)
     assert _heads(lazy, None, None) == heads
     # Resume a few heights above the GEOST head, inside the window, with the
@@ -164,3 +177,84 @@ class TestFrozenCountersAreNotExactCounts:
         assert lazy.parent(head) == heavy.block_id
         assert GEOSTRule(lambda: MEMBERS).head(lazy) == head
         assert lazy.max_height() - lazy.get(head).height >= 2
+
+
+PARAMS = DifficultyParams(i0=10.0, h0=1.0, beta=1.0)
+VIEWS = 3
+
+
+@st.composite
+def shared_scripts(draw):
+    """Blocks of a random tree, and one arrival permutation per view.
+
+    Permutations put most blocks ahead of their parents, so every view
+    buffers and attaches orphans, and each view is the first to hand the
+    shared arena some blocks.
+    """
+    blocks, _ = draw(tree_scripts())
+    orders = [draw(st.permutations(range(1, len(blocks)))) for _ in range(VIEWS)]
+    return blocks, orders
+
+
+class TestViewsSharingOneArena:
+    @given(script=shared_scripts(), window=st.sampled_from(WINDOWS))
+    @settings(max_examples=60, deadline=None)
+    def test_each_view_matches_its_own_eager_tree(self, script, window):
+        blocks, orders = script
+        arena = BlockArena(GENESIS)
+        states = [
+            ConsensusChainState(
+                GENESIS, lambda: MEMBERS, PARAMS, finality_window=window, arena=arena
+            )
+            for _ in range(VIEWS)
+        ]
+        eagers = [EagerBlockTree(GENESIS, finality_window=window) for _ in range(VIEWS)]
+        # Round-robin: the views take turns, so the arena grows under all.
+        for step in range(len(blocks) - 1):
+            for view, (state, eager) in enumerate(zip(states, eagers, strict=True)):
+                block = blocks[orders[view][step]]
+                arrival = float(step * VIEWS + view)
+                outcome = state.add_block(block, arrival)
+                assert (outcome != "orphaned") == eager.add_block(block, arrival)
+            for state, eager in zip(states, eagers, strict=True):
+                _assert_same(state.tree, eager, window)
+                chain = eager.chain_to(state.head_id)
+                assert state.main_chain() == chain
+                on_chain = {block.block_id: height for height, block in enumerate(chain)}
+                for block in blocks:
+                    assert state.chain_position(block.block_id) == on_chain.get(block.block_id)
+        for state in states:
+            assert state.tree.orphan_count == 0
+            assert len(state.tree) == len(blocks)
+        assert len(arena) == len(blocks)
+
+    def test_a_view_keeps_its_own_copy_of_a_block(self):
+        """The id commits to the header only: two views may hold different
+        objects for one block, and each reads back its own."""
+        arena = BlockArena(GENESIS)
+        first, second = (BlockTree(GENESIS, arena=arena) for _ in range(2))
+        block = _child(GENESIS, 0, 1)
+        copy = Block(block.header, None, ())
+        assert copy is not block and copy.block_id == block.block_id
+        first.add_block(block, 1.0)
+        second.add_block(copy, 2.0)
+        assert first.get(block.block_id) is block
+        assert second.get(block.block_id) is copy
+        assert second.chain_to(block.block_id) == [GENESIS, copy]
+        assert len(arena) == 2
+
+    def test_a_view_sees_only_what_it_received(self):
+        arena = BlockArena(GENESIS)
+        first, second = (BlockTree(GENESIS, arena=arena) for _ in range(2))
+        block = _child(GENESIS, 0, 1)
+        first.add_block(block, 1.0)
+        assert block.block_id not in second
+        assert second.children(GENESIS.block_id) == []
+        assert second.blocks_at_height(1) == []
+        with pytest.raises(KeyError):
+            second.get(block.block_id)
+
+    def test_arena_of_another_genesis_is_refused(self):
+        other = _child(GENESIS, 0, 1)
+        with pytest.raises(ChainError):
+            BlockTree(GENESIS, arena=BlockArena(other))
