@@ -12,7 +12,8 @@ tree maintains exactly the statistics the rules need:
 * per-height index — fork-rate and fork-duration metrics (§VII-C).
 
 Blocks that arrive before their parent (possible under gossip reordering) are
-buffered as orphans and attached automatically once the parent is inserted.
+buffered as orphans and attached automatically once the parent is inserted,
+each through the same admission check as a block delivered in order.
 Insertion is O(1); the subtree statistics are computed when a rule asks for
 them — at forks only — by one walk over the asked block's subtree.
 
@@ -26,16 +27,16 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import cast
 from weakref import WeakSet
 
 from repro.chain.block import Block
 from repro.errors import ChainError, DuplicateBlockError
 
-#: Marks are 32-bit: a taller height (only an unvalidated orphan can claim
-#: one) is stored as this, which compares the same against any window limit
-#: below it.
+#: Marks are 32-bit: a taller height (only a block inserted without an
+#: admission check can claim one) is stored as this, which compares the same
+#: against any window limit below it.
 _MARK_MAX = 2**31 - 1
 
 
@@ -218,13 +219,21 @@ class BlockTree:
         self._time += array("d", [0.0]) * extra
         self._mark += array("i", [0]) * extra
 
-    def add_block(self, block: Block, arrival_time: float) -> bool:
-        """Insert a block; returns ``True`` if attached, ``False`` if orphaned.
+    def add_block(
+        self,
+        block: Block,
+        arrival_time: float,
+        admit: Callable[[Block], bool] | None = None,
+    ) -> bool:
+        """Insert a block; returns ``True`` if attached, ``False`` if orphaned
+        or refused.
 
         An orphan (parent not yet known) is buffered and attached when its
         parent arrives; its reception order is assigned at attachment time,
         which matches how a real node would perceive "first received".
-        Raises :class:`DuplicateBlockError` on re-insertion.
+        ``admit`` is asked just before each insertion, this block's and each
+        orphan's alike; a refused block is dropped with the orphans buffered
+        under it.  Raises :class:`DuplicateBlockError` on re-insertion.
         """
         block_id = block.block_id
         index = self._index.get(block_id)
@@ -235,12 +244,20 @@ class BlockTree:
             self._orphans[block.parent_hash].append((block, arrival_time))
             self._orphan_count += 1
             return False
+        if admit is not None and not admit(block):
+            self._drop_orphans(block_id)
+            return False
         self._insert(block, index, parent, arrival_time)
         if self._orphans:
-            self._attach_orphans(block_id, arrival_time)
+            self._attach_orphans(block_id, arrival_time, admit)
         return True
 
-    def _attach_orphans(self, parent_id: bytes, arrival_time: float) -> None:
+    def _attach_orphans(
+        self,
+        parent_id: bytes,
+        arrival_time: float,
+        admit: Callable[[Block], bool] | None,
+    ) -> None:
         """Attach the buffered descendants of ``parent_id``, depth first in
         buffer order, from an explicit stack (a chain of any length)."""
         pending = self._orphans.pop(parent_id, [])[::-1]
@@ -250,9 +267,20 @@ class BlockTree:
             index = self._index.get(orphan.block_id)
             if index is not None and self._blocks[index] is not None:
                 continue  # buffered twice
+            if admit is not None and not admit(orphan):
+                self._drop_orphans(orphan.block_id)
+                continue
             parent = self._index[orphan.parent_hash]
             self._insert(orphan, index, parent, max(orphan_time, arrival_time))
             pending += reversed(self._orphans.pop(orphan.block_id, []))
+
+    def _drop_orphans(self, parent_id: bytes) -> None:
+        """Forget every buffered descendant of ``parent_id``."""
+        doomed = [parent_id]
+        while doomed:
+            children = self._orphans.pop(doomed.pop(), [])
+            self._orphan_count -= len(children)
+            doomed += (orphan.block_id for orphan, _ in children)
 
     # -- arena indices -----------------------------------------------------------
 

@@ -38,11 +38,9 @@ from typing import TYPE_CHECKING, Any
 from repro.chain.block import Block, sign_block
 from repro.chain.blocktree import BlockTree
 from repro.chain.transaction import Transaction
-from repro.core.difficulty import DifficultyTable
 from repro.core.election import BlockBuilder, BlockValidator
-from repro.core.themis import ConsensusChainState, RuleKind
+from repro.core.themis import ConsensusChainState, HeadUpdate, RuleKind
 from repro.crypto.keys import KeyPair
-from repro.errors import InvalidBlockError
 from repro.mining.miner import RealMiner
 from repro.net.clock import TimerHandle
 from repro.net.message import Message, is_sync_kind
@@ -105,7 +103,8 @@ def powh_config(**overrides) -> MiningNodeConfig:
 
 @dataclass
 class MiningStats:
-    """Per-node production counters."""
+    """Per-node production counters (``blocks_accepted``: blocks admitted
+    to the tree, the node's own included)."""
 
     blocks_produced: int = 0
     blocks_accepted: int = 0
@@ -150,7 +149,8 @@ class MiningNode(ConsensusNode):
         )
         self.validator = BlockValidator(
             is_member=lambda addr: addr in self.members_fn(),
-            table_lookup=self._table_for,
+            parent_lookup=self.state.tree.get,
+            table_lookup=lambda block: self.state.governing(block.parent_hash)[1],
             t0=ctx.params.t0,
             check_pow=config.real_pow,
             verify_signatures=config.verify_signatures,
@@ -160,7 +160,7 @@ class MiningNode(ConsensusNode):
         self.stats = MiningStats()
         self.sync = SyncManager(self, config.sync)
         # Durable storage is opt-in (live mode only).  It stays None in
-        # simulations, and :meth:`_attach` is None-guarded, so simulated
+        # simulations, and every use of it is None-guarded, so simulated
         # runs are byte-identical with or without this subsystem.
         self.storage: SqliteStorage | None = None
         self.clock_skew = 0.0
@@ -321,9 +321,10 @@ class MiningNode(ConsensusNode):
             difficulty=round(header.difficulty, 3),
         )
         # Adopt first: the miner re-arms on the fresh head (and draws from
-        # the oracle) before the gossip fan-out draws its jitter.
-        self._attach(block)
-        self._announce(block)
+        # the oracle) before the gossip fan-out draws its jitter.  A block
+        # this node refuses (it is no longer a member) is not announced.
+        if self._attach(block) != "refused":
+            self._announce(block)
 
     def _announce(self, block: Block) -> None:
         """Gossip a block this node produced."""
@@ -337,17 +338,17 @@ class MiningNode(ConsensusNode):
             ),
         )
 
-    def _attach(self, block: Block) -> None:
+    def _attach(self, block: Block) -> HeadUpdate:
         """The one way a block enters this node (§III: "valid blocks will be
         added to the local block tree").
 
-        Inserts, records durably, and — when the head moved — counts and
-        traces a reorg, lets the data plane follow (:meth:`_head_moved`),
-        commits, and re-arms the miner on the new head, in that order.
+        Hands ``block`` to the tree, which asks :meth:`_admit_block` before it
+        inserts it and before each buffered orphan it releases.  When the
+        head moved: counts and traces a reorg, lets the data plane follow
+        (:meth:`_head_moved`), commits, and re-arms the miner on the new
+        head, in that order — once per call, however many blocks entered.
         """
-        outcome = self.state.add_block(block, self.ctx.sim.now)
-        if self.storage is not None:
-            self.storage.record_block(block, self.ctx.sim.now)
+        outcome = self.state.add_block(block, self.ctx.sim.now, self._admit_block)
         if outcome == "reorg":
             self.stats.reorgs += 1
             self._trace(
@@ -360,6 +361,29 @@ class MiningNode(ConsensusNode):
             if self.storage is not None:
                 self.storage.commit(self.state.head_id, self.state.tree)
             self._arm_miner()
+        return outcome
+
+    def _admit_block(self, block: Block) -> bool:
+        """The tree's admission check, asked just before ``block`` (whose
+        parent is held) is inserted: an accepted block is recorded durably,
+        in the order blocks enter the tree."""
+        if not self._judge(block):
+            return False
+        self.stats.blocks_accepted += 1
+        if self.storage is not None:
+            self.storage.record_block(block, self.ctx.sim.now)
+        return True
+
+    def _judge(self, block: Block) -> bool:
+        """Whether ``block`` passes §III checks 1–2; a refusal is counted
+        and traced."""
+        # Judged once per block object for every node sharing the facts.
+        reason = self.state.facts.verdict(block, self.validator.validate)
+        if reason is None:
+            return True
+        self.stats.blocks_rejected += 1
+        self._trace("block/rejected", block=block.block_id.hex()[:10], reason=reason)
+        return False
 
     # -- what the data plane overrides (consensus-only bodies) ----------------------
 
@@ -429,31 +453,14 @@ class MiningNode(ConsensusNode):
         elif self._started:
             self._arm_miner()
 
-    def _table_for(self, block: Block) -> DifficultyTable:
-        parent = self.state.tree.get(block.parent_hash)
-        if block.height != parent.height + 1:
-            raise InvalidBlockError(
-                f"declared height {block.height} does not follow parent "
-                f"height {parent.height}"
-            )
-        return self.state.governing(block.parent_hash)[1]
-
     def _handle_block(self, block: Block) -> None:
-        if block.parent_hash in self.state.tree:
-            # Judged once per block object for every node sharing the facts.
-            reason = self.state.facts.verdict(block, self.validator.validate)
-            if reason is not None:
-                self.stats.blocks_rejected += 1
-                self._trace(
-                    "block/rejected", block=block.block_id.hex()[:10], reason=reason
-                )
-                return
-        # Without the parent the difficulty table is unknowable; the tree
-        # buffers the block and it is validated structurally only.  Orphans
-        # are rare (gossip mostly preserves causality) and a bad orphan can
-        # never become head without a valid ancestry.
-        self._attach(block)
-        self.stats.blocks_accepted += 1
+        """A block from a peer, gossiped or synced."""
+        if block.block_id in self.state.tree:
+            # A copy of a held block (an id commits to the header only, so
+            # body or signature may differ): judged, never inserted twice.
+            self._judge(block)
+        else:
+            self._attach(block)
 
     # -- views -----------------------------------------------------------------------
 

@@ -71,11 +71,11 @@ class BlockValidator:
 
     Attributes:
         is_member: membership predicate over producer fingerprints.
+        parent_lookup: the held block with a given id — a block is judged
+            only once its parent is held, and its height must follow.
         table_lookup: resolves the difficulty table governing a block —
             normally :meth:`ConsensusChainState.governing` on the block's
-            own parent, so forked epoch boundaries validate consistently;
-            raises :class:`InvalidBlockError` when the declared height does
-            not follow the parent's.
+            own parent, so forked epoch boundaries validate consistently.
         t0: deployment base target.
         check_pow: verify the header hash against the target.  ``True`` in
             real-mining deployments; oracle-driven simulations disable it
@@ -85,6 +85,7 @@ class BlockValidator:
     """
 
     is_member: Callable[[bytes], bool]
+    parent_lookup: Callable[[bytes], Block]
     table_lookup: Callable[[Block], DifficultyTable]
     t0: int
     check_pow: bool = True
@@ -100,7 +101,14 @@ class BlockValidator:
             )
         if self.verify_signatures and not block.verify_signature():
             raise InvalidBlockError("block header signature is invalid")
-        # Check 2 — declared difficulty must match the local table.
+        # Check 2 — declared position and difficulty must match the local
+        # tree and table.
+        parent = self.parent_lookup(header.parent_hash)
+        if header.height != parent.height + 1:
+            raise InvalidBlockError(
+                f"declared height {header.height} does not follow parent "
+                f"height {parent.height}"
+            )
         table = self.table_lookup(block)
         if header.epoch != table.epoch:
             raise InvalidBlockError(

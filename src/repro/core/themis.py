@@ -47,7 +47,7 @@ from repro.core.geost import GEOSTRule
 from repro.errors import ChainError, InvalidBlockError, SimulationError
 
 #: Outcome of feeding one block to the state machine.
-HeadUpdate = Literal["extended", "reorg", "unchanged", "orphaned"]
+HeadUpdate = Literal["extended", "reorg", "unchanged", "orphaned", "refused"]
 
 RuleKind = Literal["geost", "ghost", "longest"]
 
@@ -283,10 +283,6 @@ class ConsensusChainState:
         epoch = self.epoch_of_height(height)
         return self._ancestor_at_height(tip_id, epoch * self.epoch_blocks)
 
-    def table_for_block_height(self, tip_id: bytes, height: int) -> DifficultyTable:
-        """Difficulty table governing a prospective block at ``height``."""
-        return self.table_for_anchor(self.anchor_for_height(tip_id, height))
-
     def mining_assignment(self, producer: bytes) -> tuple[float, float, int]:
         """(multiple, base, epoch) for the next block on the current head."""
         table = self.governing(self.head_id)[1]
@@ -294,17 +290,24 @@ class ConsensusChainState:
 
     # -- block intake -----------------------------------------------------------------
 
-    def add_block(self, block: Block, arrival_time: float) -> HeadUpdate:
-        """Insert a validated block and update the head.
+    def add_block(
+        self,
+        block: Block,
+        arrival_time: float,
+        admit: Callable[[Block], bool] | None = None,
+    ) -> HeadUpdate:
+        """Insert a block and update the head.
 
+        ``admit`` is the tree's admission check (:meth:`BlockTree.add_block`);
+        without one the block and any orphans it releases are trusted.
         Fast path: a block extending the current head always becomes the new
         head under all three rules (it grows the winning subtree).  Any other
         attachment triggers a full rule walk, which may reorganize.
         """
         before = len(self.tree)
-        attached = self.tree.add_block(block, arrival_time)
-        if not attached:
-            return "orphaned"
+        if not self.tree.add_block(block, arrival_time, admit):
+            # Only a block whose parent is held is judged.
+            return "refused" if block.parent_hash in self.tree else "orphaned"
         attached_count = len(self.tree) - before
         if block.parent_hash == self.head_id and attached_count == 1:
             # Fast path: a lone extension of the head wins under every rule.

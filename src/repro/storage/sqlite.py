@@ -206,7 +206,8 @@ class SqliteStorage:
     def record_block(self, block: Block, arrival_time: float) -> None:
         """Buffer one block; durable at the next :meth:`commit`.
 
-        Called in local reception order, orphans included; the order is
+        A node calls it in the order blocks enter its tree, after §III
+        admission (a buffered orphan when its parent arrives); the order is
         durable so recovery reconstructs GEOST's first-received tie-break
         state exactly.
         """

@@ -1,12 +1,12 @@
-"""Audit of non-adaptive (PoW-H) chains and cross-mode detection."""
+"""Replay of non-adaptive (PoW-H) chains and cross-mode detection."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.chain.audit import ChainAuditor
-from repro.consensus.powfamily import powh_config
+from repro.consensus.powfamily import powh_config, themis_config
 
+from tests.test_audit import assert_clean, rejections, replay
 from tests.test_powfamily import make_fleet, run_to_height
 
 
@@ -21,21 +21,16 @@ def powh_chain():
 class TestPoWHAudit:
     def test_powh_chain_passes_non_adaptive_audit(self, powh_chain):
         ctx, chain = powh_chain
-        auditor = ChainAuditor(ctx.members, ctx.params, adaptive=False)
-        report = auditor.audit(chain)
-        assert report.ok, report.findings[:3]
+        assert_clean(replay(ctx, chain[1:], powh_config()), chain)
 
     def test_powh_chain_fails_adaptive_audit(self, powh_chain):
-        """Auditing a PoW-H chain with adaptive rules flags the multiples:
+        """Judging a PoW-H chain under adaptive rules refuses the multiples:
         Eq. 6 would have raised over-producers' multiples above 1."""
         ctx, chain = powh_chain
-        auditor = ChainAuditor(ctx.members, ctx.params, adaptive=True)
-        report = auditor.audit(chain)
-        assert not report.ok
-        assert any(
-            f.check == "difficulty" and "multiple" in f.detail
-            for f in report.findings
-        )
+        node = replay(ctx, chain[1:], themis_config())
+        reasons = rejections(node)
+        assert reasons and all("multiple" in reason for reason in reasons)
+        assert node.state.height() < chain[-1].height
 
     def test_all_multiples_one_on_powh_chain(self, powh_chain):
         _, chain = powh_chain

@@ -106,9 +106,37 @@ class TestOrphans:
         assert [tree.arrival_seq(b.block_id) for b in chain] == list(range(1201))
         assert {tree.arrival_time(b.block_id) for b in chain[1:]} == {6.0}
 
+    def test_admission_is_asked_before_every_insert(self, genesis):
+        """``admit`` judges the delivered block and each orphan it releases;
+        a refused orphan is dropped with everything buffered under it."""
+        from repro.chain.block import build_block
+
+        tree = BlockTree(genesis)
+        b1 = build_block(keypair(0), genesis.block_id, 1, [], 1.0, 1.0, 1.0, 0)
+        b2 = build_block(keypair(1), b1.block_id, 2, [], 2.0, 1.0, 1.0, 0)
+        b3 = build_block(keypair(2), b2.block_id, 3, [], 3.0, 1.0, 1.0, 0)
+        side = build_block(keypair(2), b1.block_id, 2, [], 2.5, 1.0, 1.0, 0)
+        for orphan in (b3, b2, side):
+            assert tree.add_block(orphan, 3.0) is False
+        asked: list[Block] = []
+
+        def admit(block: Block) -> bool:
+            asked.append(block)
+            return block is not b2
+
+        assert tree.add_block(b1, 4.0, admit) is True
+        assert asked == [b1, b2, side]
+        assert b2.block_id not in tree and b3.block_id not in tree
+        assert side.block_id in tree
+        assert tree.orphan_count == 0
+        refused = build_block(keypair(0), genesis.block_id, 1, [], 5.0, 2.0, 1.0, 0)
+        assert tree.add_block(refused, 5.0, lambda block: False) is False
+        assert refused.block_id not in tree
+
     def test_orphan_with_a_huge_height_attaches(self, genesis):
-        """Orphans attach unvalidated, so a header may claim any height the
-        codec's varint carries; the tree stores it without overflowing."""
+        """A tree given no admission check (storage recovery, bare trees)
+        takes a header claiming any height the codec's varint carries; it
+        stores it without overflowing."""
         header = BlockHeader(
             version=BLOCK_VERSION,
             height=2**70,

@@ -30,6 +30,7 @@ def table() -> DifficultyTable:
 def make_validator(table, check_pow=False, verify_signatures=True) -> BlockValidator:
     return BlockValidator(
         is_member=lambda a: a in (addr(0), addr(1)),
+        parent_lookup=lambda parent_id: make_genesis(),
         table_lookup=lambda block: table,
         t0=T_MAX,
         check_pow=check_pow,
@@ -89,6 +90,12 @@ class TestValidator:
         with pytest.raises(InvalidBlockError, match="base"):
             make_validator(table).validate(block)
 
+    def test_check2_height_must_follow_parent(self, table):
+        genesis = make_genesis()
+        skipped = build_block(keypair(0), genesis.block_id, 2, [], 1.0, 3.0, 2.0, 0)
+        with pytest.raises(InvalidBlockError, match="height"):
+            make_validator(table).validate(skipped)
+
     def test_merkle_commitment_checked(self, table):
         good = self._block()
         tx = make_transaction(keypair(0), addr(1), 1, 0)
@@ -100,6 +107,7 @@ class TestValidator:
         table = DifficultyTable(epoch=0, base=1.0, multiples={addr(0): 1.0})
         validator = BlockValidator(
             is_member=lambda a: a == addr(0),
+            parent_lookup=lambda parent_id: make_genesis(),
             table_lookup=lambda block: table,
             t0=EASY_T0 // 4096,  # hard enough that nonce 0 fails w.h.p.
             check_pow=True,

@@ -19,15 +19,21 @@ from repro.consensus.powfamily import (
     themis_lite_config,
 )
 from repro.core.difficulty import DifficultyParams
-from repro.core.election import BlockValidator
+from repro.core.election import BlockBuilder, BlockValidator
 from repro.crypto.signature import sign_digest
 from repro.mining.oracle import MiningOracle
 from repro.net.latency import LinkModel
+from repro.net.message import (
+    KIND_SYNC_BLOCKS_RESPONSE,
+    KIND_SYNC_HEADERS_RESPONSE,
+    Message,
+)
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
 from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
 from repro.sim.tracing import Tracer
+from repro.storage.sqlite import SqliteStorage
 
 from tests.conftest import keypair
 
@@ -193,7 +199,7 @@ class TestValidationPath:
             node.start()
         ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 2)
         head = nodes[1].state.head_block()
-        table = nodes[1].state.table_for_block_height(head.block_id, head.height + 1)
+        table = nodes[1].state.governing(head.block_id)[1]
         outsider = build_block(
             keypair(7),
             head.block_id,
@@ -250,6 +256,146 @@ class TestForgedPosition:
         node._handle_block(Block(header, None, ()))
         assert node.stats.blocks_rejected == 0
         assert node.state.head_block().height == node.state.height() == parent.height + 1
+
+
+def _stopped_fleet():
+    """Four Themis nodes stopped at height 5 (epoch 0 lasts 32 heights)."""
+    ctx, nodes = build_mining_fleet(4, seed=3)
+    run_fleet_to_height(ctx, nodes, 5)
+    for node in nodes:
+        node.stop()
+    return ctx, nodes
+
+
+def _block_on(state, parent: Block, producer, multiple_factor: float = 1.0) -> Block:
+    """An unsigned block by ``producer`` on ``parent`` under epoch 0's table."""
+    table = state.governing(state.tree.genesis_id)[1]
+    header = BlockBuilder(producer).build_header(
+        parent,
+        [],
+        parent.header.timestamp + 1.0,
+        table.multiple(producer.public.fingerprint()) * multiple_factor,
+        table.base,
+        table.epoch,
+    )
+    return Block(header, None, ())
+
+
+class TestChildFirstAdmission:
+    """A block delivered before its parent is judged when it attaches.
+
+    At the parent commit a buffered orphan was inserted unjudged: a
+    non-member's block delivered child-first became the head, and
+    ``blocks_rejected`` stayed 0.
+    """
+
+    @pytest.mark.parametrize(
+        ("forger", "multiple_factor", "reason"),
+        [(None, 1.0, "not a consensus member"), (2, 7.0, "multiple")],
+        ids=["non-member", "forged-multiple"],
+    )
+    def test_forged_block_delivered_child_first_is_refused(
+        self, forger, multiple_factor, reason
+    ):
+        ctx, nodes = _stopped_fleet()
+        node = nodes[0]
+        node.tracer = Tracer()
+        forger_key = keypair(9) if forger is None else nodes[forger].keypair
+        honest = _block_on(node.state, node.state.head_block(), nodes[1].keypair)
+        forged = _block_on(node.state, honest, forger_key, multiple_factor)
+        above = _block_on(node.state, forged, nodes[3].keypair)
+        accepted = node.stats.blocks_accepted
+        node._handle_block(above)
+        node._handle_block(forged)
+        assert node.tree.orphan_count == 2
+        node._handle_block(honest)
+        assert forged.block_id not in node.tree
+        assert above.block_id not in node.tree
+        assert node.state.head_block() is honest
+        assert node.stats.blocks_rejected == 1
+        assert node.stats.blocks_accepted == accepted + 1
+        assert node.tree.orphan_count == 0
+        (event,) = node.tracer.events(kind="block/rejected")
+        assert reason in event.detail["reason"]
+
+    def test_sync_page_arriving_child_first(self, tmp_path, monkeypatch):
+        """A blocks page in reverse height order with a forgery in the middle:
+        the honest blocks below it attach, it and the blocks above it never
+        do, and nothing refused reaches storage."""
+        ctx, nodes = _stopped_fleet()
+        node = nodes[0]
+        storage = SqliteStorage(tmp_path / "node-0.db")
+        node.attach_storage(storage)
+        recorded: list[Block] = []
+        record = storage.record_block
+        monkeypatch.setattr(
+            storage,
+            "record_block",
+            lambda block, arrival: recorded.append(block) or record(block, arrival),
+        )
+        first = _block_on(node.state, node.state.head_block(), nodes[1].keypair)
+        second = _block_on(node.state, first, nodes[2].keypair)
+        forged = _block_on(node.state, second, keypair(9))
+        above = _block_on(node.state, forged, nodes[3].keypair)
+        top = _block_on(node.state, above, nodes[0].keypair)
+        page = [first, second, forged, above, top]
+        accepted = node.stats.blocks_accepted
+
+        node.sync.start_sync(1)
+        node.sync.on_message(
+            Message(
+                kind=KIND_SYNC_HEADERS_RESPONSE,
+                payload={
+                    "request_id": node.sync._request_id,
+                    "start_height": first.height,
+                    "ids": [block.block_id for block in page],
+                    "full": False,
+                },
+                body_size=0,
+                origin=1,
+            ),
+            1,
+        )
+        node.sync.on_message(
+            Message(
+                kind=KIND_SYNC_BLOCKS_RESPONSE,
+                payload={"request_id": node.sync._request_id, "blocks": page[::-1]},
+                body_size=0,
+                origin=1,
+            ),
+            1,
+        )
+        assert node.sync.stats.blocks_received == 5
+        assert node.state.head_block() is second
+        assert all(block.block_id not in node.tree for block in (forged, above, top))
+        assert node.tree.orphan_count == 0
+        assert node.stats.blocks_rejected == 1
+        assert node.stats.blocks_accepted == accepted + 2
+        assert recorded == [first, second]
+        assert storage.block_by_id(forged.block_id) is None
+        storage.close()
+
+
+class TestCopies:
+    def test_valid_copy_of_a_held_block_is_dropped_and_a_tampered_one_refused(self):
+        """At the parent commit a valid copy raised ``DuplicateBlockError``
+        out of ``on_message`` (in the live tier: out of the transport's read
+        loop, dropping the connection)."""
+        ctx, nodes = _stopped_fleet()
+        node = nodes[0]
+        held = node.state.head_block()
+        copy = replace(held)
+        tampered = replace(
+            held, transactions=(make_transaction(keypair(1), held.producer, 1, 0),)
+        )
+        assert copy is not held and copy.block_id == tampered.block_id == held.block_id
+        for block in (copy, tampered):
+            node.on_message(
+                Message(kind="block", payload=block, body_size=0, origin=1), 1
+            )
+        assert node.stats.blocks_rejected == 1  # the tampered one
+        assert node.state.head_block() is held
+        assert node.tree.get(held.block_id) is held
 
 
 class TestSharedFacts:

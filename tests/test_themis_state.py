@@ -34,7 +34,7 @@ def make_state(n: int = 4, beta: float = 1.0, rule: str = "geost", adaptive=True
 def extend(state, parent, producer_index, timestamp, multiple=None, base=None):
     """Append a block with table-consistent difficulty fields."""
     height = parent.height + 1
-    table = state.table_for_block_height(parent.block_id, height)
+    table = state.governing(parent.block_id)[1]
     producer = keypair(producer_index).public.fingerprint()
     block = build_block(
         keypair(producer_index),
