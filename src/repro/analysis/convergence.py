@@ -67,11 +67,6 @@ class SettlementTracker:
             lags.append(max(0.0, changed - produced))
         return lags
 
-    def mean_lag(self, exclude_tail: int = 10) -> float:
-        """Mean settlement lag — Prop. 1 says this is finite and stable."""
-        lags = self.settlement_lags(exclude_tail)
-        return float(np.mean(lags)) if lags else 0.0
-
 
 def lag_growth_slope(lags: list[float]) -> float:
     """Least-squares slope of lag against height.

@@ -90,19 +90,3 @@ def format_epoch_reports(reports: Sequence[EpochReport]) -> str:
         )
     return "\n".join(lines)
 
-
-def convergence_epoch(
-    reports: Sequence[EpochReport], within_factor: float = 2.0, tail: int = 3
-) -> int | None:
-    """First epoch from which σ_f² stays within ``within_factor`` of the
-    final stable value (the paper: Themis "converges in a few consensus
-    rounds").  Returns ``None`` if the series never settles.
-    """
-    if len(reports) < tail + 1:
-        return None
-    stable = float(np.mean([r.sigma_f2 for r in reports[-tail:]]))
-    threshold = stable * within_factor
-    for index, report in enumerate(reports):
-        if all(r.sigma_f2 <= threshold for r in reports[index:]):
-            return index
-    return None

@@ -50,21 +50,3 @@ def propagation_delay_estimate(
     per_hop = link.min_delay + link.serialization_time(block_bytes)
     return hops * per_hop
 
-
-def expected_out_degree_trend(
-    degrees: list[int], i0: float, link: LinkModel, block_bytes: int, n: int
-) -> list[float]:
-    """Model series backing §VI-D's out-degree observation.
-
-    Higher out-degree shrinks the overlay diameter (≈ ``log_d n``), shrinking
-    ``δ`` and therefore the fork rate; this returns the modeled fork rate per
-    degree for comparison against measured sweeps.
-    """
-    rates = []
-    for degree in degrees:
-        if degree < 2:
-            raise SimulationError("out-degree must be >= 2")
-        hops = max(1.0, math.log(max(n, 2)) / math.log(degree))
-        delta = hops * (link.min_delay + link.serialization_time(block_bytes))
-        rates.append(fork_rate_model(delta, i0))
-    return rates

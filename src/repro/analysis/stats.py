@@ -1,43 +1,11 @@
-"""Statistical tools backing the paper's analysis sections.
-
-* the binomial MLE underlying the difficulty adjustment (Eq. 4–5) and its
-  unbiasedness check;
-* storage and communication overhead accounting (§VI-C);
-* small helpers shared by the analysis benchmarks.
-"""
+"""Storage and communication overhead accounting (§VI-C)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.crypto.signature import SIGNATURE_SIZE
 from repro.errors import SimulationError
-
-
-def binomial_mle(q: int, delta: int) -> float:
-    """The MLE of a node's block-producing probability, ``p̂ = q/Δ`` (Eq. 5)."""
-    if delta < 1:
-        raise SimulationError("Δ must be positive")
-    if not 0 <= q <= delta:
-        raise SimulationError(f"q must be in [0, Δ], got {q}")
-    return q / delta
-
-
-def mle_bias_estimate(
-    p: float, delta: int, trials: int, rng: np.random.Generator
-) -> float:
-    """Monte-Carlo estimate of ``E[q/Δ] − p`` (zero in expectation, §IV-A).
-
-    The paper leans on the estimator being unbiased — "Since the MLE of the
-    binomial distribution is unbiased ... E(q_i^e/Δ) = p_i" — which this
-    check verifies empirically for any (p, Δ).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise SimulationError("p must be a probability")
-    samples = rng.binomial(delta, p, size=trials) / delta
-    return float(samples.mean() - p)
 
 
 @dataclass(frozen=True)
@@ -90,9 +58,3 @@ class CommunicationOverhead:
             raise SimulationError("block size must be positive")
         return self.signature_bytes_per_block / avg_block_bytes
 
-
-def reduction_percent(baseline: float, improved: float) -> float:
-    """Percentage reduction, e.g. the abstract's "reduces σ_f² by 89.20 %"."""
-    if baseline <= 0:
-        raise SimulationError("baseline must be positive")
-    return 100.0 * (1.0 - improved / baseline)

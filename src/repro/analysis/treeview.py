@@ -1,10 +1,10 @@
 """Block-tree inspection and rendering.
 
 Debugging fork behaviour needs to *see* the tree: which blocks forked, who
-produced what, where the main chain went.  :func:`render_tree` draws the
-block tree as indented ASCII with producers and fork markers;
-:func:`chain_summary` tabulates per-producer statistics for a chain; and
-:func:`find_forks` lists every fork point with its competing subtrees.
+produced what, where the main chain went.  :func:`chain_summary` tabulates
+per-producer statistics for a chain, :func:`find_forks` lists every fork
+point with its competing subtrees, and :func:`head_lineage` prints the
+blocks behind a head.
 """
 
 from __future__ import annotations
@@ -22,42 +22,6 @@ NameFn = Callable[[bytes], str]
 
 def _default_name(producer: bytes) -> str:
     return producer.hex()[:8]
-
-
-def render_tree(
-    tree: BlockTree,
-    main_chain: Sequence[Block] | None = None,
-    name_of: NameFn = _default_name,
-    max_blocks: int = 200,
-) -> str:
-    """Draw the tree depth-first; main-chain blocks are marked with ``*``.
-
-    Large trees are truncated after ``max_blocks`` lines (the tip region is
-    usually what matters; pass a bigger budget for full dumps).
-    """
-    main_ids = {b.block_id for b in main_chain} if main_chain else set()
-    lines: list[str] = []
-    truncated = False
-
-    def visit(block_id: bytes, depth: int) -> None:
-        nonlocal truncated
-        if len(lines) >= max_blocks:
-            truncated = True
-            return
-        block = tree.get(block_id)
-        marker = "*" if block_id in main_ids or not main_ids else " "
-        producer = name_of(block.producer) if block.height > 0 else "genesis"
-        lines.append(
-            f"{marker} {'  ' * depth}h={block.height:<4d} "
-            f"{block.block_id.hex()[:10]} by {producer}"
-        )
-        for child in tree.children(block_id):
-            visit(child, depth + 1)
-
-    visit(tree.genesis_id, 0)
-    if truncated:
-        lines.append(f"... truncated at {max_blocks} blocks ...")
-    return "\n".join(lines)
 
 
 @dataclass(frozen=True)

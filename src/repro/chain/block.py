@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 from repro.chain.codec import Reader, Writer
 from repro.chain.transaction import Transaction
-from repro.crypto.hashing import hash_to_int, sha256d
+from repro.crypto.hashing import sha256d
 from repro.crypto.keys import KeyPair
 from repro.crypto.merkle import merkle_root_of_payloads
 from repro.crypto.signature import SIGNATURE_SIZE, Signature, sign_digest
@@ -114,10 +114,6 @@ class BlockHeader:
     def hash(self) -> bytes:
         """Double-SHA-256 of the serialized header (the PoW pre-image)."""
         return sha256d(self.to_bytes())
-
-    def hash_int(self) -> int:
-        """Header hash as a 256-bit integer, compared against the target."""
-        return hash_to_int(self.hash())
 
     def with_nonce(self, nonce: int) -> "BlockHeader":
         """Return a copy with a different nonce (mining iteration)."""

@@ -6,7 +6,6 @@ by serialized size, §VII-A) and hashing is canonical.  The format is a simple
 length-prefixed scheme:
 
 * integers — unsigned LEB128 varints (:func:`write_varint`);
-* signed integers — zigzag-encoded varints;
 * byte strings — varint length + raw bytes;
 * floats — 8-byte IEEE-754 big-endian;
 * sequences — varint count followed by the items.
@@ -49,12 +48,6 @@ class Writer:
                 break
         self._chunks.append(bytes(out))
         return self
-
-    def write_signed(self, value: int) -> "Writer":
-        """Append a signed integer using zigzag encoding."""
-        # zigzag: non-negative -> 2v, negative -> 2|v|-1
-        zigzag = (value << 1) if value >= 0 else ((-value) << 1) - 1
-        return self.write_varint(zigzag)
 
     def write_bytes(self, data: bytes) -> "Writer":
         """Append a length-prefixed byte string."""
@@ -122,11 +115,6 @@ class Reader:
             shift += 7
             if shift > 70:
                 raise CodecError("varint too long")
-
-    def read_signed(self) -> int:
-        """Read a zigzag-encoded signed integer."""
-        zigzag = self.read_varint()
-        return (zigzag >> 1) if not zigzag & 1 else -((zigzag + 1) >> 1)
 
     def read_bytes(self) -> bytes:
         """Read a length-prefixed byte string."""

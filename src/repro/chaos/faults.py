@@ -28,7 +28,8 @@ from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Any, ClassVar, Union
 
 from repro.errors import SimulationError
-from repro.net.transport import FaultableTransport, LinkDisturbance
+from repro.net.network import SimulatedNetwork
+from repro.net.transport import LinkDisturbance
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.consensus.powfamily import MiningNode
@@ -164,20 +165,6 @@ def fault_log_signature(log: Sequence[FaultEvent]) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class ChaosStats:
-    """Per-fault counters for one run."""
-
-    crashes: int = 0
-    restarts: int = 0
-    partitions_started: int = 0
-    partitions_healed: int = 0
-    link_faults_applied: int = 0
-    link_faults_cleared: int = 0
-    clock_skews_applied: int = 0
-    clock_skews_cleared: int = 0
-
-
 # -- controller -------------------------------------------------------------------------
 
 
@@ -192,16 +179,14 @@ class ChaosController:
     def __init__(
         self,
         nodes: Sequence["MiningNode"],
-        network: FaultableTransport,
+        network: SimulatedNetwork,
         sim: "Clock",
     ) -> None:
         self.nodes: dict[int, "MiningNode"] = {node.node_id: node for node in nodes}
         self.network = network
         self.sim = sim
         self.log: list[FaultEvent] = []
-        self.stats = ChaosStats()
         self._link_fault_counter = 0
-        self._restarted: set[int] = set()
         self._produced_at_restart: dict[int, int] = {}
 
     def _record(self, action: str, **detail: Any) -> None:
@@ -225,7 +210,6 @@ class ChaosController:
         if node.crashed:
             return
         node.crash()
-        self.stats.crashes += 1
         self._record("crash", node=node_id, height=node.state.height())
 
     def restart_node(self, node_id: int, sync_peer: int | None = None) -> None:
@@ -233,15 +217,8 @@ class ChaosController:
         if not node.crashed:
             return
         node.restart(sync_peer)
-        self.stats.restarts += 1
-        self._restarted.add(node_id)
         self._produced_at_restart[node_id] = node.stats.blocks_produced
         self._record("restart", node=node_id, height=node.state.height())
-
-    @property
-    def restarted_nodes(self) -> set[int]:
-        """Node ids that have been restarted at least once."""
-        return set(self._restarted)
 
     def recovered_producer_count(self) -> int:
         """Restarted nodes that produced at least one block after rejoining.
@@ -260,7 +237,6 @@ class ChaosController:
     def start_partition(self, groups: Iterable[Iterable[int]]) -> None:
         groups = [list(group) for group in groups]
         self.network.set_partition(groups)
-        self.stats.partitions_started += 1
         self._record(
             "partition", groups=tuple(tuple(sorted(g)) for g in groups)
         )
@@ -269,7 +245,6 @@ class ChaosController:
         if self.network.partition_map is None:
             return
         self.network.set_partition(None)
-        self.stats.partitions_healed += 1
         self._record("heal")
 
     # -- link degradation ------------------------------------------------------------
@@ -286,7 +261,6 @@ class ChaosController:
             self._link_fault_counter += 1
         scope = tuple(sorted(nodes)) if nodes is not None else None
         self.network.set_link_disturbance(name, disturbance, nodes)
-        self.stats.link_faults_applied += 1
         self._record(
             "link_fault",
             name=name,
@@ -302,7 +276,6 @@ class ChaosController:
         if name not in self.network.active_disturbances():
             return
         self.network.set_link_disturbance(name, None)
-        self.stats.link_faults_cleared += 1
         self._record("link_heal", name=name)
 
     # -- clock skew ----------------------------------------------------------------------
@@ -310,7 +283,6 @@ class ChaosController:
     def set_clock_skew(self, node_id: int, skew: float) -> None:
         node = self._node(node_id)
         node.clock_skew = skew
-        self.stats.clock_skews_applied += 1
         self._record("clock_skew", node=node_id, skew=skew)
 
     def clear_clock_skew(self, node_id: int) -> None:
@@ -318,5 +290,4 @@ class ChaosController:
         if node.clock_skew == 0.0:
             return
         node.clock_skew = 0.0
-        self.stats.clock_skews_cleared += 1
         self._record("clock_heal", node=node_id)

@@ -46,7 +46,7 @@ from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.errors import ReproError, SimulationError
-from repro.net.transport import FaultableTransport
+from repro.net.network import SimulatedNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.consensus.powfamily import MiningNode
@@ -130,7 +130,7 @@ class InvariantMonitor:
     def __init__(
         self,
         nodes: Sequence["MiningNode"],
-        network: FaultableTransport,
+        network: SimulatedNetwork,
         sim: "Clock",
         config: InvariantConfig | None = None,
         power_fn: Callable[["MiningNode"], float] | None = None,

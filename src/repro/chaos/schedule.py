@@ -16,8 +16,10 @@ identical final chain — this is asserted by ``tests/test_chaos.py``.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from collections.abc import Sequence
+from itertools import pairwise
 from typing import Any
 
 import numpy as np
@@ -31,18 +33,54 @@ from repro.chaos.faults import (
     PartitionFault,
 )
 from repro.errors import SimulationError
-from repro.serde import from_json, to_json
+from repro.serde import to_json
+
+
+def _exclusive_window(
+    fault: FaultSpec,
+) -> tuple[tuple[str, int | None], float, float] | None:
+    """``(target, start, end)`` of a fault that must not overlap another on
+    its target, or ``None`` for a link fault (they compose by name).
+
+    The overlay has one partition at a time; a node has one crash and one
+    clock offset at a time.  A second window opened inside the first would
+    be cancelled by the first one's close.  An open window runs to the end
+    of the run.
+    """
+    if isinstance(fault, PartitionFault):
+        node, end = None, fault.heal_at
+    elif isinstance(fault, CrashFault):
+        node, end = fault.node, fault.restart_at
+    elif isinstance(fault, ClockSkewFault):
+        node, end = fault.node, fault.until
+    else:
+        return None
+    return (fault.kind, node), fault.at, math.inf if end is None else end
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """An immutable, time-ordered fault injection schedule."""
+    """An immutable, time-ordered fault injection schedule.
+
+    Construction validates every fault and refuses two windows that overlap
+    on one target (see :func:`_exclusive_window`), so an armed plan applies
+    exactly the faults it lists.
+    """
 
     faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
         for fault in self.faults:
             fault.validate()
+        windows = sorted(w for f in self.faults if (w := _exclusive_window(f)) is not None)
+        for (target, _, end), (next_target, start, _) in pairwise(windows):
+            if target == next_target and start < end:
+                kind, node = target
+                where = "" if node is None else f" on node {node}"
+                raise SimulationError(
+                    f"two {kind} windows overlap{where} (one opens at {start} "
+                    f"before the other closes at {end})"
+                )
 
     def __len__(self) -> int:
         return len(self.faults)
@@ -50,29 +88,6 @@ class FaultPlan:
     def crashed_nodes(self) -> set[int]:
         """Every node id that crashes at some point under this plan."""
         return {f.node for f in self.faults if isinstance(f, CrashFault)}
-
-    def permanently_down(self) -> set[int]:
-        """Node ids whose *last* crash never restarts."""
-        down: set[int] = set()
-        for fault in sorted(
-            (f for f in self.faults if isinstance(f, CrashFault)), key=lambda f: f.at
-        ):
-            if fault.restart_at is None:
-                down.add(fault.node)
-            else:
-                down.discard(fault.node)
-        return down
-
-    def max_time(self) -> float:
-        """Latest scheduled action in the plan."""
-        latest = 0.0
-        for fault in self.faults:
-            latest = max(latest, fault.at)
-            for attr in ("restart_at", "heal_at", "until"):
-                value = getattr(fault, attr, None)
-                if value is not None:
-                    latest = max(latest, value)
-        return latest
 
     def sorted_faults(self) -> list[FaultSpec]:
         return sorted(self.faults, key=lambda f: f.at)
@@ -83,9 +98,24 @@ def plan_to_dict(plan: FaultPlan) -> dict[str, Any]:
     return to_json(plan)
 
 
-def plan_from_dict(record: dict[str, Any]) -> FaultPlan:
-    """Rebuild a :class:`FaultPlan` from :func:`plan_to_dict` output."""
-    return from_json(FaultPlan, record)
+#: Draws of one window before a plan with no room left is refused.
+_WINDOW_DRAWS = 100
+
+
+def _free_window(
+    taken: list[tuple[float, float]], draw: Callable[[], tuple[float, float]]
+) -> tuple[float, float]:
+    """The first drawn ``(start, end)`` that overlaps no window in ``taken``.
+
+    A window that fits on the first draw costs no extra random numbers, so
+    a plan whose windows never collide is the plan of a plain draw.
+    """
+    for _ in range(_WINDOW_DRAWS):
+        start, end = draw()
+        if all(end <= other_start or other_end <= start for other_start, other_end in taken):
+            taken.append((start, end))
+            return start, end
+    raise SimulationError("no room left for another non-overlapping fault window")
 
 
 def random_fault_plan(
@@ -111,9 +141,11 @@ def random_fault_plan(
             is not given) — 0.2 is the benchmark's "20 % node churn".
         crashes: exact crash count, overriding ``churn``.
         partitions: healing partitions to schedule (each splits off a random
-            minority group and heals within the run).
+            minority group and heals within the run; a window that would
+            overlap an earlier one is drawn again).
         link_faults: lossy/duplicating/reordering link windows to schedule.
-        clock_skews: clock-skewed-mining windows to schedule.
+        clock_skews: clock-skewed-mining windows to schedule (likewise
+            redrawn while one would overlap an earlier one on its node).
         max_skew: largest absolute clock offset, seconds.
         spare: nodes guaranteed never to crash (observers need one).
     """
@@ -144,20 +176,21 @@ def random_fault_plan(
 
     never_crash = [i for i in ids if i not in set(victims)]
 
+    def partition_window() -> tuple[float, float]:
+        at = float(rng.uniform(0.15, 0.5)) * duration
+        heal_at = at + float(rng.uniform(0.08, 0.2)) * duration
+        return at, min(heal_at, 0.85 * duration)
+
+    partition_windows: list[tuple[float, float]] = []
     for _ in range(partitions):
         # Split off a random minority (a quarter to a half of the fleet,
         # at least one node) and heal within the run.
         minority_size = max(1, int(rng.integers(len(ids) // 4 or 1, len(ids) // 2 + 1)))
         minority = {int(v) for v in rng.choice(ids, minority_size, replace=False)}
         majority = tuple(i for i in ids if i not in minority)
-        at = float(rng.uniform(0.15, 0.5)) * duration
-        heal_at = at + float(rng.uniform(0.08, 0.2)) * duration
+        at, heal_at = _free_window(partition_windows, partition_window)
         faults.append(
-            PartitionFault(
-                groups=(majority, tuple(sorted(minority))),
-                at=at,
-                heal_at=min(heal_at, 0.85 * duration),
-            )
+            PartitionFault(groups=(majority, tuple(sorted(minority))), at=at, heal_at=heal_at)
         )
 
     for _ in range(link_faults):
@@ -177,17 +210,20 @@ def random_fault_plan(
             )
         )
 
+    def skew_window() -> tuple[float, float]:
+        at = float(rng.uniform(0.1, 0.6)) * duration
+        until = at + float(rng.uniform(0.1, 0.3)) * duration
+        return at, min(until, 0.9 * duration)
+
+    skew_windows: dict[int, list[tuple[float, float]]] = {}
     for _ in range(clock_skews):
         pool = never_crash or ids
         node = int(pool[int(rng.integers(len(pool)))])
-        at = float(rng.uniform(0.1, 0.6)) * duration
-        until = at + float(rng.uniform(0.1, 0.3)) * duration
+        at, until = _free_window(skew_windows.setdefault(node, []), skew_window)
         skew = float(rng.uniform(0.25 * max_skew, max_skew)) * (
             1.0 if rng.random() < 0.5 else -1.0
         )
-        faults.append(
-            ClockSkewFault(node=node, skew=skew, at=at, until=min(until, 0.9 * duration))
-        )
+        faults.append(ClockSkewFault(node=node, skew=skew, at=at, until=until))
 
     return FaultPlan(faults=tuple(sorted(faults, key=lambda f: (f.at, repr(f)))))
 

@@ -285,7 +285,3 @@ class PBFTCluster:
     def committed_producers(self) -> list[bytes]:
         """Producer fingerprints of the committed chain (metrics input)."""
         return [entry.producer for entry in self.committed]
-
-    def committed_tx_count(self) -> int:
-        """Total transactions finalized so far."""
-        return sum(entry.batch_size for entry in self.committed)

@@ -150,14 +150,6 @@ class DifficultyTable:
             multiples={m: MIN_MULTIPLE for m in members},
         )
 
-    def storage_bytes(self) -> int:
-        """Extra per-epoch storage this table implies (§VI-C).
-
-        The paper stores a 4-byte float multiple and a 4-byte int count per
-        node per epoch: 8n bytes.
-        """
-        return 8 * len(self.multiples)
-
 
 def next_multiples(
     table: DifficultyTable,

@@ -13,12 +13,10 @@ chain produced entirely by one pool would look perfectly "equal".
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.chain.block import Block
 from repro.errors import SimulationError
 
 
@@ -58,26 +56,6 @@ def variance_of_probability(probabilities: Sequence[float] | np.ndarray) -> floa
     if not np.isclose(arr.sum(), 1.0, atol=1e-6):
         raise SimulationError(f"probabilities must sum to 1, got {arr.sum():.6f}")
     return float(np.var(arr))
-
-
-def producer_counts(blocks: Iterable[Block]) -> Counter:
-    """Histogram of producers over a block sequence (genesis excluded).
-
-    Genesis carries the null producer fingerprint and is skipped.
-    """
-    counts: Counter = Counter()
-    for block in blocks:
-        if block.height == 0:
-            continue
-        counts[block.producer] += 1
-    return counts
-
-
-def ideal_frequency(n: int) -> float:
-    """The expected per-node frequency ``F0 = 1/n`` (§IV-A, footnote 7)."""
-    if n < 1:
-        raise SimulationError("n must be positive")
-    return 1.0 / n
 
 
 def round_robin_probability_variance(n: int) -> float:

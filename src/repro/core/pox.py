@@ -100,20 +100,6 @@ class StakeElection:
             raise ConsensusError("total stake weight must be positive")
         return {m: w / total for m, w in weights.items()}
 
-    def advance_day(self, producer: bytes) -> None:
-        """Age every stake by one day; the round winner's coinDay resets.
-
-        Spending coinDay on block production is the stake analogue of the
-        §IV-A frequency feedback: frequent winners hold low coinDay.
-        """
-        updated = {}
-        for member, account in self._stakes.items():
-            if member == producer:
-                updated[member] = StakeAccount(account.balance, 0.0)
-            else:
-                updated[member] = StakeAccount(account.balance, account.held_days + 1)
-        self._stakes = updated
-
 
 class ReputationElection:
     """Themis-adapted Proof-of-Reputation election (§VI-E, item 2).
@@ -174,12 +160,6 @@ class ReputationElection:
         for round_index in range(rounds):
             counts[self.leader(seed, round_index)] += 1
         return {m: c / rounds for m, c in counts.items()}
-
-    def update_reputation(self, member: bytes, delta: float) -> None:
-        """Reward or punish a member (floors at a small positive value)."""
-        if member not in self._reputations:
-            raise ConsensusError("unknown member")
-        self._reputations[member] = max(1e-6, self._reputations[member] + delta)
 
 
 def equalization_gain(

@@ -398,12 +398,3 @@ class ConsensusChainState:
             return None
         block = self.tree.get(block_id)
         return block.height if self._on_chain(block) else None
-
-    def producer_counts(self, from_height: int = 1, to_height: int | None = None) -> Counter:
-        """Main-chain producer histogram over a height window (Eq. 1 input)."""
-        chain = self._chain_blocks
-        to_height = to_height if to_height is not None else len(chain) - 1
-        counts: Counter = Counter()
-        for block in chain[from_height : to_height + 1]:
-            counts[block.producer] += 1
-        return counts

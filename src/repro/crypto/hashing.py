@@ -10,9 +10,6 @@ per-node *target*.  This module centralizes that arithmetic:
 * :func:`target_for_difficulty` — ``t = T0 / D`` (§IV-B).
 * :func:`success_probability` — the per-trial probability ``t / T_max`` that a
   single hash evaluation solves the puzzle (left side of Eq. 7).
-
-The module also provides compact-bits encoding (Bitcoin's ``nBits`` format) so
-headers can carry their target in 4 bytes, and convenience digest helpers.
 """
 
 from __future__ import annotations
@@ -76,42 +73,3 @@ def meets_target(digest: bytes, target: int) -> bool:
     """Return ``True`` when ``digest`` (as an integer) is below ``target``."""
     return hash_to_int(digest) < target
 
-
-def compact_from_target(target: int) -> int:
-    """Encode a 256-bit target into Bitcoin-style compact "nBits" form.
-
-    The compact form is ``(exponent << 24) | mantissa`` where the target is
-    approximately ``mantissa * 256**(exponent - 3)``.  Encoding is lossy (the
-    mantissa keeps 23 bits) which is why headers that need the exact per-node
-    target also carry the difficulty multiple; the compact form exists for
-    wire-format compatibility and overhead accounting.
-    """
-    if target <= 0:
-        raise DifficultyError(f"target must be positive, got {target}")
-    size = (target.bit_length() + 7) // 8
-    if size <= 3:
-        mantissa = target << (8 * (3 - size))
-    else:
-        mantissa = target >> (8 * (size - 3))
-    # Normalize: if the mantissa's high bit is set it would read as negative
-    # in Bitcoin's signed interpretation; shift one byte.
-    if mantissa & 0x00800000:
-        mantissa >>= 8
-        size += 1
-    return (size << 24) | mantissa
-
-
-def target_from_compact(compact: int) -> int:
-    """Decode Bitcoin-style compact "nBits" form back into a target."""
-    size = compact >> 24
-    mantissa = compact & 0x007FFFFF
-    if size <= 3:
-        return mantissa >> (8 * (3 - size))
-    return mantissa << (8 * (size - 3))
-
-
-def difficulty_for_target(t0: int, target: int) -> float:
-    """Return the difficulty ``D = T0 / t`` implied by a target."""
-    if target <= 0:
-        raise DifficultyError(f"target must be positive, got {target}")
-    return t0 / target

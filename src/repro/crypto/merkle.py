@@ -3,13 +3,11 @@
 Block headers commit to their transaction list through a Merkle root, exactly
 as in Bitcoin: leaves are double-SHA-256 of the serialized transactions, odd
 levels duplicate the last node, and the root of an empty list is 32 zero
-bytes.  Inclusion proofs let light observers check that a transaction was
-finalized without replaying the block body.
+bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 from repro.crypto.hashing import sha256d
@@ -42,46 +40,3 @@ def merkle_root_of_payloads(payloads: Iterable[bytes]) -> bytes:
     """Hash raw payloads into leaves, then compute the root."""
     return merkle_root([sha256d(p) for p in payloads])
 
-
-@dataclass(frozen=True)
-class MerkleProof:
-    """An inclusion proof: sibling hashes from leaf to root.
-
-    ``path`` holds ``(sibling_digest, sibling_is_right)`` pairs ordered from
-    the leaf level upward.
-    """
-
-    leaf: bytes
-    index: int
-    path: tuple[tuple[bytes, bool], ...]
-
-    def compute_root(self) -> bytes:
-        """Fold the proof path into the root it implies."""
-        node = self.leaf
-        for sibling, sibling_is_right in self.path:
-            if sibling_is_right:
-                node = _pair_hash(node, sibling)
-            else:
-                node = _pair_hash(sibling, node)
-        return node
-
-    def verify(self, root: bytes) -> bool:
-        """Return whether the proof binds ``leaf`` to ``root``."""
-        return self.compute_root() == root
-
-
-def merkle_proof(leaves: Sequence[bytes], index: int) -> MerkleProof:
-    """Build an inclusion proof for ``leaves[index]``."""
-    if not 0 <= index < len(leaves):
-        raise ChainError(f"leaf index {index} out of range for {len(leaves)} leaves")
-    level = list(leaves)
-    position = index
-    path: list[tuple[bytes, bool]] = []
-    while len(level) > 1:
-        if len(level) % 2:
-            level.append(level[-1])
-        sibling_index = position ^ 1
-        path.append((level[sibling_index], sibling_index > position))
-        level = [_pair_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-        position //= 2
-    return MerkleProof(leaf=leaves[index], index=index, path=tuple(path))

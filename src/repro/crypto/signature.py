@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.keys import KeyPair, PublicKey, ecdsa_sign, ecdsa_verify
-from repro.errors import CryptoError, InvalidSignatureError
+from repro.errors import CryptoError
 
 #: Serialized envelope size: 64-byte (r, s) + 33-byte compressed pubkey.
 SIGNATURE_SIZE = 97
@@ -55,9 +55,3 @@ def sign_digest(keypair: KeyPair, digest: bytes) -> Signature:
     """Sign a 32-byte digest, returning the full envelope."""
     r, s = ecdsa_sign(keypair.private, digest)
     return Signature(r, s, keypair.public)
-
-
-def require_valid(signature: Signature, digest: bytes) -> None:
-    """Raise :class:`InvalidSignatureError` unless the signature verifies."""
-    if not signature.verify(digest):
-        raise InvalidSignatureError("signature does not verify against digest")

@@ -16,10 +16,6 @@ class CryptoError(ReproError):
     """Raised for cryptographic failures (bad keys, invalid signatures)."""
 
 
-class InvalidSignatureError(CryptoError):
-    """Raised when a signature does not verify against a public key."""
-
-
 class CodecError(ReproError):
     """Raised when binary (de)serialization fails."""
 
@@ -66,7 +62,3 @@ class ConsensusError(ReproError):
 
 class DifficultyError(ConsensusError):
     """Raised when difficulty parameters are invalid."""
-
-
-class MembershipError(ConsensusError):
-    """Raised for invalid consensus-node-set operations."""

@@ -31,6 +31,7 @@ from repro.live.transport import TcpGossipTransport
 from repro.mining.oracle import MiningOracle
 from repro.node.config import FullNodeConfig
 from repro.node.node import FullNode
+from repro.serde import to_json
 from repro.storage.sqlite import SqliteStorage
 
 
@@ -60,12 +61,13 @@ def node_status(node: FullNode, now: float, recovered_height: int = 0) -> dict[s
         "blocks_produced": node.stats.blocks_produced,
         "blocks_accepted": node.stats.blocks_accepted,
         "reorgs": node.stats.reorgs,
-        "network": node.ctx.network.stats.to_dict(),
+        "network": to_json(node.ctx.network.stats),
         # Recovery observability: a restarted node proves it replayed from
         # disk (not from peers) when recovered_height is high and the sync
-        # counters show only the missed suffix being fetched.
+        # counters show only the missed suffix being fetched (far fewer
+        # ``blocks_received`` than its chain height).
         "recovered_height": recovered_height,
-        "sync": node.sync.stats.to_dict(),
+        "sync": to_json(node.sync.stats),
     }
 
 

@@ -20,8 +20,8 @@ Design points:
   origin never reuses one.
 * **Chaos subset.**  Drop filters and ``set_offline`` work (they are
   process-local); overlay-global faults — partitions, link disturbances —
-  have no single-process implementation, so this class is a ``Transport``
-  and not a ``FaultableTransport`` (see ``docs/transport.md``).
+  have no single-process implementation, so this class has no hooks for
+  them (see ``docs/transport.md``).
 """
 
 from __future__ import annotations
@@ -247,12 +247,6 @@ class TcpGossipTransport:
         self.manifest.peer(dst)  # validates the destination exists
         self._send(src, (dst,), message)
 
-    def broadcast(self, src: int, message: Message) -> None:
-        """Send one copy directly to every other consortium member."""
-        if src != self.node_id:
-            raise NetworkError(f"node {src} does not send through this transport")
-        self._send(src, [dst for dst in self.node_ids if dst != src], message)
-
     def gossip(self, origin: int, message: Message) -> None:
         """Originate a gossip flood from the local node."""
         if origin != self.node_id:
@@ -284,14 +278,6 @@ class TcpGossipTransport:
                 self._run_link(link), name=f"link-{self.node_id}->{peer_id}"
             )
         return link
-
-    def connected_peers(self) -> list[int]:
-        """Peers with a currently established outbound connection."""
-        return sorted(
-            peer_id
-            for peer_id, link in self._links.items()
-            if link.connected.is_set()
-        )
 
     async def _run_link(self, link: _PeerLink) -> None:
         """Per-peer writer: dial, drain the outbox, reconnect on failure."""

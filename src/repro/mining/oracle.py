@@ -82,23 +82,6 @@ class MiningOracle:
         return self.rng.standard_exponential(len(scales)) * scales
 
 
-def network_block_rate(
-    oracle: MiningOracle,
-    hash_rates: list[float],
-    difficulties: list[float],
-) -> float:
-    """Aggregate block production rate of a set of miners.
-
-    Independent exponential racers merge into a Poisson process whose rate is
-    the sum of the individual rates; this is the ``λ_honest`` of Prop. 2.
-    """
-    if len(hash_rates) != len(difficulties):
-        raise SimulationError("hash_rates and difficulties must align")
-    return sum(
-        oracle.solve_rate(h, d) for h, d in zip(hash_rates, difficulties, strict=True)
-    )
-
-
 def win_probabilities(
     oracle: MiningOracle,
     hash_rates: list[float],

@@ -65,7 +65,3 @@ class LinkModel:
         if self.jitter == 0.0:
             return self.min_delay
         return self.min_delay + self.jitter * float(rng.random())
-
-    def point_to_point(self, size_bytes: int, rng: np.random.Generator) -> float:
-        """Total unqueued transfer time: serialization + propagation."""
-        return self.serialization_time(size_bytes) + self.propagation_delay(rng)

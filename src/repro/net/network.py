@@ -1,4 +1,4 @@
-"""The simulated peer-to-peer network: unicast, broadcast and gossip.
+"""The simulated peer-to-peer network: unicast and gossip.
 
 §VII-A: "data transmission between nodes adopts basic Gossip protocol".  The
 network floods messages over the overlay with per-node deduplication: a node
@@ -35,9 +35,8 @@ _SEEN_GROWTH = 256
 class SimulatedNetwork:
     """Gossip overlay on top of the discrete-event simulator.
 
-    One of the two :class:`~repro.net.transport.Transport` backends (and
-    the only :class:`~repro.net.transport.FaultableTransport` implementing
-    every chaos hook); see ``docs/transport.md``.
+    One of the two :class:`~repro.net.transport.Transport` backends, and
+    the one implementing every chaos hook; see ``docs/transport.md``.
     """
 
     def __init__(
@@ -168,15 +167,6 @@ class SimulatedNetwork:
         """Current node → partition-group assignment (``None`` when healed)."""
         return dict(self._partition) if self._partition is not None else None
 
-    def partition_groups(self) -> list[set[int]] | None:
-        """Current partition as a list of node-id sets (``None`` when healed)."""
-        if self._partition is None:
-            return None
-        groups: dict[int, set[int]] = defaultdict(set)
-        for node, index in self._partition.items():
-            groups[index].add(node)
-        return [groups[i] for i in sorted(groups)]
-
     def set_link_disturbance(
         self,
         name: str,
@@ -222,9 +212,9 @@ class SimulatedNetwork:
         The hot path — every hop of every message — so what one fan-out's
         copies share is computed once and an unarmed chaos hook costs a branch.
 
-        A *flood* copy (``gossip`` / ``gossip_deliver``, never ``unicast`` /
-        ``broadcast``; they pass the message's ``seen_slot``, see
-        :meth:`_seen_slot`) is a provable duplicate when its attached destination
+        A *flood* copy (``gossip`` / ``gossip_deliver``, never ``unicast``;
+        they pass the message's ``seen_slot``, see :meth:`_seen_slot`) is a
+        provable duplicate when its attached destination
         (S) has seen the message or (D) has a delivery of it queued that
         arrives no later: under the handler contract
         (:class:`~repro.net.transport.Transport`) it would be turned away.
@@ -355,15 +345,6 @@ class SimulatedNetwork:
     def unicast(self, src: int, dst: int, message: Message) -> None:
         """Send a message point-to-point (no gossip forwarding)."""
         self._send(src, (dst,), message)
-
-    def broadcast(self, src: int, message: Message) -> None:
-        """Send directly to every other attached node (PBFT-style all-to-all).
-
-        Each copy queues on the sender's uplink, so broadcasting to n-1 peers
-        costs (n-1) serialized transfers — the communication bottleneck that
-        limits BFT scalability in the paper's framing (§I, §VIII-A).
-        """
-        self._send(src, [dst for dst in self.node_ids if dst != src], message)
 
     # -- gossip ------------------------------------------------------------------------
 

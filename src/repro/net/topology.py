@@ -58,28 +58,6 @@ def overlay_topology(n: int, degree: int, seed: int = 0) -> dict[int, list[int]]
     return random_regular_topology(n, degree, seed=seed)
 
 
-def small_world_topology(
-    n: int, k: int = 6, rewire_p: float = 0.2, seed: int = 0
-) -> dict[int, list[int]]:
-    """A Watts–Strogatz small-world overlay (clustered, short paths)."""
-    graph = nx.connected_watts_strogatz_graph(n, k, rewire_p, tries=200, seed=seed)
-    return _adjacency(graph)
-
-
-def ring_topology(n: int) -> dict[int, list[int]]:
-    """A plain cycle — the worst case for gossip diameter; used in tests."""
-    if n < 3:
-        raise NetworkError("ring needs at least 3 nodes")
-    return _adjacency(nx.cycle_graph(n))
-
-
-def average_degree(adjacency: dict[int, list[int]]) -> float:
-    """Mean out-degree of an adjacency list."""
-    if not adjacency:
-        return 0.0
-    return sum(len(peers) for peers in adjacency.values()) / len(adjacency)
-
-
 def diameter_hops(adjacency: dict[int, list[int]]) -> int:
     """Graph diameter in hops (drives the paper's max network delay δ)."""
     graph = nx.Graph()

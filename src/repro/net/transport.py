@@ -11,11 +11,11 @@ structural interface this module defines.  Two backends implement it:
   backend that runs Themis nodes as real processes over real sockets
   (``python -m repro localnet``).
 
-:class:`FaultableTransport` extends the surface with the chaos-injection
-hooks (drop filters, partitions, link disturbances); the simulated backend
-implements all of them, the live backend has only the process-local ones
-and so is not a ``FaultableTransport`` (see ``docs/transport.md`` for the
-backend matrix).
+The chaos-injection hooks (drop filters, partitions, link disturbances) are
+not part of the protocol: the simulated backend implements all of them, the
+live backend only the process-local ones, so the chaos layer types against
+:class:`~repro.net.network.SimulatedNetwork` (see ``docs/transport.md`` for
+the backend matrix).
 
 :class:`NetworkStats` is the accounting surface both backends share: every
 transfer a backend swallows instead of delivering must be counted, broken
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable
-from typing import Any, Protocol, runtime_checkable
+from collections.abc import Callable
+from typing import Protocol, runtime_checkable
 
 from repro.errors import NetworkError
 from repro.net.message import Message
@@ -83,10 +83,6 @@ class NetworkStats:
         self.bytes_by_kind[kind] += count * size
         self.messages_by_kind[kind] += count
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe record; per-kind counters become plain sorted dicts."""
-        return to_json(self)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetworkStats):
             return NotImplemented
@@ -137,8 +133,6 @@ class Transport(Protocol):
     * ``attach`` registers a node's delivery handler; a transport delivers
       each arriving message exactly once to the handler of its destination.
     * ``unicast`` is point-to-point with no forwarding (the sync protocol).
-    * ``broadcast`` sends one copy directly to every other known node
-      (PBFT-style all-to-all).
     * ``gossip`` floods from the origin over the overlay;
       ``gossip_deliver`` is the reception hook a handler calls to dedup and
       schedule forwarding, returning ``True`` iff the message is new.
@@ -184,10 +178,6 @@ class Transport(Protocol):
         """Send a message point-to-point (no gossip forwarding)."""
         ...
 
-    def broadcast(self, src: int, message: Message) -> None:
-        """Send directly to every other known node (all-to-all)."""
-        ...
-
     def gossip(self, origin: int, message: Message) -> None:
         """Flood a message over the overlay with per-node dedup."""
         ...
@@ -204,45 +194,3 @@ class Transport(Protocol):
         """True while the node is offline."""
         ...
 
-
-@runtime_checkable
-class FaultableTransport(Transport, Protocol):
-    """A transport that supports the chaos-injection hooks.
-
-    The simulated backend implements every hook.  The live backend has the
-    process-local ones (drop filters, offline) and none of the
-    overlay-global ones it cannot express (partitions, link disturbances),
-    so it does not satisfy this protocol and cannot be handed to the chaos
-    controller or the invariant monitor — see the backend matrix in
-    ``docs/transport.md``.
-    """
-
-    def set_drop_filter(self, node_id: int, drop: DropFilter | None) -> None:
-        """Install (or clear) an outbound drop filter on a node."""
-        ...
-
-    def set_partition(self, groups: list[list[int]] | None) -> None:
-        """Split the overlay into groups (``None`` heals)."""
-        ...
-
-    @property
-    def partition_map(self) -> dict[int, int] | None:
-        """Current node → partition-group assignment (``None`` healed)."""
-        ...
-
-    def partition_groups(self) -> list[set[int]] | None:
-        """Current partition as node-id sets (``None`` healed)."""
-        ...
-
-    def set_link_disturbance(
-        self,
-        name: str,
-        disturbance: LinkDisturbance | None,
-        nodes: Iterable[int] | None = None,
-    ) -> None:
-        """Install (or clear, with ``None``) a named link disturbance."""
-        ...
-
-    def active_disturbances(self) -> dict[str, LinkDisturbance]:
-        """Currently installed disturbances by name."""
-        ...

@@ -35,7 +35,6 @@ from repro.net.message import (
     KIND_SYNC_HEADERS_RESPONSE,
     Message,
 )
-from repro.serde import to_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.consensus.powfamily import MiningNode
@@ -97,16 +96,6 @@ class SyncStats:
     retries: int = 0
     headers_received: int = 0
     blocks_received: int = 0
-
-    def to_dict(self) -> dict[str, int]:
-        """Counters as a JSON-ready mapping (for node status files).
-
-        Live-mode drivers use this to verify recovery behavior from the
-        outside: a node restarted from durable storage reports far fewer
-        ``blocks_received`` than its chain height, proving it replayed
-        from disk rather than re-downloading from genesis.
-        """
-        return to_json(self)
 
 
 class SyncManager:

@@ -29,7 +29,7 @@ import numpy as np
 from repro.chain.block import Block
 from repro.consensus.powfamily import MiningNode
 from repro.errors import SimulationError
-from repro.net.transport import FaultableTransport
+from repro.net.network import SimulatedNetwork
 
 
 @dataclass
@@ -43,14 +43,14 @@ class VulnerableNodeAttack:
         # filters removed here, even if the run raised
     """
 
-    network: FaultableTransport
+    network: SimulatedNetwork
     victims: list[int] = field(default_factory=list)
     armed: bool = field(default=False, init=False)
 
     @classmethod
     def select(
         cls,
-        network: FaultableTransport,
+        network: SimulatedNetwork,
         node_ids: list[int],
         ratio: float,
         rng: np.random.Generator,

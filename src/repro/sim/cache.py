@@ -9,7 +9,7 @@ re-running any figure or sweep skips every already-computed point.
 
 Key semantics:
 
-* **config** — the full :func:`~repro.sim.reporting.config_to_dict` form,
+* **config** — the full :mod:`repro.serde` record of the config,
   including the tagged fault plan; any field change (seed, n, β, a fault
   window…) yields a new key.
 * **code_version** — a digest over every ``repro`` source file, computed
@@ -31,13 +31,12 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import ReproError, SimulationError
 from repro.node.config import env_setting
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner types)
-    from repro.sim.runner import ExperimentConfig, RunResult
+from repro.serde import from_json, to_json
+from repro.sim.runner import ExperimentConfig, RunResult
 
 #: Bump when the cache entry layout changes; old entries become misses.
 CACHE_SCHEMA = 1
@@ -131,33 +130,29 @@ class ResultCache:
     def _version(self) -> str:
         return self.code_version_override or code_version()
 
-    def key_for(self, cfg: "ExperimentConfig") -> str:
+    def key_for(self, cfg: ExperimentConfig) -> str:
         """Stable content address of one experiment under current code."""
-        from repro.sim.reporting import config_to_dict
-
         payload = {
             "schema": CACHE_SCHEMA,
             "code_version": self._version(),
-            "config": config_to_dict(cfg),
+            "config": to_json(cfg),
         }
         return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
-    def path_for(self, cfg: "ExperimentConfig") -> Path:
+    def path_for(self, cfg: ExperimentConfig) -> Path:
         key = self.key_for(cfg)
         return self.directory / key[:2] / f"{key}.json"
 
     # -- lookup / store ---------------------------------------------------------
 
-    def get(self, cfg: "ExperimentConfig") -> "RunResult | None":
+    def get(self, cfg: ExperimentConfig) -> RunResult | None:
         """Return the cached result, or None (counting a hit or a miss)."""
-        from repro.sim.reporting import result_from_dict
-
         path = self.path_for(cfg)
         try:
             entry = json.loads(path.read_text())
             if entry.get("schema") != CACHE_SCHEMA:
                 raise SimulationError(f"cache schema {entry.get('schema')}")
-            result = result_from_dict(entry["result"])
+            result = from_json(RunResult, entry["result"])
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -171,13 +166,11 @@ class ResultCache:
         self.stats.hits += 1
         return result
 
-    def put(self, cfg: "ExperimentConfig", result: "RunResult") -> Path:
+    def put(self, cfg: ExperimentConfig, result: RunResult) -> Path:
         """Serialize and store one result under its content address."""
-        from repro.sim.reporting import result_to_dict
+        return self.put_record(cfg, to_json(result))
 
-        return self.put_record(cfg, result_to_dict(result))
-
-    def put_record(self, cfg: "ExperimentConfig", record: dict[str, Any]) -> Path:
+    def put_record(self, cfg: ExperimentConfig, record: dict[str, Any]) -> Path:
         """Store an already-serialized result record (engine worker path)."""
         path = self.path_for(cfg)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -40,12 +40,7 @@ from typing import Any
 
 from repro.errors import SimulationError
 from repro.sim.cache import ResultCache
-from repro.sim.reporting import (
-    config_from_dict,
-    config_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.serde import from_json, to_json
 from repro.sim.runner import ExperimentConfig, RunResult, run_experiment
 
 
@@ -115,10 +110,10 @@ def run_config_payload(payload: str) -> str:
     to unpickle — crosses the process boundary.  The outcome is
     ``{"result": <result record>}`` or ``{"error": "Type: message"}``.
     """
-    cfg = config_from_dict(json.loads(payload))
+    cfg = from_json(ExperimentConfig, json.loads(payload))
     outcome: dict[str, Any]
     try:
-        outcome = {"result": result_to_dict(run_experiment(cfg))}
+        outcome = {"result": to_json(run_experiment(cfg))}
     except Exception as exc:
         outcome = {"error": _describe(exc)}
     return json.dumps(outcome)
@@ -257,7 +252,7 @@ class ExperimentEngine:
         try:
             with ProcessPoolExecutor(max_workers=min(self.jobs, len(left))) as pool:
                 futures = {
-                    pool.submit(run_config_payload, json.dumps(config_to_dict(cfg))): cfg
+                    pool.submit(run_config_payload, json.dumps(to_json(cfg))): cfg
                     for cfg in left
                 }
                 for future in as_completed(futures):
@@ -268,7 +263,7 @@ class ExperimentEngine:
                     else:
                         if self.cache is not None:
                             self.cache.put_record(cfg, outcome["result"])
-                        batch.finish(cfg, result_from_dict(outcome["result"]))
+                        batch.finish(cfg, from_json(RunResult, outcome["result"]))
                     del left[cfg]
         except BrokenExecutor:
             pass  # a worker died; what is still in ``left`` goes back to the caller

@@ -12,7 +12,7 @@ Implements the paper's four metrics over simulation outputs:
 * **fork rate and fork duration** over the final block tree (Fig. 8).
 
 Chaos experiments additionally get a :class:`ChaosReport` — per-fault
-counters plus recovery evidence (how many restarted nodes produced again) —
+counts read off the fault log plus recovery evidence (how many restarted nodes produced again) —
 and :func:`degradation_ratio` for graceful-degradation assertions.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 from repro.chain.block import Block
 from repro.chain.blocktree import BlockTree
 from repro.chain.forkchoice import subtree_max_height
-from repro.core.equality import variance_of_frequency
+from repro.core.equality import variance_of_frequency, variance_of_probability
 from repro.core.themis import ConsensusChainState
 from repro.errors import SimulationError
 from repro.mining.power import PowerProfile
@@ -128,8 +128,8 @@ def unpredictability_series(
 ) -> list[float]:
     """``σ_p²`` per epoch (the Fig. 5 series)."""
     return [
-        float(
-            np.var(probability_vector_for_epoch(state, profile, members, epoch))
+        variance_of_probability(
+            probability_vector_for_epoch(state, profile, members, epoch)
         )
         for epoch in range(epochs)
     ]
@@ -255,20 +255,22 @@ class ChaosReport:
 def chaos_report(controller, network_stats, monitor) -> ChaosReport:
     """Summarize a run's injected faults and their observable impact.
 
+    Fault counts are the controller's log entries per action.
+
     Args:
         controller: the run's :class:`~repro.chaos.faults.ChaosController`.
-        network_stats: the run's :class:`~repro.net.network.NetworkStats`.
+        network_stats: the run's :class:`~repro.net.transport.NetworkStats`.
         monitor: the run's :class:`~repro.chaos.invariants.InvariantMonitor`.
     """
-    stats = controller.stats
+    actions = Counter(event.action for event in controller.log)
     report = monitor.report
     return ChaosReport(
-        crashes=stats.crashes,
-        restarts=stats.restarts,
-        partitions=stats.partitions_started,
-        heals=stats.partitions_healed,
-        link_faults=stats.link_faults_applied,
-        clock_skews=stats.clock_skews_applied,
+        crashes=actions["crash"],
+        restarts=actions["restart"],
+        partitions=actions["partition"],
+        heals=actions["heal"],
+        link_faults=actions["link_fault"],
+        clock_skews=actions["clock_skew"],
         messages_dropped=network_stats.messages_dropped,
         messages_duplicated=network_stats.messages_duplicated,
         recovered_producers=controller.recovered_producer_count(),

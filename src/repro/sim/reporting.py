@@ -5,8 +5,8 @@ records (for archiving sweeps, diffing runs across machines, shipping results
 back from engine worker processes, and the on-disk result cache) and renders
 quick ASCII charts so the figures are inspectable without a plotting stack.
 
-The dictionary forms are :mod:`repro.serde`'s, derived from the dataclass
-declarations, and round-trip: ``result_from_dict(result_to_dict(r))``
+The records are :mod:`repro.serde`'s, derived from the dataclass
+declarations, and round-trip: ``from_json(RunResult, to_json(r))``
 reconstructs every metric field exactly (floats survive because ``json``
 serializes them via ``repr``).  Only the live simulation objects —
 ``RunResult.observer`` and ``RunResult.pbft``, marked ``NOT_ON_WIRE`` where
@@ -19,52 +19,19 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from collections.abc import Mapping, Sequence
-from typing import Any
 
 from repro.errors import SimulationError
-from repro.serde import from_json, to_json
-from repro.sim.runner import ExperimentConfig, RunResult
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
-    """JSON-safe dictionary form of an experiment configuration."""
-    return to_json(cfg)
-
-
-def config_from_dict(record: Mapping[str, Any]) -> ExperimentConfig:
-    """Rebuild an :class:`ExperimentConfig` from :func:`config_to_dict`."""
-    return from_json(ExperimentConfig, record)
-
-
-def result_to_dict(result: RunResult) -> dict[str, Any]:
-    """JSON-safe record of a run (drops live objects, keeps every metric)."""
-    return to_json(result)
-
-
-def result_from_dict(record: Mapping[str, Any]) -> RunResult:
-    """Rebuild a :class:`RunResult` from :func:`result_to_dict` output.
-
-    The live ``observer`` / ``pbft`` handles come back as ``None`` — every
-    serialized metric field round-trips exactly.
-    """
-    return from_json(RunResult, record)
+from repro.serde import to_json
+from repro.sim.runner import RunResult
 
 
 def save_results(results: Sequence[RunResult], path: str | Path) -> Path:
     """Write a list of run records as pretty-printed JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = [result_to_dict(r) for r in results]
+    payload = [to_json(r) for r in results]
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return path
-
-
-def load_results(path: str | Path) -> list[dict[str, Any]]:
-    """Read run records back (as dictionaries; configs are data, not code)."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, list):
-        raise SimulationError(f"{path} does not contain a result list")
-    return data
 
 
 def ascii_chart(

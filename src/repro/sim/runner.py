@@ -401,12 +401,6 @@ class ChaosSuiteResult:
             for r in self.chaos_runs
         ]
 
-    def all_invariants_clean(self) -> bool:
-        """True when no faulted run tripped a safety or liveness monitor."""
-        return all(
-            r.invariants is None or r.invariants.clean for r in self.chaos_runs
-        )
-
     def summary(self) -> str:
         lines = [
             f"baseline: tps={self.baseline.tps:.1f} "

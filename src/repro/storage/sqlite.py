@@ -214,10 +214,6 @@ class SqliteStorage:
         self._assert_writable()
         self._pending.append((block, arrival_time))
 
-    def pending_count(self) -> int:
-        """Blocks buffered but not yet durable."""
-        return len(self._pending)
-
     def commit(self, head_id: bytes, tree: BlockTree, *, force: bool = False) -> None:
         """Land the buffered batch and the new head in one transaction.
 

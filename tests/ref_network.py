@@ -1,8 +1,8 @@
 """Reference simulated network: every copy is an event, duplicates included.
 
 This is the ``SimulatedNetwork`` that ``repro.net.network`` shipped before it
-stopped scheduling flood copies it can prove are duplicates, kept verbatim
-(class renamed) as the oracle the differential test in
+stopped scheduling flood copies it can prove are duplicates, kept (class
+renamed, minus the methods the network has since dropped) as the oracle the differential test in
 ``test_network_elision.py`` compares against.  Every copy of every message —
 the four in five that ``gossip_deliver`` then turns away included — goes
 through the per-copy ``_transmit``, a ``partial``, a heap push and pop and the
@@ -25,9 +25,8 @@ from repro.net.transport import DropFilter, Handler, LinkDisturbance, NetworkSta
 class ReferenceNetwork:
     """Gossip overlay on top of the discrete-event simulator.
 
-    One of the two :class:`~repro.net.transport.Transport` backends (and
-    the only :class:`~repro.net.transport.FaultableTransport` implementing
-    every chaos hook); see ``docs/transport.md``.
+    One of the two :class:`~repro.net.transport.Transport` backends, and
+    the one implementing every chaos hook; see ``docs/transport.md``.
     """
 
     def __init__(
@@ -134,15 +133,6 @@ class ReferenceNetwork:
     def partition_map(self) -> dict[int, int] | None:
         """Current node → partition-group assignment (``None`` when healed)."""
         return dict(self._partition) if self._partition is not None else None
-
-    def partition_groups(self) -> list[set[int]] | None:
-        """Current partition as a list of node-id sets (``None`` when healed)."""
-        if self._partition is None:
-            return None
-        groups: dict[int, set[int]] = defaultdict(set)
-        for node, index in self._partition.items():
-            groups[index].add(node)
-        return [groups[i] for i in sorted(groups)]
 
     def set_link_disturbance(
         self,
@@ -260,17 +250,6 @@ class ReferenceNetwork:
     def unicast(self, src: int, dst: int, message: Message) -> None:
         """Send a message point-to-point (no gossip forwarding)."""
         self._transmit(src, dst, message)
-
-    def broadcast(self, src: int, message: Message) -> None:
-        """Send directly to every other attached node (PBFT-style all-to-all).
-
-        Each copy queues on the sender's uplink, so broadcasting to n-1 peers
-        costs (n-1) serialized transfers — the communication bottleneck that
-        limits BFT scalability in the paper's framing (§I, §VIII-A).
-        """
-        for dst in self.node_ids:
-            if dst != src:
-                self._transmit(src, dst, message)
 
     # -- gossip ------------------------------------------------------------------------
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.analysis.comparison import (
@@ -16,21 +15,12 @@ from repro.analysis.comparison import (
     grade_unpredictability,
 )
 from repro.analysis.convergence import SettlementTracker, lag_growth_slope
-from repro.analysis.forkmodel import (
-    expected_out_degree_trend,
-    fork_rate_model,
-    propagation_delay_estimate,
-)
-from repro.analysis.stats import (
-    CommunicationOverhead,
-    StorageOverhead,
-    binomial_mle,
-    mle_bias_estimate,
-    reduction_percent,
-)
+from repro.analysis.forkmodel import fork_rate_model, propagation_delay_estimate
+from repro.analysis.stats import CommunicationOverhead, StorageOverhead
 from repro.errors import SimulationError
 from repro.net.latency import LinkModel
-from repro.net.topology import ring_topology
+
+from tests.test_network import ring
 
 
 class TestForkModel:
@@ -49,36 +39,9 @@ class TestForkModel:
 
     def test_propagation_delay_uses_diameter(self):
         link = LinkModel(min_delay=0.1)
-        small = propagation_delay_estimate(ring_topology(4), link, 1000)
-        big = propagation_delay_estimate(ring_topology(12), link, 1000)
+        small = propagation_delay_estimate(ring(4), link, 1000)
+        big = propagation_delay_estimate(ring(12), link, 1000)
         assert big > small
-
-    def test_out_degree_trend_decreasing(self):
-        """§VI-D: fork rate decreases as the average out-degree increases."""
-        link = LinkModel()
-        rates = expected_out_degree_trend([2, 4, 8, 16], 10.0, link, 64_000, 100)
-        assert rates == sorted(rates, reverse=True)
-
-    def test_out_degree_validation(self):
-        with pytest.raises(SimulationError):
-            expected_out_degree_trend([1], 10.0, LinkModel(), 1000, 10)
-
-
-class TestMLE:
-    def test_binomial_mle_eq5(self):
-        assert binomial_mle(8, 64) == 0.125
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            binomial_mle(5, 0)
-        with pytest.raises(SimulationError):
-            binomial_mle(11, 10)
-
-    def test_unbiasedness(self):
-        """§IV-A: E[q/Δ] = p."""
-        rng = np.random.default_rng(0)
-        bias = mle_bias_estimate(0.2, 64, trials=40_000, rng=rng)
-        assert abs(bias) < 0.002
 
 
 class TestOverheads:
@@ -102,11 +65,6 @@ class TestOverheads:
     def test_validation(self):
         with pytest.raises(SimulationError):
             StorageOverhead(n=10, epochs=1).relative_to_block(0)
-
-    def test_reduction_percent(self):
-        assert reduction_percent(100.0, 10.8) == pytest.approx(89.2)
-        with pytest.raises(SimulationError):
-            reduction_percent(0.0, 1.0)
 
 
 class TestTableIGrading:

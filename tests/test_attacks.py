@@ -10,6 +10,7 @@ import pytest
 
 from repro.consensus.powfamily import themis_config
 from repro.errors import SimulationError
+from repro.serde import to_json
 from repro.sim.attacks import (
     SelfishMiner,
     VulnerableNodeAttack,
@@ -176,7 +177,7 @@ def selfish_fleet_digest() -> str:
             for block in attacker.tree.iter_blocks()
             if block.producer == attacker.address
         ),
-        json.dumps(ctx.network.stats.to_dict(), sort_keys=True),
+        json.dumps(to_json(ctx.network.stats), sort_keys=True),
         ctx.sim.events_processed,
     )
     return hashlib.sha256(repr(facts).encode()).hexdigest()

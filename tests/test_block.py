@@ -59,10 +59,6 @@ class TestHeader:
     def test_hash_is_32_bytes(self):
         assert len(_header().hash()) == 32
 
-    def test_hash_int_matches_hash(self):
-        header = _header()
-        assert header.hash_int() == int.from_bytes(header.hash(), "big")
-
 
 class TestBlock:
     def test_build_block_signs_and_commits(self):

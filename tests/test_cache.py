@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.serde import to_json
 from repro.sim.cache import (
     CacheStats,
     ResultCache,
@@ -14,7 +15,6 @@ from repro.sim.cache import (
     code_version,
     default_cache_dir,
 )
-from repro.sim.reporting import result_to_dict
 from repro.sim.runner import ExperimentConfig, run_experiment
 
 
@@ -74,7 +74,7 @@ class TestLookupAndStore:
         assert cache.get(cfg) is None  # cold
         cache.put(cfg, small_result)
         restored = cache.get(cfg)
-        assert result_to_dict(restored) == result_to_dict(small_result)
+        assert to_json(restored) == to_json(small_result)
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.puts == 1

@@ -25,10 +25,16 @@ from repro.consensus.powfamily import powh_config, themis_config
 from repro.errors import SimulationError
 from repro.net.message import KIND_SYNC_HEADERS_RESPONSE, is_sync_kind
 from repro.node.sync import SyncConfig
+from repro.sim.fleet import build_mining_fleet
 from repro.sim.runner import ExperimentConfig, run_experiment
 
 from tests.test_fullnode import addr, make_consortium
 from tests.test_powfamily import make_fleet
+
+
+def logged(controller: ChaosController, action: str) -> list[dict]:
+    """The details of each ``action`` entry in the controller's fault log."""
+    return [dict(event.detail) for event in controller.log if event.action == action]
 
 
 class TestFaultSpecs:
@@ -56,7 +62,7 @@ class TestFaultSpecs:
         with pytest.raises(SimulationError):
             FaultPlan(faults=(ClockSkewFault(node=0, skew=1.0, at=-1.0),))
 
-    def test_plan_crashed_and_permanently_down(self):
+    def test_plan_crashed_nodes(self):
         plan = FaultPlan(
             faults=(
                 CrashFault(node=1, at=10.0, restart_at=20.0),
@@ -64,8 +70,80 @@ class TestFaultSpecs:
             )
         )
         assert plan.crashed_nodes() == {1, 2}
-        assert plan.permanently_down() == {2}
-        assert plan.max_time() == 20.0
+
+
+#: Two windows on one target that overlap: the second opens inside the first,
+#: and the first one's close would cancel it.
+OVERLAPPING = {
+    "partitions": (
+        PartitionFault(groups=((0, 1, 2), (3, 4, 5)), at=10.0, heal_at=50.0),
+        PartitionFault(groups=((0, 1), (2, 3, 4, 5)), at=30.0, heal_at=90.0),
+    ),
+    "crashes on one node": (
+        CrashFault(node=2, at=10.0),
+        CrashFault(node=2, at=30.0, restart_at=40.0),
+    ),
+    "skews on one node": (
+        ClockSkewFault(node=1, skew=1.0, at=5.0, until=40.0),
+        ClockSkewFault(node=1, skew=-1.0, at=20.0, until=80.0),
+    ),
+}
+
+
+class TestOverlappingWindows:
+    @pytest.mark.parametrize("kind", sorted(OVERLAPPING))
+    def test_a_plan_refuses_overlapping_windows_on_one_target(self, kind):
+        with pytest.raises(SimulationError, match="overlap"):
+            FaultPlan(faults=OVERLAPPING[kind])
+
+    def test_windows_that_touch_or_target_other_nodes_are_accepted(self):
+        FaultPlan(
+            faults=(
+                PartitionFault(groups=((0, 1, 2), (3, 4, 5)), at=10.0, heal_at=30.0),
+                PartitionFault(groups=((0, 1), (2, 3, 4, 5)), at=30.0, heal_at=90.0),
+                CrashFault(node=2, at=10.0),
+                CrashFault(node=3, at=10.0),
+                ClockSkewFault(node=1, skew=1.0, at=5.0, until=20.0),
+                ClockSkewFault(node=1, skew=-1.0, at=20.0, until=80.0),
+                LinkFault(at=0.0, loss=0.1),
+                LinkFault(at=0.0, loss=0.2),
+            )
+        )
+
+    def test_back_to_back_windows_each_apply(self):
+        """The second window of each pair is still in force at t = 60."""
+        ctx, nodes = build_mining_fleet(6, seed=1)
+        controller = ChaosController(nodes, ctx.network, ctx.sim)
+        plan = FaultPlan(
+            faults=(
+                PartitionFault(groups=((0, 1, 2), (3, 4, 5)), at=10.0, heal_at=30.0),
+                PartitionFault(groups=((0, 1), (2, 3, 4, 5)), at=30.0, heal_at=90.0),
+                ClockSkewFault(node=1, skew=1.0, at=5.0, until=20.0),
+                ClockSkewFault(node=1, skew=-1.0, at=20.0, until=80.0),
+            )
+        )
+        FaultScheduler(controller, plan).arm()
+        for node in nodes:
+            node.start()
+        ctx.sim.run(until=60.0)
+        assert ctx.network.partition_map == {0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1}
+        assert nodes[1].clock_skew == -1.0
+        assert len(logged(controller, "partition")) == 2
+        assert len(logged(controller, "heal")) == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_plans_redraw_colliding_windows(self, seed):
+        """A plain draw collides on seeds 1–4 (the partitions on 1–3, two skews
+        on one node on 2 and 4); each plan still holds every fault asked for."""
+        plan = random_fault_plan(
+            seed, list(range(6)), 1000.0, crashes=0, partitions=2, clock_skews=4
+        )
+        assert sum(isinstance(f, PartitionFault) for f in plan.faults) == 2
+        assert sum(isinstance(f, ClockSkewFault) for f in plan.faults) == 4
+
+    def test_a_plan_with_no_room_left_is_refused(self):
+        with pytest.raises(SimulationError, match="no room"):
+            random_fault_plan(0, list(range(6)), 1000.0, crashes=0, partitions=6)
 
 
 class TestRandomFaultPlan:
@@ -95,13 +173,12 @@ class TestChaosController:
         controller.restart_node(2)  # not crashed: no-op
         controller.crash_node(2)
         controller.crash_node(2)
-        assert controller.stats.crashes == 1
+        assert len(logged(controller, "crash")) == 1
         assert nodes[2].crashed and ctx.network.is_offline(2)
         controller.restart_node(2)
         controller.restart_node(2)
-        assert controller.stats.restarts == 1
+        assert [entry["node"] for entry in logged(controller, "restart")] == [2]
         assert not nodes[2].crashed and not ctx.network.is_offline(2)
-        assert controller.restarted_nodes == {2}
 
     def test_unknown_target_rejected(self):
         ctx, nodes = make_fleet(3, seed=5)
@@ -114,7 +191,7 @@ class TestChaosController:
         controller = ChaosController(nodes, ctx.network, ctx.sim)
         controller.heal_partition()  # nothing armed: no-op
         controller.start_partition([[0, 1], [2, 3]])
-        assert ctx.network.partition_groups() == [{0, 1}, {2, 3}]
+        assert ctx.network.partition_map == {0: 0, 1: 0, 2: 1, 3: 1}
         controller.heal_partition()
         assert ctx.network.partition_map is None
         actions = [event.action for event in controller.log]
@@ -128,7 +205,7 @@ class TestChaosController:
         controller.clear_clock_skew(1)
         controller.clear_clock_skew(1)  # already cleared: no-op
         assert nodes[1].local_time() == pytest.approx(ctx.sim.now)
-        assert controller.stats.clock_skews_cleared == 1
+        assert len(logged(controller, "clock_heal")) == 1
 
 
 class TestCrashRecovery:
@@ -361,7 +438,7 @@ class TestScheduledRuns:
         scheduler.arm()
         scheduler.arm()
         ctx.sim.run(until=10.0)
-        assert controller.stats.crashes == 1
+        assert len(logged(controller, "crash")) == 1
 
     def test_pbft_rejects_fault_plans(self):
         cfg = ExperimentConfig(

@@ -44,16 +44,6 @@ class TestVarint:
         assert encoded_size_varint(value) == len(Writer().write_varint(value).getvalue())
 
 
-class TestSigned:
-    @given(st.integers(min_value=-(2**62), max_value=2**62))
-    def test_roundtrip(self, value):
-        data = Writer().write_signed(value).getvalue()
-        assert Reader(data).read_signed() == value
-
-    def test_small_negatives_compact(self):
-        assert len(Writer().write_signed(-1).getvalue()) == 1
-
-
 class TestBytesAndStrings:
     @given(st.binary(max_size=512))
     def test_bytes_roundtrip(self, payload):

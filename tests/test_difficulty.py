@@ -74,13 +74,6 @@ class TestTable:
         with pytest.raises(DifficultyError):
             DifficultyTable(epoch=0, base=1.0, multiples={members(1)[0]: 0.9})
 
-    def test_storage_bytes_8n(self):
-        """§VI-C: 8 bytes per node per epoch."""
-        table = DifficultyTable(
-            epoch=0, base=1.0, multiples={m: 1.0 for m in members(7)}
-        )
-        assert table.storage_bytes() == 56
-
 
 class TestEq6Multiples:
     def test_balanced_counts_keep_multiples(self):

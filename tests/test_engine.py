@@ -9,10 +9,10 @@ import os
 import pytest
 
 from repro.errors import SimulationError
+from repro.serde import to_json
 from repro.sim import engine as engine_mod
 from repro.sim.cache import ResultCache
 from repro.sim.engine import EngineError, ExperimentEngine
-from repro.sim.reporting import result_to_dict
 from repro.sim.runner import ExperimentConfig, run_experiment
 
 
@@ -31,7 +31,7 @@ def tiny(seed: int = 1, **overrides) -> ExperimentConfig:
 
 
 def serialized(results) -> list[str]:
-    return [json.dumps(result_to_dict(r), sort_keys=True) for r in results]
+    return [json.dumps(to_json(r), sort_keys=True) for r in results]
 
 
 class TestDeterminism:

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.epochs import (
-    EpochReport,
-    convergence_epoch,
-    epoch_reports,
-    format_epoch_reports,
-)
+from repro.analysis.epochs import epoch_reports, format_epoch_reports
 from repro.errors import SimulationError
 from repro.sim.runner import ExperimentConfig, run_experiment
 
@@ -69,32 +64,3 @@ class TestFormatting:
     def test_empty_rejected(self):
         with pytest.raises(SimulationError):
             format_epoch_reports([])
-
-
-class TestConvergenceEpoch:
-    def _report(self, epoch, sigma):
-        return EpochReport(
-            epoch=epoch,
-            start_height=epoch * 10 + 1,
-            end_height=(epoch + 1) * 10,
-            observed_interval=10.0,
-            base_difficulty=100.0,
-            min_multiple=1.0,
-            max_multiple=2.0,
-            mean_multiple=1.5,
-            sigma_f2=sigma,
-            top_producer_share=0.2,
-        )
-
-    def test_detects_settling_point(self):
-        sigmas = [1e-2, 5e-3, 1.5e-4, 1.1e-4, 1.0e-4, 0.9e-4]
-        reports = [self._report(i, s) for i, s in enumerate(sigmas)]
-        assert convergence_epoch(reports) == 2
-
-    def test_immediately_stable(self):
-        reports = [self._report(i, 1e-4) for i in range(5)]
-        assert convergence_epoch(reports) == 0
-
-    def test_short_series_none(self):
-        reports = [self._report(0, 1.0)]
-        assert convergence_epoch(reports) is None

@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 
 from repro.core.equality import (
     frequency_vector,
-    ideal_frequency,
-    producer_counts,
     round_robin_probability_variance,
     variance_of_frequency,
     variance_of_probability,
@@ -96,19 +94,3 @@ class TestProbabilityVariance:
         """Fig. 5 context: PBFT's per-round σ_p² at n=100 is ~9.9e-3 — the
         value the paper reports as 11× PoW-H and 395× Themis."""
         assert round_robin_probability_variance(100) == pytest.approx(9.9e-3, rel=1e-3)
-
-
-class TestHelpers:
-    def test_ideal_frequency(self):
-        assert ideal_frequency(4) == 0.25
-        with pytest.raises(SimulationError):
-            ideal_frequency(0)
-
-    def test_producer_counts_skips_genesis(self, tree_builder):
-        a = tree_builder.extend(tree_builder.genesis, 0)
-        b = tree_builder.extend(a, 1)
-        chain = tree_builder.tree.chain_to(b.block_id)
-        counts = producer_counts(chain)
-        assert counts[keypair(0).public.fingerprint()] == 1
-        assert counts[keypair(1).public.fingerprint()] == 1
-        assert sum(counts.values()) == 2

@@ -23,6 +23,7 @@ from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
 from repro.node.config import FullNodeConfig
 from repro.node.node import FullNode
+from repro.serde import to_json
 
 from tests.conftest import keypair
 
@@ -417,7 +418,7 @@ def consortium_digest(seed: int) -> str:
     for node in nodes:
         digest.update(b"".join(block.to_bytes() for block in node.main_chain()))
         digest.update(node.state_root())
-    digest.update(json.dumps(ctx.network.stats.to_dict(), sort_keys=True).encode())
+    digest.update(json.dumps(to_json(ctx.network.stats), sort_keys=True).encode())
     return digest.hexdigest()
 
 

@@ -11,15 +11,12 @@ from repro.crypto.hashing import (
     DEFAULT_T0,
     EASY_T0,
     T_MAX,
-    compact_from_target,
-    difficulty_for_target,
     hash_to_int,
     meets_target,
     sha256,
     sha256d,
     success_probability,
     target_for_difficulty,
-    target_from_compact,
 )
 from repro.errors import DifficultyError
 
@@ -62,8 +59,7 @@ class TestTargets:
     @given(st.floats(min_value=1.0, max_value=1e12))
     def test_round_trip_difficulty(self, difficulty):
         target = target_for_difficulty(DEFAULT_T0, difficulty)
-        recovered = difficulty_for_target(DEFAULT_T0, target)
-        assert recovered == pytest.approx(difficulty, rel=1e-9)
+        assert DEFAULT_T0 / target == pytest.approx(difficulty, rel=1e-9)
 
     def test_success_probability_eq7_left_side(self):
         # (T0/D)/T_max with T0 = T_max and D = 8 -> 1/8.
@@ -85,28 +81,3 @@ class TestMeetsTarget:
         # EASY_T0 accepts digests starting with nibble 0 (strictly below).
         assert meets_target(b"\x0f" + b"\xff" * 30 + b"\xfe", EASY_T0)
         assert not meets_target(b"\x10" + b"\x00" * 31, EASY_T0)
-
-
-class TestCompactEncoding:
-    @given(st.integers(min_value=1, max_value=T_MAX))
-    def test_roundtrip_within_precision(self, target):
-        compact = compact_from_target(target)
-        recovered = target_from_compact(compact)
-        # The mantissa keeps 23 bits: relative error < 2**-15.
-        assert recovered == pytest.approx(target, rel=2**-15) or recovered == target
-
-    def test_small_targets_exact(self):
-        for target in (1, 255, 0x7FFF, 0x7FFFFF):
-            assert target_from_compact(compact_from_target(target)) == target
-
-    def test_zero_rejected(self):
-        with pytest.raises(DifficultyError):
-            compact_from_target(0)
-
-    def test_high_mantissa_bit_normalized(self):
-        # A target whose top mantissa byte has bit 7 set must round-trip
-        # through the normalization path.
-        target = 0x00FF0000
-        compact = compact_from_target(target)
-        assert (compact & 0x00800000) == 0
-        assert target_from_compact(compact) == pytest.approx(target, rel=2**-15)

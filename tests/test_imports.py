@@ -195,6 +195,101 @@ def test_every_import_names_the_defining_module():
     assert not wrong, "\n".join(wrong)
 
 
+#: Public names with no caller in ``src/``, ``benchmarks/`` or ``examples/``
+#: that stay anyway, each with its reason.
+CALLER_ALLOWLIST = {
+    "ExplorerHandler.do_GET": "http.server dispatches GET requests to it by name",
+    "ExplorerHandler.log_message": "http.server calls it to log each request",
+    "BlockTree.leaves": "test observation: the tips a differential tree test compares",
+    "Simulator.pending_events": "test observation: live events left in the heap",
+    "SimulatedNetwork.uplink_backlog": "test observation: queued seconds on an uplink",
+    "NodeSetContract.open_proposals": "test observation: governance tests wait on it",
+    "SelfishMiner.withheld_count": "test observation: the attacker's private lead",
+}
+
+
+class _Loads(ast.NodeVisitor):
+    """Every name a file loads, except uses of a same-named function parameter."""
+
+    def __init__(self) -> None:
+        self.names: set[str] = set()
+        self._params: list[set[str]] = [set()]
+
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        for part in [*node.decorator_list, node.args, node.returns]:
+            if part is not None:
+                self.visit(part)  # decorators, defaults and annotations
+        arguments = node.args
+        every = [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]
+        every += [a for a in (arguments.vararg, arguments.kwarg) if a is not None]
+        self._params.append({a.arg for a in every})
+        for statement in node.body:
+            self.visit(statement)
+        self._params.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if isinstance(node.ctx, ast.Load) and node.id not in self._params[-1]:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self.names.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node: ast.alias) -> None:
+        self.names.add(node.name.rpartition(".")[2])
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, str, bool]]:
+    """(qualified name, leaf name, registered) for each public def, class, method."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        registered = any(
+            isinstance(d, ast.Name) and d.id == "register" for d in node.decorator_list
+        )
+        found.append((node.name, node.name, registered))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (f"{node.name}.{item.name}", item.name, registered)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            ]
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """A public name in ``src/repro`` that only tests use is dead code: delete it.
+
+    A name counts as used when code in ``src/``, ``benchmarks/`` or
+    ``examples/`` loads it (a bare name, an attribute or an import).  The
+    match is by leaf name, so it is generous, never strict.  Classes the
+    linter's ``@register`` collects are reached through its registry.
+    """
+    loads = _Loads()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            loads.visit(ast.parse(path.read_text()))
+    unused, excused = [], set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = _module_name(path)
+        for qualified, leaf, registered in _public_definitions(ast.parse(path.read_text())):
+            if registered or leaf in loads.names:
+                continue
+            if qualified in CALLER_ALLOWLIST:
+                excused.add(qualified)
+            else:
+                unused.append(f"{module}.{qualified}")
+    assert not unused, "no caller outside tests/:\n" + "\n".join(unused)
+    stale = sorted(set(CALLER_ALLOWLIST) - excused)
+    assert not stale, f"allowlisted, but gone or called now: {stale}"
+
+
 def test_message_and_block_modules_import_light():
     """The wire dataclasses load neither the simulator nor numpy."""
     script = (

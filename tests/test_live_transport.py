@@ -26,7 +26,6 @@ from repro.live import transport as live_transport
 from repro.live.transport import TcpGossipTransport
 from repro.mining.oracle import MiningOracle
 from repro.net.message import KIND_SYNC_HEADERS_REQUEST, KIND_TX, Message, is_sync_kind
-from repro.net.transport import FaultableTransport
 from repro.net.wire import KIND_HELLO, encode_message, frame
 from repro.node.sync import SyncConfig
 from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
@@ -150,7 +149,7 @@ class TestDelivery:
             transport = TcpGossipTransport(
                 manifest=manifest, node_id=0, clock=LiveClock(seed=0)
             )
-            assert not isinstance(transport, FaultableTransport)
+            assert not hasattr(transport, "set_partition")
             with pytest.raises(NetworkError, match="attach"):
                 transport.attach(1, lambda msg, peer: None)
 
@@ -384,7 +383,6 @@ class TestReconnect:
                 # Peer 1 is not listening yet: dialing must fail and retry.
                 assert not await dialer.wait_connected(1, timeout=0.6)
                 assert dialer.reconnects >= 1
-                assert dialer.connected_peers() == []
 
                 late = TcpGossipTransport(
                     manifest=manifest, node_id=1, clock=LiveClock(seed=1)
@@ -394,7 +392,6 @@ class TestReconnect:
                 late.attach(1, lambda msg, peer: received.append(msg))
                 try:
                     assert await dialer.wait_connected(1, timeout=5.0)
-                    assert dialer.connected_peers() == [1]
                     dialer.unicast(0, 1, _tx_message(0))
                     assert await _wait_until(lambda: received, timeout=5.0)
                 finally:

@@ -1,17 +1,11 @@
-"""Tests for Merkle trees and inclusion proofs."""
+"""Tests for Merkle trees."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.crypto.hashing import sha256d
-from repro.crypto.merkle import (
-    EMPTY_ROOT,
-    merkle_proof,
-    merkle_root,
-    merkle_root_of_payloads,
-)
+from repro.crypto.merkle import EMPTY_ROOT, merkle_root, merkle_root_of_payloads
 from repro.errors import ChainError
 
 
@@ -49,43 +43,3 @@ class TestRoot:
         assert merkle_root_of_payloads(payloads) == merkle_root(
             [sha256d(p) for p in payloads]
         )
-
-
-class TestProofs:
-    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 8, 13])
-    def test_all_indices_verify(self, count):
-        leaves = _leaves(count)
-        root = merkle_root(leaves)
-        for index in range(count):
-            proof = merkle_proof(leaves, index)
-            assert proof.verify(root)
-
-    def test_wrong_root_fails(self):
-        leaves = _leaves(4)
-        proof = merkle_proof(leaves, 0)
-        assert not proof.verify(sha256d(b"other"))
-
-    def test_tampered_leaf_fails(self):
-        leaves = _leaves(4)
-        root = merkle_root(leaves)
-        proof = merkle_proof(leaves, 1)
-        tampered = type(proof)(leaf=sha256d(b"evil"), index=1, path=proof.path)
-        assert not tampered.verify(root)
-
-    def test_out_of_range_rejected(self):
-        leaves = _leaves(2)
-        with pytest.raises(ChainError):
-            merkle_proof(leaves, 2)
-        with pytest.raises(ChainError):
-            merkle_proof(leaves, -1)
-
-    def test_proof_depth_logarithmic(self):
-        leaves = _leaves(8)
-        assert len(merkle_proof(leaves, 0).path) == 3
-
-    @given(st.integers(min_value=1, max_value=40), st.data())
-    def test_proof_property(self, count, data):
-        leaves = _leaves(count)
-        index = data.draw(st.integers(min_value=0, max_value=count - 1))
-        root = merkle_root(leaves)
-        assert merkle_proof(leaves, index).verify(root)

@@ -11,7 +11,7 @@ from repro.crypto.hashing import EASY_T0, T_MAX, success_probability
 from repro.crypto.merkle import EMPTY_ROOT
 from repro.errors import SimulationError
 from repro.mining.miner import RealMiner
-from repro.mining.oracle import MiningOracle, network_block_rate, win_probabilities
+from repro.mining.oracle import MiningOracle, win_probabilities
 from repro.mining.power import (
     BTC_POOL_RANKING,
     TOTAL_BLOCKS,
@@ -19,7 +19,6 @@ from repro.mining.power import (
     pool_distribution_profile,
     top_k_share,
     uniform_profile,
-    zipf_profile,
 )
 
 from tests.conftest import keypair
@@ -46,11 +45,6 @@ class TestPowerProfiles:
         assert profile.variance_of_shares() == pytest.approx(0.0)
         assert profile.total == 30.0
 
-    def test_zipf_profile_floor(self):
-        profile = zipf_profile(10, h0=1.0, exponent=1.0)
-        assert min(profile.powers) == pytest.approx(1.0)
-        assert profile.powers[0] > profile.powers[-1]
-
     def test_shares_sum_to_one(self):
         assert pool_distribution_profile(50).shares().sum() == pytest.approx(1.0)
 
@@ -72,11 +66,6 @@ class TestOracle:
         samples = [oracle.sample_solve_time(4.0, 2.0) for _ in range(4000)]
         assert np.mean(samples) == pytest.approx(0.5, rel=0.1)
 
-    def test_network_rate_is_sum(self):
-        oracle = MiningOracle(np.random.default_rng(0), T_MAX)
-        rate = network_block_rate(oracle, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-        assert rate == pytest.approx(6.0)
-
     def test_win_probabilities_eq3(self):
         """p_i = (h_i/m_i)/Σ(h_j/m_j) — multiples equalize the shares."""
         oracle = MiningOracle(np.random.default_rng(0), T_MAX)
@@ -92,8 +81,6 @@ class TestOracle:
         oracle = MiningOracle(np.random.default_rng(0), T_MAX)
         with pytest.raises(SimulationError):
             oracle.solve_rate(0.0, 1.0)
-        with pytest.raises(SimulationError):
-            network_block_rate(oracle, [1.0], [1.0, 2.0])
 
 
     def test_batched_samples_match_sequential_draws(self):

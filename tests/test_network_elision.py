@@ -22,11 +22,12 @@ from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.topology import overlay_topology
 from repro.net.transport import LinkDisturbance
+from repro.serde import to_json
 
 from tests.ref_network import ReferenceNetwork
 
-#: Point-to-point traffic (``unicast`` / ``broadcast``): handlers act on it
-#: directly.  Everything else goes to ``gossip_deliver`` first.
+#: Point-to-point traffic (``unicast``, singly or to every other node):
+#: handlers act on it directly.  Everything else goes to ``gossip_deliver`` first.
 DIRECT = "direct"
 
 #: Schedule times sit on a coarse grid and sizes come from a small set, so
@@ -82,7 +83,7 @@ class Harness:
     def read(self, label: str) -> None:
         """One read point: every counter, the event count and the clock."""
         self.log.append(
-            (label, self.sim.now, self.net.stats.to_dict(), self.sim.events_processed)
+            (label, self.sim.now, to_json(self.net.stats), self.sim.events_processed)
         )
 
     def apply(self, op: tuple[Any, ...], messages: list[Message]) -> None:
@@ -92,8 +93,11 @@ class Harness:
             net.gossip(messages[a].origin, messages[a])
         elif name == "unicast":
             net.unicast(messages[a].origin, b % self.n, messages[a])
-        elif name == "broadcast":
-            net.broadcast(messages[a].origin, messages[a])
+        elif name == "fanout":
+            origin = messages[a].origin
+            for dst in net.node_ids:
+                if dst != origin:
+                    net.unicast(origin, dst, messages[a])
         elif name == "offline":
             net.set_offline(a % self.n, bool(b))
         elif name == "detach":
@@ -147,7 +151,7 @@ def _ops(message_count: int) -> st.SearchStrategy[tuple[Any, ...]]:
         st.tuples(st.just("gossip"), index, st.just(0)),
         st.tuples(st.just("gossip"), index, st.just(0)),
         st.tuples(st.just("unicast"), index, node),
-        st.tuples(st.just("broadcast"), index, st.just(0)),
+        st.tuples(st.just("fanout"), index, st.just(0)),
         st.tuples(st.just("offline"), node, flag),
         st.tuples(st.just("detach"), node, st.just(0)),
         st.tuples(st.just("attach"), node, st.just(0)),
@@ -238,7 +242,7 @@ class TestElisionIsInvisible:
                 (4, ("offline", 3, 0)),
                 (4, ("attach", 7, 0)),
                 (5, ("partition", 4, 1)),
-                (5, ("broadcast", 2, 0)),
+                (5, ("fanout", 2, 0)),
                 (6, ("gossip", 1, 0)),
                 (7, ("partition", 4, 0)),
                 (8, ("unicast", 2, 9)),
@@ -252,8 +256,8 @@ class TestElisionIsInvisible:
                 (12, ("offline", 9, 1)),
                 (12, ("gossip", 0, 0)),  # to a detached node: never elided
                 (13, ("offline", 9, 0)),
-                (14, ("broadcast", 2, 0)),
-                (14, ("broadcast", 2, 0)),
+                (14, ("fanout", 2, 0)),
+                (14, ("fanout", 2, 0)),
                 (15, ("attach", 4, 0)),
             ],
         }
@@ -312,7 +316,7 @@ def _hub_log(network_cls: type) -> list[tuple[Any, ...]]:
     sim.schedule_at(0.05, lambda: net.set_offline(0, True))
     sim.schedule_at(0.105, lambda: net.set_offline(0, False))
     sim.run()
-    log.append((sim.events_processed, net.stats.to_dict()))
+    log.append((sim.events_processed, to_json(net.stats)))
     return log
 
 

@@ -74,13 +74,6 @@ class TestBasicOperation:
         cluster, _ = make_cluster(7)
         assert cluster.f == 2
 
-    def test_committed_tx_count(self):
-        cluster, ctx = make_cluster(4, config=PBFTConfig(batch_size=250))
-        cluster.start()
-        ctx.sim.run(stop_when=lambda: cluster.stats.rounds_committed >= 4)
-        cluster.stop()
-        assert cluster.committed_tx_count() == 1000
-
 
 class TestTrafficAccounting:
     def test_vote_traffic_charged(self):

@@ -62,13 +62,6 @@ class TestStakeElection:
         for p in final.values():
             assert p == pytest.approx(1 / 3, rel=0.02)
 
-    def test_advance_day_resets_winner(self):
-        election = self._election()
-        election.advance_day(addr(0))
-        weights = election.raw_weights()
-        assert weights[addr(0)] == 0.0  # coinDay spent
-        assert weights[addr(1)] == 100.0 * 11
-
     def test_validation(self):
         with pytest.raises(ConsensusError):
             StakeElection({})
@@ -109,13 +102,6 @@ class TestReputationElection:
         election = ReputationElection({addr(i): 1.0 for i in range(4)}, 0.01)
         assert election.leader(b"seed", 0) in election.members
 
-    def test_update_reputation(self):
-        election = self._election()
-        election.update_reputation(addr(0), -100.0)
-        # Floors at a positive value instead of going negative.
-        dist = election.empirical_leader_distribution(b"s", rounds=50)
-        assert dist[addr(0)] < 0.5
-
     def test_validation(self):
         with pytest.raises(ConsensusError):
             ReputationElection({})
@@ -123,8 +109,6 @@ class TestReputationElection:
             ReputationElection({addr(0): 0.0})
         with pytest.raises(ConsensusError):
             ReputationElection({addr(0): 1.0}, committee_factor=0)
-        with pytest.raises(ConsensusError):
-            self._election().update_reputation(addr(9), 1.0)
         with pytest.raises(ConsensusError):
             self._election().empirical_leader_distribution(b"s", 0)
 

@@ -9,17 +9,9 @@ import pytest
 from repro.chaos.faults import CrashFault, LinkFault
 from repro.chaos.schedule import FaultPlan
 from repro.errors import SimulationError
-from repro.sim.reporting import (
-    ascii_chart,
-    config_from_dict,
-    config_to_dict,
-    load_results,
-    result_from_dict,
-    result_to_dict,
-    save_results,
-    summary_line,
-)
-from repro.sim.runner import ExperimentConfig, run_experiment
+from repro.serde import from_json, to_json
+from repro.sim.reporting import ascii_chart, save_results, summary_line
+from repro.sim.runner import ExperimentConfig, RunResult, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +31,12 @@ def pbft_result():
 class TestSerialization:
     def test_config_roundtrips_through_json(self):
         cfg = ExperimentConfig(algorithm="pow-h", n=12, seed=3)
-        record = json.loads(json.dumps(config_to_dict(cfg)))
+        record = json.loads(json.dumps(to_json(cfg)))
         assert record["algorithm"] == "pow-h"
         assert record["n"] == 12
 
     def test_result_dict_carries_metrics(self, small_result):
-        record = result_to_dict(small_result)
+        record = to_json(small_result)
         assert record["tps"] == small_result.tps
         assert record["equality"] == small_result.equality
         assert record["fork"]["fork_rate"] == small_result.fork.fork_rate
@@ -52,35 +44,29 @@ class TestSerialization:
         json.dumps(record)  # fully JSON-safe
 
     def test_pbft_result_fork_is_none(self, pbft_result):
-        assert result_to_dict(pbft_result)["fork"] is None
+        assert to_json(pbft_result)["fork"] is None
 
     def test_save_and_load(self, small_result, tmp_path):
         path = save_results([small_result], tmp_path / "runs" / "out.json")
-        loaded = load_results(path)
+        loaded = json.loads(path.read_text())
         assert len(loaded) == 1
         assert loaded[0]["config"]["algorithm"] == "themis"
-
-    def test_load_rejects_non_list(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"not": "a list"}')
-        with pytest.raises(SimulationError):
-            load_results(path)
 
 
 class TestRoundTrip:
     """Exact JSON round-trips (what the engine workers and cache rely on)."""
 
     def test_result_roundtrips_byte_identical(self, small_result):
-        wire = json.dumps(result_to_dict(small_result), sort_keys=True)
-        restored = result_from_dict(json.loads(wire))
-        assert json.dumps(result_to_dict(restored), sort_keys=True) == wire
+        wire = json.dumps(to_json(small_result), sort_keys=True)
+        restored = from_json(RunResult, json.loads(wire))
+        assert json.dumps(to_json(restored), sort_keys=True) == wire
 
     def test_pbft_result_roundtrips(self, pbft_result):
-        record = result_to_dict(pbft_result)
-        assert result_to_dict(result_from_dict(record)) == record
+        record = to_json(pbft_result)
+        assert to_json(from_json(RunResult, record)) == record
 
     def test_restored_result_has_no_live_objects(self, small_result):
-        restored = result_from_dict(result_to_dict(small_result))
+        restored = from_json(RunResult, to_json(small_result))
         assert restored.observer is None
         assert restored.pbft is None
         assert restored.tps == small_result.tps
@@ -88,7 +74,7 @@ class TestRoundTrip:
 
     def test_config_roundtrips_equal(self):
         cfg = ExperimentConfig(algorithm="pow-h", n=12, seed=3, beta=6.5)
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert from_json(ExperimentConfig, to_json(cfg)) == cfg
 
     def test_config_with_fault_plan_roundtrips(self):
         plan = FaultPlan(
@@ -98,24 +84,24 @@ class TestRoundTrip:
             )
         )
         cfg = ExperimentConfig(algorithm="themis", n=8, seed=1, fault_plan=plan)
-        record = json.loads(json.dumps(config_to_dict(cfg)))
-        assert config_from_dict(record) == cfg
+        record = json.loads(json.dumps(to_json(cfg)))
+        assert from_json(ExperimentConfig, record) == cfg
 
     def test_chaos_result_roundtrips(self):
         plan = FaultPlan(faults=(CrashFault(node=3, at=20.0, restart_at=60.0),))
         result = run_experiment(
             ExperimentConfig(algorithm="themis", n=8, epochs=2, seed=1, fault_plan=plan)
         )
-        wire = json.dumps(result_to_dict(result), sort_keys=True)
-        restored = result_from_dict(json.loads(wire))
-        assert json.dumps(result_to_dict(restored), sort_keys=True) == wire
+        wire = json.dumps(to_json(result), sort_keys=True)
+        restored = from_json(RunResult, json.loads(wire))
+        assert json.dumps(to_json(restored), sort_keys=True) == wire
         assert restored.config.fault_plan == plan
 
     def test_config_from_dict_rejects_unknown_fields(self):
-        record = config_to_dict(ExperimentConfig(algorithm="themis", n=8))
+        record = to_json(ExperimentConfig(algorithm="themis", n=8))
         record["warp_factor"] = 9
         with pytest.raises(SimulationError):
-            config_from_dict(record)
+            from_json(ExperimentConfig, record)
 
 
 class TestRendering:

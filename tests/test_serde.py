@@ -101,8 +101,16 @@ def clock_skew_faults(draw) -> ClockSkewFault:
     return ClockSkewFault(node=draw(node_ids), skew=draw(finite), at=at, until=until)
 
 
+def _exclusive_target(fault: FaultSpec) -> object:
+    """One partition, and one crash and one skew per node, keep every plan
+    valid: windows on one target must not overlap.  Link faults compose."""
+    return fault if isinstance(fault, LinkFault) else (fault.kind, getattr(fault, "node", None))
+
+
 fault_plans = st.lists(
-    crash_faults() | partition_faults() | link_faults() | clock_skew_faults(), max_size=6
+    crash_faults() | partition_faults() | link_faults() | clock_skew_faults(),
+    max_size=6,
+    unique_by=_exclusive_target,
 ).map(lambda faults: FaultPlan(faults=tuple(faults)))
 
 experiment_configs = st.builds(

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.hashing import sha256
-from repro.crypto.signature import SIGNATURE_SIZE, Signature, require_valid, sign_digest
-from repro.errors import CryptoError, InvalidSignatureError
+from repro.crypto.signature import SIGNATURE_SIZE, Signature, sign_digest
+from repro.errors import CryptoError
 
 from tests.conftest import keypair
 
@@ -42,9 +42,3 @@ class TestEnvelope:
         # it against the consensus node set.
         sig = sign_digest(keypair(3), sha256(b"x"))
         assert sig.public_key.fingerprint() == keypair(3).public.fingerprint()
-
-    def test_require_valid_raises(self):
-        sig = sign_digest(keypair(0), sha256(b"a"))
-        require_valid(sig, sha256(b"a"))  # no raise
-        with pytest.raises(InvalidSignatureError):
-            require_valid(sig, sha256(b"b"))

@@ -207,15 +207,6 @@ class TestHeadTracking:
         assert state.add_block(b1, 21.0) == "extended"
         assert state.height() == 2
 
-    def test_producer_counts_window(self):
-        state, member_list, _ = make_state()
-        parent = state.genesis
-        for i in range(4):
-            parent = extend(state, parent, i % 2, timestamp=10.0 * (i + 1))
-        counts = state.producer_counts(1, 4)
-        assert counts[member_list[0]] == 2
-        assert counts[member_list[1]] == 2
-
 
 class TestFinality:
     def test_finality_advances_with_head(self):

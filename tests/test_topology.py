@@ -6,13 +6,10 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.topology import (
-    average_degree,
     complete_topology,
     diameter_hops,
     overlay_topology,
     random_regular_topology,
-    ring_topology,
-    small_world_topology,
 )
 
 
@@ -20,7 +17,6 @@ class TestComplete:
     def test_everyone_peers_with_everyone(self):
         adj = complete_topology(5)
         assert all(len(peers) == 4 for peers in adj.values())
-        assert average_degree(adj) == 4.0
         assert diameter_hops(adj) == 1
 
     def test_minimum_size(self):
@@ -53,20 +49,6 @@ class TestRandomRegular:
 
 
 class TestOthers:
-    def test_ring(self):
-        adj = ring_topology(6)
-        assert all(len(peers) == 2 for peers in adj.values())
-        assert diameter_hops(adj) == 3
-
-    def test_ring_minimum(self):
-        with pytest.raises(NetworkError):
-            ring_topology(2)
-
-    def test_small_world_connected(self):
-        adj = small_world_topology(30, k=4, rewire_p=0.3, seed=1)
-        assert len(adj) == 30
-        assert diameter_hops(adj) < 30
-
     def test_higher_degree_smaller_diameter(self):
         """The §VI-D out-degree effect: more peers, shorter paths."""
         sparse = random_regular_topology(64, 3, seed=1)

@@ -27,11 +27,10 @@ from repro.net.clock import Clock
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
-from repro.net.transport import FaultableTransport, NetworkStats, Transport
-from repro.serde import from_json
+from repro.net.transport import NetworkStats, Transport
+from repro.serde import from_json, to_json
 from repro.sim.cache import ResultCache
 from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
-from repro.sim.reporting import result_to_dict
 from repro.sim.runner import ExperimentConfig, run_experiment
 
 #: sha256 over the concatenated canonical bytes of the height-30 main chain
@@ -94,7 +93,7 @@ def recovery_digest(faulted: bool) -> str:
     return hashlib.sha256(repr(facts).encode()).hexdigest()
 
 
-#: sha256 over the ``result_to_dict`` JSON of five runs — themis, themis-lite
+#: sha256 over the ``to_json`` record of five runs — themis, themis-lite
 #: (n = 21, degree 5), pow-h with 30 % vulnerable nodes, pbft, and themis
 #: under ``random_fault_plan(churn=0.2, link_faults=1)`` — captured at commit
 #: ``f615496`` (the parent of the derived-codec change), before any source
@@ -137,7 +136,7 @@ def results_digest() -> str:
     ]
     digest = hashlib.sha256()
     for cfg in configs:
-        record = result_to_dict(run_experiment(cfg))
+        record = to_json(run_experiment(cfg))
         (record.get("invariants") or {}).pop("clean", None)
         for derived in ("longest_duration", "mean_duration"):
             (record.get("fork") or {}).pop(derived, None)
@@ -242,7 +241,7 @@ def format_pins() -> dict[str, str]:
         "plan": repr(plan_to_dict(PINNED_PLAN)),
         "key_plain": cache.key_for(plain),
         "key_planned": cache.key_for(planned),
-        "stats": json.dumps(stats.to_dict(), sort_keys=True),
+        "stats": json.dumps(to_json(stats), sort_keys=True),
         "manifest": manifest.decode(),
     }
 
@@ -267,11 +266,10 @@ class TestGoldenParity:
 
 
 class TestProtocolConformance:
-    def test_simulated_backend_satisfies_both_protocols(self):
+    def test_simulated_backend_satisfies_transport(self):
         sim = Simulator(seed=0)
         network = SimulatedNetwork(sim=sim, adjacency=complete_topology(3))
         assert isinstance(network, Transport)
-        assert isinstance(network, FaultableTransport)
 
     def test_simulator_satisfies_clock(self):
         assert isinstance(Simulator(seed=0), Clock)
@@ -296,8 +294,8 @@ class TestNetworkStatsSerde:
     Merely *reading* an absent key of a ``defaultdict`` materializes a zero
     entry, so two observably identical stats objects could serialize to
     different dicts (and a round-trip could gain keys).  The codec
-    (``to_dict`` is ``repro.serde.to_json``) leaves the zeros out and
-    ``__eq__`` compares the written forms.
+    (``repro.serde.to_json``) leaves the zeros out and ``__eq__`` compares
+    the written forms.
     """
 
     def _stats(self) -> NetworkStats:
@@ -310,18 +308,18 @@ class TestNetworkStatsSerde:
 
     def test_round_trip_exact(self):
         stats = self._stats()
-        assert from_json(NetworkStats, stats.to_dict()) == stats
+        assert from_json(NetworkStats, to_json(stats)) == stats
 
     def test_round_trip_through_json_text(self):
         stats = self._stats()
-        restored = from_json(NetworkStats, json.loads(json.dumps(stats.to_dict())))
+        restored = from_json(NetworkStats, json.loads(json.dumps(to_json(stats))))
         assert restored == stats
 
     def test_materialized_zero_entries_do_not_leak(self):
         stats = self._stats()
         # A read of an absent kind materializes bytes_by_kind["pbft/vote"]=0.
         assert stats.bytes_by_kind["pbft/vote"] == 0
-        record = stats.to_dict()
+        record = to_json(stats)
         assert "pbft/vote" not in record["bytes_by_kind"]
         assert from_json(NetworkStats, record) == stats
 
@@ -333,6 +331,6 @@ class TestNetworkStatsSerde:
         assert a != b
 
     def test_counters_stay_incrementable_after_from_dict(self):
-        restored = from_json(NetworkStats, self._stats().to_dict())
+        restored = from_json(NetworkStats, to_json(self._stats()))
         restored.record_drop("filtered")  # defaultdict behavior preserved
         assert restored.drops_by_reason["filtered"] == 1

@@ -2,42 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.treeview import chain_summary, find_forks, head_lineage, render_tree
-
-
-
-class TestRenderTree:
-    def test_linear_chain_all_marked(self, tree_builder):
-        blocks = tree_builder.chain(tree_builder.genesis, [0, 1])
-        chain = [tree_builder.genesis] + blocks
-        text = render_tree(tree_builder.tree, chain)
-        assert text.count("*") == 3
-        assert "genesis" in text
-
-    def test_fork_indentation(self, tree_builder):
-        a = tree_builder.extend(tree_builder.genesis, 0)
-        tree_builder.extend(a, 1)
-        tree_builder.extend(a, 2)
-        text = render_tree(tree_builder.tree)
-        assert len(text.splitlines()) == 4
-
-    def test_main_chain_marks_subset(self, tree_builder):
-        a = tree_builder.extend(tree_builder.genesis, 0)
-        stale = tree_builder.extend(tree_builder.genesis, 1)
-        chain = [tree_builder.genesis, a]
-        text = render_tree(tree_builder.tree, chain)
-        marked = [line for line in text.splitlines() if line.startswith("*")]
-        assert len(marked) == 2
-
-    def test_truncation(self, tree_builder):
-        tree_builder.chain(tree_builder.genesis, [0] * 12)
-        text = render_tree(tree_builder.tree, max_blocks=5)
-        assert "truncated" in text
-
-    def test_custom_names(self, tree_builder):
-        tree_builder.extend(tree_builder.genesis, 0)
-        text = render_tree(tree_builder.tree, name_of=lambda p: "alice")
-        assert "alice" in text
+from repro.analysis.treeview import chain_summary, find_forks, head_lineage
 
 
 class TestFindForks:
