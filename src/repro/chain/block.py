@@ -11,6 +11,7 @@ depend on the signature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from collections.abc import Sequence
@@ -64,10 +65,12 @@ class BlockHeader:
             raise InvalidBlockError("producer must be a 20-byte fingerprint")
         if self.height < 0:
             raise InvalidBlockError("height must be non-negative")
-        if self.difficulty_multiple < 1.0:
-            raise InvalidBlockError("difficulty multiple must be >= 1 (Eq. 6)")
-        if self.base_difficulty < 1.0:
-            raise InvalidBlockError("base difficulty must be >= 1 (§IV-B)")
+        # An infinite declared value lies within any relative tolerance of any
+        # table's (§III check 2), so only finite values are well-formed.
+        if not (math.isfinite(self.difficulty_multiple) and self.difficulty_multiple >= 1.0):
+            raise InvalidBlockError("difficulty multiple must be finite and >= 1 (Eq. 6)")
+        if not (math.isfinite(self.base_difficulty) and self.base_difficulty >= 1.0):
+            raise InvalidBlockError("base difficulty must be finite and >= 1 (§IV-B)")
 
     @property
     def difficulty(self) -> float:

@@ -5,7 +5,7 @@ small codec so sizes are well defined (the network simulator charges bandwidth
 by serialized size, §VII-A) and hashing is canonical.  The format is a simple
 length-prefixed scheme:
 
-* integers — unsigned LEB128 varints (:func:`write_varint`);
+* integers — unsigned LEB128 varints, minimal length only (:func:`write_varint`);
 * byte strings — varint length + raw bytes;
 * floats — 8-byte IEEE-754 big-endian;
 * sequences — varint count followed by the items.
@@ -101,7 +101,11 @@ class Reader:
         return bytes(self._take(count))
 
     def read_varint(self) -> int:
-        """Read an unsigned LEB128 varint."""
+        """Read an unsigned LEB128 varint in its one minimal encoding.
+
+        A trailing zero group (``81 00`` for 1) would decode to a value whose
+        re-encoding differs from the bytes received, so it is refused.
+        """
         result = 0
         shift = 0
         while True:
@@ -111,6 +115,8 @@ class Reader:
             self._pos += 1
             result |= (byte & 0x7F) << shift
             if not byte & 0x80:
+                if byte == 0 and shift:
+                    raise CodecError("non-minimal varint encoding")
                 return result
             shift += 7
             if shift > 70:

@@ -148,6 +148,10 @@ class InvariantMonitor:
         self._partition_changed_at = -float("inf")
         self._running = False
         self._derived: dict[tuple[int, bytes], "DifficultyTable"] = {}
+        # The distinct tables (by value) derived at each anchor.  A derived
+        # table is replaced by its equal here, so each (node, anchor) is
+        # compared by value once and every sweep compares identities.
+        self._distinct: dict[bytes, list["DifficultyTable"]] = {}
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -271,13 +275,19 @@ class InvariantMonitor:
                 )
 
     def _own_table(self, node: "MiningNode", anchor: bytes) -> "DifficultyTable":
-        """``node``'s table at ``anchor``, derived from its own tree alone."""
+        """``node``'s table at ``anchor``, derived from its own tree alone and
+        returned as the first equal table derived there (see ``_distinct``)."""
         key = (node.node_id, anchor)
         table = self._derived.get(key)
         if table is None:
-            table = self._derived[key] = node.state.derive_table(
-                anchor, lambda prev: self._own_table(node, prev)
-            )
+            derived = node.state.derive_table(anchor, lambda prev: self._own_table(node, prev))
+            distinct = self._distinct.setdefault(anchor, [])
+            # Equal means epoch, base and every multiple.
+            table = next((known for known in distinct if known == derived), None)
+            if table is None:
+                distinct.append(derived)
+                table = derived
+            self._derived[key] = table
         return table
 
     def _check_difficulty_tables(self, nodes: list["MiningNode"]) -> None:
@@ -299,7 +309,7 @@ class InvariantMonitor:
                 by_anchor[anchor] = (node.node_id, table)
                 continue
             owner, reference = known
-            if table != reference:  # epoch, base and every multiple
+            if table is not reference:  # unequal: equal tables are one object
                 self._violate(
                     SafetyViolation,
                     f"difficulty-table disagreement at anchor {anchor.hex()[:10]} "

@@ -11,11 +11,16 @@ multiplication: Jacobian doubling and mixed Jacobian + affine addition, so a
 ladder pays no field inversion until its result is read back.  Multiples of
 the generator (key derivation, signing, the ``u1·G`` half of verification)
 come from a lazily built table of ``d · 16^i · G`` — at most 64 additions and
-no doubling; the ``u2·Q`` half of verification walks a width-5 wNAF over eight
-odd multiples of ``Q`` and the ``u1·G`` terms are added onto the same
-accumulator.  On a 2-vCPU sandbox under CPython 3.11 a signature costs
-≈ 0.4 ms and a verification ≈ 1.6 ms.  ``tests/ref_secp256k1.py`` keeps the
-textbook affine double-and-add ladder as the oracle for differential tests.
+no doubling.  The ``u2·Q`` half of verification walks a width-5 wNAF over
+eight odd multiples of ``Q`` until ``Q`` has passed ``_TABLE_AFTER``
+verifications; then ``Q`` gets the same kind of table as ``G`` (a consortium
+verifies the same few member keys over and over), kept for the
+``_KEY_TABLES`` most recently verified keys.  Either way the ``u1·G`` terms
+are added onto the same accumulator.  On a 2-vCPU host under CPython 3.11 a
+signature costs ≈ 0.45 ms, a verification ≈ 1.8 ms cold and ≈ 0.8 ms through
+a key's table, and a table ≈ 12–15 ms and ≈ 0.13 MB.
+``tests/ref_secp256k1.py`` keeps the textbook affine double-and-add ladder as
+the oracle for differential tests.
 
 The code is not constant-time — it is a reproduction substrate, not a
 hardened wallet — but it is mathematically the real curve, so signature sizes
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache
 from typing import ClassVar
@@ -48,11 +54,24 @@ GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 _Affine = tuple[int, int]  # finite affine point (x, y)
 _Point = _Affine | None  # None is the point at infinity
 _Jacobian = tuple[int, int, int]  # finite point (X, Y, Z) = affine (X/Z², Y/Z³)
+_Table = tuple[tuple[int, ...], ...]  # fixed-base table: 64 rows of 15 flat (x, y) pairs
 
-#: Bits per digit of the fixed-base table for ``G`` (64 rows × 15 points).
+#: Bits per digit of a fixed-base table, ``G``'s or a key's (64 rows × 15 points).
 _G_WINDOW = 4
 #: wNAF width for variable-base multiplication (odd multiples 1·Q … 15·Q).
 _WNAF_WIDTH = 5
+#: Successful verifications that earn a public key its own fixed-base table.
+#: A build costs 6–8 wNAF verifications on a 2-vCPU host (CPython 3.11) and
+#: ≈ 12 on a slower one; at the top of that range a table never costs more
+#: than the verifications that earned it.
+_TABLE_AFTER = 12
+#: Most keys counted or tabled at once (≈ 0.13 MB per table, ≤ ≈ 8.5 MB).
+_KEY_TABLES = 64
+#: Public key ``(x, y)`` → its count of successful verifications, replaced by
+#: its fixed-base table once the count reaches ``_TABLE_AFTER``; least recently
+#: verified first.  Only the simulator or event-loop thread verifies — the
+#: explorer thread never does — so nothing here is locked.
+_key_tables: OrderedDict[_Affine, int | _Table] = OrderedDict()
 
 
 def _inv(a: int, m: int) -> int:
@@ -126,18 +145,17 @@ def _multiples(point: _Affine, step: _Affine, count: int) -> list[_Affine]:
     return _batch_to_affine(jac)
 
 
-@cache
-def _g_table() -> tuple[tuple[int, ...], ...]:
-    """Fixed-base table: row ``i`` holds ``x, y`` of ``d · 16^i · G`` for d = 1 … 15.
+def _fixed_base_table(x: int, y: int) -> _Table:
+    """Fixed-base table: row ``i`` holds ``x, y`` of ``d · 16^i · (x, y)`` for d = 1 … 15.
 
-    Built on first use (≈ 10 ms, 960 points, ≈ 0.2 MB), never at import.
-    With it ``k·G`` is at most 64 mixed additions and no doubling.  Rows are
-    flat tuples of coordinates: 64 containers for the cyclic collector to
-    know about instead of a thousand.
+    960 points, ≈ 0.13 MB, built with 64 inversions.  With it ``k·(x, y)`` is
+    at most 64 mixed additions and no doubling.  Rows are flat tuples of
+    coordinates: 64 containers for the cyclic collector to know about
+    instead of a thousand.
     """
     digits = 1 << _G_WINDOW
     rows = []
-    base = (GX, GY)
+    base = (x, y)
     for _ in range(0, 256, _G_WINDOW):
         row = _multiples(base, base, digits)  # 1·base … 16·base
         rows.append(tuple(coord for point in row[:-1] for coord in point))
@@ -145,10 +163,16 @@ def _g_table() -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _mul_g(k: int, acc: _Jacobian | None = None) -> _Jacobian | None:
-    """``acc + k·G`` for ``0 <= k < 2^256`` from the fixed-base table."""
+@cache
+def _g_table() -> _Table:
+    """The generator's fixed-base table, built on first use, never at import."""
+    return _fixed_base_table(GX, GY)
+
+
+def _mul_fixed(k: int, table: _Table, acc: _Jacobian | None = None) -> _Jacobian | None:
+    """``acc + k·base`` for ``0 <= k < 2^256`` from ``base``'s fixed-base table."""
     mask = (1 << _G_WINDOW) - 1
-    for row in _g_table():
+    for row in table:
         if not k:
             break
         digit = k & mask
@@ -198,7 +222,7 @@ def _point_mul(k: int, point: _Point) -> _Point:
     k %= N  # every finite point has order N, so this also folds negative k
     if k == 0 or point is None:
         return None
-    return _to_affine(_mul_g(k) if point == (GX, GY) else _mul_wnaf(k, point))
+    return _to_affine(_mul_fixed(k, _g_table()) if point == (GX, GY) else _mul_wnaf(k, point))
 
 
 def _on_curve(point: _Point) -> bool:
@@ -279,7 +303,7 @@ class PrivateKey:
 
     def public_key(self) -> PublicKey:
         """Derive the corresponding public key."""
-        point = _to_affine(_mul_g(self.secret))
+        point = _to_affine(_mul_fixed(self.secret, _g_table()))
         assert point is not None  # secret is in [1, N)
         return PublicKey(point[0], point[1])
 
@@ -348,7 +372,7 @@ def ecdsa_sign(private: PrivateKey, msg_hash: bytes) -> tuple[int, int]:
     z = int.from_bytes(msg_hash, "big")
     nonce = _rfc6979_nonce(private.secret, msg_hash)
     while True:
-        point = _to_affine(_mul_g(nonce))
+        point = _to_affine(_mul_fixed(nonce, _g_table()))
         assert point is not None  # nonce is in [1, N)
         r = point[0] % N
         if r == 0:
@@ -374,9 +398,29 @@ def ecdsa_verify(public: PublicKey, msg_hash: bytes, signature: tuple[int, int])
     w = _inv(s, N)
     u1 = z * w % N
     u2 = r * w % N
+    q = (public.x, public.y)
+    earned = _key_tables.get(q)
     # u2 = r/s is non-zero; u1·G is accumulated onto u2·Q so the sum needs a
     # single inversion, and u1·G = −u2·Q surfaces as infinity ⇒ reject.
-    point = _to_affine(_mul_g(u1, _mul_wnaf(u2, (public.x, public.y))))
-    if point is None:
+    if isinstance(earned, tuple):
+        acc = _mul_fixed(u2, earned)
+    else:
+        acc = _mul_wnaf(u2, q)
+    point = _to_affine(_mul_fixed(u1, _g_table(), acc))
+    if point is None or point[0] % N != r:
         return False
-    return point[0] % N == r
+    _count_success(q, earned)
+    return True
+
+
+def _count_success(q: _Affine, earned: int | _Table | None) -> None:
+    """Credit ``q`` with one successful verification; build its table once it
+    has earned one, and evict the least recently verified key past the bound."""
+    if not isinstance(earned, tuple):
+        earned = (earned or 0) + 1
+        if earned == _TABLE_AFTER:
+            earned = _fixed_base_table(*q)
+    _key_tables[q] = earned
+    _key_tables.move_to_end(q)
+    if len(_key_tables) > _KEY_TABLES:
+        _key_tables.popitem(last=False)

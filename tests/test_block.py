@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import struct
+
 import pytest
 
 from repro.chain.block import BLOCK_VERSION, Block, BlockHeader, build_block, sign_block
@@ -44,6 +47,18 @@ class TestHeader:
             _header(difficulty_multiple=0.5)
         with pytest.raises(InvalidBlockError):
             _header(base_difficulty=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["difficulty_multiple", "base_difficulty"])
+    def test_non_finite_difficulty_can_be_neither_built_nor_decoded(self, field, value):
+        with pytest.raises(InvalidBlockError, match="finite"):
+            _header(**{field: value})
+        marker = 1234.5
+        raw = _header(**{field: marker}).to_bytes()
+        assert raw.count(struct.pack(">d", marker)) == 1
+        hostile = raw.replace(struct.pack(">d", marker), struct.pack(">d", value))
+        with pytest.raises(InvalidBlockError, match="finite"):
+            BlockHeader.from_bytes(hostile)
 
     def test_total_difficulty(self):
         assert _header(difficulty_multiple=3.0, base_difficulty=4.0).difficulty == 12.0

@@ -32,6 +32,13 @@ class TestVarint:
         with pytest.raises(CodecError):
             Reader(b"\x80" * 11 + b"\x01").read_varint()
 
+    @pytest.mark.parametrize(
+        "data", [b"\x80\x00", b"\x81\x00", b"\xff\x80\x00", b"\x80" * 10 + b"\x00"]
+    )
+    def test_non_minimal_encoding_rejected(self, data):
+        with pytest.raises(CodecError, match="non-minimal"):
+            Reader(data).read_varint()
+
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     def test_roundtrip(self, value):
         data = Writer().write_varint(value).getvalue()

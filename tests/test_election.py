@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
+import math
+import struct
 
-from repro.chain.block import Block, build_block
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.chain.block import Block, BlockHeader, build_block
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import make_transaction
 from repro.core.difficulty import DifficultyTable
-from repro.core.election import BlockBuilder, BlockValidator
+from repro.core.election import DIFFICULTY_RTOL, BlockBuilder, BlockValidator
 from repro.crypto.hashing import EASY_T0, T_MAX
 from repro.errors import InvalidBlockError
 from repro.mining.miner import RealMiner
@@ -125,3 +129,52 @@ class TestValidator:
 
         mined = sign_block(keypair(0), result.header, [])
         validator.validate(mined)
+
+
+def _float32(value: float) -> float:
+    """``value`` rounded to the 4-byte float the paper stores ``m_i`` in."""
+    return struct.unpack(">f", struct.pack(">f", value))[0]
+
+
+#: Multiples and bases as a retarget leaves them: finite, >= 1, not round.
+_declared = st.floats(min_value=1.0, max_value=1e9, allow_nan=False, allow_infinity=False)
+
+
+class TestDifficultyFloatSemantics:
+    """§IV-A stores ``m_i`` in 4 bytes; this repo's header carries 8-byte
+    IEEE doubles, and check 2 compares within ``DIFFICULTY_RTOL``."""
+
+    @staticmethod
+    def _judge(multiple: float, base: float, declared_multiple: float, declared_base: float):
+        table = DifficultyTable(epoch=0, base=base, multiples={addr(0): multiple})
+        header = BlockBuilder(keypair(0)).build_header(
+            make_genesis(), [], 1.0, declared_multiple, declared_base, 0
+        )
+        make_validator(table, verify_signatures=False).validate(Block(header, None, ()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_declared, _declared)
+    def test_multiple_and_base_survive_header_bytes_bit_for_bit(self, multiple, base):
+        header = BlockBuilder(keypair(0)).build_header(make_genesis(), [], 1.0, multiple, base, 0)
+        raw = header.to_bytes()
+        assert struct.pack(">d", multiple) + struct.pack(">d", base) in raw
+        decoded = BlockHeader.from_bytes(raw)
+        assert struct.pack(">dd", decoded.difficulty_multiple, decoded.base_difficulty) == (
+            struct.pack(">dd", multiple, base)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(_declared, _declared)
+    @example(math.pi, 1000 * math.sqrt(2))  # both change when rounded
+    def test_a_float32_declaration_is_accepted(self, multiple, base):
+        for value in (multiple, base):
+            assert abs(_float32(value) - value) <= 2.0**-24 * value < DIFFICULTY_RTOL * value
+        self._judge(multiple, base, _float32(multiple), _float32(base))
+
+    @pytest.mark.parametrize("off", [1 + 1e-5, 1 - 1e-5])
+    def test_a_declaration_off_by_1e_5_relative_is_rejected(self, off):
+        multiple, base = math.pi, 1000 * math.sqrt(2)
+        with pytest.raises(InvalidBlockError, match="multiple"):
+            self._judge(multiple, base, multiple * off, base)
+        with pytest.raises(InvalidBlockError, match="base"):
+            self._judge(multiple, base, multiple, base * off)

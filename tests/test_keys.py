@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import subprocess
 import sys
+from collections import OrderedDict
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +43,11 @@ G3 = (
     0x388F7B0F632DE8140FE337E62A37F3566500A99934C2231B6CB9FD7584B8E672,
 )
 G_NEG = (GX, 0xB7C52588D95C3B9AA25B0403F1EEF75702E84BB7597AABE663B82F6F04EF2777)
-
+#: The published (r, s) of private key 1 over sha256(b"Satoshi Nakamoto").
+RFC6979_SIGNATURE = (
+    0x934B1EA10A4B3C1757E2B0C017D0B6143CE3C9A7E6A4A49860D7A6AB210EE3D8,
+    0x2442CE9D2B916064108014783E923EC36B49743E2FFA1C4496F01A512AAFD9E5,
+)
 
 
 def _spread(seed: int) -> int:
@@ -57,6 +63,28 @@ any_scalar = st.one_of(
 )
 #: Valid private scalars in [1, N).
 scalars = any_scalar.map(lambda k: k % (N - 1) + 1)
+#: What a fixed-base table takes: [0, 2^256), with the edges and zero digits.
+table_scalars = st.one_of(
+    st.integers(min_value=0, max_value=2**256 - 1),
+    st.integers(min_value=0, max_value=2**64 - 1).map(lambda seed: _spread(seed) % 2**256),
+    st.sampled_from(
+        [0, N, N - 1, 16**63, 16**20 + 1, int("F0" * 32, 16), int("0F" * 32, 16)]
+    ),
+)
+
+
+@cache
+def _table(q: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
+    """``q``'s fixed-base table, built once per test session."""
+    return keys._fixed_base_table(*q)
+
+
+@pytest.fixture
+def key_tables(monkeypatch) -> OrderedDict:
+    """An empty key-table cache that only this test verifies against."""
+    tables: OrderedDict = OrderedDict()
+    monkeypatch.setattr(keys, "_key_tables", tables)
+    return tables
 
 
 class TestCurveArithmetic:
@@ -275,10 +303,7 @@ class TestSignatures:
         assert keys._rfc6979_nonce(1, digest) == (
             0x8F8A276C19F4149656B280621E358CCE24F5F52542772691EE69063B74F15D15
         )
-        expected = (
-            0x934B1EA10A4B3C1757E2B0C017D0B6143CE3C9A7E6A4A49860D7A6AB210EE3D8,
-            0x2442CE9D2B916064108014783E923EC36B49743E2FFA1C4496F01A512AAFD9E5,
-        )
+        expected = RFC6979_SIGNATURE
         assert ecdsa_sign(PrivateKey(1), digest) == expected
         assert ref.ecdsa_sign(1, digest) == expected
         assert ecdsa_verify(PublicKey(GX, GY), digest, expected)
@@ -292,7 +317,9 @@ class TestSignatures:
         s = 12345
         w = pow(s, -1, N)
         q = (kp.public.x, kp.public.y)
-        assert keys._mul_g(z * w % N, keys._mul_wnaf(r * w % N, q)) is None
+        u1, u2 = z * w % N, r * w % N
+        assert keys._mul_fixed(u1, keys._g_table(), keys._mul_wnaf(u2, q)) is None
+        assert keys._mul_fixed(u1, keys._g_table(), keys._mul_fixed(u2, _table(q))) is None
         assert not ecdsa_verify(kp.public, digest, (r, s))
         assert not ref.ecdsa_verify(q, digest, (r, s))
 
@@ -330,6 +357,116 @@ class TestSignatures:
         kp = keypair(4)
         digest = sha256(message)
         assert ecdsa_verify(kp.public, digest, ecdsa_sign(kp.private, digest))
+
+
+@cache
+def _verdict_cases() -> dict[str, tuple[PublicKey, bytes, tuple[int, int]]]:
+    """Signatures, good and bad, for comparing the two ``u2·Q`` paths."""
+    kp, other = keypair(5), keypair(6)
+    digest = sha256(b"fixed-base verify")
+    r, s = ecdsa_sign(kp.private, digest)
+    z = int.from_bytes(digest, "big")
+    cancel = -z * pow(kp.private.secret, -1, N) % N  # u1·G = −u2·Q for any s
+    return {
+        "valid": (kp.public, digest, (r, s)),
+        "high-s twin": (kp.public, digest, (r, N - s)),
+        "r+1": (kp.public, digest, (r + 1, s)),
+        "r-1": (kp.public, digest, (r - 1, s)),
+        "s+1": (kp.public, digest, (r, s + 1)),
+        "s-1": (kp.public, digest, (r, s - 1)),
+        "wrong digest": (kp.public, sha256(b"another message"), (r, s)),
+        "wrong key": (other.public, digest, (r, s)),
+        "r=0": (kp.public, digest, (0, s)),
+        "s=N": (kp.public, digest, (r, N)),
+        "r+N": (kp.public, digest, (r + N, s)),
+        "sum at infinity": (kp.public, digest, (cancel, 12345)),
+        "rfc6979": (PublicKey(GX, GY), sha256(b"Satoshi Nakamoto"), RFC6979_SIGNATURE),
+    }
+
+
+VALID_CASES = {"valid", "high-s twin", "rfc6979"}
+
+
+class TestKeyTables:
+    """A key that has earned a fixed-base table verifies through it."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(scalars, table_scalars)
+    def test_any_points_table_matches_reference(self, secret, k):
+        q = ref.point_mul(secret, G)
+        assert keys._to_affine(keys._mul_fixed(k, _table(q))) == ref.point_mul(k, q)
+
+    @pytest.mark.parametrize("case", list(_verdict_cases()))
+    def test_table_and_wnaf_paths_agree_with_reference(self, case, key_tables):
+        public, digest, signature = _verdict_cases()[case]
+        q = (public.x, public.y)
+        expected = ref.ecdsa_verify(q, digest, signature)
+        assert expected == (case in VALID_CASES)
+        key_tables.clear()
+        assert ecdsa_verify(public, digest, signature) == expected  # wNAF
+        key_tables.clear()
+        key_tables[q] = _table(q)
+        assert ecdsa_verify(public, digest, signature) == expected  # table
+        assert key_tables[q] == _table(q)
+
+    def test_a_key_earns_its_table_with_its_last_counted_success(self, key_tables):
+        kp = keypair(7)
+        digest = sha256(b"earn")
+        signature = ecdsa_sign(kp.private, digest)
+        q = (kp.public.x, kp.public.y)
+        for _ in range(keys._TABLE_AFTER - 1):
+            assert ecdsa_verify(kp.public, digest, signature)
+        assert key_tables[q] == keys._TABLE_AFTER - 1  # a count, no table yet
+        assert ecdsa_verify(kp.public, digest, signature)
+        assert key_tables[q] == _table(q)
+        assert ecdsa_verify(kp.public, digest, signature)  # through the table
+        assert not ecdsa_verify(kp.public, sha256(b"other"), signature)
+        assert key_tables[q] == _table(q)
+
+    def test_a_failed_verification_does_not_count(self, key_tables):
+        kp = keypair(8)
+        digest = sha256(b"fail")
+        r, s = ecdsa_sign(kp.private, digest)
+        q = (kp.public.x, kp.public.y)
+        assert not ecdsa_verify(kp.public, digest, (r, s + 1))
+        assert q not in key_tables
+        assert ecdsa_verify(kp.public, digest, (r, s))
+        assert not ecdsa_verify(kp.public, sha256(b"other"), (r, s))
+        assert not ecdsa_verify(kp.public, digest, (r, N))
+        assert key_tables[q] == 1
+
+    def test_the_least_recently_verified_key_is_evicted_and_earns_again(self, key_tables):
+        digest = sha256(b"lru")
+        pairs = [KeyPair.from_seed(f"lru-{i}") for i in range(keys._KEY_TABLES + 1)]
+        signed = [(pair.public, ecdsa_sign(pair.private, digest)) for pair in pairs]
+        points = [(public.x, public.y) for public, _ in signed]
+
+        def verify(i: int) -> None:
+            assert ecdsa_verify(signed[i][0], digest, signed[i][1])
+
+        for _ in range(keys._TABLE_AFTER):
+            verify(0)
+        assert key_tables[points[0]] == _table(points[0])
+        for i in range(1, keys._KEY_TABLES):
+            verify(i)
+        verify(0)  # key 0 is now the most recently verified, key 1 the least
+        assert len(key_tables) == keys._KEY_TABLES
+        verify(keys._KEY_TABLES)  # the 65th key evicts key 1, not key 0
+        assert points[1] not in key_tables
+        assert key_tables[points[0]] == _table(points[0])
+        assert len(key_tables) == keys._KEY_TABLES
+        verify(1)  # an evicted key starts over from one success
+        assert key_tables[points[1]] == 1
+        for i in range(3, keys._KEY_TABLES):
+            verify(i)
+        verify(2)  # key 0 is the least recently verified now: its table goes
+        assert points[0] not in key_tables
+        for _ in range(keys._TABLE_AFTER - 1):
+            verify(0)
+        assert key_tables[points[0]] == keys._TABLE_AFTER - 1
+        verify(0)  # ... and earns it again
+        assert key_tables[points[0]] == _table(points[0])
+        assert len(key_tables) == keys._KEY_TABLES
 
 
 class TestKeyPair:

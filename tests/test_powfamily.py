@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from repro.consensus.powfamily import (
 from repro.core.difficulty import DifficultyParams
 from repro.core.election import BlockBuilder, BlockValidator
 from repro.crypto.signature import sign_digest
+from repro.errors import InvalidBlockError
 from repro.mining.oracle import MiningOracle
 from repro.net.latency import LinkModel
 from repro.net.message import (
@@ -190,6 +192,27 @@ class TestValidationPath:
         nodes[1]._handle_block(forged)
         assert nodes[1].stats.blocks_rejected == before + 1
         assert forged.block_id not in nodes[1].tree
+
+    @pytest.mark.parametrize("declared", [math.inf, math.nan])
+    def test_non_finite_declared_difficulty_is_refused(self, declared):
+        """``1e-6 · inf = inf``, so an infinite multiple and base were
+        "close" to any table's; such a block was admitted and became the
+        head.  A header with a non-finite difficulty cannot be built."""
+        from repro.chain.block import build_block
+
+        ctx, nodes = make_fleet(4)
+        for node in nodes:
+            node.start()
+        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 3)
+        head = nodes[1].state.head_block()
+        with pytest.raises(InvalidBlockError, match="finite"):
+            nodes[1]._handle_block(
+                build_block(
+                    keypair(0), head.block_id, head.height + 1, [], ctx.sim.now,
+                    declared, declared, 0,
+                )
+            )
+        assert nodes[1].state.head_block() is head
 
     def test_non_member_blocks_rejected(self):
         from repro.chain.block import build_block
@@ -493,6 +516,25 @@ class TestSharedFacts:
         monkeypatch.setattr(state, "derive_table", skewed)
         with pytest.raises(SafetyViolation, match="difficulty-table disagreement"):
             InvariantMonitor(nodes, ctx.network, ctx.sim).check_now()
+
+    def test_monitor_catches_a_foreign_member_set_at_the_first_shared_anchor(self):
+        """Each (node, anchor) table is compared once and the verdict
+        remembered; a node that derives from another member set is still
+        reported at every sweep, at the genesis anchor and the next one."""
+        ctx, nodes = make_fleet(4)  # Δ = 4
+        foreign = [*ctx.members[:3], keypair(9).public.fingerprint()]
+        nodes[3] = MiningNode(3, keypair(3), ctx, themis_config(), members_fn=lambda: foreign)
+        monitor = InvariantMonitor(nodes, ctx.network, ctx.sim)
+        for _ in range(2):  # the second sweep reads what the first recorded
+            with pytest.raises(SafetyViolation, match=r"\(epoch 0\): node 0 vs node 3"):
+                monitor.check_now()
+        InvariantMonitor(nodes[:3], ctx.network, ctx.sim).check_now()  # clean
+        for node in nodes[:3]:
+            node.start()
+        ctx.sim.run(stop_when=lambda: min(node.state.height() for node in nodes) >= 5)
+        with pytest.raises(SafetyViolation, match=r"\(epoch 1\): node 0 vs node 3"):
+            monitor.check_now()
+        assert monitor.report.safety_violations == 3
 
 
 class TestStopStart:

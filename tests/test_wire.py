@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chain.block import build_block
+from repro.chain.block import Block, build_block
 from repro.chain.codec import Writer
 from repro.chain.genesis import make_genesis
-from repro.chain.transaction import make_transaction
-from repro.errors import CodecError
+from repro.chain.transaction import Transaction, make_transaction
+from repro.errors import CodecError, ReproError
 from repro.net.message import (
     KIND_BLOCK,
     KIND_SYNC_BLOCKS_REQUEST,
@@ -130,6 +130,23 @@ class TestMessageRoundTrip:
         msg = Message(kind="pbft/prepare", payload=object(), body_size=10, origin=0)
         with pytest.raises(CodecError, match="pbft/prepare"):
             encode_message(msg)
+
+    def test_overlong_varint_is_refused(self):
+        """A transfer whose ``amount`` varint ``01`` became ``81 00`` used to
+        decode, with the same ``tx_id``, as a 513-byte transaction whose
+        ``to_bytes()`` was not the body received — and gossip forwards the
+        body received."""
+        tx = make_transaction(keypair(0), keypair(1).public.fingerprint(), 1, 0)
+        raw = tx.to_bytes()
+        amount_at = 40  # after the two 20-byte addresses
+        assert len(raw) == 512 and raw[amount_at] == 1
+        hostile = raw[:amount_at] + b"\x81\x00" + raw[amount_at + 1 :]
+        with pytest.raises(CodecError, match="non-minimal"):
+            Transaction.from_bytes(hostile)
+        message = Message(kind=KIND_TX, payload=tx, body_size=512, origin=0, msg_id=1)
+        body = encode_message(message)
+        with pytest.raises(CodecError, match="non-minimal"):
+            decode_message(body.replace(raw, hostile))
 
     def test_trailing_bytes_rejected(self):
         body = encode_message(
@@ -269,7 +286,43 @@ def _messages(draw):
     )
 
 
+@st.composite
+def _mutated(draw, body: bytes) -> bytes:
+    """``body`` with one byte set, inserted or deleted, or one varint-looking
+    byte stretched into an overlong ``b | 0x80, 0x00`` pair."""
+    at = draw(st.integers(0, len(body) - 1))
+    how = draw(st.sampled_from(["set", "insert", "delete", "stretch"]))
+    if how == "set":
+        return body[:at] + bytes([draw(st.integers(0, 255))]) + body[at + 1 :]
+    if how == "insert":
+        return body[:at] + bytes([draw(st.integers(0, 255))]) + body[at:]
+    if how == "delete":
+        return body[:at] + body[at + 1 :]
+    return body[:at] + bytes([body[at] | 0x80, 0]) + body[at + 1 :]
+
+
+_CODECS = {
+    "transaction": (_transactions(), Transaction.to_bytes, Transaction.from_bytes),
+    "block": (_blocks(), Block.to_bytes, Block.from_bytes),
+    "message": (_messages(), encode_message, decode_message),
+}
+
+
 class TestWireProperties:
+    @pytest.mark.parametrize("codec", list(_CODECS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_encoding_is_refused_or_is_its_own_encoding(self, codec, data):
+        """Hostile bytes either raise a library error or decode to a value
+        that encodes back to exactly those bytes: nothing else gets in."""
+        values, encode, decode = _CODECS[codec]
+        body = data.draw(_mutated(encode(data.draw(values))))
+        try:
+            decoded = decode(body)
+        except ReproError:
+            return
+        assert encode(decoded) == body
+
     @settings(max_examples=60, deadline=None)
     @given(_messages())
     def test_the_codec_is_canonical(self, message):
