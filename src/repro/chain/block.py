@@ -20,7 +20,7 @@ from repro.chain.codec import Reader, Writer
 from repro.chain.transaction import Transaction
 from repro.crypto.hashing import sha256d
 from repro.crypto.keys import KeyPair
-from repro.crypto.merkle import merkle_root_of_payloads
+from repro.crypto.merkle import merkle_root
 from repro.crypto.signature import SIGNATURE_SIZE, Signature, sign_digest
 from repro.errors import InvalidBlockError
 
@@ -181,7 +181,7 @@ class Block:
 
     def verify_merkle_root(self) -> bool:
         """Check the header's Merkle root commits to the body."""
-        expected = merkle_root_of_payloads(tx.to_bytes() for tx in self.transactions)
+        expected = merkle_root([tx.tx_id for tx in self.transactions])
         return expected == self.header.merkle_root
 
     def verify_signature(self) -> bool:
@@ -216,7 +216,7 @@ def build_block(
         version=BLOCK_VERSION,
         height=height,
         parent_hash=parent_hash,
-        merkle_root=merkle_root_of_payloads(tx.to_bytes() for tx in transactions),
+        merkle_root=merkle_root([tx.tx_id for tx in transactions]),
         timestamp=timestamp,
         producer=keypair.public.fingerprint(),
         difficulty_multiple=difficulty_multiple,

@@ -23,7 +23,7 @@ from repro.chain.transaction import Transaction
 from repro.core.difficulty import DifficultyTable
 from repro.crypto.hashing import meets_target, target_for_difficulty
 from repro.crypto.keys import KeyPair
-from repro.crypto.merkle import merkle_root_of_payloads
+from repro.crypto.merkle import merkle_root
 from repro.errors import InvalidBlockError
 
 #: Relative tolerance when comparing declared vs. recomputed difficulty
@@ -55,7 +55,7 @@ class BlockBuilder:
             version=BLOCK_VERSION,
             height=parent.height + 1,
             parent_hash=parent.block_id,
-            merkle_root=merkle_root_of_payloads(tx.to_bytes() for tx in transactions),
+            merkle_root=merkle_root([tx.tx_id for tx in transactions]),
             timestamp=timestamp,
             producer=self.keypair.public.fingerprint(),
             difficulty_multiple=multiple,

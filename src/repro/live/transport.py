@@ -7,17 +7,33 @@ the length-prefixed frame format of :mod:`repro.net.wire`.
 
 Design points:
 
-* **Send paths are synchronous.**  Consensus and sync code call
-  ``unicast``/``gossip`` from timer callbacks; frames are encoded inline
-  and enqueued on the destination peer's bounded outbox, which a per-peer
-  writer task drains.  A full outbox drops the frame (counted under
-  ``backlog``) — a wedged peer must not freeze the caller.
+* **Send paths are synchronous and write straight to the socket.**
+  Consensus and sync code call ``unicast``/``gossip`` from timer callbacks;
+  a message is encoded and framed once, inline, and each copy is one
+  ``write`` on the destination's socket (or joins the peer's pre-connect
+  list while it is being dialed).  A peer whose unsent bytes have reached
+  :data:`SEND_BUFFER_LIMIT` gets nothing more (counted under ``backlog``)
+  — a wedged peer must neither freeze the caller nor pin unbounded memory.
+* **Receive paths are protocol callbacks.**  Every connection is an
+  :class:`asyncio.Protocol`; an accepted one splits what ``data_received``
+  hands it into frames and passes each to one method, ``_receive``.  No
+  reader or writer task sits between a frame and the socket.
 * **Handshake.**  The dialing side's first frame is a ``live/hello``
   announcing its node id; the accepting side uses it to attribute every
   later frame on that connection (``from_peer`` in the handler).
 * **Gossip dedup keys on ``(origin, msg_id)``.**  Message ids are
   process-local counters, so two origins may emit the same id — but one
   origin never reuses one.
+* **A transaction is relayed around its origin's neighbours.**  A ``tx``
+  copy that came straight from its origin is not forwarded to the origin's
+  other neighbours, which got the origin's own copy (:func:`relay_targets`);
+  in a complete overlay a transaction costs n − 1 frames, not (n − 1)².
+  Every other copy floods — blocks always, so that every honest member
+  relays every block it receives and block receipt times among honest
+  members stay within δ even when a producer withholds its block from some
+  members (Prop. 1, GEOST's reception tie-break).  The price: a transaction
+  the origin fails to deliver to a neighbour is not covered by the others;
+  that member learns it from the block that carries it.
 * **Chaos subset.**  Drop filters and ``set_offline`` work (they are
   process-local); overlay-global faults — partitions, link disturbances —
   have no single-process implementation, so this class has no hooks for
@@ -28,12 +44,12 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.errors import CodecError, NetworkError
 from repro.live.clock import LiveClock
 from repro.live.manifest import ConsortiumManifest
-from repro.net.message import Message, is_sync_kind
+from repro.net.message import KIND_TX, Message, is_sync_kind
 from repro.net.transport import DropFilter, Handler, NetworkStats
 from repro.net.wire import (
     KIND_HELLO,
@@ -44,18 +60,112 @@ from repro.net.wire import (
     peek_envelope,
 )
 
-#: Frames a peer outbox buffers before new sends are dropped (counted).
-OUTBOX_CAPACITY = 1024
+#: A send is dropped (counted as ``backlog``) while the peer's unsent bytes —
+#: its socket's write buffer, or its pre-connect list — are at or past this.
+#: 1 MiB holds ≈ 1,800 framed 512-byte transactions, about 9 s of a 200 tx/s
+#: load queued for one unreachable peer; any one frame is taken while the
+#: data is under the bound, so a full 64-block sync response still goes out,
+#: and a wedged peer pins at most one frame more than this.
+SEND_BUFFER_LIMIT = 1 << 20
+
+_NO_INBOUND: tuple[Message | None, bytes] = (None, b"")
+
+
+def relay_targets(
+    adjacency: Mapping[int, Sequence[int]],
+    node_id: int,
+    message: Message,
+    from_peer: int | None,
+) -> list[int]:
+    """The peers ``node_id`` sends a gossip copy to that is new to it.
+
+    ``from_peer`` is ``None`` at the origin: every neighbour.  A ``tx`` that
+    came straight from its origin skips the origin's neighbours too, since
+    each got the origin's own copy.  Every other copy floods to
+    ``neighbors − {from_peer}``.
+    """
+    peers = adjacency.get(node_id, ())
+    if message.kind == KIND_TX and from_peer == message.origin:
+        covered = adjacency.get(from_peer, ())
+        return [peer for peer in peers if peer != from_peer and peer not in covered]
+    return [peer for peer in peers if peer != from_peer]
 
 
 class _PeerLink:
-    """One peer's outbound state: bounded outbox plus its writer task."""
+    """One peer's outbound side: its connection once dialed, the frames sent
+    before that, and the dial task that owns the connection."""
 
     def __init__(self, peer_id: int) -> None:
         self.peer_id = peer_id
-        self.outbox: asyncio.Queue[bytes] = asyncio.Queue(maxsize=OUTBOX_CAPACITY)
+        self.conn: asyncio.Transport | None = None
+        self.pending: list[bytes] = []
+        self.pending_bytes = 0
         self.task: asyncio.Task[None] | None = None
-        self.connected = asyncio.Event()
+
+    def write(self, data: bytes) -> bool:
+        """Queue one frame for the peer; ``False`` if its unsent data is at
+        the bound."""
+        conn = self.conn
+        if conn is not None and not conn.is_closing():
+            if conn.get_write_buffer_size() >= SEND_BUFFER_LIMIT:
+                return False
+            conn.write(data)
+            return True
+        if self.pending_bytes >= SEND_BUFFER_LIMIT:
+            return False
+        self.pending.append(data)
+        self.pending_bytes += len(data)
+        return True
+
+    def connected(self, conn: asyncio.Transport, hello: bytes) -> None:
+        """Start using ``conn``: the hello first, then every pending frame."""
+        conn.write(b"".join([hello, *self.pending]))
+        self.pending.clear()
+        self.pending_bytes = 0
+        self.conn = conn
+
+
+class _Dialed(asyncio.Protocol):
+    """A connection this node dialed: it only writes; ``closed`` resolves
+    when the connection is gone."""
+
+    def __init__(self) -> None:
+        self.closed: asyncio.Future[None] = asyncio.get_running_loop().create_future()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+
+class _Accepted(asyncio.Protocol):
+    """A connection a peer dialed: every complete frame goes to ``_receive``."""
+
+    _conn: asyncio.Transport
+
+    def __init__(self, owner: TcpGossipTransport) -> None:
+        self._owner = owner
+        self._decoder = FrameDecoder()
+        self._from_peer: int | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self._conn = transport
+        if self._owner._running:
+            self._owner._accepted.add(transport)
+        else:
+            transport.close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._owner._accepted.discard(self._conn)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for body in self._decoder.feed(data):
+                self._from_peer = self._owner._receive(body, self._from_peer)
+        except CodecError:
+            # A misbehaving peer loses this connection; reconnecting is the
+            # dialing side's business.
+            self._conn.close()
 
 
 class TcpGossipTransport:
@@ -89,18 +199,18 @@ class TcpGossipTransport:
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self.stats = NetworkStats()
-        #: Outbound connection attempts that failed (per-peer, cumulative).
+        #: Outbound connections that failed or dropped (per-peer, cumulative).
         self.reconnects = 0
         self._adjacency = manifest.adjacency()
         self._handlers: dict[int, Handler] = {}
         self._drop_filters: dict[int, DropFilter] = {}
         self._offline: set[int] = set()
         self._seen: set[tuple[int, int]] = set()
-        #: The message last handed to the handler, and the body it came in.
-        self._inbound: tuple[Message | None, bytes] = (None, b"")
+        #: The message the handler is running on, and the body it came in.
+        self._inbound = _NO_INBOUND
         self._links: dict[int, _PeerLink] = {}
+        self._accepted: set[asyncio.Transport] = set()
         self._server: asyncio.Server | None = None
-        self._reader_tasks: set[asyncio.Task[None]] = set()
         self._running = False
 
     # -- lifecycle ------------------------------------------------------------------
@@ -111,37 +221,33 @@ class TcpGossipTransport:
             return
         self._running = True
         spec = self.manifest.peer(self.node_id)
-        self._server = await asyncio.start_server(
-            self._accept, host=spec.host, port=spec.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Accepted(self), host=spec.host, port=spec.port
         )
 
     async def stop(self) -> None:
-        """Close the server, writer tasks and all connections.
+        """Close the server and every connection, then end the dial tasks.
 
-        Safe against concurrent activity: ``_send`` stops creating
-        links once ``_running`` drops, and the cancellation loop below
-        repeats until a pass finds no tasks — reader tasks the server
-        accepted while we were awaiting earlier cancellations included.
+        A send racing the teardown is dropped (``stopped``) instead of
+        starting a dial task, and a connection accepted meanwhile closes
+        itself, so one pass leaves nothing behind.
         """
         self._running = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        while True:
-            tasks = [
-                link.task for link in self._links.values() if link.task is not None
-            ]
-            tasks.extend(self._reader_tasks)
-            self._links.clear()
-            self._reader_tasks.clear()
-            if not tasks:
-                break
-            for task in tasks:
-                task.cancel()
-            for task in tasks:
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        links = list(self._links.values())
+        self._links.clear()
+        for conn in [*self._accepted, *(link.conn for link in links if link.conn)]:
+            conn.close()
+        tasks = [link.task for link in links if link.task is not None]
+        for task in tasks:
+            task.cancel()
+        for task in tasks:
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
+        if server is not None:
+            await server.wait_closed()
 
     async def wait_connected(self, min_peers: int, timeout: float) -> bool:
         """Wait until outbound links to ``min_peers`` neighbors are up.
@@ -154,7 +260,7 @@ class TcpGossipTransport:
             self._link_for(peer)
         deadline = self.clock.now + timeout
         while self.clock.now < deadline:
-            up = sum(1 for link in self._links.values() if link.connected.is_set())
+            up = sum(1 for link in self._links.values() if link.conn is not None)
             if up >= min_peers:
                 return True
             await asyncio.sleep(0.05)
@@ -208,15 +314,15 @@ class TcpGossipTransport:
     # -- send paths ------------------------------------------------------------------
 
     def _send(self, src: int, dsts: Iterable[int], message: Message) -> None:
-        """Enqueue one framed copy per destination, encoded at most once: a
+        """Write one framed copy per destination, encoded at most once: a
         message being forwarded goes out in the body it came in (the codec is
         canonical, so re-encoding the decoded message gives the same bytes)."""
-        data = frame(self._inbound[1]) if self._inbound[0] is message else None
+        data: bytes | None = None
         drop = self._drop_filters.get(src)
         for dst in dsts:
             if not self._running:
-                # A send racing stop() must not resurrect a writer task that
-                # the teardown loop would then have to chase.
+                # A send racing stop() must not start a dial task that the
+                # teardown would then have to chase.
                 self.stats.record_drop("stopped")
                 continue
             if src in self._offline or dst in self._offline:
@@ -226,17 +332,21 @@ class TcpGossipTransport:
                 self.stats.record_drop("filtered")
                 continue
             if data is None:
-                try:
-                    data = frame(encode_message(message))
-                except CodecError:
-                    self.stats.record_drop("unencodable")
-                    raise
-            try:
-                self._link_for(dst).outbox.put_nowait(data)
-            except asyncio.QueueFull:
+                data = self._frame(message)
+            if not self._link_for(dst).write(data):
                 self.stats.record_drop("backlog")
                 continue
             self.stats.record_send(message.kind, len(data))
+
+    def _frame(self, message: Message) -> bytes:
+        inbound, body = self._inbound
+        if inbound is message:
+            return frame(body)
+        try:
+            return frame(encode_message(message))
+        except CodecError:
+            self.stats.record_drop("unencodable")
+            raise
 
     def unicast(self, src: int, dst: int, message: Message) -> None:
         """Send a message point-to-point (no gossip forwarding)."""
@@ -248,23 +358,19 @@ class TcpGossipTransport:
         self._send(src, (dst,), message)
 
     def gossip(self, origin: int, message: Message) -> None:
-        """Originate a gossip flood from the local node."""
+        """Originate a gossip message from the local node to every neighbor."""
         if origin != self.node_id:
             raise NetworkError(f"node {origin} does not send through this transport")
         self._seen.add((message.origin, message.msg_id))
-        self._forward(origin, message, exclude=None)
-
-    def _forward(self, node_id: int, message: Message, exclude: int | None) -> None:
-        peers = [peer for peer in self.neighbors(node_id) if peer != exclude]
-        self._send(node_id, peers, message)
+        self._send(origin, relay_targets(self._adjacency, origin, message, None), message)
 
     def gossip_deliver(self, dst: int, from_peer: int, message: Message) -> bool:
-        """Dedup a received gossip message; forward it onward if new."""
+        """Dedup a received gossip message; relay it onward if new."""
         key = (message.origin, message.msg_id)
         if key in self._seen:
             return False
         self._seen.add(key)
-        self._forward(dst, message, exclude=from_peer)
+        self._send(dst, relay_targets(self._adjacency, dst, message, from_peer), message)
         return True
 
     # -- outbound connections -------------------------------------------------------
@@ -280,99 +386,68 @@ class TcpGossipTransport:
         return link
 
     async def _run_link(self, link: _PeerLink) -> None:
-        """Per-peer writer: dial, drain the outbox, reconnect on failure."""
+        """Dial the peer, keep its connection until it drops, redial."""
         spec = self.manifest.peer(link.peer_id)
+        loop = asyncio.get_running_loop()
         failures = 0
         while self._running:
-            writer: asyncio.StreamWriter | None = None
             try:
-                _, writer = await asyncio.wait_for(
-                    asyncio.open_connection(spec.host, spec.port),
+                conn, dialed = await asyncio.wait_for(
+                    loop.create_connection(_Dialed, spec.host, spec.port),
                     timeout=self.dial_timeout,
                 )
+            except (OSError, asyncio.TimeoutError):
+                pass
+            else:
                 hello = Message(
                     kind=KIND_HELLO,
                     payload={"node_id": self.node_id},
                     body_size=8,
                     origin=self.node_id,
                 )
-                writer.write(frame(encode_message(hello)))
-                await writer.drain()
-                link.connected.set()
                 failures = 0
-                while self._running:
-                    data = await link.outbox.get()
-                    writer.write(data)
-                    await writer.drain()
-            except asyncio.CancelledError:
-                raise
-            except (OSError, asyncio.TimeoutError):
-                link.connected.clear()
-                failures += 1
-                self.reconnects += 1
-            finally:
-                if writer is not None:
-                    writer.close()
-                    with contextlib.suppress(OSError, asyncio.TimeoutError):
-                        await writer.wait_closed()
-            if self._running and failures:
-                delay = min(
-                    self.backoff_base * 2.0 ** (failures - 1),
-                    self.backoff_max,
-                )
-                await asyncio.sleep(delay)
-        link.connected.clear()
+                try:
+                    link.connected(conn, frame(encode_message(hello)))
+                    await dialed.closed
+                finally:
+                    link.conn = None
+                    conn.close()
+            if not self._running:
+                break
+            failures += 1
+            self.reconnects += 1
+            await asyncio.sleep(
+                min(self.backoff_base * 2.0 ** (failures - 1), self.backoff_max)
+            )
 
     # -- inbound connections ---------------------------------------------------------
 
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._reader_tasks.add(task)
-        try:
-            await self._read_loop(reader)
-        except asyncio.CancelledError:
-            # Only stop() cancels reader tasks; finishing normally keeps
-            # asyncio's stream wrapper from logging the cancellation.
-            pass
-        except (OSError, asyncio.IncompleteReadError, CodecError):
-            # A dead or misbehaving peer closes its own connection; the
-            # reconnect logic lives on the dialing side.
-            pass
-        finally:
-            self._reader_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(OSError, asyncio.TimeoutError):
-                await writer.wait_closed()
+    def _receive(self, body: bytes, from_peer: int | None) -> int:
+        """Take one frame off a connection; return the peer it is from.
 
-    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
-        decoder = FrameDecoder()
-        from_peer: int | None = None
-        while self._running:
-            data = await reader.read(65536)
-            if not data:
-                return
-            for body in decoder.feed(data):
-                if from_peer is None:
-                    from_peer = self._handshake(decode_message(body))
-                    continue
-                kind, origin, msg_id = peek_envelope(body)
-                if (
-                    (origin, msg_id) in self._seen
-                    and kind != KIND_HELLO
-                    and not is_sync_kind(kind)
-                ):
-                    # A gossip copy ``gossip_deliver`` would turn away (the
-                    # handler contract): counted, its payload never parsed.
-                    self._arrival()
-                    continue
-                message = decode_message(body)
-                handler = self._arrival()
-                if handler is not None:
-                    self._inbound = (message, body)
-                    handler(message, from_peer)
+        The first frame must be the hello that names the peer.  After it, a
+        gossip copy (not ``sync/*``, not ``live/hello``) whose
+        ``(origin, msg_id)`` is already seen is counted like any arrival and
+        its payload is never parsed — ``gossip_deliver`` would turn it away
+        (the handler contract).  Anything else is decoded in full before the
+        handler sees it.  Raises :class:`CodecError` when the connection
+        must close.
+        """
+        if from_peer is None:
+            return self._handshake(decode_message(body))
+        kind, origin, msg_id = peek_envelope(body)
+        if (origin, msg_id) in self._seen and kind != KIND_HELLO and not is_sync_kind(kind):
+            self._arrival()
+            return from_peer
+        message = decode_message(body)
+        handler = self._arrival()
+        if handler is not None:
+            self._inbound = (message, body)
+            try:
+                handler(message, from_peer)
+            finally:
+                self._inbound = _NO_INBOUND
+        return from_peer
 
     def _handshake(self, hello: Message) -> int:
         """The peer a connection's first frame announces, if it may be one."""

@@ -30,7 +30,7 @@ import struct
 from repro.chain.block import Block
 from repro.chain.codec import Reader, Writer
 from repro.chain.transaction import Transaction
-from repro.errors import CodecError
+from repro.errors import CodecError, ReproError
 from repro.net.message import (
     KIND_BLOCK,
     KIND_SYNC_BLOCKS_REQUEST,
@@ -161,11 +161,19 @@ def decode_message(data: bytes) -> Message:
 
     The decoded message keeps the sender's ``msg_id`` (instead of drawing a
     fresh local one) so gossip dedup on ``(origin, msg_id)`` sees the same
-    identity at every hop.
+    identity at every hop.  Any body that does not make a message raises
+    :class:`CodecError` — a payload that parses but cannot be built (a
+    header below difficulty 1, a key off the curve) included, chained from
+    the error its constructor raised.
     """
     reader = Reader(data)
     kind, origin, msg_id, body_size = _read_envelope(reader)
-    payload = _decode_payload(kind, reader)
+    try:
+        payload = _decode_payload(kind, reader)
+    except CodecError:
+        raise
+    except ReproError as exc:
+        raise CodecError(f"{kind!r} payload is not well-formed: {exc}") from exc
     reader.expect_end()
     return Message(
         kind=kind,

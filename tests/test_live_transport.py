@@ -10,8 +10,12 @@ reconnection and sync *semantics*, not timing.
 from __future__ import annotations
 
 import asyncio
+import random
+import struct
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chain.codec import Writer
 from repro.chain.genesis import make_genesis
@@ -23,9 +27,16 @@ from repro.live.clock import LiveClock
 from repro.live.localnet import free_ports
 from repro.live.manifest import ConsortiumManifest, localhost_manifest
 from repro.live import transport as live_transport
-from repro.live.transport import TcpGossipTransport
+from repro.live.transport import TcpGossipTransport, relay_targets
 from repro.mining.oracle import MiningOracle
-from repro.net.message import KIND_SYNC_HEADERS_REQUEST, KIND_TX, Message, is_sync_kind
+from repro.net.message import (
+    KIND_BLOCK,
+    KIND_SYNC_HEADERS_REQUEST,
+    KIND_TX,
+    Message,
+    is_sync_kind,
+)
+from repro.net.topology import overlay_topology
 from repro.net.wire import KIND_HELLO, encode_message, frame
 from repro.node.sync import SyncConfig
 from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
@@ -261,6 +272,59 @@ class TestHandshake:
         asyncio.run(run())
 
 
+async def _settled_gossip(transports: dict[int, TcpGossipTransport], arrivals: int) -> None:
+    """Wait for ``arrivals`` copies in all, then check no more come."""
+    delivered = lambda: sum(t.stats.messages_delivered for t in transports.values())
+    assert await _wait_until(lambda: delivered() >= arrivals, timeout=10.0)
+    await asyncio.sleep(0.1)
+    assert delivered() == arrivals
+
+
+def _genesis_with_multiple(origin: int, multiple: float) -> bytes:
+    """The genesis block's frame with its difficulty multiple rewritten: every
+    byte well-framed, the header unbuildable below 1.0 (Eq. 6)."""
+    block = make_genesis()
+    body = encode_message(
+        Message(kind=KIND_BLOCK, payload=block, body_size=block.size, origin=origin, msg_id=1)
+    )
+    one = struct.pack(">d", block.header.difficulty_multiple)
+    assert block.header.difficulty_multiple == 1.0 and one in body
+    return frame(body.replace(one, struct.pack(">d", multiple), 1))
+
+
+class TestHostileFrames:
+    def test_a_well_framed_unbuildable_payload_closes_only_its_connection(self):
+        """A frame that parses but cannot be built into a block is refused
+        like garbage: the connection closes, no exception escapes to the
+        loop, and the node keeps serving its other peers."""
+
+        async def run() -> None:
+            loop = asyncio.get_running_loop()
+            escaped: list[dict] = []
+            loop.set_exception_handler(lambda _, context: escaped.append(context))
+            manifest = localhost_manifest(ports=free_ports(2))
+            transports = await _start_transports(manifest, [0, 1])
+            accepted: list[tuple[int, Message]] = []
+            transports[0].attach(0, _contract_handler(transports[0], accepted))
+            try:
+                spec = manifest.peer(0)
+                reader, writer = await asyncio.open_connection(spec.host, spec.port)
+                writer.write(_hello(1) + _genesis_with_multiple(1, 0.5))
+                await writer.drain()
+                assert await _closed_by_peer(reader)
+                writer.close()
+                assert accepted == []
+
+                transports[1].unicast(1, 0, _tx_message(1))
+                assert await _wait_until(lambda: accepted, timeout=5.0)
+                assert accepted[0][0] == 1
+                assert escaped == []
+            finally:
+                await _stop_all(transports)
+
+        asyncio.run(run())
+
+
 class TestMessageEconomy:
     """A gossip copy is encoded once, and decoded once per node it reaches."""
 
@@ -294,19 +358,43 @@ class TestMessageEconomy:
             try:
                 message = _tx_message(0)
                 transports[0].gossip(0, message)
-                # 3 copies from the origin, then each receiver forwards to the
-                # other two: 9 arrivals, 6 of them duplicates.
-                delivered = lambda: sum(t.stats.messages_delivered for t in transports.values())
-                assert await _wait_until(lambda: delivered() == 9, timeout=10.0)
-                await asyncio.sleep(0.1)
-                assert delivered() == 9
-                assert sum(t.stats.messages_sent for t in transports.values()) == 9
+                # 3 copies from the origin, and no relays: every other member
+                # is the origin's neighbour and got the origin's own copy.
+                await _settled_gossip(transports, arrivals=3)
+                assert sum(t.stats.messages_sent for t in transports.values()) == 3
                 assert [len(accepted[i]) for i in range(4)] == [0, 1, 1, 1]
                 assert all(
                     got[0][1].payload == message.payload for got in list(accepted.values())[1:]
                 )
                 assert codec_calls["encode"].count(KIND_TX) == 1
                 assert codec_calls["decode"].count(KIND_TX) == 3
+            finally:
+                await _stop_all(transports)
+
+        asyncio.run(run())
+
+    def test_a_block_still_floods_every_link(self, codec_calls):
+        """Every member relays every block it receives, so receipt times stay
+        within δ even when a producer withholds its block from someone."""
+
+        async def run() -> None:
+            manifest = localhost_manifest(ports=free_ports(4))  # complete overlay
+            transports = await _start_transports(manifest, [0, 1, 2, 3])
+            accepted: dict[int, list[tuple[int, Message]]] = {i: [] for i in range(4)}
+            for node_id, transport in transports.items():
+                transport.attach(node_id, _contract_handler(transport, accepted[node_id]))
+            try:
+                block = make_genesis()
+                transports[0].gossip(
+                    0, Message(kind=KIND_BLOCK, payload=block, body_size=block.size, origin=0)
+                )
+                # 3 copies from the origin, then each receiver forwards to the
+                # other two: 9 arrivals, 6 of them duplicates.
+                await _settled_gossip(transports, arrivals=9)
+                assert sum(t.stats.messages_sent for t in transports.values()) == 9
+                assert [len(accepted[i]) for i in range(4)] == [0, 1, 1, 1]
+                assert codec_calls["encode"].count(KIND_BLOCK) == 1
+                assert codec_calls["decode"].count(KIND_BLOCK) == 3
             finally:
                 await _stop_all(transports)
 
@@ -365,6 +453,57 @@ class TestMessageEconomy:
         asyncio.run(run())
 
 
+def _spread(
+    adjacency: dict[int, list[int]], origin: int, kind: str, rng: random.Random
+) -> tuple[set[int], int]:
+    """Who a gossip from ``origin`` reaches, and how many copies it costs,
+    when every copy sent arrives, in an order ``rng`` picks."""
+    message = Message(kind=kind, payload=None, body_size=0, origin=origin)
+    reached = {origin}
+    in_flight = [(origin, peer) for peer in relay_targets(adjacency, origin, message, None)]
+    sent = len(in_flight)
+    while in_flight:
+        src, dst = in_flight.pop(rng.randrange(len(in_flight)))
+        if dst in reached:
+            continue
+        reached.add(dst)
+        onward = relay_targets(adjacency, dst, message, src)
+        sent += len(onward)
+        in_flight.extend((dst, peer) for peer in onward)
+    return reached, sent
+
+
+class TestRelayRule:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 20),
+        degree=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_every_origin_reaches_every_member_under_both_rules(self, n, degree, seed, rng):
+        """A ``tx`` relayed around its origin's neighbours and a flooded
+        ``block`` both reach every member, whatever order copies arrive in;
+        in a complete overlay the transaction costs n − 1 copies."""
+        adjacency = overlay_topology(n, degree, seed=seed)
+        complete = all(len(peers) == n - 1 for peers in adjacency.values())
+        for origin in adjacency:
+            for kind in (KIND_TX, KIND_BLOCK):
+                reached, sent = _spread(adjacency, origin, kind, rng)
+                assert reached == set(adjacency), (origin, kind)
+                if kind == KIND_TX and complete:
+                    assert sent == n - 1
+
+    def test_only_a_copy_straight_from_its_origin_skips_the_origins_neighbours(self):
+        adjacency = {0: [1, 2], 1: [0, 2, 3], 2: [0, 1, 3], 3: [1, 2]}
+        tx = Message(kind=KIND_TX, payload=None, body_size=0, origin=0)
+        block = Message(kind=KIND_BLOCK, payload=None, body_size=0, origin=0)
+        assert relay_targets(adjacency, 0, tx, None) == [1, 2]
+        assert relay_targets(adjacency, 1, tx, 0) == [3]
+        assert relay_targets(adjacency, 1, tx, 2) == [0, 3]
+        assert relay_targets(adjacency, 1, block, 0) == [2, 3]
+
+
 class TestReconnect:
     def test_backoff_retries_until_late_server_appears(self):
         async def run() -> None:
@@ -398,6 +537,58 @@ class TestReconnect:
                     await late.stop()
             finally:
                 await dialer.stop()
+
+        asyncio.run(run())
+
+
+class TestBackpressure:
+    def test_a_peer_that_never_reads_costs_backlog_drops_not_a_stall(self):
+        """Once a peer's unsent bytes reach the bound, further sends to it are
+        dropped and counted as ``backlog``; the sender never waits on it."""
+
+        async def run() -> None:
+            manifest = localhost_manifest(ports=free_ports(3))
+            stuck: list[asyncio.StreamWriter] = []
+
+            async def never_read(_reader, writer) -> None:
+                stuck.append(writer)
+
+            spec = manifest.peer(1)
+            server = await asyncio.start_server(never_read, spec.host, spec.port)
+            transports = await _start_transports(manifest, [0, 2])
+            received: list[Message] = []
+            transports[2].attach(2, lambda message, peer: received.append(message))
+            sender = transports[0]
+            try:
+                assert await sender.wait_connected(2, timeout=5.0)
+                big = make_transaction(
+                    keypair(0), keypair(9).public.fingerprint(), 1, 0, pad_to=1 << 18
+                )
+                message = Message(kind=KIND_TX, payload=big, body_size=big.size, origin=0)
+                slowest = 0.0
+                for _ in range(200):
+                    begin = time.perf_counter()
+                    sender.unicast(0, 1, message)
+                    slowest = max(slowest, time.perf_counter() - begin)
+                    if sender.stats.drops_by_reason["backlog"]:
+                        break
+                    await asyncio.sleep(0.005)  # let the socket drain what it can
+                stats = sender.stats
+                assert stats.drops_by_reason["backlog"] == 1
+                assert stats.messages_sent >= live_transport.SEND_BUFFER_LIMIT // big.size
+                assert slowest < 0.5
+
+                sender.unicast(0, 1, message)
+                assert stats.drops_by_reason["backlog"] == 2
+                sender.unicast(0, 2, _tx_message(0))
+                assert await _wait_until(lambda: received, timeout=5.0)
+            finally:
+                # Nor does shutting down wait for the peer to read.
+                await asyncio.wait_for(_stop_all(transports), timeout=5.0)
+                for writer in stuck:
+                    writer.close()
+                server.close()
+                await server.wait_closed()
 
         asyncio.run(run())
 
