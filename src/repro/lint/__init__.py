@@ -32,8 +32,6 @@ encodes those invariants as named, testable rules:
  REP023    state written from both a thread entry point and other code
            needs a lock on the thread side
  REP024    sqlite connections used from handler threads need a lock
- REP030    every wire message kind has an encoder, a decoder, and a
-           node-side handler (protocol-dispatch completeness)
 ========  ==============================================================
 
 Findings can be silenced per line with ``# repro: allow[CODE]`` (several

@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "Determinism & protocol-safety static analysis for the "
-            "reproduction codebase (rules REP001-REP030). "
+            "reproduction codebase (rules REP001-REP024). "
             "Exit codes: 0 clean, 1 findings, 2 usage error."
         ),
     )

@@ -1,37 +1,14 @@
 """Rule configuration: which packages, modules and name patterns to check.
 
 The defaults encode *this* repository's invariants (the packages whose
-code runs inside the deterministic simulation, the environ gateway, the
-wire-dispatch surface).  Tests construct custom configs pointed at fixture
-trees, so every rule is exercised against minimal projects rather than the
-live codebase.
+code runs inside the deterministic simulation, the environ gateway).
+Tests construct custom configs pointed at fixture trees, so every rule is
+exercised against minimal projects rather than the live codebase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class WireProtocol:
-    """The wire-format dispatch surface REP030 keeps complete.
-
-    ``wire_module`` owns the codec (``encode``/``decode`` functions whose
-    bodies branch on message ``kind``); ``kind_modules`` declare the
-    ``KIND_*`` string constants; ``handler_modules`` are where a received
-    message of each kind must be dispatched node-side.
-    """
-
-    wire_module: str = "repro.net.wire"
-    kind_modules: tuple[str, ...] = ("repro.net.message", "repro.net.wire")
-    handler_modules: tuple[str, ...] = (
-        "repro.node.sync",
-        "repro.consensus.powfamily",
-        "repro.live.transport",
-    )
-    encode_name_pattern: str = r"encode"
-    decode_name_pattern: str = r"decode"
-    constant_prefix: str = "KIND_"
 
 
 @dataclass(frozen=True)
@@ -181,9 +158,6 @@ class LintConfig:
 
     #: Call-graph search depth for REP010 taint traces.
     taint_max_depth: int = 10
-
-    #: The message-kind dispatch surface (REP030).
-    wire: WireProtocol = WireProtocol()
 
     # -- scope helpers ----------------------------------------------------------
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro.lint.asyncrules  # noqa: F401  -- registers REP020-REP024 on import
-import repro.lint.protocol  # noqa: F401  -- registers REP030 on import
 import repro.lint.rules  # noqa: F401  -- registers REP001-REP010 on import
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.diagnostics import PARSE_ERROR, UNUSED_SUPPRESSION, Diagnostic

@@ -37,7 +37,6 @@ from repro.lint.facts import (
     FileFacts,
     FunctionFact,
     ImportFact,
-    KindTest,
     MutationFact,
     SourceFact,
     WriteFact,
@@ -204,8 +203,6 @@ class _Extractor:
         # walk is: recorded as written here, resolved in :meth:`run`.
         self.calls: list[_Call] = []
         self.chains: list[_ChainUse] = []
-        #: (chain parts, rooted, is a bare name, function) of kind tests.
-        self.kind_refs: list[tuple[list[str], bool, bool, FunctionFact]] = []
         self.dispatch: dict[type[ast.AST], Callable[..., None]] = {
             ast.Import: self.visit_import,
             ast.ImportFrom: self.visit_import_from,
@@ -230,7 +227,6 @@ class _Extractor:
             ast.SetComp: self.visit_comprehension,
             ast.GeneratorExp: self.visit_comprehension,
             ast.DictComp: self.visit_comprehension,
-            ast.Compare: self.visit_compare,
         }
 
     def run(self, tree: ast.Module) -> None:
@@ -253,13 +249,6 @@ class _Extractor:
                     for name in use.parts
                     if name in connections
                 )
-        for parts, rooted, bare, function in self.kind_refs:
-            resolved = self.resolve(parts, rooted)
-            refs = [] if resolved is None else [resolved]
-            if bare:
-                refs.append(f"{self.module}.{parts[0]}")
-            if refs:
-                self.facts.kind_tests.append(KindTest(None, tuple(refs), function))
 
     # -- traversal --------------------------------------------------------------------
 
@@ -588,36 +577,19 @@ class _Extractor:
         if scope is not None:
             for target in targets:
                 self.record_write(scope, node, target)
-        if isinstance(node, ast.Assign):
-            if isinstance(value, ast.Call):
-                self.statement = node
-            if (
-                scope is None
-                and self.class_body is None
-                and len(targets) == 1
-                and isinstance(targets[0], ast.Name)
-            ):
-                self.module_constant(targets[0].id, node.value, node.lineno)
+        if isinstance(node, ast.Assign) and isinstance(value, ast.Call):
+            self.statement = node
         self.visit_all(targets)
         if value is not None:
             self.visit(value)
 
     def annotated_assign(self, node: ast.AnnAssign) -> None:
         identifiers = self.annotation(node.annotation)
-        if not isinstance(node.target, ast.Name):
-            return
-        name = node.target.id
-        if self.scope is not None:
+        if self.scope is not None and isinstance(node.target, ast.Name):
+            name = node.target.id
             self.scope.annotated[name] = identifiers
             if _is_set_annotation(node.annotation):
                 self.scope.set_names.add(name)
-        elif self.class_body is None and node.value is not None:
-            self.module_constant(name, node.value, node.lineno)
-
-    def module_constant(self, name: str, value: ast.expr, line: int) -> None:
-        """Module-level ``NAME = "..."``: a string constant (REP030 kinds)."""
-        if isinstance(value, ast.Constant) and isinstance(value.value, str):
-            self.facts.str_constants[f"{self.module}.{name}"] = (value.value, line)
 
     def record_write(self, scope: _Scope, node: ast.stmt, target: ast.expr) -> None:
         """Attribute mutations (REP005) and shared-state writes (REP023)."""
@@ -694,29 +666,3 @@ class _Extractor:
                 self.source("dict-view", f"a dict .{func.attr}() view", node)
         elif isinstance(node, ast.Name) and self.scope is not None:
             self.scope.name_iterations.append((node.id, node.lineno, node.col_offset))
-
-    # -- kind tests (REP030) ----------------------------------------------------------
-
-    def visit_compare(self, node: ast.Compare) -> None:
-        if self.scope is not None:
-            operands = [node.left, *node.comparators]
-            if any(_terminal_name(op) == "kind" for op in operands):
-                for operand in operands:
-                    if _terminal_name(operand) == "kind":
-                        continue
-                    # ``in {A, B}`` / ``in (A, B)`` membership containers
-                    # count element-wise.
-                    elements = (
-                        operand.elts
-                        if isinstance(operand, (ast.Set, ast.Tuple, ast.List))
-                        else [operand]
-                    )
-                    for element in elements:
-                        self.kind_test(element, self.scope.fact)
-        self.children(node)
-
-    def kind_test(self, node: ast.expr, function: FunctionFact) -> None:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            self.facts.kind_tests.append(KindTest(node.value, (), function))
-        elif isinstance(node, (ast.Name, ast.Attribute)):
-            self.kind_refs.append((*_chain(node), isinstance(node, ast.Name), function))

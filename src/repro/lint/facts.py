@@ -110,20 +110,6 @@ class CallFact:
 
 
 @dataclass(frozen=True)
-class KindTest:
-    """A comparison against a message ``kind`` inside ``function``.
-
-    Either a literal string ``value`` or candidate constant qualnames in
-    ``refs`` (``repro.net.message.KIND_BLOCK``), resolved against the
-    project string-constant table by REP030.
-    """
-
-    value: str | None
-    refs: tuple[str, ...]
-    function: FunctionFact
-
-
-@dataclass(frozen=True)
 class MutationFact:
     """An attribute mutation of an annotated parameter or local.
 
@@ -212,12 +198,9 @@ class FileFacts:
     functions: list[FunctionFact] = field(default_factory=list)
     sources: list[SourceFact] = field(default_factory=list)
     calls: list[CallFact] = field(default_factory=list)
-    kind_tests: list[KindTest] = field(default_factory=list)
     mutations: list[MutationFact] = field(default_factory=list)
     classes: list[ClassFact] = field(default_factory=list)
     dataclasses: list[DataclassInfo] = field(default_factory=list)
-    #: Module-level string constant qualname → (value, line).
-    str_constants: dict[str, tuple[str, int]] = field(default_factory=dict)
     #: Names passed as ``Thread(target=...)`` anywhere in the file.
     thread_targets: set[str] = field(default_factory=set)
     writes: list[WriteFact] = field(default_factory=list)
@@ -242,7 +225,6 @@ class ProjectSymbols:
         self.files: dict[str, FileFacts] = {}
         self.functions: dict[str, FunctionFact] = {}
         self.dataclasses: dict[str, DataclassInfo] = {}
-        self.str_constants: dict[str, tuple[str, int]] = {}
         #: Function qualname → the unwaived taint sources in its own body.
         self.taint_sources: dict[str, list[SourceFact]] = {}
         for record in self.records:
@@ -251,7 +233,6 @@ class ProjectSymbols:
                 self.functions[function.qualname] = function
             for info in record.dataclasses:
                 self.dataclasses[f"{info.module}.{info.name}"] = info
-            self.str_constants.update(record.str_constants)
             self._collect_taint(record, config)
 
     def _collect_taint(self, record: FileFacts, config: "LintConfig") -> None:
@@ -280,11 +261,6 @@ class ProjectSymbols:
             ) or record.suppressions.is_suppressed(source.line, "REP010"):
                 continue
             self.taint_sources.setdefault(source.function.qualname, []).append(source)
-
-    def resolve_constant(self, qualname: str) -> str | None:
-        """Value of a module-level string constant, if known."""
-        entry = self.str_constants.get(qualname)
-        return entry[0] if entry is not None else None
 
 
 # -- taint search (REP010) -------------------------------------------------------------

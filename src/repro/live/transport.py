@@ -54,6 +54,7 @@ from repro.net.transport import DropFilter, Handler, NetworkStats
 from repro.net.wire import (
     KIND_HELLO,
     FrameDecoder,
+    Hello,
     decode_message,
     encode_message,
     frame,
@@ -400,10 +401,7 @@ class TcpGossipTransport:
                 pass
             else:
                 hello = Message(
-                    kind=KIND_HELLO,
-                    payload={"node_id": self.node_id},
-                    body_size=8,
-                    origin=self.node_id,
+                    kind=KIND_HELLO, payload=Hello(self.node_id), body_size=8, origin=self.node_id
                 )
                 failures = 0
                 try:
@@ -425,18 +423,21 @@ class TcpGossipTransport:
     def _receive(self, body: bytes, from_peer: int | None) -> int:
         """Take one frame off a connection; return the peer it is from.
 
-        The first frame must be the hello that names the peer.  After it, a
-        gossip copy (not ``sync/*``, not ``live/hello``) whose
-        ``(origin, msg_id)`` is already seen is counted like any arrival and
-        its payload is never parsed — ``gossip_deliver`` would turn it away
-        (the handler contract).  Anything else is decoded in full before the
-        handler sees it.  Raises :class:`CodecError` when the connection
-        must close.
+        The first frame must be the hello that names the peer, and it is the
+        only hello: a second one closes the connection instead of reaching
+        the node, which would flood it as gossip.  After the hello, a gossip
+        copy (not ``sync/*``) whose ``(origin, msg_id)`` is already seen is
+        counted like any arrival and its payload is never parsed —
+        ``gossip_deliver`` would turn it away (the handler contract).
+        Anything else is decoded in full before the handler sees it.  Raises
+        :class:`CodecError` when the connection must close.
         """
         if from_peer is None:
             return self._handshake(decode_message(body))
         kind, origin, msg_id = peek_envelope(body)
-        if (origin, msg_id) in self._seen and kind != KIND_HELLO and not is_sync_kind(kind):
+        if kind == KIND_HELLO:
+            raise CodecError(f"second hello on the connection from node {from_peer}")
+        if (origin, msg_id) in self._seen and not is_sync_kind(kind):
             self._arrival()
             return from_peer
         message = decode_message(body)
@@ -453,7 +454,7 @@ class TcpGossipTransport:
         """The peer a connection's first frame announces, if it may be one."""
         if hello.kind != KIND_HELLO:
             raise CodecError("first frame on a connection must be hello")
-        peer = int(hello.payload["node_id"])
+        peer = hello.payload.node_id
         if not 0 <= peer < self.manifest.n or peer == self.node_id:
             raise CodecError(f"hello from node {peer}, which is not a peer")
         return peer

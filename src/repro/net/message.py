@@ -1,17 +1,23 @@
-"""Network message envelopes.
+"""Network message envelopes and the chain-sync payloads they carry.
 
 Messages carry Python objects between simulated nodes; the network charges
 bandwidth for :attr:`Message.size` bytes.  For chain objects (blocks,
 transactions) the size is the real serialized size; protocol messages (PBFT
-votes, etc.) declare their wire size explicitly, which is how the PBFT
-baseline's O(n²) traffic becomes a bandwidth cost.
+votes, sync requests, etc.) declare their wire size explicitly, which is how
+the PBFT baseline's O(n²) traffic becomes a bandwidth cost.
+
+Each chain-sync payload is a frozen dataclass that declares its own
+``kind``; :mod:`repro.net.wire` derives the payload's codec from its field
+types, so the declaration here is the only description of its bytes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
+
+from repro.chain.block import Block
 
 _msg_counter = itertools.count()
 
@@ -24,36 +30,14 @@ MESSAGE_OVERHEAD_BYTES = 64
 # dedup.  Sync kinds are point-to-point request/response pairs used by the
 # chain-sync protocol (:mod:`repro.node.sync`): a recovering node first pulls
 # main-chain *header ids* above its best common ancestor, then fetches the
-# block bodies it is missing.
+# block bodies it is missing.  Their payloads are the dataclasses below.
 
 KIND_BLOCK = "block"
 KIND_TX = "tx"
 
-#: Headers request: {"request_id", "locator"} — bitcoin-style block locator.
-KIND_SYNC_HEADERS_REQUEST = "sync/headers_req"
-#: Headers response: {"request_id", "start_height", "ids", "full"}.
-KIND_SYNC_HEADERS_RESPONSE = "sync/headers_resp"
-#: Bodies request: {"request_id", "ids"} — block ids the requester lacks.
-KIND_SYNC_BLOCKS_REQUEST = "sync/blocks_req"
-#: Bodies response: {"request_id", "blocks"}.
-KIND_SYNC_BLOCKS_RESPONSE = "sync/blocks_resp"
-
-#: Prefix shared by every chain-sync message kind.
-SYNC_KIND_PREFIX = "sync/"
-
-SYNC_KINDS = frozenset(
-    {
-        KIND_SYNC_HEADERS_REQUEST,
-        KIND_SYNC_HEADERS_RESPONSE,
-        KIND_SYNC_BLOCKS_REQUEST,
-        KIND_SYNC_BLOCKS_RESPONSE,
-    }
-)
-
-
 def is_sync_kind(kind: str) -> bool:
-    """True for point-to-point chain-sync messages (never gossiped)."""
-    return kind.startswith(SYNC_KIND_PREFIX)
+    """True for point-to-point chain-sync messages, ``sync/*`` (never gossiped)."""
+    return kind.startswith("sync/")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,3 +67,43 @@ class Message:
     def size(self) -> int:
         """Total bytes charged to the link: body plus framing."""
         return self.body_size + MESSAGE_OVERHEAD_BYTES
+
+
+# -- chain-sync payloads ---------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class HeadersRequest:
+    """Ask for main-chain ids above the newest shared block ``locator`` names."""
+
+    kind: ClassVar[str] = "sync/headers_req"
+    request_id: str
+    locator: tuple[bytes, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class HeadersResponse:
+    """One page of main-chain ids; ``full`` means more may follow."""
+
+    kind: ClassVar[str] = "sync/headers_resp"
+    request_id: str
+    ids: tuple[bytes, ...]
+    full: bool
+
+
+@dataclass(frozen=True, slots=True)
+class BlocksRequest:
+    """Ask for the bodies of the block ``ids`` the requester lacks."""
+
+    kind: ClassVar[str] = "sync/blocks_req"
+    request_id: str
+    ids: tuple[bytes, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class BlocksResponse:
+    """The requested bodies the peer holds."""
+
+    kind: ClassVar[str] = "sync/blocks_resp"
+    request_id: str
+    blocks: tuple[Block, ...]

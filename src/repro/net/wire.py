@@ -1,15 +1,16 @@
 """Wire serialization for live transport messages.
 
 The simulated network passes :class:`~repro.net.message.Message` objects by
-reference; the live TCP backend must put them on real sockets.  This module
-maps each message kind onto the repo's canonical codec
-(:mod:`repro.chain.codec`) so both backends speak about the *same* payloads:
-
-* ``block`` — the block's own canonical serialization;
-* ``tx`` — the transaction's canonical serialization;
-* ``sync/*`` — the chain-sync request/response dicts field by field;
-* ``live/hello`` — the one live-only kind: a connection handshake that
-  announces the dialing node's id.
+reference; the live TCP backend must put them on real sockets.  One table,
+:data:`_CODECS`, maps each message kind to the ``(write, read)`` pair of its
+payload, so the encoder and the decoder read the same entry.  ``block`` and
+``tx`` use the object's own canonical serialization (:mod:`repro.chain.codec`),
+so both backends speak about the *same* payloads.  Every other payload is a
+frozen dataclass that declares its ``kind`` (the ``sync/*`` ones and
+:class:`Hello`, the live-only handshake); its pair is derived once, at
+import, from its field types in declaration order: ``str``, varint ``int``,
+``bool``, and a count then the items for ``tuple[bytes, ...]`` and
+``tuple[Block, ...]``.
 
 Framing is a 4-byte big-endian unsigned length prefix followed by the
 encoded message, so a stream reader can recover message boundaries without
@@ -25,7 +26,12 @@ single origin never reuses one.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
+import typing
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import Any, ClassVar
 
 from repro.chain.block import Block
 from repro.chain.codec import Reader, Writer
@@ -33,16 +39,24 @@ from repro.chain.transaction import Transaction
 from repro.errors import CodecError, ReproError
 from repro.net.message import (
     KIND_BLOCK,
-    KIND_SYNC_BLOCKS_REQUEST,
-    KIND_SYNC_BLOCKS_RESPONSE,
-    KIND_SYNC_HEADERS_REQUEST,
-    KIND_SYNC_HEADERS_RESPONSE,
     KIND_TX,
+    BlocksRequest,
+    BlocksResponse,
+    HeadersRequest,
+    HeadersResponse,
     Message,
 )
 
-#: Live-only connection handshake: payload {"node_id": int}.
-KIND_HELLO = "live/hello"
+
+@dataclass(frozen=True, slots=True)
+class Hello:
+    """Live-only connection handshake: the dialing node's id."""
+
+    kind: ClassVar[str] = "live/hello"
+    node_id: int
+
+
+KIND_HELLO = Hello.kind
 
 #: Bytes in the length prefix of every frame.
 FRAME_HEADER_BYTES = 4
@@ -55,80 +69,75 @@ _LENGTH = struct.Struct(">I")
 
 # -- payload codecs --------------------------------------------------------------------
 
-
-def _write_id_list(writer: Writer, ids: list[bytes]) -> None:
-    writer.write_varint(len(ids))
-    for block_id in ids:
-        writer.write_bytes(block_id)
+_Codec = tuple[Callable[[Writer, Any], object], Callable[[Reader], Any]]
 
 
-def _read_id_list(reader: Reader) -> list[bytes]:
-    return [reader.read_bytes() for _ in range(reader.read_varint())]
+def _canonical(cls: type[Block] | type[Transaction]) -> _Codec:
+    """A chain object as its own canonical bytes, length-prefixed."""
+    return (
+        lambda writer, value: writer.write_bytes(value.to_bytes()),
+        lambda reader: cls.from_bytes(reader.read_bytes()),
+    )
 
 
-def _encode_payload(message: Message, writer: Writer) -> None:
-    kind = message.kind
-    payload = message.payload
-    if kind == KIND_BLOCK:
-        writer.write_bytes(payload.to_bytes())
-    elif kind == KIND_TX:
-        writer.write_bytes(payload.to_bytes())
-    elif kind == KIND_HELLO:
-        writer.write_varint(payload["node_id"])
-    elif kind == KIND_SYNC_HEADERS_REQUEST:
-        writer.write_str(payload["request_id"])
-        _write_id_list(writer, payload["locator"])
-    elif kind == KIND_SYNC_HEADERS_RESPONSE:
-        writer.write_str(payload["request_id"])
-        writer.write_varint(payload["start_height"])
-        _write_id_list(writer, payload["ids"])
-        writer.write_bool(payload["full"])
-    elif kind == KIND_SYNC_BLOCKS_REQUEST:
-        writer.write_str(payload["request_id"])
-        _write_id_list(writer, payload["ids"])
-    elif kind == KIND_SYNC_BLOCKS_RESPONSE:
-        writer.write_str(payload["request_id"])
-        blocks: list[Block] = payload["blocks"]
-        writer.write_varint(len(blocks))
-        for block in blocks:
-            writer.write_bytes(block.to_bytes())
-    else:
+_FIELD_CODECS: dict[object, _Codec] = {
+    str: (Writer.write_str, Reader.read_str),
+    int: (Writer.write_varint, Reader.read_varint),
+    bool: (Writer.write_bool, Reader.read_bool),
+    bytes: (Writer.write_bytes, Reader.read_bytes),
+    Block: _canonical(Block),
+}
+
+
+def _field_codec(annotation: object) -> _Codec:
+    """The pair for one field type; a ``tuple[X, ...]`` is a count, then
+    the items."""
+    if typing.get_origin(annotation) is not tuple:
+        return _FIELD_CODECS[annotation]
+    write_item, read_item = _FIELD_CODECS[typing.get_args(annotation)[0]]
+
+    def write(writer: Writer, items: tuple[Any, ...]) -> None:
+        writer.write_varint(len(items))
+        for item in items:
+            write_item(writer, item)
+
+    def read(reader: Reader) -> tuple[Any, ...]:
+        return tuple([read_item(reader) for _ in range(reader.read_varint())])
+
+    return write, read
+
+
+def _dataclass_codec(cls: type) -> _Codec:
+    """The pair for a payload dataclass: its fields in declaration order."""
+    hints = typing.get_type_hints(cls)
+    fields = [(f.name, *_field_codec(hints[f.name])) for f in dataclasses.fields(cls)]
+
+    def write(writer: Writer, payload: Any) -> None:
+        for name, write_field, _ in fields:
+            write_field(writer, getattr(payload, name))
+
+    def read(reader: Reader) -> Any:
+        return cls(*[read_field(reader) for _, _, read_field in fields])
+
+    return write, read
+
+
+#: Message kind → ``(write, read)`` of its payload: the whole wire protocol.
+_CODECS: dict[str, _Codec] = {
+    KIND_BLOCK: _canonical(Block),
+    KIND_TX: _canonical(Transaction),
+    **{
+        cls.kind: _dataclass_codec(cls)
+        for cls in (Hello, HeadersRequest, HeadersResponse, BlocksRequest, BlocksResponse)
+    },
+}
+
+
+def _codec(kind: str) -> _Codec:
+    codec = _CODECS.get(kind)
+    if codec is None:
         raise CodecError(f"no wire codec for message kind {kind!r}")
-
-
-def _decode_payload(kind: str, reader: Reader) -> object:
-    if kind == KIND_BLOCK:
-        return Block.from_bytes(reader.read_bytes())
-    if kind == KIND_TX:
-        return Transaction.from_bytes(reader.read_bytes())
-    if kind == KIND_HELLO:
-        return {"node_id": reader.read_varint()}
-    if kind == KIND_SYNC_HEADERS_REQUEST:
-        return {
-            "request_id": reader.read_str(),
-            "locator": _read_id_list(reader),
-        }
-    if kind == KIND_SYNC_HEADERS_RESPONSE:
-        return {
-            "request_id": reader.read_str(),
-            "start_height": reader.read_varint(),
-            "ids": _read_id_list(reader),
-            "full": reader.read_bool(),
-        }
-    if kind == KIND_SYNC_BLOCKS_REQUEST:
-        return {
-            "request_id": reader.read_str(),
-            "ids": _read_id_list(reader),
-        }
-    if kind == KIND_SYNC_BLOCKS_RESPONSE:
-        return {
-            "request_id": reader.read_str(),
-            "blocks": [
-                Block.from_bytes(reader.read_bytes())
-                for _ in range(reader.read_varint())
-            ],
-        }
-    raise CodecError(f"no wire codec for message kind {kind!r}")
+    return codec
 
 
 # -- message envelope -------------------------------------------------------------------
@@ -141,7 +150,7 @@ def encode_message(message: Message) -> bytes:
     writer.write_varint(message.origin)
     writer.write_varint(message.msg_id)
     writer.write_varint(message.body_size)
-    _encode_payload(message, writer)
+    _codec(message.kind)[0](writer, message.payload)
     return writer.getvalue()
 
 
@@ -168,8 +177,9 @@ def decode_message(data: bytes) -> Message:
     """
     reader = Reader(data)
     kind, origin, msg_id, body_size = _read_envelope(reader)
+    read = _codec(kind)[1]
     try:
-        payload = _decode_payload(kind, reader)
+        payload = read(reader)
     except CodecError:
         raise
     except ReproError as exc:

@@ -4,7 +4,7 @@ A node that crashed, slept through a partition, or joined via the §IV-C
 governance flow holds a stale prefix of the main chain and must catch up
 before it can mine at the correct self-adaptive difficulty.  The
 :class:`SyncManager` runs a two-phase pull protocol over point-to-point
-messages (kinds declared in :mod:`repro.net.message`):
+messages (payload types declared in :mod:`repro.net.message`):
 
 1. **headers** — send a bitcoin-style block locator; the peer answers with
    the main-chain block *ids* above the highest common ancestor (one page of
@@ -17,7 +17,8 @@ peer's tip.  Every outstanding request is guarded by a timeout with
 exponential backoff and bounded retries; each retry rotates to the next
 neighbor, so one dead or partitioned peer cannot wedge recovery.  All sync
 traffic is unicast (never gossiped) and stale responses — answers to a
-request that already timed out — are matched by request id and dropped.
+request that already timed out, or from a peer that was never asked — are
+matched by request id and sender and dropped.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from typing import TYPE_CHECKING
 from repro.errors import SimulationError
 from repro.net.clock import TimerHandle
 from repro.net.message import (
-    KIND_SYNC_BLOCKS_REQUEST,
-    KIND_SYNC_BLOCKS_RESPONSE,
-    KIND_SYNC_HEADERS_REQUEST,
-    KIND_SYNC_HEADERS_RESPONSE,
+    BlocksRequest,
+    BlocksResponse,
+    HeadersRequest,
+    HeadersResponse,
     Message,
 )
 
@@ -160,13 +161,12 @@ class SyncManager:
 
     def _send_current_request(self) -> None:
         """(Re-)send the request for the current phase and arm its timeout."""
-        self._request_id = self._next_request_id()
+        request_id = self._request_id = self._next_request_id()
         if self._phase == "headers":
             locator = self._locator()
-            payload = {"request_id": self._request_id, "locator": locator}
             message = Message(
-                kind=KIND_SYNC_HEADERS_REQUEST,
-                payload=payload,
+                kind=HeadersRequest.kind,
+                payload=HeadersRequest(request_id, locator),
                 body_size=SYNC_ENVELOPE_BYTES + BLOCK_ID_WIRE_BYTES * len(locator),
                 origin=self.node.node_id,
             )
@@ -181,10 +181,9 @@ class SyncManager:
             if not self._pending_ids:
                 self._advance_after_blocks()
                 return
-            payload = {"request_id": self._request_id, "ids": list(self._pending_ids)}
             message = Message(
-                kind=KIND_SYNC_BLOCKS_REQUEST,
-                payload=payload,
+                kind=BlocksRequest.kind,
+                payload=BlocksRequest(request_id, tuple(self._pending_ids)),
                 body_size=SYNC_ENVELOPE_BYTES
                 + BLOCK_ID_WIRE_BYTES * len(self._pending_ids),
                 origin=self.node.node_id,
@@ -212,7 +211,7 @@ class SyncManager:
         self._peer = peers[self._peer_offset]
         self._send_current_request()
 
-    def _locator(self) -> list[bytes]:
+    def _locator(self) -> tuple[bytes, ...]:
         """Bitcoin-style block locator: main-chain ids at the tip, then at
         exponentially growing gaps back to genesis.
 
@@ -230,56 +229,50 @@ class SyncManager:
                 step *= 2
             height -= step
         ids.append(chain[0].block_id)  # genesis always matches
-        return ids
+        return tuple(ids)
 
     # -- message dispatch -----------------------------------------------------------
 
     def on_message(self, message: Message, from_peer: int) -> None:
         """Handle any ``sync/*`` message (both protocol directions)."""
-        if message.kind == KIND_SYNC_HEADERS_REQUEST:
-            self._serve_headers(message, from_peer)
-        elif message.kind == KIND_SYNC_BLOCKS_REQUEST:
-            self._serve_blocks(message, from_peer)
-        elif message.kind == KIND_SYNC_HEADERS_RESPONSE:
-            self._on_headers_response(message)
-        elif message.kind == KIND_SYNC_BLOCKS_RESPONSE:
-            self._on_blocks_response(message)
+        payload = message.payload
+        if isinstance(payload, HeadersRequest):
+            self._serve_headers(payload, from_peer)
+        elif isinstance(payload, BlocksRequest):
+            self._serve_blocks(payload, from_peer)
+        elif isinstance(payload, HeadersResponse):
+            self._on_headers_response(payload, from_peer)
+        elif isinstance(payload, BlocksResponse):
+            self._on_blocks_response(payload, from_peer)
 
     # -- server side ---------------------------------------------------------------
 
-    def _serve_headers(self, message: Message, from_peer: int) -> None:
+    def _serve_headers(self, request: HeadersRequest, from_peer: int) -> None:
         chain = self.node.state.main_chain()
         positions = {block.block_id: i for i, block in enumerate(chain)}
         from_height = 1  # worst case: only genesis is shared
-        for block_id in message.payload["locator"]:
+        for block_id in request.locator:
             index = positions.get(block_id)
             if index is not None:
                 from_height = index + 1
                 break
-        ids = [b.block_id for b in chain[from_height : from_height + self.config.batch]]
+        ids = tuple(b.block_id for b in chain[from_height : from_height + self.config.batch])
         response = Message(
-            kind=KIND_SYNC_HEADERS_RESPONSE,
-            payload={
-                "request_id": message.payload["request_id"],
-                "start_height": from_height,
-                "ids": ids,
-                "full": len(ids) == self.config.batch,
-            },
+            kind=HeadersResponse.kind,
+            payload=HeadersResponse(request.request_id, ids, len(ids) == self.config.batch),
             body_size=SYNC_ENVELOPE_BYTES + BLOCK_ID_WIRE_BYTES * len(ids),
             origin=self.node.node_id,
         )
         self.node.ctx.network.unicast(self.node.node_id, from_peer, response)
 
-    def _serve_blocks(self, message: Message, from_peer: int) -> None:
+    def _serve_blocks(self, request: BlocksRequest, from_peer: int) -> None:
         tree = self.node.state.tree
-        blocks = []
-        for block_id in message.payload["ids"][: self.config.batch]:
-            if tree.has_block(block_id):
-                blocks.append(tree.get(block_id))
+        ids = request.ids[: self.config.batch]
+        blocks = tuple(tree.get(block_id) for block_id in ids if tree.has_block(block_id))
         body = sum(self.node.block_wire_bytes(block) for block in blocks)
         response = Message(
-            kind=KIND_SYNC_BLOCKS_RESPONSE,
-            payload={"request_id": message.payload["request_id"], "blocks": blocks},
+            kind=BlocksResponse.kind,
+            payload=BlocksResponse(request.request_id, blocks),
             body_size=SYNC_ENVELOPE_BYTES + body,
             origin=self.node.node_id,
         )
@@ -287,20 +280,22 @@ class SyncManager:
 
     # -- client responses ------------------------------------------------------------
 
-    def _matches(self, message: Message) -> bool:
-        if not self.active or message.payload.get("request_id") != self._request_id:
+    def _matches(self, response: HeadersResponse | BlocksResponse, from_peer: int) -> bool:
+        """True for the answer to the request in flight, from the peer it
+        went to; anything else is counted stale."""
+        if not self.active or (response.request_id, from_peer) != (self._request_id, self._peer):
             self.stats.stale_responses += 1
             return False
         return True
 
-    def _on_headers_response(self, message: Message) -> None:
-        if not self._matches(message) or self._phase != "headers":
+    def _on_headers_response(self, response: HeadersResponse, from_peer: int) -> None:
+        if not self._matches(response, from_peer) or self._phase != "headers":
             return
         self._cancel_timeout()
         self.stats.responses_received += 1
-        ids = message.payload["ids"]
+        ids = response.ids
         self.stats.headers_received += len(ids)
-        self._page_full = message.payload["full"]
+        self._page_full = response.full
         missing = [
             block_id for block_id in ids if block_id not in self.node.state.tree
         ]
@@ -317,12 +312,12 @@ class SyncManager:
         else:
             self._finish(success=True)
 
-    def _on_blocks_response(self, message: Message) -> None:
-        if not self._matches(message) or self._phase != "blocks":
+    def _on_blocks_response(self, response: BlocksResponse, from_peer: int) -> None:
+        if not self._matches(response, from_peer) or self._phase != "blocks":
             return
         self._cancel_timeout()
         self.stats.responses_received += 1
-        for block in message.payload["blocks"]:
+        for block in response.blocks:
             if block.block_id in self.node.state.tree:
                 continue
             self.stats.blocks_received += 1

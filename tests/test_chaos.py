@@ -23,7 +23,7 @@ from repro.chaos.invariants import (
 from repro.chaos.schedule import FaultPlan, FaultScheduler, random_fault_plan
 from repro.consensus.powfamily import powh_config, themis_config
 from repro.errors import SimulationError
-from repro.net.message import KIND_SYNC_HEADERS_RESPONSE, is_sync_kind
+from repro.net.message import HeadersResponse, is_sync_kind
 from repro.node.sync import SyncConfig
 from repro.sim.fleet import build_mining_fleet
 from repro.sim.runner import ExperimentConfig, run_experiment
@@ -233,7 +233,7 @@ class TestCrashRecovery:
         # Black-hole every sync response until one timeout has fired.
         for peer in (0, 1, 2):
             ctx.network.set_drop_filter(
-                peer, lambda msg: msg.kind == KIND_SYNC_HEADERS_RESPONSE
+                peer, lambda msg: msg.kind == HeadersResponse.kind
             )
         blackhole_until = ctx.sim.now + 3.0
         ctx.sim.schedule_at(
@@ -450,5 +450,5 @@ class TestScheduledRuns:
             run_experiment(cfg)
 
     def test_sync_kinds_are_point_to_point(self):
-        assert is_sync_kind(KIND_SYNC_HEADERS_RESPONSE)
+        assert is_sync_kind(HeadersResponse.kind)
         assert not is_sync_kind("block")

@@ -1161,126 +1161,6 @@ def test_rep024_unused_suppression_reported(tmp_path):
     assert codes(result) == [UNUSED_SUPPRESSION]
 
 
-# -- REP030 dispatch completeness --------------------------------------------------
-
-_WIRE_PARTIAL = """
-    KIND_BLOCK = "block"
-    KIND_PING = "ping"
-
-    def encode_message(message):
-        if message.kind == KIND_BLOCK:
-            return b"b"
-        raise ValueError("unknown kind")
-
-    def decode_message(body):
-        kind = body.decode()
-        if kind == KIND_BLOCK:
-            return object()
-        raise ValueError("unknown kind")
-"""
-
-_SYNC_PARTIAL = """
-    from repro.net.wire import KIND_BLOCK
-
-    def handle(message):
-        if message.kind == KIND_BLOCK:
-            return True
-        return False
-"""
-
-
-def test_rep030_flags_unhandled_wire_kind(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {
-            "src/repro/net/wire.py": _WIRE_PARTIAL,
-            "src/repro/node/sync.py": _SYNC_PARTIAL,
-        },
-    )
-    assert codes(result) == ["REP030", "REP030", "REP030"]
-    messages = "\n".join(d.message for d in result.diagnostics)
-    assert "no encoder branch" in messages
-    assert "no decoder branch" in messages
-    assert "no node-side handler" in messages
-    assert "'ping'" in messages and "'block'" not in messages
-
-
-def test_rep030_complete_dispatch_is_clean(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {
-            "src/repro/net/wire.py": """
-                KIND_BLOCK = "block"
-                KIND_PING = "ping"
-
-                def encode_message(message):
-                    if message.kind == KIND_BLOCK:
-                        return b"b"
-                    if message.kind == KIND_PING:
-                        return b"p"
-                    raise ValueError("unknown kind")
-
-                def decode_message(body):
-                    kind = body.decode()
-                    if kind in (KIND_BLOCK, KIND_PING):
-                        return object()
-                    raise ValueError("unknown kind")
-            """,
-            "src/repro/node/sync.py": """
-                from repro.net.wire import KIND_BLOCK, KIND_PING
-
-                def handle(message):
-                    if message.kind == KIND_BLOCK:
-                        return True
-                    if message.kind == KIND_PING:
-                        return False
-                    return None
-            """,
-        },
-    )
-    assert result.ok
-
-
-def test_rep030_suppressed_on_constant_line(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {
-            "src/repro/net/wire.py": """
-                KIND_BLOCK = "block"
-                KIND_PING = "ping"  # repro: allow[REP030]
-
-                def encode_message(message):
-                    if message.kind in (KIND_BLOCK, KIND_PING):
-                        return b"x"
-                    raise ValueError("unknown kind")
-
-                def decode_message(body):
-                    kind = body.decode()
-                    if kind in (KIND_BLOCK, KIND_PING):
-                        return object()
-                    raise ValueError("unknown kind")
-            """,
-            "src/repro/node/sync.py": _SYNC_PARTIAL,
-        },
-    )
-    # Ping round-trips through the codec; only the missing handler is
-    # waived (at the constant's declaration, where it is anchored).
-    assert result.ok
-
-
-def test_rep030_unused_suppression_reported(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {
-            "src/repro/net/other.py": """
-                def quiet():
-                    return 1  # repro: allow[REP030]
-            """
-        },
-    )
-    assert codes(result) == [UNUSED_SUPPRESSION]
-
-
 def test_every_rule_has_fixture_coverage():
     # The four-case contract above must cover the full registry: adding a
     # rule without fixtures should fail here, not silently ship.
@@ -1296,7 +1176,6 @@ def test_every_rule_has_fixture_coverage():
         "REP022",
         "REP023",
         "REP024",
-        "REP030",
     }
 
 
@@ -1318,7 +1197,7 @@ def test_rules_do_not_touch_ast():
                 importers.add(path.name)
     assert importers == {"extract.py"}
     rule_modules = {cls.__module__.rsplit(".", 1)[1] + ".py" for cls in RULES.values()}
-    assert rule_modules == {"rules.py", "asyncrules.py", "protocol.py"}
+    assert rule_modules == {"rules.py", "asyncrules.py"}
 
 
 # -- CLI ---------------------------------------------------------------------------

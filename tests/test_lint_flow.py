@@ -393,7 +393,7 @@ def test_each_file_parsed_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ast, "parse", counting_parse)
     result = lint_paths([tmp_path], root=tmp_path)
-    assert len(result.rules_run) == 12 and codes(result) == ["REP010"]
+    assert len(result.rules_run) == 11 and codes(result) == ["REP010"]
     assert sorted(parsed) == ["annotate.py", "hostclock.py", "reporting.py"]
 
 

@@ -29,15 +29,9 @@ from repro.live.manifest import ConsortiumManifest, localhost_manifest
 from repro.live import transport as live_transport
 from repro.live.transport import TcpGossipTransport, relay_targets
 from repro.mining.oracle import MiningOracle
-from repro.net.message import (
-    KIND_BLOCK,
-    KIND_SYNC_HEADERS_REQUEST,
-    KIND_TX,
-    Message,
-    is_sync_kind,
-)
+from repro.net.message import KIND_BLOCK, KIND_TX, HeadersRequest, Message, is_sync_kind
 from repro.net.topology import overlay_topology
-from repro.net.wire import KIND_HELLO, encode_message, frame
+from repro.net.wire import KIND_HELLO, Hello, encode_message, frame
 from repro.node.sync import SyncConfig
 from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
 
@@ -183,7 +177,7 @@ def _contract_handler(transport: TcpGossipTransport, accepted: list[tuple[int, M
 def _hello(node_id: int) -> bytes:
     return frame(
         encode_message(
-            Message(kind=KIND_HELLO, payload={"node_id": node_id}, body_size=8, origin=node_id)
+            Message(kind=KIND_HELLO, payload=Hello(node_id), body_size=8, origin=node_id)
         )
     )
 
@@ -192,8 +186,8 @@ def _headers_request(origin: int, msg_id: int) -> bytes:
     return frame(
         encode_message(
             Message(
-                kind=KIND_SYNC_HEADERS_REQUEST,
-                payload={"request_id": "r", "locator": []},
+                kind=HeadersRequest.kind,
+                payload=HeadersRequest("r", ()),
                 body_size=8,
                 origin=origin,
                 msg_id=msg_id,
@@ -324,6 +318,38 @@ class TestHostileFrames:
 
         asyncio.run(run())
 
+    def test_a_second_hello_closes_its_connection_and_reaches_no_node(self):
+        """A hello is not gossip: one after the handshake used to be handed
+        to the node, which relayed it to every member, each of which did the
+        same.  Now it closes its connection like garbage, and nothing is
+        delivered or sent."""
+
+        async def run() -> None:
+            manifest = localhost_manifest(ports=free_ports(4))  # complete overlay
+            transports = await _start_transports(manifest, [0, 1, 2])
+            accepted: dict[int, list[tuple[int, Message]]] = {i: [] for i in range(3)}
+            for node_id, transport in transports.items():
+                transport.attach(node_id, _contract_handler(transport, accepted[node_id]))
+            try:
+                spec = manifest.peer(0)
+                reader, writer = await asyncio.open_connection(spec.host, spec.port)
+                again = Message(kind=KIND_HELLO, payload=Hello(3), body_size=8, origin=3, msg_id=77)
+                writer.write(_hello(3) + frame(encode_message(again)))
+                await writer.drain()
+                assert await _closed_by_peer(reader)
+                writer.close()
+                await asyncio.sleep(0.2)
+                assert all(got == [] for got in accepted.values())
+                assert sum(t.stats.messages_sent for t in transports.values()) == 0
+
+                transports[1].unicast(1, 0, _tx_message(1))
+                assert await _wait_until(lambda: accepted[0], timeout=5.0)
+                assert accepted[0][0][0] == 1
+            finally:
+                await _stop_all(transports)
+
+        asyncio.run(run())
+
 
 class TestMessageEconomy:
     """A gossip copy is encoded once, and decoded once per node it reaches."""
@@ -427,7 +453,7 @@ class TestMessageEconomy:
                 writer.write(_headers_request(first.origin, first.msg_id))
                 await writer.drain()
                 assert await _wait_until(lambda: len(accepted) == 2, timeout=5.0)
-                assert accepted[1][1].kind == KIND_SYNC_HEADERS_REQUEST
+                assert accepted[1][1].kind == HeadersRequest.kind
                 assert node.stats.messages_delivered == 3
 
                 # Offline, the duplicate is an offline drop like any arrival.

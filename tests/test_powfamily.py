@@ -25,11 +25,7 @@ from repro.crypto.signature import sign_digest
 from repro.errors import InvalidBlockError
 from repro.mining.oracle import MiningOracle
 from repro.net.latency import LinkModel
-from repro.net.message import (
-    KIND_SYNC_BLOCKS_RESPONSE,
-    KIND_SYNC_HEADERS_RESPONSE,
-    Message,
-)
+from repro.net.message import BlocksResponse, HeadersResponse, Message
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
@@ -367,13 +363,10 @@ class TestChildFirstAdmission:
         node.sync.start_sync(1)
         node.sync.on_message(
             Message(
-                kind=KIND_SYNC_HEADERS_RESPONSE,
-                payload={
-                    "request_id": node.sync._request_id,
-                    "start_height": first.height,
-                    "ids": [block.block_id for block in page],
-                    "full": False,
-                },
+                kind=HeadersResponse.kind,
+                payload=HeadersResponse(
+                    node.sync._request_id, tuple(block.block_id for block in page), False
+                ),
                 body_size=0,
                 origin=1,
             ),
@@ -381,8 +374,8 @@ class TestChildFirstAdmission:
         )
         node.sync.on_message(
             Message(
-                kind=KIND_SYNC_BLOCKS_RESPONSE,
-                payload={"request_id": node.sync._request_id, "blocks": page[::-1]},
+                kind=BlocksResponse.kind,
+                payload=BlocksResponse(node.sync._request_id, tuple(page[::-1])),
                 body_size=0,
                 origin=1,
             ),

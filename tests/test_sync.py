@@ -8,6 +8,15 @@ import pytest
 
 from repro.consensus.powfamily import MiningNodeConfig
 from repro.errors import SimulationError
+from repro.net import wire
+from repro.net.message import (
+    BlocksRequest,
+    BlocksResponse,
+    HeadersRequest,
+    HeadersResponse,
+    Message,
+    is_sync_kind,
+)
 from repro.node.sync import SyncConfig
 
 from tests.test_powfamily import make_fleet
@@ -78,6 +87,57 @@ class TestChainSync:
             sleeper.main_chain()[prefix_height].block_id
             == nodes[0].main_chain()[prefix_height].block_id
         )
+
+
+class TestHostileReplies:
+    def test_a_reply_from_a_peer_that_was_never_asked_is_stale(self):
+        """Request ids are predictable (``node:counter``), so any live peer
+        can echo one.  An empty, non-full headers page from peer 1 used to
+        end node 3's sync from peer 0 as a success, and node 3 went back to
+        mining at height 0 while the cluster was at 30."""
+        ctx, nodes = make_fleet(4, seed=6)
+        sleeper = nodes[3]
+        sleeper.crash()
+        for node in nodes[:3]:
+            node.start()
+        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 30)
+        sleeper.restart(sync_peer=0)
+        spoof = HeadersResponse(sleeper.sync._request_id, (), False)
+        sleeper.on_message(Message(kind=spoof.kind, payload=spoof, body_size=0, origin=1), 1)
+        assert sleeper.sync.stats.stale_responses == 1
+        assert sleeper.sync.active and sleeper.sync.stats.syncs_completed == 0
+        ctx.sim.run(until=ctx.sim.now + 30.0)
+        assert sleeper.sync.stats.syncs_completed == 1
+        assert sleeper.state.height() >= 30 - 1
+
+
+#: Sync kind → (a payload of it, the kind of the one reply it draws, or
+#: ``None`` for a response, which is counted instead).
+_SYNC_PAYLOADS = {
+    HeadersRequest.kind: (HeadersRequest("r", ()), HeadersResponse.kind),
+    BlocksRequest.kind: (BlocksRequest("r", ()), BlocksResponse.kind),
+    HeadersResponse.kind: (HeadersResponse("r", (), False), None),
+    BlocksResponse.kind: (BlocksResponse("r", ()), None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in wire._CODECS if is_sync_kind(k)))
+def test_every_sync_kind_on_the_wire_is_handled(kind, monkeypatch):
+    """A sync kind in the codec table that no handler serves or counts
+    fails here (and one without an entry above fails the lookup)."""
+    ctx, nodes = make_fleet(2, seed=1)
+    sent: list[tuple[int, int, str]] = []
+    monkeypatch.setattr(
+        ctx.network, "unicast", lambda src, dst, message: sent.append((src, dst, message.kind))
+    )
+    stats = nodes[0].sync.stats
+    payload, reply = _SYNC_PAYLOADS[kind]
+    nodes[0].sync.on_message(Message(kind=kind, payload=payload, body_size=0, origin=1), 1)
+    counted = stats.responses_received + stats.stale_responses
+    if reply is None:
+        assert (sent, counted) == ([], 1)
+    else:
+        assert (sent, counted) == ([(0, 1, reply)], 0)
 
 
 class TestSyncConfigValidation:
