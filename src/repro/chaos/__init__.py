@@ -3,12 +3,12 @@
 Three pieces compose a chaos experiment:
 
 * :mod:`repro.chaos.faults` — fault specs (crash/restart, partition, link
-  degradation, clock skew) and the :class:`~repro.chaos.faults.ChaosController`
-  that applies them to a live fleet while keeping a reproducible fault log;
-* :mod:`repro.chaos.schedule` — seeded
-  :func:`~repro.chaos.schedule.random_fault_plan` generation and the
-  :class:`~repro.chaos.schedule.FaultScheduler` that arms a plan as simulator
-  events;
+  degradation, clock skew), each starting and stopping itself on a
+  :class:`~repro.chaos.faults.ChaosController` — the live fleet plus a
+  reproducible fault log;
+* :mod:`repro.chaos.schedule` — the :class:`~repro.chaos.schedule.FaultPlan`
+  that arms its specs as simulator events, and seeded
+  :func:`~repro.chaos.schedule.random_fault_plan` generation;
 * :mod:`repro.chaos.invariants` — the
   :class:`~repro.chaos.invariants.InvariantMonitor` that sweeps
   safety (common prefix, state roots, difficulty tables) and liveness

@@ -14,17 +14,17 @@ leaves them):
 
 Fault *specs* are frozen, hashable dataclasses with absolute simulated
 times, so a :class:`~repro.chaos.schedule.FaultPlan` can ride inside the
-(frozen, cache-keyed) :class:`~repro.sim.runner.ExperimentConfig`.  The
-:class:`ChaosController` applies them to a live fleet and records every
-action in an append-only fault log whose :func:`fault_log_signature` is the
-reproducibility contract: same plan + same seed ⇒ identical log.
+(frozen, cache-keyed) :class:`~repro.sim.runner.ExperimentConfig`.  Each
+spec starts and stops itself on a :class:`ChaosController` — the fleet
+handles plus an append-only fault log whose :func:`fault_log_signature` is
+the reproducibility contract: same plan + same seed ⇒ identical log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import sha256
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, ClassVar, Union
 
 from repro.errors import SimulationError
@@ -37,6 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 # -- fault specifications -------------------------------------------------------------
+#
+# Besides its fields each spec declares ``target`` (the key two of its windows
+# may not share at once; None if windows compose), ``end`` (None: never) and
+# ``start`` / ``stop``, which change the fleet and log it.  A repeat that would
+# be a no-op (second crash, heal without partition, clear of zero skew) logs
+# nothing.
 
 
 @dataclass(frozen=True)
@@ -48,11 +54,34 @@ class CrashFault:
     at: float
     restart_at: float | None = None
 
+    @property
+    def target(self) -> tuple[str, int | None]:
+        return self.kind, self.node
+
+    @property
+    def end(self) -> float | None:
+        return self.restart_at
+
     def validate(self) -> None:
         if self.at < 0:
             raise SimulationError("crash time must be non-negative")
         if self.restart_at is not None and self.restart_at <= self.at:
             raise SimulationError("restart must come after the crash")
+
+    def start(self, controller: ChaosController, name: str) -> None:
+        node = controller.node(self.node)
+        if node.crashed:
+            return
+        node.crash()
+        controller.record("crash", node=self.node, height=node.state.height())
+
+    def stop(self, controller: ChaosController, name: str) -> None:
+        node = controller.node(self.node)
+        if not node.crashed:
+            return
+        node.restart()
+        controller.produced_at_restart[self.node] = node.stats.blocks_produced
+        controller.record("restart", node=self.node, height=node.state.height())
 
 
 @dataclass(frozen=True)
@@ -63,6 +92,14 @@ class PartitionFault:
     groups: tuple[tuple[int, ...], ...]
     at: float
     heal_at: float | None = None
+
+    @property
+    def target(self) -> tuple[str, int | None]:
+        return self.kind, None
+
+    @property
+    def end(self) -> float | None:
+        return self.heal_at
 
     def validate(self) -> None:
         if self.at < 0:
@@ -82,6 +119,16 @@ class PartitionFault:
                 )
             seen.update(group)
 
+    def start(self, controller: ChaosController, name: str) -> None:
+        controller.network.set_partition([list(group) for group in self.groups])
+        controller.record("partition", groups=tuple(tuple(sorted(g)) for g in self.groups))
+
+    def stop(self, controller: ChaosController, name: str) -> None:
+        if controller.network.partition_map is None:
+            return
+        controller.network.set_partition(None)
+        controller.record("heal")
+
 
 @dataclass(frozen=True)
 class LinkFault:
@@ -95,6 +142,15 @@ class LinkFault:
     duplicate: float = 0.0
     reorder_jitter: float = 0.0
     bandwidth_factor: float = 1.0
+
+    @property
+    def target(self) -> None:
+        """Link disturbances compose in name order, so windows may overlap."""
+        return None
+
+    @property
+    def end(self) -> float | None:
+        return self.until
 
     def validate(self) -> None:
         if self.at < 0:
@@ -112,6 +168,25 @@ class LinkFault:
             bandwidth_factor=self.bandwidth_factor,
         )
 
+    def start(self, controller: ChaosController, name: str) -> None:
+        """Install the disturbance under ``name`` (the handle ``stop`` clears)."""
+        controller.network.set_link_disturbance(name, self.disturbance(), self.nodes)
+        controller.record(
+            "link_fault",
+            name=name,
+            nodes=tuple(sorted(self.nodes)) if self.nodes is not None else None,
+            loss=self.loss,
+            duplicate=self.duplicate,
+            reorder_jitter=self.reorder_jitter,
+            bandwidth_factor=self.bandwidth_factor,
+        )
+
+    def stop(self, controller: ChaosController, name: str) -> None:
+        if name not in controller.network.active_disturbances():
+            return
+        controller.network.set_link_disturbance(name, None)
+        controller.record("link_heal", name=name)
+
 
 @dataclass(frozen=True)
 class ClockSkewFault:
@@ -128,11 +203,30 @@ class ClockSkewFault:
     at: float
     until: float | None = None
 
+    @property
+    def target(self) -> tuple[str, int | None]:
+        return self.kind, self.node
+
+    @property
+    def end(self) -> float | None:
+        return self.until
+
     def validate(self) -> None:
         if self.at < 0:
             raise SimulationError("skew time must be non-negative")
         if self.until is not None and self.until <= self.at:
             raise SimulationError("skew window must have positive length")
+
+    def start(self, controller: ChaosController, name: str) -> None:
+        controller.node(self.node).clock_skew = self.skew
+        controller.record("clock_skew", node=self.node, skew=self.skew)
+
+    def stop(self, controller: ChaosController, name: str) -> None:
+        node = controller.node(self.node)
+        if node.clock_skew == 0.0:
+            return
+        node.clock_skew = 0.0
+        controller.record("clock_heal", node=self.node)
 
 
 #: The members are the registry: each declares the ``kind`` it is tagged with
@@ -169,11 +263,12 @@ def fault_log_signature(log: Sequence[FaultEvent]) -> str:
 
 
 class ChaosController:
-    """Applies fault actions to a live fleet and logs every one of them.
+    """The fleet a plan's faults act on, and the log of every action taken.
 
-    The controller is the single write path for faults: scheduler events,
-    tests and examples all go through it, so the fault log is a complete
-    record of what was injected — the first thing a post-mortem reads.
+    Every spec's ``start`` / ``stop`` writes through :meth:`record`, whether
+    an armed plan, a test or an example calls it, so the fault log is a
+    complete record of what was injected — the first thing a post-mortem
+    reads.
     """
 
     def __init__(
@@ -186,39 +281,19 @@ class ChaosController:
         self.network = network
         self.sim = sim
         self.log: list[FaultEvent] = []
-        self._link_fault_counter = 0
-        self._produced_at_restart: dict[int, int] = {}
+        #: Blocks each restarted node had produced when it came back.
+        self.produced_at_restart: dict[int, int] = {}
 
-    def _record(self, action: str, **detail: Any) -> None:
-        event = FaultEvent(
-            time=self.sim.now,
-            action=action,
-            detail=tuple(sorted(detail.items())),
+    def record(self, action: str, **detail: Any) -> None:
+        self.log.append(
+            FaultEvent(time=self.sim.now, action=action, detail=tuple(sorted(detail.items())))
         )
-        self.log.append(event)
 
-    def _node(self, node_id: int) -> "MiningNode":
+    def node(self, node_id: int) -> "MiningNode":
         node = self.nodes.get(node_id)
         if node is None:
             raise SimulationError(f"chaos target {node_id} is not in the fleet")
         return node
-
-    # -- crash / restart ---------------------------------------------------------
-
-    def crash_node(self, node_id: int) -> None:
-        node = self._node(node_id)
-        if node.crashed:
-            return
-        node.crash()
-        self._record("crash", node=node_id, height=node.state.height())
-
-    def restart_node(self, node_id: int, sync_peer: int | None = None) -> None:
-        node = self._node(node_id)
-        if not node.crashed:
-            return
-        node.restart(sync_peer)
-        self._produced_at_restart[node_id] = node.stats.blocks_produced
-        self._record("restart", node=node_id, height=node.state.height())
 
     def recovered_producer_count(self) -> int:
         """Restarted nodes that produced at least one block after rejoining.
@@ -228,66 +303,6 @@ class ChaosController:
         """
         return sum(
             1
-            for node_id, baseline in self._produced_at_restart.items()
+            for node_id, baseline in self.produced_at_restart.items()
             if self.nodes[node_id].stats.blocks_produced > baseline
         )
-
-    # -- partitions ---------------------------------------------------------------
-
-    def start_partition(self, groups: Iterable[Iterable[int]]) -> None:
-        groups = [list(group) for group in groups]
-        self.network.set_partition(groups)
-        self._record(
-            "partition", groups=tuple(tuple(sorted(g)) for g in groups)
-        )
-
-    def heal_partition(self) -> None:
-        if self.network.partition_map is None:
-            return
-        self.network.set_partition(None)
-        self._record("heal")
-
-    # -- link degradation ------------------------------------------------------------
-
-    def apply_link_fault(
-        self,
-        disturbance: LinkDisturbance,
-        nodes: Iterable[int] | None = None,
-        name: str | None = None,
-    ) -> str:
-        """Install a named link disturbance; returns the name for clearing."""
-        if name is None:
-            name = f"chaos-link-{self._link_fault_counter}"
-            self._link_fault_counter += 1
-        scope = tuple(sorted(nodes)) if nodes is not None else None
-        self.network.set_link_disturbance(name, disturbance, nodes)
-        self._record(
-            "link_fault",
-            name=name,
-            nodes=scope,
-            loss=disturbance.loss,
-            duplicate=disturbance.duplicate,
-            reorder_jitter=disturbance.reorder_jitter,
-            bandwidth_factor=disturbance.bandwidth_factor,
-        )
-        return name
-
-    def clear_link_fault(self, name: str) -> None:
-        if name not in self.network.active_disturbances():
-            return
-        self.network.set_link_disturbance(name, None)
-        self._record("link_heal", name=name)
-
-    # -- clock skew ----------------------------------------------------------------------
-
-    def set_clock_skew(self, node_id: int, skew: float) -> None:
-        node = self._node(node_id)
-        node.clock_skew = skew
-        self._record("clock_skew", node=node_id, skew=skew)
-
-    def clear_clock_skew(self, node_id: int) -> None:
-        node = self._node(node_id)
-        if node.clock_skew == 0.0:
-            return
-        node.clock_skew = 0.0
-        self._record("clock_heal", node=node_id)

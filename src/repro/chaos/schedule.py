@@ -5,9 +5,9 @@ simulated times — pure data, hashable, serializable, and independent of the
 run it is applied to.  :func:`random_fault_plan` generates one from its own
 seeded generator (deliberately *not* the simulator's: generating a plan must
 never perturb the run's random stream, so the same experiment seed with and
-without faults stays comparable).  :class:`FaultScheduler` arms a plan onto
-a live :class:`~repro.chaos.faults.ChaosController` as plain simulator
-events.
+without faults stays comparable).  :meth:`FaultPlan.arm` schedules each
+spec's own ``start`` and ``stop`` on a live
+:class:`~repro.chaos.faults.ChaosController` as plain simulator events.
 
 Replayability contract: the same plan applied to the same seeded experiment
 produces a bit-identical fault log (``fault_log_signature``) and an
@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import pairwise
-from typing import Any
+from typing import Any, cast
 
 import numpy as np
 
@@ -36,35 +37,15 @@ from repro.errors import SimulationError
 from repro.serde import to_json
 
 
-def _exclusive_window(
-    fault: FaultSpec,
-) -> tuple[tuple[str, int | None], float, float] | None:
-    """``(target, start, end)`` of a fault that must not overlap another on
-    its target, or ``None`` for a link fault (they compose by name).
-
-    The overlay has one partition at a time; a node has one crash and one
-    clock offset at a time.  A second window opened inside the first would
-    be cancelled by the first one's close.  An open window runs to the end
-    of the run.
-    """
-    if isinstance(fault, PartitionFault):
-        node, end = None, fault.heal_at
-    elif isinstance(fault, CrashFault):
-        node, end = fault.node, fault.restart_at
-    elif isinstance(fault, ClockSkewFault):
-        node, end = fault.node, fault.until
-    else:
-        return None
-    return (fault.kind, node), fault.at, math.inf if end is None else end
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """An immutable, time-ordered fault injection schedule.
 
     Construction validates every fault and refuses two windows that overlap
-    on one target (see :func:`_exclusive_window`), so an armed plan applies
-    exactly the faults it lists.
+    on one ``target`` — the overlay has one partition at a time, a node one
+    crash and one clock offset — since the first window's close would cancel
+    the second.  An open window runs to the end of the run.  So an armed
+    plan applies exactly the faults it lists.
     """
 
     faults: tuple[FaultSpec, ...] = ()
@@ -72,7 +53,11 @@ class FaultPlan:
     def __post_init__(self) -> None:
         for fault in self.faults:
             fault.validate()
-        windows = sorted(w for f in self.faults if (w := _exclusive_window(f)) is not None)
+        windows = sorted(
+            (key, f.at, math.inf if f.end is None else f.end)
+            for f in self.faults
+            if (key := f.target) is not None
+        )
         for (target, _, end), (next_target, start, _) in pairwise(windows):
             if target == next_target and start < end:
                 kind, node = target
@@ -87,10 +72,20 @@ class FaultPlan:
 
     def crashed_nodes(self) -> set[int]:
         """Every node id that crashes at some point under this plan."""
-        return {f.node for f in self.faults if isinstance(f, CrashFault)}
+        return {cast(CrashFault, f).node for f in self.faults if f.kind == CrashFault.kind}
 
-    def sorted_faults(self) -> list[FaultSpec]:
-        return sorted(self.faults, key=lambda f: f.at)
+    def arm(self, controller: ChaosController) -> None:
+        """Schedule each fault's ``start`` at ``at`` and ``stop`` at ``end``.
+
+        Faults go in ``at`` order, the ``i``-th named ``plan-{kind}-{i}``
+        (the name a link fault installs its disturbance under).
+        """
+        sim = controller.sim
+        for index, fault in enumerate(sorted(self.faults, key=lambda f: f.at)):
+            name = f"plan-{fault.kind}-{index}"
+            sim.schedule_at(fault.at, partial(fault.start, controller, name))
+            if fault.end is not None:
+                sim.schedule_at(fault.end, partial(fault.stop, controller, name))
 
 
 def plan_to_dict(plan: FaultPlan) -> dict[str, Any]:
@@ -226,64 +221,3 @@ def random_fault_plan(
         faults.append(ClockSkewFault(node=node, skew=skew, at=at, until=until))
 
     return FaultPlan(faults=tuple(sorted(faults, key=lambda f: (f.at, repr(f)))))
-
-
-class FaultScheduler:
-    """Arms a :class:`FaultPlan` onto a controller's simulator."""
-
-    def __init__(self, controller: ChaosController, plan: FaultPlan) -> None:
-        self.controller = controller
-        self.plan = plan
-        self._armed = False
-
-    def arm(self) -> "FaultScheduler":
-        """Schedule every fault action as a simulator event; idempotent."""
-        if self._armed:
-            return self
-        self._armed = True
-        sim = self.controller.sim
-        for index, fault in enumerate(self.plan.sorted_faults()):
-            if isinstance(fault, CrashFault):
-                sim.schedule_at(
-                    fault.at, lambda f=fault: self.controller.crash_node(f.node)
-                )
-                if fault.restart_at is not None:
-                    sim.schedule_at(
-                        fault.restart_at,
-                        lambda f=fault: self.controller.restart_node(f.node),
-                    )
-            elif isinstance(fault, PartitionFault):
-                sim.schedule_at(
-                    fault.at,
-                    lambda f=fault: self.controller.start_partition(f.groups),
-                )
-                if fault.heal_at is not None:
-                    sim.schedule_at(
-                        fault.heal_at, lambda: self.controller.heal_partition()
-                    )
-            elif isinstance(fault, LinkFault):
-                name = f"plan-link-{index}"
-                sim.schedule_at(
-                    fault.at,
-                    lambda f=fault, name=name: self.controller.apply_link_fault(
-                        f.disturbance(), f.nodes, name=name
-                    ),
-                )
-                if fault.until is not None:
-                    sim.schedule_at(
-                        fault.until,
-                        lambda name=name: self.controller.clear_link_fault(name),
-                    )
-            elif isinstance(fault, ClockSkewFault):
-                sim.schedule_at(
-                    fault.at,
-                    lambda f=fault: self.controller.set_clock_skew(f.node, f.skew),
-                )
-                if fault.until is not None:
-                    sim.schedule_at(
-                        fault.until,
-                        lambda f=fault: self.controller.clear_clock_skew(f.node),
-                    )
-            else:  # pragma: no cover - exhaustive over FaultSpec
-                raise SimulationError(f"unknown fault spec {fault!r}")
-        return self

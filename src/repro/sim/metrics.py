@@ -56,20 +56,10 @@ def epoch_producer_counts(
     return epochs
 
 
-def equality_series(
-    chain: Sequence[Block], members: Sequence[bytes], epoch_blocks: int
-) -> list[float]:
-    """``σ_f²`` per epoch over a main chain (the Fig. 4 series)."""
-    return [
-        variance_of_frequency(counts, members)
-        for counts in epoch_producer_counts(chain, epoch_blocks)
-    ]
-
-
 def equality_series_from_producers(
     producers: Sequence[bytes], members: Sequence[bytes], epoch_blocks: int
 ) -> list[float]:
-    """``σ_f²`` per epoch from a flat producer sequence (PBFT path)."""
+    """``σ_f²`` per complete epoch of a producer sequence (the Fig. 4 series)."""
     series: list[float] = []
     for start in range(0, len(producers) - epoch_blocks + 1, epoch_blocks):
         window = producers[start : start + epoch_blocks]
@@ -89,7 +79,9 @@ def stable_value(series: Sequence[float], tail: int = 5, robust: bool = False) -
     """
     if not series:
         raise SimulationError("series is empty")
-    window = series[-tail:] if len(series) >= tail else series
+    if tail < 1:
+        raise SimulationError("tail must be positive")
+    window = series[-tail:]
     return float(np.median(window) if robust else np.mean(window))
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field, replace
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Any, Literal
 
 from repro.chaos.faults import ChaosController, FaultEvent
 from repro.chaos.invariants import InvariantConfig, InvariantMonitor, InvariantReport
-from repro.chaos.schedule import FaultPlan, FaultScheduler, random_fault_plan
+from repro.chaos.schedule import FaultPlan, random_fault_plan
 from repro.consensus.pbft import PBFTCluster, PBFTConfig
 from repro.consensus.powfamily import (
     MiningNode,
@@ -46,7 +46,7 @@ from repro.sim.metrics import (
     ForkReport,
     chaos_report,
     committed_tps,
-    equality_series,
+    degradation_ratio,
     equality_series_from_producers,
     fork_report,
     stable_value,
@@ -252,7 +252,7 @@ def _run_mining(
     controller = None
     if cfg.fault_plan is not None and len(cfg.fault_plan):
         controller = ChaosController(nodes, stack.network, stack.sim)
-        FaultScheduler(controller, cfg.fault_plan).arm()
+        cfg.fault_plan.arm(controller)
     monitor = InvariantMonitor(
         nodes,
         stack.network,
@@ -320,7 +320,11 @@ def _run_mining(
         stack,
         committed_blocks=target_height - measure_height,
         duration=duration,
-        equality=equality_series(chain[: target_height + 1], ctx.members, epoch_blocks),
+        equality=equality_series_from_producers(
+            [b.producer for b in chain[: target_height + 1] if b.height > 0],
+            ctx.members,
+            epoch_blocks,
+        ),
         unpredictability=unpredictability_series(
             observer.state, profile, ctx.members, complete_epochs
         ),
@@ -379,12 +383,9 @@ class ChaosSuiteResult:
 
     baseline: RunResult
     chaos_runs: list[RunResult]
-    plans: list[FaultPlan]
 
     def tps_ratios(self) -> list[float]:
         """Per-run ``chaos TPS / baseline TPS`` (1.0 = unaffected)."""
-        from repro.sim.metrics import degradation_ratio
-
         return [degradation_ratio(self.baseline.tps, r.tps) for r in self.chaos_runs]
 
     def equality_ratios(self) -> list[float]:
@@ -393,8 +394,6 @@ class ChaosSuiteResult:
         σ_f² is a variance — *larger* is worse — so graceful degradation
         means ratios stay bounded above 0 and below a blow-up ceiling.
         """
-        from repro.sim.metrics import degradation_ratio
-
         base = stable_value(self.baseline.equality, robust=True)
         return [
             degradation_ratio(base, stable_value(r.equality, robust=True))
@@ -419,60 +418,50 @@ class ChaosSuiteResult:
 
 def run_chaos_suite(
     cfg: ExperimentConfig,
-    plans: Sequence[FaultPlan] | None = None,
     *,
     runs: int = 1,
     churn: float = 0.2,
     partitions: int = 0,
-    link_faults: int = 0,
-    clock_skews: int = 0,
-    plan_seed: int | None = None,
 ) -> ChaosSuiteResult:
     """Run a clean baseline plus faulted replays of the same experiment.
 
     The baseline strips any fault plan from ``cfg``; each chaos run replays
     the identical experiment (same seed, same topology, same power profile)
-    under a generated or caller-supplied :class:`FaultPlan`, so every
-    difference in the metrics is attributable to the injected faults.
+    under a seeded :func:`random_fault_plan`, so every difference in the
+    metrics is attributable to the injected faults.  Plan ``i`` draws from
+    seed ``cfg.seed + 7919 + i``, which never collides with the run seed.
 
     Args:
         cfg: the experiment to perturb (PoW family only).
-        plans: explicit fault plans; generated when None.
-        runs: generated-plan count (ignored when ``plans`` is given).
-        churn: crash/restart fraction for generated plans (0.2 = the
-            benchmark's 20 % node churn).
-        partitions / link_faults / clock_skews: extra generated faults.
-        plan_seed: base seed for plan generation; defaults to
-            ``cfg.seed + 7919`` so plans never collide with the run seed.
+        runs: faulted replays, one generated plan each.
+        churn: crash/restart fraction (0.2 = the benchmark's 20 % node churn).
+        partitions: healing partitions per plan.
     """
     if cfg.algorithm == "pbft":
         raise SimulationError("chaos suites target the PoW-family algorithms")
     baseline = run_experiment(replace(cfg, fault_plan=None))
-    if plans is None:
-        # Place fault windows within the expected span of the run: the
-        # baseline actually measured how long this experiment takes.  The
-        # head timestamp covers the full run including the warmup that
-        # RunResult.duration excludes.
-        if baseline.observer is not None:
-            duration = baseline.observer.main_chain()[-1].header.timestamp
-        else:  # pragma: no cover - mining runs always have an observer
-            duration = baseline.duration
-        duration = max(duration, cfg.i0)
-        base_seed = plan_seed if plan_seed is not None else cfg.seed + 7919
-        plans = [
-            random_fault_plan(
-                base_seed + i,
-                list(range(cfg.n)),
-                duration,
-                churn=churn,
-                partitions=partitions,
-                link_faults=link_faults,
-                clock_skews=clock_skews,
-            )
-            for i in range(runs)
-        ]
-    plan_list = list(plans)
+    # Place fault windows within the expected span of the run: the baseline
+    # actually measured how long this experiment takes.  The head timestamp
+    # covers the full run including the warmup that RunResult.duration
+    # excludes.
+    if baseline.observer is not None:
+        duration = baseline.observer.main_chain()[-1].header.timestamp
+    else:  # pragma: no cover - mining runs always have an observer
+        duration = baseline.duration
+    duration = max(duration, cfg.i0)
     chaos_runs = [
-        run_experiment(replace(cfg, fault_plan=plan)) for plan in plan_list
+        run_experiment(
+            replace(
+                cfg,
+                fault_plan=random_fault_plan(
+                    cfg.seed + 7919 + i,
+                    list(range(cfg.n)),
+                    duration,
+                    churn=churn,
+                    partitions=partitions,
+                ),
+            )
+        )
+        for i in range(runs)
     ]
-    return ChaosSuiteResult(baseline=baseline, chaos_runs=chaos_runs, plans=plan_list)
+    return ChaosSuiteResult(baseline=baseline, chaos_runs=chaos_runs)

@@ -50,9 +50,9 @@ class Tracer:
         """Record one event."""
         if len(self._events) >= self.capacity:
             # Drop the oldest half in one amortized slice.
-            keep = self.capacity // 2
-            self._dropped += len(self._events) - keep
-            self._events = self._events[-keep:]
+            drop = len(self._events) - self.capacity // 2
+            self._dropped += drop
+            self._events = self._events[drop:]
         self._events.append(TraceEvent(time, node_id, kind, detail))
 
     def __len__(self) -> int:
@@ -90,7 +90,8 @@ class Tracer:
 
     def timeline(self, limit: int = 50, **filters: Any) -> str:
         """Render the (filtered) tail of the log as text."""
-        selected = self.events(**filters)[-limit:]
+        selected = self.events(**filters)
+        selected = selected[max(0, len(selected) - limit) :]
         return "\n".join(str(e) for e in selected)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import typing
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ from repro.chaos.faults import (
     ChaosController,
     ClockSkewFault,
     CrashFault,
+    FaultSpec,
     LinkFault,
     PartitionFault,
     fault_log_signature,
@@ -20,7 +22,7 @@ from repro.chaos.invariants import (
     LivenessViolation,
     SafetyViolation,
 )
-from repro.chaos.schedule import FaultPlan, FaultScheduler, random_fault_plan
+from repro.chaos.schedule import FaultPlan, random_fault_plan
 from repro.consensus.powfamily import powh_config, themis_config
 from repro.errors import SimulationError
 from repro.net.message import HeadersResponse, is_sync_kind
@@ -90,6 +92,45 @@ OVERLAPPING = {
 }
 
 
+#: One windowed example of each ``FaultSpec`` member, with the actions its
+#: ``start`` and ``stop`` log.  A new member fails the test below until it
+#: has an entry here.
+DECLARED = {
+    CrashFault: (CrashFault(node=1, at=5.0, restart_at=15.0), "crash", "restart"),
+    PartitionFault: (
+        PartitionFault(groups=((0, 1), (2, 3)), at=5.0, heal_at=15.0),
+        "partition",
+        "heal",
+    ),
+    LinkFault: (LinkFault(at=5.0, until=15.0, nodes=(0, 1), loss=0.1), "link_fault", "link_heal"),
+    ClockSkewFault: (
+        ClockSkewFault(node=1, skew=0.5, at=5.0, until=15.0),
+        "clock_skew",
+        "clock_heal",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", typing.get_args(FaultSpec), ids=lambda c: c.__name__)
+def test_every_fault_kind_declares_itself(spec):
+    fault, started, stopped = DECLARED[spec]
+    ctx, nodes = make_fleet(4, seed=5)
+    controller = ChaosController(nodes, ctx.network, ctx.sim)
+    FaultPlan(faults=(fault,)).arm(controller)
+    ctx.sim.run(until=20.0)
+    assert [(e.time, e.action) for e in controller.log] == [
+        (fault.at, started),
+        (fault.end, stopped),
+    ]
+    # A second window opening inside the first on the same target.
+    inside = replace(fault, at=fault.at + 1.0)
+    if fault.target is None:
+        FaultPlan(faults=(fault, inside))
+    else:
+        with pytest.raises(SimulationError, match="overlap"):
+            FaultPlan(faults=(fault, inside))
+
+
 class TestOverlappingWindows:
     @pytest.mark.parametrize("kind", sorted(OVERLAPPING))
     def test_a_plan_refuses_overlapping_windows_on_one_target(self, kind):
@@ -122,7 +163,7 @@ class TestOverlappingWindows:
                 ClockSkewFault(node=1, skew=-1.0, at=20.0, until=80.0),
             )
         )
-        FaultScheduler(controller, plan).arm()
+        plan.arm(controller)
         for node in nodes:
             node.start()
         ctx.sim.run(until=60.0)
@@ -170,13 +211,14 @@ class TestChaosController:
     def test_crash_and_restart_are_idempotent(self):
         ctx, nodes = make_fleet(4, seed=5)
         controller = ChaosController(nodes, ctx.network, ctx.sim)
-        controller.restart_node(2)  # not crashed: no-op
-        controller.crash_node(2)
-        controller.crash_node(2)
+        crash = CrashFault(node=2, at=0.0)
+        crash.stop(controller, "c")  # not crashed: no-op
+        crash.start(controller, "c")
+        crash.start(controller, "c")
         assert len(logged(controller, "crash")) == 1
         assert nodes[2].crashed and ctx.network.is_offline(2)
-        controller.restart_node(2)
-        controller.restart_node(2)
+        crash.stop(controller, "c")
+        crash.stop(controller, "c")
         assert [entry["node"] for entry in logged(controller, "restart")] == [2]
         assert not nodes[2].crashed and not ctx.network.is_offline(2)
 
@@ -184,15 +226,16 @@ class TestChaosController:
         ctx, nodes = make_fleet(3, seed=5)
         controller = ChaosController(nodes, ctx.network, ctx.sim)
         with pytest.raises(SimulationError):
-            controller.crash_node(99)
+            CrashFault(node=99, at=0.0).start(controller, "c")
 
     def test_partition_heal_and_log(self):
         ctx, nodes = make_fleet(4, seed=5)
         controller = ChaosController(nodes, ctx.network, ctx.sim)
-        controller.heal_partition()  # nothing armed: no-op
-        controller.start_partition([[0, 1], [2, 3]])
+        partition = PartitionFault(groups=((0, 1), (2, 3)), at=0.0)
+        partition.stop(controller, "p")  # nothing armed: no-op
+        partition.start(controller, "p")
         assert ctx.network.partition_map == {0: 0, 1: 0, 2: 1, 3: 1}
-        controller.heal_partition()
+        partition.stop(controller, "p")
         assert ctx.network.partition_map is None
         actions = [event.action for event in controller.log]
         assert actions == ["partition", "heal"]
@@ -200,12 +243,25 @@ class TestChaosController:
     def test_clock_skew_applies_and_clears(self):
         ctx, nodes = make_fleet(3, seed=5)
         controller = ChaosController(nodes, ctx.network, ctx.sim)
-        controller.set_clock_skew(1, 1.5)
+        skew = ClockSkewFault(node=1, skew=1.5, at=0.0)
+        skew.start(controller, "s")
         assert nodes[1].local_time() == pytest.approx(ctx.sim.now + 1.5)
-        controller.clear_clock_skew(1)
-        controller.clear_clock_skew(1)  # already cleared: no-op
+        skew.stop(controller, "s")
+        skew.stop(controller, "s")  # already cleared: no-op
         assert nodes[1].local_time() == pytest.approx(ctx.sim.now)
         assert len(logged(controller, "clock_heal")) == 1
+
+    def test_link_fault_installs_under_its_name_and_clears_once(self):
+        ctx, nodes = make_fleet(3, seed=5)
+        controller = ChaosController(nodes, ctx.network, ctx.sim)
+        link = LinkFault(at=0.0, nodes=(2, 0), loss=0.3)
+        link.start(controller, "plan-link-4")
+        assert set(ctx.network.active_disturbances()) == {"plan-link-4"}
+        link.stop(controller, "plan-link-4")
+        link.stop(controller, "plan-link-4")  # already cleared: no-op
+        assert ctx.network.active_disturbances() == {}
+        assert logged(controller, "link_fault")[0]["nodes"] == (0, 2)
+        assert logged(controller, "link_heal") == [{"name": "plan-link-4"}]
 
 
 class TestCrashRecovery:
@@ -226,7 +282,8 @@ class TestCrashRecovery:
         for node in nodes:
             node.start()
         ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 15)
-        controller.crash_node(3)
+        crash = CrashFault(node=3, at=ctx.sim.now)
+        crash.start(controller, "c")
         ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 30)
         assert nodes[3].state.height() < 25  # provably stale
 
@@ -240,7 +297,7 @@ class TestCrashRecovery:
             blackhole_until,
             lambda: [ctx.network.set_drop_filter(p, None) for p in (0, 1, 2)],
         )
-        controller.restart_node(3)
+        crash.stop(controller, "c")
         ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 70, max_events=5_000_000)
 
         sync = nodes[3].sync
@@ -429,16 +486,25 @@ class TestScheduledRuns:
         assert first.invariants is not None and first.invariants.clean
         assert first.chaos.messages_dropped > 0
 
-    def test_scheduler_arms_once(self):
+    def test_arm_names_faults_by_their_place_in_at_order(self):
         ctx, nodes = make_fleet(4, seed=5)
         controller = ChaosController(nodes, ctx.network, ctx.sim)
-        scheduler = FaultScheduler(
-            controller, FaultPlan(faults=(CrashFault(node=1, at=5.0),))
+        plan = FaultPlan(
+            faults=(
+                LinkFault(at=9.0, loss=0.1),
+                CrashFault(node=1, at=1.0, restart_at=2.0),
+                LinkFault(at=3.0, until=4.0, loss=0.2),
+            )
         )
-        scheduler.arm()
-        scheduler.arm()
+        plan.arm(controller)
         ctx.sim.run(until=10.0)
-        assert len(logged(controller, "crash")) == 1
+        assert [(e.action, dict(e.detail).get("name")) for e in controller.log] == [
+            ("crash", None),
+            ("restart", None),
+            ("link_fault", "plan-link-1"),
+            ("link_heal", "plan-link-1"),
+            ("link_fault", "plan-link-2"),
+        ]
 
     def test_pbft_rejects_fault_plans(self):
         cfg = ExperimentConfig(

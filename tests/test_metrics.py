@@ -8,7 +8,6 @@ from repro.errors import SimulationError
 from repro.sim.metrics import (
     committed_tps,
     epoch_producer_counts,
-    equality_series,
     equality_series_from_producers,
     fork_report,
     stable_value,
@@ -44,16 +43,18 @@ class TestEpochSplitting:
 class TestEqualitySeries:
     def test_round_robin_is_zero(self, tree_builder):
         blocks = tree_builder.chain(tree_builder.genesis, [0, 1, 2, 3, 0, 1, 2, 3])
-        chain = [tree_builder.genesis] + blocks
         members = [addr(i) for i in range(4)]
-        series = equality_series(chain, members, epoch_blocks=4)
+        series = equality_series_from_producers(
+            [b.producer for b in blocks], members, epoch_blocks=4
+        )
         assert series == [pytest.approx(0.0), pytest.approx(0.0)]
 
     def test_monopoly_is_high(self, tree_builder):
         blocks = tree_builder.chain(tree_builder.genesis, [0, 0, 0, 0])
-        chain = [tree_builder.genesis] + blocks
         members = [addr(i) for i in range(4)]
-        series = equality_series(chain, members, epoch_blocks=4)
+        series = equality_series_from_producers(
+            [b.producer for b in blocks], members, epoch_blocks=4
+        )
         assert series[0] == pytest.approx(3 / 16)
 
     def test_from_flat_producers(self):
@@ -73,6 +74,11 @@ class TestStableValue:
     def test_empty_rejected(self):
         with pytest.raises(SimulationError):
             stable_value([])
+
+    def test_empty_tail_rejected(self):
+        """``series[-0:]`` is the whole series, not an empty tail."""
+        with pytest.raises(SimulationError):
+            stable_value([1.0, 2.0, 3.0], tail=0)
 
 
 class TestTPS:

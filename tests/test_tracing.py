@@ -37,6 +37,21 @@ class TestTracer:
         # The newest events survive.
         assert tracer.events()[-1].detail["i"] == 24
 
+    def test_capacity_of_one_keeps_the_newest(self):
+        """Half of capacity 1 is 0, and ``events[-0:]`` keeps everything."""
+        tracer = Tracer(capacity=1)
+        for i in range(5):
+            tracer.emit(float(i), 0, "e", i=i)
+        assert [e.detail["i"] for e in tracer.events()] == [4]
+        assert tracer.dropped == 4
+
+    def test_timeline_limit_zero_is_empty(self):
+        tracer = Tracer()
+        for i in range(3):
+            tracer.emit(float(i), 0, "e", i=i)
+        assert tracer.timeline(limit=0) == ""
+        assert tracer.timeline(limit=2).count("\n") == 1
+
     def test_timeline_renders(self):
         tracer = Tracer()
         tracer.emit(1.25, 3, "block/produced", height=7)
