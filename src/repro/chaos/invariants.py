@@ -42,7 +42,7 @@ consensus, not that a censored producer converges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.errors import ReproError, SimulationError
@@ -125,7 +125,11 @@ class InvariantReport:
 
 
 class InvariantMonitor:
-    """Periodic invariant sweeps over a fleet of mining nodes."""
+    """Periodic invariant sweeps over a fleet of mining nodes.
+
+    The liveness quorum weighs each node by its configured
+    ``config.hash_rate``; nodes in ``exclude`` sit out the cross-checks.
+    """
 
     def __init__(
         self,
@@ -133,7 +137,6 @@ class InvariantMonitor:
         network: SimulatedNetwork,
         sim: "Clock",
         config: InvariantConfig | None = None,
-        power_fn: Callable[["MiningNode"], float] | None = None,
         exclude: Sequence[int] = (),
     ) -> None:
         self.nodes = list(nodes)
@@ -141,7 +144,6 @@ class InvariantMonitor:
         self.network = network
         self.sim = sim
         self.config = config or InvariantConfig()
-        self.power_fn = power_fn or (lambda node: node.config.hash_rate)
         self.report = InvariantReport()
         self._handle: "TimerHandle | None" = None
         self._last_partition_map: dict[int, int] | None = None
@@ -331,12 +333,12 @@ class InvariantMonitor:
             return
         if self.config.liveness_window is None:
             return
-        total_power = sum(self.power_fn(node) for node in self.nodes)
+        total_power = sum(node.config.hash_rate for node in self.nodes)
         if total_power <= 0:
             return
         quorum_power = max(
             (
-                sum(self.power_fn(node) for node in component)
+                sum(node.config.hash_rate for node in component)
                 for component in components
             ),
             default=0.0,

@@ -119,7 +119,12 @@ class MiningNode(ConsensusNode):
     tracer = None
 
     def _trace(self, kind: str, **detail: Any) -> None:
+        """Emit one event when a tracer is attached.  A ``bytes`` value (a
+        block id) is logged as its first 10 hex digits, built only then."""
         if self.tracer is not None:
+            for key, value in detail.items():
+                if isinstance(value, bytes):
+                    detail[key] = value.hex()[:10]
             self.tracer.emit(self.ctx.sim.now, self.node_id, kind, **detail)
 
     def __init__(
@@ -317,7 +322,7 @@ class MiningNode(ConsensusNode):
         self._trace(
             "block/produced",
             height=header.height,
-            block=block.block_id.hex()[:10],
+            block=block.block_id,
             difficulty=round(header.difficulty, 3),
         )
         # Adopt first: the miner re-arms on the fresh head (and draws from
@@ -347,6 +352,7 @@ class MiningNode(ConsensusNode):
         head moved: counts and traces a reorg, lets the data plane follow
         (:meth:`_head_moved`), commits, and re-arms the miner on the new
         head, in that order — once per call, however many blocks entered.
+        When it did not, the store still commits once its batch is full.
         """
         outcome = self.state.add_block(block, self.ctx.sim.now, self._admit_block)
         if outcome == "reorg":
@@ -354,13 +360,16 @@ class MiningNode(ConsensusNode):
             self._trace(
                 "chain/reorg",
                 height=block.height,
-                new_head=self.state.head_id.hex()[:10],
+                new_head=self.state.head_id,
             )
         if outcome in ("extended", "reorg"):
             self._head_moved()
             if self.storage is not None:
                 self.storage.commit(self.state.head_id, self.state.tree)
             self._arm_miner()
+        elif self.storage is not None and self.storage.should_commit():
+            # Side-branch blocks fill the batch without moving the head.
+            self.storage.commit(self.state.head_id, self.state.tree)
         return outcome
 
     def _admit_block(self, block: Block) -> bool:
@@ -382,7 +391,7 @@ class MiningNode(ConsensusNode):
         if reason is None:
             return True
         self.stats.blocks_rejected += 1
-        self._trace("block/rejected", block=block.block_id.hex()[:10], reason=reason)
+        self._trace("block/rejected", block=block.block_id, reason=reason)
         return False
 
     # -- what the data plane overrides (consensus-only bodies) ----------------------

@@ -17,8 +17,6 @@ encodes those invariants as named, testable rules:
            ``numpy.random`` module API)
  REP003    no unordered ``set``/``dict`` iteration feeding hashing,
            serde, or message emission without ``sorted()``
- REP005    message dataclasses are ``frozen=True`` and never mutated
-           after receipt
  REP006    no ``pickle`` across the engine's process boundary; no
            ``os.environ`` reads outside the sanctioned config gateway
  REP010    interprocedural determinism taint — no wall-clock / RNG /
@@ -45,6 +43,6 @@ Each file is read, tokenized and parsed once; one walk
 (:mod:`repro.lint.facts`), and every rule is a predicate over those
 records — REP001 and REP010 report from the *same* source fact.
 
-Run it as ``python -m repro.lint src tests benchmarks`` or via the main
-CLI as ``python -m repro lint``.  See ``docs/static-analysis.md``.
+Run it as ``python -m repro.lint src tests benchmarks examples`` or via the
+main CLI as ``python -m repro lint``.  See ``docs/static-analysis.md``.
 """

@@ -16,7 +16,7 @@ class LintConfig:
     """Everything the rules need to know about the project layout."""
 
     #: Sub-packages of ``repro`` whose code executes inside the simulation
-    #: (REP001/REP003/REP005 scope).  Only the simulated clock ticks here.
+    #: (REP001/REP003 scope).  Only the simulated clock ticks here.
     #: ``storage`` and ``explorer`` are included even though they never run
     #: under the simulated clock: they serialize chain objects and serve
     #: them over process boundaries, exactly the territory REP003/REP006
@@ -63,12 +63,6 @@ class LintConfig:
         r"hash|digest|sign|serial|canonical|encode|to_dict|to_bytes|to_json"
         r"|key_for|merkle|root|payload|emit|broadcast|gossip|send"
     )
-
-    #: Class-name pattern marking network-message dataclasses for REP005.
-    message_name_pattern: str = r"(Message|Envelope|Request|Response|Vote|Ballot)$"
-
-    #: Modules whose every dataclass is a network message (REP005).
-    message_modules: frozenset[str] = frozenset({"repro.net.message"})
 
     #: Names whose calls read the wall clock (REP001).
     wall_clock_calls: frozenset[str] = frozenset(

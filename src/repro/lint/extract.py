@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -33,11 +32,9 @@ from repro.lint.facts import (
     CallFact,
     ClassFact,
     ConnectionUse,
-    DataclassInfo,
     FileFacts,
     FunctionFact,
     ImportFact,
-    MutationFact,
     SourceFact,
     WriteFact,
 )
@@ -98,33 +95,9 @@ def _terminal_name(node: ast.expr) -> str | None:
     return None
 
 
-def _dataclass_decorator(node: ast.expr) -> tuple[bool, bool]:
-    """(is_dataclass, frozen) for one decorator expression."""
-    target = node.func if isinstance(node, ast.Call) else node
-    if _terminal_name(target) != "dataclass":
-        return False, False
-    frozen = False
-    if isinstance(node, ast.Call):
-        for keyword in node.keywords:
-            if keyword.arg == "frozen" and isinstance(keyword.value, ast.Constant):
-                frozen = bool(keyword.value.value)
-    return True, frozen
-
-
 def _is_set_annotation(annotation: ast.expr) -> bool:
     target = annotation.value if isinstance(annotation, ast.Subscript) else annotation
     return _terminal_name(target) in _SET_TYPE_NAMES
-
-
-def _annotation_identifiers(names: set[str], strings: set[str]) -> frozenset[str]:
-    """Identifiers an annotation mentions, string forward references included."""
-    found = set(names)
-    for text in strings:
-        for token in text.replace("[", " ").replace("]", " ").replace(",", " ").split():
-            cleaned = token.strip("'\"| ")
-            if cleaned.isidentifier():
-                found.add(cleaned)
-    return frozenset(found)
 
 
 # -- the walker ------------------------------------------------------------------------
@@ -138,15 +111,12 @@ class _Scope:
     parent: "_Scope | None"
     #: The class whose body directly holds this def (REP023 attribute writes).
     owner: ClassFact | None
-    #: Parameter / local name → identifiers of its annotation (REP005).
-    annotated: dict[str, frozenset[str]] = field(default_factory=dict)
     #: Names annotated with a set type (REP003).
     set_names: set[str] = field(default_factory=set)
     global_names: set[str] = field(default_factory=set)
     #: Identifiers of the enclosing ``with`` items, within this function.
     guards: tuple[str, ...] = ()
-    #: Facts that need the whole body's annotations: resolved on exit.
-    mutations: list[tuple[str, str, str, int, int]] = field(default_factory=list)
+    #: Name iterations, resolved against the body's set annotations on exit.
     name_iterations: list[tuple[str, int, int]] = field(default_factory=list)
 
     def enclosing(self) -> Iterator["_Scope"]:
@@ -193,9 +163,9 @@ class _Extractor:
         self.class_name: str | None = None
         #: The class whose body is being walked *directly* — reset inside defs.
         self.class_body: ClassFact | None = None
-        #: Active identifier collectors: every Name id / Attribute attr and
-        #: every string literal visited is added to each (names, strings).
-        self.collectors: list[tuple[set[str], set[str]]] = []
+        #: Identifiers of the ``with`` items being visited, if any (an
+        #: expression holds no statement, so these never nest).
+        self.with_names: set[str] | None = None
         #: The statement being visited whose whole value is a call.
         self.statement: ast.Expr | ast.Assign | None = None
         # What a call or name chain *means* depends on the file's import
@@ -212,7 +182,6 @@ class _Extractor:
             ast.Call: self.visit_call,
             ast.Name: self.visit_name,
             ast.Attribute: self.visit_attribute,
-            ast.Constant: self.visit_constant,
             ast.Expr: self.visit_expr,
             ast.Assign: self.visit_assign,
             ast.AugAssign: self.visit_assign,
@@ -273,22 +242,6 @@ class _Extractor:
         for node in nodes:
             self.visit(node)
 
-    @contextmanager
-    def collecting(self) -> Iterator[tuple[set[str], set[str]]]:
-        """Gather the identifiers and string literals visited in the block."""
-        collector: tuple[set[str], set[str]] = (set(), set())
-        self.collectors.append(collector)
-        try:
-            yield collector
-        finally:
-            self.collectors.pop()
-
-    def annotation(self, node: ast.expr) -> frozenset[str]:
-        """Visit an annotation expression and return what it mentions."""
-        with self.collecting() as (names, strings):
-            self.visit(node)
-        return _annotation_identifiers(names, strings)
-
     # -- names and resolution ---------------------------------------------------------
 
     def resolve(self, parts: list[str], rooted: bool) -> str | None:
@@ -330,14 +283,14 @@ class _Extractor:
 
     def chain(self, node: ast.expr, parts: list[str], rooted: bool) -> None:
         """Record one outermost Name/Attribute chain (every link of it
-        starts where the chain does) and feed the identifier collectors."""
+        starts where the chain does)."""
         scope = self.scope
         function, guards = (scope.fact, scope.guards) if scope is not None else (None, ())
         self.chains.append(
             _ChainUse(parts, rooted, node.lineno, node.col_offset, function, guards)
         )
-        for names, _ in self.collectors:
-            names.update(parts)
+        if self.with_names is not None:
+            self.with_names.update(parts)
 
     def visit_name(self, node: ast.Name) -> None:
         self.chain(node, [node.id], True)
@@ -352,11 +305,6 @@ class _Extractor:
             while isinstance(current, ast.Attribute):
                 current = current.value
             self.visit(current)
-
-    def visit_constant(self, node: ast.Constant) -> None:
-        if isinstance(node.value, str):
-            for _, strings in self.collectors:
-                strings.add(node.value)
 
     # -- definitions ------------------------------------------------------------------
 
@@ -385,7 +333,7 @@ class _Extractor:
         for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg,
                     args.kwarg):
             if arg is not None and arg.annotation is not None:
-                scope.annotated[arg.arg] = self.annotation(arg.annotation)
+                self.visit(arg.annotation)
                 if _is_set_annotation(arg.annotation):
                     scope.set_names.add(arg.arg)
         self.visit_all([d for d in (*args.defaults, *args.kw_defaults) if d is not None])
@@ -398,23 +346,6 @@ class _Extractor:
 
     def leave_function(self, scope: _Scope) -> None:
         """Resolve the facts that depend on annotations anywhere in the body."""
-        for op, target, attr, line, col in scope.mutations:
-            type_names = next(
-                (s.annotated[target] for s in scope.enclosing() if target in s.annotated),
-                None,
-            )
-            if type_names is not None:
-                self.facts.mutations.append(
-                    MutationFact(
-                        function_name=scope.fact.name,
-                        op=op,
-                        target=target,
-                        attr=attr,
-                        type_names=tuple(sorted(type_names)),
-                        line=line,
-                        col=col,
-                    )
-                )
         for name, line, col in scope.name_iterations:
             if any(name in s.set_names for s in scope.enclosing()):
                 self.facts.sources.append(
@@ -440,50 +371,18 @@ class _Extractor:
             ),
         )
         self.facts.classes.append(klass)
-        is_dataclass, frozen, decorator_line = False, False, node.lineno
-        for decorator in node.decorator_list:
-            found, frozen_flag = _dataclass_decorator(decorator)
-            if found:
-                is_dataclass, frozen = True, frozen or frozen_flag
-                decorator_line = decorator.lineno
         outer = (self.class_name, self.class_body)
         self.class_name, self.class_body = node.name, klass
         self.visit_all(node.body)
         self.class_name, self.class_body = outer
-        # Classes local to a function are not project types: their
-        # dataclass-ness is invisible to REP005.
-        if is_dataclass and self.scope is None:
-            self.facts.dataclasses.append(
-                DataclassInfo(
-                    module=self.module,
-                    name=node.name,
-                    line=node.lineno,
-                    decorator_line=decorator_line,
-                    display_path=self.facts.display_path,
-                    frozen=frozen,
-                )
-            )
 
     # -- calls ------------------------------------------------------------------------
 
     def visit_call(self, node: ast.Call) -> None:
-        func = node.func
         statement = self.statement
         if statement is not None and statement.value is not node:
             statement = None
         self.calls.append(_Call(node, self.function, self.class_name, statement))
-        scope = self.scope
-        if (
-            scope is not None
-            and scope.fact.name not in _INIT_FAMILY
-            and isinstance(func, ast.Attribute)
-            and func.attr == "__setattr__"
-            and node.args
-            and isinstance(node.args[0], ast.Name)
-        ):
-            scope.mutations.append(
-                ("setattr", node.args[0].id, "", node.lineno, node.col_offset)
-            )
         self.children(node)
 
     def resolve_call(self, call: _Call) -> None:
@@ -584,31 +483,28 @@ class _Extractor:
             self.visit(value)
 
     def annotated_assign(self, node: ast.AnnAssign) -> None:
-        identifiers = self.annotation(node.annotation)
-        if self.scope is not None and isinstance(node.target, ast.Name):
-            name = node.target.id
-            self.scope.annotated[name] = identifiers
-            if _is_set_annotation(node.annotation):
-                self.scope.set_names.add(name)
+        self.visit(node.annotation)
+        if (
+            self.scope is not None
+            and isinstance(node.target, ast.Name)
+            and _is_set_annotation(node.annotation)
+        ):
+            self.scope.set_names.add(node.target.id)
 
     def record_write(self, scope: _Scope, node: ast.stmt, target: ast.expr) -> None:
-        """Attribute mutations (REP005) and shared-state writes (REP023)."""
+        """Shared-state writes (REP023): constructor writes are initialization."""
         function_name = scope.fact.name
         if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
-            if function_name not in _INIT_FAMILY:
-                scope.mutations.append(
-                    ("assign", target.value.id, target.attr, target.lineno,
-                     target.col_offset)
+            if (
+                function_name not in _INIT_FAMILY
+                and scope.owner is not None
+                and target.value.id == "self"
+                and not isinstance(node, ast.Delete)
+            ):
+                self.facts.writes.append(
+                    WriteFact(target.attr, function_name, scope.owner,
+                              target.lineno, target.col_offset, scope.guards)
                 )
-                if (
-                    scope.owner is not None
-                    and target.value.id == "self"
-                    and not isinstance(node, ast.Delete)
-                ):
-                    self.facts.writes.append(
-                        WriteFact(target.attr, function_name, scope.owner,
-                                  target.lineno, target.col_offset, scope.guards)
-                    )
         elif (
             isinstance(target, ast.Name)
             and target.id in scope.global_names
@@ -624,9 +520,11 @@ class _Extractor:
             self.scope.global_names.update(node.names)
 
     def visit_with(self, node: ast.With | ast.AsyncWith) -> None:
-        with self.collecting() as (names, _):
-            for item in node.items:
-                self.visit(item.context_expr)
+        names: set[str] = set()
+        self.with_names = names
+        for item in node.items:
+            self.visit(item.context_expr)
+        self.with_names = None
         for item in node.items:
             if item.optional_vars is not None:
                 self.visit(item.optional_vars)

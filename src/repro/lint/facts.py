@@ -12,8 +12,8 @@ trees; each is a predicate over these records plus
   reaches it.  A waiver on the source line therefore answers for both.
 * **Facts are file-local.**  A record depends only on its own file and
   the config matchers; every cross-file question (is that callee an
-  ``async def``?  is that annotation a message class?) is answered at
-  check time against :class:`ProjectSymbols`, the merged tables.
+  ``async def``?  does that call reach a project function?) is answered
+  at check time against :class:`ProjectSymbols`, the merged tables.
 """
 
 from __future__ import annotations
@@ -110,24 +110,6 @@ class CallFact:
 
 
 @dataclass(frozen=True)
-class MutationFact:
-    """An attribute mutation of an annotated parameter or local.
-
-    REP005 matches ``type_names`` against the project's message-class set;
-    ``op`` distinguishes plain assignment from the ``object.__setattr__``
-    escape hatch.
-    """
-
-    function_name: str
-    op: str  # "assign" | "setattr"
-    target: str  # the parameter / variable name
-    attr: str  # mutated attribute ("" for setattr form)
-    type_names: tuple[str, ...]
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
 class ImportFact:
     """One imported module (``import a.b`` → ``a.b``; ``from x import y`` → ``x``)."""
 
@@ -175,18 +157,6 @@ class ConnectionUse:
     guards: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DataclassInfo:
-    """A ``@dataclass``-decorated class definition."""
-
-    module: str
-    name: str
-    line: int
-    decorator_line: int
-    display_path: str
-    frozen: bool
-
-
 @dataclass
 class FileFacts:
     """Everything the rules need to know about one file."""
@@ -198,9 +168,7 @@ class FileFacts:
     functions: list[FunctionFact] = field(default_factory=list)
     sources: list[SourceFact] = field(default_factory=list)
     calls: list[CallFact] = field(default_factory=list)
-    mutations: list[MutationFact] = field(default_factory=list)
     classes: list[ClassFact] = field(default_factory=list)
-    dataclasses: list[DataclassInfo] = field(default_factory=list)
     #: Names passed as ``Thread(target=...)`` anywhere in the file.
     thread_targets: set[str] = field(default_factory=set)
     writes: list[WriteFact] = field(default_factory=list)
@@ -224,15 +192,12 @@ class ProjectSymbols:
         #: (the last file wins a shared name).
         self.files: dict[str, FileFacts] = {}
         self.functions: dict[str, FunctionFact] = {}
-        self.dataclasses: dict[str, DataclassInfo] = {}
         #: Function qualname → the unwaived taint sources in its own body.
         self.taint_sources: dict[str, list[SourceFact]] = {}
         for record in self.records:
             self.files[record.module] = record
             for function in record.functions:
                 self.functions[function.qualname] = function
-            for info in record.dataclasses:
-                self.dataclasses[f"{info.module}.{info.name}"] = info
             self._collect_taint(record, config)
 
     def _collect_taint(self, record: FileFacts, config: "LintConfig") -> None:

@@ -134,69 +134,6 @@ class UnorderedIterationRule(Rule):
 
 
 @register
-class FrozenMessageRule(Rule):
-    """REP005 — network messages are immutable after construction.
-
-    A message delivered to several simulated nodes is the *same object*;
-    a receiver mutating it rewrites history for every other receiver and
-    for the gossip dedup layer.  Message dataclasses must be declared
-    ``frozen=True``, and code that receives a message-typed parameter
-    must never assign to its attributes (including the
-    ``object.__setattr__`` escape hatch outside ``__post_init__``).
-    """
-
-    code = "REP005"
-    name = "frozen-message"
-    summary = "message dataclasses are frozen and never mutated after receipt"
-
-    def check(self, project: "ProjectSymbols") -> Iterator[Diagnostic]:
-        pattern = re.compile(self.config.message_name_pattern)
-        message_classes: set[str] = set()
-        for info in project.dataclasses.values():
-            if info.module not in self.config.message_modules and not pattern.search(
-                info.name
-            ):
-                continue
-            message_classes.add(info.name)
-            if not info.frozen:
-                # Anchor on the @dataclass decorator: that is where the
-                # frozen=True fix (and any waiver) belongs.
-                yield self.diagnostic(
-                    info.display_path,
-                    info.decorator_line,
-                    0,
-                    f"message dataclass {info.name} must be declared "
-                    "@dataclass(frozen=True); a mutable message rewrites "
-                    "history for every node holding a reference",
-                )
-        # Mutation sites are per-file facts (target name + its annotation's
-        # identifiers); which of those annotations denote *messages* is a
-        # cross-file question, answered here.
-        for record in project.records:
-            if not self.config.is_sim_module(record.module):
-                continue
-            for mutation in record.mutations:
-                if not message_classes.intersection(mutation.type_names):
-                    continue
-                if mutation.op == "setattr":
-                    message = (
-                        f"object.__setattr__ on message parameter "
-                        f"{mutation.target!r} in {mutation.function_name}(); "
-                        "messages are immutable after receipt"
-                    )
-                else:
-                    message = (
-                        f"mutation of received message field "
-                        f"{mutation.target}.{mutation.attr} in "
-                        f"{mutation.function_name}(); copy via "
-                        "dataclasses.replace() instead"
-                    )
-                yield self.diagnostic(
-                    record.display_path, mutation.line, mutation.col, message
-                )
-
-
-@register
 class ProcessBoundaryRule(Rule):
     """REP006 — no pickle across the engine boundary, no ambient environ.
 

@@ -231,7 +231,8 @@ def test_def_under_module_level_try_clean_when_deterministic(tmp_path):
 
 
 def test_guarded_defs_are_visible_to_async_and_message_rules(tmp_path):
-    """REP021 and REP005 read the same function facts REP010 does."""
+    """A def under a module-level ``if`` or ``with`` is a function fact:
+    REP021 finds the coroutine, REP010 the taint source inside it."""
     result = run_lint(
         tmp_path,
         {
@@ -248,20 +249,17 @@ def test_guarded_defs_are_visible_to_async_and_message_rules(tmp_path):
                 async def boot():
                     handshake()
             """,
-            "src/repro/net/protocol.py": """
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class PingMessage:
-                    seq: int
+            "src/repro/util/helper.py": """
+                import time
 
                 with open("/dev/null"):
-                    def handle(msg: PingMessage) -> None:
-                        msg.seq = 99
+                    def stamp():
+                        return time.time()
             """,
+            "src/repro/net/emit.py": _GUARDED_SINK,
         },
     )
-    assert sorted(codes(result)) == ["REP005", "REP021"]
+    assert sorted(codes(result)) == ["REP010", "REP021"]
 
 
 # -- imports below their uses ------------------------------------------------------
@@ -393,7 +391,7 @@ def test_each_file_parsed_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ast, "parse", counting_parse)
     result = lint_paths([tmp_path], root=tmp_path)
-    assert len(result.rules_run) == 11 and codes(result) == ["REP010"]
+    assert len(result.rules_run) == 10 and codes(result) == ["REP010"]
     assert sorted(parsed) == ["annotate.py", "hostclock.py", "reporting.py"]
 
 

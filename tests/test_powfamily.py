@@ -392,6 +392,27 @@ class TestChildFirstAdmission:
         storage.close()
 
 
+def test_side_branch_blocks_commit_once_the_batch_is_full(tmp_path):
+    """``batch_size`` bounds the buffer even while the head stays put: at
+    the parent commit only a head move committed, so side-branch blocks
+    piled up unwritten."""
+    ctx, nodes = _stopped_fleet()
+    node = nodes[0]
+    db = tmp_path / "node-0.db"
+    storage = SqliteStorage(db, batch_size=2)
+    node.attach_storage(storage)
+    reader = SqliteStorage(db, read_only=True)
+    rows = reader.block_row_count()
+    head = node.state.head_id
+    fork = _block_on(node.state, node.main_chain()[2], nodes[1].keypair)
+    tip = _block_on(node.state, fork, nodes[2].keypair)
+    assert node._attach(fork) == node._attach(tip) == "unchanged"
+    assert node.state.head_id == head and node.stats.blocks_rejected == 0
+    assert reader.block_row_count() == rows + 2
+    reader.close()
+    storage.close()
+
+
 class TestCopies:
     def test_valid_copy_of_a_held_block_is_dropped_and_a_tampered_one_refused(self):
         """At the parent commit a valid copy raised ``DuplicateBlockError``

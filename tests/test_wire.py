@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import types
+import typing
+from collections.abc import Iterator
+from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,6 +262,40 @@ class TestFraming:
 
 _block_ids = st.binary(min_size=32, max_size=32)
 _id_lists = st.lists(_block_ids, max_size=4)
+#: Field types a receiver cannot change in place.
+_IMMUTABLE_LEAVES = (bool, int, float, str, bytes, type(None))
+
+
+def _mutable_parts(annotation: Any, payload: type | None, path: str) -> Iterator[str]:
+    """Every place under ``annotation`` a receiver could change in place.
+
+    Dataclasses must be frozen and are walked field by field; containers
+    must be tuples.  ``Any`` (``Message.payload``) stands for ``payload``.
+    """
+    if annotation is Any and payload is not None:
+        annotation, payload = payload, None
+    if typing.get_origin(annotation) in (tuple, typing.Union, types.UnionType):
+        for arg in typing.get_args(annotation):
+            if arg is not Ellipsis:
+                yield from _mutable_parts(arg, payload, path)
+    elif dataclasses.is_dataclass(annotation):
+        if not annotation.__dataclass_params__.frozen:
+            yield f"{path}: {annotation.__name__} is not frozen"
+        hints = typing.get_type_hints(annotation)
+        for field in dataclasses.fields(annotation):
+            yield from _mutable_parts(hints[field.name], payload, f"{path}.{field.name}")
+    elif annotation not in _IMMUTABLE_LEAVES:
+        yield f"{path}: {annotation!r} is mutable or unknown"
+
+
+@pytest.mark.parametrize("kind", sorted(wire._CODECS))
+def test_messages_are_immutable_all_the_way_down(kind):
+    """Gossip hands every receiver the same object, so nothing in a
+    message may be changed in place: frozen dataclasses and tuples only."""
+    payload = type(_pinned_messages()[kind].payload)
+    assert list(_mutable_parts(Message, payload, "Message")) == []
+
+
 _request_ids = st.text(max_size=12)
 _finite = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 _difficulties = st.floats(min_value=1.0, max_value=1e12, allow_nan=False)
