@@ -19,7 +19,8 @@ partition is not itself a violation):
   multiple).  Nodes of one run read their tables from a shared
   :class:`~repro.core.themis.ChainFacts`, so the monitor derives each
   node's table again from that node's own tree, once per (node, anchor),
-  and compares those.
+  and compares it with the first table derived at that anchor — once, in
+  the first sweep after the node's anchor moved.
 
 Liveness invariant:
 
@@ -152,8 +153,14 @@ class InvariantMonitor:
         self._derived: dict[tuple[int, bytes], "DifficultyTable"] = {}
         # The distinct tables (by value) derived at each anchor.  A derived
         # table is replaced by its equal here, so each (node, anchor) is
-        # compared by value once and every sweep compares identities.
+        # compared by value once and the check compares identities.
         self._distinct: dict[bytes, list["DifficultyTable"]] = {}
+        # The first table checked at each anchor, and its node; and the
+        # anchor each node last passed the check at.  Both tables of a
+        # comparison are fixed once derived, so a node whose anchor has not
+        # moved since it passed would pass again and is not re-checked.
+        self._reference: dict[bytes, tuple[int, "DifficultyTable"]] = {}
+        self._passed_at: dict[int, bytes] = {}
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -293,11 +300,12 @@ class InvariantMonitor:
         return table
 
     def _check_difficulty_tables(self, nodes: list["MiningNode"]) -> None:
-        by_anchor: dict[bytes, tuple[int, "DifficultyTable"]] = {}
         for node in nodes:
             state = node.state
             boundary = state.height() // state.epoch_blocks * state.epoch_blocks
             anchor = state.block_at(boundary).block_id
+            if self._passed_at.get(node.node_id) == anchor:
+                continue
             try:
                 table = self._own_table(node, anchor)
             except ReproError:
@@ -306,17 +314,14 @@ class InvariantMonitor:
                 # ChainError and DifficultyError are not SimulationError
                 # subclasses, so catch the library root.
                 continue
-            known = by_anchor.get(anchor)
-            if known is None:
-                by_anchor[anchor] = (node.node_id, table)
-                continue
-            owner, reference = known
+            owner, reference = self._reference.setdefault(anchor, (node.node_id, table))
             if table is not reference:  # unequal: equal tables are one object
                 self._violate(
                     SafetyViolation,
                     f"difficulty-table disagreement at anchor {anchor.hex()[:10]} "
                     f"(epoch {reference.epoch}): node {owner} vs node {node.node_id}",
                 )
+            self._passed_at[node.node_id] = anchor
 
     def _check_liveness(self, components: list[list["MiningNode"]]) -> None:
         tallest = max(

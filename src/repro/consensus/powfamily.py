@@ -13,9 +13,12 @@ PoW-H          ``ghost``   ``False``
 
 Each node independently mines on its current head (solve times sampled from
 the mining oracle, or ground with the real miner in ``real_pow`` mode),
-gossips solved blocks, validates and inserts received blocks, and re-arms its
-miner whenever the head moves — re-sampling on head change is statistically
-free because exponential solve times are memoryless.
+gossips solved blocks, and validates and inserts received blocks.  A solve
+time is exponential in the node's difficulty (Eq. 7), and exponential times
+are memoryless: what is left of a running timer is itself an exact draw.  So
+when the head moves the miner keeps its timer as long as its difficulty on
+the new head is the one the timer was drawn at, and draws afresh only when
+that difficulty changed (an epoch rollover, a membership change).
 
 :class:`MiningNode` is consensus only (§VII-A evaluates it on *virtual*
 full blocks): blocks carry no transaction bodies, each represents
@@ -171,6 +174,8 @@ class MiningNode(ConsensusNode):
         self.clock_skew = 0.0
         self.crashed = False
         self._mining_handle: TimerHandle | None = None
+        # The difficulty the live timer was drawn at.
+        self._armed_difficulty = 0.0
         self._started = False
         self._resume_after_sync = False
         self._last_sync_request = -1e18
@@ -283,15 +288,26 @@ class MiningNode(ConsensusNode):
         return multiple * base
 
     def _arm_miner(self, solve_delay: float | None = None) -> None:
+        """Keep or draw the timer for this node's next block on its head.
+
+        A live timer drawn at the difficulty the node still mines at is
+        kept: its remainder is an exact Exp draw (memoryless).  Otherwise —
+        no live timer (it fired, or the node stopped or crashed), a changed
+        difficulty, or a pre-drawn ``solve_delay`` — the old timer goes and a
+        new one is armed.
+        """
         if not self._started:
             return
+        difficulty = self.current_difficulty()
         if self._mining_handle is not None:
+            if solve_delay is None and difficulty == self._armed_difficulty:
+                return
             self._mining_handle.cancel()
         if solve_delay is None:
-            difficulty = self.current_difficulty()
             solve_delay = self.ctx.oracle.sample_solve_time(
                 self.config.hash_rate, difficulty
             )
+        self._armed_difficulty = difficulty
         self._mining_handle = self.ctx.sim.schedule(solve_delay, self._produce_block)
 
     def _produce_block(self) -> None:
@@ -350,8 +366,9 @@ class MiningNode(ConsensusNode):
         Hands ``block`` to the tree, which asks :meth:`_admit_block` before it
         inserts it and before each buffered orphan it releases.  When the
         head moved: counts and traces a reorg, lets the data plane follow
-        (:meth:`_head_moved`), commits, and re-arms the miner on the new
-        head, in that order — once per call, however many blocks entered.
+        (:meth:`_head_moved`), commits, and arms the miner on the new head
+        (:meth:`_arm_miner` keeps a timer whose difficulty still holds), in
+        that order — once per call, however many blocks entered.
         When it did not, the store still commits once its batch is full.
         """
         outcome = self.state.add_block(block, self.ctx.sim.now, self._admit_block)

@@ -92,8 +92,10 @@ class Mempool:
                 self._txs.values(),
                 key=lambda tx: (-preference(tx), self._arrival[tx.tx_id]),
             )
+        if max_bytes is None:
+            return candidates[:max_count]
         picked: list[Transaction] = []
-        budget = max_bytes if max_bytes is not None else float("inf")
+        budget = max_bytes
         for tx in candidates:
             if len(picked) >= max_count:
                 break

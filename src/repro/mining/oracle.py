@@ -67,7 +67,8 @@ class MiningOracle:
         reproduces the scalar rounding.  Safe to use only where the draws
         *are* consecutive on the shared run generator — e.g. fleet start-up,
         where every miner arms back-to-back with no interleaved jitter or
-        workload draws.  Mid-run re-arms interleave with propagation-jitter
+        workload draws.  Mid-run draws (a fired timer, a difficulty that
+        changed on a node's new head) interleave with propagation-jitter
         draws and must stay scalar to preserve the global draw order.
         """
         if len(hash_rates) != len(difficulties):

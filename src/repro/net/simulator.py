@@ -11,15 +11,17 @@ seeds must give identical block trees), so:
   owned by the simulator.
 
 Events are callbacks scheduled at absolute or relative times and can be
-cancelled (timers that get re-armed, e.g. a miner restarting on a new head,
-are cancels + reschedules).
+cancelled (timers that get re-armed, e.g. a miner whose difficulty changed
+at an epoch rollover, are cancels + reschedules).
 
 Hot-path layout: the heap holds plain ``(time, seq, event)`` tuples, so
 every sift comparison is a C tuple comparison that resolves on the float
 time (or the unique int sequence number for ties) without ever calling
 back into Python.  Cancelled events are tombstones — cheap to leave in
-place, but a miner fleet re-arms on every received block, so tombstones
-would otherwise come to dominate the heap.  The simulator counts live
+place.  A miner keeps its timer across head moves at an unchanged
+difficulty, so mining makes few of them (154 for 1,303 blocks at n = 40 ×
+4 epochs), but a whole fleet re-draws at each epoch rollover, and sync
+timeouts and stopped or crashed nodes cancel too.  The simulator counts live
 tombstones and compacts the heap whenever they exceed half the queue
 (amortized O(1) per cancel), keeping both memory and per-pop cost bounded.
 """

@@ -180,8 +180,42 @@ class FullNode(MiningNode):
     # -- the data plane's side of the block path ------------------------------------------
 
     def _select_transactions(self) -> Sequence[Transaction]:
-        """Draw the round's transactions from the pool (§III preferences)."""
-        return self.mempool.select(max_count=MAX_BLOCK_TXS)
+        """Draw the round's transactions from the pool (§III preferences).
+
+        The pool is in arrival order, which need not be nonce order: a
+        producer can hear a sender's nonce 1 before its nonce 0, and nonce 1
+        packed first fails execution and is spent for good.  So each sender's
+        transactions go out in nonce order from the nonce its account
+        executes next, up to the first gap; one that arrived early waits for
+        its predecessor.  A transaction whose nonce the ledger has already
+        passed can never execute and leaves the pool.
+        """
+        picked: list[Transaction] = []
+        next_nonce: dict[bytes, int] = {}
+        waiting: dict[tuple[bytes, int], Transaction] = {}
+        stale: list[bytes] = []
+        for tx in self.mempool.select(max_count=len(self.mempool)):
+            if len(picked) >= MAX_BLOCK_TXS:
+                break
+            sender = tx.sender
+            executed = self.ledger.nonce(sender)
+            if tx.nonce < executed:
+                stale.append(tx.tx_id)
+                continue
+            expected = next_nonce.get(sender, executed)
+            if tx.nonce != expected:
+                # Ahead of a gap waits; a second transaction at a nonce
+                # already picked is skipped.
+                if tx.nonce > expected:
+                    waiting.setdefault((sender, tx.nonce), tx)
+                continue
+            while tx is not None and len(picked) < MAX_BLOCK_TXS:
+                picked.append(tx)
+                expected += 1
+                tx = waiting.pop((sender, expected), None)
+            next_nonce[sender] = expected
+        self.mempool.remove(stale)
+        return picked
 
     def block_wire_bytes(self, block: Block) -> int:
         """Full relay: header plus §VII-A's 512 bytes per carried transaction."""

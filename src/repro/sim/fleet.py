@@ -134,7 +134,7 @@ def start_mining_fleet(nodes: Sequence[MiningNode]) -> None:
     the shared run generator (nothing else — jitter, workloads — draws in
     between), so one ``sample_solve_times`` batch is bit-identical to the
     historical per-node ``node.start()`` loop while amortizing the numpy
-    call overhead across the fleet.  Mid-run re-arms stay scalar; see
+    call overhead across the fleet.  Mid-run draws stay scalar; see
     :meth:`repro.mining.oracle.MiningOracle.sample_solve_times`.
     """
     if not nodes:

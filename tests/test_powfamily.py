@@ -30,6 +30,7 @@ from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
 from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
+from repro.sim.runner import ExperimentConfig, run_experiment
 from repro.sim.tracing import Tracer
 from repro.storage.sqlite import SqliteStorage
 
@@ -561,3 +562,91 @@ class TestStopStart:
         assert nodes[3].stats.blocks_produced == 0
         ctx.sim.run(until=ctx.sim.now + 20.0)
         assert nodes[3].state.height() >= 9  # kept following the chain
+
+
+class TestMiningTimer:
+    """Solve times are memoryless: a live timer drawn at the difficulty the
+    node still mines at is kept when the head moves; every other arming
+    draws afresh."""
+
+    def _mining_fleet(self):
+        ctx, nodes = make_fleet(4)
+        for node in nodes:
+            node.start()
+        return ctx, nodes
+
+    def test_kept_when_the_head_moves_at_the_same_difficulty(self):
+        ctx, nodes = self._mining_fleet()
+        handles = [node._mining_handle for node in nodes]
+        difficulties = [node.current_difficulty() for node in nodes]
+        ctx.sim.run(stop_when=lambda: all(node.state.height() >= 1 for node in nodes))
+        for node, handle, difficulty in zip(nodes, handles, difficulties):
+            assert node.current_difficulty() == difficulty  # still epoch 0
+            if node.stats.blocks_produced == 0:
+                assert node._mining_handle is handle and not handle.cancelled
+
+    def test_redrawn_when_a_head_move_changes_the_difficulty(self):
+        ctx, nodes = self._mining_fleet()
+        watched = nodes[1]
+        kept = redrawn = 0
+        while watched.state.height() < 4 * ctx.params.epoch_length(4):
+            handle = watched._mining_handle
+            armed_at = watched.current_difficulty()
+            produced = watched.stats.blocks_produced
+            head = watched.state.head_id
+            ctx.sim.run(stop_when=lambda: watched.state.head_id != head)
+            if watched.stats.blocks_produced != produced:
+                continue  # its own timer fired
+            if watched.current_difficulty() == armed_at:
+                assert watched._mining_handle is handle
+                kept += 1
+            else:
+                assert handle.cancelled and watched._mining_handle is not handle
+                redrawn += 1
+        assert kept > 0 and redrawn > 0
+
+    def test_redrawn_after_the_timer_fires(self):
+        ctx, nodes = self._mining_fleet()
+        handles = [node._mining_handle for node in nodes]
+        ctx.sim.run(stop_when=lambda: any(node.stats.blocks_produced for node in nodes))
+        producer = next(i for i, node in enumerate(nodes) if node.stats.blocks_produced)
+        fresh = nodes[producer]._mining_handle
+        assert fresh is not None and fresh is not handles[producer]
+        assert not handles[producer].cancelled  # it fired
+
+    def test_redrawn_after_stop_and_start(self):
+        ctx, nodes = self._mining_fleet()
+        node = nodes[2]
+        handle = node._mining_handle
+        node.stop()
+        assert handle.cancelled and node._mining_handle is None
+        node.start()
+        assert node._mining_handle is not None and node._mining_handle is not handle
+
+    def test_redrawn_when_sync_completes_after_a_crash(self):
+        ctx, nodes = self._mining_fleet()
+        node = nodes[3]
+        ctx.sim.run(stop_when=lambda: node.state.height() >= 2)
+        handle = node._mining_handle
+        node.crash()
+        assert handle.cancelled and node._mining_handle is None
+        ctx.sim.run(until=ctx.sim.now + 30.0)
+        node.restart(sync_peer=0)
+        assert node._mining_handle is None  # held back until synced
+        ctx.sim.run(stop_when=lambda: node._mining_handle is not None)
+        assert not node.sync.active
+        assert node.state.head_id == nodes[0].state.head_id
+
+    def test_a_few_draws_per_block(self, monkeypatch):
+        """Draws come from fired timers and difficulty changes only, not
+        from every head move (≈ n − 1 per block when they did)."""
+        draws = []
+        real = MiningOracle.sample_solve_time
+        monkeypatch.setattr(
+            MiningOracle,
+            "sample_solve_time",
+            lambda oracle, h, d: draws.append(d) or real(oracle, h, d),
+        )
+        result = run_experiment(ExperimentConfig("themis", n=10, epochs=2, seed=3))
+        blocks = len(result.observer.tree) - 1
+        assert len(draws) <= 2 * blocks

@@ -55,6 +55,25 @@ class TestSandbaggingMiner:
         # With h = 10 vs 5 honest nodes at 1: expected share ~ 10/15.
         assert attacker_blocks > len(chain) * 0.3
 
+    def test_timer_is_live_exactly_in_active_phases(self):
+        """An idle attacker holds no timer; it arms one once the next block
+        falls in an active epoch, and drops it when an idle one comes."""
+        ctx, nodes, attacker = self._fleet()
+        delta = ctx.params.epoch_length(6)
+        for node in nodes:
+            node.start()
+
+        def out_of_phase():
+            return (attacker._mining_handle is not None) != attacker._phase_active()
+
+        ctx.sim.run(
+            stop_when=lambda: out_of_phase() or nodes[1].state.height() >= 3 * delta,
+            max_events=3_000_000,
+        )
+        assert not out_of_phase()
+        assert nodes[1].state.height() >= 3 * delta
+        assert attacker.stats.blocks_produced > 0
+
     def test_phase_function_cycles(self):
         ctx, nodes, attacker = self._fleet()
         # Height 0 -> next block in epoch 0 -> idle phase.

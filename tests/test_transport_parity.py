@@ -1,10 +1,17 @@
 """Transport-refactor parity: the protocol split must not move a single byte.
 
-The golden hash below was captured on the pre-refactor tree (concrete
-``Simulator``/``SimulatedNetwork`` types wired straight into the nodes).
-If the ``Transport``/``Clock`` protocol extraction — or any later backend
-work — perturbs the simulated schedule by even one event, the fixed-seed
-chain hash changes and this suite fails.
+The golden hashes below pin fixed-seed simulated runs byte for byte.  If the
+``Transport``/``Clock`` protocol extraction — or any later backend work —
+perturbs the simulated schedule by even one event, a hash changes and this
+suite fails.
+
+Every simulator golden here was re-captured once at commit ``3f23eec`` (the
+parent of the memoryless-mining-timer change), after that change: a miner
+now keeps its running timer across head moves at an unchanged difficulty
+instead of drawing a new one, so the shared generator is drawn in another
+order.  The block process is the same in distribution
+(``benchmarks/test_memoryless_timers.py``), not in bytes.  The ``plan``,
+``key_*`` and ``manifest`` pins did not move.
 """
 
 from __future__ import annotations
@@ -34,8 +41,12 @@ from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
 from repro.sim.runner import ExperimentConfig, run_experiment
 
 #: sha256 over the concatenated canonical bytes of the height-30 main chain
-#: of ``build_mining_fleet(n=6, seed=42, i0=2.0)``, captured pre-refactor.
-GOLDEN_CHAIN_SHA256 = "c34de878b1fd6491e9d5a94297fcb263d0a4d080774abf3a4d4409f0236c0bfe"
+#: of ``build_mining_fleet(n=6, seed=42, i0=2.0)``, re-captured at commit
+#: ``3f23eec`` with the memoryless timers (see the module docstring) with
+#:
+#:   PYTHONPATH=src python -c "from tests.test_transport_parity import \
+#:       _chain_hash; print(_chain_hash())"
+GOLDEN_CHAIN_SHA256 = "37f9f37da2ead37118545e841b8e1ce9e2d307cc26615965f0d49865a1b01810"
 
 
 def _chain_hash() -> str:
@@ -49,19 +60,19 @@ def _chain_hash() -> str:
 #: observer.state.head_id.hex(), network.messages_sent,
 #: network.messages_dropped))`` of :func:`recovery_config` runs — the
 #: ingredients of the spine's ``sim.head_digest`` plus the send/drop counters.
-#: Captured at commit ``d82031f`` (the parent of the lazy-statistics /
-#: shared-chain-facts change), before any source edit, with
+#: Re-captured at commit ``3f23eec`` with the memoryless timers (see the
+#: module docstring) with
 #:
 #:   PYTHONPATH=src python -c "from tests.test_transport_parity import \
 #:       recovery_digest; print(recovery_digest(False), recovery_digest(True))"
 #:
 #: The faulted run (3 crash/restarts, one lossy-link window, a 9 | 3
-#: partition) goes through 6 syncs, 4 orphan attachments, 76 reorgs and 511
-#: dropped messages; the fault-free one through 30 reorgs on a degree-4
-#: overlay.  Each takes ~0.2 s.
+#: partition) goes through 6 syncs, 3 orphan attachments, 39 reorgs and 410
+#: dropped messages, and every crash victim produces again; the fault-free
+#: one through 27 reorgs on a degree-4 overlay.  Each takes ~0.2 s.
 GOLDEN_RECOVERY_SHA256 = {
-    False: "fcfaaecaade35310fdae3e0f24e7e30379a1be4b1e43b8353e1779a3ff3c60a1",
-    True: "8647bcfb815ad96d917dcf44f83e024b9496d872dd0d70b801d61105274a313e",
+    False: "ee0b69d3a535a6eda67fa44f91c618f17c4b4748523c4f36678d94f83ebdd877",
+    True: "49c92b4ad3169afbeb3b67f8510e7520be4f61b7aa4661820eca4140416bd2cc",
 }
 
 
@@ -95,20 +106,20 @@ def recovery_digest(faulted: bool) -> str:
 
 #: sha256 over the ``to_json`` record of five runs — themis, themis-lite
 #: (n = 21, degree 5), pow-h with 30 % vulnerable nodes, pbft, and themis
-#: under ``random_fault_plan(churn=0.2, link_faults=1)`` — captured at commit
-#: ``f615496`` (the parent of the derived-codec change), before any source
-#: edit, with
+#: under ``random_fault_plan(churn=0.2, link_faults=1)`` — re-captured at
+#: commit ``3f23eec`` with the memoryless timers (see the module docstring)
+#: with
 #:
 #:   PYTHONPATH=src python -c "from tests.test_transport_parity import \
 #:       results_digest; print(results_digest())"
 #:
-#: That change stopped writing three derived values no loader ever read
+#: The derived-codec change (parent ``f615496``) stopped writing three derived values no loader ever read
 #: (``invariants.clean``, ``fork.longest_duration``, ``fork.mean_duration``)
 #: and writes an absent optional as ``null`` / ``[]`` where the hand-kept
 #: serializer left the key out, so the hashed record drops those three keys
 #: and every ``None`` / ``[]`` / ``{}``-valued key on both sides; every
 #: metric, counter, fault log and invariant report is in it.
-GOLDEN_RESULTS_SHA256 = "1d9d2dbbf0f5594f0c5a7a6bc8432ca611e96d2b2340eb9e486a8e3048652776"
+GOLDEN_RESULTS_SHA256 = "744ad99e4a655a53852d4008679fb9bddde8c1e35b687238cefd458f7f4442ed"
 
 
 def _without_empty(value):
@@ -150,7 +161,9 @@ def results_digest() -> str:
 #:   PYTHONPATH=src python -c "from tests.test_transport_parity import \
 #:       format_pins; print(format_pins())"
 #:
-#: ``plan`` is what the spine's ``sim_churn_n20`` input digest hashes, the two
+#: ``stats`` (a simulated run's counters) was re-captured the same way at
+#: commit ``3f23eec`` with the memoryless timers (see the module docstring);
+#: the other pins did not move.  ``plan`` is what the spine's ``sim_churn_n20`` input digest hashes, the two
 #: keys are what ``ResultCache`` files a run under, ``stats`` is what the
 #: consortium and selfish-fleet goldens hash, ``manifest`` is the file every
 #: localnet process boots from.
@@ -169,14 +182,14 @@ GOLDEN_FORMATS: dict[str, str] = {
     "key_plain": "f7ff915cdf71fa99a002a8abdd180750f36d546a97a1a9f62312c52dbcec8cab",
     "key_planned": "ddffa45093ae89126336d087c5b11762f1f3d25691fcc5974a86d6ef507d4feb",
     "stats": (
-        '{"bytes_by_kind": {"block": 654368052, "sync/blocks_req": 3808, '
-        '"sync/blocks_resp": 6683520, "sync/headers_req": 3104, '
-        '"sync/headers_resp": 3808}, "bytes_sent": 661062292, "drops_by_reason": '
-        '{"loss": 107, "offline": 344, "partition": 60}, "messages_by_kind": '
-        '{"block": 10173, "sync/blocks_req": 6, "sync/blocks_resp": 6, '
+        '{"bytes_by_kind": {"block": 654882644, "sync/blocks_req": 3328, '
+        '"sync/blocks_resp": 5719620, "sync/headers_req": 3136, '
+        '"sync/headers_resp": 3328}, "bytes_sent": 660612056, "drops_by_reason": '
+        '{"loss": 74, "offline": 296, "partition": 40}, "messages_by_kind": '
+        '{"block": 10181, "sync/blocks_req": 6, "sync/blocks_resp": 6, '
         '"sync/headers_req": 6, "sync/headers_resp": 6}, "messages_delivered": '
-        '10252, "messages_dropped": 511, "messages_duplicated": 61, '
-        '"messages_sent": 10197}'
+        '10237, "messages_dropped": 410, "messages_duplicated": 39, '
+        '"messages_sent": 10205}'
     ),
     "manifest": "\n".join(
         [
