@@ -163,14 +163,17 @@ class Block:
         return writer.getvalue()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Block":
+    def from_bytes(cls, data: bytes, *, hash_ids: bool = False) -> "Block":
+        """Decode ``data``; ``hash_ids`` as in :meth:`Transaction.from_bytes`."""
         reader = Reader(data)
         header = BlockHeader.from_bytes(reader.read_bytes())
         signature = None
         if reader.read_bool():
             signature = Signature.from_bytes(reader.read_bytes_raw(SIGNATURE_SIZE))
         count = reader.read_varint()
-        txs = tuple(Transaction.from_bytes(reader.read_bytes()) for _ in range(count))
+        txs = tuple(
+            Transaction.from_bytes(reader.read_bytes(), hash_ids=hash_ids) for _ in range(count)
+        )
         reader.expect_end()
         return cls(header, signature, txs)
 

@@ -83,10 +83,22 @@ class Transaction:
         return writer.getvalue()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Transaction":
+    def from_bytes(cls, data: bytes, *, hash_ids: bool = False) -> "Transaction":
+        """Decode ``data``; with ``hash_ids`` its :attr:`tx_id` is hashed from
+        ``data`` now, where reading it later would re-encode the transaction.
+
+        The codec is canonical (``data == tx.to_bytes()``), so both give the
+        same id.  The wire asks for it (every transaction a peer sends is
+        admitted or Merkle-checked by id); a store's own rows do not, as a
+        bare recovery would hold a digest per transaction it never reads.
+        """
         reader = Reader(data)
         tx = cls._read(reader)
         reader.expect_end()
+        if hash_ids:
+            # What the cached property would store; ``tx.__dict__[...]`` would
+            # also build the instance dict, 64 B more per transaction.
+            object.__setattr__(tx, "tx_id", sha256d(data))
         return tx
 
     @classmethod

@@ -73,10 +73,11 @@ _Codec = tuple[Callable[[Writer, Any], object], Callable[[Reader], Any]]
 
 
 def _canonical(cls: type[Block] | type[Transaction]) -> _Codec:
-    """A chain object as its own canonical bytes, length-prefixed."""
+    """A chain object as its own canonical bytes, length-prefixed; transaction
+    ids are hashed from the bytes they arrived in."""
     return (
         lambda writer, value: writer.write_bytes(value.to_bytes()),
-        lambda reader: cls.from_bytes(reader.read_bytes()),
+        lambda reader: cls.from_bytes(reader.read_bytes(), hash_ids=True),
     )
 
 

@@ -314,3 +314,24 @@ def test_message_and_block_modules_import_light():
         if m not in allowed and not m.startswith(("repro.chain.", "repro.crypto."))
     ]
     assert not extra, extra
+
+
+def test_no_run_path_loads_networkx():
+    """Overlays are sampled by the stdlib port in ``repro.net.topology``: the
+    CLI, the engine, the live node and the fork model run without networkx."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import repro.cli, repro.sim.engine, repro.live.node_runner, repro.analysis.forkmodel\n"
+        "from repro.sim.runner import ExperimentConfig, run_experiment\n"
+        "run_experiment(ExperimentConfig('themis', n=10, epochs=1))\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(SRC)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.splitlines()[-1] == "False"

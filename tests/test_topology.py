@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import NetworkError
@@ -46,6 +49,8 @@ class TestRandomRegular:
     def test_degree_bound(self):
         with pytest.raises(NetworkError):
             random_regular_topology(4, 4)
+        with pytest.raises(NetworkError):
+            random_regular_topology(4, -2)
 
 
 class TestOthers:
@@ -54,6 +59,18 @@ class TestOthers:
         sparse = random_regular_topology(64, 3, seed=1)
         dense = random_regular_topology(64, 8, seed=1)
         assert diameter_hops(dense) < diameter_hops(sparse)
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            {0: [1], 1: [0], 2: [3], 3: [2]},  # two components
+            {0: [], 1: []},  # no edges at all
+            {},  # no nodes
+        ],
+    )
+    def test_diameter_of_a_disconnected_topology_is_a_library_error(self, adjacency):
+        with pytest.raises(NetworkError):
+            diameter_hops(adjacency)
 
 
 class TestOverlay:
@@ -95,3 +112,50 @@ class TestOverlay:
         assert ctx.network.adjacency == expected
         assert manifest.adjacency() == expected
         assert result.members == ctx.members == manifest.members()
+
+
+#: sha256 of ``json.dumps([overlay_topology(n, 6, seed) for seed in range(10)])``
+#: per ``n``.  The simulator goldens and digests are built on these overlays,
+#: so they are pinned without networkx.
+OVERLAY_SHA256 = {
+    4: "8eab28e3d52c5813a72cf7bc8c8bc7f4f66b923db540b4fa082cb0f11ca560d3",
+    10: "2e5a5b2eb2190ec6831718e8b69138abc1540a29c0f59a8f4cac11dbbcdd1efe",
+    20: "19a58a9bdc6d983291b86f5b028db60b0cd35691579172ed931ea15870e2be8a",
+    40: "e56833b17ec71534932884be0f79bc100436818022c70748712ced5f2bab3e04",
+    100: "99ca5742ad8b4d4ddd39a92b8d2531c640974b75df7b07e7e9c4c616f5c9ae95",
+    600: "932d3c30168690866c5bcf2bde20b2c0ae0b8eacfe4a8a1e9fbd652470f67a32",
+}
+
+
+@pytest.mark.parametrize("n", sorted(OVERLAY_SHA256))
+def test_overlays_are_pinned(n):
+    overlays = [overlay_topology(n, 6, seed) for seed in range(10)]
+    assert hashlib.sha256(json.dumps(overlays).encode()).hexdigest() == OVERLAY_SHA256[n]
+
+
+@pytest.mark.parametrize("n", [*range(3, 41), 50, 60, 100, 200, 600])
+def test_the_sampler_is_networkx_random_regular_graph(n):
+    """The port draws what ``nx.random_regular_graph`` draws, retry for retry,
+    and its diameter is ``nx.diameter``'s."""
+    nx = pytest.importorskip("networkx")
+
+    def reference(degree, seed):
+        for attempt in range(32):
+            graph = nx.random_regular_graph(degree, n, seed=seed + attempt)
+            if nx.is_connected(graph):
+                return {node: sorted(graph.neighbors(node)) for node in sorted(graph.nodes)}
+        return None
+
+    for degree in (2, 3, 4, 5, 6, 8):
+        if degree >= n or (n * degree) % 2:
+            continue
+        for seed in range(30 if n <= 100 else 5):
+            expected = reference(degree, seed)
+            if expected is None:
+                with pytest.raises(NetworkError):
+                    random_regular_topology(n, degree, seed=seed)
+                continue
+            adjacency = random_regular_topology(n, degree, seed=seed)
+            assert adjacency == expected, (degree, seed)
+            if seed == 0 and n <= 100:  # all-pairs BFS: seconds at n = 600
+                assert diameter_hops(adjacency) == nx.diameter(nx.Graph(adjacency))

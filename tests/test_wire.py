@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import types
 import typing
@@ -16,6 +17,7 @@ from repro.chain.block import Block, build_block
 from repro.chain.codec import Writer
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import Transaction, make_transaction
+from repro.crypto.hashing import sha256d
 from repro.errors import CodecError, ReproError
 from repro.net.message import (
     KIND_BLOCK,
@@ -79,6 +81,19 @@ class TestMessageRoundTrip:
         tx = _tx()
         msg = Message(kind=KIND_TX, payload=tx, body_size=tx.size, origin=1)
         assert _roundtrip(msg).payload == tx
+
+    def test_received_transactions_carry_their_ids(self, monkeypatch):
+        """Ids are hashed from the received bytes: reading one re-encodes nothing."""
+        tx, block = _tx(), _block()
+        expected = [tx.tx_id, *(t.tx_id for t in block.transactions)]
+        received = [
+            _roundtrip(Message(kind=KIND_TX, payload=tx, body_size=tx.size, origin=1)).payload,
+            *_roundtrip(
+                Message(kind=KIND_BLOCK, payload=block, body_size=block.size, origin=3)
+            ).payload.transactions,
+        ]
+        monkeypatch.setattr(Transaction, "to_bytes", lambda self: pytest.fail("re-encoded"))
+        assert [t.tx_id for t in received] == expected
 
     def test_hello(self):
         msg = Message(kind=KIND_HELLO, payload=Hello(7), body_size=8, origin=7)
@@ -376,9 +391,20 @@ def _mutated(draw, body: bytes) -> bytes:
 #: name -> (values, encode, decode, what decode raises for hostile bytes).  A
 #: transport closes a connection on ``CodecError`` alone, so a message body
 #: must never raise anything else.
+#: Chain objects decode as the wire decodes them, ids hashed on arrival.
 _CODECS = {
-    "transaction": (_transactions(), Transaction.to_bytes, Transaction.from_bytes, ReproError),
-    "block": (_blocks(), Block.to_bytes, Block.from_bytes, ReproError),
+    "transaction": (
+        _transactions(),
+        Transaction.to_bytes,
+        functools.partial(Transaction.from_bytes, hash_ids=True),
+        ReproError,
+    ),
+    "block": (
+        _blocks(),
+        Block.to_bytes,
+        functools.partial(Block.from_bytes, hash_ids=True),
+        ReproError,
+    ),
     "message": (_messages(), encode_message, decode_message, CodecError),
 }
 
@@ -397,6 +423,15 @@ class TestWireProperties:
         except refusal:
             return
         assert encode(decoded) == body
+        # A decoded transaction's id hashes the bytes it arrived in: the
+        # same id only while those bytes are its own encoding.
+        payload = decoded.payload if isinstance(decoded, Message) else decoded
+        if isinstance(payload, Block):
+            decoded_txs = payload.transactions
+        else:
+            decoded_txs = (payload,) if isinstance(payload, Transaction) else ()
+        for tx in decoded_txs:
+            assert tx.tx_id == sha256d(tx.to_bytes())
 
     @settings(max_examples=60, deadline=None)
     @given(_messages())
