@@ -12,7 +12,7 @@ form q^(z+1).
 
 from __future__ import annotations
 
-import numpy as np
+import random
 
 from benchmarks.conftest import print_series
 from repro.sim.attacks import nakamoto_catch_up_probability, private_chain_race
@@ -24,7 +24,7 @@ TRIALS = 8000
 
 def test_prop2_51_percent_resilience(run_once):
     def experiment():
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         table = {
             q: [private_chain_race(q, z, TRIALS, rng) for z in DEPTHS] for q in QS
         }

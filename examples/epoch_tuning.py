@@ -12,7 +12,7 @@ recommendation.
 
 from __future__ import annotations
 
-import numpy as np
+from statistics import fmean
 
 from repro.sim.metrics import stable_value
 from repro.sim.runner import ExperimentConfig, run_experiment
@@ -36,7 +36,7 @@ def main() -> None:
                 )
             )
             values.append(stable_value(result.equality))
-        stable[beta] = float(np.mean(values))
+        stable[beta] = fmean(values)
         print(
             f"{beta:>6.0f} {int(beta * n):>6d} {epochs:>7d} {stable[beta]:>14.3e}"
         )

@@ -16,8 +16,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from statistics import linear_regression
 
 from repro.consensus.powfamily import MiningNode
 from repro.errors import SimulationError
@@ -77,6 +76,4 @@ def lag_growth_slope(lags: list[float]) -> float:
     """
     if len(lags) < 2:
         raise SimulationError("need at least two lags")
-    x = np.arange(len(lags), dtype=float)
-    slope = np.polyfit(x, np.asarray(lags, dtype=float), 1)[0]
-    return float(slope)
+    return linear_regression(range(len(lags)), lags).slope

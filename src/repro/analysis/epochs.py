@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-
-import numpy as np
+from statistics import fmean
 
 from repro.core.equality import variance_of_frequency
 from repro.core.themis import ConsensusChainState
@@ -65,7 +64,7 @@ def epoch_reports(
                 base_difficulty=table.base,
                 min_multiple=float(min(multiples)),
                 max_multiple=float(max(multiples)),
-                mean_multiple=float(np.mean(multiples)),
+                mean_multiple=fmean(multiples),
                 sigma_f2=variance_of_frequency(counts, members),
                 top_producer_share=top / delta,
             )

@@ -121,8 +121,19 @@ class Transaction:
 
     @property
     def size(self) -> int:
-        """Serialized size in bytes (what the network charges for)."""
-        return len(self.to_bytes())
+        """Serialized size in bytes (what the network charges for), counted
+        from the field lengths in :meth:`to_bytes`'s layout, not encoded."""
+        return (
+            40  # sender, recipient
+            + encoded_size_varint(self.amount)
+            + encoded_size_varint(self.nonce)
+            + encoded_size_varint(len(self.payload))
+            + len(self.payload)
+            + encoded_size_varint(len(self.padding))
+            + len(self.padding)
+            + 1  # the signature flag
+            + (0 if self.signature is None else SIGNATURE_SIZE)
+        )
 
     # -- signing -------------------------------------------------------------
 

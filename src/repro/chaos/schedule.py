@@ -21,9 +21,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import pairwise
-from typing import Any, cast
-
-import numpy as np
+from typing import Any, TypeVar, cast
 
 from repro.chaos.faults import (
     ChaosController,
@@ -34,6 +32,7 @@ from repro.chaos.faults import (
     PartitionFault,
 )
 from repro.errors import SimulationError
+from repro.rng import below, distinct, seeded_rng
 from repro.serde import to_json
 
 
@@ -93,23 +92,29 @@ def plan_to_dict(plan: FaultPlan) -> dict[str, Any]:
     return to_json(plan)
 
 
+T = TypeVar("T")
+
 #: Draws of one window before a plan with no room left is refused.
 _WINDOW_DRAWS = 100
 
 
 def _free_window(
-    taken: list[tuple[float, float]], draw: Callable[[], tuple[float, float]]
-) -> tuple[float, float]:
-    """The first drawn ``(start, end)`` that overlaps no window in ``taken``.
+    taken: dict[T, list[tuple[float, float]]], draw: Callable[[], tuple[T, float, float]]
+) -> tuple[T, float, float]:
+    """The first drawn ``(target, start, end)`` whose window overlaps none
+    already ``taken`` on its target.
 
-    A window that fits on the first draw costs no extra random numbers, so
-    a plan whose windows never collide is the plan of a plain draw.
+    The target is drawn again with its window, so one crowded target does
+    not refuse a plan another target has room for.  A window that fits on
+    the first draw costs no extra random numbers, so a plan whose windows
+    never collide is the plan of a plain draw.
     """
     for _ in range(_WINDOW_DRAWS):
-        start, end = draw()
-        if all(end <= other_start or other_end <= start for other_start, other_end in taken):
-            taken.append((start, end))
-            return start, end
+        target, start, end = draw()
+        windows = taken.setdefault(target, [])
+        if all(end <= other_start or other_end <= start for other_start, other_end in windows):
+            windows.append((start, end))
+            return target, start, end
     raise SimulationError("no room left for another non-overlapping fault window")
 
 
@@ -129,7 +134,8 @@ def random_fault_plan(
     """Generate a seeded random plan over ``[0, duration]`` simulated seconds.
 
     Args:
-        seed: plan seed — same seed, same plan, independent of the run seed.
+        seed: plan seed — same seed, same plan, independent of the run seed
+            (a non-negative integer, :func:`repro.rng.seeded_rng`).
         node_ids: fleet membership the plan draws victims from.
         duration: the expected run length the fault windows are placed in.
         churn: fraction of nodes that crash and restart (when ``crashes``
@@ -148,7 +154,7 @@ def random_fault_plan(
         raise SimulationError("plan duration must be positive")
     if not 0.0 <= churn <= 1.0:
         raise SimulationError("churn must be in [0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     ids = list(node_ids)
     crash_count = crashes if crashes is not None else round(churn * len(ids))
     crash_count = min(crash_count, max(0, len(ids) - max(spare, 0)))
@@ -159,10 +165,10 @@ def random_fault_plan(
     # of the run — recovery (sync + at least one produced block) must be
     # observable before the run ends.
     if crash_count > 0:
-        victims = sorted(int(v) for v in rng.choice(ids, crash_count, replace=False))
+        victims = sorted(distinct(rng, ids, crash_count))
         for victim in victims:
-            at = float(rng.uniform(0.15, 0.45)) * duration
-            downtime = float(rng.uniform(0.08, 0.20)) * duration
+            at = rng.uniform(0.15, 0.45) * duration
+            downtime = rng.uniform(0.08, 0.20) * duration
             faults.append(
                 CrashFault(node=victim, at=at, restart_at=min(at + downtime, 0.7 * duration))
             )
@@ -171,51 +177,53 @@ def random_fault_plan(
 
     never_crash = [i for i in ids if i not in set(victims)]
 
-    def partition_window() -> tuple[float, float]:
-        at = float(rng.uniform(0.15, 0.5)) * duration
-        heal_at = at + float(rng.uniform(0.08, 0.2)) * duration
-        return at, min(heal_at, 0.85 * duration)
+    def partition_window() -> tuple[None, float, float]:
+        at = rng.uniform(0.15, 0.5) * duration
+        heal_at = at + rng.uniform(0.08, 0.2) * duration
+        return None, at, min(heal_at, 0.85 * duration)
 
-    partition_windows: list[tuple[float, float]] = []
+    partition_windows: dict[None, list[tuple[float, float]]] = {}
     for _ in range(partitions):
         # Split off a random minority (a quarter to a half of the fleet,
         # at least one node) and heal within the run.
-        minority_size = max(1, int(rng.integers(len(ids) // 4 or 1, len(ids) // 2 + 1)))
-        minority = {int(v) for v in rng.choice(ids, minority_size, replace=False)}
+        low = len(ids) // 4 or 1
+        minority_size = max(1, low + below(rng, len(ids) // 2 + 1 - low))
+        minority = set(distinct(rng, ids, minority_size))
         majority = tuple(i for i in ids if i not in minority)
-        at, heal_at = _free_window(partition_windows, partition_window)
+        _, at, heal_at = _free_window(partition_windows, partition_window)
         faults.append(
             PartitionFault(groups=(majority, tuple(sorted(minority))), at=at, heal_at=heal_at)
         )
 
     for _ in range(link_faults):
         scope_size = max(2, len(ids) // 3)
-        scope = tuple(sorted(int(v) for v in rng.choice(ids, scope_size, replace=False)))
-        at = float(rng.uniform(0.1, 0.6)) * duration
-        until = at + float(rng.uniform(0.1, 0.25)) * duration
+        scope = tuple(sorted(distinct(rng, ids, scope_size)))
+        at = rng.uniform(0.1, 0.6) * duration
+        until = at + rng.uniform(0.1, 0.25) * duration
         faults.append(
             LinkFault(
                 at=at,
                 until=min(until, 0.9 * duration),
                 nodes=scope,
-                loss=float(rng.uniform(0.05, 0.25)),
-                duplicate=float(rng.uniform(0.0, 0.1)),
-                reorder_jitter=float(rng.uniform(0.0, 0.3)),
-                bandwidth_factor=float(rng.uniform(1.0, 3.0)),
+                loss=rng.uniform(0.05, 0.25),
+                duplicate=rng.uniform(0.0, 0.1),
+                reorder_jitter=rng.uniform(0.0, 0.3),
+                bandwidth_factor=rng.uniform(1.0, 3.0),
             )
         )
 
-    def skew_window() -> tuple[float, float]:
-        at = float(rng.uniform(0.1, 0.6)) * duration
-        until = at + float(rng.uniform(0.1, 0.3)) * duration
-        return at, min(until, 0.9 * duration)
+    pool = never_crash or ids
+
+    def skew_window() -> tuple[int, float, float]:
+        node = pool[below(rng, len(pool))]
+        at = rng.uniform(0.1, 0.6) * duration
+        until = at + rng.uniform(0.1, 0.3) * duration
+        return node, at, min(until, 0.9 * duration)
 
     skew_windows: dict[int, list[tuple[float, float]]] = {}
     for _ in range(clock_skews):
-        pool = never_crash or ids
-        node = int(pool[int(rng.integers(len(pool)))])
-        at, until = _free_window(skew_windows.setdefault(node, []), skew_window)
-        skew = float(rng.uniform(0.25 * max_skew, max_skew)) * (
+        node, at, until = _free_window(skew_windows, skew_window)
+        skew = rng.uniform(0.25 * max_skew, max_skew) * (
             1.0 if rng.random() < 0.5 else -1.0
         )
         faults.append(ClockSkewFault(node=node, skew=skew, at=at, until=until))

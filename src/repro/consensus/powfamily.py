@@ -182,15 +182,10 @@ class MiningNode(ConsensusNode):
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def start(self, solve_delay: float | None = None) -> None:
-        """Arm the first mining timer.
-
-        ``solve_delay`` lets :func:`start_mining_fleet` pre-draw the solve
-        time as part of one vectorized oracle batch; when omitted the node
-        samples its own scalar draw.
-        """
+    def start(self) -> None:
+        """Arm the first mining timer."""
         self._started = True
-        self._arm_miner(solve_delay)
+        self._arm_miner()
 
     def stop(self) -> None:
         """Stop mining (the node still relays and validates)."""
@@ -287,26 +282,22 @@ class MiningNode(ConsensusNode):
         multiple, base, _ = self.state.mining_assignment(self.address)
         return multiple * base
 
-    def _arm_miner(self, solve_delay: float | None = None) -> None:
+    def _arm_miner(self) -> None:
         """Keep or draw the timer for this node's next block on its head.
 
         A live timer drawn at the difficulty the node still mines at is
         kept: its remainder is an exact Exp draw (memoryless).  Otherwise —
-        no live timer (it fired, or the node stopped or crashed), a changed
-        difficulty, or a pre-drawn ``solve_delay`` — the old timer goes and a
-        new one is armed.
+        no live timer (it fired, or the node stopped or crashed), or a
+        changed difficulty — the old timer goes and a new one is armed.
         """
         if not self._started:
             return
         difficulty = self.current_difficulty()
         if self._mining_handle is not None:
-            if solve_delay is None and difficulty == self._armed_difficulty:
+            if difficulty == self._armed_difficulty:
                 return
             self._mining_handle.cancel()
-        if solve_delay is None:
-            solve_delay = self.ctx.oracle.sample_solve_time(
-                self.config.hash_rate, difficulty
-            )
+        solve_delay = self.ctx.oracle.sample_solve_time(self.config.hash_rate, difficulty)
         self._armed_difficulty = difficulty
         self._mining_handle = self.ctx.sim.schedule(solve_delay, self._produce_block)
 

@@ -13,16 +13,16 @@ chain produced entirely by one pool would look perfectly "equal".
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
-
-import numpy as np
+from statistics import pvariance
 
 from repro.errors import SimulationError
 
 
 def frequency_vector(
     producer_counts: Mapping[bytes, int], node_ids: Sequence[bytes]
-) -> np.ndarray:
+) -> list[float]:
     """Per-node block-producing frequencies ``f_i = q_i / Δ`` (Eq. 1).
 
     ``Δ`` is the total number of counted blocks; nodes absent from
@@ -32,30 +32,29 @@ def frequency_vector(
     if not node_ids:
         raise SimulationError("node set must be non-empty")
     total = sum(producer_counts.values())
-    counts = np.array([producer_counts.get(node, 0) for node in node_ids], dtype=float)
     if total == 0:
-        return counts
-    return counts / total
+        return [0.0] * len(node_ids)
+    return [producer_counts.get(node, 0) / total for node in node_ids]
 
 
 def variance_of_frequency(
     producer_counts: Mapping[bytes, int], node_ids: Sequence[bytes]
 ) -> float:
     """``σ_f²`` — population variance of block-producing frequency (Eq. 1)."""
-    return float(np.var(frequency_vector(producer_counts, node_ids)))
+    return pvariance(frequency_vector(producer_counts, node_ids))
 
 
-def variance_of_probability(probabilities: Sequence[float] | np.ndarray) -> float:
+def variance_of_probability(probabilities: Sequence[float]) -> float:
     """``σ_p²`` — population variance of block-producing probability (Eq. 2).
 
     The probability vector must sum to ~1 (one block is produced per round).
     """
-    arr = np.asarray(probabilities, dtype=float)
-    if arr.size == 0:
+    if len(probabilities) == 0:
         raise SimulationError("probability vector must be non-empty")
-    if not np.isclose(arr.sum(), 1.0, atol=1e-6):
-        raise SimulationError(f"probabilities must sum to 1, got {arr.sum():.6f}")
-    return float(np.var(arr))
+    total = math.fsum(probabilities)
+    if not math.isclose(total, 1.0, abs_tol=1e-6):
+        raise SimulationError(f"probabilities must sum to 1, got {total:.6f}")
+    return pvariance(probabilities)
 
 
 def round_robin_probability_variance(n: int) -> float:

@@ -46,9 +46,9 @@ class GEOSTRule(ForkChoiceRule):
         """σ_f² of (walked prefix + candidate subtree), Eq. 1.
 
         Closed form over producer counts ``q_i`` with ``Δ = Σ q_i``:
-        ``Var({q_i/Δ}) = (Σ q_i²)/(n·Δ²) − 1/n²`` — pure Python because this
-        sits on the fork-choice hot path (numpy call overhead dominates at
-        consortium-sized n).
+        ``Var({q_i/Δ}) = (Σ q_i²)/(n·Δ²) − 1/n²`` — one pass over the counts,
+        with no frequency vector built, because this sits on the fork-choice
+        hot path.
         """
         members = self._members_fn()
         n = len(members)

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Mapping
-
-import numpy as np
+from statistics import pvariance
 
 from repro.crypto.hashing import sha256
 from repro.errors import ConsensusError
@@ -170,8 +169,8 @@ def equalization_gain(
     Quantifies how much a Themis-style adjustment improved a Proof-of-X
     mechanism's Unpredictability (> 1 means the adjustment helped).
     """
-    raw_var = float(np.var(list(raw.values())))
-    adj_var = float(np.var(list(adjusted.values())))
+    raw_var = pvariance(list(raw.values()))
+    adj_var = pvariance(list(adjusted.values()))
     if adj_var == 0:
         return float("inf") if raw_var > 0 else 1.0
     return raw_var / adj_var

@@ -9,8 +9,8 @@ record, and scoping (which packages a hazard matters in) is left to the
 rules; the config only supplies *matchers* — which dotted names read the
 wall clock, which RNG attributes are seeded construction.
 
-Import bindings are flat and whole-file: ``import numpy as np`` binds
-``np`` everywhere in the file, function-local imports included (a file
+Import bindings are flat and whole-file: ``import time as t`` binds
+``t`` everywhere in the file, function-local imports included (a file
 that imports a hazard anywhere is treated as using it by that name), and
 wherever the import sits — a module may import below its defs.  The walk
 therefore records calls and name chains *as written*; they are resolved

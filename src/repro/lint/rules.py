@@ -63,7 +63,7 @@ class UnseededRandomRule(Rule):
     ``numpy.random`` module API draw from hidden process-global state:
     any import-order or scheduling difference reorders the stream and
     desynchronizes parallel workers from the serial baseline.  Seeded
-    construction (``numpy.random.default_rng(seed)``, ``random.Random``)
+    construction (``repro.rng.seeded_rng(seed)``, ``random.Random(seed)``)
     stays legal — the generator then travels as an explicit argument.
     """
 
@@ -79,13 +79,14 @@ class UnseededRandomRule(Rule):
                 if source.detail.startswith("random."):
                     message = (
                         f"global-state RNG call {source.detail}(); draw from a "
-                        "seeded generator (numpy Generator / random.Random) "
+                        "seeded random.Random (repro.rng.seeded_rng(seed)) "
                         "passed in as a parameter"
                     )
                 else:
                     message = (
-                        f"legacy numpy.random module API {source.detail}(); use a "
-                        "seeded numpy.random.default_rng(seed) generator"
+                        f"legacy numpy.random module API {source.detail}(); draw "
+                        "from a seeded random.Random (repro.rng.seeded_rng(seed)) "
+                        "passed in as a parameter"
                     )
                 yield self.diagnostic(
                     record.display_path, source.line, source.col, message

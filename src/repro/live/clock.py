@@ -6,16 +6,18 @@ running asyncio loop: ``now`` is loop time rebased to zero at construction
 (so block timestamps start near 0.0 exactly like a simulated run), and
 timers are ``loop.call_later`` handles.
 
-The RNG is still an explicitly seeded generator — live mode keeps mining
-draws reproducible *per process* even though delivery timing is real.
+The RNG is still one explicitly seeded :class:`random.Random` (see
+:mod:`repro.rng`) — live mode keeps mining draws reproducible *per
+process* even though delivery timing is real.
 """
 
 from __future__ import annotations
 
 import asyncio
+import random
 from collections.abc import Callable
 
-import numpy as np
+from repro.rng import exponential, seeded_rng
 
 
 class LiveTimer:
@@ -40,12 +42,15 @@ class LiveTimer:
 
 
 class LiveClock:
-    """Wall-clock :class:`~repro.net.clock.Clock` for live deployments."""
+    """Wall-clock :class:`~repro.net.clock.Clock` for live deployments.
+
+    ``seed`` must be a non-negative integer (:func:`repro.rng.seeded_rng`).
+    """
 
     def __init__(self, *, seed: int, loop: asyncio.AbstractEventLoop | None = None) -> None:
         self._loop = loop if loop is not None else asyncio.get_running_loop()
         self._epoch = self._loop.time()
-        self.rng: np.random.Generator = np.random.default_rng(seed)
+        self.rng: random.Random = seeded_rng(seed)
 
     @property
     def now(self) -> float:
@@ -64,4 +69,4 @@ class LiveClock:
 
     def exponential(self, rate: float) -> float:
         """Draw an exponential inter-arrival time with the given rate."""
-        return float(self.rng.exponential(1.0 / rate))
+        return exponential(self.rng, rate)

@@ -16,10 +16,9 @@ not part of the interface); harness code that owns the concrete
 
 from __future__ import annotations
 
+import random
 from collections.abc import Callable
 from typing import Protocol, runtime_checkable
-
-import numpy as np
 
 
 @runtime_checkable
@@ -51,7 +50,7 @@ class Clock(Protocol):
         ...
 
     @property
-    def rng(self) -> np.random.Generator:
+    def rng(self) -> random.Random:
         """The seeded generator every stochastic component draws from."""
         ...
 

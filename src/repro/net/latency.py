@@ -16,9 +16,8 @@ The model charges each transfer:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import NetworkError
 
@@ -53,15 +52,9 @@ class LinkModel:
             raise NetworkError("size must be non-negative")
         return size_bytes * 8.0 / self.bandwidth_bps
 
-    def propagation_delay(self, rng: np.random.Generator) -> float:
-        """Propagation delay including sampled jitter.
-
-        The jitter draw is ``jitter * rng.random()`` — bit-identical to the
-        historical ``rng.uniform(0.0, jitter)`` (numpy computes
-        ``low + (high - low) * next_double`` from the same stream double)
-        but without the Generator.uniform call overhead, which dominates
-        this function on the per-hop gossip path.
-        """
+    def propagation_delay(self, rng: random.Random) -> float:
+        """Propagation delay: ``min_delay`` plus ``jitter * rng.random()``
+        (no draw when ``jitter`` is 0)."""
         if self.jitter == 0.0:
             return self.min_delay
-        return self.min_delay + self.jitter * float(rng.random())
+        return self.min_delay + self.jitter * rng.random()

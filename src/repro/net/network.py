@@ -226,11 +226,6 @@ class SimulatedNetwork:
         now = sim.now
         partitioned = self._partition is not None
         drop = self._drop_filters.get(src) if self._drop_filters else None
-        # With no hook armed every destination gets a copy and nothing draws
-        # in between, so the jitter draws come from one call: numpy fills an
-        # array with the doubles the scalar calls would return, 3× cheaper.
-        quiet = not (offline or partitioned or drop or self._disturbances)
-        draws = iter(sim.rng.random(len(dsts)).tolist()) if quiet and self._jitter else None
         accepting = self._handlers if seen_slot is not None else ()
         seen_by, due_by, remember = self._seen, self._due, self._elided.append
         schedule, deliver = sim.schedule, self._deliver
@@ -262,8 +257,7 @@ class SimulatedNetwork:
             sent += 1
             # Inlined LinkModel.propagation_delay: same ``min + jitter·u`` draw
             # from the same stream, minus two method dispatches per hop.
-            u = 0.0 if jitter == 0.0 else next(draws) if draws else rng_random()
-            propagation = min_delay + jitter * u
+            propagation = min_delay if jitter == 0.0 else min_delay + jitter * rng_random()
             arrival = finish - now + propagation + extra_jitter
             while True:
                 if dst in accepting:
@@ -304,7 +298,7 @@ class SimulatedNetwork:
                 return None
             serialization *= disturbance.bandwidth_factor
             if disturbance.reorder_jitter > 0.0:
-                extra_jitter += disturbance.reorder_jitter * float(rng.random())
+                extra_jitter += disturbance.reorder_jitter * rng.random()
             if disturbance.duplicate > 0.0 and rng.random() < disturbance.duplicate:
                 duplicated = True
         return serialization, extra_jitter, duplicated

@@ -7,8 +7,8 @@ seeds must give identical block trees), so:
 
 * the event queue breaks time ties by a monotonically increasing sequence
   number — insertion order, never object identity;
-* all randomness flows through one seeded :class:`numpy.random.Generator`
-  owned by the simulator.
+* all randomness flows through one seeded :class:`random.Random` owned by
+  the simulator (see :mod:`repro.rng`).
 
 Events are callbacks scheduled at absolute or relative times and can be
 cancelled (timers that get re-armed, e.g. a miner whose difficulty changed
@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import gc
 import heapq
+import random
 from collections.abc import Callable
 
-import numpy as np
-
 from repro.errors import SimulationError
+from repro.rng import exponential, seeded_rng
 
 #: Queues smaller than this are never compacted (the rebuild would cost more
 #: than the tombstones).
@@ -84,12 +84,13 @@ class Simulator:
         now: current simulated time in seconds.
         rng: the run's single random generator; every stochastic component
             (mining oracle, gossip fan-out sampling, workloads, attacks) must
-            draw from it so one seed reproduces the whole run.
+            draw from it so one seed reproduces the whole run.  ``seed`` must
+            be a non-negative integer (:func:`repro.rng.seeded_rng`).
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
-        self.rng: np.random.Generator = np.random.default_rng(seed)
+        self.rng: random.Random = seeded_rng(seed)
         self._queue: list[tuple[float, int, _ScheduledEvent]] = []
         self._next_seq = 0
         self._cancelled = 0  # live tombstones still in the heap
@@ -271,4 +272,4 @@ class Simulator:
         """Sample an Exp(rate) interarrival time from the run's generator."""
         if rate <= 0:
             raise SimulationError(f"exponential rate must be positive, got {rate}")
-        return float(self.rng.exponential(1.0 / rate))
+        return exponential(self.rng, rate)

@@ -21,15 +21,15 @@ Three attacker behaviours from the paper's evaluation and analysis:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Any
-
-import numpy as np
 
 from repro.chain.block import Block
 from repro.consensus.powfamily import MiningNode
 from repro.errors import SimulationError
 from repro.net.network import SimulatedNetwork
+from repro.rng import distinct
 
 
 @dataclass
@@ -53,15 +53,13 @@ class VulnerableNodeAttack:
         network: SimulatedNetwork,
         node_ids: list[int],
         ratio: float,
-        rng: np.random.Generator,
+        rng: random.Random,
     ) -> "VulnerableNodeAttack":
         """Pick ``ratio·n`` victims uniformly at random and arm the attack."""
         if not 0.0 <= ratio <= 1.0:
             raise SimulationError("vulnerable ratio must be in [0, 1]")
         count = round(ratio * len(node_ids))
-        victims = sorted(
-            int(v) for v in rng.choice(node_ids, size=count, replace=False)
-        )
+        victims = sorted(distinct(rng, node_ids, count))
         attack = cls(network=network, victims=victims)
         attack.arm()
         return attack
@@ -170,7 +168,7 @@ class SandbaggingMiner(MiningNode):
         # Idle first (to earn the m = 1 reset), then burst.
         return (epoch % cycle) >= self.idle_epochs
 
-    def _arm_miner(self, solve_delay: float | None = None) -> None:
+    def _arm_miner(self) -> None:
         if not self._started:
             return
         if not self._phase_active():
@@ -180,7 +178,7 @@ class SandbaggingMiner(MiningNode):
             # Re-check at the next head change; also poll so an idle phase
             # ends even if we produce nothing (head changes wake us anyway).
             return
-        super()._arm_miner(solve_delay)
+        super()._arm_miner()
 
     def _handle_block(self, block) -> None:
         super()._handle_block(block)
@@ -195,7 +193,7 @@ def private_chain_race(
     q: float,
     confirmation_depth: int,
     trials: int,
-    rng: np.random.Generator,
+    rng: random.Random,
     abandon_deficit: int = 60,
 ) -> float:
     """Empirical probability that a ``q·λ_honest`` attacker reverts a block.

@@ -61,7 +61,11 @@ def build_stack(
     params: DifficultyParams,
     key_prefix: str = "node",
 ) -> SimStack:
-    """Seeded simulator, overlay, oracle and member identities for ``n`` nodes."""
+    """Seeded simulator, overlay, oracle and member identities for ``n`` nodes.
+
+    The oracle draws from the simulator's generator, so mining, jitter and
+    attack picks share one seeded stream.
+    """
     sim = Simulator(seed=seed)
     network = SimulatedNetwork(
         sim=sim, adjacency=overlay_topology(n, degree, seed=seed), link=link
@@ -127,27 +131,6 @@ def build_mining_fleet(
     return stack.ctx, nodes
 
 
-def start_mining_fleet(nodes: Sequence[MiningNode]) -> None:
-    """Arm every node's first mining timer with one vectorized oracle batch.
-
-    At fleet start-up the nodes' first solve-time draws are consecutive on
-    the shared run generator (nothing else — jitter, workloads — draws in
-    between), so one ``sample_solve_times`` batch is bit-identical to the
-    historical per-node ``node.start()`` loop while amortizing the numpy
-    call overhead across the fleet.  Mid-run draws stay scalar; see
-    :meth:`repro.mining.oracle.MiningOracle.sample_solve_times`.
-    """
-    if not nodes:
-        return
-    oracle = nodes[0].ctx.oracle
-    delays = oracle.sample_solve_times(
-        [node.config.hash_rate for node in nodes],
-        [node.current_difficulty() for node in nodes],
-    )
-    for node, delay in zip(nodes, delays, strict=True):
-        node.start(solve_delay=float(delay))
-
-
 def run_fleet_to_height(
     ctx: RunContext,
     nodes: Sequence[MiningNode],
@@ -158,7 +141,8 @@ def run_fleet_to_height(
     """Start every node and run until the observer's chain reaches a height."""
     if not isinstance(ctx.sim, Simulator):
         raise SimulationError("run_fleet_to_height drives the discrete-event simulator")
-    start_mining_fleet(nodes)
+    for node in nodes:
+        node.start()
     observer = nodes[observer_index]
     ctx.sim.run(
         stop_when=lambda: observer.state.height() >= height, max_events=max_events

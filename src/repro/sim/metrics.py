@@ -18,11 +18,11 @@ and :func:`degradation_ratio` for graceful-degradation assertions.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Sequence
-
-import numpy as np
+from statistics import fmean, median
 
 from repro.chain.block import Block
 from repro.chain.blocktree import BlockTree
@@ -82,7 +82,7 @@ def stable_value(series: Sequence[float], tail: int = 5, robust: bool = False) -
     if tail < 1:
         raise SimulationError("tail must be positive")
     window = series[-tail:]
-    return float(np.median(window) if robust else np.mean(window))
+    return median(window) if robust else fmean(window)
 
 
 # -- Unpredictability (Fig. 5) ----------------------------------------------------------
@@ -93,7 +93,7 @@ def probability_vector_for_epoch(
     profile: PowerProfile,
     members: Sequence[bytes],
     epoch: int,
-) -> np.ndarray:
+) -> list[float]:
     """Per-node win probabilities in an epoch (Eq. 3).
 
     ``p_i = (h_i/m_i) / Σ_j (h_j/m_j)`` — the shared ``D_base`` cancels.
@@ -105,11 +105,9 @@ def probability_vector_for_epoch(
         raise SimulationError(f"main chain has not reached epoch {epoch}")
     anchor = state.anchor_for_height(head, anchor_height + 1)
     table = state.table_for_anchor(anchor)
-    rates = np.array(
-        [profile.powers[i] / table.multiple(members[i]) for i in range(len(members))],
-        dtype=float,
-    )
-    return rates / rates.sum()
+    rates = [profile.powers[i] / table.multiple(members[i]) for i in range(len(members))]
+    total = math.fsum(rates)
+    return [rate / total for rate in rates]
 
 
 def unpredictability_series(
@@ -165,7 +163,7 @@ class ForkReport:
 
     @property
     def mean_duration(self) -> float:
-        return float(np.mean(self.durations)) if self.durations else 0.0
+        return fmean(self.durations) if self.durations else 0.0
 
 
 def fork_report(

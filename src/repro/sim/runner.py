@@ -40,7 +40,7 @@ from repro.net.latency import LinkModel
 from repro.net.transport import NetworkStats
 from repro.serde import NOT_ON_WIRE
 from repro.sim.attacks import VulnerableNodeAttack
-from repro.sim.fleet import SimStack, build_stack, start_mining_fleet
+from repro.sim.fleet import SimStack, build_stack
 from repro.sim.metrics import (
     ChaosReport,
     ForkReport,
@@ -70,7 +70,9 @@ class ExperimentConfig:
     Attributes:
         algorithm: which §VII-B algorithm to run.
         n: consensus node count.
-        seed: master seed; everything stochastic derives from it.
+        seed: master seed, a non-negative integer; everything stochastic
+            derives from it — the overlay sampler and the simulator's one
+            :class:`random.Random` (:func:`repro.rng.seeded_rng`).
         epochs: difficulty epochs to complete (PoW family) — the run stops
             once the observer's main chain spans this many epochs.
         pbft_rounds: committed rounds for a PBFT run.
@@ -271,7 +273,8 @@ def _run_mining(
         exclude=victims,
     )
     monitor.start()
-    start_mining_fleet(nodes)
+    for node in nodes:
+        node.start()
 
     epoch_blocks = ctx.params.epoch_length(cfg.n)
     # Epoch-driven runs (equality/unpredictability curves) stop after a

@@ -11,10 +11,10 @@ normal-approximation confidence interval.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass, replace
 from collections.abc import Callable, Iterable, Sequence
-
-import numpy as np
 
 from repro.errors import SimulationError
 from repro.sim.engine import ExperimentEngine
@@ -40,22 +40,22 @@ class SweepSummary:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.values))
+        return statistics.fmean(self.values)
 
     @property
     def median(self) -> float:
-        return float(np.median(self.values))
+        return float(statistics.median(self.values))
 
     @property
     def std(self) -> float:
         """Sample standard deviation (0 for a single value)."""
         if self.n < 2:
             return 0.0
-        return float(np.std(self.values, ddof=1))
+        return statistics.stdev(self.values)
 
     def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
         """Normal-approximation CI for the mean (95 % by default)."""
-        half = z * self.std / np.sqrt(self.n) if self.n > 1 else 0.0
+        half = z * self.std / math.sqrt(self.n) if self.n > 1 else 0.0
         return (self.mean - half, self.mean + half)
 
     def format(self, unit: str = "") -> str:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Sequence
+
 import pytest
 
 from repro.chain.block import Block, build_block
@@ -19,6 +22,19 @@ def keypair(index: int) -> KeyPair:
     if index not in _KEY_CACHE:
         _KEY_CACHE[index] = KeyPair.from_seed(f"test-node-{index}")
     return _KEY_CACHE[index]
+
+
+def ks_one_sample(samples: Sequence[float], cdf: Callable[[float], float]) -> float:
+    """p-value of the one-sample Kolmogorov–Smirnov test of ``samples``
+    against ``cdf`` (asymptotic distribution with Stephens' correction)."""
+    ordered = sorted(samples)
+    n = len(ordered)
+    statistic = max(
+        max((i + 1) / n - cdf(x), cdf(x) - i / n) for i, x in enumerate(ordered)
+    )
+    lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * statistic
+    p = 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * (k * lam) ** 2) for k in range(1, 101))
+    return min(1.0, max(0.0, p))
 
 
 def _record_calls(monkeypatch, name: str) -> list[tuple]:

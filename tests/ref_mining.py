@@ -17,14 +17,12 @@ from repro.consensus.powfamily import MiningNode
 class ReferenceMiningNode(MiningNode):
     """A :class:`MiningNode` that re-draws its solve time on every head move."""
 
-    def _arm_miner(self, solve_delay: float | None = None) -> None:
+    def _arm_miner(self) -> None:
         if not self._started:
             return
         if self._mining_handle is not None:
             self._mining_handle.cancel()
-        if solve_delay is None:
-            difficulty = self.current_difficulty()
-            solve_delay = self.ctx.oracle.sample_solve_time(
-                self.config.hash_rate, difficulty
-            )
+        solve_delay = self.ctx.oracle.sample_solve_time(
+            self.config.hash_rate, self.current_difficulty()
+        )
         self._mining_handle = self.ctx.sim.schedule(solve_delay, self._produce_block)

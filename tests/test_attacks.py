@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
-import numpy as np
 import pytest
 
 from repro.consensus.powfamily import themis_config
@@ -26,7 +26,7 @@ class TestVulnerableNodes:
     def test_selection_respects_ratio(self):
         ctx, nodes = make_fleet(4)
         attack = VulnerableNodeAttack.select(
-            ctx.network, list(range(4)), 0.5, np.random.default_rng(0)
+            ctx.network, list(range(4)), 0.5, random.Random(0)
         )
         assert len(attack.victims) == 2
 
@@ -34,7 +34,7 @@ class TestVulnerableNodes:
         ctx, nodes = make_fleet(4)
         with pytest.raises(SimulationError):
             VulnerableNodeAttack.select(
-                ctx.network, list(range(4)), 1.5, np.random.default_rng(0)
+                ctx.network, list(range(4)), 1.5, random.Random(0)
             )
 
     def test_victim_blocks_never_land(self):
@@ -50,11 +50,24 @@ class TestVulnerableNodes:
         assert nodes[0].stats.blocks_produced > 0
 
     def test_consensus_survives_attack(self):
-        """§VII-D: other nodes continue the consensus on schedule."""
+        """§VII-D: other nodes continue the consensus on schedule.
+
+        The run stops when one honest node reaches height 20; every other
+        honest node is then at most one block behind it.  The victim's
+        own chain is honest blocks with its suppressed blocks on top.
+        """
         ctx, nodes = make_fleet(4, seed=8)
+        victim, honest = nodes[0], nodes[1:]
         VulnerableNodeAttack(network=ctx.network, victims=[0]).arm()
-        run_to_height(ctx, nodes, 20)
-        assert nodes[1].state.height() >= 19
+        for node in nodes:
+            node.start()
+        ctx.sim.run(
+            stop_when=lambda: honest[0].state.height() >= 20, max_events=5_000_000
+        )
+        assert min(node.state.height() for node in honest) >= 19
+        own = [block.producer == victim.address for block in victim.main_chain()[1:]]
+        honest_height = own.index(True) if True in own else len(own)
+        assert all(own[honest_height:])  # no honest block above a suppressed one
 
     def test_disarm_restores(self):
         ctx, nodes = make_fleet(4, seed=8)
@@ -140,18 +153,16 @@ class TestSelfishMiner:
         assert nodes[1].tree.has_block(attacker.state.head_id) or withheld == 0
 
 
-#: sha256 of :func:`selfish_fleet_digest`, re-captured at commit ``3f23eec``
-#: (the parent of the memoryless-mining-timer change), after that change,
-#: with
+#: sha256 of :func:`selfish_fleet_digest`, re-captured at commit ``19c69bd``
+#: (the parent of the stdlib-randomness change), after that change, with
 #:
 #:   PYTHONPATH=src python -c "from tests.test_attacks import \
 #:       selfish_fleet_digest; print(selfish_fleet_digest())"
 #:
-#: A miner now keeps its running timer across head moves at an unchanged
-#: difficulty, so the shared generator is drawn in another order: the same
-#: block process in distribution (``benchmarks/test_memoryless_timers.py``),
-#: other bytes.
-GOLDEN_SELFISH_SHA256 = "83dbce41d3cef08cadd487fdf9bd09f629b2f2c7e21c214517dffd908c3fd71e"
+#: The run's one generator is now a ``random.Random``, not a numpy
+#: ``Generator``: the same block process in distribution, other bytes.  The
+#: capture before, at ``3f23eec``, was for the memoryless mining timers.
+GOLDEN_SELFISH_SHA256 = "2303ec9dec48b914e7c5234e406742f6b65ea1b570126711b7d094cd729f8c7f"
 
 
 def selfish_fleet_digest() -> str:
@@ -195,25 +206,25 @@ class TestGoldenSelfishFleet:
 
 class TestPrivateChainRace:
     def test_zero_power_never_wins(self):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         assert private_chain_race(0.0, 2, trials=200, rng=rng) == 0.0
 
     def test_probability_decreases_with_depth(self):
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         shallow = private_chain_race(0.4, 0, trials=3000, rng=rng)
         deep = private_chain_race(0.4, 6, trials=3000, rng=rng)
         assert deep < shallow
 
     def test_matches_nakamoto_closed_form(self):
         """Prop. 2 backbone: empirical race ≈ q^(z+1)."""
-        rng = np.random.default_rng(2)
+        rng = random.Random(2)
         for q, z in ((0.3, 2), (0.5, 3)):
             empirical = private_chain_race(q, z, trials=20_000, rng=rng)
             analytic = nakamoto_catch_up_probability(q, z)
             assert empirical == pytest.approx(analytic, abs=0.02)
 
     def test_validation(self):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         with pytest.raises(SimulationError):
             private_chain_race(1.0, 2, trials=10, rng=rng)
         with pytest.raises(SimulationError):

@@ -22,7 +22,7 @@ from repro.chaos.invariants import (
     LivenessViolation,
     SafetyViolation,
 )
-from repro.chaos.schedule import FaultPlan, random_fault_plan
+from repro.chaos.schedule import FaultPlan, _free_window, random_fault_plan
 from repro.consensus.powfamily import powh_config, themis_config
 from repro.errors import SimulationError
 from repro.net.message import HeadersResponse, is_sync_kind
@@ -174,13 +174,21 @@ class TestOverlappingWindows:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_plans_redraw_colliding_windows(self, seed):
-        """A plain draw collides on seeds 1–4 (the partitions on 1–3, two skews
-        on one node on 2 and 4); each plan still holds every fault asked for."""
+        """A plain draw collides on seeds 0, 1, 2 and 4 (the partitions on 1
+        and 2, a skew window on a node that has one on 0 and 4); each plan
+        still holds every fault asked for."""
         plan = random_fault_plan(
             seed, list(range(6)), 1000.0, crashes=0, partitions=2, clock_skews=4
         )
         assert sum(isinstance(f, PartitionFault) for f in plan.faults) == 2
         assert sum(isinstance(f, ClockSkewFault) for f in plan.faults) == 4
+
+    def test_a_crowded_target_is_drawn_again_with_its_window(self):
+        """A skew whose node has no room left moves to another node."""
+        draws = iter([("a", 0.0, 1.0), ("b", 0.0, 1.0)])
+        taken = {"a": [(0.5, 2.0)]}
+        assert _free_window(taken, lambda: next(draws)) == ("b", 0.0, 1.0)
+        assert taken == {"a": [(0.5, 2.0)], "b": [(0.0, 1.0)]}
 
     def test_a_plan_with_no_room_left_is_refused(self):
         with pytest.raises(SimulationError, match="no room"):
@@ -194,6 +202,10 @@ class TestRandomFaultPlan:
         b = random_fault_plan(7, ids, 1000.0, partitions=1, link_faults=1, clock_skews=1)
         assert a == b
         assert random_fault_plan(8, ids, 1000.0) != a
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(SimulationError, match="non-negative"):
+            random_fault_plan(-7, list(range(10)), 1000.0)
 
     def test_churn_and_spare_respected(self):
         plan = random_fault_plan(3, list(range(10)), 500.0, churn=0.2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from statistics import pvariance
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -34,7 +36,7 @@ class TestFrequencyVector:
         counts = {m[0]: 10}
         vec = frequency_vector(counts, m)
         assert vec[0] == 1.0
-        assert vec[1:].sum() == 0.0
+        assert sum(vec[1:]) == 0.0
 
     def test_monopoly_variance(self):
         # One node produces everything: Var = (n-1)/n² (same as round robin
@@ -64,6 +66,17 @@ class TestFrequencyVector:
             np.var(quantities)
         )
         assert variance_of_frequency(counts, m) == pytest.approx(expected)
+
+    @given(
+        st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=600
+        )
+    )
+    def test_pvariance_matches_numpy(self, values):
+        """The stdlib ``pvariance`` the metrics use agrees with ``np.var``."""
+        assert pvariance(values) == pytest.approx(
+            float(np.var(values)), rel=1e-9, abs=1e-12
+        )
 
 
 class TestProbabilityVariance:

@@ -410,19 +410,18 @@ class TestReorgKeepsTransactions:
 
 
 #: sha256 of :func:`consortium_digest` at seed 0, re-captured at commit
-#: ``3f23eec`` (the parent of the memoryless-mining-timer change), after
-#: that change and the nonce-order selection rule, with
+#: ``19c69bd`` (the parent of the stdlib-randomness change), after that
+#: change, with
 #:
 #:   PYTHONPATH=src python -c "from tests.test_fullnode import \
 #:       consortium_digest; print(consortium_digest(0))"
 #:
-#: A miner now keeps its running timer across head moves at an unchanged
-#: difficulty, so the shared generator is drawn in another order.  Under
-#: that order seed 0's producer hears node 0's proposal before its payment;
-#: without the nonce rule (:meth:`FullNode._select_transactions`) the
-#: proposal was spent unexecuted and the run never finished.  The nonce rule
-#: alone leaves the previous value unchanged.
-GOLDEN_CONSORTIUM_SHA256 = "e3af98e1afa61975a8adb6eb2460897f854e9974e02bfd75bfaf46e7a10e364c"
+#: The run's one generator is now a ``random.Random``, not a numpy
+#: ``Generator``, so every draw comes from another stream.  The capture
+#: before, at ``3f23eec``, was for the memoryless mining timers, under whose
+#: order seed 0's producer heard node 0's proposal before its payment (the
+#: nonce rule of :meth:`FullNode._select_transactions` executes it anyway).
+GOLDEN_CONSORTIUM_SHA256 = "25dc78f8e9e16947a2af0e4141f70dc1ffda7d71498356e1ba49e0a75990c1d3"
 
 
 def consortium_digest(seed: int) -> str:

@@ -317,15 +317,18 @@ def test_message_and_block_modules_import_light():
 
 
 def test_no_run_path_loads_networkx():
-    """Overlays are sampled by the stdlib port in ``repro.net.topology``: the
-    CLI, the engine, the live node and the fork model run without networkx."""
+    """Every run path is on the standard library: overlays come from the
+    stdlib port in ``repro.net.topology`` and randomness and statistics from
+    ``random`` and ``statistics``, so the CLI, the engine, the live node, the
+    explorer and the fork model load neither networkx nor numpy."""
     script = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
-        "import repro.cli, repro.sim.engine, repro.live.node_runner, repro.analysis.forkmodel\n"
+        "import repro.cli, repro.sim.engine, repro.live.node_runner, repro.explorer\n"
+        "import repro.analysis.forkmodel\n"
         "from repro.sim.runner import ExperimentConfig, run_experiment\n"
         "run_experiment(ExperimentConfig('themis', n=10, epochs=1))\n"
-        "print('networkx' in sys.modules)\n"
+        "print(sorted({'networkx', 'numpy'} & set(sys.modules)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script, str(SRC)],
@@ -334,4 +337,4 @@ def test_no_run_path_loads_networkx():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr[-2000:]
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "[]"

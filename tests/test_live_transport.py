@@ -22,7 +22,7 @@ from repro.chain.genesis import make_genesis
 from repro.chain.transaction import make_transaction
 from repro.consensus.base import RunContext
 from repro.consensus.powfamily import MiningNode, themis_config
-from repro.errors import NetworkError
+from repro.errors import NetworkError, SimulationError
 from repro.live.clock import LiveClock
 from repro.live.localnet import free_ports
 from repro.live.manifest import ConsortiumManifest, localhost_manifest
@@ -72,6 +72,15 @@ async def _wait_until(predicate, timeout: float, interval: float = 0.02) -> bool
             return True
         await asyncio.sleep(interval)
     return predicate()
+
+
+def test_live_clock_refuses_a_negative_seed():
+    loop = asyncio.new_event_loop()
+    try:
+        with pytest.raises(SimulationError, match="non-negative"):
+            LiveClock(seed=-1, loop=loop)
+    finally:
+        loop.close()
 
 
 class TestDelivery:

@@ -3,7 +3,10 @@ oracle-vs-miner cross-validation promised in DESIGN.md."""
 
 from __future__ import annotations
 
-import numpy as np
+import math
+import random
+from statistics import fmean
+
 import pytest
 
 from repro.chain.block import BLOCK_VERSION, BlockHeader
@@ -21,7 +24,7 @@ from repro.mining.power import (
     uniform_profile,
 )
 
-from tests.conftest import keypair
+from tests.conftest import keypair, ks_one_sample
 
 
 class TestPowerProfiles:
@@ -46,7 +49,7 @@ class TestPowerProfiles:
         assert profile.total == 30.0
 
     def test_shares_sum_to_one(self):
-        assert pool_distribution_profile(50).shares().sum() == pytest.approx(1.0)
+        assert math.fsum(pool_distribution_profile(50).shares()) == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(SimulationError):
@@ -57,18 +60,18 @@ class TestPowerProfiles:
 
 class TestOracle:
     def test_solve_rate_formula(self):
-        oracle = MiningOracle(np.random.default_rng(0), T_MAX)
+        oracle = MiningOracle(random.Random(0), T_MAX)
         # rate = h · (T0/D)/T_max; with T0 = T_max: rate = h/D.
         assert oracle.solve_rate(10.0, 5.0) == pytest.approx(2.0)
 
     def test_sample_mean_matches_rate(self):
-        oracle = MiningOracle(np.random.default_rng(1), T_MAX)
+        oracle = MiningOracle(random.Random(1), T_MAX)
         samples = [oracle.sample_solve_time(4.0, 2.0) for _ in range(4000)]
-        assert np.mean(samples) == pytest.approx(0.5, rel=0.1)
+        assert fmean(samples) == pytest.approx(0.5, rel=0.1)
 
     def test_win_probabilities_eq3(self):
         """p_i = (h_i/m_i)/Σ(h_j/m_j) — multiples equalize the shares."""
-        oracle = MiningOracle(np.random.default_rng(0), T_MAX)
+        oracle = MiningOracle(random.Random(0), T_MAX)
         hash_rates = [100.0, 1.0]
         # Without adjustment the strong node dominates.
         raw = win_probabilities(oracle, hash_rates, [1.0, 1.0])
@@ -78,37 +81,22 @@ class TestOracle:
         assert adjusted[0] == pytest.approx(0.5)
 
     def test_invalid_inputs(self):
-        oracle = MiningOracle(np.random.default_rng(0), T_MAX)
+        oracle = MiningOracle(random.Random(0), T_MAX)
         with pytest.raises(SimulationError):
             oracle.solve_rate(0.0, 1.0)
 
+    def test_solve_times_follow_the_exponential_cdf(self):
+        """5,000 draws against Exp(rate): KS p-value well above 1 %."""
+        oracle = MiningOracle(random.Random(3), T_MAX)
+        rate = oracle.solve_rate(4.0, 2.0)
+        samples = [oracle.sample_solve_time(4.0, 2.0) for _ in range(5000)]
+        assert ks_one_sample(samples, lambda x: 1.0 - math.exp(-rate * x)) > 0.01
 
-    def test_batched_samples_match_sequential_draws(self):
-        """sample_solve_times is bit-identical to sequential sample_solve_time.
-
-        The fleet-startup path arms all miners from one batched draw; replay
-        compatibility requires the batch to consume the generator stream
-        exactly as the per-node loop would.
-        """
-        hash_rates = [1.0, 4.0, 2.5, 9.0, 0.5]
-        difficulties = [1.0, 2.0, 1.0, 3.0, 1.5]
-        sequential = MiningOracle(np.random.default_rng(77), T_MAX)
-        batched = MiningOracle(np.random.default_rng(77), T_MAX)
-        expected = [
-            sequential.sample_solve_time(h, d)
-            for h, d in zip(hash_rates, difficulties, strict=True)
-        ]
-        got = batched.sample_solve_times(hash_rates, difficulties)
-        assert list(got) == expected  # exact equality, not approx
-        # Both generators must end in the same stream position.
-        assert sequential.rng.random() == batched.rng.random()
-
-    def test_batched_samples_validate_inputs(self):
-        oracle = MiningOracle(np.random.default_rng(0), T_MAX)
-        with pytest.raises(SimulationError):
-            oracle.sample_solve_times([1.0, 2.0], [1.0])
-        with pytest.raises(SimulationError):
-            oracle.sample_solve_times([0.0], [1.0])
+    def test_each_draw_takes_one_uniform(self):
+        """A solve time is ``-ln(1 - U) / rate`` of the next ``random()``."""
+        oracle, reference = MiningOracle(random.Random(9), T_MAX), random.Random(9)
+        for _ in range(10):
+            assert oracle.sample_solve_time(4.0, 2.0) == -math.log(1.0 - reference.random()) / 2.0
 
 
 def _header(difficulty: float = 1.0, nonce: int = 0) -> BlockHeader:
@@ -156,7 +144,7 @@ class TestRealMiner:
             miner.mine(_header(8.0, nonce=i * 10_000), max_attempts=100_000).attempts
             for i in range(40)
         ]
-        assert np.mean(hard) > np.mean(easy)
+        assert fmean(hard) > fmean(easy)
 
     def test_validation(self):
         with pytest.raises(SimulationError):
@@ -175,12 +163,12 @@ class TestOracleMinerCrossValidation:
             miner.mine(_header(difficulty, nonce=i * 100_000), max_attempts=10**6).attempts
             for i in range(60)
         ]
-        mean_attempts = float(np.mean(attempts))
+        mean_attempts = fmean(attempts)
         # Geometric mean 1/p, allow generous sampling slack (60 samples).
         assert mean_attempts == pytest.approx(1.0 / p, rel=0.45)
 
     def test_oracle_rate_equals_hash_rate_times_p(self):
-        oracle = MiningOracle(np.random.default_rng(0), EASY_T0)
+        oracle = MiningOracle(random.Random(0), EASY_T0)
         difficulty = 4.0
         hash_rate = 7.0
         p = success_probability(EASY_T0, difficulty)

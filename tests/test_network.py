@@ -11,6 +11,8 @@ from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
 
+from tests.conftest import ks_one_sample
+
 
 def ring(n: int) -> dict[int, list[int]]:
     """A plain cycle: the longest gossip path for its size."""
@@ -38,6 +40,13 @@ class TestLinkModel:
         for _ in range(100):
             delay = link.propagation_delay(sim.rng)
             assert 0.1 <= delay <= 0.15
+
+    def test_jitter_is_uniform(self):
+        """5,000 delays against U[min, min + jitter]: KS p-value well above 1 %."""
+        link = LinkModel(min_delay=0.1, jitter=0.05)
+        sim = Simulator(seed=4)
+        delays = [link.propagation_delay(sim.rng) for _ in range(5000)]
+        assert ks_one_sample(delays, lambda x: min(1.0, max(0.0, (x - 0.1) / 0.05))) > 0.01
 
     def test_validation(self):
         with pytest.raises(NetworkError):

@@ -283,15 +283,38 @@ class TestElisionIsInvisible:
 
     @pytest.mark.parametrize(("seed", "jitter"), [(1, 0.02), (2, 0.0)])
     def test_duplicate_flood_copies_are_not_scheduled(self, seed, jitter):
-        """The point of the change: a flood costs one event per node.
+        """The point of the change: a flood schedules only the copies the
+        elision rule, applied to the unelided network's copies, keeps.
 
-        At seed 2 without jitter two copies reach one node at the same
-        instant; the tie goes to the one already queued, so the later-sent
-        one is elided too (scheduling it would be correct, and wasted).
+        At seed 2 without jitter that is one event per node: two copies
+        reach one node at the same instant, the tie goes to the one already
+        queued, so the later-sent one is elided too (scheduling it would be
+        correct, and wasted).  With jitter a copy sent later can overtake a
+        queued one; it is not a provable duplicate and is scheduled.
         """
         copies = 4 + 11 * 3  # the origin's fan-out, then everyone else's
-        assert _scheduled_by_one_flood(ReferenceNetwork, seed, jitter, copies) == copies
-        assert _scheduled_by_one_flood(SimulatedNetwork, seed, jitter, copies) == 11
+        sent, accepted = _one_flood(ReferenceNetwork, seed, jitter, copies)
+        assert len(sent) == copies
+        kept = _kept_by_elision(sent, accepted)
+        if jitter == 0.0:
+            assert kept == 11
+        assert len(_one_flood(SimulatedNetwork, seed, jitter, copies)[0]) == kept
+
+
+def _kept_by_elision(
+    sent: list[tuple[int, int, float]], accepted: dict[int, int]
+) -> int:
+    """How many of ``sent`` — ``(event, node, arrival)`` in send order —
+    survive the elision rule: a copy is elided if its node had accepted the
+    message before the event that sent it, or an earlier-sent copy to it is
+    due no later."""
+    earliest: dict[int, float] = {}
+    kept = 0
+    for event, node, arrival in sent:
+        if accepted[node] >= event and earliest.get(node, float("inf")) > arrival:
+            kept += 1
+        earliest[node] = min(earliest.get(node, float("inf")), arrival)
+    return kept
 
 
 def _hub_log(network_cls: type) -> list[tuple[Any, ...]]:
@@ -320,20 +343,26 @@ def _hub_log(network_cls: type) -> list[tuple[Any, ...]]:
     return log
 
 
-def _scheduled_by_one_flood(network_cls: type, seed: int, jitter: float, copies: int) -> int:
-    """``Simulator.schedule`` calls one 12-node flood makes; every copy counted."""
+def _one_flood(
+    network_cls: type, seed: int, jitter: float, copies: int
+) -> tuple[list[tuple[int, int, float]], dict[int, int]]:
+    """One 12-node flood from node 0: every ``Simulator.schedule`` call as
+    ``(event, node, arrival)`` in call order, and the event in which each
+    node accepted the message (the origin's is before every event)."""
     harness = Harness(network_cls, seed=seed, n=12, degree=4, jitter=jitter)
-    calls: list[float] = []
-    schedule = harness.sim.schedule
+    sent: list[tuple[int, int, float]] = []
+    sim = harness.sim
+    schedule = sim.schedule
 
-    def counting_schedule(delay: float, callback: Callable[[], None]) -> Any:
-        calls.append(delay)
+    def recording_schedule(delay: float, callback: Callable[[], None]) -> Any:
+        sent.append((sim.events_processed, callback.args[0], sim.now + delay))
         return schedule(delay, callback)
 
-    harness.sim.schedule = counting_schedule  # type: ignore[method-assign]
+    sim.schedule = recording_schedule  # type: ignore[method-assign]
     harness.net.gossip(0, Message(kind="block", payload=None, body_size=1000, origin=0))
-    harness.sim.run()
+    sim.run()
     assert len(harness.log) == 11  # every other node accepted it once
-    assert harness.sim.events_processed == copies
+    assert sim.events_processed == copies
     assert harness.net.stats.messages_delivered == copies
-    return len(calls)
+    accepted = {node: event for _, node, _, _, event, _ in harness.log}
+    return sent, {0: -1, **accepted}

@@ -164,6 +164,16 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         assert Simulator(seed=1).exponential(1.0) != Simulator(seed=2).exponential(1.0)
 
+    @pytest.mark.parametrize("seed", [-1, -42])
+    def test_negative_seed_is_refused(self, seed):
+        """``random.Random`` seeds from ``abs(seed)``: -42 would replay 42."""
+        with pytest.raises(SimulationError, match="non-negative"):
+            Simulator(seed=seed)
+
+    def test_non_integer_seed_is_refused(self):
+        with pytest.raises(SimulationError, match="integer"):
+            Simulator(seed=1.5)  # type: ignore[arg-type]
+
     def test_exponential_rate_validation(self):
         with pytest.raises(SimulationError):
             Simulator().exponential(0.0)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-
 from dataclasses import replace
+
+import pytest
+from hypothesis import given, strategies as st
 
 from repro.chain.transaction import TX_SIZE, Transaction, make_transaction
 from repro.crypto.keys import KeyPair
@@ -16,6 +17,11 @@ from tests.conftest import keypair
 
 def _addr(i: int) -> bytes:
     return keypair(i).public.fingerprint()
+
+
+#: One signature envelope to attach to drawn transactions (its validity does
+#: not matter to their size, and signing each draw would be slow).
+_SIGNED = make_transaction(keypair(0), _addr(1), 1, 0)
 
 
 class TestConstruction:
@@ -191,3 +197,26 @@ class TestSerialization:
     def test_tx_id_is_32_bytes(self):
         tx = make_transaction(keypair(0), _addr(1), 1, 0)
         assert len(tx.tx_id) == 32
+
+
+class TestSize:
+    @given(
+        amount=st.integers(min_value=0, max_value=2**70),
+        nonce=st.integers(min_value=0, max_value=2**40),
+        payload=st.binary(max_size=300),
+        padding=st.binary(max_size=300),
+        signed=st.booleans(),
+    )
+    def test_size_is_the_encoded_length(self, amount, nonce, payload, padding, signed):
+        tx = Transaction(_addr(0), _addr(1), amount, nonce, payload, padding)
+        if signed:
+            tx = replace(tx, signature=_SIGNED.signature)
+        assert tx.size == len(tx.to_bytes())
+
+    def test_size_does_not_encode(self, monkeypatch):
+        tx = make_transaction(keypair(0), _addr(1), 5, 3)
+        monkeypatch.setattr(
+            Transaction, "to_bytes", lambda self: pytest.fail("size encoded the transaction")
+        )
+        assert tx.size == TX_SIZE
+

@@ -5,13 +5,15 @@ The golden hashes below pin fixed-seed simulated runs byte for byte.  If the
 perturbs the simulated schedule by even one event, a hash changes and this
 suite fails.
 
-Every simulator golden here was re-captured once at commit ``3f23eec`` (the
-parent of the memoryless-mining-timer change), after that change: a miner
-now keeps its running timer across head moves at an unchanged difficulty
-instead of drawing a new one, so the shared generator is drawn in another
-order.  The block process is the same in distribution
-(``benchmarks/test_memoryless_timers.py``), not in bytes.  The ``plan``,
-``key_*`` and ``manifest`` pins did not move.
+Every simulator golden here was re-captured once at commit ``19c69bd`` (the
+parent of the stdlib-randomness change), after that change: a run's one
+generator is a ``random.Random`` instead of a numpy ``Generator``, so every
+draw — solve times, jitter, fault-plan picks — comes from another stream.
+The block process is the same in distribution (CHANGES.md has the KS test
+on block intervals and the Fig. 4/5 comparison), not in bytes.  The
+``plan``, ``key_*`` and ``manifest`` pins did not move.  The capture before
+that, at ``3f23eec``, was for the memoryless mining timers, which draw the
+shared generator in another order.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ from repro.sim.runner import ExperimentConfig, run_experiment
 
 #: sha256 over the concatenated canonical bytes of the height-30 main chain
 #: of ``build_mining_fleet(n=6, seed=42, i0=2.0)``, re-captured at commit
-#: ``3f23eec`` with the memoryless timers (see the module docstring) with
+#: ``19c69bd`` with the stdlib generator (see the module docstring) with
 #:
 #:   PYTHONPATH=src python -c "from tests.test_transport_parity import \
 #:       _chain_hash; print(_chain_hash())"
-GOLDEN_CHAIN_SHA256 = "37f9f37da2ead37118545e841b8e1ce9e2d307cc26615965f0d49865a1b01810"
+GOLDEN_CHAIN_SHA256 = "e420419645c9e1f2faf90a2a4c84eff64fea7cd1eddc4b128bb840a953ff693a"
 
 
 def _chain_hash() -> str:
@@ -60,19 +62,19 @@ def _chain_hash() -> str:
 #: observer.state.head_id.hex(), network.messages_sent,
 #: network.messages_dropped))`` of :func:`recovery_config` runs — the
 #: ingredients of the spine's ``sim.head_digest`` plus the send/drop counters.
-#: Re-captured at commit ``3f23eec`` with the memoryless timers (see the
+#: Re-captured at commit ``19c69bd`` with the stdlib generator (see the
 #: module docstring) with
 #:
 #:   PYTHONPATH=src python -c "from tests.test_transport_parity import \
 #:       recovery_digest; print(recovery_digest(False), recovery_digest(True))"
 #:
 #: The faulted run (3 crash/restarts, one lossy-link window, a 9 | 3
-#: partition) goes through 6 syncs, 3 orphan attachments, 39 reorgs and 410
+#: partition) goes through 9 syncs, 14 orphan attachments, 48 reorgs and 431
 #: dropped messages, and every crash victim produces again; the fault-free
-#: one through 27 reorgs on a degree-4 overlay.  Each takes ~0.2 s.
+#: one through 53 reorgs on a degree-4 overlay.  Each takes ~0.2 s.
 GOLDEN_RECOVERY_SHA256 = {
-    False: "ee0b69d3a535a6eda67fa44f91c618f17c4b4748523c4f36678d94f83ebdd877",
-    True: "49c92b4ad3169afbeb3b67f8510e7520be4f61b7aa4661820eca4140416bd2cc",
+    False: "96e8d412670bf5b3b25132f42c07bafb0c41895dd63f1a1f8e452c73bb51165a",
+    True: "bd79876e4d25ff1e5adab50467fab3dbd611534d274b6e345c3d8f1398a7ec01",
 }
 
 
@@ -107,7 +109,7 @@ def recovery_digest(faulted: bool) -> str:
 #: sha256 over the ``to_json`` record of five runs — themis, themis-lite
 #: (n = 21, degree 5), pow-h with 30 % vulnerable nodes, pbft, and themis
 #: under ``random_fault_plan(churn=0.2, link_faults=1)`` — re-captured at
-#: commit ``3f23eec`` with the memoryless timers (see the module docstring)
+#: commit ``19c69bd`` with the stdlib generator (see the module docstring)
 #: with
 #:
 #:   PYTHONPATH=src python -c "from tests.test_transport_parity import \
@@ -119,7 +121,7 @@ def recovery_digest(faulted: bool) -> str:
 #: serializer left the key out, so the hashed record drops those three keys
 #: and every ``None`` / ``[]`` / ``{}``-valued key on both sides; every
 #: metric, counter, fault log and invariant report is in it.
-GOLDEN_RESULTS_SHA256 = "744ad99e4a655a53852d4008679fb9bddde8c1e35b687238cefd458f7f4442ed"
+GOLDEN_RESULTS_SHA256 = "aba92d630d1fe1cf15da3dea0a0c2c2a242e64b808e47408cfe881c088a1ded1"
 
 
 def _without_empty(value):
@@ -162,7 +164,7 @@ def results_digest() -> str:
 #:       format_pins; print(format_pins())"
 #:
 #: ``stats`` (a simulated run's counters) was re-captured the same way at
-#: commit ``3f23eec`` with the memoryless timers (see the module docstring);
+#: commit ``19c69bd`` with the stdlib generator (see the module docstring);
 #: the other pins did not move.  ``plan`` is what the spine's ``sim_churn_n20`` input digest hashes, the two
 #: keys are what ``ResultCache`` files a run under, ``stats`` is what the
 #: consortium and selfish-fleet goldens hash, ``manifest`` is the file every
@@ -182,14 +184,14 @@ GOLDEN_FORMATS: dict[str, str] = {
     "key_plain": "f7ff915cdf71fa99a002a8abdd180750f36d546a97a1a9f62312c52dbcec8cab",
     "key_planned": "ddffa45093ae89126336d087c5b11762f1f3d25691fcc5974a86d6ef507d4feb",
     "stats": (
-        '{"bytes_by_kind": {"block": 654882644, "sync/blocks_req": 3328, '
-        '"sync/blocks_resp": 5719620, "sync/headers_req": 3136, '
-        '"sync/headers_resp": 3328}, "bytes_sent": 660612056, "drops_by_reason": '
-        '{"loss": 74, "offline": 296, "partition": 40}, "messages_by_kind": '
-        '{"block": 10181, "sync/blocks_req": 6, "sync/blocks_resp": 6, '
-        '"sync/headers_req": 6, "sync/headers_resp": 6}, "messages_delivered": '
-        '10237, "messages_dropped": 410, "messages_duplicated": 39, '
-        '"messages_sent": 10205}'
+        '{"bytes_by_kind": {"block": 652116712, "sync/blocks_req": 4656, '
+        '"sync/blocks_resp": 7776100, "sync/headers_req": 5280, '
+        '"sync/headers_resp": 4592}, "bytes_sent": 659907340, "drops_by_reason": '
+        '{"loss": 56, "offline": 315, "partition": 60}, "messages_by_kind": '
+        '{"block": 10138, "sync/blocks_req": 9, "sync/blocks_resp": 8, '
+        '"sync/headers_req": 10, "sync/headers_resp": 9}, "messages_delivered": '
+        '10172, "messages_dropped": 431, "messages_duplicated": 12, '
+        '"messages_sent": 10174}'
     ),
     "manifest": "\n".join(
         [
