@@ -338,11 +338,6 @@ class BlockTree:
         """Number of buffered blocks still waiting for a parent."""
         return self._orphan_count
 
-    def iter_orphans(self) -> Iterator[tuple[Block, float]]:
-        """Buffered orphans with their arrival times, grouped by missing parent."""
-        for pending in self._orphans.values():
-            yield from pending
-
     def get(self, block_id: bytes) -> Block:
         """Return the block for an identifier (KeyError if absent)."""
         block = self._blocks[self._index[block_id]]

@@ -9,9 +9,7 @@ codec:
 
 Attached blocks are written in insertion order, so reloading replays them
 through :meth:`BlockTree.add_block` and reconstructs identical children
-ordering, arrival sequence numbers and subtree statistics.  Buffered orphans
-follow them, so reloading buffers them again and a parent that arrives after
-the snapshot still attaches them.
+ordering, arrival sequence numbers and subtree statistics.
 """
 
 from __future__ import annotations
@@ -21,16 +19,16 @@ from repro.chain.blocktree import BlockTree
 from repro.chain.codec import Reader, Writer
 from repro.errors import ChainError, CodecError
 
-#: File magic and current format version.
+#: File magic and current format version.  Version 1 also carried the
+#: buffered orphans, which a restore replayed unjudged; it is refused.
 MAGIC = b"THMS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def serialize_tree(tree: BlockTree) -> bytes:
     """Serialize a block tree (blocks + arrival metadata) to bytes."""
     blocks = list(tree.iter_blocks())
     entries = [(block, tree.arrival_time(block.block_id)) for block in blocks[1:]]
-    entries += tree.iter_orphans()
     writer = Writer()
     writer.write_bytes_raw(MAGIC)
     writer.write_varint(FORMAT_VERSION)

@@ -29,11 +29,11 @@ from typing import TYPE_CHECKING, Any, ClassVar, Union
 
 from repro.errors import SimulationError
 from repro.net.network import SimulatedNetwork
+from repro.net.simulator import Simulator
 from repro.net.transport import LinkDisturbance
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.consensus.powfamily import MiningNode
-    from repro.net.clock import Clock
 
 
 # -- fault specifications -------------------------------------------------------------
@@ -275,7 +275,7 @@ class ChaosController:
         self,
         nodes: Sequence["MiningNode"],
         network: SimulatedNetwork,
-        sim: "Clock",
+        sim: Simulator,
     ) -> None:
         self.nodes: dict[int, "MiningNode"] = {node.node_id: node for node in nodes}
         self.network = network

@@ -48,11 +48,11 @@ from typing import TYPE_CHECKING, ClassVar
 
 from repro.errors import ReproError, SimulationError
 from repro.net.network import SimulatedNetwork
+from repro.net.simulator import EventHandle, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.consensus.powfamily import MiningNode
     from repro.core.difficulty import DifficultyTable
-    from repro.net.clock import Clock, TimerHandle
 
 
 class InvariantViolation(SimulationError):
@@ -136,7 +136,7 @@ class InvariantMonitor:
         self,
         nodes: Sequence["MiningNode"],
         network: SimulatedNetwork,
-        sim: "Clock",
+        sim: Simulator,
         config: InvariantConfig | None = None,
         exclude: Sequence[int] = (),
     ) -> None:
@@ -146,7 +146,7 @@ class InvariantMonitor:
         self.sim = sim
         self.config = config or InvariantConfig()
         self.report = InvariantReport()
-        self._handle: "TimerHandle | None" = None
+        self._handle: EventHandle | None = None
         self._last_partition_map: dict[int, int] | None = None
         self._partition_changed_at = -float("inf")
         self._running = False

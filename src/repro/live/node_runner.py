@@ -31,7 +31,7 @@ from repro.live.transport import TcpGossipTransport
 from repro.mining.oracle import MiningOracle
 from repro.node.config import FullNodeConfig
 from repro.node.node import FullNode
-from repro.rng import below
+from repro.rng import below, exponential
 from repro.serde import to_json
 from repro.storage.sqlite import SqliteStorage
 
@@ -162,7 +162,7 @@ async def run_node(
 
     async def workload() -> None:
         while True:
-            await asyncio.sleep(clock.exponential(tx_rate))
+            await asyncio.sleep(exponential(rng, tx_rate))
             recipient = members[below(rng, len(members))]
             with contextlib.suppress(InvalidTransactionError):
                 node.pay(recipient, 1)

@@ -24,16 +24,9 @@ Design points:
 * **Gossip dedup keys on ``(origin, msg_id)``.**  Message ids are
   process-local counters, so two origins may emit the same id — but one
   origin never reuses one.
-* **A transaction is relayed around its origin's neighbours.**  A ``tx``
-  copy that came straight from its origin is not forwarded to the origin's
-  other neighbours, which got the origin's own copy (:func:`relay_targets`);
-  in a complete overlay a transaction costs n − 1 frames, not (n − 1)².
-  Every other copy floods — blocks always, so that every honest member
-  relays every block it receives and block receipt times among honest
-  members stay within δ even when a producer withholds its block from some
-  members (Prop. 1, GEOST's reception tie-break).  The price: a transaction
-  the origin fails to deliver to a neighbour is not covered by the others;
-  that member learns it from the block that carries it.
+* **Relay by the shared rule.**  ``gossip`` and ``gossip_deliver`` send
+  to :func:`~repro.net.transport.relay_targets`, the rule the simulated
+  network relays by too.
 * **Chaos subset.**  Drop filters and ``set_offline`` work (they are
   process-local); overlay-global faults — partitions, link disturbances —
   have no single-process implementation, so this class has no hooks for
@@ -44,13 +37,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable
 
 from repro.errors import CodecError, NetworkError
 from repro.live.clock import LiveClock
 from repro.live.manifest import ConsortiumManifest
-from repro.net.message import KIND_TX, Message, is_sync_kind
-from repro.net.transport import DropFilter, Handler, NetworkStats
+from repro.net.message import Message, is_sync_kind
+from repro.net.transport import DropFilter, Handler, NetworkStats, relay_targets
 from repro.net.wire import (
     KIND_HELLO,
     FrameDecoder,
@@ -70,26 +63,6 @@ from repro.net.wire import (
 SEND_BUFFER_LIMIT = 1 << 20
 
 _NO_INBOUND: tuple[Message | None, bytes] = (None, b"")
-
-
-def relay_targets(
-    adjacency: Mapping[int, Sequence[int]],
-    node_id: int,
-    message: Message,
-    from_peer: int | None,
-) -> list[int]:
-    """The peers ``node_id`` sends a gossip copy to that is new to it.
-
-    ``from_peer`` is ``None`` at the origin: every neighbour.  A ``tx`` that
-    came straight from its origin skips the origin's neighbours too, since
-    each got the origin's own copy.  Every other copy floods to
-    ``neighbors − {from_peer}``.
-    """
-    peers = adjacency.get(node_id, ())
-    if message.kind == KIND_TX and from_peer == message.origin:
-        covered = adjacency.get(from_peer, ())
-        return [peer for peer in peers if peer != from_peer and peer not in covered]
-    return [peer for peer in peers if peer != from_peer]
 
 
 class _PeerLink:
@@ -281,14 +254,6 @@ class TcpGossipTransport:
             )
         self._handlers[node_id] = handler
 
-    def detach(self, node_id: int) -> None:
-        self._handlers.pop(node_id, None)
-
-    @property
-    def node_ids(self) -> list[int]:
-        """Every consortium member (the manifest is the membership)."""
-        return [peer.node_id for peer in self.manifest.peers]
-
     def neighbors(self, node_id: int) -> list[int]:
         """Overlay neighbors from the manifest-derived adjacency."""
         return list(self._adjacency.get(node_id, []))
@@ -308,9 +273,6 @@ class TcpGossipTransport:
             self._offline.add(node_id)
         else:
             self._offline.discard(node_id)
-
-    def is_offline(self, node_id: int) -> bool:
-        return node_id in self._offline
 
     # -- send paths ------------------------------------------------------------------
 

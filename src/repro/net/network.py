@@ -1,11 +1,14 @@
 """The simulated peer-to-peer network: unicast and gossip.
 
 §VII-A: "data transmission between nodes adopts basic Gossip protocol".  The
-network floods messages over the overlay with per-node deduplication: a node
-that sees a message id for the first time delivers it to its handler and
-forwards it to its other neighbors.  Outbound transfers from one node share
-that node's 20 Mbps uplink and queue behind each other, so big blocks and
-chatty protocols (PBFT at large n) pay real bandwidth costs.
+network gossips messages over the overlay with per-node deduplication: a
+node that sees a message id for the first time delivers it to its handler
+and relays it by the rule both transports share
+(:func:`~repro.net.transport.relay_targets`: blocks flood to every other
+neighbour, a transaction skips its origin's neighbours).  Outbound
+transfers from one node share that node's 20 Mbps uplink and queue behind
+each other, so big blocks and chatty protocols (PBFT at large n) pay real
+bandwidth costs.
 
 Attack hooks: per-node outbound drop filters model *vulnerable nodes* that
 are "prevented from putting the produced blocks into the main chain"
@@ -22,7 +25,13 @@ from repro.errors import NetworkError
 from repro.net.latency import LinkModel
 from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
 from repro.net.simulator import Simulator
-from repro.net.transport import DropFilter, Handler, LinkDisturbance, NetworkStats
+from repro.net.transport import (
+    DropFilter,
+    Handler,
+    LinkDisturbance,
+    NetworkStats,
+    relay_targets,
+)
 
 #: Remembered copies are settled once this many pile up (or twice what was
 #: still in flight after the last settle), so the list stays short.
@@ -358,22 +367,16 @@ class SimulatedNetwork:
         return index >> 3, 1 << (index & 7)
 
     def gossip(self, origin: int, message: Message) -> None:
-        """Flood a message over the overlay with per-node dedup (§VII-A)."""
+        """Gossip a message over the overlay with per-node dedup (§VII-A)."""
         byte, bit = slot = self._seen_slot(message.msg_id)
         self._seen[origin][byte] |= bit
-        self._forward(origin, message, None, slot)
-
-    def _forward(
-        self, node_id: int, message: Message, exclude: int | None, slot: tuple[int, int]
-    ) -> None:
-        peers = [peer for peer in self.adjacency[node_id] if peer != exclude]
-        self._send(node_id, peers, message, slot)
+        self._send(origin, relay_targets(self.adjacency, origin, message, None), message, slot)
 
     def gossip_deliver(self, dst: int, from_peer: int, message: Message) -> bool:
         """Gossip reception hook called by node handlers.
 
         Returns ``True`` if the message is new at ``dst`` (caller should
-        process it); forwarding to the remaining neighbors is scheduled
+        process it); relaying to its :func:`relay_targets` is scheduled
         automatically.  Returns ``False`` for duplicates.
         """
         byte, bit = slot = self._seen_slot(message.msg_id)
@@ -382,7 +385,7 @@ class SimulatedNetwork:
             return False
         seen[byte] |= bit
         self._due[dst].pop(message.msg_id, None)  # seen now vouches instead
-        self._forward(dst, message, from_peer, slot)
+        self._send(dst, relay_targets(self.adjacency, dst, message, from_peer), message, slot)
         return True
 
     # -- introspection --------------------------------------------------------------------

@@ -34,7 +34,7 @@ import random
 from collections.abc import Callable
 
 from repro.errors import SimulationError
-from repro.rng import exponential, seeded_rng
+from repro.rng import seeded_rng
 
 #: Queues smaller than this are never compacted (the rebuild would cost more
 #: than the tombstones).
@@ -267,9 +267,3 @@ class Simulator:
             self._running = False
             if gc_was_enabled:
                 gc.enable()
-
-    def exponential(self, rate: float) -> float:
-        """Sample an Exp(rate) interarrival time from the run's generator."""
-        if rate <= 0:
-            raise SimulationError(f"exponential rate must be positive, got {rate}")
-        return exponential(self.rng, rate)

@@ -11,6 +11,17 @@ structural interface this module defines.  Two backends implement it:
   backend that runs Themis nodes as real processes over real sockets
   (``python -m repro localnet``).
 
+Both relay gossip by one rule, :func:`relay_targets`.  A ``tx`` copy that
+came straight from its origin is not forwarded to the origin's other
+neighbours, which got the origin's own copy; in a complete overlay a
+transaction costs n − 1 transfers, not (n − 1)².  Every other copy floods —
+blocks always, so that every honest member relays every block it receives
+and block receipt times among honest members stay within δ even when a
+producer withholds its block from some members (Prop. 1, GEOST's reception
+tie-break).  The price: a transaction the origin fails to deliver to a
+neighbour is not covered by the others; that member learns it from the
+block that carries it.
+
 The chaos-injection hooks (drop filters, partitions, link disturbances) are
 not part of the protocol: the simulated backend implements all of them, the
 live backend only the process-local ones, so the chaos layer types against
@@ -25,18 +36,38 @@ down by cause — silently disappearing messages are not allowed.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from collections.abc import Callable
 from typing import Protocol, runtime_checkable
 
 from repro.errors import NetworkError
-from repro.net.message import Message
+from repro.net.message import KIND_TX, Message
 from repro.serde import to_json
 
 #: Delivery callback: (message, from_peer) -> None.
 Handler = Callable[[Message, int], None]
 #: Outbound filter: return True to silently drop the message.
 DropFilter = Callable[[Message], bool]
+
+
+def relay_targets(
+    adjacency: Mapping[int, Sequence[int]],
+    node_id: int,
+    message: Message,
+    from_peer: int | None,
+) -> list[int]:
+    """The peers ``node_id`` sends a gossip copy to that is new to it.
+
+    ``from_peer`` is ``None`` at the origin: every neighbour.  A ``tx`` that
+    came straight from its origin skips the origin's neighbours too, since
+    each got the origin's own copy.  Every other copy floods to
+    ``neighbors − {from_peer}``.
+    """
+    peers = adjacency.get(node_id, ())
+    if message.kind == KIND_TX and from_peer == message.origin:
+        covered = adjacency.get(from_peer, ())
+        return [peer for peer in peers if peer != from_peer and peer not in covered]
+    return [peer for peer in peers if peer != from_peer]
 
 
 def _int_counter() -> dict[str, int]:
@@ -133,9 +164,10 @@ class Transport(Protocol):
     * ``attach`` registers a node's delivery handler; a transport delivers
       each arriving message exactly once to the handler of its destination.
     * ``unicast`` is point-to-point with no forwarding (the sync protocol).
-    * ``gossip`` floods from the origin over the overlay;
+    * ``gossip`` sends from the origin over the overlay;
       ``gossip_deliver`` is the reception hook a handler calls to dedup and
-      schedule forwarding, returning ``True`` iff the message is new.
+      relay, returning ``True`` iff the message is new.  Both send to
+      :func:`relay_targets`, on either backend.
     * **Handler contract:** a handler passes every message that is not
       point-to-point (``sync/*``) to ``gossip_deliver`` before acting on it,
       and does nothing when that returns ``False``.  Every arriving copy is
@@ -161,15 +193,6 @@ class Transport(Protocol):
         """Register a node's delivery handler."""
         ...
 
-    def detach(self, node_id: int) -> None:
-        """Remove a node's handler (delivery to it then drops, counted)."""
-        ...
-
-    @property
-    def node_ids(self) -> list[int]:
-        """All node ids reachable through this transport, sorted."""
-        ...
-
     def neighbors(self, node_id: int) -> list[int]:
         """The node's overlay neighbors, sorted."""
         ...
@@ -179,18 +202,14 @@ class Transport(Protocol):
         ...
 
     def gossip(self, origin: int, message: Message) -> None:
-        """Flood a message over the overlay with per-node dedup."""
+        """Send a new message to the origin's :func:`relay_targets`."""
         ...
 
     def gossip_deliver(self, dst: int, from_peer: int, message: Message) -> bool:
-        """Dedup + forward hook; True iff the message is new at ``dst``."""
+        """Dedup + relay hook; True iff the message is new at ``dst``."""
         ...
 
     def set_offline(self, node_id: int, offline: bool) -> None:
         """Fully detach a node (no sends, no deliveries)."""
-        ...
-
-    def is_offline(self, node_id: int) -> bool:
-        """True while the node is offline."""
         ...
 

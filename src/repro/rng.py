@@ -40,6 +40,8 @@ def seeded_rng(seed: int) -> random.Random:
 
 def exponential(rng: random.Random, rate: float) -> float:
     """One Exp(rate) draw: ``-ln(1 - U) / rate`` for ``U = rng.random()``."""
+    if rate <= 0:
+        raise SimulationError(f"exponential rate must be positive, got {rate}")
     return -math.log(1.0 - rng.random()) / rate
 
 

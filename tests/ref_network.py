@@ -2,7 +2,8 @@
 
 This is the ``SimulatedNetwork`` that ``repro.net.network`` shipped before it
 stopped scheduling flood copies it can prove are duplicates, kept (class
-renamed, minus the methods the network has since dropped) as the oracle the differential test in
+renamed, minus the methods the network has since dropped, relaying by the
+one rule both transports share) as the oracle the differential test in
 ``test_network_elision.py`` compares against.  Every copy of every message —
 the four in five that ``gossip_deliver`` then turns away included — goes
 through the per-copy ``_transmit``, a ``partial``, a heap push and pop and the
@@ -20,7 +21,13 @@ from repro.errors import NetworkError
 from repro.net.latency import LinkModel
 from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
 from repro.net.simulator import Simulator
-from repro.net.transport import DropFilter, Handler, LinkDisturbance, NetworkStats
+from repro.net.transport import (
+    DropFilter,
+    Handler,
+    LinkDisturbance,
+    NetworkStats,
+    relay_targets,
+)
 
 class ReferenceNetwork:
     """Gossip overlay on top of the discrete-event simulator.
@@ -95,9 +102,6 @@ class ReferenceNetwork:
             self._offline.add(node_id)
         else:
             self._offline.discard(node_id)
-
-    def is_offline(self, node_id: int) -> bool:
-        return node_id in self._offline
 
     def set_partition(self, groups: list[list[int]] | None) -> None:
         """Partition the network: messages between groups are dropped.
@@ -256,12 +260,10 @@ class ReferenceNetwork:
     def gossip(self, origin: int, message: Message) -> None:
         """Flood a message over the overlay with per-node dedup (§VII-A)."""
         self._seen[origin].add(message.msg_id)
-        self._forward(origin, message, exclude=None)
+        self._relay(origin, message, from_peer=None)
 
-    def _forward(self, node_id: int, message: Message, exclude: int | None) -> None:
-        for peer in self.adjacency[node_id]:
-            if peer == exclude:
-                continue
+    def _relay(self, node_id: int, message: Message, from_peer: int | None) -> None:
+        for peer in relay_targets(self.adjacency, node_id, message, from_peer):
             self._transmit(node_id, peer, message)
 
     def gossip_deliver(self, dst: int, from_peer: int, message: Message) -> bool:
@@ -275,7 +277,7 @@ class ReferenceNetwork:
         if message.msg_id in seen:
             return False
         seen.add(message.msg_id)
-        self._forward(dst, message, exclude=from_peer)
+        self._relay(dst, message, from_peer)
         return True
 
     # -- introspection --------------------------------------------------------------------

@@ -338,3 +338,79 @@ def test_no_run_path_loads_networkx():
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+#: The seams node code speaks through, by defining module, and the packages
+#: whose code is node code.
+SEAMS = {"repro.net.clock": ("Clock", "TimerHandle"), "repro.net.transport": ("Transport",)}
+NODE_PACKAGES = ("consensus", "node", "core")
+
+
+def _declared_members(module: str, cls: str) -> set[str]:
+    path = SRC.joinpath(*module.split(".")).with_suffix(".py")
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            return {
+                item.name
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+    raise AssertionError(f"{module} defines no {cls}")
+
+
+def _through_seam(node: ast.AST) -> str | None:
+    """``sim`` or ``network`` when ``node`` is ``….ctx.sim`` / ``….ctx.network``."""
+    if isinstance(node, ast.Attribute) and node.attr in ("sim", "network"):
+        owner = node.value
+        if (isinstance(owner, ast.Name) and owner.id == "ctx") or (
+            isinstance(owner, ast.Attribute) and owner.attr == "ctx"
+        ):
+            return node.attr
+    return None
+
+
+def _leaf(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_seams_declare_only_what_node_code_calls():
+    """Every member of ``Clock``, ``TimerHandle`` and ``Transport`` is reached
+    by node code: through ``ctx.sim`` / ``ctx.network`` (``self.ctx.…``,
+    ``self.node.ctx.…``), or, for a timer handle, on a name or attribute that
+    holds what ``ctx.sim.schedule`` returned.  A member only a backend or a
+    harness needs belongs on the concrete class, so a third backend (a
+    replay transport) implements no more than node code uses."""
+    reached: dict[str, set[str]] = {"sim": set(), "network": set(), "handle": set()}
+    trees = [
+        ast.parse(path.read_text())
+        for package in NODE_PACKAGES
+        for path in sorted((SRC / "repro" / package).rglob("*.py"))
+    ]
+    handles: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (seam := _through_seam(node.value)):
+                reached[seam].add(node.attr)
+            if (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "schedule"
+                and _through_seam(node.value.func.value) == "sim"
+            ):
+                handles.update(leaf for target in node.targets if (leaf := _leaf(target)))
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _leaf(node.value) in handles:
+                reached["handle"].add(node.attr)
+    assert {"now", "schedule"} <= reached["sim"] and "cancel" in reached["handle"]
+    via = {"Clock": "sim", "TimerHandle": "handle", "Transport": "network"}
+    unreached = sorted(
+        f"{cls}.{member}"
+        for module, classes in SEAMS.items()
+        for cls in classes
+        for member in _declared_members(module, cls) - reached[via[cls]]
+    )
+    assert not unreached, f"declared, but no node code calls them: {unreached}"

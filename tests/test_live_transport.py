@@ -27,10 +27,11 @@ from repro.live.clock import LiveClock
 from repro.live.localnet import free_ports
 from repro.live.manifest import ConsortiumManifest, localhost_manifest
 from repro.live import transport as live_transport
-from repro.live.transport import TcpGossipTransport, relay_targets
+from repro.live.transport import TcpGossipTransport
 from repro.mining.oracle import MiningOracle
 from repro.net.message import KIND_BLOCK, KIND_TX, HeadersRequest, Message, is_sync_kind
 from repro.net.topology import overlay_topology
+from repro.net.transport import relay_targets
 from repro.net.wire import KIND_HELLO, Hello, encode_message, frame
 from repro.node.sync import SyncConfig
 from repro.sim.fleet import build_mining_fleet, run_fleet_to_height

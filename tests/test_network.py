@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetworkError
 from repro.net.latency import LinkModel
-from repro.net.message import MESSAGE_OVERHEAD_BYTES, Message
+from repro.net.message import KIND_TX, MESSAGE_OVERHEAD_BYTES, Message
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
-from repro.net.topology import complete_topology
+from repro.net.topology import complete_topology, overlay_topology
+from repro.net.transport import relay_targets
 
 from tests.conftest import ks_one_sample
 
@@ -145,6 +147,47 @@ class TestGossip:
         sim.run()
         assert times[1] < times[2] < times[3]
         assert times[4] == max(times.values())  # diametrically opposite
+
+
+class TestRelayRule:
+    """The simulator relays by the live tier's rule: a ``tx`` straight from
+    its origin skips the origin's neighbours.  While it flooded every kind,
+    a complete overlay cost (n − 1)² sends per transaction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 30), degree=st.integers(2, 8), seed=st.integers(0, 2**16))
+    def test_a_transaction_reaches_every_member_once_at_the_rules_cost(self, n, degree, seed):
+        adjacency = overlay_topology(n, degree, seed=seed)
+        sim, net = make_net(topology=adjacency, link=LinkModel(jitter=0.05), seed=seed)
+        accepted: dict[tuple[int, int], int] = {}  # (msg_id, node) -> from_peer
+
+        def handler(node):
+            def on_message(message, from_peer):
+                if net.gossip_deliver(node, from_peer, message):
+                    assert (message.msg_id, node) not in accepted
+                    accepted[message.msg_id, node] = from_peer
+
+            return on_message
+
+        for node in adjacency:
+            net.attach(node, handler(node))
+        txs = [msg(origin=origin, size=512, kind=KIND_TX) for origin in adjacency]
+        for tx in txs:
+            net.gossip(tx.origin, tx)
+        sim.run()
+        expected = 0
+        for tx in txs:
+            others = set(adjacency) - {tx.origin}
+            assert {node for (msg_id, node) in accepted if msg_id == tx.msg_id} == others
+            expected += len(relay_targets(adjacency, tx.origin, tx, None))
+            expected += sum(
+                len(relay_targets(adjacency, node, tx, accepted[tx.msg_id, node]))
+                for node in others
+            )
+        sends = net.stats.messages_by_kind[KIND_TX]
+        assert sends == expected
+        if all(len(peers) == n - 1 for peers in adjacency.values()):
+            assert sends == n * (n - 1)  # n − 1 per transaction
 
 
 class TestAttackHooks:

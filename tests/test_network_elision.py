@@ -174,15 +174,16 @@ def scenarios(draw: st.DrawFn) -> dict[str, Any]:
     )
     # Message 0 is always floodable; any message may also travel point-to-point
     # (a flooded kind sent by ``unicast`` still goes through ``gossip_deliver``).
+    # A ``tx`` is relayed around its origin's neighbours, a ``block`` floods.
     # One Message object serves both networks, so its id is the same in both.
-    kinds = ["block"] + draw(
+    kinds = [draw(st.sampled_from(["block", "tx"]))] + draw(
         st.lists(
-            st.sampled_from(["block", DIRECT]),
+            st.sampled_from(["block", "tx", DIRECT]),
             min_size=message_count - 1,
             max_size=message_count - 1,
         )
     )
-    floodable = [i for i, kind in enumerate(kinds) if kind == "block"]
+    floodable = [i for i, kind in enumerate(kinds) if kind != DIRECT]
     # Ticks span 0.6 s, about two floods end to end, so faults and repeated
     # sends land while copies are in flight.
     raw = draw(st.lists(st.tuples(st.integers(0, 12), _ops(message_count)), max_size=60))

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.net.simulator import Simulator
+from repro.rng import exponential
 
 
 class TestScheduling:
@@ -156,13 +157,13 @@ class TestRunControl:
 
 class TestDeterminism:
     def test_same_seed_same_draws(self):
-        a, b = Simulator(seed=42), Simulator(seed=42)
-        assert [a.exponential(2.0) for _ in range(10)] == [
-            b.exponential(2.0) for _ in range(10)
+        a, b = Simulator(seed=42).rng, Simulator(seed=42).rng
+        assert [exponential(a, 2.0) for _ in range(10)] == [
+            exponential(b, 2.0) for _ in range(10)
         ]
 
     def test_different_seeds_differ(self):
-        assert Simulator(seed=1).exponential(1.0) != Simulator(seed=2).exponential(1.0)
+        assert exponential(Simulator(seed=1).rng, 1.0) != exponential(Simulator(seed=2).rng, 1.0)
 
     @pytest.mark.parametrize("seed", [-1, -42])
     def test_negative_seed_is_refused(self, seed):
@@ -175,12 +176,13 @@ class TestDeterminism:
             Simulator(seed=1.5)  # type: ignore[arg-type]
 
     def test_exponential_rate_validation(self):
-        with pytest.raises(SimulationError):
-            Simulator().exponential(0.0)
+        for rate in (0.0, -1.0):
+            with pytest.raises(SimulationError, match="positive"):
+                exponential(Simulator().rng, rate)
 
     def test_exponential_mean(self):
-        sim = Simulator(seed=0)
-        samples = [sim.exponential(4.0) for _ in range(4000)]
+        rng = Simulator(seed=0).rng
+        samples = [exponential(rng, 4.0) for _ in range(4000)]
         assert sum(samples) / len(samples) == pytest.approx(0.25, rel=0.1)
 
 

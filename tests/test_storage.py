@@ -124,11 +124,13 @@ class TestSqliteWriteAndRecover:
         storage.ensure_genesis(genesis)
         for block in (a, c, d):  # c arrives before its parent b
             live.add_block(block, source.tree.arrival_time(block.block_id))
+        for block in (a, d):  # recorded as admitted: c waits for b
             storage.record_block(block, source.tree.arrival_time(block.block_id))
         storage.commit(d.block_id, live)
         assert storage.snapshot_count() == 1 and live.orphan_count == 1
         live.add_block(b, source.tree.arrival_time(b.block_id))
-        storage.record_block(b, source.tree.arrival_time(b.block_id))
+        for block in (b, c):
+            storage.record_block(block, source.tree.arrival_time(block.block_id))
         storage.commit(c.block_id, live)
         recovered = storage.recover()
         assert recovered is not None

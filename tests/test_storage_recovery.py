@@ -25,7 +25,8 @@ from repro.live.manifest import localhost_manifest
 from repro.live.node_runner import run_node, storage_db_path
 from repro.storage.sqlite import SqliteStorage
 
-from tests.test_powfamily import make_fleet, run_to_height
+from tests.conftest import keypair
+from tests.test_powfamily import _block_on, _stopped_fleet, make_fleet, run_to_height
 
 
 def persist_fleet_node(tmp_path: Path, height: int = 12) -> tuple:
@@ -87,6 +88,38 @@ class TestSimulatedPersistence:
         assert nodes[0].restore_from_storage() == 0
         assert nodes[0].state.height() == 0
         storage.close()
+
+    def test_a_refused_orphan_does_not_come_back_from_a_snapshot(self, tmp_path):
+        """A non-member's block buffered before its parent, snapshotted
+        while buffered, then refused when the parent arrives, stays out of a
+        restored tree.  While snapshots carried the buffered orphans, restore
+        replayed it unjudged under its parent's row."""
+        ctx, nodes = _stopped_fleet()
+        node = nodes[0]
+        db = tmp_path / "node-0.db"
+        storage = SqliteStorage(db, snapshot_interval=1)
+        node.attach_storage(storage)
+        head = node.state.head_block()
+        honest = _block_on(node.state, head, nodes[1].keypair)
+        forged = _block_on(node.state, honest, keypair(9))
+        node._handle_block(forged)
+        assert node.tree.orphan_count == 1
+        node._handle_block(_block_on(node.state, head, nodes[2].keypair))
+        assert storage.snapshot_count() == 1
+        node._handle_block(honest)
+        assert node.stats.blocks_rejected == 1
+        assert forged.block_id not in node.tree
+        storage.commit(node.state.head_id, node.state.tree, force=True)
+        storage.close()
+
+        _, fresh_nodes = _stopped_fleet()
+        fresh = fresh_nodes[0]
+        fresh.attach_storage(SqliteStorage(db))
+        fresh.restore_from_storage()
+        assert honest.block_id in fresh.tree
+        assert forged.block_id not in fresh.tree
+        assert len(fresh.tree) == len(node.tree)
+        fresh.storage.close()
 
     def test_simulation_without_storage_untouched(self):
         # The default path: no storage attached, hooks are no-ops.
