@@ -19,15 +19,10 @@ from tests.test_powfamily import make_fleet
 def test_prop1_convergence_of_history(run_once):
     def experiment():
         ctx, nodes = make_fleet(6, seed=4, beta=4.0, i0=4.0)
-        tracker = SettlementTracker(nodes=nodes)
-
-        def snapshot_loop():
-            tracker.snapshot(ctx.sim.now)
-            ctx.sim.schedule(1.0, snapshot_loop)
-
+        tracker = SettlementTracker()
         for node in nodes:
+            node.observers.append(tracker)
             node.start()
-        ctx.sim.schedule(1.0, snapshot_loop)
         ctx.sim.run(
             stop_when=lambda: nodes[0].state.height() >= 150, max_events=5_000_000
         )

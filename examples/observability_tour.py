@@ -49,12 +49,13 @@ def main() -> None:
     print(format_epoch_reports(reports))
 
     print("\n=== tracing a fresh 30-block run ===")
-    # Tracing hooks live on the nodes; attach a tracer and run a small fleet.
+    # A tracer subscribes to each node's block-path events.
     from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
-    from repro.sim.tracing import attach_tracer
 
     ctx, nodes = build_mining_fleet(4, seed=8, beta=2.0, i0=5.0)
-    tracer = attach_tracer(nodes, Tracer())
+    tracer = Tracer()
+    for node in nodes:
+        node.observers.append(tracer)
     run_fleet_to_height(ctx, nodes, 30)
     counts = tracer.counts_by_kind()
     print(f"event counts: {dict(counts)}")

@@ -18,36 +18,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import linear_regression
 
+from repro.chain.block import Block
 from repro.consensus.powfamily import MiningNode
 from repro.errors import SimulationError
 
 
 @dataclass
 class SettlementTracker:
-    """Observes a fleet of mining nodes and measures per-height settlement.
-
-    Hook :meth:`snapshot` periodically (e.g. every simulated second); it
-    records, for every height, the last time any node's main-chain block at
-    that height differed from the eventual consensus.
+    """Per-height settlement, subscribed to each node's observers: on a head
+    move it times every height whose block changed in that node's view,
+    walking back from the new head only as far as the view differs.
     """
 
-    nodes: list[MiningNode]
     produced_at: dict[int, float] = field(default_factory=dict)
     last_changed: dict[int, float] = field(default_factory=dict)
-    _views: dict[int, dict[int, bytes]] = field(default_factory=dict)
+    #: node id -> its main chain's block ids by height, as last seen.
+    _views: dict[int, list[bytes]] = field(default_factory=dict)
 
-    def snapshot(self, now: float) -> None:
-        """Record every node's current main chain."""
-        for node in self.nodes:
-            chain = node.main_chain()
-            view = self._views.setdefault(node.node_id, {})
-            for block in chain[1:]:
-                height = block.height
-                if height not in self.produced_at:
-                    self.produced_at[height] = block.header.timestamp
-                if view.get(height) != block.block_id:
-                    view[height] = block.block_id
-                    self.last_changed[height] = now
+    def __call__(self, node: MiningNode, kind: str, block: Block, reason: str | None) -> None:
+        if kind not in ("chain/extended", "chain/reorg"):
+            return
+        head = node.state.head_block()
+        view = self._views.setdefault(node.node_id, [])
+        del view[head.height + 1 :]
+        view.extend(b"" for _ in range(len(view), head.height + 1))
+        while head.height > 0 and view[head.height] != head.block_id:
+            view[head.height] = head.block_id
+            self.produced_at.setdefault(head.height, head.header.timestamp)
+            self.last_changed[head.height] = node.ctx.sim.now
+            head = node.state.tree.get(head.parent_hash)
 
     def settlement_lags(self, exclude_tail: int = 10) -> list[float]:
         """Per-height lag between production and final agreement.
@@ -56,15 +55,13 @@ class SettlementTracker:
         settling when the run stops.
         """
         if not self.last_changed:
-            raise SimulationError("no snapshots recorded")
-        max_height = max(self.last_changed)
-        lags = []
-        for height, changed in sorted(self.last_changed.items()):
-            if height > max_height - exclude_tail:
-                continue
-            produced = self.produced_at.get(height, changed)
-            lags.append(max(0.0, changed - produced))
-        return lags
+            raise SimulationError("no head moves observed")
+        top = max(self.last_changed) - exclude_tail
+        return [
+            max(0.0, changed - self.produced_at[height])
+            for height, changed in sorted(self.last_changed.items())
+            if height <= top
+        ]
 
 
 def lag_growth_slope(lags: list[float]) -> float:

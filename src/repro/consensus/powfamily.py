@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.chain.block import Block, sign_block
 from repro.chain.blocktree import BlockTree
@@ -115,20 +115,15 @@ class MiningStats:
     reorgs: int = 0
 
 
+#: ``observer(node, kind, block, reason)`` on each §III block-path step:
+#: ``block/produced``, ``block/accepted`` (in tree-admission order),
+#: ``block/rejected`` (the one kind with a ``reason``) and, per attach,
+#: ``chain/<HeadUpdate>``.  Observers only read: no events, no draws.
+NodeObserver = Callable[["MiningNode", str, Block, "str | None"], None]
+
+
 class MiningNode(ConsensusNode):
     """A Themis / Themis-Lite / PoW-H consensus participant."""
-
-    #: Optional shared event log (see :mod:`repro.sim.tracing`).
-    tracer = None
-
-    def _trace(self, kind: str, **detail: Any) -> None:
-        """Emit one event when a tracer is attached.  A ``bytes`` value (a
-        block id) is logged as its first 10 hex digits, built only then."""
-        if self.tracer is not None:
-            for key, value in detail.items():
-                if isinstance(value, bytes):
-                    detail[key] = value.hex()[:10]
-            self.tracer.emit(self.ctx.sim.now, self.node_id, kind, **detail)
 
     def __init__(
         self,
@@ -167,9 +162,8 @@ class MiningNode(ConsensusNode):
         self.builder = BlockBuilder(keypair=keypair)
         self.stats = MiningStats()
         self.sync = SyncManager(self, config.sync)
-        # Durable storage is opt-in (live mode only).  It stays None in
-        # simulations, and every use of it is None-guarded, so simulated
-        # runs are byte-identical with or without this subsystem.
+        self.observers: list[NodeObserver] = []
+        # The store recovery reads (live mode only); writes ride on observers.
         self.storage: SqliteStorage | None = None
         self.clock_skew = 0.0
         self.crashed = False
@@ -238,15 +232,27 @@ class MiningNode(ConsensusNode):
     # -- durable storage (live mode; never set in simulations) ----------------------
 
     def attach_storage(self, storage: SqliteStorage) -> None:
-        """Bind a durable backend; blocks persist from here on.
+        """Bind a durable backend and subscribe its write policy.
 
         Binds the store to this deployment's genesis (a database from a
         different network is refused) and records the member set for the
-        explorer's equality metrics.
+        explorer's equality metrics.  The policy records each admitted
+        block; per attach it commits once if the head moved, else once
+        side-branch blocks fill the batch.
         """
         storage.ensure_genesis(self.ctx.genesis)
         storage.set_members(list(self.members_fn()))
         self.storage = storage
+
+        def persist(node: MiningNode, kind: str, block: Block, reason: str | None) -> None:
+            if kind == "block/accepted":
+                storage.record_block(block, node.ctx.sim.now)
+            elif kind in ("chain/extended", "chain/reorg") or (
+                kind.startswith("chain/") and storage.should_commit()
+            ):
+                storage.commit(node.state.head_id, node.state.tree)
+
+        self.observers.append(persist)
 
     def restore_from_storage(self) -> int:
         """Replay the persisted chain into consensus state before any sync.
@@ -326,12 +332,8 @@ class MiningNode(ConsensusNode):
         else:
             block = Block(header, None, tuple(transactions))
         self.stats.blocks_produced += 1
-        self._trace(
-            "block/produced",
-            height=header.height,
-            block=block.block_id,
-            difficulty=round(header.difficulty, 3),
-        )
+        if self.observers:
+            self._notify("block/produced", block)
         # Adopt first: the miner re-arms on the fresh head (and draws from
         # the oracle) before the gossip fan-out draws its jitter.  A block
         # this node refuses (it is no longer a member) is not announced.
@@ -356,51 +358,50 @@ class MiningNode(ConsensusNode):
 
         Hands ``block`` to the tree, which asks :meth:`_admit_block` before it
         inserts it and before each buffered orphan it releases.  When the
-        head moved: counts and traces a reorg, lets the data plane follow
-        (:meth:`_head_moved`), commits, and arms the miner on the new head
-        (:meth:`_arm_miner` keeps a timer whose difficulty still holds), in
-        that order — once per call, however many blocks entered.
-        When it did not, the store still commits once its batch is full.
+        head moved: counts a reorg, lets the data plane follow
+        (:meth:`_head_moved`), tells the observers, and arms the miner on the
+        new head (:meth:`_arm_miner` keeps a timer whose difficulty still
+        holds), in that order — once per call, however many blocks entered.
+        When it did not, the observers still hear the outcome.
         """
         outcome = self.state.add_block(block, self.ctx.sim.now, self._admit_block)
         if outcome == "reorg":
             self.stats.reorgs += 1
-            self._trace(
-                "chain/reorg",
-                height=block.height,
-                new_head=self.state.head_id,
-            )
         if outcome in ("extended", "reorg"):
             self._head_moved()
-            if self.storage is not None:
-                self.storage.commit(self.state.head_id, self.state.tree)
+            if self.observers:
+                self._notify("chain/" + outcome, block)
             self._arm_miner()
-        elif self.storage is not None and self.storage.should_commit():
-            # Side-branch blocks fill the batch without moving the head.
-            self.storage.commit(self.state.head_id, self.state.tree)
+        elif self.observers:
+            self._notify("chain/" + outcome, block)
         return outcome
 
     def _admit_block(self, block: Block) -> bool:
         """The tree's admission check, asked just before ``block`` (whose
-        parent is held) is inserted: an accepted block is recorded durably,
-        in the order blocks enter the tree."""
+        parent is held) is inserted: observers hear of an accepted block in
+        the order blocks enter the tree."""
         if not self._judge(block):
             return False
         self.stats.blocks_accepted += 1
-        if self.storage is not None:
-            self.storage.record_block(block, self.ctx.sim.now)
+        if self.observers:
+            self._notify("block/accepted", block)
         return True
 
     def _judge(self, block: Block) -> bool:
         """Whether ``block`` passes §III checks 1–2; a refusal is counted
-        and traced."""
+        and reported with its reason."""
         # Judged once per block object for every node sharing the facts.
         reason = self.state.facts.verdict(block, self.validator.validate)
         if reason is None:
             return True
         self.stats.blocks_rejected += 1
-        self._trace("block/rejected", block=block.block_id, reason=reason)
+        if self.observers:
+            self._notify("block/rejected", block, reason)
         return False
+
+    def _notify(self, kind: str, block: Block, reason: str | None = None) -> None:
+        for observer in self.observers:
+            observer(self, kind, block, reason)
 
     # -- what the data plane overrides (consensus-only bodies) ----------------------
 

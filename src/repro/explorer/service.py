@@ -51,6 +51,14 @@ def _parse_hex(value: str, *, what: str, length: int | None = None) -> bytes:
     return raw
 
 
+def _parse_height(value: str, *, what: str) -> int:
+    """An ASCII decimal (``isdigit`` takes ``²``), capped at sqlite's INTEGER
+    maximum (past any tip) before ``int`` meets its digit limit."""
+    if not (value.isascii() and value.isdigit()):
+        raise BadRequestError(f"{what} must be a non-negative integer, got {value!r}")
+    return min(int(value.lstrip("0")[:20] or "0"), 2**63 - 1)
+
+
 def chain_head(reader: SqliteStorage) -> dict[str, Any]:
     head = reader.head()
     if head is None:
@@ -59,22 +67,10 @@ def chain_head(reader: SqliteStorage) -> dict[str, Any]:
 
 
 def blocks_page(reader: SqliteStorage, query: dict[str, str]) -> dict[str, Any]:
-    start: int | None = None
-    if "start" in query:
-        try:
-            start = int(query["start"])
-        except ValueError as exc:
-            raise BadRequestError(f"start must be an integer, got {query['start']!r}") from exc
-        if start < 0:
-            raise BadRequestError("start must be >= 0")
-    limit = DEFAULT_PAGE_LIMIT
-    if "limit" in query:
-        try:
-            limit = int(query["limit"])
-        except ValueError as exc:
-            raise BadRequestError(f"limit must be an integer, got {query['limit']!r}") from exc
-        if not 1 <= limit <= MAX_PAGE_LIMIT:
-            raise BadRequestError(f"limit must be in [1, {MAX_PAGE_LIMIT}]")
+    start = _parse_height(query["start"], what="start") if "start" in query else None
+    limit = _parse_height(query.get("limit", str(DEFAULT_PAGE_LIMIT)), what="limit")
+    if not 1 <= limit <= MAX_PAGE_LIMIT:
+        raise BadRequestError(f"limit must be in [1, {MAX_PAGE_LIMIT}]")
     blocks = reader.blocks_page(start, limit)
     next_start = None
     if blocks and blocks[-1]["height"] > 0:
@@ -84,8 +80,8 @@ def blocks_page(reader: SqliteStorage, query: dict[str, str]) -> dict[str, Any]:
 
 def block_detail(reader: SqliteStorage, ref: str) -> dict[str, Any]:
     """One block by decimal height or 32-byte hex id."""
-    if ref.isdigit():
-        record = reader.block_by_height(int(ref))
+    if ref.isascii() and ref.isdigit():
+        record = reader.block_by_height(_parse_height(ref, what="height"))
         if record is None:
             raise NotFoundError(f"no main-chain block at height {ref}")
         return record

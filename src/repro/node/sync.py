@@ -12,6 +12,10 @@ messages (payload types declared in :mod:`repro.net.message`):
 2. **blocks** — request the bodies of the ids the requester lacks; received
    blocks flow through the same §III validation as gossiped ones.
 
+Two phases, not one "locator → bodies" round: a live restart held all 6
+ids of its page when it came back (gossip filled the gap in the round
+trip), and one round re-sends those as full blocks (docs/transport.md).
+
 Pages repeat until a non-full headers page shows the requester is at the
 peer's tip.  Every outstanding request is guarded by a timeout with
 exponential backoff and bounded retries; each retry rotates to the next

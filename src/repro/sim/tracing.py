@@ -1,19 +1,19 @@
 """Event tracing for simulated runs.
 
-A :class:`Tracer` collects timestamped, typed events (block produced, block
-accepted, reorg, view change, ...) from any component that cares to emit
-them, and answers the questions post-mortems ask: what happened around time
-t, how often did X occur, what's the timeline of one block.  Tracing is
-opt-in and costs nothing when no tracer is installed.
+A :class:`Tracer` subscribes to nodes' block-path events
+(``node.observers.append(tracer)``) and answers the questions post-mortems
+ask: what happened around time t, how often did X occur, what's the
+timeline of one block.  A node without observers builds no event at all.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from collections.abc import Iterable
 from typing import Any
 
+from repro.chain.block import Block
+from repro.consensus.powfamily import MiningNode
 from repro.errors import SimulationError
 
 
@@ -55,6 +55,17 @@ class Tracer:
             self._events = self._events[drop:]
         self._events.append(TraceEvent(time, node_id, kind, detail))
 
+    def __call__(self, node: MiningNode, kind: str, block: Block, reason: str | None) -> None:
+        """Record one node event (:data:`~repro.consensus.powfamily.NodeObserver`)."""
+        detail: dict[str, Any] = {"height": block.height, "block": block.block_id.hex()[:10]}
+        if kind == "block/produced":
+            detail["difficulty"] = round(block.header.difficulty, 3)
+        elif kind == "block/rejected":
+            detail["reason"] = reason
+        elif kind == "chain/reorg":
+            detail["new_head"] = node.state.head_id.hex()[:10]
+        self.emit(node.ctx.sim.now, node.node_id, kind, **detail)
+
     def __len__(self) -> int:
         return len(self._events)
 
@@ -93,12 +104,3 @@ class Tracer:
         selected = self.events(**filters)
         selected = selected[max(0, len(selected) - limit) :]
         return "\n".join(str(e) for e in selected)
-
-
-def attach_tracer(nodes: Iterable[Any], tracer: Tracer | None = None) -> Tracer:
-    """Install one shared tracer on a fleet of nodes; returns it."""
-    tracer = tracer or Tracer()
-    for node in nodes:
-        node.tracer = tracer
-    return tracer
-

@@ -27,9 +27,9 @@ snapshotted and older snapshots beyond the newest :data:`KEEP_SNAPSHOTS`
 are deleted.  Block and transaction rows are never dropped (archival
 store).
 
-Simulated runs never construct a store: storage is **off by default** and
-every hook in the node is ``None``-guarded, which is what keeps the golden
-parity hashes of ``tests/test_transport_parity.py`` unchanged.
+Storage is **off by default**: a node writes here only through the write
+policy :meth:`~repro.consensus.powfamily.MiningNode.attach_storage`
+subscribes to its observers, and simulated runs never construct a store.
 """
 
 from __future__ import annotations

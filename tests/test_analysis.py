@@ -107,6 +107,6 @@ class TestConvergenceTools:
             lag_growth_slope([1.0])
 
     def test_settlement_tracker_requires_snapshots(self):
-        tracker = SettlementTracker(nodes=[])
+        tracker = SettlementTracker()
         with pytest.raises(SimulationError):
             tracker.settlement_lags()

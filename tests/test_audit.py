@@ -45,7 +45,7 @@ def replay(
         members=list(source.members),
     )
     node = MiningNode(0, keypair(99), ctx, config or themis_config())
-    node.tracer = Tracer()
+    node.observers.append(Tracer())
     for block in blocks:
         node._handle_block(block)
     return node
@@ -53,7 +53,8 @@ def replay(
 
 def rejections(node: MiningNode) -> list[str]:
     """Why ``node`` refused each block it refused, in order."""
-    return [event.detail["reason"] for event in node.tracer.events(kind="block/rejected")]
+    (tracer,) = node.observers
+    return [event.detail["reason"] for event in tracer.events(kind="block/rejected")]
 
 
 def assert_clean(node: MiningNode, chain: Sequence[Block]) -> None:

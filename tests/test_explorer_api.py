@@ -11,6 +11,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tests.conftest import TreeBuilder, keypair
 from repro.chain.block import Block
@@ -151,6 +152,40 @@ class TestServiceRouting:
             blocks_page(storage, {"limit": "0"})
         with pytest.raises(BadRequestError):
             blocks_page(storage, {"start": "-3"})
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        prefix=st.sampled_from(["/blocks/", "/txs/", "/accounts/", "/"]),
+        ref=st.one_of(
+            st.text(),
+            st.text(st.characters(categories=("Nd", "No")), min_size=1),
+            st.text("0123456789", min_size=1, max_size=6000),
+        ),
+        query=st.dictionaries(
+            st.sampled_from(["start", "limit"]),
+            st.one_of(st.text(), st.integers().map(str), st.text("0123456789", min_size=1)),
+        ),
+    )
+    @example(prefix="/blocks/", ref="²", query={})
+    @example(prefix="/blocks/", ref="1" * 30, query={})
+    @example(prefix="/blocks/", ref="9" * 5000, query={})
+    @example(prefix="/blocks", ref="", query={"start": "1" * 30, "limit": "7" * 5000})
+    def test_any_reference_is_found_or_refused(
+        self, storage: SqliteStorage, prefix: str, ref: str, query: dict[str, str]
+    ) -> None:
+        """A hostile path or query is a 404 or a 400, never a 500: at the
+        parent commit ``²`` passed ``isdigit`` and failed ``int``, and a
+        30-digit height overflowed sqlite's INTEGER."""
+        try:
+            route(storage, prefix + ref, query)
+        except (NotFoundError, BadRequestError):
+            pass
+
+    def test_heights_above_the_tip_are_not_found(self, storage: SqliteStorage) -> None:
+        assert route(storage, "/blocks/0002", {}) == route(storage, "/blocks/2", {})
+        for ref in ("7", str(2**63 - 1), str(2**63), "1" * 30, "0" * 30 + "1" * 30):
+            with pytest.raises(NotFoundError):
+                route(storage, f"/blocks/{ref}", {})
 
 
 def http_get(

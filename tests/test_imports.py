@@ -414,3 +414,32 @@ def test_seams_declare_only_what_node_code_calls():
         for member in _declared_members(module, cls) - reached[via[cls]]
     )
     assert not unreached, f"declared, but no node code calls them: {unreached}"
+
+
+#: The one function of node code that writes the store (in ``attach_storage``).
+PERSISTENCE_SUBSCRIBER = "persist"
+
+
+def test_node_code_reports_through_one_hook():
+    """Node code reports its block path through ``MiningNode.observers``
+    alone: it reads no ``tracer`` attribute, and only the persistence
+    subscriber calls the store's write policy (``record_block``,
+    ``commit``, ``should_commit``) — no per-site storage guards."""
+    writes = {"record_block", "commit", "should_commit"}
+    found = []
+    for package in NODE_PACKAGES:
+        for path in sorted((SRC / "repro" / package).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            allowed = {
+                id(inner)
+                for outer in ast.walk(tree)
+                if isinstance(outer, ast.FunctionDef) and outer.name == PERSISTENCE_SUBSCRIBER
+                for inner in ast.walk(outer)
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                store_write = node.attr in writes and _leaf(node.value) == "storage"
+                if node.attr == "tracer" or (store_write and id(node) not in allowed):
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno} .{node.attr}")
+    assert not found, f"block-path reports outside the observer hook: {found}"

@@ -262,13 +262,14 @@ class TestForgedPosition:
     )
     def test_forged_height_or_epoch_rejected(self, height_shift, epoch, reason):
         node, parent, header = self._fleet_and_header()
-        node.tracer = Tracer()
+        tracer = Tracer()
+        node.observers.append(tracer)
         forged = replace(header, height=parent.height + height_shift, epoch=epoch)
         node._handle_block(Block(forged, None, ()))
         assert node.stats.blocks_rejected == 1
         assert node.state.head_block() is parent
         assert node.state.height() == parent.height
-        (event,) = node.tracer.events(kind="block/rejected")
+        (event,) = tracer.events(kind="block/rejected")
         assert reason in event.detail["reason"]
 
     def test_honest_header_accepted(self):
@@ -319,7 +320,8 @@ class TestChildFirstAdmission:
     ):
         ctx, nodes = _stopped_fleet()
         node = nodes[0]
-        node.tracer = Tracer()
+        tracer = Tracer()
+        node.observers.append(tracer)
         forger_key = keypair(9) if forger is None else nodes[forger].keypair
         honest = _block_on(node.state, node.state.head_block(), nodes[1].keypair)
         forged = _block_on(node.state, honest, forger_key, multiple_factor)
@@ -335,7 +337,7 @@ class TestChildFirstAdmission:
         assert node.stats.blocks_rejected == 1
         assert node.stats.blocks_accepted == accepted + 1
         assert node.tree.orphan_count == 0
-        (event,) = node.tracer.events(kind="block/rejected")
+        (event,) = tracer.events(kind="block/rejected")
         assert reason in event.detail["reason"]
 
     def test_sync_page_arriving_child_first(self, tmp_path, monkeypatch):

@@ -1,13 +1,22 @@
-"""Tests for event tracing."""
+"""Tests for event tracing and the node event hook it subscribes to."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.tracing import TraceEvent, Tracer, attach_tracer
+from repro.sim.tracing import TraceEvent, Tracer
 
+from tests import test_transport_parity
 from tests.test_powfamily import make_fleet, run_to_height
+
+
+def subscribe(nodes, *observers):
+    """Append ``observers`` to every node's subscriber list."""
+    for node in nodes:
+        node.observers.extend(observers)
 
 
 class TestTracer:
@@ -70,7 +79,8 @@ class TestTracer:
 class TestNodeIntegration:
     def test_fleet_emits_lifecycle_events(self):
         ctx, nodes = make_fleet(4, seed=5)
-        tracer = attach_tracer(nodes)
+        tracer = Tracer()
+        subscribe(nodes, tracer)
         run_to_height(ctx, nodes, 15)
         counts = tracer.counts_by_kind()
         assert counts["block/produced"] >= 15
@@ -83,7 +93,8 @@ class TestNodeIntegration:
         from tests.conftest import keypair
 
         ctx, nodes = make_fleet(4, seed=5)
-        tracer = attach_tracer(nodes)
+        tracer = Tracer()
+        subscribe(nodes, tracer)
         for node in nodes:
             node.start()
         ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 3)
@@ -95,3 +106,47 @@ class TestNodeIntegration:
         rejections = tracer.events(kind="block/rejected")
         assert rejections
         assert "base" in rejections[0].detail["reason"]
+
+    def test_nodes_have_no_subscribers_by_default(self):
+        _, nodes = make_fleet(2, seed=1)
+        assert [node.observers for node in nodes] == [[], []]
+
+
+def test_subscribers_change_nothing(monkeypatch):
+    """A tracer and a counting subscriber on every node leave the golden
+    chain and the event count as they are, and see every block the node
+    counts as accepted or rejected."""
+    build = test_transport_parity.build_mining_fleet
+    fleets = []
+
+    def build_and_keep(*args, **kwargs):
+        fleets.append(build(*args, **kwargs))
+        return fleets[-1]
+
+    monkeypatch.setattr(test_transport_parity, "build_mining_fleet", build_and_keep)
+    assert test_transport_parity._chain_hash() == test_transport_parity.GOLDEN_CHAIN_SHA256
+    plain_events = fleets[0][0].sim.events_processed
+
+    tracer = Tracer(capacity=10**6)
+    counts: Counter = Counter()
+
+    def count(node, kind, block, reason):
+        counts[node.node_id, kind] += 1
+
+    def build_and_subscribe(*args, **kwargs):
+        ctx, nodes = build_and_keep(*args, **kwargs)
+        subscribe(nodes, tracer, count)
+        return ctx, nodes
+
+    monkeypatch.setattr(test_transport_parity, "build_mining_fleet", build_and_subscribe)
+    assert test_transport_parity._chain_hash() == test_transport_parity.GOLDEN_CHAIN_SHA256
+    ctx, nodes = fleets[1]
+    assert ctx.sim.events_processed == plain_events
+    assert tracer.dropped == 0
+    traced = Counter((event.node_id, event.kind) for event in tracer.events())
+    assert traced == counts
+    for node in nodes:
+        assert traced[node.node_id, "block/accepted"] == node.stats.blocks_accepted > 0
+        assert traced[node.node_id, "block/rejected"] == node.stats.blocks_rejected
+        assert traced[node.node_id, "block/produced"] == node.stats.blocks_produced
+        assert traced[node.node_id, "chain/reorg"] == node.stats.reorgs
