@@ -3,7 +3,7 @@
 Times the :mod:`repro.storage` sqlite backend against a synthetic but
 structurally realistic chain (linear history, fixed transactions per
 block, producers cycling round-robin).  Blocks are unsigned — ECDSA
-costs ~0.6 ms per signature and ~0.8–1.9 ms per verification, which
+costs ~0.25 ms per signature and ~0.6–1.7 ms per verification, which
 would blur the storage numbers this suite exists to isolate: batched ``INSERT`` throughput, snapshot cost,
 and cold-start recovery (newest snapshot + WAL-suffix replay).
 

@@ -67,7 +67,7 @@ class MiningNodeConfig:
         sign_blocks / verify_signatures: real ECDSA on headers and gossiped
             transactions.  On for correctness tests, off for the figure
             sweeps, whose committed numbers were taken unsigned (pure-Python
-            ECDSA costs ~0.6 ms per signature and ~0.8–1.9 ms per verification;
+            ECDSA costs ~0.25 ms per signature and ~0.6–1.7 ms per verification;
             the verdict is memoised on the block, so simulated nodes sharing
             one object verify it once).
         real_pow: grind real SHA-256 nonces instead of sampling the oracle.

@@ -10,15 +10,17 @@ of points in compressed SEC1 form.  One kernel serves every scalar
 multiplication: Jacobian doubling and mixed Jacobian + affine addition, so a
 ladder pays no field inversion until its result is read back.  Multiples of
 the generator (key derivation, signing, the ``u1·G`` half of verification)
-come from a lazily built table of ``d · 16^i · G`` — at most 64 additions and
-no doubling.  The ``u2·Q`` half of verification walks a width-5 wNAF over
+come from a table of ``d · 256^i · G`` with 8-bit digits, built once per
+process on first use (≈ 90 ms, ≈ 1.1 MB) — at most 32 additions and no
+doubling.  The ``u2·Q`` half of verification walks a width-5 wNAF over
 eight odd multiples of ``Q`` until ``Q`` has passed ``_TABLE_AFTER``
-verifications; then ``Q`` gets the same kind of table as ``G`` (a consortium
-verifies the same few member keys over and over), kept for the
-``_KEY_TABLES`` most recently verified keys.  Either way the ``u1·G`` terms
-are added onto the same accumulator.  On a 2-vCPU host under CPython 3.11 a
-signature costs ≈ 0.45 ms, a verification ≈ 1.8 ms cold and ≈ 0.8 ms through
-a key's table, and a table ≈ 12–15 ms and ≈ 0.13 MB.
+verifications; then ``Q`` gets a table of the same kind with 4-bit digits,
+at most 64 additions (a consortium verifies the same few member keys over
+and over), kept for the ``_KEY_TABLES`` most recently verified keys.  Either
+way the ``u1·G`` terms are added onto the same accumulator.  On a 2-vCPU
+host under CPython 3.11 a signature costs ≈ 0.25 ms, a verification
+≈ 1.7 ms cold and ≈ 0.6 ms through a key's table, and a key's table ≈ 12 ms
+and ≈ 0.13 MB.
 ``tests/ref_secp256k1.py`` keeps the textbook affine double-and-add ladder as
 the oracle for differential tests.
 
@@ -54,16 +56,18 @@ GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 _Affine = tuple[int, int]  # finite affine point (x, y)
 _Point = _Affine | None  # None is the point at infinity
 _Jacobian = tuple[int, int, int]  # finite point (X, Y, Z) = affine (X/Z², Y/Z³)
-_Table = tuple[tuple[int, ...], ...]  # fixed-base table: 64 rows of 15 flat (x, y) pairs
+_Table = tuple[tuple[int, ...], ...]  # fixed-base table: 256/w rows of 2^w − 1 flat (x, y) pairs
 
-#: Bits per digit of a fixed-base table, ``G``'s or a key's (64 rows × 15 points).
-_G_WINDOW = 4
+#: Bits per digit of ``G``'s fixed-base table (32 rows × 255 points, one per process).
+_G_WINDOW = 8
+#: Bits per digit of a public key's fixed-base table (64 rows × 15 points).
+_KEY_WINDOW = 4
 #: wNAF width for variable-base multiplication (odd multiples 1·Q … 15·Q).
 _WNAF_WIDTH = 5
 #: Successful verifications that earn a public key its own fixed-base table.
-#: A build costs 6–8 wNAF verifications on a 2-vCPU host (CPython 3.11) and
-#: ≈ 12 on a slower one; at the top of that range a table never costs more
-#: than the verifications that earned it.
+#: A build costs 5.4–9.9 cold verifications on a 2-vCPU host (CPython 3.11;
+#: median of 40 builds ÷ median of 300 cold verifications, six runs, median
+#: 6.5), so a table never costs more than the verifications that earned it.
 _TABLE_AFTER = 12
 #: Most keys counted or tabled at once (≈ 0.13 MB per table, ≤ ≈ 8.5 MB).
 _KEY_TABLES = 64
@@ -145,19 +149,21 @@ def _multiples(point: _Affine, step: _Affine, count: int) -> list[_Affine]:
     return _batch_to_affine(jac)
 
 
-def _fixed_base_table(x: int, y: int) -> _Table:
-    """Fixed-base table: row ``i`` holds ``x, y`` of ``d · 16^i · (x, y)`` for d = 1 … 15.
+def _fixed_base_table(x: int, y: int, window: int) -> _Table:
+    """Fixed-base table of ``window``-bit digits: row ``i`` holds ``x, y`` of
+    ``d · 2^(window·i) · (x, y)`` for d = 1 … 2^window − 1.
 
-    960 points, ≈ 0.13 MB, built with 64 inversions.  With it ``k·(x, y)`` is
-    at most 64 mixed additions and no doubling.  Rows are flat tuples of
-    coordinates: 64 containers for the cyclic collector to know about
-    instead of a thousand.
+    With it ``k·(x, y)`` is at most ``256 / window`` mixed additions and no
+    doubling.  A key's 4-bit table is 960 points, ≈ 0.13 MB, built with 64
+    inversions; ``G``'s 8-bit table is 8,160 points, ≈ 1.1 MB, built with 32.
+    Rows are flat tuples of coordinates: one container per row for the cyclic
+    collector to know about instead of one per point.
     """
-    digits = 1 << _G_WINDOW
+    digits = 1 << window
     rows = []
     base = (x, y)
-    for _ in range(0, 256, _G_WINDOW):
-        row = _multiples(base, base, digits)  # 1·base … 16·base
+    for _ in range(0, 256, window):
+        row = _multiples(base, base, digits)  # 1·base … 2^window·base
         rows.append(tuple(coord for point in row[:-1] for coord in point))
         base = row[-1]
     return tuple(rows)
@@ -166,19 +172,21 @@ def _fixed_base_table(x: int, y: int) -> _Table:
 @cache
 def _g_table() -> _Table:
     """The generator's fixed-base table, built on first use, never at import."""
-    return _fixed_base_table(GX, GY)
+    return _fixed_base_table(GX, GY, _G_WINDOW)
 
 
 def _mul_fixed(k: int, table: _Table, acc: _Jacobian | None = None) -> _Jacobian | None:
-    """``acc + k·base`` for ``0 <= k < 2^256`` from ``base``'s fixed-base table."""
-    mask = (1 << _G_WINDOW) - 1
+    """``acc + k·base`` for ``0 <= k < 2^256`` from ``base``'s fixed-base table,
+    one digit of the table's width per row."""
+    window = 256 // len(table)
+    mask = (1 << window) - 1
     for row in table:
         if not k:
             break
         digit = k & mask
         if digit:
             acc = _jac_add_affine(acc, row[2 * digit - 2], row[2 * digit - 1])
-        k >>= _G_WINDOW
+        k >>= window
     return acc
 
 
@@ -419,7 +427,7 @@ def _count_success(q: _Affine, earned: int | _Table | None) -> None:
     if not isinstance(earned, tuple):
         earned = (earned or 0) + 1
         if earned == _TABLE_AFTER:
-            earned = _fixed_base_table(*q)
+            earned = _fixed_base_table(*q, _KEY_WINDOW)
     _key_tables[q] = earned
     _key_tables.move_to_end(q)
     if len(_key_tables) > _KEY_TABLES:

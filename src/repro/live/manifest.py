@@ -59,8 +59,8 @@ class ConsortiumManifest:
         h0: minimum node hash rate ``H0``.
         key_prefix: deterministic key derivation prefix (see module note).
         sign_blocks / verify_signatures: real ECDSA on headers and
-            transactions (~0.6 ms per signature, ~1.9 ms per verification in
-            pure Python, ~0.8 ms once a key has earned its table); off by
+            transactions (~0.25 ms per signature, ~1.7 ms per verification in
+            pure Python, ~0.6 ms once a key has earned its table); off by
             default, on with ``localnet --sign``.
     """
 

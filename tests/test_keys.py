@@ -76,7 +76,7 @@ table_scalars = st.one_of(
 @cache
 def _table(q: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
     """``q``'s fixed-base table, built once per test session."""
-    return keys._fixed_base_table(*q)
+    return keys._fixed_base_table(*q, keys._KEY_WINDOW)
 
 
 @pytest.fixture
@@ -139,11 +139,20 @@ class TestCurveArithmetic:
             0x0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F,
             2**255,  # wNAF of a power of two: one digit, 255 doublings
             2**200 - 1,  # wNAF carries all the way up
+            # G's 8-bit digits: every byte 0xFF (2^256 − 1, which _point_mul
+            # folds to 2^256 − 1 − N and the kernel below takes whole), …
+            int("FF" * 32, 16),
+            int("00FF" * 16, 16),  # … alternating 0x00 / 0xFF bytes, …
+            int("FF00" * 16, 16),
+            256**31,  # … one non-zero digit, in the top window, …
+            N - 1,  # … and the largest scalar a key or nonce can be
         ],
     )
     def test_zero_window_digits(self, k):
         assert _point_mul(k, G) == ref.point_mul(k, G)
         assert _point_mul(k, G3) == ref.point_mul(k, G3)
+        # The table walk itself, unfolded: every k here is below 2^256.
+        assert keys._to_affine(keys._mul_fixed(k, keys._g_table())) == ref.point_mul(k, G)
 
     def test_point_add_matches_reference(self):
         for p1, p2 in [(G, G), (G, G2), (G2, G), (G3, G_NEG), (None, None), (G2, None)]:
@@ -165,13 +174,20 @@ class TestCurveArithmetic:
         assert keys._batch_to_affine(jac) == [keys._to_affine(p) for p in jac]
 
     def test_fixed_base_table_shape_and_entries(self):
+        # G: 8-bit digits, 32 rows of 255 points; row i holds d · 256^i · G.
         table = keys._g_table()
-        assert len(table) == 64 and all(len(row) == 30 for row in table)
+        assert len(table) == 32 and all(len(row) == 510 for row in table)
         assert [table[0][j : j + 2] for j in range(0, 30, 2)] == [
             ref.point_mul(d, G) for d in range(1, 16)
         ]
-        for i, d in [(1, 1), (7, 9), (32, 15), (63, 1), (63, 15)]:
-            assert table[i][2 * d - 2 : 2 * d] == ref.point_mul(d * 16**i, G)
+        for i in (0, 1, 16, 31):
+            for d in (1, 0x80, 0xFF):
+                assert table[i][2 * d - 2 : 2 * d] == ref.point_mul(d * 256**i, G)
+        # A key: 4-bit digits, 64 rows of 15 points; row i holds d · 16^i · Q.
+        key = _table(G3)
+        assert len(key) == 64 and all(len(row) == 30 for row in key)
+        for i, d in [(0, 1), (1, 1), (32, 15), (63, 15)]:
+            assert key[i][2 * d - 2 : 2 * d] == ref.point_mul(d * 16**i, G3)
 
     def test_table_is_not_built_at_import(self):
         code = (
@@ -192,6 +208,39 @@ class TestCurveArithmetic:
     def test_variable_base_matches_reference(self, k, q):
         point = _point_mul(q, G)
         assert _point_mul(k, point) == ref.point_mul(k, point)
+
+
+class TestAdditionCounts:
+    """Mixed additions per operation do not depend on the host, so a multiple
+    of ``G`` that walks anything but the 8-bit table fails here."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_multiple_of_g_takes_at_most_32(self, seed, key_tables, monkeypatch):
+        kp = keypair(seed)
+        digest = sha256(f"count-{seed}".encode())
+        signature = ecdsa_sign(kp.private, digest)
+        q = (kp.public.x, kp.public.y)
+        key_tables[q] = _table(q)  # tables are built before counting starts
+        keys._g_table()
+        add = keys._jac_add_affine
+        calls = 0
+
+        def counted(p, x2, y2):
+            nonlocal calls
+            calls += 1
+            return add(p, x2, y2)
+
+        def additions(call) -> int:
+            nonlocal calls
+            calls = 0
+            assert call()
+            return calls
+
+        monkeypatch.setattr(keys, "_jac_add_affine", counted)
+        assert 0 < additions(lambda: ecdsa_sign(kp.private, digest)) <= 32
+        assert 0 < additions(kp.private.public_key) <= 32
+        # ≤ 64 through the key's 4-bit table, ≤ 32 through G's.
+        assert 0 < additions(lambda: ecdsa_verify(kp.public, digest, signature)) <= 96
 
 
 class TestKeys:
