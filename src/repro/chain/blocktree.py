@@ -444,6 +444,20 @@ class BlockTree:
         path.reverse()
         return path
 
+    def path_producers(self, block_id: bytes, length: int) -> tuple[dict[bytes, int], bytes]:
+        """Producer counts over the ``length`` blocks of the path that ends at
+        ``block_id`` (inclusive), and the id of the block just below them."""
+        parents, producers = self._arena.parents, self._arena.producers
+        counts: dict[bytes, int] = {}
+        index = self._at(block_id)
+        for _ in range(length):
+            if index == 0:
+                raise ChainError(f"the path to {block_id.hex()[:10]} is shorter than {length}")
+            producer = producers[index]
+            counts[producer] = counts.get(producer, 0) + 1
+            index = parents[index]
+        return counts, self._ids[index]
+
     def blocks_at_height(self, height: int) -> list[bytes]:
         """All block ids at a height, in reception order."""
         ids = self._ids

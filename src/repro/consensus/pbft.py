@@ -117,9 +117,12 @@ class PBFTCluster:
         self._link = ctx.network.link
         self.ctx = ctx
         self.config = config or PBFTConfig()
-        self.replicas = [
-            PBFTReplica(i, kp, ctx, self) for i, kp in enumerate(keypairs)
-        ]
+        # Each replica attaches itself to the network, which holds it for
+        # the run; the cluster keeps only the addresses, so the two never
+        # reference each other both ways.
+        for node_id, keypair in enumerate(keypairs):
+            PBFTReplica(node_id, keypair, ctx, self)
+        self._addresses = [keypair.public.fingerprint() for keypair in keypairs]
         self.n = len(keypairs)
         self.f = (self.n - 1) // 3
         self.committed: list[CommittedEntry] = []
@@ -194,14 +197,14 @@ class PBFTCluster:
             return
         self._round_deliveries = {}
         self._round_active = True
-        primary = self.replicas[self.current_primary]
+        primary = self.current_primary
         header = BlockHeader(
             version=BLOCK_VERSION,
             height=self._sequence + 1,
             parent_hash=self._parent_hash,
             merkle_root=EMPTY_ROOT,
             timestamp=self.ctx.sim.now,
-            producer=primary.address,
+            producer=self._addresses[primary],
             difficulty_multiple=1.0,
             base_difficulty=1.0,
             epoch=0,
@@ -211,11 +214,11 @@ class PBFTCluster:
             kind="pbft/pre-prepare",
             payload=self._round_block,
             body_size=self._proposal_wire(),
-            origin=primary.node_id,
+            origin=primary,
         )
-        for replica in self.replicas:
-            if replica.node_id != primary.node_id:
-                self.ctx.network.unicast(primary.node_id, replica.node_id, message)
+        for node_id in range(self.n):
+            if node_id != primary:
+                self.ctx.network.unicast(primary, node_id, message)
         self._timeout_handle = self.ctx.sim.schedule(
             self.current_timeout(), self._on_timeout
         )

@@ -150,10 +150,13 @@ class MiningNode(ConsensusNode):
             ),
             arena=ctx.arena,
         )
+        # The callbacks close over what they read, never over the node: a
+        # node is freed by reference counting once its run lets go of it.
+        members_fn, state = self.members_fn, self.state
         self.validator = BlockValidator(
-            is_member=lambda addr: addr in self.members_fn(),
-            parent_lookup=self.state.tree.get,
-            table_lookup=lambda block: self.state.governing(block.parent_hash)[1],
+            is_member=lambda addr: addr in members_fn(),
+            parent_lookup=state.tree.get,
+            table_lookup=lambda block: state.governing(block.parent_hash)[1],
             t0=ctx.params.t0,
             check_pow=config.real_pow,
             verify_signatures=config.verify_signatures,

@@ -203,10 +203,11 @@ class ConsensusChainState:
             return DifficultyTable.initial(members, self.params)
         if anchor.height % self.epoch_blocks != 0:
             raise ChainError(f"anchor height {anchor.height} is not an epoch boundary")
-        prev_anchor_id = self._ancestor_at_height(
-            anchor_id, anchor.height - self.epoch_blocks
-        )
-        counts, first_ts, last_ts = self._epoch_observations(anchor_id, prev_anchor_id)
+        # Producer counts q_i^e over the path (prev anchor, anchor]: exactly
+        # the main-chain blocks of the elapsed epoch as this prefix sees
+        # them (footnote 6).
+        counts, prev_anchor_id = self.tree.path_producers(anchor_id, self.epoch_blocks)
+        elapsed = anchor.header.timestamp - self.tree.get(prev_anchor_id).header.timestamp
         table = advance_table(
             prev_table(prev_anchor_id),
             # PoW-H: interval control only — zero counts floor every
@@ -214,7 +215,7 @@ class ConsensusChainState:
             counts if self.adaptive else {},
             members,
             self.epoch_blocks,
-            max((last_ts - first_ts) / self.epoch_blocks, 1e-9),
+            max(elapsed / self.epoch_blocks, 1e-9),
             self.params,
         )
         return DifficultyTable(
@@ -222,28 +223,6 @@ class ConsensusChainState:
             base=table.base,
             multiples=table.multiples,
         )
-
-    def _epoch_observations(
-        self, anchor_id: bytes, prev_anchor_id: bytes
-    ) -> tuple[Counter, float, float]:
-        """Producer counts ``q_i^e`` and timestamps over one epoch segment.
-
-        Counts blocks on the path ``(prev_anchor, anchor]`` — exactly the
-        main-chain blocks of the elapsed epoch as seen by this prefix
-        (footnote 6).
-        """
-        counts: Counter = Counter()
-        cursor = anchor_id
-        last_ts = self.tree.get(anchor_id).header.timestamp
-        while cursor != prev_anchor_id:
-            block = self.tree.get(cursor)
-            counts[block.producer] += 1
-            parent = self.tree.parent(cursor)
-            if parent is None:
-                raise ChainError("epoch walk passed genesis")
-            cursor = parent
-        first_ts = self.tree.get(prev_anchor_id).header.timestamp
-        return counts, first_ts, last_ts
 
     def governing(self, tip_id: bytes) -> tuple[bytes, DifficultyTable]:
         """(anchor id, table) governing a block whose parent is ``tip_id``.

@@ -17,6 +17,7 @@ are "prevented from putting the produced blocks into the main chain"
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from functools import partial
@@ -39,6 +40,36 @@ _SETTLE_BOUND = 4096
 _NEVER = float("inf")  # when a delivery that is not queued arrives
 #: Seen bitmaps widen together, by this many bytes (8 messages each).
 _SEEN_GROWTH = 256
+
+
+class _RememberedCopies:
+    """Flood copies remembered instead of scheduled (see
+    :meth:`SimulatedNetwork._send`), and how many of them were counted.
+
+    The simulator reads the count into its ``events_processed``; this holds
+    the simulator only weakly (called only while it is alive), so neither
+    it nor the network is on a reference cycle through the other.
+    """
+
+    __slots__ = ("copies", "counted", "_stats", "_sim")
+
+    def __init__(self, sim: Simulator, stats: NetworkStats) -> None:
+        self.copies: list[tuple[float, int, int, int, Message]] = []
+        self.counted = 0
+        self._stats = stats
+        self._sim = weakref.ref(sim)
+
+    def settle(self) -> int:
+        """Count the copies whose turn has passed; the total so far."""
+        sim = self._sim()
+        assert sim is not None  # the simulator calls this, or a network holding it
+        position = sim.position
+        in_flight = [copy for copy in self.copies if copy > position]
+        passed = len(self.copies) - len(in_flight)
+        self.copies[:] = in_flight  # in place: a running ``_send`` holds ``append``
+        self._stats.messages_delivered += passed
+        self.counted += passed
+        return self.counted
 
 
 class SimulatedNetwork:
@@ -69,24 +100,23 @@ class SimulatedNetwork:
         self._uplink_free: dict[int, float] = defaultdict(float)
         # Gossip dedup: each flooded message gets the next run-relative
         # index on first sight, and each node a bitmap over those indices
-        # (all ``_seen_width`` bytes wide, see ``_seen_slot``).
+        # (all as wide as ``_blank``, a new node's bitmap; see ``_seen_slot``).
         self._msg_index: dict[int, int] = {}
-        self._seen_width = _SEEN_GROWTH
-        self._seen: dict[int, bytearray] = defaultdict(
-            lambda: bytearray(self._seen_width)
-        )
+        self._blank = bytearray(_SEEN_GROWTH)
+        self._seen: dict[int, bytearray] = defaultdict(self._blank.copy)
         # Elision (see ``_send``): per destination, when the earliest queued
         # delivery of each not-yet-seen flood message arrives; and the copies
         # ``(arrival, seq, dst, src, message)`` remembered but not yet counted.
         self._due: dict[int, dict[int, float]] = defaultdict(dict)
-        self._elided: list[tuple[float, int, int, int, Message]] = []
-        self._elided_counted = 0
         self._settle_at = _SETTLE_BOUND
         self._drop_filters: dict[int, DropFilter] = {}
         self._offline: set[int] = set()
         self._partition: dict[int, int] | None = None
         self._disturbances: dict[str, tuple[frozenset[int] | None, LinkDisturbance]] = {}
         self._stats = NetworkStats()
+        remembered = _RememberedCopies(sim, self._stats)
+        self._elided = remembered.copies
+        self._settle = remembered.settle
         sim.uncalled_counts.append(self._settle)
 
     @property
@@ -94,6 +124,19 @@ class SimulatedNetwork:
         """The traffic counters, every copy whose turn has passed counted in."""
         self._settle()
         return self._stats
+
+    def forget_floods(self) -> None:
+        """Settle the counters, then drop the per-message flood state.
+
+        For a finished run: the message index, the seen bitmaps, the due
+        maps and the remembered copies (whose turn never comes) are read by
+        nothing after it, and the copies would keep their blocks alive.
+        """
+        self._settle()
+        self._msg_index.clear()
+        self._seen.clear()
+        self._due.clear()
+        self._elided.clear()
 
     # -- membership -------------------------------------------------------------
 
@@ -312,16 +355,6 @@ class SimulatedNetwork:
                 duplicated = True
         return serialization, extra_jitter, duplicated
 
-    def _settle(self) -> int:
-        """Count the remembered copies whose turn has passed; the total so far."""
-        position = self.sim.position
-        in_flight = [copy for copy in self._elided if copy > position]
-        passed = len(self._elided) - len(in_flight)
-        self._elided[:] = in_flight  # in place: a running ``_send`` holds ``append``
-        self._stats.messages_delivered += passed
-        self._elided_counted += passed
-        return self._elided_counted
-
     def _stop_accepting(self, dst: int) -> None:
         """Hand ``dst``'s in-flight remembered copies back to the ordinary path:
         from now on a copy's fate depends on when it arrives (an offline or
@@ -360,9 +393,8 @@ class SimulatedNetwork:
         index = self._msg_index.get(msg_id)
         if index is None:
             index = self._msg_index[msg_id] = len(self._msg_index)
-            if index >> 3 == self._seen_width:
-                self._seen_width += _SEEN_GROWTH
-                for seen in self._seen.values():
+            if index >> 3 == len(self._blank):
+                for seen in (self._blank, *self._seen.values()):
                     seen.extend(bytes(_SEEN_GROWTH))
         return index >> 3, 1 << (index & 7)
 

@@ -24,6 +24,13 @@ difficulty, so mining makes few of them (154 for 1,303 blocks at n = 40 ×
 timeouts and stopped or crashed nodes cancel too.  The simulator counts live
 tombstones and compacts the heap whenever they exceed half the queue
 (amortized O(1) per cancel), keeping both memory and per-pop cost bounded.
+
+A simulated run makes no reference cycles that outlive it: an event drops
+its callback once it fires or is cancelled, the only links back into a run
+are the queue and the network's handler table, and ``SimStack.release``
+discards the one and empties the other.  So a finished run is freed by
+reference counting alone (``tests/test_runner.py::TestRefcountFreed``); the
+cyclic collector has nothing to find in it, and ``run`` pauses it.
 """
 
 from __future__ import annotations
@@ -46,18 +53,22 @@ class _ScheduledEvent:
 
     Slot-backed and tuple-indexed (the heap orders ``(time, seq)`` tuples
     that reference these), so scheduling allocates exactly one object.
+
+    An event holds its callback only while it is queued: firing, cancelling
+    or discarding it drops the callback (``None`` afterwards).  So a handle
+    its owner keeps, such as a miner's armed timer, never keeps that owner
+    alive through the event once the run is over.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "fired", "_sim")
+    __slots__ = ("time", "seq", "callback", "cancelled", "_sim")
 
     def __init__(
         self, time: float, seq: int, callback: Callable[[], None], sim: "Simulator"
     ) -> None:
         self.time = time
         self.seq = seq
-        self.callback = callback
+        self.callback: Callable[[], None] | None = callback
         self.cancelled = False
-        self.fired = False
         self._sim = sim
 
     def cancel(self) -> None:
@@ -69,7 +80,8 @@ class _ScheduledEvent:
         if self.cancelled:
             return
         self.cancelled = True
-        if not self.fired:
+        if self.callback is not None:  # still queued
+            self.callback = None
             self._sim._note_cancel()
 
 
@@ -188,10 +200,13 @@ class Simulator:
 
         For a finished run whose simulator outlives it (a result keeps it
         readable): queued callbacks would otherwise keep every object they
-        close over alive with it.
+        close over alive with it, and so would the handles their owners
+        still hold.
         """
         if self._running:
             raise SimulationError("cannot discard events while the simulator runs")
+        for _, _, event in self._queue:
+            event.callback = None
         self._queue.clear()
         self._cancelled = 0
 
@@ -229,11 +244,11 @@ class Simulator:
         self._running = True
         queue = self._queue  # compaction mutates in place; binding stays valid
         # The event loop allocates heavily (one heap tuple, event object and
-        # callback closure per hop) but produces no reference cycles — events
-        # are freed by refcount as they pop, and the block tree's parent
-        # links are one-way.  Cyclic GC passes over those allocations are
-        # pure overhead (~25% of a mining run), so collection is paused for
-        # the duration of the loop and restored on exit.
+        # callback closure per hop) but produces no reference cycles (see the
+        # module docstring): events are freed by refcount as they pop.
+        # Cyclic GC passes over those allocations are pure overhead (~25% of
+        # a mining run), so collection is paused for the duration of the
+        # loop and restored on exit.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -245,13 +260,14 @@ class Simulator:
                     self.now = until
                     break
                 heapq.heappop(queue)
-                if event.cancelled:
+                callback = event.callback
+                if callback is None:  # cancelled
                     self._cancelled -= 1
                     continue
-                event.fired = True
+                event.callback = None  # fired
                 self.now = time
                 self._seq = seq
-                event.callback()
+                callback()
                 self._events_processed += 1
                 processed += 1
                 if stop_when is not None and stop_when():

@@ -28,6 +28,7 @@ matched by request id and sender and dropped.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -107,7 +108,10 @@ class SyncManager:
     """Drives (and serves) the chain-sync protocol for one node."""
 
     def __init__(self, node: "MiningNode", config: SyncConfig | None = None) -> None:
-        self.node = node
+        # Weak: the node owns its manager, and a back-reference would put
+        # every node on a reference cycle.  Gossiped blocks never come
+        # through here, only sync traffic and its timeouts.
+        self.node: MiningNode = weakref.proxy(node)
         self.config = config or SyncConfig()
         self.stats = SyncStats()
         self.active = False

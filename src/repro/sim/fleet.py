@@ -41,12 +41,16 @@ class SimStack:
     keys: list[KeyPair]
 
     def release(self) -> None:
-        """Detach every node and drop every queued event, once a run is over.
+        """Let go of a finished run: settle and drop the flood's per-message
+        state, detach every node and drop every queued event.
 
         The stack stays readable (clock, counters, topology), but it no
-        longer reaches the nodes that ran on it: what outlives the run, such
-        as one observer holding ``ctx``, keeps only its own part alive.
+        longer reaches the nodes that ran on it.  A run's objects form no
+        reference cycles, so reference counting frees the fleet here and
+        what outlives the run, such as one observer holding ``ctx``, when
+        its last holder goes (``tests/test_runner.py::TestRefcountFreed``).
         """
+        self.network.forget_floods()
         for node_id in self.network.node_ids:
             self.network.detach(node_id)
         self.sim.discard_pending()

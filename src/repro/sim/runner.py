@@ -16,7 +16,6 @@ All four §VII-B algorithms are supported:
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable
 from typing import Any, Literal
@@ -156,7 +155,8 @@ class RunResult:
     members: list[bytes] = field(default_factory=list)
     # Live simulator handles: in-process only, never serialized (see
     # repro.sim.reporting module docstring).  Their stack is released when
-    # the run ends (``SimStack.release``): readable, not resumable.
+    # the run ends (``SimStack.release``): readable, not resumable, and
+    # freed by reference counting when the result goes.
     observer: MiningNode | None = field(default=None, metadata=NOT_ON_WIRE)
     pbft: PBFTCluster | None = field(default=None, metadata=NOT_ON_WIRE)
     view_changes: int = 0
@@ -177,25 +177,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             "fault plans target the PoW-family crash/sync path; PBFT runs "
             "do not support chaos injection"
         )
-    # A finished fleet is cyclic garbage (~30 MB at n = 40), and when the
-    # collector's oldest generation got to it depended on how much each
-    # seed's set-up and reporting allocated: a process running several
-    # experiments held anywhere from one to all of them at its peak.  So
-    # the collector stays paused for the whole experiment (not only the
-    # event loop, see ``Simulator.run``), the stack is released, and one
-    # pass over the youngest generation — everything the experiment
-    # allocated — frees the fleet before the result is handed back.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _run_experiment(cfg, pbft)
-    finally:
-        gc.collect(0)
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _run_experiment(cfg: ExperimentConfig, pbft: bool) -> RunResult:
     stack = build_stack(
         cfg.n,
         seed=cfg.seed,

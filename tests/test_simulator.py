@@ -125,6 +125,21 @@ class TestRunControl:
         sim.run()
         assert fired == [1]
 
+    def test_an_event_holds_its_callback_only_while_queued(self):
+        """A handle an owner keeps must not keep the owner alive through the
+        event: a run's graph stays acyclic once it is released."""
+        sim = Simulator()
+        fired, cancelled, discarded = (
+            sim.schedule(delay, lambda: None) for delay in (1.0, 2.0, 3.0)
+        )
+        cancelled.cancel()
+        sim.run(max_events=1)
+        assert discarded.callback is not None
+        sim.discard_pending()
+        assert [fired.callback, cancelled.callback, discarded.callback] == [None] * 3
+        discarded.cancel()  # a late cancel is flag-only
+        assert sim.pending_events == 0
+
     def test_discard_pending_refused_while_running(self):
         sim = Simulator()
         errors = []
