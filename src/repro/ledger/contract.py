@@ -82,6 +82,11 @@ class NodeSetContract(Contract):
     address = NODESET_CONTRACT_ADDRESS
 
     def __init__(self, initial_members: list[bytes]) -> None:
+        self.reset(initial_members)
+
+    def reset(self, initial_members: list[bytes]) -> None:
+        """Return to the state of a new contract over ``initial_members``
+        (a node replaying its chain from genesis after a reorg)."""
         for member in initial_members:
             if len(member) != 20:
                 raise ContractError("member addresses must be 20 bytes")

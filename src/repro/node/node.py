@@ -62,13 +62,15 @@ class FullNode(MiningNode):
         ctx: RunContext,
         config: FullNodeConfig | None = None,
     ) -> None:
-        self.nodeset = NodeSetContract(list(ctx.members))
+        # One contract for the node's life (a reorg resets it in place), so
+        # the member view closes over the contract, not the node.
+        nodeset = self.nodeset = NodeSetContract(list(ctx.members))
         super().__init__(
             node_id,
             keypair,
             ctx,
             config or FullNodeConfig(),
-            members_fn=lambda: self.nodeset.members,
+            members_fn=lambda: nodeset.members,
         )
         self.mempool = Mempool()
         self.executor = Executor(verify_signatures=self.config.verify_signatures)
@@ -275,9 +277,7 @@ class FullNode(MiningNode):
         )
         replay = joined
         if left:
-            self.nodeset = NodeSetContract(list(self.ctx.members))
-            self.executor.contracts.clear()
-            self.executor.register(self.nodeset)
+            self.nodeset.reset(list(self.ctx.members))
             self.ledger = self._genesis_state()
             replay = applied[1:] + joined
         for block in replay:

@@ -12,15 +12,24 @@ Schema (see ``docs/storage.md`` for the full matrix):
 
 * ``blocks`` — every block ever attached, in reception order (``seq``),
   with the canonical serialized bytes; indexed by height and producer.
-* ``txs`` — one row per transaction per containing block, indexed by
-  sender and recipient for the ``/accounts`` read path.
+* ``txs`` — one row per transaction per containing block, carrying the
+  block's height; indexed by ``(sender, height, position)`` and
+  ``(recipient, height, position)``, so an account's newest transactions
+  are the tail of an index range and a ``/accounts`` page reads one page
+  of rows, not the account's whole history.
 * ``canon`` — the main chain as a height → block-id map, updated
-  incrementally on commit (O(reorg depth), not O(height)).
+  incrementally on commit (O(reorg depth), not O(height)); indexed by
+  block id for the produced-blocks count.
 * ``snapshots`` — periodic full-tree dumps through the canonical
   :mod:`repro.chain.store` codec; recovery loads the newest one and
   replays only the blocks recorded after it.
 * ``meta`` — genesis binding, stored head, member set, generation
   counter.
+
+This is schema v2 (:data:`SCHEMA_VERSION`).  v1 had no ``txs.height`` and
+sender / recipient indexes on the address alone; a v1 file is refused at
+open, before anything is written to it.  There is no migration: a node
+rebuilds its store by syncing from its peers into a fresh file.
 
 Snapshot policy: every ``snapshot_interval`` heights the whole tree is
 snapshotted and older snapshots beyond the newest :data:`KEEP_SNAPSHOTS`
@@ -46,16 +55,19 @@ from repro.chain.store import deserialize_tree, serialize_tree
 from repro.errors import DuplicateBlockError, StorageError
 
 #: Schema version stamped into ``meta``; mismatches refuse to open.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Snapshots retained after each new one.
 KEEP_SNAPSHOTS = 2
 
-_SCHEMA = """
+_META = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
-);
+)
+"""
+
+_SCHEMA = """
 CREATE TABLE IF NOT EXISTS blocks (
     seq          INTEGER PRIMARY KEY,
     block_id     BLOB NOT NULL UNIQUE,
@@ -73,6 +85,7 @@ CREATE INDEX IF NOT EXISTS blocks_producer ON blocks(producer);
 CREATE TABLE IF NOT EXISTS txs (
     tx_id     BLOB NOT NULL,
     block_id  BLOB NOT NULL,
+    height    INTEGER NOT NULL,
     position  INTEGER NOT NULL,
     sender    BLOB NOT NULL,
     recipient BLOB NOT NULL,
@@ -80,13 +93,14 @@ CREATE TABLE IF NOT EXISTS txs (
     nonce     INTEGER NOT NULL,
     PRIMARY KEY (tx_id, block_id)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS txs_sender ON txs(sender);
-CREATE INDEX IF NOT EXISTS txs_recipient ON txs(recipient);
+CREATE INDEX IF NOT EXISTS txs_sender ON txs(sender, height, position);
+CREATE INDEX IF NOT EXISTS txs_recipient ON txs(recipient, height, position);
 CREATE INDEX IF NOT EXISTS txs_block ON txs(block_id);
 CREATE TABLE IF NOT EXISTS canon (
     height   INTEGER PRIMARY KEY,
     block_id BLOB NOT NULL
 );
+CREATE INDEX IF NOT EXISTS canon_block ON canon(block_id);
 CREATE TABLE IF NOT EXISTS snapshots (
     snap_seq   INTEGER PRIMARY KEY,
     height     INTEGER NOT NULL,
@@ -137,6 +151,7 @@ class SqliteStorage:
                 f"file:{self.path}?mode=ro", uri=True, check_same_thread=False
             )
             self._conn.execute("PRAGMA busy_timeout=2000")
+            self._check_schema_version()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._conn = sqlite3.connect(self.path, check_same_thread=False)
@@ -144,8 +159,10 @@ class SqliteStorage:
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute("PRAGMA busy_timeout=2000")
             with self._conn:
-                self._conn.executescript(_SCHEMA)
+                self._conn.execute(_META)
             self._check_schema_version()
+            with self._conn:
+                self._conn.executescript(_SCHEMA)
         self._closed = False
 
     # -- meta helpers --------------------------------------------------------------
@@ -164,8 +181,12 @@ class SqliteStorage:
         )
 
     def _check_schema_version(self) -> None:
+        """Refuse a file of another schema version before touching its
+        tables; stamp a new writable file with this one."""
         stored = self._meta_get("schema_version")
         if stored is None:
+            if self.read_only:
+                return
             with self._conn:
                 self._meta_set("schema_version", str(SCHEMA_VERSION))
                 self._meta_set("generation", "0")
@@ -262,6 +283,7 @@ class SqliteStorage:
                     (
                         tx.tx_id,
                         block.block_id,
+                        block.height,
                         position,
                         tx.sender,
                         tx.recipient,
@@ -277,8 +299,8 @@ class SqliteStorage:
         )
         if tx_rows:
             self._conn.executemany(
-                "INSERT OR IGNORE INTO txs (tx_id, block_id, position, sender, "
-                "recipient, amount, nonce) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                "INSERT OR IGNORE INTO txs (tx_id, block_id, height, position, "
+                "sender, recipient, amount, nonce) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 tx_rows,
             )
 
@@ -431,7 +453,11 @@ class SqliteStorage:
     def _is_canonical(self, block_id: bytes, height: int) -> bool:
         return self._canonical_id_at(height) == block_id
 
-    def _block_record(self, row: sqlite3.Row | tuple) -> dict[str, Any]:
+    def _block_record(
+        self, row: sqlite3.Row | tuple, canonical: bool | None = None
+    ) -> dict[str, Any]:
+        """A block row as JSON-ready fields; ``canonical`` is looked up in
+        ``canon`` unless the caller already knows it."""
         (block_id, parent_id, height, epoch, producer, timestamp, arrival, tx_count) = (
             bytes(row[0]),
             bytes(row[1]),
@@ -451,7 +477,9 @@ class SqliteStorage:
             "timestamp": timestamp,
             "arrival_time": arrival,
             "tx_count": tx_count,
-            "canonical": self._is_canonical(block_id, height),
+            "canonical": (
+                self._is_canonical(block_id, height) if canonical is None else canonical
+            ),
         }
 
     _BLOCK_COLS = (
@@ -507,36 +535,41 @@ class SqliteStorage:
             "WHERE canon.height <= ? ORDER BY canon.height DESC LIMIT ?",
             (top, limit),
         ).fetchall()
-        return [self._block_record(row) for row in rows]
+        return [self._block_record(row, canonical=True) for row in rows]
 
     def tx_by_id(self, tx_id: bytes) -> dict[str, Any] | None:
         row = self._conn.execute(
-            "SELECT block_id, position, sender, recipient, amount, nonce "
+            "SELECT block_id, height, position, sender, recipient, amount, nonce "
             "FROM txs WHERE tx_id = ?",
             (tx_id,),
         ).fetchone()
         if row is None:
             return None
-        block_id = bytes(row[0])
-        block_row = self._conn.execute(
-            "SELECT height FROM blocks WHERE block_id = ?", (block_id,)
-        ).fetchone()
-        height = int(block_row[0]) if block_row is not None else None
+        block_id, height = bytes(row[0]), int(row[1])
         return {
             "tx_id": tx_id.hex(),
             "block_id": block_id.hex(),
-            "position": int(row[1]),
-            "sender": bytes(row[2]).hex(),
-            "recipient": bytes(row[3]).hex(),
-            "amount": int(row[4]),
-            "nonce": int(row[5]),
+            "position": int(row[2]),
+            "sender": bytes(row[3]).hex(),
+            "recipient": bytes(row[4]).hex(),
+            "amount": int(row[5]),
+            "nonce": int(row[6]),
             "height": height,
-            "canonical": (
-                self._is_canonical(block_id, height) if height is not None else False
-            ),
+            "canonical": self._is_canonical(block_id, height),
         }
 
     def account_summary(self, address: bytes, limit: int) -> dict[str, Any] | None:
+        """Counts and the ``limit`` newest transactions touching ``address``.
+
+        Newest first: height, then position, descending; the rare tie — one
+        slot of two fork blocks at one height — falls to ``tx_id`` then
+        ``block_id``, descending, the suffix every ``txs`` index entry
+        carries, so each index serves the whole order.  The page is a merge
+        of the sender and the recipient index ranges read from their newest
+        end; the merge stops after ``limit`` rows, so the work is one page
+        however long the history, and the ``UNION`` lists a self-transfer
+        once.
+        """
         sent = int(
             self._conn.execute(
                 "SELECT COUNT(*) FROM txs WHERE sender = ?", (address,)
@@ -559,9 +592,9 @@ class SqliteStorage:
         ):
             return None
         rows = self._conn.execute(
-            "SELECT txs.tx_id FROM txs JOIN blocks USING (block_id) "
-            "WHERE txs.sender = ? OR txs.recipient = ? "
-            "ORDER BY blocks.height DESC, txs.position DESC LIMIT ?",
+            "SELECT height, position, tx_id, block_id FROM txs WHERE sender = ? "
+            "UNION SELECT height, position, tx_id, block_id FROM txs WHERE recipient = ? "
+            "ORDER BY height DESC, position DESC, tx_id DESC, block_id DESC LIMIT ?",
             (address, address, limit),
         ).fetchall()
         return {
@@ -569,7 +602,7 @@ class SqliteStorage:
             "sent": sent,
             "received": received,
             "blocks_produced": produced,
-            "recent_tx_ids": [bytes(r[0]).hex() for r in rows],
+            "recent_tx_ids": [bytes(r[2]).hex() for r in rows],
         }
 
     def producer_counts(self) -> dict[bytes, int]:

@@ -15,7 +15,12 @@ from repro.chaos.schedule import FaultPlan, random_fault_plan
 from repro.consensus import pbft
 from repro.consensus.pbft import PBFTReplica
 from repro.consensus.powfamily import MiningNode
+from repro.core.difficulty import DifficultyParams
+from repro.net.latency import LinkModel
+from repro.node.config import FullNodeConfig
+from repro.node.node import FullNode
 from repro.sim import runner
+from repro.sim.fleet import build_stack
 from repro.sim.runner import ExperimentConfig, run_experiment
 from repro.sim.scenarios import (
     ALL_ALGORITHMS,
@@ -201,6 +206,48 @@ class TestRefcountFreed:
                     for obj in gc.garbage
                     if isinstance(obj, (MiningNode, PBFTReplica, Block))
                 ]
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+            assert leaked == []
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_full_node_fleet_is_freed_without_a_collection(self):
+        """A released ``FullNode`` fleet goes by reference counting too: its
+        member view closes over the node's one contract, not the node (while
+        it closed over the node, this fleet stayed alive until a collection,
+        every ``FullNode`` in it)."""
+        stack = build_stack(
+            4,
+            seed=3,
+            degree=3,
+            link=LinkModel(jitter=0.01),
+            params=DifficultyParams(i0=5.0, h0=1.0, beta=2.0),
+        )
+        config = FullNodeConfig(verify_signatures=False, sign_blocks=False)
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            nodes = [FullNode(i, key, stack.ctx, config) for i, key in enumerate(stack.keys)]
+            for node in nodes:
+                node.start()
+            nodes[0].pay(nodes[1].address, 5)
+            stack.sim.run(
+                stop_when=lambda: all(node.state.height() >= 5 for node in nodes),
+                max_events=1_000_000,
+            )
+            assert nodes[1].balance() > nodes[0].balance()
+            refs = [weakref.ref(node) for node in nodes]
+            stack.release()
+            del nodes, node
+            assert [ref() for ref in refs if ref() is not None] == []
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                gc.collect()
+                leaked = [type(obj).__name__ for obj in gc.garbage if isinstance(obj, FullNode)]
             finally:
                 gc.set_debug(0)
                 gc.garbage.clear()

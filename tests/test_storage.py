@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 import sqlite3
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
-from tests.conftest import TreeBuilder
-from repro.chain.block import Block
+from tests.conftest import TreeBuilder, keypair
+from repro.chain.block import Block, build_block
 from repro.chain.blocktree import BlockTree
+from repro.chain.transaction import Transaction
 from repro.errors import StorageError
-from repro.storage.sqlite import SqliteStorage
+from repro.storage.sqlite import SCHEMA_VERSION, SqliteStorage
 
 
 @pytest.fixture()
@@ -226,6 +230,34 @@ class TestSqliteGuards:
         with pytest.raises(StorageError, match="schema"):
             SqliteStorage(db)
 
+    def test_version_1_file_is_refused_untouched(self, tmp_path: Path) -> None:
+        """A file in the v1 layout (no ``txs.height``, address-only indexes)
+        is refused at open by writer and reader alike, before the v2 schema
+        script adds anything to it."""
+        db = tmp_path / "chain.db"
+        conn = sqlite3.connect(db)
+        with conn:
+            conn.executescript(
+                "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+                "INSERT INTO meta VALUES ('schema_version', '1'), ('generation', '0');"
+                "CREATE TABLE txs (tx_id BLOB NOT NULL, block_id BLOB NOT NULL, "
+                "position INTEGER NOT NULL, sender BLOB NOT NULL, "
+                "recipient BLOB NOT NULL, amount INTEGER NOT NULL, "
+                "nonce INTEGER NOT NULL, PRIMARY KEY (tx_id, block_id)) WITHOUT ROWID;"
+                "CREATE INDEX txs_sender ON txs(sender);"
+                "CREATE TABLE canon (height INTEGER PRIMARY KEY, block_id BLOB NOT NULL);"
+            )
+        schema = conn.execute("SELECT name FROM sqlite_master ORDER BY name").fetchall()
+        conn.close()
+        assert SCHEMA_VERSION == 2
+        with pytest.raises(StorageError, match="schema v1, this build speaks v2"):
+            SqliteStorage(db)
+        with pytest.raises(StorageError, match="schema v1"):
+            SqliteStorage(db, read_only=True)
+        conn = sqlite3.connect(db)
+        assert conn.execute("SELECT name FROM sqlite_master ORDER BY name").fetchall() == schema
+        conn.close()
+
     def test_read_only_rejects_writes_and_missing_file(
         self, tmp_path: Path, genesis: Block
     ) -> None:
@@ -245,3 +277,188 @@ class TestSqliteGuards:
             SqliteStorage(tmp_path / "a.db", batch_size=0)
         with pytest.raises(StorageError):
             SqliteStorage(tmp_path / "b.db", snapshot_interval=0)
+
+
+#: Page size of the account store's differential checks.
+LIMIT = 4
+BUSY = [bytes([index]) * 20 for index in range(1, 5)]
+SELF = b"\x51" * 20
+EXACT = b"\x52" * 20  # exactly LIMIT transaction rows
+OVER = b"\x53" * 20  # LIMIT + 1 rows
+IDLE_MEMBER = b"\x54" * 20
+STRANGER = b"\x55" * 20
+
+
+class AccountStore:
+    """A stored tree whose transactions exercise every ordering edge of
+    ``account_summary``: fork blocks carrying transactions (one repeats the
+    main block's list slot for slot, one carries its own), a self-transfer,
+    an idle member and addresses with ``LIMIT`` and ``LIMIT + 1`` rows."""
+
+    def __init__(self, path: Path, genesis: Block) -> None:
+        rng = random.Random(11)
+        nonces = itertools.count()
+
+        def tx(sender: bytes, recipient: bytes) -> Transaction:
+            return Transaction(sender, recipient, rng.randrange(1, 100), next(nonces))
+
+        def busy_txs(count: int) -> list[Transaction]:
+            return [tx(rng.choice(BUSY), rng.choice(BUSY)) for _ in range(count)]
+
+        special = {
+            2: [tx(EXACT, BUSY[0]), tx(OVER, BUSY[1])],
+            5: [tx(SELF, SELF), tx(BUSY[2], OVER)],
+            7: [tx(BUSY[3], EXACT), tx(OVER, BUSY[0])],
+            9: [tx(EXACT, OVER)],
+        }
+        self.tree = BlockTree(genesis)
+        self.blocks = [genesis]
+        main = [genesis]
+        for height in range(1, 13):
+            txs = busy_txs(4)
+            for offset, extra in enumerate(special.get(height, [])):
+                txs.insert(1 + 2 * offset, extra)
+            main.append(self._add(main[-1], height % 3, txs))
+        same_slots = self._add(main[3], 2, list(main[4].transactions))
+        self._add(same_slots, 1, [*busy_txs(2), tx(EXACT, BUSY[1])])
+        self._add(main[3], 0, [*busy_txs(4), tx(BUSY[3], OVER)])
+        self._add(main[9], 1, [tx(BUSY[0], SELF), *busy_txs(3)])
+        self.members = [keypair(i).public.fingerprint() for i in range(3)] + [IDLE_MEMBER]
+        self.canonical = set(b.block_id for b in main)
+        self.storage = SqliteStorage(path)
+        self.storage.ensure_genesis(genesis)
+        self.storage.set_members(self.members)
+        for block in self.blocks[1:]:
+            self.storage.record_block(block, self.tree.arrival_time(block.block_id))
+        self.storage.commit(main[-1].block_id, self.tree)
+
+    def _add(self, parent: Block, producer: int, txs: list[Transaction]) -> Block:
+        clock = float(len(self.blocks))
+        block = build_block(
+            keypair(producer), parent.block_id, parent.height + 1, txs, clock, 1.0, 1.0, 0
+        )
+        self.tree.add_block(block, clock)
+        self.blocks.append(block)
+        return block
+
+    def rows(self, address: bytes) -> list[tuple[int, int, bytes, bytes, Transaction]]:
+        """Every stored ``(height, position, tx_id, block_id, tx)`` touching
+        ``address``, forks included."""
+        return [
+            (block.height, position, tx.tx_id, block.block_id, tx)
+            for block in self.blocks
+            for position, tx in enumerate(block.transactions)
+            if address in (tx.sender, tx.recipient)
+        ]
+
+    def reference(self, address: bytes, limit: int) -> dict | None:
+        """``account_summary`` by brute force: newest first by height, then
+        position, then ``tx_id``, then ``block_id``, all descending."""
+        rows = self.rows(address)
+        sent = sum(tx.sender == address for *_, tx in rows)
+        received = sum(tx.recipient == address for *_, tx in rows)
+        produced = sum(
+            b.producer == address for b in self.blocks if b.block_id in self.canonical
+        )
+        if not (sent or received or produced) and address not in self.members:
+            return None
+        newest = sorted((row[:4] for row in rows), reverse=True)[:limit]
+        return {
+            "address": address.hex(),
+            "sent": sent,
+            "received": received,
+            "blocks_produced": produced,
+            "recent_tx_ids": [tx_id.hex() for _, _, tx_id, _ in newest],
+        }
+
+
+@pytest.fixture()
+def accounts(tmp_path: Path, genesis: Block) -> Iterator[AccountStore]:
+    store = AccountStore(tmp_path / "accounts.db", genesis)
+    yield store
+    store.storage.close()
+
+
+def recent_statement(storage: SqliteStorage, address: bytes, limit: int) -> tuple[list[str], str]:
+    """Every statement ``account_summary`` runs, with its parameters bound,
+    and the one among them that pages the transactions."""
+    statements: list[str] = []
+    storage._conn.set_trace_callback(statements.append)
+    try:
+        storage.account_summary(address, limit)
+    finally:
+        storage._conn.set_trace_callback(None)
+    (recent,) = [sql for sql in statements if "LIMIT" in sql]
+    return statements, recent
+
+
+class TestAccountReads:
+    def test_fixture_covers_the_ordering_edges(self, accounts: AccountStore) -> None:
+        assert len(accounts.rows(EXACT)) == LIMIT
+        assert len(accounts.rows(OVER)) == LIMIT + 1
+        assert any(tx.sender == tx.recipient == SELF for *_, tx in accounts.rows(SELF))
+        assert accounts.rows(IDLE_MEMBER) == []
+        fork_rows = [
+            row
+            for address in BUSY
+            for row in accounts.rows(address)
+            if row[3] not in accounts.canonical
+        ]
+        assert fork_rows
+        slots: dict[tuple[int, int], set[bytes]] = {}
+        for height, position, tx_id, _, _ in (r for a in BUSY for r in accounts.rows(a)):
+            slots.setdefault((height, position), set()).add(tx_id)
+        tied = [ids for ids in slots.values() if len(ids) > 1]
+        assert tied, "two fork blocks carry different transactions in one slot"
+        assert any(
+            len([r for r in accounts.rows(BUSY[0]) if r[:2] == row[:2]]) > 1
+            for row in accounts.rows(BUSY[0])
+        ), "one slot repeats on a fork"
+
+    @pytest.mark.parametrize("limit", [1, LIMIT, LIMIT + 1, 50])
+    def test_summary_matches_brute_force(self, accounts: AccountStore, limit: int) -> None:
+        addresses = [*BUSY, SELF, EXACT, OVER, IDLE_MEMBER, STRANGER, *accounts.members]
+        for address in addresses:
+            assert accounts.storage.account_summary(address, limit) == accounts.reference(
+                address, limit
+            ), address.hex()
+
+    def test_query_plans_read_index_ranges(self, accounts: AccountStore) -> None:
+        """Host-independent: no statement of ``account_summary`` sorts in a
+        temporary b-tree or scans ``canon`` (at schema v1 the page sorted
+        every hit of the address and the produced count scanned ``canon``)."""
+        statements, _ = recent_statement(accounts.storage, BUSY[0], LIMIT)
+        for sql in statements:
+            plan = " | ".join(
+                row[3] for row in accounts.storage._conn.execute("EXPLAIN QUERY PLAN " + sql)
+            )
+            assert "TEMP B-TREE" not in plan, (sql, plan)
+            assert "SCAN canon" not in plan, (sql, plan)
+
+    def test_page_work_follows_the_page_not_the_history(
+        self, accounts: AccountStore
+    ) -> None:
+        """Virtual-machine steps of the paging statement, counted by a progress
+        handler: one row costs a fraction of the whole history, and an
+        address with no rows costs less than one row."""
+
+        def steps(address: bytes, limit: int) -> int:
+            _, sql = recent_statement(accounts.storage, address, limit)
+            count = 0
+
+            def tick() -> int:
+                nonlocal count
+                count += 1
+                return 0
+
+            accounts.storage._conn.set_progress_handler(tick, 1)
+            try:
+                accounts.storage._conn.execute(sql).fetchall()
+            finally:
+                accounts.storage._conn.set_progress_handler(None, 1)
+            return count
+
+        history = len(accounts.rows(BUSY[0]))
+        assert history >= 20
+        assert 4 * steps(BUSY[0], 1) < steps(BUSY[0], history)
+        assert steps(IDLE_MEMBER, LIMIT) < steps(BUSY[0], 1)
