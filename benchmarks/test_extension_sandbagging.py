@@ -16,25 +16,36 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.consensus.powfamily import MiningNode, themis_config
+from repro.core.difficulty import DifficultyParams
+from repro.net.latency import LinkModel
 from repro.sim.attacks import SandbaggingMiner
-
-from tests.conftest import keypair
-from tests.test_powfamily import make_fleet
+from repro.sim.fleet import build_stack
 
 
 def _run_share(attacker_cls, seed: int, n: int = 10, epochs: int = 8):
     """Attacker share of the main chain with the given node class."""
     attacker_power = 20.0
-    ctx, nodes = make_fleet(n, seed=seed, beta=4.0, i0=5.0)
-    ctx.network.detach(0)
+    link, params = LinkModel(jitter=0.01), DifficultyParams(i0=5.0, beta=4.0)
+    configs = [themis_config()] * n
+    stack = build_stack(
+        MiningNode,
+        configs,
+        seed=seed,
+        degree=n - 1,
+        link=link,
+        params=params,
+        key_prefix="test-node",
+    )
+    nodes = stack.nodes
+    stack.network.detach(0)
     configs = themis_config(hash_rate=attacker_power)
-    attacker = attacker_cls(0, keypair(0), ctx, configs)
+    attacker = attacker_cls(0, nodes[0].keypair, stack.ctx, configs)
     nodes[0] = attacker
     for node in nodes:
         node.start()
-    delta = ctx.params.epoch_length(n)
+    delta = stack.ctx.params.epoch_length(n)
     target = epochs * delta
-    ctx.sim.run(
+    stack.sim.run(
         stop_when=lambda: nodes[1].state.height() >= target, max_events=10_000_000
     )
     chain = nodes[1].main_chain()[delta + 1 : target + 1]  # skip warmup epoch

@@ -15,27 +15,32 @@ from collections import Counter
 
 from repro.chain.blocktree import BlockTree
 from repro.chain.forkchoice import GHOSTRule, LongestChainRule
-from repro.consensus.powfamily import themis_config
+from repro.consensus.powfamily import MiningNode, themis_config
+from repro.core.difficulty import DifficultyParams
 from repro.core.geost import GEOSTRule
+from repro.net.latency import LinkModel
 from repro.sim.attacks import SelfishMiner
-
-from tests.conftest import keypair
-from tests.test_powfamily import make_fleet
+from repro.sim.fleet import build_stack
 
 
 def _run_selfish_attack(seed: int, attacker_power: float = 2.5, height: int = 60):
-    ctx, nodes = make_fleet(5, seed=seed, beta=4.0, i0=5.0)
-    ctx.network.detach(0)
+    link, params = LinkModel(jitter=0.01), DifficultyParams(i0=5.0, beta=4.0)
+    configs = [themis_config()] * 5
+    stack = build_stack(
+        MiningNode, configs, seed=seed, link=link, params=params, key_prefix="test-node"
+    )
+    ctx, nodes = stack.ctx, stack.nodes
+    stack.network.detach(0)
     attacker = SelfishMiner(
-        0, keypair(0), ctx, themis_config(hash_rate=attacker_power), release_lead=1
+        0, nodes[0].keypair, ctx, themis_config(hash_rate=attacker_power), release_lead=1
     )
     nodes[0] = attacker
     for node in nodes:
         node.start()
-    ctx.sim.run(
+    stack.sim.run(
         stop_when=lambda: nodes[1].state.height() >= height, max_events=3_000_000
     )
-    ctx.sim.run(until=ctx.sim.now + 10.0)
+    stack.sim.run(until=stack.sim.now + 10.0)
     return ctx, nodes, attacker
 
 
@@ -89,7 +94,7 @@ def test_fig2_canonical_tree(run_once):
 
     def experiment():
         from repro.chain.genesis import make_genesis
-        from tests.conftest import TreeBuilder
+        from tests.conftest import TreeBuilder, keypair
 
         builder = TreeBuilder(make_genesis())
         b1 = builder.extend(builder.genesis, 0)

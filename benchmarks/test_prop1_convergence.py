@@ -12,20 +12,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.convergence import SettlementTracker, lag_growth_slope
-
-from tests.test_powfamily import make_fleet
+from repro.consensus.powfamily import MiningNode, themis_config
+from repro.core.difficulty import DifficultyParams
+from repro.net.latency import LinkModel
+from repro.sim.fleet import build_stack
 
 
 def test_prop1_convergence_of_history(run_once):
     def experiment():
-        ctx, nodes = make_fleet(6, seed=4, beta=4.0, i0=4.0)
         tracker = SettlementTracker()
-        for node in nodes:
-            node.observers.append(tracker)
-            node.start()
-        ctx.sim.run(
-            stop_when=lambda: nodes[0].state.height() >= 150, max_events=5_000_000
-        )
+        link, params = LinkModel(jitter=0.01), DifficultyParams(i0=4.0, beta=4.0)
+        configs = [themis_config()] * 6
+        with build_stack(
+            MiningNode, configs, seed=4, link=link, params=params, key_prefix="test-node"
+        ) as stack:
+            for node in stack.nodes:
+                node.observers.append(tracker)
+            stack.run_to_height(150, max_events=5_000_000)
         lags = tracker.settlement_lags(exclude_tail=10)
         return {
             "mean_lag": float(np.mean(lags)),

@@ -15,41 +15,32 @@ ledger execution, NodeSetContract).  The scenario:
 
 from __future__ import annotations
 
-from repro.chain.genesis import make_genesis
-from repro.consensus.base import RunContext
 from repro.core.difficulty import DifficultyParams
 from repro.crypto.keys import KeyPair
-from repro.mining.oracle import MiningOracle
 from repro.net.latency import LinkModel
-from repro.net.network import SimulatedNetwork
-from repro.net.simulator import Simulator
-from repro.net.topology import complete_topology
+from repro.node.config import FullNodeConfig
 from repro.node.node import FullNode
+from repro.sim.fleet import build_stack
 
 
 def main() -> None:
-    n = 4
-    sim = Simulator(seed=7)
-    network = SimulatedNetwork(sim=sim, adjacency=complete_topology(n), link=LinkModel(jitter=0.01))
-    params = DifficultyParams(i0=4.0, h0=1.0, beta=2.0)
-    keys = [KeyPair.from_seed(f"org-{i}") for i in range(n)]
-    newcomer = KeyPair.from_seed("org-new")
-    ctx = RunContext(
-        sim=sim,
-        network=network,
-        oracle=MiningOracle(sim.rng, params.t0),
-        genesis=make_genesis("governance"),
-        params=params,
-        members=[k.public.fingerprint() for k in keys],
+    stack = build_stack(
+        FullNode,
+        [FullNodeConfig()] * 4,
+        seed=7,
+        link=LinkModel(jitter=0.01),
+        params=DifficultyParams(i0=4.0, beta=2.0),
+        key_prefix="org",
     )
-    nodes = [FullNode(i, keys[i], ctx) for i in range(n)]
+    sim, nodes = stack.sim, stack.nodes
+    newcomer = KeyPair.from_seed("org-new")
     for node in nodes:
         node.start()
 
     # -- 1. ordinary trading ---------------------------------------------------
     print("Phase 1: transfers between members")
-    nodes[0].pay(keys[1].public.fingerprint(), 500)
-    nodes[1].pay(keys[2].public.fingerprint(), 120)
+    nodes[0].pay(nodes[1].address, 500)
+    nodes[1].pay(nodes[2].address, 120)
     sim.run(
         stop_when=lambda: all(node.ledger.nonce(nodes[0].address) == 1 for node in nodes)
     )
@@ -74,7 +65,7 @@ def main() -> None:
 
     # -- 3. a member is expelled -------------------------------------------------
     print("Phase 3: org-3 caught double-spending; removal proposed")
-    victim = keys[3].public.fingerprint()
+    victim = nodes[3].address
     nodes[0].propose_remove_member(victim, evidence=b"double-spend proof")
     sim.run(until=sim.now + 40.0)
     nodes[1].vote(1, True)

@@ -50,13 +50,19 @@ def main() -> None:
 
     print("\n=== tracing a fresh 30-block run ===")
     # A tracer subscribes to each node's block-path events.
-    from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
+    from repro.consensus.powfamily import MiningNode, themis_config
+    from repro.core.difficulty import DifficultyParams
+    from repro.net.latency import LinkModel
+    from repro.sim.fleet import build_stack
 
-    ctx, nodes = build_mining_fleet(4, seed=8, beta=2.0, i0=5.0)
+    params = DifficultyParams(i0=5.0, beta=2.0)
     tracer = Tracer()
-    for node in nodes:
-        node.observers.append(tracer)
-    run_fleet_to_height(ctx, nodes, 30)
+    with build_stack(
+        MiningNode, [themis_config()] * 4, seed=8, link=LinkModel(jitter=0.01), params=params
+    ) as stack:
+        for node in stack.nodes:
+            node.observers.append(tracer)
+        stack.run_to_height(30)
     counts = tracer.counts_by_kind()
     print(f"event counts: {dict(counts)}")
     print("tail of the timeline:")

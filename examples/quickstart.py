@@ -12,59 +12,43 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.chain.genesis import make_genesis
-from repro.consensus.base import RunContext
-from repro.consensus.powfamily import MiningNode, MiningNodeConfig
+from repro.consensus.powfamily import MiningNode, themis_config
 from repro.core.difficulty import DifficultyParams
 from repro.crypto.hashing import EASY_T0
-from repro.crypto.keys import KeyPair
-from repro.mining.oracle import MiningOracle
 from repro.net.latency import LinkModel
-from repro.net.network import SimulatedNetwork
-from repro.net.simulator import Simulator
-from repro.net.topology import complete_topology
+from repro.sim.fleet import build_stack
 
 
 def main() -> None:
     n = 5
     target_height = 20
 
-    # -- substrate: simulator, network, identities ---------------------------
-    sim = Simulator(seed=2022)
-    network = SimulatedNetwork(sim=sim, adjacency=complete_topology(n), link=LinkModel(jitter=0.01))
-    params = DifficultyParams(t0=EASY_T0, i0=3.0, h0=1.0, beta=2.0)
-    keys = [KeyPair.from_seed(f"quickstart-{i}") for i in range(n)]
-    ctx = RunContext(
-        sim=sim,
-        network=network,
-        oracle=MiningOracle(sim.rng, params.t0),
-        genesis=make_genesis("quickstart"),
-        params=params,
-        members=[k.public.fingerprint() for k in keys],
-    )
-
-    # -- a fleet of real-PoW Themis nodes ------------------------------------
-    config = MiningNodeConfig(
-        rule_kind="geost",
-        adaptive=True,
-        hash_rate=1.0,
+    # -- a fleet of real-PoW Themis nodes on a complete graph -----------------
+    config = themis_config(
         sign_blocks=True,
         verify_signatures=True,
         real_pow=True,  # grind actual SHA-256 nonces
     )
-    nodes = [MiningNode(i, keys[i], ctx, config) for i in range(n)]
-    for node in nodes:
-        node.start()
+    stack = build_stack(
+        MiningNode,
+        [config] * n,
+        seed=2022,
+        degree=n - 1,
+        link=LinkModel(jitter=0.01),
+        params=DifficultyParams(t0=EASY_T0, i0=3.0, beta=2.0),
+        key_prefix="quickstart",
+    )
+    sim, nodes = stack.sim, stack.nodes
 
     print(f"Mining a {target_height}-block Themis chain with {n} real-PoW nodes ...")
-    sim.run(stop_when=lambda: nodes[0].state.height() >= target_height)
+    stack.run_to_height(target_height)
     sim.run(until=sim.now + 20.0)  # drain in-flight gossip
 
     # -- inspect the result ---------------------------------------------------
     observer = nodes[0]
     chain = observer.main_chain()
     print(f"\nmain chain after {sim.now:.0f} simulated seconds:")
-    name_of = {k.public.fingerprint(): f"node-{i}" for i, k in enumerate(keys)}
+    name_of = {node.address: f"node-{node.node_id}" for node in nodes}
     for block in chain[1:]:
         print(
             f"  height {block.height:>3d}  {block.block_id.hex()[:16]}  "

@@ -10,10 +10,13 @@ fleet of nodes stays declarative.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from random import Random
 
 from repro.chain.block import Block
 from repro.chain.blocktree import BlockArena
+from repro.chain.genesis import make_genesis
 from repro.core.difficulty import DifficultyParams
 from repro.core.themis import ChainFacts
 from repro.crypto.keys import KeyPair
@@ -81,6 +84,22 @@ class RunContext:
         """
         key = (adaptive, real_pow, verify_signatures)
         return self._facts.setdefault(key, ChainFacts())
+
+
+def consortium_context(
+    clock: Clock, rng: Random, network: Transport, params: DifficultyParams, keys: Sequence[KeyPair]
+) -> RunContext:
+    """The run context every member derives alike, simulated or live: the
+    oracle on ``rng`` (the clock's generator) at ``params.t0``, the common
+    genesis, and the keys' fingerprints as the members in node-id order."""
+    return RunContext(
+        sim=clock,
+        network=network,
+        oracle=MiningOracle(rng, params.t0),
+        genesis=make_genesis(),
+        params=params,
+        members=[key.public.fingerprint() for key in keys],
+    )
 
 
 class ConsensusNode(ABC):

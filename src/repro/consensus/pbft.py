@@ -25,6 +25,7 @@ committed chain; per-node block trees would all be identical.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.chain.block import BLOCK_VERSION, Block, BlockHeader
@@ -85,11 +86,13 @@ class PBFTStats:
 class PBFTReplica(ConsensusNode):
     """Thin per-node endpoint: receives pre-prepares, reports to the cluster."""
 
+    cluster: PBFTCluster  # bound by the cluster
+
     def __init__(
-        self, node_id: int, keypair: KeyPair, ctx: RunContext, cluster: "PBFTCluster"
+        self, node_id: int, keypair: KeyPair, ctx: RunContext, config: PBFTConfig
     ) -> None:
         super().__init__(node_id, keypair, ctx)
-        self.cluster = cluster
+        self.config = config
 
     def start(self) -> None:  # the cluster drives the protocol
         pass
@@ -102,28 +105,23 @@ class PBFTReplica(ConsensusNode):
 class PBFTCluster:
     """Coordinates one PBFT deployment over the simulated network."""
 
-    def __init__(
-        self,
-        ctx: RunContext,
-        keypairs: list[KeyPair],
-        config: PBFTConfig | None = None,
-    ) -> None:
-        if len(keypairs) < 4:
+    def __init__(self, replicas: Sequence[PBFTReplica]) -> None:
+        if len(replicas) < 4:
             raise ConsensusError("PBFT needs n >= 4 (n = 3f + 1 with f >= 1)")
+        ctx = replicas[0].ctx
         if not isinstance(ctx.network, SimulatedNetwork):
             # The baseline's analytic round-timing model reads the simulated
             # link parameters; it has no live-transport counterpart.
             raise ConsensusError("the PBFT baseline requires the simulated network")
         self._link = ctx.network.link
         self.ctx = ctx
-        self.config = config or PBFTConfig()
-        # Each replica attaches itself to the network, which holds it for
-        # the run; the cluster keeps only the addresses, so the two never
-        # reference each other both ways.
-        for node_id, keypair in enumerate(keypairs):
-            PBFTReplica(node_id, keypair, ctx, self)
-        self._addresses = [keypair.public.fingerprint() for keypair in keypairs]
-        self.n = len(keypairs)
+        self.config = replicas[0].config
+        # The replicas point at the cluster; the cluster keeps only their
+        # addresses, so the two never reference each other both ways.
+        for replica in replicas:
+            replica.cluster = self
+        self._addresses = [replica.address for replica in replicas]
+        self.n = len(replicas)
         self.f = (self.n - 1) // 3
         self.committed: list[CommittedEntry] = []
         self.stats = PBFTStats()

@@ -3,10 +3,10 @@
 A consortium blockchain has a closed, known membership (§II) — so live
 peer discovery is a *file*, not a gossip protocol: every process loads the
 same manifest and derives the same member list, overlay adjacency and
-difficulty parameters from it.  That mirrors how the simulator's
-:func:`~repro.sim.fleet.build_mining_fleet` builds a run, and it is what
-keeps the difficulty table derivation communication-free (§IV-A) in live
-mode too.
+difficulty parameters from it, and its run context through
+:func:`~repro.consensus.base.consortium_context`, as the simulator's
+:func:`~repro.sim.fleet.build_stack` does.  That is what keeps the
+difficulty table derivation communication-free (§IV-A) in live mode too.
 
 Identity note: peer keypairs derive deterministically from the manifest
 ``key_prefix`` and node index, exactly like the simulator's fleets.  That

@@ -22,13 +22,11 @@ import signal
 from pathlib import Path
 from typing import Any
 
-from repro.chain.genesis import make_genesis
-from repro.consensus.base import RunContext
+from repro.consensus.base import consortium_context
 from repro.errors import InvalidTransactionError
 from repro.live.clock import LiveClock
 from repro.live.manifest import ConsortiumManifest
 from repro.live.transport import TcpGossipTransport
-from repro.mining.oracle import MiningOracle
 from repro.node.config import FullNodeConfig
 from repro.node.node import FullNode
 from repro.rng import below, exponential
@@ -111,14 +109,7 @@ async def run_node(
     await transport.start()
 
     keys = manifest.keypairs()
-    ctx = RunContext(
-        sim=clock,
-        network=transport,
-        oracle=MiningOracle(clock.rng, manifest.difficulty_params().t0),
-        genesis=make_genesis(),
-        params=manifest.difficulty_params(),
-        members=manifest.members(),
-    )
+    ctx = consortium_context(clock, clock.rng, transport, manifest.difficulty_params(), keys)
     node = FullNode(
         node_id,
         keys[node_id],

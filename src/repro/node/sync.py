@@ -17,12 +17,14 @@ ids of its page when it came back (gossip filled the gap in the round
 trip), and one round re-sends those as full blocks (docs/transport.md).
 
 Pages repeat until a non-full headers page shows the requester is at the
-peer's tip.  Every outstanding request is guarded by a timeout with
-exponential backoff and bounded retries; each retry rotates to the next
-neighbor, so one dead or partitioned peer cannot wedge recovery.  All sync
-traffic is unicast (never gossiped) and stale responses — answers to a
-request that already timed out, or from a peer that was never asked — are
-matched by request id and sender and dropped.
+peer's tip; a full page the requester already holds (on a branch it may not
+follow) makes the next locator start at that page's last id.  Every
+outstanding request is guarded by a timeout with exponential backoff and
+bounded retries; each retry rotates to the next neighbor, so one dead or
+partitioned peer cannot wedge recovery.  All sync traffic is unicast (never
+gossiped) and stale responses — answers to a request that already timed
+out, or from a peer that was never asked — are matched by request id and
+sender and dropped.
 """
 
 from __future__ import annotations
@@ -124,6 +126,7 @@ class SyncManager:
         self._timeout_handle: TimerHandle | None = None
         self._pending_ids: list[bytes] = []
         self._page_full = False
+        self._resume_after: bytes | None = None
 
     # -- client side -------------------------------------------------------------
 
@@ -144,6 +147,7 @@ class SyncManager:
         self.active = True
         self.stats.syncs_started += 1
         self._attempt = 0
+        self._resume_after = None
         self._phase = "headers"
         self._peer = peers[self._peer_offset % len(peers)]
         self._send_current_request()
@@ -237,6 +241,8 @@ class SyncManager:
                 step *= 2
             height -= step
         ids.append(chain[0].block_id)  # genesis always matches
+        if self._resume_after is not None:
+            ids.insert(0, self._resume_after)
         return tuple(ids)
 
     # -- message dispatch -----------------------------------------------------------
@@ -313,7 +319,9 @@ class SyncManager:
             self._pending_ids = missing
             self._send_current_request()
         elif self._page_full:
-            # Everything on this page arrived via gossip already: next page.
+            # Everything on this page arrived via gossip already: the next
+            # page starts after its last id, wherever that branch is.
+            self._resume_after = ids[-1]
             self._phase = "headers"
             self._attempt = 0
             self._send_current_request()

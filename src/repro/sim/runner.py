@@ -23,7 +23,7 @@ from typing import Any, Literal
 from repro.chaos.faults import ChaosController, FaultEvent
 from repro.chaos.invariants import InvariantConfig, InvariantMonitor, InvariantReport
 from repro.chaos.schedule import FaultPlan, random_fault_plan
-from repro.consensus.pbft import PBFTCluster, PBFTConfig
+from repro.consensus.pbft import PBFTCluster, PBFTConfig, PBFTReplica
 from repro.consensus.powfamily import (
     MiningNode,
     MiningNodeConfig,
@@ -177,36 +177,35 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             "fault plans target the PoW-family crash/sync path; PBFT runs "
             "do not support chaos injection"
         )
-    stack = build_stack(
-        cfg.n,
-        seed=cfg.seed,
-        degree=cfg.degree,
-        link=LinkModel(
-            bandwidth_bps=cfg.bandwidth_bps, min_delay=cfg.min_delay, jitter=cfg.jitter
-        ),
-        params=cfg.difficulty_params(),
+    node_class: Any = PBFTReplica if pbft else MiningNode
+    configs: list[Any] = (
+        [PBFTConfig(batch_size=cfg.batch_size)] * cfg.n
+        if pbft
+        else [cfg.mining_config(power) for power in cfg.power_profile().powers]
     )
-    victims: list[int] = []
-    if cfg.vulnerable_ratio > 0:
-        victims = VulnerableNodeAttack.select(
-            stack.network, list(range(cfg.n)), cfg.vulnerable_ratio, stack.sim.rng
-        ).victims
-    try:
+    link = LinkModel(bandwidth_bps=cfg.bandwidth_bps, min_delay=cfg.min_delay, jitter=cfg.jitter)
+    params = cfg.difficulty_params()
+    with build_stack(
+        node_class, configs, seed=cfg.seed, degree=cfg.degree, link=link, params=params
+    ) as stack:
+        victims: list[int] = []
+        if cfg.vulnerable_ratio > 0:
+            victims = VulnerableNodeAttack.select(
+                stack.network, list(range(cfg.n)), cfg.vulnerable_ratio, stack.sim.rng
+            ).victims
         if pbft:
             return _run_pbft(cfg, stack)
         return _run_mining(cfg, stack, victims)
-    finally:
-        stack.release()
 
 
-def _drive(cfg: ExperimentConfig, stack: SimStack, done: Callable[[], bool]) -> None:
+def _drive(cfg: ExperimentConfig, stack: SimStack[Any], done: Callable[[], bool]) -> None:
     """Run the event loop until ``done``; the caps bound every run."""
     stack.sim.run(until=MAX_SIM_TIME, max_events=cfg.max_events, stop_when=done)
 
 
 def _result(
     cfg: ExperimentConfig,
-    stack: SimStack,
+    stack: SimStack[Any],
     *,
     committed_blocks: int,
     duration: float,
@@ -224,14 +223,11 @@ def _result(
 
 
 def _run_mining(
-    cfg: ExperimentConfig, stack: SimStack, victims: list[int]
+    cfg: ExperimentConfig, stack: SimStack[MiningNode], victims: list[int]
 ) -> RunResult:
     ctx = stack.ctx
+    nodes = stack.nodes
     profile = cfg.power_profile()
-    nodes = [
-        MiningNode(i, stack.keys[i], ctx, cfg.mining_config(profile.powers[i]))
-        for i in range(cfg.n)
-    ]
     controller = None
     if cfg.fault_plan is not None and len(cfg.fault_plan):
         controller = ChaosController(nodes, stack.network, stack.sim)
@@ -324,9 +320,9 @@ def _run_mining(
     )
 
 
-def _run_pbft(cfg: ExperimentConfig, stack: SimStack) -> RunResult:
+def _run_pbft(cfg: ExperimentConfig, stack: SimStack[PBFTReplica]) -> RunResult:
     ctx = stack.ctx
-    cluster = PBFTCluster(ctx, stack.keys, PBFTConfig(batch_size=cfg.batch_size))
+    cluster = PBFTCluster(stack.nodes)
     cluster.start()
     _drive(cfg, stack, lambda: cluster.stats.rounds_committed >= cfg.pbft_rounds)
     cluster.stop()

@@ -498,14 +498,16 @@ class SqliteStorage:
         row = self._conn.execute("SELECT MAX(height) FROM canon").fetchone()
         return int(row[0]) if row and row[0] is not None else -1
 
-    def block_by_id(self, block_id: bytes) -> dict[str, Any] | None:
+    def block_by_id(
+        self, block_id: bytes, canonical: bool | None = None
+    ) -> dict[str, Any] | None:
         row = self._conn.execute(
             f"SELECT {self._BLOCK_COLS} FROM blocks WHERE block_id = ?",  # noqa: S608
             (block_id,),
         ).fetchone()
         if row is None:
             return None
-        record = self._block_record(row)
+        record = self._block_record(row, canonical)
         tx_ids = self._conn.execute(
             "SELECT tx_id FROM txs WHERE block_id = ? ORDER BY position",
             (block_id,),
@@ -518,7 +520,7 @@ class SqliteStorage:
         block_id = self._canonical_id_at(height)
         if block_id is None:
             return None
-        return self.block_by_id(block_id)
+        return self.block_by_id(block_id, canonical=True)
 
     def blocks_page(self, start: int | None, limit: int) -> list[dict[str, Any]]:
         """Main-chain blocks from ``start`` (default: tip) downward."""
@@ -608,7 +610,7 @@ class SqliteStorage:
     def producer_counts(self) -> dict[bytes, int]:
         """Blocks per producer over the stored main chain."""
         rows = self._conn.execute(
-            "SELECT producer, COUNT(*) FROM blocks JOIN canon USING (block_id) "
-            "WHERE blocks.height > 0 GROUP BY producer"
+            "SELECT producer, COUNT(*) FROM canon CROSS JOIN blocks USING (block_id) "
+            "WHERE canon.height > 0 GROUP BY producer"
         ).fetchall()
         return {bytes(producer): int(count) for producer, count in rows}

@@ -10,8 +10,17 @@ import pytest
 from repro.chain.block import Block, build_block
 from repro.chain.blocktree import BlockTree
 from repro.chain.genesis import make_genesis
+from repro.core.difficulty import DifficultyParams
 from repro.crypto import signature
 from repro.crypto.keys import KeyPair
+from repro.net.latency import LinkModel
+
+#: ``build_stack`` keywords every hand-built test fleet shares: the
+#: canonical test keys (:func:`keypair`) and 10 ms of per-hop jitter.
+TEST_FLEET = {"key_prefix": "test-node", "link": LinkModel(jitter=0.01)}
+
+#: Quick test consensus: a block every 5 s, and a difficulty epoch of n blocks.
+FAST = DifficultyParams(i0=5.0, beta=1.0)
 
 #: Deterministic keypairs reused across tests.
 _KEY_CACHE: dict[int, KeyPair] = {}

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from repro.consensus.powfamily import themis_config
+from repro.consensus.powfamily import MiningNode, themis_config
 from repro.errors import SimulationError
 from repro.serde import to_json
 from repro.sim.attacks import (
@@ -17,37 +17,37 @@ from repro.sim.attacks import (
     nakamoto_catch_up_probability,
     private_chain_race,
 )
+from repro.sim.fleet import build_stack
 
-from tests.conftest import keypair
-from tests.test_powfamily import make_fleet, run_to_height
+from tests.conftest import FAST, TEST_FLEET, keypair
 
 
 class TestVulnerableNodes:
     def test_selection_respects_ratio(self):
-        ctx, nodes = make_fleet(4)
+        stack = build_stack(MiningNode, [themis_config()] * 4, params=FAST, **TEST_FLEET)
         attack = VulnerableNodeAttack.select(
-            ctx.network, list(range(4)), 0.5, random.Random(0)
+            stack.network, list(range(4)), 0.5, random.Random(0)
         )
         assert len(attack.victims) == 2
 
     def test_ratio_validation(self):
-        ctx, nodes = make_fleet(4)
+        stack = build_stack(MiningNode, [themis_config()] * 4, params=FAST, **TEST_FLEET)
         with pytest.raises(SimulationError):
             VulnerableNodeAttack.select(
-                ctx.network, list(range(4)), 1.5, random.Random(0)
+                stack.network, list(range(4)), 1.5, random.Random(0)
             )
 
     def test_victim_blocks_never_land(self):
-        ctx, nodes = make_fleet(4, seed=8)
-        attack = VulnerableNodeAttack(network=ctx.network, victims=[0])
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=8, params=FAST, **TEST_FLEET)
+        attack = VulnerableNodeAttack(network=stack.network, victims=[0])
         attack.arm()
-        run_to_height(ctx, nodes, 20)
-        victim_addr = nodes[0].address
+        stack.run_to_height(20)
+        victim_addr = stack.nodes[0].address
         # The victim produced blocks locally but none reached peers' chains.
-        chain = nodes[1].main_chain()
+        chain = stack.nodes[1].main_chain()
         producers = {b.producer for b in chain[1:]}
         assert victim_addr not in producers
-        assert nodes[0].stats.blocks_produced > 0
+        assert stack.nodes[0].stats.blocks_produced > 0
 
     def test_consensus_survives_attack(self):
         """§VII-D: other nodes continue the consensus on schedule.
@@ -56,12 +56,12 @@ class TestVulnerableNodes:
         honest node is then at most one block behind it.  The victim's
         own chain is honest blocks with its suppressed blocks on top.
         """
-        ctx, nodes = make_fleet(4, seed=8)
-        victim, honest = nodes[0], nodes[1:]
-        VulnerableNodeAttack(network=ctx.network, victims=[0]).arm()
-        for node in nodes:
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=8, params=FAST, **TEST_FLEET)
+        victim, honest = stack.nodes[0], stack.nodes[1:]
+        VulnerableNodeAttack(network=stack.network, victims=[0]).arm()
+        for node in stack.nodes:
             node.start()
-        ctx.sim.run(
+        stack.sim.run(
             stop_when=lambda: honest[0].state.height() >= 20, max_events=5_000_000
         )
         assert min(node.state.height() for node in honest) >= 19
@@ -70,41 +70,41 @@ class TestVulnerableNodes:
         assert all(own[honest_height:])  # no honest block above a suppressed one
 
     def test_disarm_restores(self):
-        ctx, nodes = make_fleet(4, seed=8)
-        attack = VulnerableNodeAttack(network=ctx.network, victims=[0])
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=8, params=FAST, **TEST_FLEET)
+        attack = VulnerableNodeAttack(network=stack.network, victims=[0])
         attack.arm()
         attack.disarm()
-        run_to_height(ctx, nodes, 15)
-        producers = {b.producer for b in nodes[1].main_chain()[1:]}
-        assert nodes[0].address in producers
+        stack.run_to_height(15)
+        producers = {b.producer for b in stack.nodes[1].main_chain()[1:]}
+        assert stack.nodes[0].address in producers
 
     def test_arm_disarm_idempotent(self):
-        ctx, nodes = make_fleet(4, seed=8)
-        attack = VulnerableNodeAttack(network=ctx.network, victims=[0])
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=8, params=FAST, **TEST_FLEET)
+        attack = VulnerableNodeAttack(network=stack.network, victims=[0])
         attack.arm()
         attack.arm()  # second arm must not stack a duplicate filter
         assert attack.armed
         attack.disarm()
         attack.disarm()  # and disarm after disarm is a no-op
         assert not attack.armed
-        run_to_height(ctx, nodes, 15)
-        producers = {b.producer for b in nodes[1].main_chain()[1:]}
-        assert nodes[0].address in producers
+        stack.run_to_height(15)
+        producers = {b.producer for b in stack.nodes[1].main_chain()[1:]}
+        assert stack.nodes[0].address in producers
 
     def test_context_manager_disarms(self):
-        ctx, nodes = make_fleet(4, seed=8)
-        attack = VulnerableNodeAttack(network=ctx.network, victims=[0])
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=8, params=FAST, **TEST_FLEET)
+        attack = VulnerableNodeAttack(network=stack.network, victims=[0])
         with attack as armed:
             assert armed is attack
             assert attack.armed
         assert not attack.armed
-        run_to_height(ctx, nodes, 15)
-        producers = {b.producer for b in nodes[1].main_chain()[1:]}
-        assert nodes[0].address in producers
+        stack.run_to_height(15)
+        producers = {b.producer for b in stack.nodes[1].main_chain()[1:]}
+        assert stack.nodes[0].address in producers
 
     def test_context_manager_disarms_on_exception(self):
-        ctx, nodes = make_fleet(4, seed=8)
-        attack = VulnerableNodeAttack(network=ctx.network, victims=[0])
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=8, params=FAST, **TEST_FLEET)
+        attack = VulnerableNodeAttack(network=stack.network, victims=[0])
         with pytest.raises(RuntimeError):
             with attack:
                 raise RuntimeError("boom")
@@ -114,18 +114,18 @@ class TestVulnerableNodes:
 class TestSelfishMiner:
     def _fleet_with_attacker(self, seed=3, attacker_power=3.0):
 
-        ctx, nodes = make_fleet(4, seed=seed)
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=seed, params=FAST, **TEST_FLEET)
         # Replace node 0 with a selfish miner of outsized power.
-        ctx.network.detach(0)
+        stack.network.detach(0)
         attacker = SelfishMiner(
             0,
             keypair(0),
-            ctx,
+            stack.ctx,
             themis_config(hash_rate=attacker_power),
             release_lead=1,
         )
-        nodes[0] = attacker
-        return ctx, nodes, attacker
+        stack.nodes[0] = attacker
+        return stack.ctx, stack.nodes, attacker
 
     def test_attacker_withholds(self):
         ctx, nodes, attacker = self._fleet_with_attacker()

@@ -18,33 +18,28 @@ from repro.chain.block import Block, build_block
 from repro.chaos.schedule import random_fault_plan
 from repro.consensus.base import RunContext
 from repro.consensus.powfamily import MiningNode, MiningNodeConfig, themis_config
-from repro.mining.oracle import MiningOracle
-from repro.net.latency import LinkModel
-from repro.net.network import SimulatedNetwork
-from repro.net.simulator import Simulator
-from repro.net.topology import complete_topology
+from repro.core.difficulty import DifficultyParams
+from repro.sim.fleet import build_stack
 from repro.sim.runner import ExperimentConfig, run_experiment
 from repro.sim.tracing import Tracer
 
-from tests.conftest import keypair
-from tests.test_powfamily import make_fleet, run_to_height
+from tests.conftest import TEST_FLEET, keypair
 
 
 def replay(
-    source: RunContext, blocks: Sequence[Block], config: MiningNodeConfig | None = None
+    source: RunContext,
+    blocks: Sequence[Block],
+    config: MiningNodeConfig | None = None,
+    key_prefix: str = "test-node",
 ) -> MiningNode:
-    """Feed ``blocks`` in order to a fresh node on a fresh run context with
-    ``source``'s genesis, members and params; the node traces its refusals."""
-    sim = Simulator(seed=0)
-    ctx = RunContext(
-        sim=sim,
-        network=SimulatedNetwork(sim=sim, adjacency=complete_topology(2), link=LinkModel()),
-        oracle=MiningOracle(sim.rng, source.params.t0),
-        genesis=source.genesis,
-        params=source.params,
-        members=list(source.members),
-    )
-    node = MiningNode(0, keypair(99), ctx, config or themis_config())
+    """Feed ``blocks`` in order to a fresh node on a fresh fleet with
+    ``source``'s genesis, members and params; the node traces its refusals.
+    The fleet's members derive from ``key_prefix``, the prefix ``source``'s
+    fleet was built with; the node never mines."""
+    configs = [config or themis_config()] * source.n
+    stack = build_stack(MiningNode, configs, params=source.params, key_prefix=key_prefix)
+    assert (stack.ctx.genesis, stack.ctx.members) == (source.genesis, source.members)
+    node = stack.nodes[0]
     node.observers.append(Tracer())
     for block in blocks:
         node._handle_block(block)
@@ -67,10 +62,11 @@ def assert_clean(node: MiningNode, chain: Sequence[Block]) -> None:
 @pytest.fixture(scope="module")
 def simulated_chain():
     """A real simulated Themis chain plus its run context."""
-    ctx, nodes = make_fleet(4, seed=13, beta=2.0, i0=5.0)
-    run_to_height(ctx, nodes, 30)
-    chain = nodes[0].main_chain()[:31]
-    return ctx, chain
+    params = DifficultyParams(i0=5.0, beta=2.0)
+    stack = build_stack(MiningNode, [themis_config()] * 4, seed=13, params=params, **TEST_FLEET)
+    stack.run_to_height(30)
+    chain = stack.nodes[0].main_chain()[:31]
+    return stack.ctx, chain
 
 
 class TestCleanChains:
@@ -95,7 +91,7 @@ class TestCleanChains:
         observer = run_experiment(cfg).observer
         assert observer is not None
         chain = observer.main_chain()
-        assert_clean(replay(observer.ctx, chain[1:], observer.config), chain)
+        assert_clean(replay(observer.ctx, chain[1:], observer.config, "node"), chain)
 
     def test_requires_genesis_start(self, simulated_chain):
         """A chain that does not link to the node's genesis is never adopted."""
@@ -182,33 +178,11 @@ class TestViolationsDetected:
 
 class TestRealPoWAudit:
     def test_real_pow_chain_passes_with_pow_check(self):
-        from repro.chain.genesis import make_genesis
-        from repro.core.difficulty import DifficultyParams
         from repro.crypto.hashing import EASY_T0
 
-        n = 3
-        sim = Simulator(seed=4)
-        network = SimulatedNetwork(sim=sim, adjacency=complete_topology(n), link=LinkModel(jitter=0.01))
-        params = DifficultyParams(t0=EASY_T0, i0=4.0, h0=1.0, beta=2.0)
-        keys = [keypair(i) for i in range(n)]
-        ctx = RunContext(
-            sim=sim,
-            network=network,
-            oracle=MiningOracle(sim.rng, params.t0),
-            genesis=make_genesis(),
-            params=params,
-            members=[k.public.fingerprint() for k in keys],
-        )
-        config = MiningNodeConfig(
-            rule_kind="geost",
-            adaptive=True,
-            sign_blocks=True,
-            verify_signatures=True,
-            real_pow=True,
-        )
-        nodes = [MiningNode(i, keys[i], ctx, config) for i in range(n)]
-        for node in nodes:
-            node.start()
-        sim.run(stop_when=lambda: nodes[0].state.height() >= 10, max_events=500_000)
-        chain = nodes[0].main_chain()[:11]
-        assert_clean(replay(ctx, chain[1:], config), chain)
+        config = themis_config(sign_blocks=True, verify_signatures=True, real_pow=True)
+        params = DifficultyParams(t0=EASY_T0, i0=4.0, beta=2.0)
+        stack = build_stack(MiningNode, [config] * 3, seed=4, params=params, **TEST_FLEET)
+        stack.run_to_height(10, max_events=500_000)
+        chain = stack.nodes[0].main_chain()[:11]
+        assert_clean(replay(stack.ctx, chain[1:], config), chain)

@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consensus.powfamily import powh_config, themis_config
+from repro.consensus.powfamily import MiningNode, powh_config, themis_config
+from repro.core.difficulty import DifficultyParams
+from repro.sim.fleet import build_stack
 
+from tests.conftest import TEST_FLEET
 from tests.test_audit import assert_clean, rejections, replay
-from tests.test_powfamily import make_fleet, run_to_height
 
 
 @pytest.fixture(scope="module")
 def powh_chain():
-    configs = [powh_config(hash_rate=1.0) for _ in range(4)]
-    ctx, nodes = make_fleet(4, configs=configs, seed=14, beta=2.0, i0=5.0)
-    run_to_height(ctx, nodes, 24)
-    return ctx, nodes[0].main_chain()[:25]
+    configs, params = [powh_config()] * 4, DifficultyParams(i0=5.0, beta=2.0)
+    stack = build_stack(MiningNode, configs, seed=14, params=params, **TEST_FLEET)
+    stack.run_to_height(24)
+    return stack.ctx, stack.nodes[0].main_chain()[:25]
 
 
 class TestPoWHAudit:

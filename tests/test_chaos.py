@@ -23,15 +23,17 @@ from repro.chaos.invariants import (
     SafetyViolation,
 )
 from repro.chaos.schedule import FaultPlan, _free_window, random_fault_plan
-from repro.consensus.powfamily import powh_config, themis_config
+from repro.consensus.powfamily import MiningNode, powh_config, themis_config
 from repro.errors import SimulationError
+from repro.net.latency import LinkModel
 from repro.net.message import HeadersResponse, is_sync_kind
+from repro.node.node import FullNode
 from repro.node.sync import SyncConfig
-from repro.sim.fleet import build_mining_fleet
+from repro.sim.fleet import build_stack
 from repro.sim.runner import ExperimentConfig, run_experiment
 
-from tests.test_fullnode import addr, make_consortium
-from tests.test_powfamily import make_fleet
+from tests.conftest import FAST, TEST_FLEET
+from tests.test_fullnode import CONSORTIUM, UNSIGNED, addr
 
 
 def logged(controller: ChaosController, action: str) -> list[dict]:
@@ -114,10 +116,10 @@ DECLARED = {
 @pytest.mark.parametrize("spec", typing.get_args(FaultSpec), ids=lambda c: c.__name__)
 def test_every_fault_kind_declares_itself(spec):
     fault, started, stopped = DECLARED[spec]
-    ctx, nodes = make_fleet(4, seed=5)
-    controller = ChaosController(nodes, ctx.network, ctx.sim)
+    stack = build_stack(MiningNode, [themis_config()] * 4, seed=5, params=FAST, **TEST_FLEET)
+    controller = ChaosController(stack.nodes, stack.network, stack.sim)
     FaultPlan(faults=(fault,)).arm(controller)
-    ctx.sim.run(until=20.0)
+    stack.sim.run(until=20.0)
     assert [(e.time, e.action) for e in controller.log] == [
         (fault.at, started),
         (fault.end, stopped),
@@ -153,8 +155,8 @@ class TestOverlappingWindows:
 
     def test_back_to_back_windows_each_apply(self):
         """The second window of each pair is still in force at t = 60."""
-        ctx, nodes = build_mining_fleet(6, seed=1)
-        controller = ChaosController(nodes, ctx.network, ctx.sim)
+        stack = build_stack(MiningNode, [themis_config()] * 6, seed=1, link=LinkModel(jitter=0.01))
+        controller = ChaosController(stack.nodes, stack.network, stack.sim)
         plan = FaultPlan(
             faults=(
                 PartitionFault(groups=((0, 1, 2), (3, 4, 5)), at=10.0, heal_at=30.0),
@@ -164,11 +166,11 @@ class TestOverlappingWindows:
             )
         )
         plan.arm(controller)
-        for node in nodes:
+        for node in stack.nodes:
             node.start()
-        ctx.sim.run(until=60.0)
-        assert ctx.network.partition_map == {0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1}
-        assert nodes[1].clock_skew == -1.0
+        stack.sim.run(until=60.0)
+        assert stack.network.partition_map == {0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1}
+        assert stack.nodes[1].clock_skew == -1.0
         assert len(logged(controller, "partition")) == 2
         assert len(logged(controller, "heal")) == 1
 
@@ -221,66 +223,65 @@ class TestRandomFaultPlan:
 
 class TestChaosController:
     def test_crash_and_restart_are_idempotent(self):
-        ctx, nodes = make_fleet(4, seed=5)
-        controller = ChaosController(nodes, ctx.network, ctx.sim)
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=5, params=FAST, **TEST_FLEET)
+        controller = ChaosController(stack.nodes, stack.network, stack.sim)
         crash = CrashFault(node=2, at=0.0)
         crash.stop(controller, "c")  # not crashed: no-op
         crash.start(controller, "c")
         crash.start(controller, "c")
         assert len(logged(controller, "crash")) == 1
-        assert nodes[2].crashed and ctx.network.is_offline(2)
+        assert stack.nodes[2].crashed and stack.network.is_offline(2)
         crash.stop(controller, "c")
         crash.stop(controller, "c")
         assert [entry["node"] for entry in logged(controller, "restart")] == [2]
-        assert not nodes[2].crashed and not ctx.network.is_offline(2)
+        assert not stack.nodes[2].crashed and not stack.network.is_offline(2)
 
     def test_unknown_target_rejected(self):
-        ctx, nodes = make_fleet(3, seed=5)
-        controller = ChaosController(nodes, ctx.network, ctx.sim)
+        stack = build_stack(MiningNode, [themis_config()] * 3, seed=5, params=FAST, **TEST_FLEET)
+        controller = ChaosController(stack.nodes, stack.network, stack.sim)
         with pytest.raises(SimulationError):
             CrashFault(node=99, at=0.0).start(controller, "c")
 
     def test_partition_heal_and_log(self):
-        ctx, nodes = make_fleet(4, seed=5)
-        controller = ChaosController(nodes, ctx.network, ctx.sim)
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=5, params=FAST, **TEST_FLEET)
+        controller = ChaosController(stack.nodes, stack.network, stack.sim)
         partition = PartitionFault(groups=((0, 1), (2, 3)), at=0.0)
         partition.stop(controller, "p")  # nothing armed: no-op
         partition.start(controller, "p")
-        assert ctx.network.partition_map == {0: 0, 1: 0, 2: 1, 3: 1}
+        assert stack.network.partition_map == {0: 0, 1: 0, 2: 1, 3: 1}
         partition.stop(controller, "p")
-        assert ctx.network.partition_map is None
+        assert stack.network.partition_map is None
         actions = [event.action for event in controller.log]
         assert actions == ["partition", "heal"]
 
     def test_clock_skew_applies_and_clears(self):
-        ctx, nodes = make_fleet(3, seed=5)
-        controller = ChaosController(nodes, ctx.network, ctx.sim)
+        stack = build_stack(MiningNode, [themis_config()] * 3, seed=5, params=FAST, **TEST_FLEET)
+        controller = ChaosController(stack.nodes, stack.network, stack.sim)
         skew = ClockSkewFault(node=1, skew=1.5, at=0.0)
         skew.start(controller, "s")
-        assert nodes[1].local_time() == pytest.approx(ctx.sim.now + 1.5)
+        assert stack.nodes[1].local_time() == pytest.approx(stack.sim.now + 1.5)
         skew.stop(controller, "s")
         skew.stop(controller, "s")  # already cleared: no-op
-        assert nodes[1].local_time() == pytest.approx(ctx.sim.now)
+        assert stack.nodes[1].local_time() == pytest.approx(stack.sim.now)
         assert len(logged(controller, "clock_heal")) == 1
 
     def test_link_fault_installs_under_its_name_and_clears_once(self):
-        ctx, nodes = make_fleet(3, seed=5)
-        controller = ChaosController(nodes, ctx.network, ctx.sim)
+        stack = build_stack(MiningNode, [themis_config()] * 3, seed=5, params=FAST, **TEST_FLEET)
+        controller = ChaosController(stack.nodes, stack.network, stack.sim)
         link = LinkFault(at=0.0, nodes=(2, 0), loss=0.3)
         link.start(controller, "plan-link-4")
-        assert set(ctx.network.active_disturbances()) == {"plan-link-4"}
+        assert set(stack.network.active_disturbances()) == {"plan-link-4"}
         link.stop(controller, "plan-link-4")
         link.stop(controller, "plan-link-4")  # already cleared: no-op
-        assert ctx.network.active_disturbances() == {}
+        assert stack.network.active_disturbances() == {}
         assert logged(controller, "link_fault")[0]["nodes"] == (0, 2)
         assert logged(controller, "link_heal") == [{"name": "plan-link-4"}]
 
 
 class TestCrashRecovery:
     def _sync_fleet(self, timeout=2.0):
-        base = themis_config(hash_rate=1.0)
-        cfg = replace(base, sync=SyncConfig(timeout=timeout, max_retries=4))
-        return make_fleet(4, configs=[cfg] * 4, seed=6)
+        cfg = themis_config(sync=SyncConfig(timeout=timeout, max_retries=4))
+        return build_stack(MiningNode, [cfg] * 4, seed=6, params=FAST, **TEST_FLEET)
 
     def test_recovery_after_forced_timeout_and_retry(self):
         """A crashed node recovers even when its first sync attempts die.
@@ -289,80 +290,80 @@ class TestCrashRecovery:
         the first request(s) time out and the manager must retry with backoff
         before the chain pages in.
         """
-        ctx, nodes = self._sync_fleet()
-        controller = ChaosController(nodes, ctx.network, ctx.sim)
-        for node in nodes:
+        stack = self._sync_fleet()
+        controller = ChaosController(stack.nodes, stack.network, stack.sim)
+        for node in stack.nodes:
             node.start()
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 15)
-        crash = CrashFault(node=3, at=ctx.sim.now)
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 15)
+        crash = CrashFault(node=3, at=stack.sim.now)
         crash.start(controller, "c")
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 30)
-        assert nodes[3].state.height() < 25  # provably stale
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 30)
+        assert stack.nodes[3].state.height() < 25  # provably stale
 
         # Black-hole every sync response until one timeout has fired.
         for peer in (0, 1, 2):
-            ctx.network.set_drop_filter(
+            stack.network.set_drop_filter(
                 peer, lambda msg: msg.kind == HeadersResponse.kind
             )
-        blackhole_until = ctx.sim.now + 3.0
-        ctx.sim.schedule_at(
+        blackhole_until = stack.sim.now + 3.0
+        stack.sim.schedule_at(
             blackhole_until,
-            lambda: [ctx.network.set_drop_filter(p, None) for p in (0, 1, 2)],
+            lambda: [stack.network.set_drop_filter(p, None) for p in (0, 1, 2)],
         )
         crash.stop(controller, "c")
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 70, max_events=5_000_000)
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 70, max_events=5_000_000)
 
-        sync = nodes[3].sync
+        sync = stack.nodes[3].sync
         assert sync.stats.timeouts >= 1 and sync.stats.retries >= 1
         assert sync.stats.syncs_completed >= 1
-        assert nodes[3].state.height() >= nodes[0].state.height() - 3
+        assert stack.nodes[3].state.height() >= stack.nodes[0].state.height() - 3
         assert controller.recovered_producer_count() == 1
 
     def test_crash_loses_volatile_state_and_goes_offline(self):
-        ctx, nodes = self._sync_fleet()
-        for node in nodes:
+        stack = self._sync_fleet()
+        for node in stack.nodes:
             node.start()
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 10)
-        height_at_crash = nodes[3].state.height()
-        nodes[3].crash()
-        assert nodes[3].crashed and ctx.network.is_offline(3)
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 25)
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 10)
+        height_at_crash = stack.nodes[3].state.height()
+        stack.nodes[3].crash()
+        assert stack.nodes[3].crashed and stack.network.is_offline(3)
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 25)
         # Chain store is durable, but nothing new arrived while down.
-        assert nodes[3].state.height() == height_at_crash
+        assert stack.nodes[3].state.height() == height_at_crash
 
     def test_fullnode_state_root_matches_after_recovery(self):
-        ctx, nodes = make_consortium(4, seed=11, verify=False)
-        for node in nodes:
+        stack = build_stack(FullNode, [UNSIGNED] * 4, seed=11, params=CONSORTIUM, **TEST_FLEET)
+        for node in stack.nodes:
             node.start()
-        nodes[0].pay(addr(1), 100)
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 8)
-        nodes[3].crash()
-        nodes[1].pay(addr(2), 75)
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 20)
-        nodes[3].restart(sync_peer=0)
-        ctx.sim.run(
-            stop_when=lambda: not nodes[3].sync.active
-            and nodes[3].state.height() >= nodes[0].state.height()
+        stack.nodes[0].pay(addr(1), 100)
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 8)
+        stack.nodes[3].crash()
+        stack.nodes[1].pay(addr(2), 75)
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 20)
+        stack.nodes[3].restart(sync_peer=0)
+        stack.sim.run(
+            stop_when=lambda: not stack.nodes[3].sync.active
+            and stack.nodes[3].state.height() >= stack.nodes[0].state.height()
         )
-        ctx.sim.run(until=ctx.sim.now + 30.0)  # drain in-flight gossip
-        prefix = min(nodes[3].state.height(), nodes[0].state.height())
+        stack.sim.run(until=stack.sim.now + 30.0)  # drain in-flight gossip
+        prefix = min(stack.nodes[3].state.height(), stack.nodes[0].state.height())
         assert (
-            nodes[3].main_chain()[prefix].block_id
-            == nodes[0].main_chain()[prefix].block_id
+            stack.nodes[3].main_chain()[prefix].block_id
+            == stack.nodes[0].main_chain()[prefix].block_id
         )
         # Same head implies the re-executed ledger must agree exactly.
-        if nodes[3].state.head_id == nodes[0].state.head_id:
-            assert nodes[3].state_root() == nodes[0].state_root()
+        if stack.nodes[3].state.head_id == stack.nodes[0].state.head_id:
+            assert stack.nodes[3].state_root() == stack.nodes[0].state_root()
 
 
 class TestInvariantMonitor:
     def test_clean_on_healthy_run(self):
-        ctx, nodes = make_fleet(4, seed=3)
-        for node in nodes:
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=3, params=FAST, **TEST_FLEET)
+        for node in stack.nodes:
             node.start()
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 25)
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 25)
         monitor = InvariantMonitor(
-            nodes, ctx.network, ctx.sim, InvariantConfig(confirmation_depth=4)
+            stack.nodes, stack.network, stack.sim, InvariantConfig(confirmation_depth=4)
         )
         monitor.check_now()
         assert monitor.report.clean and monitor.report.checks_run == 1
@@ -401,18 +402,18 @@ class TestInvariantMonitor:
         self-adaptive difficulty its own table would throttle the fork.
         """
         configs = [powh_config(hash_rate=1.0)] * 3 + [powh_config(hash_rate=8.0)]
-        ctx, nodes = make_fleet(4, configs=configs, seed=4)
-        ctx.network.set_drop_filter(
+        stack = build_stack(MiningNode, configs, seed=4, params=FAST, **TEST_FLEET)
+        stack.network.set_drop_filter(
             3, lambda msg: msg.kind == "block" and msg.origin == 3
         )
-        for node in nodes:
+        for node in stack.nodes:
             node.start()
-        ctx.sim.run(
-            stop_when=lambda: min(n.state.height() for n in nodes) >= 12,
+        stack.sim.run(
+            stop_when=lambda: min(n.state.height() for n in stack.nodes) >= 12,
             max_events=5_000_000,
         )
         monitor = InvariantMonitor(
-            nodes, ctx.network, ctx.sim, InvariantConfig(confirmation_depth=2)
+            stack.nodes, stack.network, stack.sim, InvariantConfig(confirmation_depth=2)
         )
         with pytest.raises(SafetyViolation):
             monitor.check_now()
@@ -420,45 +421,45 @@ class TestInvariantMonitor:
         assert not monitor.report.clean
 
     def test_liveness_violation_when_connected_quorum_stalls(self):
-        ctx, nodes = make_fleet(4, seed=3)
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=3, params=FAST, **TEST_FLEET)
         # Everyone is online and connected but nobody ever mines.
         monitor = InvariantMonitor(
-            nodes,
-            ctx.network,
-            ctx.sim,
+            stack.nodes,
+            stack.network,
+            stack.sim,
             InvariantConfig(check_interval=10.0, liveness_window=30.0),
         )
         monitor.start()
         with pytest.raises(LivenessViolation):
-            ctx.sim.run(until=200.0)
+            stack.sim.run(until=200.0)
         monitor.stop()
         assert monitor.report.liveness_violations == 1
 
     def test_stall_without_quorum_is_not_a_violation(self):
-        ctx, nodes = make_fleet(4, seed=3)
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=3, params=FAST, **TEST_FLEET)
         for node_id in range(1, 4):
-            ctx.network.set_offline(node_id, True)
+            stack.network.set_offline(node_id, True)
         monitor = InvariantMonitor(
-            nodes,
-            ctx.network,
-            ctx.sim,
+            stack.nodes,
+            stack.network,
+            stack.sim,
             InvariantConfig(check_interval=10.0, liveness_window=30.0),
         )
         monitor.start()
-        ctx.sim.run(until=200.0)  # must not raise: 3/4 of power is offline
+        stack.sim.run(until=200.0)  # must not raise: 3/4 of power is offline
         monitor.stop()
         assert monitor.report.clean
 
     def test_partitioned_divergence_is_not_a_violation(self):
         """Chains on opposite sides of an armed partition may diverge freely;
         cross-checks only apply within a connected component."""
-        ctx, nodes = make_fleet(4, seed=8)
-        ctx.network.set_partition([[0, 1], [2, 3]])
-        for node in nodes:
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=8, params=FAST, **TEST_FLEET)
+        stack.network.set_partition([[0, 1], [2, 3]])
+        for node in stack.nodes:
             node.start()
-        ctx.sim.run(stop_when=lambda: min(n.state.height() for n in nodes) >= 10)
+        stack.sim.run(stop_when=lambda: min(n.state.height() for n in stack.nodes) >= 10)
         monitor = InvariantMonitor(
-            nodes, ctx.network, ctx.sim, InvariantConfig(confirmation_depth=2)
+            stack.nodes, stack.network, stack.sim, InvariantConfig(confirmation_depth=2)
         )
         monitor.check_now()
         assert monitor.report.clean
@@ -499,8 +500,8 @@ class TestScheduledRuns:
         assert first.chaos.messages_dropped > 0
 
     def test_arm_names_faults_by_their_place_in_at_order(self):
-        ctx, nodes = make_fleet(4, seed=5)
-        controller = ChaosController(nodes, ctx.network, ctx.sim)
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=5, params=FAST, **TEST_FLEET)
+        controller = ChaosController(stack.nodes, stack.network, stack.sim)
         plan = FaultPlan(
             faults=(
                 LinkFault(at=9.0, loss=0.1),
@@ -509,7 +510,7 @@ class TestScheduledRuns:
             )
         )
         plan.arm(controller)
-        ctx.sim.run(until=10.0)
+        stack.sim.run(until=10.0)
         assert [(e.action, dict(e.detail).get("name")) for e in controller.log] == [
             ("crash", None),
             ("restart", None),

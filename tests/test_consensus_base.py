@@ -4,73 +4,45 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chain.genesis import make_genesis
-from repro.consensus.base import (
-    COMPACT_TX_BYTES,
-    FULL_TX_BYTES,
-    HEADER_WIRE_BYTES,
-    RunContext,
-)
+from repro.consensus.base import COMPACT_TX_BYTES, FULL_TX_BYTES, HEADER_WIRE_BYTES
 from repro.consensus.powfamily import MiningNode, themis_config
-from repro.core.difficulty import DifficultyParams
-from repro.mining.oracle import MiningOracle
-from repro.net.latency import LinkModel
-from repro.net.network import SimulatedNetwork
-from repro.net.simulator import Simulator
-from repro.net.topology import complete_topology
+from repro.sim.fleet import build_stack
 
 from tests.conftest import keypair
 
-
-def make_ctx(n: int = 4) -> RunContext:
-    sim = Simulator(seed=0)
-    network = SimulatedNetwork(sim=sim, adjacency=complete_topology(n), link=LinkModel())
-    params = DifficultyParams()
-    keys = [keypair(i) for i in range(n)]
-    return RunContext(
-        sim=sim,
-        network=network,
-        oracle=MiningOracle(sim.rng, params.t0),
-        genesis=make_genesis(),
-        params=params,
-        members=[k.public.fingerprint() for k in keys],
-    )
+#: Four Themis members on the §VII-A link and difficulty defaults.
+THEMIS_4 = [themis_config()] * 4
 
 
 class TestWireSizes:
     def test_compact_block_relay(self):
-        ctx = make_ctx()
-        node = MiningNode(0, keypair(0), ctx, themis_config())
+        node = build_stack(MiningNode, THEMIS_4, key_prefix="test-node").nodes[0]
         size = node.block_wire_size(1000, compact=True)
         assert size == HEADER_WIRE_BYTES + 1000 * COMPACT_TX_BYTES
 
     def test_full_block_relay_uses_512b_txs(self):
         """§VII-A: full bodies are 512 bytes per transaction."""
-        ctx = make_ctx()
-        node = MiningNode(0, keypair(0), ctx, themis_config())
+        node = build_stack(MiningNode, THEMIS_4, key_prefix="test-node").nodes[0]
         size = node.block_wire_size(100, compact=False)
         assert size == HEADER_WIRE_BYTES + 100 * FULL_TX_BYTES
         assert FULL_TX_BYTES == 512
 
     def test_compact_much_smaller(self):
-        ctx = make_ctx()
-        node = MiningNode(0, keypair(0), ctx, themis_config())
+        node = build_stack(MiningNode, THEMIS_4, key_prefix="test-node").nodes[0]
         assert node.block_wire_size(2000, True) < node.block_wire_size(2000, False) / 10
 
 
 class TestRunContext:
     def test_n_property(self):
-        assert make_ctx(4).n == 4
+        assert build_stack(MiningNode, THEMIS_4).ctx.n == 4
 
     def test_node_attaches_to_network(self):
-        ctx = make_ctx()
-        node = MiningNode(2, keypair(2), ctx, themis_config())
-        assert 2 in ctx.network.node_ids
-        assert node.address == keypair(2).public.fingerprint()
+        stack = build_stack(MiningNode, THEMIS_4, key_prefix="test-node")
+        assert stack.network.node_ids == [0, 1, 2, 3]
+        assert stack.nodes[2].address == keypair(2).public.fingerprint()
 
     def test_current_difficulty_initial(self):
-        ctx = make_ctx()
-        node = MiningNode(0, keypair(0), ctx, themis_config())
+        node = build_stack(MiningNode, THEMIS_4, key_prefix="test-node").nodes[0]
         # Epoch 0: multiple 1, base per Eq. 7 (uncalibrated params here).
-        expected_base = ctx.params.initial_base_difficulty(4)
+        expected_base = node.ctx.params.initial_base_difficulty(4)
         assert node.current_difficulty() == pytest.approx(expected_base)

@@ -443,3 +443,32 @@ def test_node_code_reports_through_one_hook():
                 if node.attr == "tracer" or (store_write and id(node) not in allowed):
                     found.append(f"{path.relative_to(SRC)}:{node.lineno} .{node.attr}")
     assert not found, f"block-path reports outside the observer hook: {found}"
+
+
+#: The one derivation of a run context; simulated fleets (``build_stack``)
+#: and live node processes both go through it.
+RUN_CONTEXT_DERIVATION = (SRC / "repro" / "consensus" / "base.py", "consortium_context")
+
+
+def test_run_contexts_come_from_one_derivation():
+    """A stack wired by hand (simulator, network, oracle, genesis, members)
+    is a second fleet builder: outside the derivation nothing calls
+    ``RunContext(...)``, in the library, its tests, examples or benchmarks."""
+    home, derivation = RUN_CONTEXT_DERIVATION
+    found = []
+    for path in _scanned_files():
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(inner)
+            for outer in ast.walk(tree)
+            if path == home and isinstance(outer, ast.FunctionDef) and outer.name == derivation
+            for inner in ast.walk(outer)
+        }
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _leaf(node.func) == "RunContext"
+            and id(node) not in allowed
+        ]
+    assert not found, f"RunContext built outside {derivation}: {found}"

@@ -11,52 +11,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chain.genesis import make_genesis
-from repro.consensus.base import RunContext
-from repro.consensus.powfamily import MiningNode, MiningNodeConfig
+from repro.consensus.powfamily import MiningNode, themis_config
 from repro.core.difficulty import DifficultyParams
 from repro.crypto.hashing import EASY_T0
 from repro.mining.miner import RealMiner
-from repro.mining.oracle import MiningOracle
-from repro.net.latency import LinkModel
-from repro.net.network import SimulatedNetwork
-from repro.net.simulator import Simulator
-from repro.net.topology import complete_topology
+from repro.sim.fleet import build_stack
 
-from tests.conftest import keypair
+from tests.conftest import TEST_FLEET
 
 
 @pytest.fixture(scope="module")
 def real_pow_run():
     """One shared real-mining run (module-scoped: hashing is the slow part)."""
-    n = 3
-    sim = Simulator(seed=21)
-    network = SimulatedNetwork(sim=sim, adjacency=complete_topology(n), link=LinkModel(jitter=0.01))
-    params = DifficultyParams(t0=EASY_T0, i0=5.0, h0=1.0, beta=2.0)
-    keys = [keypair(i) for i in range(n)]
-    ctx = RunContext(
-        sim=sim,
-        network=network,
-        oracle=MiningOracle(sim.rng, params.t0),
-        genesis=make_genesis(),
-        params=params,
-        members=[k.public.fingerprint() for k in keys],
-    )
-    config = MiningNodeConfig(
-        rule_kind="geost",
-        adaptive=True,
-        hash_rate=1.0,
-        batch_size=0,
-        sign_blocks=True,
-        verify_signatures=True,
-        real_pow=True,
-    )
-    nodes = [MiningNode(i, keys[i], ctx, config) for i in range(n)]
-    for node in nodes:
-        node.start()
-    sim.run(stop_when=lambda: nodes[0].state.height() >= 12, max_events=500_000)
-    sim.run(until=sim.now + 30.0)
-    return ctx, nodes
+    config = themis_config(batch_size=0, sign_blocks=True, verify_signatures=True, real_pow=True)
+    params = DifficultyParams(t0=EASY_T0, i0=5.0, beta=2.0)
+    stack = build_stack(MiningNode, [config] * 3, seed=21, params=params, **TEST_FLEET)
+    stack.run_to_height(12, max_events=500_000)
+    stack.sim.run(until=stack.sim.now + 30.0)
+    return stack.ctx, stack.nodes
 
 
 class TestRealPoW:

@@ -20,21 +20,22 @@ from hypothesis import given, settings, strategies as st
 from repro.chain.codec import Writer
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import make_transaction
-from repro.consensus.base import RunContext
+from repro.consensus.base import consortium_context
 from repro.consensus.powfamily import MiningNode, themis_config
+from repro.core.difficulty import DifficultyParams
 from repro.errors import NetworkError, SimulationError
 from repro.live.clock import LiveClock
 from repro.live.localnet import free_ports
 from repro.live.manifest import ConsortiumManifest, localhost_manifest
 from repro.live import transport as live_transport
 from repro.live.transport import TcpGossipTransport
-from repro.mining.oracle import MiningOracle
+from repro.net.latency import LinkModel
 from repro.net.message import KIND_BLOCK, KIND_TX, HeadersRequest, Message, is_sync_kind
 from repro.net.topology import overlay_topology
 from repro.net.transport import relay_targets
 from repro.net.wire import KIND_HELLO, Hello, encode_message, frame
 from repro.node.sync import SyncConfig
-from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
+from repro.sim.fleet import build_stack
 
 from tests.conftest import keypair
 
@@ -637,22 +638,16 @@ def _live_node(
     sync: SyncConfig,
 ) -> MiningNode:
     keys = manifest.keypairs()
-    ctx = RunContext(
-        sim=clock,
-        network=transport,
-        oracle=MiningOracle(clock.rng, manifest.difficulty_params().t0),
-        genesis=make_genesis(),
-        params=manifest.difficulty_params(),
-        members=manifest.members(),
-    )
+    ctx = consortium_context(clock, clock.rng, transport, manifest.difficulty_params(), keys)
     return MiningNode(node_id, keys[node_id], ctx, themis_config(sync=sync))
 
 
 def _mined_chain(n: int, height: int):
     """A sim-mined chain whose parameters match :func:`localhost_manifest`."""
-    ctx, nodes = build_mining_fleet(n=n, seed=7, i0=2.0)
-    run_fleet_to_height(ctx, nodes, height=height)
-    return nodes[0].main_chain()
+    link, params = LinkModel(jitter=0.01), DifficultyParams(i0=2.0)
+    stack = build_stack(MiningNode, [themis_config()] * n, seed=7, link=link, params=params)
+    stack.run_to_height(height)
+    return stack.nodes[0].main_chain()
 
 
 class TestSyncOverTcp:

@@ -6,6 +6,7 @@ import asyncio
 
 import pytest
 
+from repro.consensus.powfamily import MiningNode, themis_config
 from repro.errors import NetworkError
 from repro.live.localnet import (
     LocalnetConfig,
@@ -20,7 +21,7 @@ from repro.live.manifest import (
     localhost_manifest,
 )
 from repro.live.node_runner import run_node
-from repro.sim.fleet import build_mining_fleet
+from repro.sim.fleet import build_stack
 
 
 class TestManifest:
@@ -53,8 +54,8 @@ class TestManifest:
         # membership from the same seed material, or signed artifacts would
         # not transfer between modes.
         manifest = localhost_manifest(ports=list(range(9001, 9007)))
-        ctx, _ = build_mining_fleet(n=6, seed=0)
-        assert manifest.members() == ctx.members
+        stack = build_stack(MiningNode, [themis_config()] * 6)
+        assert manifest.members() == stack.ctx.members
 
     def test_adjacency_matches_simulator_topology_rules(self):
         small = localhost_manifest(ports=list(range(9001, 9005)))

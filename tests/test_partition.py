@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.consensus.powfamily import MiningNode, themis_config
 from repro.errors import NetworkError
+from repro.sim.fleet import build_stack
 
-from tests.test_powfamily import make_fleet, run_to_height
+from tests.conftest import FAST, TEST_FLEET
+
 
 
 class TestPartitionMechanics:
@@ -52,27 +55,27 @@ class TestPartitionConvergence:
     def test_chains_diverge_then_reconverge(self):
         """Split 4 nodes 2/2, let both sides mine, heal, and verify all nodes
         land on a single chain (the heavier side wins under GHOST/GEOST)."""
-        ctx, nodes = make_fleet(4, seed=10, i0=5.0)
-        for node in nodes:
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=10, params=FAST, **TEST_FLEET)
+        for node in stack.nodes:
             node.start()
-        run_to_height(ctx, nodes, 10)
+        stack.run_to_height(10)
         # Partition into two halves.
-        ctx.network.set_partition([[0, 1], [2, 3]])
-        height_at_split = nodes[0].state.height()
-        ctx.sim.run(until=ctx.sim.now + 120.0, max_events=3_000_000)
+        stack.network.set_partition([[0, 1], [2, 3]])
+        height_at_split = stack.nodes[0].state.height()
+        stack.sim.run(until=stack.sim.now + 120.0, max_events=3_000_000)
         # Both sides kept mining independently past the split point.
-        assert nodes[0].state.height() > height_at_split
-        assert nodes[2].state.height() > height_at_split
-        heads_during = {n.state.head_id for n in nodes}
+        assert stack.nodes[0].state.height() > height_at_split
+        assert stack.nodes[2].state.height() > height_at_split
+        heads_during = {n.state.head_id for n in stack.nodes}
         assert len(heads_during) >= 2  # diverged
         # Heal and let gossip + fork choice reconcile.
-        ctx.network.set_partition(None)
+        stack.network.set_partition(None)
         # New blocks gossiped after healing carry each side's chain across
         # (orphan buffering pulls in missing ancestors via sync if needed);
         # nudge reconciliation explicitly with a sync round-trip.
-        nodes[0].request_sync(2)
-        nodes[2].request_sync(0)
-        ctx.sim.run(until=ctx.sim.now + 200.0, max_events=5_000_000)
-        prefix = min(n.state.height() for n in nodes) - 2
-        prefix_ids = {n.main_chain()[prefix].block_id for n in nodes}
+        stack.nodes[0].request_sync(2)
+        stack.nodes[2].request_sync(0)
+        stack.sim.run(until=stack.sim.now + 200.0, max_events=5_000_000)
+        prefix = min(n.state.height() for n in stack.nodes) - 2
+        prefix_ids = {n.main_chain()[prefix].block_id for n in stack.nodes}
         assert len(prefix_ids) == 1  # reconverged on one history

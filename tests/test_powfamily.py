@@ -9,10 +9,8 @@ from dataclasses import replace
 import pytest
 
 from repro.chain.block import Block
-from repro.chain.genesis import make_genesis
 from repro.chain.transaction import make_transaction
 from repro.chaos.invariants import InvariantMonitor, SafetyViolation
-from repro.consensus.base import RunContext
 from repro.consensus.powfamily import (
     MiningNode,
     powh_config,
@@ -26,42 +24,12 @@ from repro.errors import InvalidBlockError
 from repro.mining.oracle import MiningOracle
 from repro.net.latency import LinkModel
 from repro.net.message import BlocksResponse, HeadersResponse, Message
-from repro.net.network import SimulatedNetwork
-from repro.net.simulator import Simulator
-from repro.net.topology import complete_topology
-from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
+from repro.sim.fleet import build_stack
 from repro.sim.runner import ExperimentConfig, run_experiment
 from repro.sim.tracing import Tracer
 from repro.storage.sqlite import SqliteStorage
 
-from tests.conftest import keypair
-
-
-def make_fleet(n=4, configs=None, seed=0, beta=1.0, i0=5.0, jitter=0.01):
-    sim = Simulator(seed=seed)
-    network = SimulatedNetwork(sim=sim, adjacency=complete_topology(n), link=LinkModel(jitter=jitter))
-    params = DifficultyParams(i0=i0, h0=1.0, beta=beta)
-    keys = [keypair(i) for i in range(n)]
-    ctx = RunContext(
-        sim=sim,
-        network=network,
-        oracle=MiningOracle(sim.rng, params.t0),
-        genesis=make_genesis(),
-        params=params,
-        members=[k.public.fingerprint() for k in keys],
-    )
-    if configs is None:
-        configs = [themis_config(hash_rate=1.0) for _ in range(n)]
-    nodes = [MiningNode(i, keys[i], ctx, configs[i]) for i in range(n)]
-    return ctx, nodes
-
-
-def run_to_height(ctx, nodes, height, max_events=5_000_000):
-    for node in nodes:
-        node.start()
-    ctx.sim.run(
-        stop_when=lambda: nodes[0].state.height() >= height, max_events=max_events
-    )
+from tests.conftest import FAST, TEST_FLEET, keypair
 
 
 class TestConfigs:
@@ -73,28 +41,29 @@ class TestConfigs:
 
 class TestConsensusProgress:
     def test_chain_grows_and_converges(self):
-        ctx, nodes = make_fleet(4)
-        run_to_height(ctx, nodes, 20)
-        assert nodes[0].state.height() >= 20
+        stack = build_stack(MiningNode, [themis_config()] * 4, params=FAST, **TEST_FLEET)
+        stack.run_to_height(20)
+        assert stack.nodes[0].state.height() >= 20
         # Drain in-flight messages, then all nodes agree on a long prefix.
-        ctx.sim.run(until=ctx.sim.now + 30.0)
+        stack.sim.run(until=stack.sim.now + 30.0)
         prefix_ids = set()
-        for node in nodes:
+        for node in stack.nodes:
             chain = node.main_chain()
             prefix_ids.add(chain[15].block_id)
         assert len(prefix_ids) == 1
 
     def test_all_nodes_produce(self):
-        ctx, nodes = make_fleet(4, seed=3)
-        run_to_height(ctx, nodes, 40)
-        chain = nodes[0].main_chain()
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=3, params=FAST, **TEST_FLEET)
+        stack.run_to_height(40)
+        chain = stack.nodes[0].main_chain()
         producers = Counter(b.producer for b in chain[1:])
         assert len(producers) == 4  # everyone landed at least one block
 
     def test_block_interval_tracks_i0(self):
-        ctx, nodes = make_fleet(4, i0=5.0, beta=2.0)
-        run_to_height(ctx, nodes, 48)
-        chain = nodes[0].main_chain()
+        params = DifficultyParams(i0=5.0, beta=2.0)
+        stack = build_stack(MiningNode, [themis_config()] * 4, params=params, **TEST_FLEET)
+        stack.run_to_height(48)
+        chain = stack.nodes[0].main_chain()
         # Skip the first epoch (difficulty still calibrating).
         segment = chain[8:49]
         interval = (
@@ -103,21 +72,21 @@ class TestConsensusProgress:
         assert interval == pytest.approx(5.0, rel=0.6)
 
     def test_deterministic_given_seed(self):
-        ctx_a, nodes_a = make_fleet(4, seed=11)
-        run_to_height(ctx_a, nodes_a, 15)
-        ctx_b, nodes_b = make_fleet(4, seed=11)
-        run_to_height(ctx_b, nodes_b, 15)
-        chain_a = [b.block_id for b in nodes_a[0].main_chain()[:16]]
-        chain_b = [b.block_id for b in nodes_b[0].main_chain()[:16]]
+        stack_a = build_stack(MiningNode, [themis_config()] * 4, seed=11, params=FAST, **TEST_FLEET)
+        stack_a.run_to_height(15)
+        stack_b = build_stack(MiningNode, [themis_config()] * 4, seed=11, params=FAST, **TEST_FLEET)
+        stack_b.run_to_height(15)
+        chain_a = [b.block_id for b in stack_a.nodes[0].main_chain()[:16]]
+        chain_b = [b.block_id for b in stack_b.nodes[0].main_chain()[:16]]
         assert chain_a == chain_b
 
     def test_different_seeds_differ(self):
-        ctx_a, nodes_a = make_fleet(4, seed=1)
-        run_to_height(ctx_a, nodes_a, 10)
-        ctx_b, nodes_b = make_fleet(4, seed=2)
-        run_to_height(ctx_b, nodes_b, 10)
-        assert [b.block_id for b in nodes_a[0].main_chain()[:11]] != [
-            b.block_id for b in nodes_b[0].main_chain()[:11]
+        stack_a = build_stack(MiningNode, [themis_config()] * 4, seed=1, params=FAST, **TEST_FLEET)
+        stack_a.run_to_height(10)
+        stack_b = build_stack(MiningNode, [themis_config()] * 4, seed=2, params=FAST, **TEST_FLEET)
+        stack_b.run_to_height(10)
+        assert [b.block_id for b in stack_a.nodes[0].main_chain()[:11]] != [
+            b.block_id for b in stack_b.nodes[0].main_chain()[:11]
         ]
 
 
@@ -127,19 +96,21 @@ class TestAdaptiveDifficulty:
         configs = [themis_config(hash_rate=20.0)] + [
             themis_config(hash_rate=1.0) for _ in range(3)
         ]
-        ctx, nodes = make_fleet(4, configs=configs, beta=8.0, seed=5)
-        run_to_height(ctx, nodes, 32 * 4)  # 4 epochs of Δ=32
-        strong = nodes[0].address
-        multiple, _, _ = nodes[0].state.mining_assignment(strong)
+        params = DifficultyParams(i0=5.0, beta=8.0)
+        stack = build_stack(MiningNode, configs, seed=5, params=params, **TEST_FLEET)
+        stack.run_to_height(32 * 4)  # 4 epochs of Δ=32
+        strong = stack.nodes[0].address
+        multiple, _, _ = stack.nodes[0].state.mining_assignment(strong)
         assert multiple > 4.0  # rising toward ~20
 
     def test_powh_multiples_stay_one(self):
         configs = [powh_config(hash_rate=20.0)] + [
             powh_config(hash_rate=1.0) for _ in range(3)
         ]
-        ctx, nodes = make_fleet(4, configs=configs, beta=2.0, seed=5)
-        run_to_height(ctx, nodes, 24)
-        for node in nodes:
+        params = DifficultyParams(i0=5.0, beta=2.0)
+        stack = build_stack(MiningNode, configs, seed=5, params=params, **TEST_FLEET)
+        stack.run_to_height(24)
+        for node in stack.nodes:
             multiple, _, _ = node.state.mining_assignment(node.address)
             assert multiple == 1.0
 
@@ -148,9 +119,10 @@ class TestAdaptiveDifficulty:
         is flatter than PoW-H's under a 20:1:1:1 power split."""
 
         def histogram(configs, seed):
-            ctx, nodes = make_fleet(4, configs=configs, beta=4.0, seed=seed)
-            run_to_height(ctx, nodes, 16 * 6)
-            chain = nodes[0].main_chain()
+            params = DifficultyParams(i0=5.0, beta=4.0)
+            stack = build_stack(MiningNode, configs, seed=seed, params=params, **TEST_FLEET)
+            stack.run_to_height(16 * 6)
+            chain = stack.nodes[0].main_chain()
             counts = Counter(b.producer for b in chain[33:])  # skip 2 epochs
             return counts
 
@@ -169,26 +141,26 @@ class TestValidationPath:
         """A block declaring the wrong multiple is rejected by peers."""
         from repro.chain.block import build_block
 
-        ctx, nodes = make_fleet(4)
-        for node in nodes:
+        stack = build_stack(MiningNode, [themis_config()] * 4, params=FAST, **TEST_FLEET)
+        for node in stack.nodes:
             node.start()
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 3)
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 3)
         # Forge a block with an inflated base difficulty.
-        head = nodes[1].state.head_block()
+        head = stack.nodes[1].state.head_block()
         forged = build_block(
             keypair(0),
             head.block_id,
             head.height + 1,
             [],
-            ctx.sim.now,
+            stack.sim.now,
             1.0,
             999_999.0,
             0,
         )
-        before = nodes[1].stats.blocks_rejected
-        nodes[1]._handle_block(forged)
-        assert nodes[1].stats.blocks_rejected == before + 1
-        assert forged.block_id not in nodes[1].tree
+        before = stack.nodes[1].stats.blocks_rejected
+        stack.nodes[1]._handle_block(forged)
+        assert stack.nodes[1].stats.blocks_rejected == before + 1
+        assert forged.block_id not in stack.nodes[1].tree
 
     @pytest.mark.parametrize("declared", [math.inf, math.nan])
     def test_non_finite_declared_difficulty_is_refused(self, declared):
@@ -197,42 +169,42 @@ class TestValidationPath:
         head.  A header with a non-finite difficulty cannot be built."""
         from repro.chain.block import build_block
 
-        ctx, nodes = make_fleet(4)
-        for node in nodes:
+        stack = build_stack(MiningNode, [themis_config()] * 4, params=FAST, **TEST_FLEET)
+        for node in stack.nodes:
             node.start()
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 3)
-        head = nodes[1].state.head_block()
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 3)
+        head = stack.nodes[1].state.head_block()
         with pytest.raises(InvalidBlockError, match="finite"):
-            nodes[1]._handle_block(
+            stack.nodes[1]._handle_block(
                 build_block(
-                    keypair(0), head.block_id, head.height + 1, [], ctx.sim.now,
+                    keypair(0), head.block_id, head.height + 1, [], stack.sim.now,
                     declared, declared, 0,
                 )
             )
-        assert nodes[1].state.head_block() is head
+        assert stack.nodes[1].state.head_block() is head
 
     def test_non_member_blocks_rejected(self):
         from repro.chain.block import build_block
 
-        ctx, nodes = make_fleet(4)
-        for node in nodes:
+        stack = build_stack(MiningNode, [themis_config()] * 4, params=FAST, **TEST_FLEET)
+        for node in stack.nodes:
             node.start()
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 2)
-        head = nodes[1].state.head_block()
-        table = nodes[1].state.governing(head.block_id)[1]
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 2)
+        head = stack.nodes[1].state.head_block()
+        table = stack.nodes[1].state.governing(head.block_id)[1]
         outsider = build_block(
             keypair(7),
             head.block_id,
             head.height + 1,
             [],
-            ctx.sim.now,
+            stack.sim.now,
             1.0,
             table.base,
-            nodes[1].state.epoch_of_height(head.height + 1),
+            stack.nodes[1].state.epoch_of_height(head.height + 1),
         )
-        before = nodes[1].stats.blocks_rejected
-        nodes[1]._handle_block(outsider)
-        assert nodes[1].stats.blocks_rejected == before + 1
+        before = stack.nodes[1].stats.blocks_rejected
+        stack.nodes[1]._handle_block(outsider)
+        assert stack.nodes[1].stats.blocks_rejected == before + 1
 
 
 class TestForgedPosition:
@@ -244,17 +216,17 @@ class TestForgedPosition:
     """
 
     def _fleet_and_header(self):
-        ctx, nodes = build_mining_fleet(4, seed=3)
-        run_fleet_to_height(ctx, nodes, 5)
-        for node in nodes:
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=3, link=LinkModel(jitter=0.01))
+        stack.run_to_height(5)
+        for node in stack.nodes:
             node.stop()
-        state = nodes[0].state
+        state = stack.nodes[0].state
         parent = state.head_block()
-        multiple, base, epoch = state.mining_assignment(nodes[1].address)
-        header = nodes[1].builder.build_header(
-            parent, [], ctx.sim.now, multiple, base, epoch
+        multiple, base, epoch = state.mining_assignment(stack.nodes[1].address)
+        header = stack.nodes[1].builder.build_header(
+            parent, [], stack.sim.now, multiple, base, epoch
         )
-        return nodes[0], parent, header
+        return stack.nodes[0], parent, header
 
     @pytest.mark.parametrize(
         ("height_shift", "epoch", "reason"),
@@ -281,11 +253,11 @@ class TestForgedPosition:
 
 def _stopped_fleet():
     """Four Themis nodes stopped at height 5 (epoch 0 lasts 32 heights)."""
-    ctx, nodes = build_mining_fleet(4, seed=3)
-    run_fleet_to_height(ctx, nodes, 5)
-    for node in nodes:
+    stack = build_stack(MiningNode, [themis_config()] * 4, seed=3, link=LinkModel(jitter=0.01))
+    stack.run_to_height(5)
+    for node in stack.nodes:
         node.stop()
-    return ctx, nodes
+    return stack
 
 
 def _block_on(state, parent: Block, producer, multiple_factor: float = 1.0) -> Block:
@@ -318,14 +290,14 @@ class TestChildFirstAdmission:
     def test_forged_block_delivered_child_first_is_refused(
         self, forger, multiple_factor, reason
     ):
-        ctx, nodes = _stopped_fleet()
-        node = nodes[0]
+        stack = _stopped_fleet()
+        node = stack.nodes[0]
         tracer = Tracer()
         node.observers.append(tracer)
-        forger_key = keypair(9) if forger is None else nodes[forger].keypair
-        honest = _block_on(node.state, node.state.head_block(), nodes[1].keypair)
+        forger_key = keypair(9) if forger is None else stack.nodes[forger].keypair
+        honest = _block_on(node.state, node.state.head_block(), stack.nodes[1].keypair)
         forged = _block_on(node.state, honest, forger_key, multiple_factor)
-        above = _block_on(node.state, forged, nodes[3].keypair)
+        above = _block_on(node.state, forged, stack.nodes[3].keypair)
         accepted = node.stats.blocks_accepted
         node._handle_block(above)
         node._handle_block(forged)
@@ -344,8 +316,8 @@ class TestChildFirstAdmission:
         """A blocks page in reverse height order with a forgery in the middle:
         the honest blocks below it attach, it and the blocks above it never
         do, and nothing refused reaches storage."""
-        ctx, nodes = _stopped_fleet()
-        node = nodes[0]
+        stack = _stopped_fleet()
+        node = stack.nodes[0]
         storage = SqliteStorage(tmp_path / "node-0.db")
         node.attach_storage(storage)
         recorded: list[Block] = []
@@ -355,11 +327,11 @@ class TestChildFirstAdmission:
             "record_block",
             lambda block, arrival: recorded.append(block) or record(block, arrival),
         )
-        first = _block_on(node.state, node.state.head_block(), nodes[1].keypair)
-        second = _block_on(node.state, first, nodes[2].keypair)
+        first = _block_on(node.state, node.state.head_block(), stack.nodes[1].keypair)
+        second = _block_on(node.state, first, stack.nodes[2].keypair)
         forged = _block_on(node.state, second, keypair(9))
-        above = _block_on(node.state, forged, nodes[3].keypair)
-        top = _block_on(node.state, above, nodes[0].keypair)
+        above = _block_on(node.state, forged, stack.nodes[3].keypair)
+        top = _block_on(node.state, above, stack.nodes[0].keypair)
         page = [first, second, forged, above, top]
         accepted = node.stats.blocks_accepted
 
@@ -399,16 +371,16 @@ def test_side_branch_blocks_commit_once_the_batch_is_full(tmp_path):
     """``batch_size`` bounds the buffer even while the head stays put: at
     the parent commit only a head move committed, so side-branch blocks
     piled up unwritten."""
-    ctx, nodes = _stopped_fleet()
-    node = nodes[0]
+    stack = _stopped_fleet()
+    node = stack.nodes[0]
     db = tmp_path / "node-0.db"
     storage = SqliteStorage(db, batch_size=2)
     node.attach_storage(storage)
     reader = SqliteStorage(db, read_only=True)
     rows = reader.block_row_count()
     head = node.state.head_id
-    fork = _block_on(node.state, node.main_chain()[2], nodes[1].keypair)
-    tip = _block_on(node.state, fork, nodes[2].keypair)
+    fork = _block_on(node.state, node.main_chain()[2], stack.nodes[1].keypair)
+    tip = _block_on(node.state, fork, stack.nodes[2].keypair)
     assert node._attach(fork) == node._attach(tip) == "unchanged"
     assert node.state.head_id == head and node.stats.blocks_rejected == 0
     assert reader.block_row_count() == rows + 2
@@ -421,8 +393,8 @@ class TestCopies:
         """At the parent commit a valid copy raised ``DuplicateBlockError``
         out of ``on_message`` (in the live tier: out of the transport's read
         loop, dropping the connection)."""
-        ctx, nodes = _stopped_fleet()
-        node = nodes[0]
+        stack = _stopped_fleet()
+        node = stack.nodes[0]
         held = node.state.head_block()
         copy = replace(held)
         tampered = replace(
@@ -449,12 +421,12 @@ class TestSharedFacts:
             "validate",
             lambda self, block: judged.append(block) or real(self, block),
         )
-        ctx, nodes = build_mining_fleet(8, seed=11)
-        run_fleet_to_height(ctx, nodes, 20)
+        stack = build_stack(MiningNode, [themis_config()] * 8, seed=11, link=LinkModel(jitter=0.01))
+        stack.run_to_height(20)
         assert len(judged) >= 20
         assert len({id(block) for block in judged}) == len(judged)
         # Every node still took every block in through its own tree.
-        accepted = sum(node.stats.blocks_accepted for node in nodes)
+        accepted = sum(node.stats.blocks_accepted for node in stack.nodes)
         assert accepted > 6 * len(judged)
 
     def test_copies_of_an_accepted_block_are_judged_again(self):
@@ -462,13 +434,13 @@ class TestSharedFacts:
             themis_config(hash_rate=1.0, sign_blocks=True, verify_signatures=True)
             for _ in range(4)
         ]
-        ctx, nodes = make_fleet(4, configs=signed)
-        run_to_height(ctx, nodes, 6)
-        for node in nodes:
+        stack = build_stack(MiningNode, signed, params=FAST, **TEST_FLEET)
+        stack.run_to_height(6)
+        for node in stack.nodes:
             node.stop()
-        ctx.sim.run(until=ctx.sim.now + 5.0)  # drain in-flight gossip
-        genuine = nodes[0].state.block_at(3)
-        assert all(genuine.block_id in node.tree for node in nodes)
+        stack.sim.run(until=stack.sim.now + 5.0)  # drain in-flight gossip
+        genuine = stack.nodes[0].state.block_at(3)
+        assert all(genuine.block_id in node.tree for node in stack.nodes)
         producer = next(i for i in range(4) if keypair(i).public.fingerprint() == genuine.producer)
         other = keypair((producer + 1) % 4)
         tampered_body = replace(
@@ -479,35 +451,36 @@ class TestSharedFacts:
             genuine, signature=sign_digest(other, genuine.header.hash())
         )
         assert tampered_body.block_id == other_signature.block_id == genuine.block_id
-        for node in nodes:
+        for node in stack.nodes:
             before = node.stats.blocks_rejected
             node._handle_block(tampered_body)
             node._handle_block(other_signature)
             assert node.stats.blocks_rejected == before + 2
         # ... and the genuine object is still good.
-        assert nodes[0].state.facts.verdict(genuine, nodes[0].validator.validate) is None
+        observer = stack.nodes[0]
+        assert observer.state.facts.verdict(genuine, observer.validator.validate) is None
 
     def test_sharing_is_scoped_to_what_the_facts_depend_on(self):
         configs = [themis_config(), themis_config(), powh_config(), powh_config()]
-        ctx, nodes = make_fleet(4, configs=configs)
+        stack = build_stack(MiningNode, configs, params=FAST, **TEST_FLEET)
         private = MiningNode(
-            0, keypair(0), ctx, themis_config(), members_fn=lambda: list(ctx.members)
+            0, keypair(0), stack.ctx, themis_config(), members_fn=lambda: list(stack.ctx.members)
         )
-        themis_facts, powh_facts = nodes[0].state.facts, nodes[2].state.facts
-        assert nodes[1].state.facts is themis_facts
-        assert nodes[3].state.facts is powh_facts
+        themis_facts, powh_facts = stack.nodes[0].state.facts, stack.nodes[2].state.facts
+        assert stack.nodes[1].state.facts is themis_facts
+        assert stack.nodes[3].state.facts is powh_facts
         assert len({id(themis_facts), id(powh_facts), id(private.state.facts)}) == 3
-        assert ctx.facts_for(True, False, True) is not themis_facts
-        nodes[0].state.mining_assignment(nodes[0].address)
+        assert stack.ctx.facts_for(True, False, True) is not themis_facts
+        stack.nodes[0].state.mining_assignment(stack.nodes[0].address)
         assert themis_facts.governing
         assert not powh_facts.governing and not private.state.facts.governing
         # A verdict reached under one scope is not served under another.
-        head = nodes[0].state.head_block()
-        multiple, base, epoch = nodes[0].state.mining_assignment(nodes[1].address)
+        head = stack.nodes[0].state.head_block()
+        multiple, base, epoch = stack.nodes[0].state.mining_assignment(stack.nodes[1].address)
         block = Block(
-            nodes[1].builder.build_header(head, [], 1.0, multiple, base, epoch), None, ()
+            stack.nodes[1].builder.build_header(head, [], 1.0, multiple, base, epoch), None, ()
         )
-        nodes[0]._handle_block(block)
+        stack.nodes[0]._handle_block(block)
         assert block.block_id in themis_facts.verdicts
         assert block.block_id not in powh_facts.verdicts
         assert block.block_id not in private.state.facts.verdicts
@@ -515,15 +488,15 @@ class TestSharedFacts:
     def test_monitor_derives_tables_per_node(self, monkeypatch):
         """A shared table compared with itself would prove nothing: corrupt
         one node's own derivation and the sweep must still see it."""
-        ctx, nodes = make_fleet(4)  # Δ = 4
-        run_to_height(ctx, nodes, 9)
-        for node in nodes:
+        stack = build_stack(MiningNode, [themis_config()] * 4, params=FAST, **TEST_FLEET)  # Δ = 4
+        stack.run_to_height(9)
+        for node in stack.nodes:
             node.stop()
-        ctx.sim.run(until=ctx.sim.now + 5.0)
-        assert len({node.state.head_id for node in nodes}) == 1
-        InvariantMonitor(nodes, ctx.network, ctx.sim).check_now()  # clean
+        stack.sim.run(until=stack.sim.now + 5.0)
+        assert len({node.state.head_id for node in stack.nodes}) == 1
+        InvariantMonitor(stack.nodes, stack.network, stack.sim).check_now()  # clean
 
-        state = nodes[2].state
+        state = stack.nodes[2].state
         real = state.derive_table
 
         def skewed(anchor_id, prev_table):
@@ -532,23 +505,25 @@ class TestSharedFacts:
 
         monkeypatch.setattr(state, "derive_table", skewed)
         with pytest.raises(SafetyViolation, match="difficulty-table disagreement"):
-            InvariantMonitor(nodes, ctx.network, ctx.sim).check_now()
+            InvariantMonitor(stack.nodes, stack.network, stack.sim).check_now()
 
     def test_monitor_catches_a_foreign_member_set_at_the_first_shared_anchor(self):
         """Each (node, anchor) table is compared once and the verdict
         remembered; a node that derives from another member set is still
         reported at every sweep, at the genesis anchor and the next one."""
-        ctx, nodes = make_fleet(4)  # Δ = 4
-        foreign = [*ctx.members[:3], keypair(9).public.fingerprint()]
-        nodes[3] = MiningNode(3, keypair(3), ctx, themis_config(), members_fn=lambda: foreign)
-        monitor = InvariantMonitor(nodes, ctx.network, ctx.sim)
+        stack = build_stack(MiningNode, [themis_config()] * 4, params=FAST, **TEST_FLEET)  # Δ = 4
+        foreign = [*stack.ctx.members[:3], keypair(9).public.fingerprint()]
+        stack.nodes[3] = MiningNode(
+            3, keypair(3), stack.ctx, themis_config(), members_fn=lambda: foreign
+        )
+        monitor = InvariantMonitor(stack.nodes, stack.network, stack.sim)
         for _ in range(2):  # the second sweep reads what the first recorded
             with pytest.raises(SafetyViolation, match=r"\(epoch 0\): node 0 vs node 3"):
                 monitor.check_now()
-        InvariantMonitor(nodes[:3], ctx.network, ctx.sim).check_now()  # clean
-        for node in nodes[:3]:
+        InvariantMonitor(stack.nodes[:3], stack.network, stack.sim).check_now()  # clean
+        for node in stack.nodes[:3]:
             node.start()
-        ctx.sim.run(stop_when=lambda: min(node.state.height() for node in nodes) >= 5)
+        stack.sim.run(stop_when=lambda: min(node.state.height() for node in stack.nodes) >= 5)
         with pytest.raises(SafetyViolation, match=r"\(epoch 1\): node 0 vs node 3"):
             monitor.check_now()
         assert monitor.report.safety_violations == 3
@@ -556,14 +531,14 @@ class TestSharedFacts:
 
 class TestStopStart:
     def test_stopped_node_still_relays(self):
-        ctx, nodes = make_fleet(4)
-        for node in nodes:
+        stack = build_stack(MiningNode, [themis_config()] * 4, params=FAST, **TEST_FLEET)
+        for node in stack.nodes:
             node.start()
-        nodes[3].stop()
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 10)
-        assert nodes[3].stats.blocks_produced == 0
-        ctx.sim.run(until=ctx.sim.now + 20.0)
-        assert nodes[3].state.height() >= 9  # kept following the chain
+        stack.nodes[3].stop()
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 10)
+        assert stack.nodes[3].stats.blocks_produced == 0
+        stack.sim.run(until=stack.sim.now + 20.0)
+        assert stack.nodes[3].state.height() >= 9  # kept following the chain
 
 
 class TestMiningTimer:
@@ -572,31 +547,31 @@ class TestMiningTimer:
     draws afresh."""
 
     def _mining_fleet(self):
-        ctx, nodes = make_fleet(4)
-        for node in nodes:
+        stack = build_stack(MiningNode, [themis_config()] * 4, params=FAST, **TEST_FLEET)
+        for node in stack.nodes:
             node.start()
-        return ctx, nodes
+        return stack
 
     def test_kept_when_the_head_moves_at_the_same_difficulty(self):
-        ctx, nodes = self._mining_fleet()
-        handles = [node._mining_handle for node in nodes]
-        difficulties = [node.current_difficulty() for node in nodes]
-        ctx.sim.run(stop_when=lambda: all(node.state.height() >= 1 for node in nodes))
-        for node, handle, difficulty in zip(nodes, handles, difficulties):
+        stack = self._mining_fleet()
+        handles = [node._mining_handle for node in stack.nodes]
+        difficulties = [node.current_difficulty() for node in stack.nodes]
+        stack.sim.run(stop_when=lambda: all(node.state.height() >= 1 for node in stack.nodes))
+        for node, handle, difficulty in zip(stack.nodes, handles, difficulties):
             assert node.current_difficulty() == difficulty  # still epoch 0
             if node.stats.blocks_produced == 0:
                 assert node._mining_handle is handle and not handle.cancelled
 
     def test_redrawn_when_a_head_move_changes_the_difficulty(self):
-        ctx, nodes = self._mining_fleet()
-        watched = nodes[1]
+        stack = self._mining_fleet()
+        watched = stack.nodes[1]
         kept = redrawn = 0
-        while watched.state.height() < 4 * ctx.params.epoch_length(4):
+        while watched.state.height() < 4 * stack.ctx.params.epoch_length(4):
             handle = watched._mining_handle
             armed_at = watched.current_difficulty()
             produced = watched.stats.blocks_produced
             head = watched.state.head_id
-            ctx.sim.run(stop_when=lambda: watched.state.head_id != head)
+            stack.sim.run(stop_when=lambda: watched.state.head_id != head)
             if watched.stats.blocks_produced != produced:
                 continue  # its own timer fired
             if watched.current_difficulty() == armed_at:
@@ -608,17 +583,17 @@ class TestMiningTimer:
         assert kept > 0 and redrawn > 0
 
     def test_redrawn_after_the_timer_fires(self):
-        ctx, nodes = self._mining_fleet()
-        handles = [node._mining_handle for node in nodes]
-        ctx.sim.run(stop_when=lambda: any(node.stats.blocks_produced for node in nodes))
-        producer = next(i for i, node in enumerate(nodes) if node.stats.blocks_produced)
-        fresh = nodes[producer]._mining_handle
+        stack = self._mining_fleet()
+        handles = [node._mining_handle for node in stack.nodes]
+        stack.sim.run(stop_when=lambda: any(node.stats.blocks_produced for node in stack.nodes))
+        producer = next(i for i, node in enumerate(stack.nodes) if node.stats.blocks_produced)
+        fresh = stack.nodes[producer]._mining_handle
         assert fresh is not None and fresh is not handles[producer]
         assert not handles[producer].cancelled  # it fired
 
     def test_redrawn_after_stop_and_start(self):
-        ctx, nodes = self._mining_fleet()
-        node = nodes[2]
+        stack = self._mining_fleet()
+        node = stack.nodes[2]
         handle = node._mining_handle
         node.stop()
         assert handle.cancelled and node._mining_handle is None
@@ -626,18 +601,18 @@ class TestMiningTimer:
         assert node._mining_handle is not None and node._mining_handle is not handle
 
     def test_redrawn_when_sync_completes_after_a_crash(self):
-        ctx, nodes = self._mining_fleet()
-        node = nodes[3]
-        ctx.sim.run(stop_when=lambda: node.state.height() >= 2)
+        stack = self._mining_fleet()
+        node = stack.nodes[3]
+        stack.sim.run(stop_when=lambda: node.state.height() >= 2)
         handle = node._mining_handle
         node.crash()
         assert handle.cancelled and node._mining_handle is None
-        ctx.sim.run(until=ctx.sim.now + 30.0)
+        stack.sim.run(until=stack.sim.now + 30.0)
         node.restart(sync_peer=0)
         assert node._mining_handle is None  # held back until synced
-        ctx.sim.run(stop_when=lambda: node._mining_handle is not None)
+        stack.sim.run(stop_when=lambda: node._mining_handle is not None)
         assert not node.sync.active
-        assert node.state.head_id == nodes[0].state.head_id
+        assert node.state.head_id == stack.nodes[0].state.head_id
 
     def test_a_few_draws_per_block(self, monkeypatch):
         """Draws come from fired timers and difficulty changes only, not

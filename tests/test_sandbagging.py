@@ -4,23 +4,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consensus.powfamily import themis_config
+from repro.consensus.powfamily import MiningNode, themis_config
+from repro.core.difficulty import DifficultyParams
 from repro.errors import SimulationError
 from repro.sim.attacks import SandbaggingMiner
+from repro.sim.fleet import build_stack
 
-from tests.conftest import keypair
-from tests.test_powfamily import make_fleet
+from tests.conftest import TEST_FLEET, keypair
 
 
 class TestSandbaggingMiner:
-    def _fleet(self, seed=4, n=6):
-        ctx, nodes = make_fleet(n, seed=seed, beta=2.0, i0=5.0)
-        ctx.network.detach(0)
+    def _fleet(self):
+        params = DifficultyParams(i0=5.0, beta=2.0)
+        stack = build_stack(MiningNode, [themis_config()] * 6, seed=4, params=params, **TEST_FLEET)
+        stack.network.detach(0)
         attacker = SandbaggingMiner(
-            0, keypair(0), ctx, themis_config(hash_rate=10.0)
+            0, keypair(0), stack.ctx, themis_config(hash_rate=10.0)
         )
-        nodes[0] = attacker
-        return ctx, nodes, attacker
+        stack.nodes[0] = attacker
+        return stack.ctx, stack.nodes, attacker
 
     def test_duty_cycle_validation(self):
         ctx, nodes, _ = self._fleet()

@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 import sqlite3
-from collections.abc import Iterator
+from collections import Counter
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import pytest
@@ -379,15 +380,25 @@ def accounts(tmp_path: Path, genesis: Block) -> Iterator[AccountStore]:
     store.storage.close()
 
 
-def recent_statement(storage: SqliteStorage, address: bytes, limit: int) -> tuple[list[str], str]:
-    """Every statement ``account_summary`` runs, with its parameters bound,
-    and the one among them that pages the transactions."""
+def traced(storage: SqliteStorage, read: Callable[[], object]) -> list[str]:
+    """Every statement ``read`` runs on ``storage``, with its parameters bound."""
     statements: list[str] = []
     storage._conn.set_trace_callback(statements.append)
     try:
-        storage.account_summary(address, limit)
+        read()
     finally:
         storage._conn.set_trace_callback(None)
+    return statements
+
+
+def query_plan(storage: SqliteStorage, sql: str) -> str:
+    return " | ".join(row[3] for row in storage._conn.execute("EXPLAIN QUERY PLAN " + sql))
+
+
+def recent_statement(storage: SqliteStorage, address: bytes, limit: int) -> tuple[list[str], str]:
+    """Every statement ``account_summary`` runs, with its parameters bound,
+    and the one among them that pages the transactions."""
+    statements = traced(storage, lambda: storage.account_summary(address, limit))
     (recent,) = [sql for sql in statements if "LIMIT" in sql]
     return statements, recent
 
@@ -426,14 +437,30 @@ class TestAccountReads:
     def test_query_plans_read_index_ranges(self, accounts: AccountStore) -> None:
         """Host-independent: no statement of ``account_summary`` sorts in a
         temporary b-tree or scans ``canon`` (at schema v1 the page sorted
-        every hit of the address and the produced count scanned ``canon``)."""
+        every hit of the address and the produced count scanned ``canon``),
+        and ``producer_counts`` (``/metrics/equality``) walks ``canon`` into
+        ``blocks`` (it scanned every stored block, forks included)."""
         statements, _ = recent_statement(accounts.storage, BUSY[0], LIMIT)
         for sql in statements:
-            plan = " | ".join(
-                row[3] for row in accounts.storage._conn.execute("EXPLAIN QUERY PLAN " + sql)
-            )
+            plan = query_plan(accounts.storage, sql)
             assert "TEMP B-TREE" not in plan, (sql, plan)
             assert "SCAN canon" not in plan, (sql, plan)
+        (counts,) = traced(accounts.storage, accounts.storage.producer_counts)
+        plan = query_plan(accounts.storage, counts)
+        assert "SCAN blocks" not in plan, (counts, plan)
+
+    def test_producer_counts_count_the_main_chain(self, accounts: AccountStore) -> None:
+        main = [b for b in accounts.blocks[1:] if b.block_id in accounts.canonical]
+        assert accounts.storage.producer_counts() == Counter(b.producer for b in main)
+
+    def test_block_by_height_reads_canon_once(self, accounts: AccountStore) -> None:
+        """``/blocks/<height>`` takes ``canonical`` from its one ``canon``
+        lookup (a second lookup of the same height made four statements)."""
+        storage = accounts.storage
+        statements = traced(storage, lambda: storage.block_by_height(5))
+        assert ["FROM canon" in sql for sql in statements] == [True, False, False]
+        record = storage.block_by_height(5)
+        assert (record["height"], record["canonical"]) == (5, True)
 
     def test_page_work_follows_the_page_not_the_history(
         self, accounts: AccountStore

@@ -20,24 +20,26 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+from repro.consensus.powfamily import MiningNode, themis_config
 from repro.live.localnet import free_ports
 from repro.live.manifest import localhost_manifest
 from repro.live.node_runner import run_node, storage_db_path
+from repro.sim.fleet import build_stack
 from repro.storage.sqlite import SqliteStorage
 
-from tests.conftest import keypair
-from tests.test_powfamily import _block_on, _stopped_fleet, make_fleet, run_to_height
+from tests.conftest import FAST, TEST_FLEET, keypair
+from tests.test_powfamily import _block_on, _stopped_fleet
 
 
 def persist_fleet_node(tmp_path: Path, height: int = 12) -> tuple:
     """Run a simulated fleet with storage attached to node 0."""
-    ctx, nodes = make_fleet(4, seed=7)
+    stack = build_stack(MiningNode, [themis_config()] * 4, seed=7, params=FAST, **TEST_FLEET)
     db = tmp_path / "node-0.db"
     storage = SqliteStorage(db, snapshot_interval=4)
-    nodes[0].attach_storage(storage)
-    run_to_height(ctx, nodes, height)
-    storage.commit(nodes[0].state.head_id, nodes[0].state.tree, force=True)
-    return ctx, nodes, storage, db
+    stack.nodes[0].attach_storage(storage)
+    stack.run_to_height(height)
+    storage.commit(stack.nodes[0].state.head_id, stack.nodes[0].state.tree, force=True)
+    return stack.ctx, stack.nodes, storage, db
 
 
 class TestSimulatedPersistence:
@@ -66,8 +68,8 @@ class TestSimulatedPersistence:
         storage.close()
 
         # A brand-new process: fresh fleet, same genesis/members, no chain.
-        ctx2, nodes2 = make_fleet(4, seed=7)
-        fresh = nodes2[0]
+        stack2 = build_stack(MiningNode, [themis_config()] * 4, seed=7, params=FAST, **TEST_FLEET)
+        fresh = stack2.nodes[0]
         assert fresh.state.height() == 0
         fresh.attach_storage(SqliteStorage(db))
         recovered_height = fresh.restore_from_storage()
@@ -82,11 +84,11 @@ class TestSimulatedPersistence:
         fresh.storage.close()
 
     def test_restore_from_empty_store_is_a_noop(self, tmp_path):
-        ctx, nodes = make_fleet(2, seed=3)
+        stack = build_stack(MiningNode, [themis_config()] * 2, seed=3, params=FAST, **TEST_FLEET)
         storage = SqliteStorage(tmp_path / "empty.db")
-        nodes[0].storage = storage  # bypass attach: nothing written yet
-        assert nodes[0].restore_from_storage() == 0
-        assert nodes[0].state.height() == 0
+        stack.nodes[0].storage = storage  # bypass attach: nothing written yet
+        assert stack.nodes[0].restore_from_storage() == 0
+        assert stack.nodes[0].state.height() == 0
         storage.close()
 
     def test_a_refused_orphan_does_not_come_back_from_a_snapshot(self, tmp_path):
@@ -94,17 +96,17 @@ class TestSimulatedPersistence:
         while buffered, then refused when the parent arrives, stays out of a
         restored tree.  While snapshots carried the buffered orphans, restore
         replayed it unjudged under its parent's row."""
-        ctx, nodes = _stopped_fleet()
-        node = nodes[0]
+        stack = _stopped_fleet()
+        node = stack.nodes[0]
         db = tmp_path / "node-0.db"
         storage = SqliteStorage(db, snapshot_interval=1)
         node.attach_storage(storage)
         head = node.state.head_block()
-        honest = _block_on(node.state, head, nodes[1].keypair)
+        honest = _block_on(node.state, head, stack.nodes[1].keypair)
         forged = _block_on(node.state, honest, keypair(9))
         node._handle_block(forged)
         assert node.tree.orphan_count == 1
-        node._handle_block(_block_on(node.state, head, nodes[2].keypair))
+        node._handle_block(_block_on(node.state, head, stack.nodes[2].keypair))
         assert storage.snapshot_count() == 1
         node._handle_block(honest)
         assert node.stats.blocks_rejected == 1
@@ -112,8 +114,7 @@ class TestSimulatedPersistence:
         storage.commit(node.state.head_id, node.state.tree, force=True)
         storage.close()
 
-        _, fresh_nodes = _stopped_fleet()
-        fresh = fresh_nodes[0]
+        fresh = _stopped_fleet().nodes[0]
         fresh.attach_storage(SqliteStorage(db))
         fresh.restore_from_storage()
         assert honest.block_id in fresh.tree
@@ -123,10 +124,10 @@ class TestSimulatedPersistence:
 
     def test_simulation_without_storage_untouched(self):
         # The default path: no storage attached, hooks are no-ops.
-        ctx, nodes = make_fleet(2, seed=1)
-        assert all(node.storage is None for node in nodes)
-        run_to_height(ctx, nodes, 3)
-        assert nodes[0].state.height() >= 3
+        stack = build_stack(MiningNode, [themis_config()] * 2, seed=1, params=FAST, **TEST_FLEET)
+        assert all(node.storage is None for node in stack.nodes)
+        stack.run_to_height(3)
+        assert stack.nodes[0].state.height() >= 3
 
 
 class TestLiveRecovery:

@@ -6,10 +6,12 @@ import pytest
 
 from repro.chain.forkchoice import GHOSTRule
 from repro.chain.store import FORMAT_VERSION, deserialize_tree, serialize_tree
+from repro.consensus.powfamily import MiningNode, themis_config
 from repro.core.geost import GEOSTRule
 from repro.errors import CodecError
+from repro.sim.fleet import build_stack
 
-from tests.conftest import TreeBuilder, keypair
+from tests.conftest import FAST, TEST_FLEET, TreeBuilder, keypair
 
 
 def build_forked_tree(genesis):
@@ -116,11 +118,9 @@ class TestFormatDiscipline:
 
     def test_simulation_tree_roundtrip(self):
         """A real simulated tree (forks, signatures absent) round-trips."""
-        from tests.test_powfamily import make_fleet, run_to_height
-
-        ctx, nodes = make_fleet(4, seed=12)
-        run_to_height(ctx, nodes, 30)
-        tree = nodes[0].tree
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=12, params=FAST, **TEST_FLEET)
+        stack.run_to_height(30)
+        tree = stack.nodes[0].tree
         restored = deserialize_tree(serialize_tree(tree))
         assert len(restored) == len(tree)
         assert GHOSTRule().head(restored) == GHOSTRule().head(tree)

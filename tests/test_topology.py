@@ -89,8 +89,9 @@ class TestOverlay:
     def test_run_paths_share_one_overlay_and_member_list(
         self, n, degree, expected_degree
     ):
+        from repro.consensus.powfamily import MiningNode, themis_config
         from repro.live.manifest import localhost_manifest
-        from repro.sim.fleet import build_mining_fleet
+        from repro.sim.fleet import build_stack
         from repro.sim.runner import ExperimentConfig, run_experiment
 
         seed = 3
@@ -104,14 +105,14 @@ class TestOverlay:
         result = run_experiment(
             ExperimentConfig(n=n, degree=degree, seed=seed, target_height=2)
         )
-        ctx, _ = build_mining_fleet(n, seed=seed, degree=degree)
+        stack = build_stack(MiningNode, [themis_config()] * n, seed=seed, degree=degree)
         manifest = localhost_manifest(
             ports=list(range(20000, 20000 + n)), seed=seed, degree=degree
         )
         assert result.observer.ctx.network.adjacency == expected
-        assert ctx.network.adjacency == expected
+        assert stack.network.adjacency == expected
         assert manifest.adjacency() == expected
-        assert result.members == ctx.members == manifest.members()
+        assert result.members == stack.ctx.members == manifest.members()
 
 
 #: sha256 of ``json.dumps([overlay_topology(n, 6, seed) for seed in range(10)])``

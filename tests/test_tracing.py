@@ -6,11 +6,13 @@ from collections import Counter
 
 import pytest
 
+from repro.consensus.powfamily import MiningNode, themis_config
 from repro.errors import SimulationError
+from repro.sim.fleet import build_stack
 from repro.sim.tracing import TraceEvent, Tracer
 
 from tests import test_transport_parity
-from tests.test_powfamily import make_fleet, run_to_height
+from tests.conftest import FAST, TEST_FLEET
 
 
 def subscribe(nodes, *observers):
@@ -78,10 +80,10 @@ class TestTracer:
 
 class TestNodeIntegration:
     def test_fleet_emits_lifecycle_events(self):
-        ctx, nodes = make_fleet(4, seed=5)
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=5, params=FAST, **TEST_FLEET)
         tracer = Tracer()
-        subscribe(nodes, tracer)
-        run_to_height(ctx, nodes, 15)
+        subscribe(stack.nodes, tracer)
+        stack.run_to_height(15)
         counts = tracer.counts_by_kind()
         assert counts["block/produced"] >= 15
         # Every produced event carries height and difficulty details.
@@ -92,40 +94,32 @@ class TestNodeIntegration:
         from repro.chain.block import build_block
         from tests.conftest import keypair
 
-        ctx, nodes = make_fleet(4, seed=5)
+        stack = build_stack(MiningNode, [themis_config()] * 4, seed=5, params=FAST, **TEST_FLEET)
         tracer = Tracer()
-        subscribe(nodes, tracer)
-        for node in nodes:
+        subscribe(stack.nodes, tracer)
+        for node in stack.nodes:
             node.start()
-        ctx.sim.run(stop_when=lambda: nodes[0].state.height() >= 3)
-        head = nodes[1].state.head_block()
+        stack.sim.run(stop_when=lambda: stack.nodes[0].state.height() >= 3)
+        head = stack.nodes[1].state.head_block()
         forged = build_block(
-            keypair(0), head.block_id, head.height + 1, [], ctx.sim.now, 1.0, 9e9, 0
+            keypair(0), head.block_id, head.height + 1, [], stack.sim.now, 1.0, 9e9, 0
         )
-        nodes[1]._handle_block(forged)
+        stack.nodes[1]._handle_block(forged)
         rejections = tracer.events(kind="block/rejected")
         assert rejections
         assert "base" in rejections[0].detail["reason"]
 
     def test_nodes_have_no_subscribers_by_default(self):
-        _, nodes = make_fleet(2, seed=1)
-        assert [node.observers for node in nodes] == [[], []]
+        stack = build_stack(MiningNode, [themis_config()] * 2, seed=1, params=FAST, **TEST_FLEET)
+        assert [node.observers for node in stack.nodes] == [[], []]
 
 
-def test_subscribers_change_nothing(monkeypatch):
+def test_subscribers_change_nothing():
     """A tracer and a counting subscriber on every node leave the golden
     chain and the event count as they are, and see every block the node
     counts as accepted or rejected."""
-    build = test_transport_parity.build_mining_fleet
-    fleets = []
-
-    def build_and_keep(*args, **kwargs):
-        fleets.append(build(*args, **kwargs))
-        return fleets[-1]
-
-    monkeypatch.setattr(test_transport_parity, "build_mining_fleet", build_and_keep)
-    assert test_transport_parity._chain_hash() == test_transport_parity.GOLDEN_CHAIN_SHA256
-    plain_events = fleets[0][0].sim.events_processed
+    plain = test_transport_parity.golden_chain_fleet()
+    assert test_transport_parity._chain_hash(plain) == test_transport_parity.GOLDEN_CHAIN_SHA256
 
     tracer = Tracer(capacity=10**6)
     counts: Counter = Counter()
@@ -133,19 +127,14 @@ def test_subscribers_change_nothing(monkeypatch):
     def count(node, kind, block, reason):
         counts[node.node_id, kind] += 1
 
-    def build_and_subscribe(*args, **kwargs):
-        ctx, nodes = build_and_keep(*args, **kwargs)
-        subscribe(nodes, tracer, count)
-        return ctx, nodes
-
-    monkeypatch.setattr(test_transport_parity, "build_mining_fleet", build_and_subscribe)
-    assert test_transport_parity._chain_hash() == test_transport_parity.GOLDEN_CHAIN_SHA256
-    ctx, nodes = fleets[1]
-    assert ctx.sim.events_processed == plain_events
+    stack = test_transport_parity.golden_chain_fleet()
+    subscribe(stack.nodes, tracer, count)
+    assert test_transport_parity._chain_hash(stack) == test_transport_parity.GOLDEN_CHAIN_SHA256
+    assert stack.sim.events_processed == plain.sim.events_processed
     assert tracer.dropped == 0
     traced = Counter((event.node_id, event.kind) for event in tracer.events())
     assert traced == counts
-    for node in nodes:
+    for node in stack.nodes:
         assert traced[node.node_id, "block/accepted"] == node.stats.blocks_accepted > 0
         assert traced[node.node_id, "block/rejected"] == node.stats.blocks_rejected
         assert traced[node.node_id, "block/produced"] == node.stats.blocks_produced

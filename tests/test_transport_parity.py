@@ -29,21 +29,24 @@ import pytest
 
 from repro.chaos.faults import ClockSkewFault, CrashFault, LinkFault, PartitionFault
 from repro.chaos.schedule import FaultPlan, plan_to_dict, random_fault_plan
+from repro.consensus.powfamily import MiningNode, themis_config
+from repro.core.difficulty import DifficultyParams
 from repro.live.clock import LiveClock
 from repro.live.manifest import localhost_manifest
 from repro.live.transport import TcpGossipTransport
 from repro.net.clock import Clock
+from repro.net.latency import LinkModel
 from repro.net.network import SimulatedNetwork
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
 from repro.net.transport import NetworkStats, Transport
 from repro.serde import from_json, to_json
 from repro.sim.cache import ResultCache
-from repro.sim.fleet import build_mining_fleet, run_fleet_to_height
+from repro.sim.fleet import SimStack, build_stack
 from repro.sim.runner import ExperimentConfig, run_experiment
 
 #: sha256 over the concatenated canonical bytes of the height-30 main chain
-#: of ``build_mining_fleet(n=6, seed=42, i0=2.0)``, re-captured at commit
+#: of :func:`golden_chain_fleet`, re-captured at commit
 #: ``19c69bd`` with the stdlib generator (see the module docstring) with
 #:
 #:   PYTHONPATH=src python -c "from tests.test_transport_parity import \
@@ -51,10 +54,17 @@ from repro.sim.runner import ExperimentConfig, run_experiment
 GOLDEN_CHAIN_SHA256 = "e420419645c9e1f2faf90a2a4c84eff64fea7cd1eddc4b128bb840a953ff693a"
 
 
-def _chain_hash() -> str:
-    ctx, nodes = build_mining_fleet(n=6, seed=42, i0=2.0)
-    run_fleet_to_height(ctx, nodes, height=30)
-    blob = b"".join(block.to_bytes() for block in nodes[0].main_chain())
+def golden_chain_fleet() -> SimStack[MiningNode]:
+    """Six Themis members mining a block every 2 s: the golden chain's fleet."""
+    link, params = LinkModel(jitter=0.01), DifficultyParams(i0=2.0)
+    return build_stack(MiningNode, [themis_config()] * 6, seed=42, link=link, params=params)
+
+
+def _chain_hash(stack: SimStack[MiningNode] | None = None) -> str:
+    """Mine the golden chain on ``stack`` (a fresh golden fleet by default)."""
+    stack = stack or golden_chain_fleet()
+    stack.run_to_height(30)
+    blob = b"".join(block.to_bytes() for block in stack.nodes[0].main_chain())
     return hashlib.sha256(blob).hexdigest()
 
 
