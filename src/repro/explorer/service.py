@@ -1,7 +1,7 @@
 """Explorer endpoint logic: request paths → JSON-ready payloads.
 
 Pure functions over a :class:`~repro.storage.sqlite.SqliteStorage`, kept
-free of ``http.server`` so the API surface is testable without sockets
+free of HTTP so the API surface is testable without sockets
 and reusable behind any transport.  The HTTP layer
 (:mod:`repro.explorer.http`) only routes, caches and serializes.
 

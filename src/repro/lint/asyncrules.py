@@ -38,14 +38,15 @@ def _thread_entries(record: "FileFacts", runner_bases: frozenset[str]) -> set[st
 
     Three recognizers, matching how this codebase (and the stdlib)
     spawn threads: ``Thread(target=fn)`` arguments, ``run()`` methods
-    of ``Thread`` subclasses, and ``do_*`` / ``run`` handler methods of
-    classes based on the threading HTTP server machinery.
+    of ``Thread`` subclasses, and ``handle`` / ``do_*`` / ``run``
+    methods of classes based on the threading ``socketserver`` and HTTP
+    server machinery.
     """
     entries = set(record.thread_targets)
     for klass in record.classes:
         if runner_bases.intersection(klass.bases):
             entries.update(
-                m for m in klass.methods if m == "run" or m.startswith("do_")
+                m for m in klass.methods if m in ("run", "handle") or m.startswith("do_")
             )
     return entries
 
@@ -160,11 +161,12 @@ class UnlockedSharedStateRule(Rule):
     """REP023 — state shared with a thread needs a lock on the thread side.
 
     A module global (via ``global``) or instance attribute written both
-    by a thread entry point (``Thread`` target, ``run()``, ``do_*``
-    handler) and by other code races unless the thread-side writes hold a
-    lock: torn updates are rare enough to survive testing and frequent
-    enough to corrupt a week-long run.  Constructor writes
-    (``__init__``-family) count as initialization, not sharing.
+    by a thread entry point (``Thread`` target, ``run()``, a handler's
+    ``handle()`` or ``do_*``) and by other code races unless the
+    thread-side writes hold a lock: torn updates are rare enough to
+    survive testing and frequent enough to corrupt a week-long run.
+    Constructor writes (``__init__``-family) count as initialization,
+    not sharing.
     """
 
     code = "REP023"

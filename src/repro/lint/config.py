@@ -132,15 +132,17 @@ class LintConfig:
     #: any resolved call under these blocks the loop.
     blocking_prefixes: tuple[str, ...] = ("sqlite3.", "requests.", "shutil.")
 
-    #: Class bases whose instances run on their own thread: a ``run`` or
-    #: ``do_*`` method of a subclass executes off the main thread
-    #: (REP023/REP024).
+    #: Class bases whose instances run on their own thread: a ``run``,
+    #: ``handle`` or ``do_*`` method of a subclass executes off the main
+    #: thread (REP023/REP024).
     thread_runner_bases: frozenset[str] = frozenset(
         {
             "Thread",
             "ThreadingMixIn",
             "ThreadingHTTPServer",
             "ThreadingTCPServer",
+            "BaseRequestHandler",
+            "StreamRequestHandler",
             "BaseHTTPRequestHandler",
             "SimpleHTTPRequestHandler",
         }

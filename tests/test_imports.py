@@ -198,8 +198,6 @@ def test_every_import_names_the_defining_module():
 #: Public names with no caller in ``src/``, ``benchmarks/`` or ``examples/``
 #: that stay anyway, each with its reason.
 CALLER_ALLOWLIST = {
-    "ExplorerHandler.do_GET": "http.server dispatches GET requests to it by name",
-    "ExplorerHandler.log_message": "http.server calls it to log each request",
     "BlockTree.leaves": "test observation: the tips a differential tree test compares",
     "Simulator.pending_events": "test observation: live events left in the heap",
     "SimulatedNetwork.uplink_backlog": "test observation: queued seconds on an uplink",

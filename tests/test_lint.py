@@ -1001,6 +1001,28 @@ def test_rep024_flags_unlocked_cross_thread_connection(tmp_path):
     assert "'conn'" in result.diagnostics[0].message
 
 
+def test_rep024_flags_unlocked_connection_in_stream_handler(tmp_path):
+    """A ``socketserver`` handler's ``handle()`` runs on the server's
+    per-connection thread, like ``do_GET`` on ``http.server``'s."""
+    result = run_lint(
+        tmp_path,
+        {
+            "src/repro/explorer/srv.py": """
+                import sqlite3
+                from socketserver import StreamRequestHandler
+
+                conn = sqlite3.connect("chain.db")
+
+                class Handler(StreamRequestHandler):
+                    def handle(self):
+                        conn.execute("select 1")
+            """
+        },
+    )
+    assert codes(result) == ["REP024"]
+    assert "handle()" in result.diagnostics[0].message
+
+
 def test_rep024_locked_or_thread_local_connection_is_clean(tmp_path):
     result = run_lint(
         tmp_path,
