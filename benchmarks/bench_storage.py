@@ -1,11 +1,12 @@
-"""Durable-storage benchmark: sqlite write throughput, snapshots, recovery.
+"""Durable-storage benchmark: sqlite write throughput, commit stalls, recovery.
 
 Times the :mod:`repro.storage` sqlite backend against a synthetic but
 structurally realistic chain (linear history, fixed transactions per
 block, producers cycling round-robin).  Blocks are unsigned — ECDSA
 costs ~0.25 ms per signature and ~0.6–1.7 ms per verification, which
-would blur the storage numbers this suite exists to isolate: batched ``INSERT`` throughput, snapshot cost,
-and cold-start recovery (newest snapshot + WAL-suffix replay).
+would blur the storage numbers this suite exists to isolate: batched ``INSERT`` throughput, the
+slowest commit (``commit_max_ms``), and cold-start recovery (a replay of
+every stored block row).
 
 Two grids:
 
@@ -62,19 +63,14 @@ class GridSpec:
     blocks: int
     txs_per_block: int
     commit_every: int
-    snapshot_interval: int
 
 
 GRIDS: dict[str, GridSpec] = {
     # The committed baseline: long enough that per-block cost dominates
-    # fixed costs, with several snapshots landing mid-run.
-    "standard": GridSpec(
-        blocks=2000, txs_per_block=20, commit_every=16, snapshot_interval=500
-    ),
+    # fixed costs.
+    "standard": GridSpec(blocks=2000, txs_per_block=20, commit_every=16),
     # Reduced shape for the CI smoke job.
-    "smoke": GridSpec(
-        blocks=300, txs_per_block=5, commit_every=16, snapshot_interval=100
-    ),
+    "smoke": GridSpec(blocks=300, txs_per_block=5, commit_every=16),
 }
 
 
@@ -117,24 +113,30 @@ def build_chain(spec: GridSpec) -> BlockTree:
 
 def bench_sqlite_write(tree: BlockTree, spec: GridSpec, db: Path) -> dict:
     """Record + commit the whole chain the way a node does: in batches."""
-    storage = SqliteStorage(
-        db, batch_size=spec.commit_every, snapshot_interval=spec.snapshot_interval
-    )
+    storage = SqliteStorage(db, batch_size=spec.commit_every)
     blocks = [b for b in tree.iter_blocks() if b.height > 0]
     head_id = blocks[-1].block_id
+    commit_max = 0.0
+
+    def commit(head: bytes, force: bool = False) -> None:
+        nonlocal commit_max
+        begin = time.perf_counter()
+        storage.commit(head, tree, force=force)
+        commit_max = max(commit_max, time.perf_counter() - begin)
+
     start = time.perf_counter()
     storage.ensure_genesis(tree.get(tree.genesis_id))
     for block in blocks:
         storage.record_block(block, float(block.height))
         if storage.should_commit():
-            storage.commit(block.block_id, tree)
-    storage.commit(head_id, tree, force=True)
+            commit(block.block_id)
+    commit(head_id, force=True)
     wall = time.perf_counter() - start
     record = {
         "wall_s": round(wall, 3),
         "blocks_per_s": round(len(blocks) / wall, 1),
         "txs_per_s": round(len(blocks) * spec.txs_per_block / wall, 1),
-        "snapshots": storage.snapshot_count(),
+        "commit_max_ms": round(commit_max * 1000, 1),
         "rows": storage.block_row_count(),
         "db_bytes": db.stat().st_size,
     }
@@ -177,16 +179,17 @@ def run_grid(grid: str, spec: GridSpec, workdir: Path) -> dict:
         ("sqlite write", sqlite_write),
         ("sqlite recover", sqlite_recover),
     ):
+        stall = record.get("commit_max_ms")
         print(
             f"  {label:<15} {record['wall_s']:7.3f}s  "
-            f"{record['blocks_per_s']:>9.1f} blocks/s",
+            f"{record['blocks_per_s']:>9.1f} blocks/s"
+            + ("" if stall is None else f"  slowest commit {stall:.1f} ms"),
             file=sys.stderr,
         )
     return {
         "blocks": spec.blocks,
         "txs_per_block": spec.txs_per_block,
         "commit_every": spec.commit_every,
-        "snapshot_interval": spec.snapshot_interval,
         "head": head.block_id.hex(),
         "build_s": round(build_wall, 3),
         "sqlite_write": sqlite_write,

@@ -256,7 +256,6 @@ def _cmd_run_node(args: argparse.Namespace) -> int:
     return node_main(
         manifest_path=args.manifest,
         node_id=args.node_id,
-        status_path=args.status,
         data_dir=args.data_dir,
         tx_rate=args.tx_rate,
         duration=args.duration,
@@ -360,9 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-id", type=int, required=True, help="this process's member id"
     )
     node_parser.add_argument(
-        "--status", type=str, default=None, help="periodic status JSON path"
-    )
-    node_parser.add_argument(
         "--tx-rate", type=float, default=0.0, help="submitted transactions per second"
     )
     node_parser.add_argument(
@@ -396,13 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     localnet_parser.add_argument("--seed", type=int, default=0, help="manifest seed")
     localnet_parser.add_argument(
-        "--workdir", type=str, default=None, help="keep manifest/status files here"
+        "--workdir",
+        type=str,
+        default=None,
+        help="keep the manifest here (and the chain databases without --data-dir)",
     )
     localnet_parser.add_argument(
         "--data-dir",
         type=str,
         default=None,
-        help="per-node durable chain databases live here (enables recovery)",
+        help="per-node chain databases live here and outlive the run (a rerun recovers)",
     )
     localnet_parser.add_argument(
         "--sign",

@@ -260,8 +260,8 @@ class MiningNode(ConsensusNode):
     def restore_from_storage(self) -> int:
         """Replay the persisted chain into consensus state before any sync.
 
-        Recovery rebuilds the block tree from the newest on-disk snapshot
-        plus incremental rows — never by re-downloading from genesis — and
+        Recovery rebuilds the block tree by replaying the stored block rows
+        in admission order — never by re-downloading from peers — and
         feeds it through :meth:`ConsensusChainState.add_block` with the
         *stored* arrival times, so GEOST's first-received tie-break state
         matches the pre-restart process.  Returns the recovered main-chain
@@ -435,12 +435,15 @@ class MiningNode(ConsensusNode):
         if not self.ctx.network.gossip_deliver(self.node_id, from_peer, message):
             return
         if message.kind == "block":
+            orphans = self.state.tree.orphan_count
             self._handle_block(message.payload)
             # A growing orphan buffer means we are missing a chain segment
             # (we were offline, or a partition healed): pull it from the
-            # peer that is feeding us the unknown branch.
+            # peer that is feeding us the unknown branch.  An orphan that
+            # merely stays buffered starts nothing: its parent may be on no
+            # peer's main chain, and re-syncing would never resolve it.
             if (
-                self.state.tree.orphan_count > 0
+                self.state.tree.orphan_count > orphans
                 and self.ctx.sim.now - self._last_sync_request > self.SYNC_COOLDOWN
             ):
                 self._last_sync_request = self.ctx.sim.now

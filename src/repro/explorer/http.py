@@ -37,7 +37,7 @@ bytes and a ``readline`` callable, usable without a socket.
 
 Run it with ``repro explorer --db <data-dir>/node-0.db`` against a live
 node's database (WAL mode lets the reader coexist with the writer), or
-point it at any snapshot-restored database offline.
+point it at a stopped node's database offline.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 Spawns one OS process per consortium member (each running the ``run-node``
 entry point against a shared manifest), drives a transaction workload, and
-watches the per-node status files until every node agrees on a common
-chain prefix of the requested height — the live-mode acceptance check for
-Prop. 1's convergence claim, measured in wall-clock time instead of
-simulated time.
+reads each node's chain database (read-only) until every node agrees on a
+common chain prefix of the requested height — the live-mode acceptance
+check for Prop. 1's convergence claim, measured in wall-clock time
+instead of simulated time.
 
 The report carries wall-clock TPS over the converged prefix, per-node
 heights, and whether teardown was clean.  Nothing here is deterministic —
@@ -16,20 +16,24 @@ simulated backend's byte-identical results.
 
 from __future__ import annotations
 
-import json
 import socket
+import sqlite3
 import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
 
-from repro.errors import ReproError
+from repro.errors import ReproError, StorageError
 from repro.live.manifest import localhost_manifest
+from repro.live.node_runner import storage_db_path
+from repro.storage.sqlite import SqliteStorage
 
-#: Seconds between status sweeps.
+#: One stored main chain as ``(block_id_hex, tx_count)`` from genesis up.
+Chain = list[tuple[str, int]]
+
+#: Seconds between database sweeps.
 POLL_INTERVAL = 0.2
 
 
@@ -50,11 +54,10 @@ class LocalnetConfig:
             smoke tests; the difficulty calibration works at any scale).
         seed: manifest master seed.
         degree: gossip overlay degree.
-        workdir: where the manifest and status files live (a temp dir when
-            None).
-        data_dir: directory for per-node durable chain databases (None
-            keeps every node in-memory, the pre-storage behavior).  Nodes
-            restarted against the same data dir recover from disk.
+        workdir: where the manifest lives (a temp dir when None).
+        data_dir: directory for the per-node chain databases, which then
+            outlive the run; nodes restarted against the same data dir
+            recover from disk.  None puts them in the workdir.
         sign_blocks / verify_signatures: real ECDSA on headers and
             transactions (``--sign``; a couple of milliseconds per block).
     """
@@ -92,8 +95,8 @@ class LocalnetReport:
     committed_txs: int
     node_heights: dict[int, int] = field(default_factory=dict)
     clean_shutdown: bool = True
-    #: Leaked WAL/journal/temp files found under ``data_dir`` after
-    #: teardown (always empty when storage is off or shutdown was clean).
+    #: Leaked WAL/journal files found beside the chain databases after
+    #: teardown (empty when shutdown was clean).
     leaked_files: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
@@ -125,21 +128,28 @@ def free_ports(count: int) -> list[int]:
             sock.close()
 
 
-def _read_status(path: Path) -> dict[str, Any] | None:
-    try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        # Not written yet, or mid-replace on a filesystem without atomic
-        # rename semantics; the next poll will see it.
-        return None
+def read_chain(db: Path) -> Chain | None:
+    """One node's stored main chain, or ``None`` while it is not readable.
 
-
-def common_prefix_height(chains: list[list[list[Any]]]) -> int:
-    """Highest height at which every chain holds the same block id.
-
-    Each chain is the status-file encoding: ``[[block_id_hex, tx_count],
-    ...]`` from genesis upward.
+    The read-only connection lives for this one read, so it never holds
+    the database when the node checkpoints it at shutdown.  A file not yet
+    created, or one whose schema is not yet written, is not ready.
     """
+    try:
+        reader = SqliteStorage(db, read_only=True)
+    except (StorageError, sqlite3.DatabaseError):
+        return None
+    try:
+        page = reader.blocks_page(None, reader.tip_height() + 1)
+    except sqlite3.DatabaseError:
+        return None
+    finally:
+        reader.close()
+    return [(record["block_id"], record["tx_count"]) for record in reversed(page)]
+
+
+def common_prefix_height(chains: list[Chain]) -> int:
+    """Highest height at which every chain holds the same block id."""
     if not chains:
         return 0
     depth = min(len(chain) for chain in chains)
@@ -171,9 +181,7 @@ def run_localnet(config: LocalnetConfig) -> LocalnetReport:
             )
         manifest_path = workdir / "manifest.json"
         manifest.save(manifest_path)
-        status_paths = {
-            i: workdir / f"status-{i}.json" for i in range(config.nodes)
-        }
+        data_dir = Path(config.data_dir) if config.data_dir is not None else workdir
 
         processes: dict[int, subprocess.Popen[bytes]] = {}
         try:
@@ -182,18 +190,16 @@ def run_localnet(config: LocalnetConfig) -> LocalnetReport:
                     node_command(
                         manifest_path=manifest_path,
                         node_id=i,
-                        status_path=status_paths[i],
                         tx_rate=config.tx_rate,
                         duration=config.deadline + 30.0,
-                        data_dir=config.data_dir,
+                        data_dir=str(data_dir),
                     ),
                 )
-            report = _watch(config, processes, status_paths)
+            report = _watch(config, processes, data_dir)
         finally:
             report_clean = _teardown(processes)
         report.clean_shutdown = report_clean
-        if config.data_dir is not None:
-            report.leaked_files = storage_turds(config.data_dir)
+        report.leaked_files = storage_turds(data_dir)
         return report
 
 
@@ -201,7 +207,6 @@ def node_command(
     *,
     manifest_path: str | Path,
     node_id: int,
-    status_path: str | Path,
     tx_rate: float,
     duration: float,
     data_dir: str | None = None,
@@ -216,8 +221,6 @@ def node_command(
         str(manifest_path),
         "--node-id",
         str(node_id),
-        "--status",
-        str(status_path),
         "--tx-rate",
         str(tx_rate),
         "--duration",
@@ -232,7 +235,7 @@ def storage_turds(data_dir: str | Path) -> list[str]:
     """Journal/WAL leftovers that a clean storage shutdown must not leave."""
     directory = Path(data_dir)
     leftovers = []
-    for pattern in ("*-wal", "*-shm", "*-journal", "*.tmp"):
+    for pattern in ("*-wal", "*-shm", "*-journal"):
         leftovers.extend(sorted(str(p) for p in directory.glob(pattern)))
     return leftovers
 
@@ -240,12 +243,12 @@ def storage_turds(data_dir: str | Path) -> list[str]:
 def _watch(
     config: LocalnetConfig,
     processes: dict[int, subprocess.Popen[bytes]],
-    status_paths: dict[int, Path],
+    data_dir: Path,
 ) -> LocalnetReport:
-    """Poll status files until convergence or the deadline."""
+    """Read the nodes' chain databases until convergence or the deadline."""
     start = time.monotonic()
     best_height = 0
-    statuses: dict[int, dict[str, Any]] = {}
+    chains: dict[int, Chain] = {}
     while time.monotonic() - start < config.deadline:
         for node_id, process in sorted(processes.items()):
             code = process.poll()
@@ -253,19 +256,15 @@ def _watch(
                 raise LocalnetError(
                     f"node {node_id} exited early with code {code}"
                 )
-        for node_id, path in sorted(status_paths.items()):
-            record = _read_status(path)
-            if record is not None:
-                statuses[node_id] = record
-        if len(statuses) == len(processes):
-            chains = [statuses[i]["chain"] for i in sorted(statuses)]
-            best_height = common_prefix_height(chains)
+            chain = read_chain(storage_db_path(data_dir, node_id))
+            if chain:
+                chains[node_id] = chain
+        if len(chains) == len(processes):
+            best_height = common_prefix_height([chains[i] for i in sorted(chains)])
             if best_height >= config.target_height:
                 elapsed = time.monotonic() - start
-                reference = statuses[min(statuses)]["chain"]
-                committed = sum(
-                    int(entry[1]) for entry in reference[1 : best_height + 1]
-                )
+                reference = chains[min(chains)]
+                committed = sum(count for _, count in reference[1 : best_height + 1])
                 return LocalnetReport(
                     converged=True,
                     common_height=best_height,
@@ -273,9 +272,7 @@ def _watch(
                     elapsed=elapsed,
                     tps=committed / elapsed if elapsed > 0 else 0.0,
                     committed_txs=committed,
-                    node_heights={
-                        i: int(statuses[i]["height"]) for i in sorted(statuses)
-                    },
+                    node_heights=_heights(chains),
                 )
         time.sleep(POLL_INTERVAL)
     return LocalnetReport(
@@ -285,8 +282,12 @@ def _watch(
         elapsed=time.monotonic() - start,
         tps=0.0,
         committed_txs=0,
-        node_heights={i: int(s["height"]) for i, s in sorted(statuses.items())},
+        node_heights=_heights(chains),
     )
+
+
+def _heights(chains: dict[int, Chain]) -> dict[int, int]:
+    return {node_id: len(chain) - 1 for node_id, chain in sorted(chains.items())}
 
 
 def _teardown(processes: dict[int, subprocess.Popen[bytes]]) -> bool:

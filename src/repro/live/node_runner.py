@@ -7,20 +7,19 @@ mempool, ledger and governance contract — over the live backends: the
 byte-for-byte the same code the simulator drives; only the two injected
 backends differ.
 
-The process periodically writes an atomic JSON status file (chain ids,
-heights, counters) that the :mod:`~repro.live.localnet` driver polls to
-measure convergence and TPS, and it exits cleanly on SIGTERM.
+With a data dir, the node's chain database is its one durable record:
+the process recovers from it before talking to peers, and the
+:mod:`~repro.live.localnet` driver reads it (read-only) to measure
+convergence and TPS.  The process exits cleanly on SIGTERM, flushing and
+checkpointing the database.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
-import os
 import signal
 from pathlib import Path
-from typing import Any
 
 from repro.consensus.base import consortium_context
 from repro.errors import InvalidTransactionError
@@ -30,7 +29,6 @@ from repro.live.transport import TcpGossipTransport
 from repro.node.config import FullNodeConfig
 from repro.node.node import FullNode
 from repro.rng import below, exponential
-from repro.serde import to_json
 from repro.storage.sqlite import SqliteStorage
 
 
@@ -39,45 +37,12 @@ def storage_db_path(data_dir: str | Path, node_id: int) -> Path:
     return Path(data_dir) / f"node-{node_id}.db"
 
 
-def write_status(path: str | Path, record: dict[str, Any]) -> None:
-    """Atomically replace the status file (pollers never see half a write)."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(record, sort_keys=True))
-    os.replace(tmp, path)
-
-
-def node_status(node: FullNode, now: float, recovered_height: int = 0) -> dict[str, Any]:
-    """Snapshot one node's chain for the localnet driver."""
-    chain = node.main_chain()
-    return {
-        "node_id": node.node_id,
-        "time": now,
-        "height": node.state.height(),
-        "head": node.state.head_id.hex(),
-        "chain": [[block.block_id.hex(), len(block.transactions)] for block in chain],
-        "mempool": len(node.mempool),
-        "blocks_produced": node.stats.blocks_produced,
-        "blocks_accepted": node.stats.blocks_accepted,
-        "reorgs": node.stats.reorgs,
-        "network": to_json(node.ctx.network.stats),
-        # Recovery observability: a restarted node proves it replayed from
-        # disk (not from peers) when recovered_height is high and the sync
-        # counters show only the missed suffix being fetched (far fewer
-        # ``blocks_received`` than its chain height).
-        "recovered_height": recovered_height,
-        "sync": to_json(node.sync.stats),
-    }
-
-
 async def run_node(
     *,
     manifest: ConsortiumManifest,
     node_id: int,
-    status_path: str | Path | None = None,
     data_dir: str | Path | None = None,
     tx_rate: float = 0.0,
-    status_interval: float = 0.25,
     connect_timeout: float = 10.0,
     duration: float | None = None,
     stop_event: asyncio.Event | None = None,
@@ -87,14 +52,12 @@ async def run_node(
     Args:
         manifest: the shared consortium manifest.
         node_id: this process's member id.
-        status_path: where to drop periodic status JSON (None disables).
         data_dir: directory for the durable chain database (None keeps the
             chain in memory only).  With a data dir, the process recovers
             its persisted chain before talking to peers, then syncs only
             the suffix it missed while down.
         tx_rate: submitted transactions per second (Poisson arrivals, paid
             to uniformly drawn other members); 0 disables the workload.
-        status_interval: seconds between status writes.
         connect_timeout: seconds to wait for overlay neighbors before
             starting anyway (a late-starting cluster must not deadlock).
         duration: optional hard runtime cap in seconds.
@@ -126,7 +89,7 @@ async def run_node(
         storage = SqliteStorage(storage_db_path(data_dir, node_id))
         node.attach_storage(storage)
         # Recover from disk BEFORE any peer contact: the chain replays from
-        # the local snapshot + incremental rows, and the sync below only
+        # the stored block rows, and the sync below only
         # fetches whatever the cluster mined while this process was down.
         recovered_height = node.restore_from_storage()
 
@@ -158,25 +121,15 @@ async def run_node(
             with contextlib.suppress(InvalidTransactionError):
                 node.pay(recipient, 1)
 
-    async def status_writer(path: str | Path) -> None:
-        while True:
-            write_status(path, node_status(node, clock.now, recovered_height))
-            await asyncio.sleep(status_interval)
-
     def abort_on_crash(task: asyncio.Task[None]) -> None:
         # A crashed background task must stop the node loudly: a silently
-        # dead status writer looks exactly like a hung node to the driver,
-        # and a dead workload skews every TPS figure downstream.
+        # dead workload skews every TPS figure downstream.
         if not task.cancelled() and task.exception() is not None:
             stop_event.set()
 
     tasks: list[asyncio.Task[None]] = []
     if tx_rate > 0:
         tasks.append(loop.create_task(workload(), name=f"workload-{node_id}"))
-    if status_path is not None:
-        tasks.append(
-            loop.create_task(status_writer(status_path), name=f"status-{node_id}")
-        )
     for task in tasks:
         task.add_done_callback(abort_on_crash)
 
@@ -205,20 +158,9 @@ async def run_node(
             # teardown asserts no -wal/-shm files survive this.
             storage.commit(node.state.head_id, node.state.tree, force=True)
             storage.close()
-        if status_path is not None:
-            try:
-                write_status(
-                    status_path, node_status(node, clock.now, recovered_height)
-                )
-            except OSError:
-                # An unwritable status path is very likely what killed the
-                # status writer in the first place; the crash report below
-                # carries that cause, so don't let this write mask it.
-                if not crashed:
-                    raise
     if crashed:
         # Re-raise after the clean shutdown so the failure is loud AND the
-        # database/status file still reflect a properly flushed node.
+        # database still reflects a properly flushed node.
         name, exc = crashed[0]
         raise RuntimeError(f"background task {name!r} crashed") from exc
     return node
@@ -228,7 +170,6 @@ def main(
     *,
     manifest_path: str,
     node_id: int,
-    status_path: str | None = None,
     data_dir: str | None = None,
     tx_rate: float = 0.0,
     duration: float | None = None,
@@ -239,7 +180,6 @@ def main(
         run_node(
             manifest=manifest,
             node_id=node_id,
-            status_path=status_path,
             data_dir=data_dir,
             tx_rate=tx_rate,
             duration=duration,

@@ -20,21 +20,20 @@ Schema (see ``docs/storage.md`` for the full matrix):
 * ``canon`` — the main chain as a height → block-id map, updated
   incrementally on commit (O(reorg depth), not O(height)); indexed by
   block id for the produced-blocks count.
-* ``snapshots`` — periodic full-tree dumps through the canonical
-  :mod:`repro.chain.store` codec; recovery loads the newest one and
-  replays only the blocks recorded after it.
 * ``meta`` — genesis binding, stored head, member set, generation
   counter.
 
-This is schema v2 (:data:`SCHEMA_VERSION`).  v1 had no ``txs.height`` and
-sender / recipient indexes on the address alone; a v1 file is refused at
-open, before anything is written to it.  There is no migration: a node
-rebuilds its store by syncing from its peers into a fresh file.
+The ``blocks`` rows are the node's one durable record of its tree:
+:meth:`SqliteStorage.recover` replays them in ``seq`` order, with their
+stored arrival times, into a fresh :class:`~repro.chain.blocktree.BlockTree`.
+Block and transaction rows are never dropped (archival store).
 
-Snapshot policy: every ``snapshot_interval`` heights the whole tree is
-snapshotted and older snapshots beyond the newest :data:`KEEP_SNAPSHOTS`
-are deleted.  Block and transaction rows are never dropped (archival
-store).
+This is schema v3 (:data:`SCHEMA_VERSION`).  v2 also kept periodic
+full-tree dumps in a table of their own and indexed ``txs`` by block id
+alone; v1 had no ``txs.height`` and sender / recipient indexes on the
+address alone.  A file of another version is refused at open, before
+anything is written to it.  There is no migration: a node rebuilds its
+store by syncing from its peers into a fresh file.
 
 Storage is **off by default**: a node writes here only through the write
 policy :meth:`~repro.consensus.powfamily.MiningNode.attach_storage`
@@ -51,14 +50,10 @@ from typing import Any
 
 from repro.chain.block import Block
 from repro.chain.blocktree import BlockTree
-from repro.chain.store import deserialize_tree, serialize_tree
-from repro.errors import DuplicateBlockError, StorageError
+from repro.errors import StorageError
 
 #: Schema version stamped into ``meta``; mismatches refuse to open.
-SCHEMA_VERSION = 2
-
-#: Snapshots retained after each new one.
-KEEP_SNAPSHOTS = 2
+SCHEMA_VERSION = 3
 
 _META = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -95,18 +90,12 @@ CREATE TABLE IF NOT EXISTS txs (
 ) WITHOUT ROWID;
 CREATE INDEX IF NOT EXISTS txs_sender ON txs(sender, height, position);
 CREATE INDEX IF NOT EXISTS txs_recipient ON txs(recipient, height, position);
-CREATE INDEX IF NOT EXISTS txs_block ON txs(block_id);
+CREATE INDEX IF NOT EXISTS txs_block ON txs(block_id, position);
 CREATE TABLE IF NOT EXISTS canon (
     height   INTEGER PRIMARY KEY,
     block_id BLOB NOT NULL
 );
 CREATE INDEX IF NOT EXISTS canon_block ON canon(block_id);
-CREATE TABLE IF NOT EXISTS snapshots (
-    snap_seq   INTEGER PRIMARY KEY,
-    height     INTEGER NOT NULL,
-    generation INTEGER NOT NULL,
-    data       BLOB NOT NULL
-);
 """
 
 
@@ -122,8 +111,9 @@ class SqliteStorage:
         path: database file location (parents created as needed).
         batch_size: commits also fire automatically once this many blocks
             are buffered, bounding data loss between head advances.
-        snapshot_interval: heights between full-tree snapshots.
         read_only: open the database for the read tier only.
+        snapshot_interval: accepted and ignored; it goes once
+            ``benchmarks/spine/store_workload.py`` stops passing it.
     """
 
     def __init__(
@@ -131,16 +121,13 @@ class SqliteStorage:
         path: str | Path,
         *,
         batch_size: int = 64,
-        snapshot_interval: int = 256,
         read_only: bool = False,
+        snapshot_interval: int | None = None,
     ) -> None:
         if batch_size < 1:
             raise StorageError("batch_size must be >= 1")
-        if snapshot_interval < 1:
-            raise StorageError("snapshot_interval must be >= 1")
         self.path = Path(path)
         self.batch_size = batch_size
-        self.snapshot_interval = snapshot_interval
         self.read_only = read_only
         self._pending: list[tuple[Block, float]] = []
         self._head_hex: str | None = None
@@ -151,16 +138,22 @@ class SqliteStorage:
                 f"file:{self.path}?mode=ro", uri=True, check_same_thread=False
             )
             self._conn.execute("PRAGMA busy_timeout=2000")
-            self._check_schema_version()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._conn = sqlite3.connect(self.path, check_same_thread=False)
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute("PRAGMA busy_timeout=2000")
             with self._conn:
                 self._conn.execute(_META)
+        try:
             self._check_schema_version()
+        except BaseException:
+            self._conn.close()
+            raise
+        if not read_only:
+            # Only a file of this version is switched to WAL and given
+            # tables: a refused file is left byte for byte as it was.
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
             with self._conn:
                 self._conn.executescript(_SCHEMA)
         self._closed = False
@@ -238,8 +231,8 @@ class SqliteStorage:
     def commit(self, head_id: bytes, tree: BlockTree, *, force: bool = False) -> None:
         """Land the buffered batch and the new head in one transaction.
 
-        ``tree`` is the node's live block tree: the store uses it for parent
-        walks and periodic full snapshots without keeping its own copy.
+        ``tree`` is the node's live block tree: the store walks its parent
+        links to re-point ``canon`` without keeping its own copy.
         ``force`` also lands a no-op commit (the shutdown path).
         """
         self._assert_writable()
@@ -253,7 +246,6 @@ class SqliteStorage:
             self._meta_set("head_id", head_hex)
             self._bump_generation()
             self._head_hex = head_hex
-            self._maybe_snapshot(tree)
 
     def should_commit(self) -> bool:
         """True once the buffered batch hit ``batch_size``."""
@@ -333,78 +325,27 @@ class SqliteStorage:
         current = int(self._meta_get("generation") or "0")
         self._meta_set("generation", str(current + 1))
 
-    def _maybe_snapshot(self, tree: BlockTree) -> None:
-        """Apply the snapshot policy after a batch landed."""
-        tip = tree.max_height()
-        last = max(self.last_snapshot_height(), 0)
-        if tip - last < self.snapshot_interval:
-            return
-        row = self._conn.execute("SELECT MAX(seq) FROM blocks").fetchone()
-        snap_seq = int(row[0]) if row and row[0] is not None else 0
-        generation = int(self._meta_get("generation") or "0")
-        self._conn.execute(
-            "INSERT OR REPLACE INTO snapshots (snap_seq, height, generation, data) "
-            "VALUES (?, ?, ?, ?)",
-            (snap_seq, tip, generation, serialize_tree(tree)),
-        )
-        self._conn.execute(
-            "DELETE FROM snapshots WHERE snap_seq NOT IN "
-            "(SELECT snap_seq FROM snapshots ORDER BY snap_seq DESC LIMIT ?)",
-            (KEEP_SNAPSHOTS,),
-        )
-
-    def last_snapshot_height(self) -> int:
-        """Height of the newest stored snapshot, or -1 when none exists."""
-        row = self._conn.execute("SELECT MAX(height) FROM snapshots").fetchone()
-        return int(row[0]) if row and row[0] is not None else -1
-
-    def snapshot_count(self) -> int:
-        row = self._conn.execute("SELECT COUNT(*) FROM snapshots").fetchone()
-        return int(row[0])
-
     def block_row_count(self) -> int:
         row = self._conn.execute("SELECT COUNT(*) FROM blocks").fetchone()
         return int(row[0])
 
     def recover(self, finality_window: int | None = 32) -> BlockTree | None:
-        """Rebuild the tree: newest snapshot + incremental replay above it.
+        """Rebuild the tree by replaying every block row in ``seq`` order.
 
-        Never replays from genesis once a snapshot exists.  Returns ``None``
-        for an empty store.
+        Rows were recorded in the order blocks entered the node's tree, each
+        after its parent, so the replay reproduces insertion order, arrival
+        times, children order and subtree statistics.  Returns ``None`` for
+        an empty store.
         """
-        if self._meta_get("genesis_id") is None:
-            return None
-        snapshot = self._conn.execute(
-            "SELECT snap_seq, data FROM snapshots ORDER BY snap_seq DESC LIMIT 1"
-        ).fetchone()
-        if snapshot is not None:
-            cutoff_seq = int(snapshot[0])
-            tree = deserialize_tree(
-                bytes(snapshot[1]), finality_window=finality_window
-            )
-        else:
-            genesis_row = self._conn.execute(
-                "SELECT seq, data FROM blocks WHERE height = 0 ORDER BY seq LIMIT 1"
-            ).fetchone()
-            if genesis_row is None:
-                return None
-            cutoff_seq = int(genesis_row[0])
-            tree = BlockTree(
-                Block.from_bytes(bytes(genesis_row[1])),
-                finality_window=finality_window,
-            )
         rows = self._conn.execute(
-            "SELECT data, arrival_time FROM blocks WHERE seq > ? ORDER BY seq",
-            (cutoff_seq,),
+            "SELECT data, arrival_time FROM blocks ORDER BY seq"
         )
+        first = rows.fetchone()
+        if first is None:
+            return None
+        tree = BlockTree(Block.from_bytes(bytes(first[0])), finality_window=finality_window)
         for data, arrival in rows:
-            block = Block.from_bytes(bytes(data))
-            try:
-                tree.add_block(block, float(arrival))
-            except DuplicateBlockError:
-                # A block can sit both inside the snapshot and in a row
-                # committed just after it; the snapshot copy wins.
-                continue
+            tree.add_block(Block.from_bytes(bytes(data)), float(arrival))
         return tree
 
     def close(self) -> None:

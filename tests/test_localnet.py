@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import sqlite3
 
 import pytest
 
@@ -13,7 +14,9 @@ from repro.live.localnet import (
     LocalnetError,
     common_prefix_height,
     free_ports,
+    read_chain,
     run_localnet,
+    storage_turds,
 )
 from repro.live.manifest import (
     ConsortiumManifest,
@@ -21,7 +24,11 @@ from repro.live.manifest import (
     localhost_manifest,
 )
 from repro.live.node_runner import run_node
+from repro.node.node import FullNode
 from repro.sim.fleet import build_stack
+from repro.storage.sqlite import SqliteStorage
+
+from tests.conftest import TreeBuilder
 
 
 class TestManifest:
@@ -91,26 +98,58 @@ class TestDriverPieces:
         assert common_prefix_height([[["g", 0]], a]) == 0
 
 
+class TestReadChain:
+    def test_missing_file_or_schema_is_not_ready(self, tmp_path):
+        assert read_chain(tmp_path / "absent.db") is None
+        (tmp_path / "empty.db").write_bytes(b"")
+        assert read_chain(tmp_path / "empty.db") is None
+        conn = sqlite3.connect(tmp_path / "meta-only.db")
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+        conn.close()
+        assert read_chain(tmp_path / "meta-only.db") is None
+
+    def test_reads_the_main_chain_and_lets_go(self, tmp_path, genesis):
+        """The stored main chain from genesis up; the read-only connection
+        is closed again, so the writer's close checkpoints and removes the
+        WAL."""
+        builder = TreeBuilder(genesis)
+        main = builder.chain(genesis, [0, 1, 2])
+        builder.extend(main[0], 3)  # a side branch, not on the main chain
+        db = tmp_path / "node-0.db"
+        writer = SqliteStorage(db)
+        writer.ensure_genesis(genesis)
+        for block in list(builder.tree.iter_blocks())[1:]:
+            writer.record_block(block, builder.tree.arrival_time(block.block_id))
+        writer.commit(main[-1].block_id, builder.tree)
+        assert read_chain(db) == [(b.block_id.hex(), 0) for b in [genesis, *main]]
+        writer.close()
+        assert storage_turds(tmp_path) == []
+
+
 class TestBackgroundTaskCrash:
-    def test_status_writer_crash_stops_node_loudly(self, tmp_path):
-        # An unwritable status path kills the status-writer task on its
-        # first write.  The node must abort promptly (not sit out the full
+    def test_workload_crash_stops_node_loudly(self, monkeypatch):
+        # A payment that raises kills the workload task on its first
+        # submission.  The node must abort promptly (not sit out the full
         # duration looking hung) and re-raise with the task name and the
         # original cause chained, after a clean shutdown.
         # Two-peer manifest but only node 0 runs: the short connect_timeout
         # lets it start alone, so the test needs no second process.
+        def broken_pay(self, recipient, amount):
+            raise RuntimeError("payment path broke")
+
+        monkeypatch.setattr(FullNode, "pay", broken_pay)
         manifest = localhost_manifest(ports=free_ports(2))
-        with pytest.raises(RuntimeError, match="'status-0' crashed") as excinfo:
+        with pytest.raises(RuntimeError, match="'workload-0' crashed") as excinfo:
             asyncio.run(
                 run_node(
                     manifest=manifest,
                     node_id=0,
-                    status_path=tmp_path / "missing-dir" / "status.json",
+                    tx_rate=50.0,
                     connect_timeout=0.2,
                     duration=10.0,
                 )
             )
-        assert isinstance(excinfo.value.__cause__, FileNotFoundError)
+        assert str(excinfo.value.__cause__) == "payment path broke"
 
 
 class TestEndToEnd:

@@ -251,9 +251,12 @@ class TestForgedPosition:
         assert node.state.head_block().height == node.state.height() == parent.height + 1
 
 
-def _stopped_fleet():
-    """Four Themis nodes stopped at height 5 (epoch 0 lasts 32 heights)."""
+def _stopped_fleet(storage: SqliteStorage | None = None):
+    """Four Themis nodes stopped at height 5 (epoch 0 lasts 32 heights);
+    ``storage``, if given, is attached to node 0 before the run."""
     stack = build_stack(MiningNode, [themis_config()] * 4, seed=3, link=LinkModel(jitter=0.01))
+    if storage is not None:
+        stack.nodes[0].attach_storage(storage)
     stack.run_to_height(5)
     for node in stack.nodes:
         node.stop()
@@ -408,6 +411,38 @@ class TestCopies:
         assert node.stats.blocks_rejected == 1  # the tampered one
         assert node.state.head_block() is held
         assert node.tree.get(held.block_id) is held
+
+
+class TestOrphanTriggeredSync:
+    def test_a_lingering_orphan_starts_one_sync(self, monkeypatch):
+        """A delivery that grows the orphan buffer starts a sync; later
+        deliveries, cooldowns apart, while that orphan merely stays buffered
+        start none.  At the parent commit every delivery past the cooldown
+        started another sync, for as long as an orphan whose parent no
+        peer's main chain holds stayed in the buffer."""
+        stack = _stopped_fleet()
+        node = stack.nodes[0]
+        syncs: list[int | None] = []
+        monkeypatch.setattr(node.sync, "start_sync", syncs.append)
+        head = node.state.head_block()
+        unheld = _block_on(node.state, head, stack.nodes[1].keypair)
+        orphan = _block_on(node.state, unheld, stack.nodes[2].keypair)
+        arrivals = [orphan]
+        parent = head
+        for index in range(4):
+            parent = _block_on(node.state, parent, stack.nodes[index % 2 + 2].keypair)
+            arrivals.append(parent)
+        for step, block in enumerate(arrivals, start=1):
+            stack.sim.schedule_at(
+                stack.sim.now + step * 2 * node.SYNC_COOLDOWN,
+                lambda block=block: node.on_message(
+                    Message(kind="block", payload=block, body_size=0, origin=1), 1
+                ),
+            )
+        stack.sim.run()
+        assert node.tree.orphan_count == 1
+        assert node.state.head_block() is arrivals[-1]
+        assert syncs == [1]
 
 
 class TestSharedFacts:

@@ -93,46 +93,46 @@ class TestSqliteWriteAndRecover:
         assert storage.recover() is None
         storage.close()
 
-    def test_recover_uses_snapshot_then_incremental_rows(
+    def test_recover_replays_rows_to_the_tip(
         self, tmp_path: Path, genesis: Block
     ) -> None:
+        """Rows landed by two commits replay into one tree up to the tip."""
         builder = TreeBuilder(genesis)
-        storage = SqliteStorage(tmp_path / "chain.db", snapshot_interval=4)
+        storage = SqliteStorage(tmp_path / "chain.db")
         storage.ensure_genesis(genesis)
         parent = genesis
-        for index in range(4):
-            parent = builder.extend(parent, index % 3)
-            storage.record_block(parent, builder.tree.arrival_time(parent.block_id))
-        storage.commit(parent.block_id, builder.tree)
-        assert storage.last_snapshot_height() == 4
-        # Blocks after the snapshot land as incremental rows only.
-        for index in range(3):
-            parent = builder.extend(parent, index % 3)
-            storage.record_block(parent, builder.tree.arrival_time(parent.block_id))
-        storage.commit(parent.block_id, builder.tree)
-        assert storage.last_snapshot_height() == 4  # interval not reached again
+        for batch in (4, 3):
+            for index in range(batch):
+                parent = builder.extend(parent, index % 3)
+                storage.record_block(parent, builder.tree.arrival_time(parent.block_id))
+            storage.commit(parent.block_id, builder.tree)
         recovered = storage.recover()
         assert recovered is not None
         assert recovered.max_height() == 7
+        assert [b.block_id for b in recovered.iter_blocks()] == [
+            b.block_id for b in builder.tree.iter_blocks()
+        ]
         storage.close()
 
-    def test_recover_keeps_blocks_that_were_orphans_at_snapshot_time(
+    def test_recover_keeps_blocks_that_were_orphans_at_a_commit(
         self, tmp_path: Path, genesis: Block
     ) -> None:
+        """A block buffered while a commit lands is recorded when its parent
+        arrives, after it, and recovery places it under that parent."""
         source = TreeBuilder(genesis)
         a = source.extend(genesis, 0)
         b = source.extend(a, 1)
         c = source.extend(b, 2)
         d = source.extend(a, 2)
         live = BlockTree(genesis)
-        storage = SqliteStorage(tmp_path / "chain.db", snapshot_interval=2)
+        storage = SqliteStorage(tmp_path / "chain.db")
         storage.ensure_genesis(genesis)
         for block in (a, c, d):  # c arrives before its parent b
             live.add_block(block, source.tree.arrival_time(block.block_id))
         for block in (a, d):  # recorded as admitted: c waits for b
             storage.record_block(block, source.tree.arrival_time(block.block_id))
         storage.commit(d.block_id, live)
-        assert storage.snapshot_count() == 1 and live.orphan_count == 1
+        assert live.orphan_count == 1
         live.add_block(b, source.tree.arrival_time(b.block_id))
         for block in (b, c):
             storage.record_block(block, source.tree.arrival_time(block.block_id))
@@ -143,21 +143,19 @@ class TestSqliteWriteAndRecover:
         assert recovered.has_block(c.block_id)
         storage.close()
 
-    def test_snapshot_retention(self, tmp_path: Path, genesis: Block) -> None:
+    def test_rows_are_never_dropped(self, tmp_path: Path, genesis: Block) -> None:
         builder = TreeBuilder(genesis)
-        storage = SqliteStorage(tmp_path / "chain.db", snapshot_interval=2)
+        storage = SqliteStorage(tmp_path / "chain.db")
         storage.ensure_genesis(genesis)
         parent = genesis
         for _ in range(10):
             parent = builder.extend(parent, 0)
             storage.record_block(parent, builder.tree.arrival_time(parent.block_id))
             storage.commit(parent.block_id, builder.tree)
-        assert storage.snapshot_count() == 2
-        assert storage.last_snapshot_height() == 10
-        # Rows are never dropped: every height is served in full.
-        assert storage.block_by_height(1) is not None
-        assert storage.block_by_height(1)["height"] == 1
-        # Recovery reaches the tip via the snapshot.
+        assert storage.block_row_count() == 11
+        for height in range(11):
+            record = storage.block_by_height(height)
+            assert record is not None and record["height"] == height
         recovered = storage.recover()
         assert recovered is not None
         assert recovered.max_height() == 10
@@ -233,31 +231,40 @@ class TestSqliteGuards:
 
     def test_version_1_file_is_refused_untouched(self, tmp_path: Path) -> None:
         """A file in the v1 layout (no ``txs.height``, address-only indexes)
-        is refused at open by writer and reader alike, before the v2 schema
+        is refused at open by writer and reader alike, before the v3 schema
         script adds anything to it."""
-        db = tmp_path / "chain.db"
-        conn = sqlite3.connect(db)
-        with conn:
-            conn.executescript(
-                "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
-                "INSERT INTO meta VALUES ('schema_version', '1'), ('generation', '0');"
-                "CREATE TABLE txs (tx_id BLOB NOT NULL, block_id BLOB NOT NULL, "
-                "position INTEGER NOT NULL, sender BLOB NOT NULL, "
-                "recipient BLOB NOT NULL, amount INTEGER NOT NULL, "
-                "nonce INTEGER NOT NULL, PRIMARY KEY (tx_id, block_id)) WITHOUT ROWID;"
-                "CREATE INDEX txs_sender ON txs(sender);"
-                "CREATE TABLE canon (height INTEGER PRIMARY KEY, block_id BLOB NOT NULL);"
-            )
-        schema = conn.execute("SELECT name FROM sqlite_master ORDER BY name").fetchall()
-        conn.close()
-        assert SCHEMA_VERSION == 2
-        with pytest.raises(StorageError, match="schema v1, this build speaks v2"):
-            SqliteStorage(db)
-        with pytest.raises(StorageError, match="schema v1"):
-            SqliteStorage(db, read_only=True)
-        conn = sqlite3.connect(db)
-        assert conn.execute("SELECT name FROM sqlite_master ORDER BY name").fetchall() == schema
-        conn.close()
+        assert_refused_untouched(
+            tmp_path / "chain.db",
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+            "INSERT INTO meta VALUES ('schema_version', '1'), ('generation', '0');"
+            "CREATE TABLE txs (tx_id BLOB NOT NULL, block_id BLOB NOT NULL, "
+            "position INTEGER NOT NULL, sender BLOB NOT NULL, "
+            "recipient BLOB NOT NULL, amount INTEGER NOT NULL, "
+            "nonce INTEGER NOT NULL, PRIMARY KEY (tx_id, block_id)) WITHOUT ROWID;"
+            "CREATE INDEX txs_sender ON txs(sender);"
+            "CREATE TABLE canon (height INTEGER PRIMARY KEY, block_id BLOB NOT NULL);",
+            version=1,
+        )
+
+    def test_version_2_file_is_refused_untouched(self, tmp_path: Path) -> None:
+        """A v2 file (a WAL database with a ``snapshots`` table and
+        ``txs_block`` on the block id alone) is refused by writer and
+        reader alike and stays byte for byte as it was."""
+        assert_refused_untouched(
+            tmp_path / "chain.db",
+            "PRAGMA journal_mode=WAL;"
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+            "INSERT INTO meta VALUES ('schema_version', '2'), ('generation', '0');"
+            "CREATE TABLE txs (tx_id BLOB NOT NULL, block_id BLOB NOT NULL, "
+            "height INTEGER NOT NULL, position INTEGER NOT NULL, "
+            "sender BLOB NOT NULL, recipient BLOB NOT NULL, amount INTEGER NOT NULL, "
+            "nonce INTEGER NOT NULL, PRIMARY KEY (tx_id, block_id)) WITHOUT ROWID;"
+            "CREATE INDEX txs_block ON txs(block_id);"
+            "CREATE TABLE canon (height INTEGER PRIMARY KEY, block_id BLOB NOT NULL);"
+            "CREATE TABLE snapshots (snap_seq INTEGER PRIMARY KEY, "
+            "height INTEGER NOT NULL, generation INTEGER NOT NULL, data BLOB NOT NULL);",
+            version=2,
+        )
 
     def test_read_only_rejects_writes_and_missing_file(
         self, tmp_path: Path, genesis: Block
@@ -276,8 +283,27 @@ class TestSqliteGuards:
     def test_invalid_policy_parameters(self, tmp_path: Path) -> None:
         with pytest.raises(StorageError):
             SqliteStorage(tmp_path / "a.db", batch_size=0)
-        with pytest.raises(StorageError):
-            SqliteStorage(tmp_path / "b.db", snapshot_interval=0)
+
+    def test_snapshot_interval_is_accepted_and_ignored(self, tmp_path: Path) -> None:
+        """The placeholder keyword the spine's storage workload still passes."""
+        storage = SqliteStorage(tmp_path / "chain.db", batch_size=16, snapshot_interval=0)
+        assert not hasattr(storage, "snapshot_interval")
+        storage.close()
+
+
+def assert_refused_untouched(db: Path, script: str, *, version: int) -> None:
+    """Write a file of an older schema with ``script``, then check that the
+    writer and the reader both refuse it and that its bytes do not move."""
+    conn = sqlite3.connect(db)
+    conn.executescript(script)
+    conn.close()
+    before = db.read_bytes()
+    assert SCHEMA_VERSION == 3
+    with pytest.raises(StorageError, match=f"schema v{version}, this build speaks v3"):
+        SqliteStorage(db)
+    with pytest.raises(StorageError, match=f"schema v{version}"):
+        SqliteStorage(db, read_only=True)
+    assert db.read_bytes() == before
 
 
 #: Page size of the account store's differential checks.
@@ -461,6 +487,20 @@ class TestAccountReads:
         assert ["FROM canon" in sql for sql in statements] == [True, False, False]
         record = storage.block_by_height(5)
         assert (record["height"], record["canonical"]) == (5, True)
+
+    def test_block_tx_ids_read_a_covering_index(self, accounts: AccountStore) -> None:
+        """``/blocks/<id>`` lists its transaction ids in position order
+        straight off ``txs_block(block_id, position)`` (at schema v2 the index
+        held the block id alone and the list sorted in a temporary b-tree)."""
+        storage = accounts.storage
+        block = accounts.blocks[5]
+        statements = traced(storage, lambda: storage.block_by_id(block.block_id))
+        (tx_ids,) = [sql for sql in statements if "FROM txs" in sql]
+        plan = query_plan(storage, tx_ids)
+        assert "COVERING INDEX txs_block" in plan, plan
+        assert "TEMP B-TREE" not in plan, plan
+        record = storage.block_by_id(block.block_id)
+        assert record["tx_ids"] == [tx.tx_id.hex() for tx in block.transactions]
 
     def test_page_work_follows_the_page_not_the_history(
         self, accounts: AccountStore

@@ -16,11 +16,18 @@ from __future__ import annotations
 
 import asyncio
 import json
+import tempfile
 import urllib.error
 import urllib.request
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
+from repro.chain.block import Block
+from repro.chain.forkchoice import GHOSTRule, LongestChainRule
 from repro.consensus.powfamily import MiningNode, themis_config
+from repro.core.election import BlockBuilder
+from repro.core.geost import GEOSTRule
 from repro.live.localnet import free_ports
 from repro.live.manifest import localhost_manifest
 from repro.live.node_runner import run_node, storage_db_path
@@ -35,7 +42,7 @@ def persist_fleet_node(tmp_path: Path, height: int = 12) -> tuple:
     """Run a simulated fleet with storage attached to node 0."""
     stack = build_stack(MiningNode, [themis_config()] * 4, seed=7, params=FAST, **TEST_FLEET)
     db = tmp_path / "node-0.db"
-    storage = SqliteStorage(db, snapshot_interval=4)
+    storage = SqliteStorage(db)
     stack.nodes[0].attach_storage(storage)
     stack.run_to_height(height)
     storage.commit(stack.nodes[0].state.head_id, stack.nodes[0].state.tree, force=True)
@@ -55,10 +62,15 @@ class TestSimulatedPersistence:
         assert storage.head()["block_id"] == nodes[0].state.head_id.hex()
         storage.close()
 
-    def test_snapshot_exists_after_enough_heights(self, tmp_path):
+    def test_recover_replays_rows_to_the_recorded_tip(self, tmp_path):
         ctx, nodes, storage, db = persist_fleet_node(tmp_path)
-        assert storage.last_snapshot_height() >= 4
         storage.close()
+        reader = SqliteStorage(db, read_only=True)
+        recovered = reader.recover()
+        assert recovered is not None
+        assert recovered.max_height() == reader.tip_height() >= 12
+        assert reader.block_row_count() == len(recovered)
+        reader.close()
 
     def test_restore_rebuilds_consensus_state(self, tmp_path):
         ctx, nodes, storage, db = persist_fleet_node(tmp_path)
@@ -91,27 +103,25 @@ class TestSimulatedPersistence:
         assert stack.nodes[0].state.height() == 0
         storage.close()
 
-    def test_a_refused_orphan_does_not_come_back_from_a_snapshot(self, tmp_path):
-        """A non-member's block buffered before its parent, snapshotted
-        while buffered, then refused when the parent arrives, stays out of a
-        restored tree.  While snapshots carried the buffered orphans, restore
-        replayed it unjudged under its parent's row."""
-        stack = _stopped_fleet()
-        node = stack.nodes[0]
+    def test_a_refused_orphan_does_not_come_back_from_disk(self, tmp_path):
+        """A non-member's block buffered before its parent, buffered across
+        a commit, then refused when the parent arrives, stays out of a
+        restored tree (no row of it is ever written)."""
         db = tmp_path / "node-0.db"
-        storage = SqliteStorage(db, snapshot_interval=1)
-        node.attach_storage(storage)
+        storage = SqliteStorage(db)
+        stack = _stopped_fleet(storage)
+        node = stack.nodes[0]
         head = node.state.head_block()
         honest = _block_on(node.state, head, stack.nodes[1].keypair)
         forged = _block_on(node.state, honest, keypair(9))
         node._handle_block(forged)
         assert node.tree.orphan_count == 1
         node._handle_block(_block_on(node.state, head, stack.nodes[2].keypair))
-        assert storage.snapshot_count() == 1
         node._handle_block(honest)
         assert node.stats.blocks_rejected == 1
         assert forged.block_id not in node.tree
         storage.commit(node.state.head_id, node.state.tree, force=True)
+        assert storage.block_by_id(forged.block_id) is None
         storage.close()
 
         fresh = _stopped_fleet().nodes[0]
@@ -128,6 +138,87 @@ class TestSimulatedPersistence:
         assert all(node.storage is None for node in stack.nodes)
         stack.run_to_height(3)
         assert stack.nodes[0].state.height() >= 3
+
+
+#: Producers of scripted blocks: the four members by fleet index, and 9, a
+#: non-member whose blocks are refused.
+SCRIPT_PRODUCERS = (0, 1, 2, 3, 9)
+
+
+@st.composite
+def arrival_scripts(draw):
+    """Blocks above a node's head, delivered in a drawn order.
+
+    Block ``i`` names its parent (0: the head, ``j``: script block
+    ``j - 1``) and its producer; the deliveries come in a drawn order
+    after drawn gaps (0: the same instant).  Blocks delivered before their
+    parent wait as orphans; a non-member's block is refused when it would
+    attach, and its descendants stay buffered for good.
+    """
+    count = draw(st.integers(1, 9))
+    parents = [draw(st.integers(0, index)) for index in range(count)]
+    producers = draw(st.lists(st.sampled_from(SCRIPT_PRODUCERS), min_size=count, max_size=count))
+    order = draw(st.permutations(range(count)))
+    gaps = draw(st.lists(st.sampled_from((0.0, 0.25, 1.5)), min_size=count, max_size=count))
+    return parents, producers, order, gaps
+
+
+def scripted_blocks(stack, parents, producers) -> list[Block]:
+    node = stack.nodes[0]
+    table = node.state.governing(node.state.tree.genesis_id)[1]
+    blocks: list[Block] = []
+    for index, (parent_index, producer) in enumerate(zip(parents, producers, strict=True)):
+        parent = node.state.head_block() if parent_index == 0 else blocks[parent_index - 1]
+        keys = keypair(9) if producer == 9 else stack.nodes[producer].keypair
+        header = BlockBuilder(keys).build_header(
+            parent,
+            [],
+            # Distinct timestamps keep two siblings by one producer distinct.
+            parent.header.timestamp + 1.0 + index / 64,
+            table.multiple(keys.public.fingerprint()),
+            table.base,
+            table.epoch,
+        )
+        blocks.append(Block(header, None, ()))
+    return blocks
+
+
+class TestRecoverEqualsWriter:
+    @settings(max_examples=40, deadline=None)
+    @given(script=arrival_scripts())
+    def test_recover_equals_the_live_writers_tree(self, script):
+        """Whatever order blocks arrive in, the rows the live write policy
+        lands replay into the writer's tree: insertion order, arrival times
+        and sequence numbers, children order, and the head under every
+        rule."""
+        parents, producers, order, gaps = script
+        with tempfile.TemporaryDirectory() as tmp:
+            storage = SqliteStorage(Path(tmp) / "node-0.db")
+            stack = _stopped_fleet(storage)
+            node = stack.nodes[0]
+            blocks = scripted_blocks(stack, parents, producers)
+            at = stack.sim.now
+            for index, gap in zip(order, gaps, strict=True):
+                at += gap
+                stack.sim.schedule_at(
+                    at, lambda block=blocks[index]: node._handle_block(block)
+                )
+            stack.sim.run()
+            storage.commit(node.state.head_id, node.state.tree, force=True)
+            tree = node.state.tree
+            recovered = storage.recover(tree.finality_window)
+            storage.close()
+        assert recovered is not None
+        assert [b.block_id for b in recovered.iter_blocks()] == [
+            b.block_id for b in tree.iter_blocks()
+        ]
+        for block in tree.iter_blocks():
+            bid = block.block_id
+            assert recovered.arrival_time(bid) == tree.arrival_time(bid)
+            assert recovered.arrival_seq(bid) == tree.arrival_seq(bid)
+            assert recovered.children(bid) == tree.children(bid)
+        for rule in (LongestChainRule(), GHOSTRule(), GEOSTRule(node.members_fn)):
+            assert rule.head(recovered) == rule.head(tree)
 
 
 class TestLiveRecovery:
